@@ -38,7 +38,6 @@ from .geometry import (
 from .multilinear import (
     DefinitenessVerdict,
     MultilinearMapSpec,
-    complex_product_map,
     counterexample_4_4,
     counterexample_4_4_report,
     definiteness_decide,

@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 
+from .core import IDENTITY, LINEAR, verdict
 from .multilinear import EXPANSION_MAX_N, ordered_pairs, permutation_sign
 from .errors import ResourceError
 
@@ -202,9 +203,5 @@ def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
 
 def max_gap_and_scale(lhs: np.ndarray, rhs: np.ndarray):
     """Per-row max-norm identity gap and scale max(|lhs|, |rhs|, 1)."""
-    gap = np.max(np.abs(lhs.astype(float) - rhs.astype(float)), axis=1)
-    scale = np.maximum(
-        np.max(np.abs(lhs.astype(float)), axis=1),
-        np.max(np.abs(rhs.astype(float)), axis=1),
-    )
-    return gap, np.maximum(scale, 1.0)
+    v = verdict(IDENTITY, LINEAR, lhs.astype(float), rhs.astype(float), 0.0)
+    return v.gap, v.scale

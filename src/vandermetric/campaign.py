@@ -9,12 +9,13 @@ produce byte-identical output streams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import batch
-from .core import INEQUALITY_RTOL
+from .core import BOUND, IDENTITY, INEQUALITY, INEQUALITY_RTOL, LINEAR, verdict
 from .errors import ArgumentError, StepSizeError
 from .geometry import (
     CyclicPolygon,
@@ -27,18 +28,6 @@ from .geometry import (
 from .ode import MatrixFunction, ODEProblem, integrate, verify_estimate
 
 _MAX_RECORDED_FAILURES = 100
-
-CAMPAIGN_OPS = (
-    "simplex",
-    "extended",
-    "equality-family",
-    "polygon",
-    "multilinear-oracle",
-    "sum-identity",
-    "w-identity",
-    "ode",
-)
-
 
 @dataclass
 class CampaignConfig:
@@ -62,7 +51,7 @@ class CampaignResult:
     config: CampaignConfig
     trials: int
     violations: int
-    worst: float  # most negative normalized gap (inequalities) or largest normalized identity gap
+    worst: float  # smallest normalized gap of an inequality, largest of an identity or bound
     failures: list = field(default_factory=list)
 
     @property
@@ -91,67 +80,73 @@ class CampaignResult:
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
-    try:
-        runner = _RUNNERS[config.op]
-    except KeyError:
-        raise ArgumentError(
-            f"unknown campaign op {config.op!r}; known: {sorted(_RUNNERS)}"
-        ) from None
-    return runner(config)
+    _validate(config)
+    return _RUNNERS[config.op](config)
+
+
+def _validate(config: CampaignConfig) -> None:
+    """Reject a configuration no campaign can run, before drawing any input."""
+    if config.op not in _RUNNERS:
+        raise ArgumentError(f"unknown campaign op {config.op!r}; known: {sorted(_RUNNERS)}")
+    if config.trials < 1:
+        raise ArgumentError(f"trials must be >= 1, got {config.trials}")
+    if config.tol is not None and not (0.0 <= config.tol < math.inf):
+        raise ArgumentError(f"tol must be a finite number >= 0, got {config.tol}")
+    if config.n < 2 or config.m < 1:
+        raise ArgumentError(f"need n >= 2 and m >= 1, got n={config.n}, m={config.m}")
+    if config.op == "simplex" and config.metric not in _SIMPLEX_METRICS:
+        raise ArgumentError(f"simplex campaign does not support metric {config.metric!r}")
+    if config.op == "extended" and config.k is not None and not (0 <= config.k < config.n):
+        raise ArgumentError(f"k must be in [0, {config.n - 1}], got {config.k}")
+    if config.op == "polygon":
+        if config.check not in _POLYGON_CHECKS:
+            raise ArgumentError(f"unknown polygon check {config.check!r}; "
+                                f"known: {sorted(_POLYGON_CHECKS)}")
+        if _POLYGON_CHECKS[config.check] is None and config.n < 3:
+            raise ArgumentError(f"a polygon needs n >= 3, got {config.n}")
+    if config.op in ("multilinear-oracle", "sum-identity", "w-identity") and config.m < 2:
+        raise ArgumentError(f"multilinear campaigns need m >= 2, got {config.m}")
+    if config.op == "w-identity" and not (1 <= config.q <= config.n):
+        raise ArgumentError(f"q must be in [1, {config.n}], got {config.q}")
 
 
 def _rng(config: CampaignConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed))
 
 
-def _inequality_result(config, lhs, rhs, tol, extra=None) -> CampaignResult:
-    """Collect violations of gap >= -tol * scale over per-trial sides."""
-    gap = rhs - lhs
-    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-    normalized = gap / scale
-    bad = np.flatnonzero(normalized < -tol)
-    failures = []
-    for t in bad[:_MAX_RECORDED_FAILURES]:
-        rec = {
-            "record": "violation",
-            "trial": int(t),
-            "lhs": float(lhs[t]),
-            "rhs": float(rhs[t]),
-            "gap": float(gap[t]),
-            "seed": config.seed,
-        }
-        if extra is not None:
+def _reduce(config, kind, domain, lhs, rhs, tol, extra) -> CampaignResult:
+    """Count and record the rows of lhs/rhs whose verdict fails.
+
+    worst is the smallest normalized gap of an inequality and the largest
+    of an identity or a bound.
+    """
+    # Non-finite rows are expected here: they fail the verdict, silently.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        v = verdict(kind, domain, lhs, rhs, tol)
+        bad = np.flatnonzero(~v.passed)
+        scale = np.broadcast_to(v.scale, v.gap.shape)
+        failures = []
+        for t in bad[:_MAX_RECORDED_FAILURES]:
+            if kind == IDENTITY:
+                rec = {"gap": float(v.gap[t]), "scale": float(scale[t])}
+            else:
+                rec = {"lhs": float(lhs[t]), "rhs": float(rhs[t]),
+                       "gap": float(rhs[t] - lhs[t])}
+            rec.update(record="violation", trial=int(t), seed=config.seed)
             rec.update(extra(int(t)))
-        failures.append(rec)
+            failures.append(rec)
+    normalized = v.normalized
+    if not len(normalized):
+        worst = 0.0
+    elif kind == INEQUALITY:
+        worst = float(np.min(normalized))
+    else:
+        worst = float(np.max(normalized))
     return CampaignResult(
         config=config,
-        trials=len(gap),
+        trials=len(normalized),
         violations=int(len(bad)),
-        worst=float(np.min(normalized)) if len(normalized) else 0.0,
-        failures=failures,
-    )
-
-
-def _identity_result(config, gaps, scales, tol, extra=None) -> CampaignResult:
-    normalized = gaps / scales
-    bad = np.flatnonzero(normalized > tol)
-    failures = []
-    for t in bad[:_MAX_RECORDED_FAILURES]:
-        rec = {
-            "record": "violation",
-            "trial": int(t),
-            "gap": float(gaps[t]),
-            "scale": float(scales[t]),
-            "seed": config.seed,
-        }
-        if extra is not None:
-            rec.update(extra(int(t)))
-        failures.append(rec)
-    return CampaignResult(
-        config=config,
-        trials=len(gaps),
-        violations=int(len(bad)),
-        worst=float(np.max(normalized)) if len(normalized) else 0.0,
+        worst=worst,
         failures=failures,
     )
 
@@ -183,14 +178,12 @@ def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
         y = rng.standard_normal((b, m))
         lhs, rhs = batch.simplex_sides_vectors(x, y)
         extra = lambda t: {"points": x[t].tolist(), "y": y[t].tolist()}
-    elif config.metric == "generalized":
+    else:  # "generalized"
         x = rng.standard_normal((b, n, m))
         y = rng.standard_normal((b, m))
         lhs, rhs = batch.simplex_sides_generalized(x, y)
         extra = lambda t: {"points": x[t].tolist(), "y": y[t].tolist()}
-    else:
-        raise ArgumentError(f"simplex campaign does not support metric {config.metric!r}")
-    return _inequality_result(config, lhs, rhs, tol, extra)
+    return _reduce(config, INEQUALITY, LINEAR, lhs, rhs, tol, extra)
 
 
 def _extended_campaign(config: CampaignConfig) -> CampaignResult:
@@ -214,7 +207,7 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
         row = t % b
         return {"k": k, "points": _jsonable_complex(z[row]), "y": [y[row].real, y[row].imag]}
 
-    return _inequality_result(config, lhs, rhs, tol, extra)
+    return _reduce(config, INEQUALITY, LINEAR, lhs, rhs, tol, extra)
 
 
 def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
@@ -229,10 +222,8 @@ def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
     z[:, 1] = (-1.0 + 1j * np.sqrt(q * (1.0 + s))) / s
     z[:, 2] = (-1.0 - 1j * np.sqrt((1.0 + s) / q)) / s
     lhs, rhs = batch.simplex_sides_complex(z, np.zeros(b, dtype=complex))
-    gaps = np.abs(rhs - lhs)
-    scales = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     extra = lambda t: {"q": float(q[t]), "s": float(s[t])}
-    return _identity_result(config, gaps, scales, tol, extra)
+    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
 
 
 def _random_sorted_angles(rng, b, n, min_gap=1e-6):
@@ -245,41 +236,29 @@ def _random_sorted_angles(rng, b, n, min_gap=1e-6):
 
 
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
-    checks = {
-        "triangle": (3, triangle_check),
-        "quadrilateral": (4, quadrilateral_check),
-        "ptolemy": (4, ptolemy_gap),
-        "ngon": (config.n, ngon_check),
-        "simplex-equality": (config.n, simplex_equality_ngon),
-    }
-    try:
-        n, checker = checks[config.check]
-    except KeyError:
-        raise ArgumentError(
-            f"unknown polygon check {config.check!r}; known: {sorted(checks)}"
-        ) from None
+    """One checker report per random polygon, reduced by the report's own rule."""
+    # Looked up per run, by module global, so that the checkers can be wrapped.
+    checker = {
+        "triangle": triangle_check,
+        "quadrilateral": quadrilateral_check,
+        "ptolemy": ptolemy_gap,
+        "ngon": ngon_check,
+        "simplex-equality": simplex_equality_ngon,
+    }[config.check]
+    n = _POLYGON_CHECKS[config.check] or config.n
+    kwargs = {} if config.tol is None else {"tol": config.tol}
     rng = _rng(config)
     b = config.trials
     angles = _random_sorted_angles(rng, b, n)
     radii = rng.uniform(0.5, 3.0, size=b)
     lhs = np.empty(b)
     rhs = np.empty(b)
-    identity = config.check == "ptolemy"
     for t in range(b):
-        poly = CyclicPolygon(R=float(radii[t]), angles=tuple(angles[t]))
-        if config.tol is not None:
-            report = checker(poly, tol=config.tol)
-        else:
-            report = checker(poly)
+        report = checker(CyclicPolygon(R=float(radii[t]), angles=tuple(angles[t])), **kwargs)
         lhs[t] = report.lhs
         rhs[t] = report.rhs
-    tol = config.tol if config.tol is not None else (1e-10 if identity else INEQUALITY_RTOL)
     extra = lambda t: {"R": float(radii[t]), "angles": angles[t].tolist()}
-    if identity:
-        gaps = np.abs(rhs - lhs)
-        scales = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
-        return _identity_result(config, gaps, scales, tol, extra)
-    return _inequality_result(config, lhs, rhs, tol, extra)
+    return _reduce(config, report.kind, report.domain, lhs, rhs, report.tolerance, extra)
 
 
 def _int_sample(rng, shape, bound):
@@ -296,9 +275,8 @@ def _multilinear_oracle_campaign(config: CampaignConfig) -> CampaignResult:
     pr, pi = batch.pdf_batch(points)
     lhs = np.concatenate([er, ei], axis=1)
     rhs = np.concatenate([pr, pi], axis=1)
-    gaps, scales = batch.max_gap_and_scale(lhs, rhs)
     extra = lambda t: {"points": points[t].tolist()}
-    return _identity_result(config, gaps, scales, tol, extra)
+    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
 
 
 def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int = 3) -> int:
@@ -324,23 +302,19 @@ def _sum_identity_campaign(config: CampaignConfig) -> CampaignResult:
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
     lhs, rhs = batch.sum_identity_sides(points, y)
-    gaps, scales = batch.max_gap_and_scale(lhs, rhs)
     extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
-    return _identity_result(config, gaps, scales, tol, extra)
+    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
 
 
 def _w_identity_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
     tol = config.tol if config.tol is not None else 1e-10
     b, n, m, q = config.trials, config.n, config.m, config.q
-    if not (1 <= q <= n):
-        raise ArgumentError(f"q must be in [1, {n}], got {q}")
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
     lhs, rhs = batch.w_identity_sides(points, y, q)
-    gaps, scales = batch.max_gap_and_scale(lhs, rhs)
     extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist(), "q": q}
-    return _identity_result(config, gaps, scales, tol, extra)
+    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
 
 
 def random_ode_problem(rng: np.random.Generator, m: int, t_end: float = 2.0,
@@ -370,43 +344,39 @@ def _integrate_refining(problem: ODEProblem, max_refinements: int = 3):
 
 
 def _ode_campaign(config: CampaignConfig) -> CampaignResult:
+    """Contraction-estimate bounds at every grid time, near collisions left out."""
     rng = _rng(config)
     tol = config.tol if config.tol is not None else 1e-6
     dims = [2, 3, 4]
-    worst = -np.inf
-    violations = 0
-    failures = []
+    lhs, rhs, rows, problems = [], [], [], []
     for t in range(config.trials):
-        m = dims[t % len(dims)]
-        problem = random_ode_problem(rng, m)
+        problem = random_ode_problem(rng, dims[t % len(dims)])
         problem, trajectories = _integrate_refining(problem)
-        reports = verify_estimate(problem, trajectories, tol=tol)
-        for rep in reports:
-            if rep.flags.get("near_collision"):
-                continue
-            margin = rep.lhs / rep.rhs - 1.0 if rep.rhs > 0 else 0.0
-            worst = max(worst, margin)
-            if not rep.passed:
-                violations += 1
-                if len(failures) < _MAX_RECORDED_FAILURES:
-                    failures.append({
-                        "record": "violation",
-                        "trial": t,
-                        "t": rep.inputs["t"],
-                        "lhs": rep.lhs,
-                        "rhs": rep.rhs,
-                        "gap": rep.gap,
-                        "problem": problem.to_dict(),
-                        "seed": config.seed,
-                    })
-    return CampaignResult(
-        config=config,
-        trials=config.trials,
-        violations=violations,
-        worst=float(worst),
-        failures=failures,
-    )
+        problems.append(problem)
+        for rep in verify_estimate(problem, trajectories, tol=tol):
+            if not rep.flags["near_collision"]:
+                lhs.append(rep.lhs)
+                rhs.append(rep.rhs)
+                rows.append((t, rep.inputs["t"]))
 
+    def extra(row):
+        t, at = rows[row]
+        return {"trial": t, "t": at, "problem": problems[t].to_dict()}
+
+    result = _reduce(config, BOUND, LINEAR, np.array(lhs), np.array(rhs), tol, extra)
+    return replace(result, trials=config.trials)
+
+
+_SIMPLEX_METRICS = ("vandermonde", "root", "euclidean3", "generalized")
+
+# Polygon checks and their fixed vertex count (None: the configured n).
+_POLYGON_CHECKS = {
+    "triangle": 3,
+    "quadrilateral": 4,
+    "ptolemy": 4,
+    "ngon": None,
+    "simplex-equality": None,
+}
 
 _RUNNERS = {
     "simplex": _simplex_campaign,
@@ -418,3 +388,5 @@ _RUNNERS = {
     "w-identity": _w_identity_campaign,
     "ode": _ode_campaign,
 }
+
+CAMPAIGN_OPS = tuple(_RUNNERS)

@@ -13,7 +13,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from .campaign import CAMPAIGN_OPS, CampaignConfig, run_campaign
 from .core import (
@@ -35,13 +34,7 @@ from .geometry import (
     triangle_check,
 )
 from .io import polygon_from_json, problem_from_json, read_points_csv
-from .multilinear import (
-    MultilinearMapSpec,
-    counterexample_4_4_report,
-    definiteness_decide,
-    sum_identity_gap,
-    w_identity_gap,
-)
+from .multilinear import counterexample_4_4_report, definiteness_decide
 from .ode import integrate, verify_estimate
 
 EXIT_OK = 0
@@ -60,7 +53,7 @@ def _setup_logging():
                         stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
-def _emit(lines, output, fmt="jsonl"):
+def _emit(lines, output):
     text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w") as fh:
@@ -71,10 +64,6 @@ def _emit(lines, output, fmt="jsonl"):
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
-
-
-class _Failure(SystemExit):
-    pass
 
 
 def _guard(fn):
@@ -232,40 +221,17 @@ def polygon_cmd(input_path, check, tol, output, emit_csv):
 @_tol_opt
 @_output_opt
 def multilinear_verify_cmd(n, m, trials, seed, tol, output):
-    """Spot-check the expansion oracle and the replacement identities."""
+    """Alias: the multilinear-oracle, sum-identity and w-identity (q = 1..n) campaigns."""
     def body():
-        rtol = tol if tol is not None else 1e-10
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        ops = [("multilinear-oracle", 1), ("sum-identity", 1)]
+        ops += [("w-identity", q) for q in range(1, n + 1)]
         lines = []
         ok = True
-        from .multilinear import permutation_expansion, product_difference_form
-
-        spec = MultilinearMapSpec(n=n, m=m)
-        for trial in range(trials):
-            points = [tuple(v) for v in rng.uniform(-1.0, 1.0, size=(n, m))]
-            y = tuple(rng.uniform(-1.0, 1.0, size=m))
-            lhs = permutation_expansion(spec, points)
-            rhs = product_difference_form(spec, points)
-            scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1.0)
-            oracle_gap = float(np.max(np.abs(lhs - rhs))) / scale
-            sum_gap = sum_identity_gap(spec, points, y) / scale
-            w_gaps = []
-            for q in range(1, n + 1):
-                wspec = MultilinearMapSpec(n=n, m=m, extra=q - 1)
-                w_gaps.append(w_identity_gap(wspec, points, y, q) / scale)
-            record = {
-                "record": "trial",
-                "trial": trial,
-                "oracle_gap": oracle_gap,
-                "sum_identity_gap": sum_gap,
-                "w_identity_gaps": w_gaps,
-            }
-            if max(oracle_gap, sum_gap, *w_gaps) > rtol:
-                ok = False
-                record["record"] = "violation"
-                record["points"] = [list(p) for p in points]
-                record["y"] = list(y)
-                lines.append(_dump(record))
+        for op, q in ops:
+            result = run_campaign(CampaignConfig(op=op, seed=seed, trials=trials, tol=tol,
+                                                 n=n, m=m, q=q))
+            lines += result.json_lines()
+            ok = ok and result.passed
         lines.append(_dump({"record": "summary", "n": n, "m": m, "trials": trials,
                             "seed": seed, "pass": ok}))
         _emit(lines, output)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,27 +162,96 @@ def _jsonify(obj):
     return obj
 
 
+# Claim kinds and comparison domains of a verdict.
+INEQUALITY = "inequality"  # lhs <= rhs
+IDENTITY = "identity"  # lhs == rhs
+BOUND = "bound"  # lhs <= rhs * (1 + tol)
+LINEAR = "linear"  # the sides are the values themselves
+LOG = "log"  # the sides are logarithms of the values
+
+
+class Verdict(NamedTuple):
+    """Outcome of verdict(); each field is a float or an array of rows."""
+
+    normalized: object
+    passed: object
+    gap: object
+    scale: object
+
+
+def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
+    """Normalized gap and pass decision of a claim: the one pass/fail rule.
+
+    lhs and rhs are floats, or equal-shape arrays with one check per row.
+    In the linear domain scale = max(|lhs|, |rhs|, 1); in the log domain the
+    difference of the sides is already relative and scale = 1.
+
+    - inequality: gap = rhs - lhs, passes when gap / scale >= -tol;
+    - identity: gap = |rhs - lhs|, passes when gap / scale <= tol.  Sides
+      with a trailing component axis are compared row by row in the max norm;
+    - bound: gap = lhs / rhs - 1 (lhs - rhs in the log domain) over scale 1,
+      passes when <= tol.
+
+    The normalized gap is gap / scale.  Fails closed: a check whose
+    normalized gap or right side is not finite never passes.
+    """
+    if kind not in (INEQUALITY, IDENTITY, BOUND) or domain not in (LINEAR, LOG):
+        raise ArgumentError(f"unknown verdict kind {kind!r} or domain {domain!r}")
+    array = isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray)
+    finite = True
+    if kind == BOUND:
+        if domain == LOG:
+            gap = lhs - rhs
+        else:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                gap = np.divide(lhs, rhs) - 1.0
+            # lhs / inf - 1 is finite, so an infinite bound is caught here.
+            finite = abs(rhs) < math.inf
+        scale = 1.0
+    else:
+        gap = rhs - lhs
+        if kind == IDENTITY:
+            gap = abs(gap)
+        if domain == LOG:
+            scale = 1.0
+        elif array:
+            left, right = abs(lhs), abs(rhs)
+            if gap.ndim > 1:
+                gap, left, right = gap.max(axis=-1), left.max(axis=-1), right.max(axis=-1)
+            scale = np.maximum(np.maximum(left, right), 1.0)
+        else:
+            scale = max(abs(lhs), abs(rhs), 1.0)
+    normalized = gap / scale
+    within = normalized >= -tol if kind == INEQUALITY else normalized <= tol
+    finite = finite & (abs(normalized) < math.inf)
+    return Verdict(normalized, within & finite, gap, scale)
+
+
 @dataclass
 class MetricReport:
-    """Outcome of one inequality or identity check.
+    """Outcome of one inequality, identity or bound check.
 
-    gap is rhs - lhs exactly as computed; passed means
-    gap >= -tolerance * scale with scale = max(|lhs|, |rhs|, 1).
+    gap is rhs - lhs exactly as computed; passed is the verdict() of kind
+    and domain on the two sides at the given tolerance.
     """
 
     operation: str
     inputs: dict
     lhs: float
     rhs: float
-    gap: float
     tolerance: float
-    passed: bool
+    kind: str
+    domain: str
     seed: int | None = None
     flags: dict = field(default_factory=dict)
 
     @property
-    def scale(self) -> float:
-        return max(abs(self.lhs), abs(self.rhs), 1.0)
+    def gap(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def passed(self) -> bool:
+        return bool(verdict(self.kind, self.domain, self.lhs, self.rhs, self.tolerance).passed)
 
     def to_dict(self) -> dict:
         d = {
@@ -202,22 +271,6 @@ class MetricReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def _make_report(operation, inputs, lhs, rhs, tol, seed=None, flags=None) -> MetricReport:
-    gap = rhs - lhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return MetricReport(
-        operation=operation,
-        inputs=inputs,
-        lhs=lhs,
-        rhs=rhs,
-        gap=gap,
-        tolerance=tol,
-        passed=bool(gap >= -tol * scale),
-        seed=seed,
-        flags=flags or {},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +488,8 @@ def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL, seed=None)
         replaced[i] = y
         rhs += d(replaced)
     name = metric if isinstance(metric, str) else getattr(metric, "__name__", "custom")
-    return _make_report(
-        "simplex_gap",
-        {"points": t, "y": y, "metric": name},
-        lhs,
-        rhs,
-        tol,
-        seed=seed,
-    )
+    return MetricReport("simplex_gap", {"points": t, "y": y, "metric": name}, lhs, rhs, tol,
+                        kind=INEQUALITY, domain=LINEAR, seed=seed)
 
 
 def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL, seed=None) -> MetricReport:
@@ -461,14 +508,8 @@ def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL, see
         replaced = list(z)
         replaced[i] = y
         rhs += abs(z[i]) ** k * vandermonde_metric(replaced)
-    return _make_report(
-        "extended_inequality_gap",
-        {"points": list(z), "y": y, "k": k},
-        lhs,
-        rhs,
-        tol,
-        seed=seed,
-    )
+    return MetricReport("extended_inequality_gap", {"points": list(z), "y": y, "k": k},
+                        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR, seed=seed)
 
 
 # ---------------------------------------------------------------------------

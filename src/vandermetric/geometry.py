@@ -16,13 +16,17 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
+    IDENTITY,
+    INEQUALITY,
     INEQUALITY_RTOL,
+    LINEAR,
+    LOG,
     MetricReport,
-    _make_report,
     pairwise_product_metric,
     pairwise_root_metric,
     vandermonde_metric,
     vandermonde_metric_log,
+    verdict,
 )
 from .errors import ArgumentError
 
@@ -138,17 +142,29 @@ def equality_gap_3(y: complex, z1: complex, z2: complex, z3: complex,
         + vandermonde_metric([z1, y, z3])
         + vandermonde_metric([z1, z2, y])
     )
-    report = _make_report(
-        "equality_gap_3", {"y": y, "z": [z1, z2, z3]}, lhs, rhs, tol, seed=seed
-    )
-    scale = report.scale
-    report.flags["equality"] = bool(abs(report.gap) <= tol * scale)
-    report.flags["strict"] = bool(report.gap > tol * scale)
+    report = MetricReport("equality_gap_3", {"y": y, "z": [z1, z2, z3]}, lhs, rhs, tol,
+                          kind=INEQUALITY, domain=LINEAR, seed=seed)
+    equality = _equality(lhs, rhs, tol)
+    report.flags["equality"] = equality
+    report.flags["strict"] = report.passed and not equality
     return report
+
+
+def _equality(lhs, rhs, tol) -> bool:
+    """Whether an inequality's two sides are equal to within tol."""
+    return bool(verdict(IDENTITY, LINEAR, lhs, rhs, tol).passed)
 
 
 # ---------------------------------------------------------------------------
 # Polygon inequalities
+
+
+def _polygon_report(operation, poly, inputs, lhs, rhs, tol) -> MetricReport:
+    """Inequality report on a polygon, flagged with equality and equilateral."""
+    return MetricReport(operation, {"R": poly.R, "angles": list(poly.angles), **inputs},
+                        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR,
+                        flags={"equality": _equality(lhs, rhs, tol),
+                               "equilateral": poly.is_equilateral()})
 
 
 def triangle_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
@@ -158,16 +174,7 @@ def triangle_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricR
     a, b, c = poly.side_lengths()
     lhs = a * b * c
     rhs = poly.R**2 * (a + b + c)
-    report = _make_report(
-        "triangle_check",
-        {"R": poly.R, "angles": list(poly.angles), "sides": [a, b, c]},
-        lhs,
-        rhs,
-        tol,
-    )
-    report.flags["equality"] = bool(abs(report.gap) <= tol * report.scale)
-    report.flags["equilateral"] = poly.is_equilateral()
-    return report
+    return _polygon_report("triangle_check", poly, {"sides": [a, b, c]}, lhs, rhs, tol)
 
 
 def quadrilateral_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
@@ -184,17 +191,8 @@ def quadrilateral_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> Me
     f = abs(z[3] - z[1])
     lhs = a * b * c * d * e * f
     rhs = poly.R**3 * (a * b * e + b * c * f + c * d * e + a * d * f)
-    report = _make_report(
-        "quadrilateral_check",
-        {"R": poly.R, "angles": list(poly.angles),
-         "sides": [a, b, c, d], "diagonals": [e, f]},
-        lhs,
-        rhs,
-        tol,
-    )
-    report.flags["equality"] = bool(abs(report.gap) <= tol * report.scale)
-    report.flags["equilateral"] = poly.is_equilateral()
-    return report
+    return _polygon_report("quadrilateral_check", poly,
+                           {"sides": [a, b, c, d], "diagonals": [e, f]}, lhs, rhs, tol)
 
 
 def ptolemy_gap(poly: CyclicPolygon, tol: float = 1e-10) -> MetricReport:
@@ -207,12 +205,8 @@ def ptolemy_gap(poly: CyclicPolygon, tol: float = 1e-10) -> MetricReport:
     f = abs(z[3] - z[1])
     lhs = e * f
     rhs = a * c + b * d
-    report = _make_report(
-        "ptolemy_gap", {"R": poly.R, "angles": list(poly.angles)}, lhs, rhs, tol
-    )
-    report.passed = bool(abs(report.gap) <= tol * report.scale)
-    report.flags["identity"] = True
-    return report
+    return MetricReport("ptolemy_gap", {"R": poly.R, "angles": list(poly.angles)}, lhs, rhs,
+                        tol, kind=IDENTITY, domain=LINEAR, flags={"identity": True})
 
 
 def ngon_constant(n: int, R: float) -> float:
@@ -240,29 +234,20 @@ def ngon_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricRepor
         for i in range(j + 1, n):
             pair_sum += abs(z[i] - z[j])
     if n > _LOG_SWITCH_NGON:
-        log_lhs = vandermonde_metric_log(z)
-        log_rhs = (
+        domain = LOG
+        lhs = vandermonde_metric_log(z)
+        rhs = (
             math.lgamma(n - 1)
             + ((n + 1) * (n - 2) / 2.0) * math.log(poly.R)
             + math.log(pair_sum)
         )
-        report = _make_report(
-            "ngon_check",
-            {"R": poly.R, "angles": list(poly.angles), "n": n},
-            log_lhs,
-            log_rhs,
-            tol,
-        )
-        report.passed = bool(log_lhs <= log_rhs + tol)
-        report.flags["log_domain"] = True
-        return report
-    lhs = vandermonde_metric(z)
-    rhs = ngon_constant(n, poly.R) * pair_sum
-    report = _make_report(
-        "ngon_check", {"R": poly.R, "angles": list(poly.angles), "n": n}, lhs, rhs, tol
-    )
-    report.flags["log_domain"] = False
-    return report
+    else:
+        domain = LINEAR
+        lhs = vandermonde_metric(z)
+        rhs = ngon_constant(n, poly.R) * pair_sum
+    return MetricReport("ngon_check", {"R": poly.R, "angles": list(poly.angles), "n": n},
+                        lhs, rhs, tol, kind=INEQUALITY, domain=domain,
+                        flags={"log_domain": domain == LOG})
 
 
 def simplex_equality_ngon(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
@@ -275,16 +260,7 @@ def simplex_equality_ngon(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> 
         replaced = list(z)
         replaced[i] = y
         rhs += vandermonde_metric(replaced)
-    report = _make_report(
-        "simplex_equality_ngon",
-        {"R": poly.R, "angles": list(poly.angles), "center": y},
-        lhs,
-        rhs,
-        tol,
-    )
-    report.flags["equality"] = bool(abs(report.gap) <= tol * report.scale)
-    report.flags["equilateral"] = poly.is_equilateral()
-    return report
+    return _polygon_report("simplex_equality_ngon", poly, {"center": y}, lhs, rhs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +365,8 @@ def tetrahedron_simplex_report(tol: float = INEQUALITY_RTOL) -> MetricReport:
         replaced = list(pts)
         replaced[i] = origin
         rhs += pairwise_product_metric(replaced)
-    return _make_report(
+    return MetricReport(
         "tetrahedron_simplex",
         {"points": [list(p) for p in pts], "y": [0.0, 0.0, 0.0], "metric": "pairwise"},
-        lhs,
-        rhs,
-        tol,
+        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR,
     )

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import MonotoneNorm, _make_report, MetricReport, _vector_points
+from .core import INEQUALITY, LINEAR, MetricReport, MonotoneNorm, _vector_points
 from .errors import ArgumentError, ResourceError
 
 # Permutation expansion is factorially expensive; refuse beyond this size.
@@ -109,10 +109,6 @@ class MultilinearMapSpec:
             re, im = _complex_fold(factors)
             out.extend((re, im))
         return out
-
-
-def complex_product_map(spec: MultilinearMapSpec, args) -> np.ndarray:
-    return spec.apply(args)
 
 
 def _differences(points, pairs_n):
@@ -250,13 +246,11 @@ def w_norm_inequality(spec: MultilinearMapSpec, points, y, q: int,
         float(np.linalg.norm(_w_value(spec, _replaced(points, i, y), points[i], q)))
         for i in range(spec.n)
     )
-    return _make_report(
+    return MetricReport(
         "w_norm_inequality",
         {"n": spec.n, "m": spec.m, "q": q,
          "points": [list(p) for p in points], "y": list(y)},
-        lhs,
-        rhs,
-        tol,
+        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR,
     )
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MetricReport, _make_report, euclidean_3metric
+from .core import BOUND, LINEAR, MetricReport, euclidean_3metric
 from .errors import ArgumentError, StepSizeError
 
 # Per-step relative error allowed by the step-doubling estimate.
@@ -26,6 +26,10 @@ STEP_RTOL = 1e-8
 ESTIMATE_RTOL = 1e-6
 
 _NEAR_COLLISION = 1e-12
+
+# Right side of the estimate for degenerate initials, relative to the cube
+# of the largest trajectory norm (at least 1).
+_DEGENERATE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -251,10 +255,11 @@ def verify_estimate(problem: ODEProblem, trajectories: np.ndarray | None = None,
                     tol: float = ESTIMATE_RTOL) -> list[MetricReport]:
     """Check d3(x1, x2, x3)(t) <= exp(3 int_0^t alpha) d3 of the initials.
 
-    One report per grid time.  Grid points where two trajectories come
-    within 1e-12 of each other are flagged near_collision (and reported,
-    not failed).  Degenerate initials force the trajectory metric to stay
-    at zero up to rounding.
+    One report per grid time, each a bound.  Grid points where two
+    trajectories come within 1e-12 of each other are flagged near_collision
+    (and reported, not failed).  Degenerate initials (d3 = 0 at t = 0) force
+    the trajectory metric to stay at zero up to rounding, so their right
+    side is the rounding floor 1e-9 * max(1, max ||x_i(t)||)^3.
     """
     if trajectories is None:
         trajectories = integrate(problem)
@@ -267,21 +272,16 @@ def verify_estimate(problem: ODEProblem, trajectories: np.ndarray | None = None,
         pts = [tuple(trajectories[j, k, :]) for j in range(3)]
         lhs = euclidean_3metric(*pts)
         rhs = math.exp(3.0 * cum[k]) * d0
+        if d0 == 0.0:
+            rhs = _DEGENERATE_FLOOR * max(1.0, max(np.linalg.norm(p) for p in pts)) ** 3
         min_dist = min(
             math.dist(pts[0], pts[1]), math.dist(pts[0], pts[2]), math.dist(pts[1], pts[2])
         )
-        if d0 == 0.0:
-            scale = max(1.0, max(np.linalg.norm(p) for p in pts)) ** 3
-            passed = lhs <= 1e-9 * scale
-        else:
-            passed = lhs <= rhs * (1.0 + tol)
-        report = _make_report(
-            "ode_estimate", {"t": t}, lhs, rhs, tol,
+        reports.append(MetricReport(
+            "ode_estimate", {"t": t}, lhs, rhs, tol, kind=BOUND, domain=LINEAR,
             flags={
                 "near_collision": bool(min_dist <= _NEAR_COLLISION),
                 "degenerate_initials": bool(d0 == 0.0),
             },
-        )
-        report.passed = bool(passed)
-        reports.append(report)
+        ))
     return reports

@@ -84,6 +84,26 @@ class TestRunners:
         with pytest.raises(ArgumentError):
             run_campaign(CampaignConfig(op="simplex", metric="nope"))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"op": "simplex", "trials": 0},
+        {"op": "simplex", "trials": -5},
+        {"op": "simplex", "n": 1},
+        {"op": "extended", "n": 4, "k": 7},
+        {"op": "polygon", "check": "hexagon"},
+        {"op": "polygon", "check": "ngon", "n": 2},
+        {"op": "sum-identity", "m": 1},
+        {"op": "ode", "tol": float("nan")},
+    ])
+    def test_invalid_config_rejected(self, kwargs):
+        with pytest.raises(ArgumentError):
+            run_campaign(CampaignConfig(**kwargs))
+
+    def test_ngon_log_domain_worst_is_log_gap(self):
+        result = run_campaign(CampaignConfig(op="polygon", check="ngon", n=25, seed=4,
+                                             trials=20))
+        assert result.passed
+        assert result.worst > 1.0  # log-domain slack; the linear rule divides it by |log rhs|
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("op,kwargs", [

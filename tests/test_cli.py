@@ -166,6 +166,21 @@ class TestMultilinearVerify:
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["pass"] is True
 
+    def test_runs_the_identity_campaigns(self, runner):
+        result = runner.invoke(main, ["multilinear-verify", "--n", "3", "--m", "3",
+                                      "--trials", "20", "--seed", "1"])
+        records = [json.loads(line) for line in result.output.strip().splitlines()]
+        runs = [(r["config"]["op"], r["config"]["q"]) for r in records[:-1]]
+        assert runs == [("multilinear-oracle", 1), ("sum-identity", 1),
+                        ("w-identity", 1), ("w-identity", 2), ("w-identity", 3)]
+        assert all(r["config"]["seed"] == 1 and r["pass"] for r in records[:-1])
+
+    def test_failed_run_fails_the_summary(self, runner):
+        result = runner.invoke(main, ["multilinear-verify", "--n", "3", "--m", "3",
+                                      "--trials", "20", "--tol", "0"])
+        assert result.exit_code == 1
+        assert json.loads(result.output.strip().splitlines()[-1])["pass"] is False
+
 
 class TestDefiniteness:
     def test_definite_case(self, runner):
@@ -273,6 +288,31 @@ class TestCampaignCommand:
         result = runner.invoke(main, ["campaign", "--op", "simplex",
                                       "--metric", "bogus", "--trials", "10"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--op", "simplex", "--n", "60", "--trials", "20"],
+        ["--op", "polygon", "--check", "simplex-equality", "--n", "40", "--trials", "30",
+         "--seed", "7"],
+    ])
+    def test_non_finite_rows_fail_closed(self, runner, args):
+        result = runner.invoke(main, ["campaign", *args])
+        assert result.exit_code == 1
+        summary = json.loads(result.output.strip().splitlines()[-1])
+        assert summary["pass"] is False and summary["violations"] > 0
+
+    @pytest.mark.parametrize("args", [
+        ["--op", "simplex", "--trials", "0"],
+        ["--op", "simplex", "--trials", "-5"],
+        ["--op", "simplex", "--n", "1", "--trials", "10"],
+        ["--op", "extended", "--n", "4", "--k", "7"],
+        ["--op", "w-identity", "--n", "3", "--q", "5"],
+        ["--op", "polygon", "--check", "hexagon"],
+        ["--op", "simplex", "--tol", "-1"],
+    ])
+    def test_invalid_config_usage_error(self, runner, args):
+        result = runner.invoke(main, ["campaign", *args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
 
 
 class TestLogging:
