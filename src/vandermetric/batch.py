@@ -39,25 +39,28 @@ def root_batch(z: np.ndarray) -> np.ndarray:
     return dv_batch(z) ** (2.0 / (n * (n - 1)))
 
 
+def _replacement_sides(points: np.ndarray, y: np.ndarray, side):
+    """lhs = side(points, y) and rhs = sum_i side(points with slot i -> y, points[:, i]).
+
+    points is (B, n) or (B, n, m) and y is one slot of each row; rhs is
+    summed in slot order.
+    """
+    lhs = side(points, y)
+    rhs = np.zeros_like(lhs)
+    for i in range(points.shape[1]):
+        replaced = points.copy()
+        replaced[:, i] = y
+        rhs += side(replaced, points[:, i])
+    return lhs, rhs
+
+
 def simplex_sides_complex(z: np.ndarray, y: np.ndarray, metric=dv_batch):
     """(lhs, rhs) of the simplex inequality for each row; y is (B,) complex."""
-    lhs = metric(z)
-    rhs = np.zeros_like(lhs)
-    for i in range(z.shape[1]):
-        replaced = z.copy()
-        replaced[:, i] = y
-        rhs += metric(replaced)
-    return lhs, rhs
+    return _replacement_sides(z, y, lambda points, _: metric(points))
 
 
 def extended_sides_complex(z: np.ndarray, y: np.ndarray, k: int):
-    lhs = np.abs(y) ** k * dv_batch(z)
-    rhs = np.zeros_like(lhs)
-    for i in range(z.shape[1]):
-        replaced = z.copy()
-        replaced[:, i] = y
-        rhs += np.abs(z[:, i]) ** k * dv_batch(replaced)
-    return lhs, rhs
+    return _replacement_sides(z, y, lambda points, w: np.abs(w) ** k * dv_batch(points))
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +76,7 @@ def pairwise_product_batch(x: np.ndarray) -> np.ndarray:
 
 def simplex_sides_vectors(x: np.ndarray, y: np.ndarray, metric=pairwise_product_batch):
     """(lhs, rhs) of the simplex inequality; y is (B, m)."""
-    lhs = metric(x)
-    rhs = np.zeros_like(lhs)
-    for i in range(x.shape[1]):
-        replaced = x.copy()
-        replaced[:, i, :] = y
-        rhs += metric(replaced)
-    return lhs, rhs
+    return _replacement_sides(x, y, lambda points, _: metric(points))
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +98,16 @@ def _apply_projected(args: np.ndarray, t1: np.ndarray, t2: np.ndarray):
     return re, im
 
 
-def _tau_arrays(m: int):
-    pairs = ordered_pairs(m)
-    return (np.array([t1 for t1, _ in pairs]), np.array([t2 for _, t2 in pairs]))
+def _projected_form(points: np.ndarray, tail, q: int):
+    """Fold each row's pairwise differences plus q - 1 copies of tail (B, m).
+
+    Returns (re, im) arrays of shape (B, M_m).
+    """
+    j_idx, i_idx = pair_index_arrays(points.shape[1])
+    args = points[:, i_idx, :] - points[:, j_idx, :]
+    if q > 1:
+        args = np.concatenate([args, np.repeat(tail[:, None, :], q - 1, axis=1)], axis=1)
+    return _apply_projected(args, *pair_index_arrays(points.shape[2]))
 
 
 def pdf_batch(points: np.ndarray):
@@ -111,11 +115,7 @@ def pdf_batch(points: np.ndarray):
 
     Returns (re, im) arrays of shape (B, M_m).
     """
-    n = points.shape[1]
-    j_idx, i_idx = pair_index_arrays(n)
-    diffs = points[:, i_idx, :] - points[:, j_idx, :]
-    t1, t2 = _tau_arrays(points.shape[2])
-    return _apply_projected(diffs, t1, t2)
+    return _projected_form(points, None, 1)
 
 
 def expansion_batch(points: np.ndarray):
@@ -123,7 +123,7 @@ def expansion_batch(points: np.ndarray):
     B, n, m = points.shape
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
-    t1, t2 = _tau_arrays(m)
+    t1, t2 = pair_index_arrays(m)
     p = len(t1)
     acc_re = np.zeros((B, p), dtype=points.dtype)
     acc_im = np.zeros((B, p), dtype=points.dtype)
@@ -146,59 +146,18 @@ def generalized_metric_batch(points: np.ndarray) -> np.ndarray:
 
 
 def simplex_sides_generalized(points: np.ndarray, y: np.ndarray):
-    lhs = generalized_metric_batch(points)
-    rhs = np.zeros_like(lhs)
-    for i in range(points.shape[1]):
-        replaced = points.copy()
-        replaced[:, i, :] = y
-        rhs += generalized_metric_batch(replaced)
-    return lhs, rhs
+    return _replacement_sides(points, y, lambda x, _: generalized_metric_batch(x))
 
 
 def sum_identity_sides(points: np.ndarray, y: np.ndarray):
     """(lhs, rhs) component stacks of the replacement identity; y is (B, m)."""
-    lr, li = pdf_batch(points)
-    rr = np.zeros_like(lr)
-    ri = np.zeros_like(li)
-    for i in range(points.shape[1]):
-        replaced = points.copy()
-        replaced[:, i, :] = y
-        tr, ti = pdf_batch(replaced)
-        rr += tr
-        ri += ti
-    lhs = np.concatenate([lr, li], axis=1)
-    rhs = np.concatenate([rr, ri], axis=1)
-    return lhs, rhs
-
-
-def _w_sides_one(points, tail, q, t1, t2):
-    n = points.shape[1]
-    j_idx, i_idx = pair_index_arrays(n)
-    diffs = points[:, i_idx, :] - points[:, j_idx, :]
-    if q > 1:
-        tail_args = np.repeat(tail[:, None, :], q - 1, axis=1)
-        args = np.concatenate([diffs, tail_args], axis=1)
-    else:
-        args = diffs
-    return _apply_projected(args, t1, t2)
+    return w_identity_sides(points, y, 1)
 
 
 def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
-    """(lhs, rhs) component stacks of the extended identity; y is (B, m)."""
-    m = points.shape[2]
-    t1, t2 = _tau_arrays(m)
-    lr, li = _w_sides_one(points, y, q, t1, t2)
-    rr = np.zeros_like(lr)
-    ri = np.zeros_like(li)
-    for i in range(points.shape[1]):
-        replaced = points.copy()
-        replaced[:, i, :] = y
-        tr, ti = _w_sides_one(replaced, points[:, i, :], q, t1, t2)
-        rr += tr
-        ri += ti
-    lhs = np.concatenate([lr, li], axis=1)
-    rhs = np.concatenate([rr, ri], axis=1)
-    return lhs, rhs
+    """(lhs, rhs) component stacks [re | im] of the extended identity; y is (B, m)."""
+    return _replacement_sides(
+        points, y, lambda x, tail: np.concatenate(_projected_form(x, tail, q), axis=1))
 
 
 def max_gap_and_scale(lhs: np.ndarray, rhs: np.ndarray):

@@ -8,14 +8,13 @@ produce byte-identical output streams.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import batch
-from .core import BOUND, IDENTITY, INEQUALITY, INEQUALITY_RTOL, LINEAR, verdict
+from .core import BOUND, IDENTITY, INEQUALITY, INEQUALITY_RTOL, LINEAR, dump_json, verdict
 from .errors import ArgumentError, StepSizeError
 from .geometry import (
     CyclicPolygon,
@@ -70,8 +69,8 @@ class CampaignResult:
 
     def json_lines(self):
         for f in self.failures:
-            yield json.dumps(f, sort_keys=True)
-        yield json.dumps(self.summary(), sort_keys=True)
+            yield dump_json(f)
+        yield dump_json(self.summary())
 
     def csv_rows(self):
         yield ("trial", "lhs", "rhs", "gap")

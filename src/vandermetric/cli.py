@@ -17,6 +17,7 @@ import click
 from .campaign import CAMPAIGN_OPS, CampaignConfig, run_campaign
 from .core import (
     METRICS,
+    dump_json,
     extended_inequality_gap,
     resolve_metric,
     simplex_gap,
@@ -62,10 +63,6 @@ def _emit(lines, output):
         click.echo(text, nl=False)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
 def _guard(fn):
     """Run a command body, mapping domain errors to exit code 2."""
     try:
@@ -102,7 +99,7 @@ def eval_cmd(input_path, complex_points, metric, output):
     def body():
         t = read_points_csv(input_path, complex_points=complex_points)
         value = resolve_metric(metric)(list(t.points))
-        _emit([_dump({"metric": metric, "n": t.n, "m": t.m, "value": value})], output)
+        _emit([dump_json({"metric": metric, "n": t.n, "m": t.m, "value": value})], output)
         return EXIT_OK
 
     sys.exit(_guard(body))
@@ -166,7 +163,7 @@ def equality_family_cmd(q, s, tol, output):
         record = report.to_dict()
         record["q"] = q
         record["s"] = s
-        _emit([_dump(record)], output)
+        _emit([dump_json(record)], output)
         return EXIT_OK if report.flags["equality"] else EXIT_CHECK_FAILED
 
     sys.exit(_guard(body))
@@ -232,8 +229,8 @@ def multilinear_verify_cmd(n, m, trials, seed, tol, output):
                                                  n=n, m=m, q=q))
             lines += result.json_lines()
             ok = ok and result.passed
-        lines.append(_dump({"record": "summary", "n": n, "m": m, "trials": trials,
-                            "seed": seed, "pass": ok}))
+        lines.append(dump_json({"record": "summary", "n": n, "m": m, "trials": trials,
+                                "seed": seed, "pass": ok}))
         _emit(lines, output)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -249,7 +246,7 @@ def definiteness_cmd(n, m, budget, output):
     """Decide definiteness of the generalized metric for (n, m)."""
     def body():
         verdict = definiteness_decide(n, m, budget=budget)
-        _emit([_dump(verdict.to_dict())], output)
+        _emit([dump_json(verdict.to_dict())], output)
         return EXIT_OK
 
     sys.exit(_guard(body))
@@ -273,7 +270,7 @@ def counterexample_cmd(which, output):
             reproduced = record["structurally_zero"] and record["pairwise_distinct"] \
                 and record["metric_value"] == 0.0
         record["reproduced"] = reproduced
-        _emit([_dump(record)], output)
+        _emit([dump_json(record)], output)
         return EXIT_OK if reproduced else EXIT_CHECK_FAILED
 
     sys.exit(_guard(body))
@@ -328,7 +325,7 @@ def campaign_cmd(op, metric, trials, seed, tol, n, m, k, q, check, output, fmt):
             lines = [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
                      for row in result.csv_rows()]
         elif fmt == "json":
-            lines = [_dump({"failures": result.failures, "summary": result.summary()})]
+            lines = [dump_json({"failures": result.failures, "summary": result.summary()})]
         else:
             lines = list(result.json_lines())
         _emit(lines, output)

@@ -147,12 +147,14 @@ class MonotoneNorm:
 
 
 def _jsonify(obj):
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)  # "nan", "inf" or "-inf": JSON has no non-finite numbers
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return _jsonify([obj.real, obj.imag])
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, PointTuple):
         return [_jsonify(p) for p in obj.points]
     if isinstance(obj, (list, tuple)):
@@ -160,6 +162,11 @@ def _jsonify(obj):
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     return obj
+
+
+def dump_json(obj) -> str:
+    """Valid JSON text with sorted keys; non-finite floats become "nan", "inf", "-inf"."""
+    return json.dumps(_jsonify(obj), sort_keys=True, allow_nan=False)
 
 
 # Claim kinds and comparison domains of a verdict.
@@ -270,7 +277,7 @@ class MetricReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return dump_json(self.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +482,27 @@ def _coerce_like(t: PointTuple, y):
 # Simplex and extended inequalities
 
 
+def _replacement_sides(points, y, side):
+    """lhs = side(points, y) and rhs = sum_i side(points with slot i -> y, points[i]).
+
+    rhs is summed from 0 in slot order, so it keeps the type of the terms:
+    float, numpy array or exact int / Fraction.
+    """
+    lhs = side(list(points), y)
+    rhs = 0
+    for i, p in enumerate(points):
+        replaced = list(points)
+        replaced[i] = y
+        rhs = rhs + side(replaced, p)
+    return lhs, rhs
+
+
 def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL, seed=None) -> MetricReport:
     """Check d(x) <= sum_i d(x with x_i replaced by y) for the chosen metric."""
     t = as_point_tuple(points)
     y = _coerce_like(t, y)
     d = resolve_metric(metric)
-    pts = list(t.points)
-    lhs = d(pts)
-    rhs = 0.0
-    for i in range(t.n):
-        replaced = list(pts)
-        replaced[i] = y
-        rhs += d(replaced)
+    lhs, rhs = _replacement_sides(t.points, y, lambda pts, _: d(pts))
     name = metric if isinstance(metric, str) else getattr(metric, "__name__", "custom")
     return MetricReport("simplex_gap", {"points": t, "y": y, "metric": name}, lhs, rhs, tol,
                         kind=INEQUALITY, domain=LINEAR, seed=seed)
@@ -502,12 +518,7 @@ def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL, see
     n = len(z)
     if not (0 <= k <= n - 1):
         raise ArgumentError(f"k must be in [0, {n - 1}], got {k}")
-    lhs = abs(y) ** k * vandermonde_metric(z)
-    rhs = 0.0
-    for i in range(n):
-        replaced = list(z)
-        replaced[i] = y
-        rhs += abs(z[i]) ** k * vandermonde_metric(replaced)
+    lhs, rhs = _replacement_sides(z, y, lambda pts, w: abs(w) ** k * vandermonde_metric(pts))
     return MetricReport("extended_inequality_gap", {"points": list(z), "y": y, "k": k},
                         lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR, seed=seed)
 

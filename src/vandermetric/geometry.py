@@ -22,6 +22,7 @@ from .core import (
     LINEAR,
     LOG,
     MetricReport,
+    _replacement_sides,
     pairwise_product_metric,
     pairwise_root_metric,
     vandermonde_metric,
@@ -136,12 +137,7 @@ def equality_gap_3(y: complex, z1: complex, z2: complex, z3: complex,
                    tol: float = 1e-10, seed=None) -> MetricReport:
     """Gap of the 3-point simplex inequality, with equality/strict flags."""
     y, z1, z2, z3 = complex(y), complex(z1), complex(z2), complex(z3)
-    lhs = vandermonde_metric([z1, z2, z3])
-    rhs = (
-        vandermonde_metric([y, z2, z3])
-        + vandermonde_metric([z1, y, z3])
-        + vandermonde_metric([z1, z2, y])
-    )
+    lhs, rhs = _replacement_sides([z1, z2, z3], y, lambda pts, _: vandermonde_metric(pts))
     report = MetricReport("equality_gap_3", {"y": y, "z": [z1, z2, z3]}, lhs, rhs, tol,
                           kind=INEQUALITY, domain=LINEAR, seed=seed)
     equality = _equality(lhs, rhs, tol)
@@ -254,12 +250,7 @@ def simplex_equality_ngon(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> 
     """Simplex gap with y at the circumcenter; equality iff equilateral."""
     z = [complex(v) for v in poly.vertices()]
     y = poly.center
-    lhs = vandermonde_metric(z)
-    rhs = 0.0
-    for i in range(poly.n):
-        replaced = list(z)
-        replaced[i] = y
-        rhs += vandermonde_metric(replaced)
+    lhs, rhs = _replacement_sides(z, y, lambda pts, _: vandermonde_metric(pts))
     return _polygon_report("simplex_equality_ngon", poly, {"center": y}, lhs, rhs, tol)
 
 
@@ -300,6 +291,9 @@ class TetrahedronReport:
         }
 
 
+_ORIGIN = (0.0, 0.0, 0.0)
+
+
 def tetrahedron_vertices() -> tuple:
     s2, s6 = math.sqrt(2.0), math.sqrt(6.0)
     return (
@@ -320,7 +314,7 @@ def tetrahedron_counterexample() -> TetrahedronReport:
     configuration.
     """
     pts = tetrahedron_vertices()
-    norm_err = max(abs(math.dist(p, (0.0, 0.0, 0.0)) - 1.0) for p in pts)
+    norm_err = max(abs(math.dist(p, _ORIGIN) - 1.0) for p in pts)
     target = math.sqrt(8.0 / 3.0)
     dist_err = max(
         abs(math.dist(pts[i], pts[j]) - target)
@@ -332,13 +326,7 @@ def tetrahedron_counterexample() -> TetrahedronReport:
     # lhs <= rhs  <=>  lhs^2 <= rhs^2  <=>  (8/3)^6 <= 16 (8/3)^3  <=>  2^5 <= 3^3
     exact_lhs_sq = Fraction(8, 3) ** 6
     exact_rhs_sq = 16 * Fraction(8, 3) ** 3
-    root_lhs = pairwise_root_metric(pts)
-    root_rhs = 0.0
-    origin = (0.0, 0.0, 0.0)
-    for i in range(4):
-        replaced = list(pts)
-        replaced[i] = origin
-        root_rhs += pairwise_root_metric(replaced)
+    root_lhs, root_rhs = _replacement_sides(pts, _ORIGIN, lambda x, _: pairwise_root_metric(x))
     return TetrahedronReport(
         points=pts,
         lhs=lhs,
@@ -358,15 +346,9 @@ def tetrahedron_counterexample() -> TetrahedronReport:
 def tetrahedron_simplex_report(tol: float = INEQUALITY_RTOL) -> MetricReport:
     """The failing simplex check itself, as a standard report."""
     pts = tetrahedron_vertices()
-    origin = (0.0, 0.0, 0.0)
-    lhs = pairwise_product_metric(pts)
-    rhs = 0.0
-    for i in range(4):
-        replaced = list(pts)
-        replaced[i] = origin
-        rhs += pairwise_product_metric(replaced)
+    lhs, rhs = _replacement_sides(pts, _ORIGIN, lambda x, _: pairwise_product_metric(x))
     return MetricReport(
         "tetrahedron_simplex",
-        {"points": [list(p) for p in pts], "y": [0.0, 0.0, 0.0], "metric": "pairwise"},
+        {"points": [list(p) for p in pts], "y": list(_ORIGIN), "metric": "pairwise"},
         lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR,
     )

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .core import INEQUALITY, LINEAR, MetricReport, MonotoneNorm, _vector_points
+from .core import INEQUALITY, LINEAR, MetricReport, MonotoneNorm, _replacement_sides, _vector_points
 from .errors import ArgumentError, ResourceError
 
 # Permutation expansion is factorially expensive; refuse beyond this size.
@@ -44,6 +45,11 @@ def _complex_fold(factors) -> tuple:
     for a, b in factors:
         re, im = re * a - im * b, re * b + im * a
     return re, im
+
+
+def _exact_number(c):
+    """An exact coordinate as a Python int or Fraction (numpy ints never wrap)."""
+    return c if isinstance(c, Fraction) else int(c)
 
 
 @dataclass(frozen=True)
@@ -90,24 +96,21 @@ class MultilinearMapSpec:
                 raise ArgumentError(f"argument of dimension {len(x)}, expected {self.m}")
 
     def apply(self, args) -> np.ndarray:
-        """Evaluate the map; output is (re, im) per coordinate pair."""
+        """Evaluate the map; output is (re, im) per coordinate pair.
+
+        Float input gives a float64 array.  When every coordinate is an int,
+        a numpy integer or a Fraction, the output is an object array of exact
+        Python ints / Fractions.
+        """
         self._check_args(args)
-        out = np.empty(self.output_dim)
+        exact = all(isinstance(c, (int, np.integer, Fraction)) for x in args for c in x)
+        number = _exact_number if exact else float
+        out = np.empty(self.output_dim, dtype=object if exact else float)
         for idx, (t1, t2) in enumerate(self.pairs):
-            factors = sorted((float(x[t1]), float(x[t2])) for x in args)
+            factors = sorted((number(x[t1]), number(x[t2])) for x in args)
             re, im = _complex_fold(factors)
             out[2 * idx] = re
             out[2 * idx + 1] = im
-        return out
-
-    def apply_exact(self, args) -> list:
-        """Same map over exact Python numbers (int / Fraction)."""
-        self._check_args(args)
-        out = []
-        for t1, t2 in self.pairs:
-            factors = sorted((x[t1], x[t2]) for x in args)
-            re, im = _complex_fold(factors)
-            out.extend((re, im))
         return out
 
 
@@ -130,11 +133,6 @@ def product_difference_form(spec: MultilinearMapSpec, points) -> np.ndarray:
     return spec.apply(_differences(points, ordered_pairs(spec.n)))
 
 
-def product_difference_form_exact(spec: MultilinearMapSpec, points) -> list:
-    _check_points(spec, points)
-    return spec.apply_exact(_differences(points, ordered_pairs(spec.n)))
-
-
 def _expansion_terms(n):
     """(sign, argument index multiset) per permutation of {0, ..., n-1}."""
     for perm in itertools.permutations(range(n)):
@@ -154,46 +152,21 @@ def permutation_expansion(spec: MultilinearMapSpec, points) -> np.ndarray:
     _check_points(spec, points)
     if spec.n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
-    acc = np.zeros(spec.output_dim)
-    for sign, idx in _expansion_terms(spec.n):
-        acc += sign * spec.apply([points[j] for j in idx])
-    return acc
+    return sum(sign * spec.apply([points[j] for j in idx])
+               for sign, idx in _expansion_terms(spec.n))
 
 
-def permutation_expansion_exact(spec: MultilinearMapSpec, points) -> list:
-    _check_points(spec, points)
-    if spec.n > EXPANSION_MAX_N:
-        raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
-    acc = [0] * spec.output_dim
-    for sign, idx in _expansion_terms(spec.n):
-        term = spec.apply_exact([points[j] for j in idx])
-        acc = [a + sign * t for a, t in zip(acc, term)]
-    return acc
-
-
-def _replaced(points, i, y):
-    out = list(points)
-    out[i] = y
-    return out
-
-
-def sum_identity_gap(spec: MultilinearMapSpec, points, y) -> float:
+def sum_identity_gap(spec: MultilinearMapSpec, points, y):
     """Max-norm discrepancy of V(x) = sum_i V(x with x_i replaced by y)."""
+    return w_identity_gap(spec, points, y, 1)
+
+
+def _check_w_args(spec, points, q):
     _check_points(spec, points)
-    lhs = product_difference_form(spec, points)
-    rhs = np.zeros_like(lhs)
-    for i in range(spec.n):
-        rhs += product_difference_form(spec, _replaced(points, i, y))
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def sum_identity_gap_exact(spec: MultilinearMapSpec, points, y):
-    lhs = product_difference_form_exact(spec, points)
-    rhs = [0] * len(lhs)
-    for i in range(spec.n):
-        term = product_difference_form_exact(spec, _replaced(points, i, y))
-        rhs = [a + b for a, b in zip(rhs, term)]
-    return max(abs(a - b) for a, b in zip(lhs, rhs))
+    if not (1 <= q <= spec.n):
+        raise ArgumentError(f"q must be in [1, {spec.n}], got {q}")
+    if spec.extra != q - 1:
+        raise ArgumentError(f"spec.extra = {spec.extra} but q - 1 = {q - 1}")
 
 
 def _w_value(spec, points, tail, q):
@@ -201,51 +174,28 @@ def _w_value(spec, points, tail, q):
     return spec.apply(args)
 
 
-def w_identity_gap(spec: MultilinearMapSpec, points, y, q: int) -> float:
+def w_identity_gap(spec: MultilinearMapSpec, points, y, q: int):
     """Max-norm discrepancy of the extended replacement identity.
 
     W(x_1,...,x_n, y) = sum_i W(..., y at slot i, ..., x_i) where the form
-    carries q - 1 extra trailing arguments; q = 1 reduces to sum_identity_gap.
+    carries q - 1 extra trailing arguments; q = 1 is sum_identity_gap.  A
+    float for float input, exact for int / Fraction input (see apply).
     """
-    _check_points(spec, points)
-    if not (1 <= q <= spec.n):
-        raise ArgumentError(f"q must be in [1, {spec.n}], got {q}")
-    if spec.extra != q - 1:
-        raise ArgumentError(f"spec.extra = {spec.extra} but q - 1 = {q - 1}")
-    lhs = _w_value(spec, points, y, q)
-    rhs = np.zeros_like(lhs)
-    for i in range(spec.n):
-        rhs += _w_value(spec, _replaced(points, i, y), points[i], q)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def w_identity_gap_exact(spec: MultilinearMapSpec, points, y, q: int):
-    if not (1 <= q <= spec.n):
-        raise ArgumentError(f"q must be in [1, {spec.n}], got {q}")
-    if spec.extra != q - 1:
-        raise ArgumentError(f"spec.extra = {spec.extra} but q - 1 = {q - 1}")
-    pairs_n = ordered_pairs(spec.n)
-    lhs = spec.apply_exact(_differences(points, pairs_n) + [y] * (q - 1))
-    rhs = [0] * len(lhs)
-    for i in range(spec.n):
-        term = spec.apply_exact(
-            _differences(_replaced(points, i, y), pairs_n) + [points[i]] * (q - 1)
-        )
-        rhs = [a + b for a, b in zip(rhs, term)]
-    return max(abs(a - b) for a, b in zip(lhs, rhs))
+    _check_w_args(spec, points, q)
+    lhs, rhs = _replacement_sides(points, y, lambda pts, tail: _w_value(spec, pts, tail, q))
+    gap = np.max(np.abs(lhs - rhs))
+    return gap if isinstance(gap, (int, Fraction)) else float(gap)
 
 
 def w_norm_inequality(spec: MultilinearMapSpec, points, y, q: int,
                       tol: float = 1e-10) -> MetricReport:
     """||W(x, y)|| <= sum_i ||W(..., y at slot i, ..., x_i)||."""
-    _check_points(spec, points)
-    if spec.extra != q - 1:
-        raise ArgumentError(f"spec.extra = {spec.extra} but q - 1 = {q - 1}")
-    lhs = float(np.linalg.norm(_w_value(spec, points, y, q)))
-    rhs = sum(
-        float(np.linalg.norm(_w_value(spec, _replaced(points, i, y), points[i], q)))
-        for i in range(spec.n)
-    )
+    _check_w_args(spec, points, q)
+
+    def norm(pts, tail):
+        return float(np.linalg.norm(np.asarray(_w_value(spec, pts, tail, q), dtype=float)))
+
+    lhs, rhs = _replacement_sides(points, y, norm)
     return MetricReport(
         "w_norm_inequality",
         {"n": spec.n, "m": spec.m, "q": q,
@@ -286,7 +236,7 @@ def counterexample_4_4_report() -> dict:
     """Structural verification of the 4-point zero-metric configuration."""
     pts = counterexample_4_4()
     spec = MultilinearMapSpec(n=4, m=4)
-    value = product_difference_form_exact(spec, pts)
+    value = product_difference_form(spec, pts).tolist()
     diffs = {
         (j, i): tuple(pts[i][c] - pts[j][c] for c in range(4))
         for j, i in ordered_pairs(4)
@@ -407,7 +357,7 @@ def _build_witness(labels, n, m) -> tuple:
 
 def _verify_witness(n, m, witness):
     spec = MultilinearMapSpec(n=n, m=m)
-    value = product_difference_form_exact(spec, witness)
+    value = product_difference_form(spec, witness)
     if any(v != 0 for v in value):
         raise AssertionError("witness does not annihilate the metric")
     for j, i in ordered_pairs(n):

@@ -17,6 +17,7 @@ from vandermetric import (
     w_identity_gap,
 )
 from vandermetric import batch
+from vandermetric.core import IDENTITY, LINEAR, verdict
 
 RTOL = 1e-12
 
@@ -116,7 +117,7 @@ class TestMultilinearKernels:
         y = rng.uniform(-1, 1, size=(20, 3))
         spec = MultilinearMapSpec(n=4, m=3)
         lhs, rhs = batch.sum_identity_sides(x, y)
-        gaps, _ = batch.max_gap_and_scale(lhs, rhs)
+        gaps = verdict(IDENTITY, LINEAR, lhs, rhs, 0.0).gap
         for t in range(20):
             ref = sum_identity_gap(spec, [tuple(p) for p in x[t]], tuple(y[t]))
             assert abs(gaps[t] - ref) <= 1e-12
@@ -127,7 +128,7 @@ class TestMultilinearKernels:
         for q in (1, 2, 3):
             spec = MultilinearMapSpec(n=3, m=3, extra=q - 1)
             lhs, rhs = batch.w_identity_sides(x, y, q)
-            gaps, _ = batch.max_gap_and_scale(lhs, rhs)
+            gaps = verdict(IDENTITY, LINEAR, lhs, rhs, 0.0).gap
             for t in range(20):
                 ref = w_identity_gap(spec, [tuple(p) for p in x[t]], tuple(y[t]), q)
                 assert abs(gaps[t] - ref) <= 1e-12

@@ -1,6 +1,7 @@
 """Symmetric multilinear map, expansion oracle, identities, definiteness."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,14 +21,7 @@ from vandermetric import (
     w_identity_gap,
     w_norm_inequality,
 )
-from vandermetric.multilinear import (
-    ordered_pairs,
-    permutation_expansion_exact,
-    permutation_sign,
-    product_difference_form_exact,
-    sum_identity_gap_exact,
-    w_identity_gap_exact,
-)
+from vandermetric.multilinear import ordered_pairs, permutation_sign
 
 
 def random_points(rng, n, m):
@@ -98,9 +92,56 @@ class TestMapSpec:
         rng = np.random.default_rng(43)
         spec = MultilinearMapSpec(n=3, m=4)
         args = int_points(rng, spec.arity, 4)
-        exact = spec.apply_exact(args)
-        approx = spec.apply(args)
+        exact = spec.apply(args)
+        approx = spec.apply([tuple(float(c) for c in x) for x in args])
         assert [float(v) for v in exact] == list(approx)
+
+
+def _apply_differences(spec, pts, y):
+    return spec.apply([tuple(p[c] - q[c] for c in range(spec.m))
+                       for q, p in itertools.combinations(pts, 2)])
+
+
+_SCALAR_FORMS = {
+    "apply": _apply_differences,
+    "product_difference_form": lambda spec, pts, y: product_difference_form(spec, pts),
+    "permutation_expansion": lambda spec, pts, y: permutation_expansion(spec, pts),
+    "sum_identity_gap": sum_identity_gap,
+    "w_identity_gap": lambda spec, pts, y: w_identity_gap(spec, pts, y, spec.extra + 1),
+}
+
+
+def _flat(value):
+    return list(np.atleast_1d(np.asarray(value, dtype=object)))
+
+
+class TestFloatVsExact:
+    """Each scalar function folds the numbers it is given: exact in, exact out."""
+
+    @pytest.mark.parametrize("name", sorted(_SCALAR_FORMS))
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])
+    def test_fraction_input_is_exact(self, name, n, m):
+        rng = np.random.default_rng(54)
+        spec = MultilinearMapSpec(n=n, m=m, extra=n - 1 if name == "w_identity_gap" else 0)
+        pts = [tuple(Fraction(int(c), 7) for c in row)
+               for row in rng.integers(-9, 10, size=(n, m))]
+        y = tuple(Fraction(int(c), 5) for c in rng.integers(-9, 10, size=m))
+        values = _flat(_SCALAR_FORMS[name](spec, pts, y))
+        assert all(isinstance(v, Fraction) for v in values)
+        if name.endswith("_gap"):
+            assert values == [0]
+
+    @pytest.mark.parametrize("name", sorted(_SCALAR_FORMS))
+    def test_int_input_as_float_equals_float_path(self, name):
+        rng = np.random.default_rng(55)
+        spec = MultilinearMapSpec(n=4, m=3, extra=1 if name == "w_identity_gap" else 0)
+        pts = int_points(rng, 4, 3)
+        y = tuple(int(c) for c in rng.integers(-3, 4, size=3))
+        exact = _flat(_SCALAR_FORMS[name](spec, pts, y))
+        floats = _flat(_SCALAR_FORMS[name](spec, [tuple(map(float, p)) for p in pts],
+                                           tuple(map(float, y))))
+        assert all(isinstance(v, int) for v in exact)
+        assert [float(v) for v in exact] == floats
 
 
 class TestExpansionOracle:
@@ -121,9 +162,10 @@ class TestExpansionOracle:
             spec = MultilinearMapSpec(n=n, m=m)
             for _ in range(10):
                 pts = int_points(rng, n, m)
-                lhs = permutation_expansion_exact(spec, pts)
-                rhs = product_difference_form_exact(spec, pts)
-                assert lhs == rhs
+                lhs = permutation_expansion(spec, pts)
+                rhs = product_difference_form(spec, pts)
+                assert lhs.dtype == rhs.dtype == object
+                assert lhs.tolist() == rhs.tolist()
 
     def test_size_limit(self):
         spec = MultilinearMapSpec(n=9, m=2)
@@ -148,7 +190,7 @@ class TestReplacementIdentities:
         for _ in range(20):
             pts = int_points(rng, 4, 3)
             y = tuple(int(c) for c in rng.integers(-3, 4, size=3))
-            assert sum_identity_gap_exact(spec, pts, y) == 0
+            assert sum_identity_gap(spec, pts, y) == 0
 
     def test_w_identity_all_q(self):
         rng = np.random.default_rng(47)
@@ -161,7 +203,7 @@ class TestReplacementIdentities:
                     assert w_identity_gap(spec, pts, y, q) <= 1e-12
                     ipts = int_points(rng, n, m)
                     iy = tuple(int(c) for c in rng.integers(-3, 4, size=m))
-                    assert w_identity_gap_exact(spec, ipts, iy, q) == 0
+                    assert w_identity_gap(spec, ipts, iy, q) == 0
 
     def test_w_identity_q_one_matches_sum_identity(self):
         rng = np.random.default_rng(48)
@@ -187,6 +229,14 @@ class TestReplacementIdentities:
             w_identity_gap(spec, pts, y, 4)
         with pytest.raises(ArgumentError):
             w_identity_gap(spec, pts, y, 2)  # spec.extra != q - 1
+
+    @pytest.mark.parametrize("check", [w_identity_gap, w_norm_inequality])
+    def test_q_above_n_rejected(self, check):
+        # q = 4 > n = 3 with a matching spec.extra: no valid identity to check.
+        rng = np.random.default_rng(53)
+        spec = MultilinearMapSpec(n=3, m=3, extra=3)
+        with pytest.raises(ArgumentError):
+            check(spec, random_points(rng, 3, 3), (0.5, -0.5, 0.25), 4)
 
 
 class TestGeneralizedMetric:
@@ -253,7 +303,7 @@ class TestDefiniteness:
         assert verdict.witness is not None
         # the witness annihilates the metric while staying pairwise distinct
         spec = MultilinearMapSpec(n=4, m=4)
-        assert all(v == 0 for v in product_difference_form_exact(spec, verdict.witness))
+        assert all(v == 0 for v in product_difference_form(spec, verdict.witness))
         assert len(set(verdict.witness)) == 4
 
     def test_budget_exhaustion(self):

@@ -1,13 +1,16 @@
 """The one pass/fail rule: scalar reports and campaign reducers agree and fail closed."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vandermetric import CampaignConfig, CyclicPolygon, run_campaign
+from vandermetric.cli import main
 from vandermetric.campaign import _random_sorted_angles, _reduce, _rng
 from vandermetric.core import (
     BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, verdict,
@@ -40,6 +43,28 @@ def test_report_and_campaign_reducer_agree(kind, domain, lhs, rhs, tol):
     assert report.passed is result.passed
     if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(normalized)):
         assert not report.passed
+    for line in [report.to_json(), *result.json_lines()]:
+        strict_json(line)
+
+
+def strict_json(text):
+    """json.loads that refuses the bare NaN / Infinity / -Infinity of non-standard JSON."""
+    def refuse(constant):
+        raise ValueError(f"bare {constant} in {text!r}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "json"])
+def test_campaign_output_is_valid_json_with_non_finite_values(fmt):
+    result = CliRunner().invoke(main, ["campaign", "--op", "simplex", "--n", "60",
+                                       "--trials", "20", "--format", fmt])
+    records = [strict_json(line) for line in result.output.strip().splitlines()]
+    if fmt == "json":
+        records = records[0]["failures"] + [records[0]["summary"]]
+    assert records[-1]["worst"] == "nan"
+    assert {"inf", "nan"} & {r["gap"] for r in records[:-1]}
+    with np.errstate(all="ignore"):
+        assert math.isnan(run_campaign(CampaignConfig(op="simplex", n=60, trials=20)).worst)
 
 
 def test_vector_identity_uses_the_max_norm():
