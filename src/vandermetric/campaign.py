@@ -8,6 +8,7 @@ produce byte-identical output streams.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -16,15 +17,26 @@ import numpy as np
 from . import batch
 from .core import BOUND, IDENTITY, INEQUALITY, INEQUALITY_RTOL, LINEAR, dump_json, verdict
 from .errors import ArgumentError, StepSizeError
-from .geometry import (
-    CyclicPolygon,
-    ngon_check,
-    ptolemy_gap,
-    quadrilateral_check,
-    simplex_equality_ngon,
-    triangle_check,
+from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
+    POLYGON_CHECKS,
+    CyclicPolygon,  # noqa: F401
+    ngon_check,  # noqa: F401
+    ptolemy_gap,  # noqa: F401
+    quadrilateral_check,  # noqa: F401
+    simplex_equality_ngon,  # noqa: F401
+    triangle_check,  # noqa: F401
 )
-from .ode import MatrixFunction, ODEProblem, integrate, verify_estimate
+from .ode import (
+    MatrixFunction,
+    ODEProblem,
+    estimate_rows,
+    growth_bounds,
+    integrate,
+    integrate_rows,
+    verify_estimate,
+)
+
+log = logging.getLogger(__name__)
 
 _MAX_RECORDED_FAILURES = 100
 
@@ -80,7 +92,9 @@ class CampaignResult:
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     _validate(config)
-    return _RUNNERS[config.op](config)
+    # Sides that overflow are expected: their rows fail the verdict, silently.
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        return _RUNNERS[config.op](config)
 
 
 def _validate(config: CampaignConfig) -> None:
@@ -98,10 +112,10 @@ def _validate(config: CampaignConfig) -> None:
     if config.op == "extended" and config.k is not None and not (0 <= config.k < config.n):
         raise ArgumentError(f"k must be in [0, {config.n - 1}], got {config.k}")
     if config.op == "polygon":
-        if config.check not in _POLYGON_CHECKS:
+        if config.check not in POLYGON_CHECKS:
             raise ArgumentError(f"unknown polygon check {config.check!r}; "
-                                f"known: {sorted(_POLYGON_CHECKS)}")
-        if _POLYGON_CHECKS[config.check] is None and config.n < 3:
+                                f"known: {sorted(POLYGON_CHECKS)}")
+        if POLYGON_CHECKS[config.check][0] is None and config.n < 3:
             raise ArgumentError(f"a polygon needs n >= 3, got {config.n}")
     if config.op in ("multilinear-oracle", "sum-identity", "w-identity") and config.m < 2:
         raise ArgumentError(f"multilinear campaigns need m >= 2, got {config.m}")
@@ -119,21 +133,19 @@ def _reduce(config, kind, domain, lhs, rhs, tol, extra) -> CampaignResult:
     worst is the smallest normalized gap of an inequality and the largest
     of an identity or a bound.
     """
-    # Non-finite rows are expected here: they fail the verdict, silently.
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        v = verdict(kind, domain, lhs, rhs, tol)
-        bad = np.flatnonzero(~v.passed)
-        scale = np.broadcast_to(v.scale, v.gap.shape)
-        failures = []
-        for t in bad[:_MAX_RECORDED_FAILURES]:
-            if kind == IDENTITY:
-                rec = {"gap": float(v.gap[t]), "scale": float(scale[t])}
-            else:
-                rec = {"lhs": float(lhs[t]), "rhs": float(rhs[t]),
-                       "gap": float(rhs[t] - lhs[t])}
-            rec.update(record="violation", trial=int(t), seed=config.seed)
-            rec.update(extra(int(t)))
-            failures.append(rec)
+    v = verdict(kind, domain, lhs, rhs, tol)
+    bad = np.flatnonzero(~v.passed)
+    scale = np.broadcast_to(v.scale, v.gap.shape)
+    failures = []
+    for t in bad[:_MAX_RECORDED_FAILURES]:
+        if kind == IDENTITY:
+            rec = {"gap": float(v.gap[t]), "scale": float(scale[t])}
+        else:
+            rec = {"lhs": float(lhs[t]), "rhs": float(rhs[t]),
+                   "gap": float(rhs[t] - lhs[t])}
+        rec.update(record="violation", trial=int(t), seed=config.seed)
+        rec.update(extra(int(t)))
+        failures.append(rec)
     normalized = v.normalized
     if not len(normalized):
         worst = 0.0
@@ -235,29 +247,20 @@ def _random_sorted_angles(rng, b, n, min_gap=1e-6):
 
 
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
-    """One checker report per random polygon, reduced by the report's own rule."""
-    # Looked up per run, by module global, so that the checkers can be wrapped.
-    checker = {
-        "triangle": triangle_check,
-        "quadrilateral": quadrilateral_check,
-        "ptolemy": ptolemy_gap,
-        "ngon": ngon_check,
-        "simplex-equality": simplex_equality_ngon,
-    }[config.check]
-    n = _POLYGON_CHECKS[config.check] or config.n
-    kwargs = {} if config.tol is None else {"tol": config.tol}
+    """One row of the check's kernel per random polygon."""
+    size, kernel, kind, default_tol = POLYGON_CHECKS[config.check]
+    n = size or config.n
+    tol = config.tol if config.tol is not None else default_tol
     rng = _rng(config)
     b = config.trials
     angles = _random_sorted_angles(rng, b, n)
     radii = rng.uniform(0.5, 3.0, size=b)
-    lhs = np.empty(b)
-    rhs = np.empty(b)
-    for t in range(b):
-        report = checker(CyclicPolygon(R=float(radii[t]), angles=tuple(angles[t])), **kwargs)
-        lhs[t] = report.lhs
-        rhs[t] = report.rhs
+    sides = kernel(angles, radii)
+    if log.isEnabledFor(logging.DEBUG) and sides.log_rows is not None and sides.log_rows.any():
+        log.debug("polygon %s: trials evaluated in the log domain: %s", config.check,
+                  np.flatnonzero(sides.log_rows).tolist())
     extra = lambda t: {"R": float(radii[t]), "angles": angles[t].tolist()}
-    return _reduce(config, report.kind, report.domain, lhs, rhs, report.tolerance, extra)
+    return _reduce(config, kind, sides.domain, sides.lhs, sides.rhs, tol, extra)
 
 
 def _int_sample(rng, shape, bound):
@@ -336,10 +339,44 @@ def _integrate_refining(problem: ODEProblem, max_refinements: int = 3):
             return problem, integrate(problem)
         except StepSizeError as exc:
             steps = exc.suggested_steps or 2 * (len(problem.grid) - 1)
+            log.debug("ode: %s; integrating again on %d steps", exc, steps)
             grid = np.linspace(problem.grid[0], problem.grid[-1], steps + 1)
             problem = ODEProblem(matrix=problem.matrix, initials=problem.initials,
                                  grid=grid, alpha=problem.alpha)
     return problem, integrate(problem)
+
+
+def _ode_estimates(problems: list[ODEProblem]) -> list:
+    """(problem integrated, lhs, rhs, near-collision mask) of each problem's estimate.
+
+    The problems are linear and of one grid.  Those of one dimension m are
+    integrated together; a problem whose step doubling rejects a step is
+    integrated again alone, through the grid refinement.
+    """
+    out = [None] * len(problems)
+    for m in sorted({p.matrix.dim for p in problems}):
+        members = [t for t, p in enumerate(problems) if p.matrix.dim == m]
+        group = [problems[t] for t in members]
+        matrix = MatrixFunction.linear(np.stack([p.matrix.a0 for p in group]),
+                                       np.stack([p.matrix.a1 for p in group]))
+        grid = group[0].grid
+        trajectories, rejected, _ = integrate_rows(
+            matrix, np.stack([p.initials for p in group]), grid)
+        accepted = np.flatnonzero(rejected < 0)
+        alphas = growth_bounds(np.stack([matrix(t) for t in grid], axis=1)[accepted])
+        sides = estimate_rows(trajectories[accepted], alphas, grid)
+        for row, b in enumerate(accepted):
+            out[members[b]] = (group[b], sides.lhs[row], sides.rhs[row],
+                              sides.near_collision[row])
+        for b in np.flatnonzero(rejected >= 0):
+            log.debug("ode trial %d: step doubling rejected a step; integrating it alone",
+                      members[b])
+            problem, trajectories = _integrate_refining(group[b])
+            reports = verify_estimate(problem, trajectories)
+            out[members[b]] = (problem, np.array([r.lhs for r in reports]),
+                              np.array([r.rhs for r in reports]),
+                              np.array([r.flags["near_collision"] for r in reports]))
+    return out
 
 
 def _ode_campaign(config: CampaignConfig) -> CampaignResult:
@@ -347,35 +384,28 @@ def _ode_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
     tol = config.tol if config.tol is not None else 1e-6
     dims = [2, 3, 4]
-    lhs, rhs, rows, problems = [], [], [], []
-    for t in range(config.trials):
-        problem = random_ode_problem(rng, dims[t % len(dims)])
-        problem, trajectories = _integrate_refining(problem)
-        problems.append(problem)
-        for rep in verify_estimate(problem, trajectories, tol=tol):
-            if not rep.flags["near_collision"]:
-                lhs.append(rep.lhs)
-                rhs.append(rep.rhs)
-                rows.append((t, rep.inputs["t"]))
+    problems = [random_ode_problem(rng, dims[t % len(dims)]) for t in range(config.trials)]
+    estimates = _ode_estimates(problems)
+    lhs, rhs, trials, times = [], [], [], []
+    for t, (problem, t_lhs, t_rhs, near) in enumerate(estimates):
+        if near.any():
+            log.debug("ode trial %d: %d grid times near a collision left out", t, near.sum())
+        keep = ~near
+        lhs.append(t_lhs[keep])
+        rhs.append(t_rhs[keep])
+        trials.append(np.full(keep.sum(), t))
+        times.append(problem.grid[keep])
+    trials, times = np.concatenate(trials), np.concatenate(times)
 
     def extra(row):
-        t, at = rows[row]
-        return {"trial": t, "t": at, "problem": problems[t].to_dict()}
+        t = int(trials[row])
+        return {"trial": t, "t": times[row], "problem": estimates[t][0].to_dict()}
 
-    result = _reduce(config, BOUND, LINEAR, np.array(lhs), np.array(rhs), tol, extra)
+    result = _reduce(config, BOUND, LINEAR, np.concatenate(lhs), np.concatenate(rhs), tol, extra)
     return replace(result, trials=config.trials)
 
 
 _SIMPLEX_METRICS = ("vandermonde", "root", "euclidean3", "generalized")
-
-# Polygon checks and their fixed vertex count (None: the configured n).
-_POLYGON_CHECKS = {
-    "triangle": 3,
-    "quadrilateral": 4,
-    "ptolemy": 4,
-    "ngon": None,
-    "simplex-equality": None,
-}
 
 _RUNNERS = {
     "simplex": _simplex_campaign,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -35,10 +36,6 @@ _PRODUCT_CEIL = 1e300
 
 def _is_finite_complex(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
-def _ckey(z: complex):
-    return (z.real, z.imag)
 
 
 @dataclass(frozen=True)
@@ -282,40 +279,102 @@ class MetricReport:
 
 # ---------------------------------------------------------------------------
 # Vandermonde metric on C
+#
+# The metrics are row kernels over (B, n) arrays; the scalar functions are
+# B = 1 calls into them.
 
 
-def vandermonde_metric(points) -> float:
-    """Product of all pairwise distances |z_i - z_j| of complex scalars.
+def scalar_map(fn, values) -> np.ndarray:
+    """fn applied to each element of values, as a float array of their shape.
 
-    Switches to log-domain evaluation for large tuples or once a partial
-    product leaves the representable range.
+    numpy's vectorized log, exp and power round some elements differently
+    from the math module, so results that must equal the scalar formulas
+    bit for bit apply those functions here, one element at a time.
     """
-    z = sorted(_complex_points(points), key=_ckey)
-    n = len(z)
-    if n > _LOG_SWITCH_N:
-        return _exp_or_zero(_log_sum(z))
-    prod = 1.0
-    for j in range(n):
-        for i in range(j + 1, n):
-            f = abs(z[i] - z[j])
-            if f == 0.0:
-                return 0.0
-            prod *= f
-            if not (_PRODUCT_FLOOR <= prod <= _PRODUCT_CEIL):
-                return _exp_or_zero(_log_sum(z))
-    return prod
+    values = np.asarray(values)
+    return np.array([fn(v) for v in values.ravel().tolist()], dtype=float).reshape(values.shape)
 
 
-def _log_sum(z_sorted) -> float:
-    total = 0.0
-    n = len(z_sorted)
-    for j in range(n):
-        for i in range(j + 1, n):
-            f = abs(z_sorted[i] - z_sorted[j])
-            if f == 0.0:
-                return -math.inf
-            total += math.log(f)
-    return total
+@lru_cache(maxsize=None)
+def _pair_indices(n: int):
+    """Read-only index arrays (j, i) of the pairs j < i in lexicographic order."""
+    j, i = np.triu_indices(n, 1)
+    j.flags.writeable = i.flags.writeable = False
+    return j, i
+
+
+def _complex_factors(z: np.ndarray) -> np.ndarray:
+    """|z_i - z_j| over the pairs of each row sorted by (real, imag), in pair order."""
+    z = np.take_along_axis(z, np.lexsort((z.imag, z.real)), axis=1)
+    j, i = _pair_indices(z.shape[1])
+    d = z[:, i] - z[:, j]
+    return np.hypot(d.real, d.imag)
+
+
+def _log_sums(factors: np.ndarray) -> np.ndarray:
+    """Sum of the logs of each row of factors in order; -inf for a row holding a zero."""
+    with np.errstate(divide="ignore"):
+        sums = np.cumsum(np.log(factors), axis=1)[:, -1]
+    sums[np.any(factors == 0.0, axis=1)] = -math.inf
+    return sums
+
+
+def _product(factors: np.ndarray) -> np.ndarray:
+    """Product of each row of factors in order; exactly 0 for a row holding a zero."""
+    with np.errstate(over="ignore"):
+        product = np.cumprod(factors, axis=1)[:, -1]
+    product[np.any(factors == 0.0, axis=1)] = 0.0
+    return product
+
+
+# Rows are folded in chunks of about this many pair factors, which bounds
+# the temporaries however many rows a caller stacks.
+_CHUNK_FACTORS = 1 << 13
+
+
+def _chunks(rows: int, factors_per_row: int):
+    step = max(1, _CHUNK_FACTORS // factors_per_row)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
+def vandermonde_rows(z: np.ndarray):
+    """Pairwise-distance product of each row of a (B, n) complex array.
+
+    Each row is sorted by (real, imag) and its factors hypot(z_i - z_j) are
+    multiplied in lexicographic pair order.  A row with n > 12, or whose
+    partial product leaves [1e-300, 1e300], is evaluated as the exp of its
+    log sum instead.  Returns the values and the mask of those log-domain
+    rows.
+    """
+    n = z.shape[1]
+    values = np.empty(z.shape[0])
+    log_rows = np.empty(z.shape[0], dtype=bool)
+    for rows in _chunks(z.shape[0], n * (n - 1) // 2):
+        factors = _complex_factors(z[rows])
+        zero = np.any(factors == 0.0, axis=1)
+        if n > _LOG_SWITCH_N:
+            in_range = np.zeros(len(factors), dtype=bool)
+            product = np.zeros(len(factors))
+        else:
+            with np.errstate(over="ignore"):
+                partial = np.cumprod(factors, axis=1)
+            in_range = np.all((partial >= _PRODUCT_FLOOR) & (partial <= _PRODUCT_CEIL), axis=1)
+            product = partial[:, -1]
+        log = ~(in_range | zero)
+        product[zero] = 0.0
+        product[log] = scalar_map(_exp_or_zero, _log_sums(factors[log]))
+        values[rows] = product
+        log_rows[rows] = log
+    return values, log_rows
+
+
+def vandermonde_log_rows(z: np.ndarray) -> np.ndarray:
+    """Sum of log|z_i - z_j| of each row of a (B, n) complex array (canonical order)."""
+    n = z.shape[1]
+    out = np.empty(z.shape[0])
+    for rows in _chunks(z.shape[0], n * (n - 1) // 2):
+        out[rows] = _log_sums(_complex_factors(z[rows]))
+    return out
 
 
 def _exp_or_zero(log_value: float) -> float:
@@ -327,16 +386,25 @@ def _exp_or_zero(log_value: float) -> float:
         return math.inf
 
 
+def vandermonde_metric(points) -> float:
+    """Product of all pairwise distances |z_i - z_j| of complex scalars.
+
+    Switches to log-domain evaluation for large tuples or once a partial
+    product leaves the representable range.
+    """
+    values, _ = vandermonde_rows(np.array([_complex_points(points)]))
+    return float(values[0])
+
+
 def vandermonde_metric_log(points) -> float:
     """Sum of log|z_i - z_j| over all pairs; -inf when two points coincide."""
-    z = sorted(_complex_points(points), key=_ckey)
-    return _log_sum(z)
+    return float(vandermonde_log_rows(np.array([_complex_points(points)]))[0])
 
 
 def root_metric(points) -> float:
     """Pairwise-distance product raised to 2/(n(n-1)); homogeneous of degree 1."""
-    z = sorted(_complex_points(points), key=_ckey)
-    log_value = _log_sum(z)
+    z = _complex_points(points)
+    log_value = vandermonde_metric_log(z)
     if log_value == -math.inf:
         return 0.0
     n = len(z)
@@ -410,22 +478,30 @@ def euclidean_3metric(x1, x2, x3) -> float:
     return pairwise_product_metric(pts)
 
 
+def pairwise_distances(x: np.ndarray) -> np.ndarray:
+    """Euclidean distances over the pairs of each row of a (B, n, m) array.
+
+    Each row's points are sorted lexicographically and the distances come
+    in lexicographic pair order.  Each is math.hypot of the coordinate
+    differences, which is math.dist of the two points.
+    """
+    order = np.lexsort(np.moveaxis(x[..., ::-1], -1, 0))
+    x = np.take_along_axis(x, order[..., None], axis=1)
+    j, i = _pair_indices(x.shape[1])
+    out = np.empty((x.shape[0], len(i)))
+    for rows in _chunks(x.shape[0], len(i)):
+        d = (x[rows, i] - x[rows, j]).reshape(-1, x.shape[2])
+        out[rows] = np.fromiter(map(math.hypot, *d.T.tolist()), float, len(d)).reshape(-1, len(i))
+    return out
+
+
 def pairwise_product_metric(points) -> float:
     """Product of all pairwise Euclidean distances of vectors in R^m.
 
     A genuine 3-metric for n = 3; for n >= 4 in dimension >= 3 the simplex
     inequality fails (see geometry.tetrahedron_counterexample).
     """
-    pts = sorted(_vector_points(points))
-    n = len(pts)
-    prod = 1.0
-    for j in range(n):
-        for i in range(j + 1, n):
-            d = math.dist(pts[i], pts[j])
-            if d == 0.0:
-                return 0.0
-            prod *= d
-    return prod
+    return float(_product(pairwise_distances(np.array([_vector_points(points)])))[0])
 
 
 def pairwise_root_metric(points) -> float:

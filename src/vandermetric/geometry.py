@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,11 +23,15 @@ from .core import (
     LINEAR,
     LOG,
     MetricReport,
+    _chunks,
+    _pair_indices,
     _replacement_sides,
     pairwise_product_metric,
     pairwise_root_metric,
+    scalar_map,
+    vandermonde_log_rows,
     vandermonde_metric,
-    vandermonde_metric_log,
+    vandermonde_rows,
     verdict,
 )
 from .errors import ArgumentError
@@ -69,11 +74,10 @@ class CyclicPolygon:
         return len(self.angles)
 
     def vertices(self) -> np.ndarray:
-        return self.center + self.R * np.exp(1j * np.asarray(self.angles))
+        return _vertices(np.array([self.angles]), np.array([self.R]), self.center)[0]
 
     def side_lengths(self) -> np.ndarray:
-        z = self.vertices()
-        return np.abs(np.roll(z, -1) - z)
+        return _side_lengths(self.vertices()[None])[0]
 
     def angle_gaps(self) -> np.ndarray:
         a = np.asarray(self.angles)
@@ -153,6 +157,134 @@ def _equality(lhs, rhs, tol) -> bool:
 
 # ---------------------------------------------------------------------------
 # Polygon inequalities
+#
+# Each check is a kernel over B polygons given as a (B, n) array of sorted
+# vertex angles and (B,) circumradii around one center; the scalar checks
+# are B = 1 calls into it.
+
+PTOLEMY_RTOL = 1e-10
+
+
+class PolygonSides(NamedTuple):
+    """Both sides of a polygon check, one row per polygon."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    domain: str = LINEAR
+    log_rows: np.ndarray | None = None  # rows with a metric evaluated in the log domain
+    lengths: dict | None = None  # side and diagonal lengths listed by the scalar report
+
+
+def _vertices(angles, radii, center):
+    return center + radii[:, None] * np.exp(1j * angles)
+
+
+# Sides use numpy's complex abs and diagonals hypot (Python's abs), as the
+# per-polygon formulas always did: the two round differently.
+def _side_lengths(z):
+    return np.abs(np.roll(z, -1, axis=1) - z)
+
+
+def _diagonal(z, a, b):
+    d = z[:, b] - z[:, a]
+    return np.hypot(d.real, d.imag)
+
+
+def _powers(radii, exponent):
+    return scalar_map(lambda r: r ** exponent, radii)
+
+
+def triangle_sides(angles, radii, center=0j) -> PolygonSides:
+    """abc and R^2 (a + b + c) for each triangle."""
+    s = _side_lengths(_vertices(angles, radii, center))
+    a, b, c = s.T
+    return PolygonSides(a * b * c, _powers(radii, 2) * (a + b + c), lengths={"sides": s})
+
+
+def quadrilateral_sides(angles, radii, center=0j) -> PolygonSides:
+    """abcdef and R^3 (abe + bcf + cde + adf) for each cyclic quadrilateral."""
+    z = _vertices(angles, radii, center)
+    s = _side_lengths(z)
+    a, b, c, d = s.T
+    e, f = _diagonal(z, 0, 2), _diagonal(z, 1, 3)
+    rhs = _powers(radii, 3) * (a * b * e + b * c * f + c * d * e + a * d * f)
+    return PolygonSides(a * b * c * d * e * f, rhs,
+                        lengths={"sides": s, "diagonals": np.stack([e, f], axis=1)})
+
+
+def ptolemy_sides(angles, radii, center=0j) -> PolygonSides:
+    """ef and ac + bd for each cyclic quadrilateral."""
+    z = _vertices(angles, radii, center)
+    a, b, c, d = _side_lengths(z).T
+    return PolygonSides(_diagonal(z, 0, 2) * _diagonal(z, 1, 3), a * c + b * d)
+
+
+def ngon_sides(angles, radii, center=0j) -> PolygonSides:
+    """prod |z_i - z_j| and (n-2)! R^((n+1)(n-2)/2) sum |z_i - z_j| for each n-gon.
+
+    Beyond n = 20 both sides are logarithms.  The pair sum runs over the
+    vertices in angle order.
+    """
+    n = angles.shape[1]
+    z = _vertices(angles, radii, center)
+    j, i = _pair_indices(n)
+    pair_sum = np.empty(len(z))
+    for rows in _chunks(len(z), len(i)):
+        d = z[rows, i] - z[rows, j]
+        pair_sum[rows] = np.cumsum(np.hypot(d.real, d.imag), axis=1)[:, -1]
+    if n > _LOG_SWITCH_NGON:
+        rhs = (math.lgamma(n - 1) + ((n + 1) * (n - 2) / 2.0) * scalar_map(math.log, radii)
+               + scalar_map(math.log, pair_sum))
+        return PolygonSides(vandermonde_log_rows(z), rhs, LOG, np.ones(len(z), dtype=bool))
+    lhs, log_rows = vandermonde_rows(z)
+    constant = scalar_map(lambda r: ngon_constant(n, r), radii)
+    with np.errstate(over="ignore"):  # an infinite side fails the verdict
+        rhs = constant * pair_sum
+    return PolygonSides(lhs, rhs, log_rows=log_rows)
+
+
+def simplex_equality_sides(angles, radii, center=0j) -> PolygonSides:
+    """Simplex sides with y at the circumcenter for each polygon.
+
+    Each polygon and its n replaced tuples are evaluated as one stacked
+    (n + 1, B, n) batch; the right side is summed in slot order.
+    """
+    b, n = angles.shape
+    z = _vertices(angles, radii, center)
+    lhs, rhs, log_rows = np.empty(b), np.zeros(b), np.empty(b, dtype=bool)
+    for rows in _chunks(b, (n + 1) * n * (n - 1) // 2):
+        tuples = np.repeat(z[None, rows], n + 1, axis=0)
+        for i in range(n):
+            tuples[i + 1, :, i] = center
+        values, log = vandermonde_rows(tuples.reshape(-1, n))
+        values = values.reshape(n + 1, -1)
+        lhs[rows] = values[0]
+        with np.errstate(over="ignore"):  # an infinite side fails the verdict
+            for term in values[1:]:
+                rhs[rows] += term
+        log_rows[rows] = log.reshape(n + 1, -1).any(axis=0)
+    return PolygonSides(lhs, rhs, log_rows=log_rows)
+
+
+# Polygon checks by campaign name: vertex count (None: any n >= 3), kernel,
+# claim kind and default tolerance.
+POLYGON_CHECKS = {
+    "triangle": (3, triangle_sides, INEQUALITY, INEQUALITY_RTOL),
+    "quadrilateral": (4, quadrilateral_sides, INEQUALITY, INEQUALITY_RTOL),
+    "ptolemy": (4, ptolemy_sides, IDENTITY, PTOLEMY_RTOL),
+    "ngon": (None, ngon_sides, INEQUALITY, INEQUALITY_RTOL),
+    "simplex-equality": (None, simplex_equality_sides, INEQUALITY, INEQUALITY_RTOL),
+}
+
+
+def _one(poly: CyclicPolygon, kernel) -> PolygonSides:
+    """The kernel on the single polygon poly."""
+    return kernel(np.array([poly.angles]), np.array([poly.R]), poly.center)
+
+
+def _lengths(sides: PolygonSides) -> dict:
+    """The side and diagonal lengths of a single-polygon kernel result, as lists."""
+    return {key: list(value[0]) for key, value in sides.lengths.items()}
 
 
 def _polygon_report(operation, poly, inputs, lhs, rhs, tol) -> MetricReport:
@@ -163,14 +295,16 @@ def _polygon_report(operation, poly, inputs, lhs, rhs, tol) -> MetricReport:
                                "equilateral": poly.is_equilateral()})
 
 
+def _check_size(name, poly, n):
+    if poly.n != n:
+        raise ArgumentError(f"{name} needs n = {n}, got {poly.n}")
+
+
 def triangle_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
     """abc <= R^2 (a + b + c); equality exactly for equilateral triangles."""
-    if poly.n != 3:
-        raise ArgumentError(f"triangle_check needs n = 3, got {poly.n}")
-    a, b, c = poly.side_lengths()
-    lhs = a * b * c
-    rhs = poly.R**2 * (a + b + c)
-    return _polygon_report("triangle_check", poly, {"sides": [a, b, c]}, lhs, rhs, tol)
+    _check_size("triangle_check", poly, 3)
+    s = _one(poly, triangle_sides)
+    return _polygon_report("triangle_check", poly, _lengths(s), s.lhs[0], s.rhs[0], tol)
 
 
 def quadrilateral_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
@@ -179,30 +313,18 @@ def quadrilateral_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> Me
     Sides a, b, c, d are taken in vertex order; the diagonals are
     e = |z1 - z3| and f = |z2 - z4| with vertices in angle order.
     """
-    if poly.n != 4:
-        raise ArgumentError(f"quadrilateral_check needs n = 4, got {poly.n}")
-    z = poly.vertices()
-    a, b, c, d = poly.side_lengths()
-    e = abs(z[2] - z[0])
-    f = abs(z[3] - z[1])
-    lhs = a * b * c * d * e * f
-    rhs = poly.R**3 * (a * b * e + b * c * f + c * d * e + a * d * f)
-    return _polygon_report("quadrilateral_check", poly,
-                           {"sides": [a, b, c, d], "diagonals": [e, f]}, lhs, rhs, tol)
+    _check_size("quadrilateral_check", poly, 4)
+    s = _one(poly, quadrilateral_sides)
+    return _polygon_report("quadrilateral_check", poly, _lengths(s), s.lhs[0], s.rhs[0], tol)
 
 
-def ptolemy_gap(poly: CyclicPolygon, tol: float = 1e-10) -> MetricReport:
+def ptolemy_gap(poly: CyclicPolygon, tol: float = PTOLEMY_RTOL) -> MetricReport:
     """Sanity oracle for generated cyclic quadrilaterals: ef = ac + bd."""
-    if poly.n != 4:
-        raise ArgumentError(f"ptolemy_gap needs n = 4, got {poly.n}")
-    z = poly.vertices()
-    a, b, c, d = poly.side_lengths()
-    e = abs(z[2] - z[0])
-    f = abs(z[3] - z[1])
-    lhs = e * f
-    rhs = a * c + b * d
-    return MetricReport("ptolemy_gap", {"R": poly.R, "angles": list(poly.angles)}, lhs, rhs,
-                        tol, kind=IDENTITY, domain=LINEAR, flags={"identity": True})
+    _check_size("ptolemy_gap", poly, 4)
+    s = _one(poly, ptolemy_sides)
+    return MetricReport("ptolemy_gap", {"R": poly.R, "angles": list(poly.angles)},
+                        s.lhs[0], s.rhs[0], tol, kind=IDENTITY, domain=LINEAR,
+                        flags={"identity": True})
 
 
 def ngon_constant(n: int, R: float) -> float:
@@ -223,35 +345,17 @@ def ngon_constant_inductive(n: int, R: Fraction) -> Fraction:
 
 def ngon_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
     """prod_{j<i} |z_i - z_j| <= (n-2)! R^((n+1)(n-2)/2) sum_{j<i} |z_i - z_j|."""
-    n = poly.n
-    z = [complex(v) for v in poly.vertices()]
-    pair_sum = 0.0
-    for j in range(n):
-        for i in range(j + 1, n):
-            pair_sum += abs(z[i] - z[j])
-    if n > _LOG_SWITCH_NGON:
-        domain = LOG
-        lhs = vandermonde_metric_log(z)
-        rhs = (
-            math.lgamma(n - 1)
-            + ((n + 1) * (n - 2) / 2.0) * math.log(poly.R)
-            + math.log(pair_sum)
-        )
-    else:
-        domain = LINEAR
-        lhs = vandermonde_metric(z)
-        rhs = ngon_constant(n, poly.R) * pair_sum
-    return MetricReport("ngon_check", {"R": poly.R, "angles": list(poly.angles), "n": n},
-                        lhs, rhs, tol, kind=INEQUALITY, domain=domain,
-                        flags={"log_domain": domain == LOG})
+    s = _one(poly, ngon_sides)
+    return MetricReport("ngon_check", {"R": poly.R, "angles": list(poly.angles), "n": poly.n},
+                        float(s.lhs[0]), float(s.rhs[0]), tol, kind=INEQUALITY,
+                        domain=s.domain, flags={"log_domain": s.domain == LOG})
 
 
 def simplex_equality_ngon(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
     """Simplex gap with y at the circumcenter; equality iff equilateral."""
-    z = [complex(v) for v in poly.vertices()]
-    y = poly.center
-    lhs, rhs = _replacement_sides(z, y, lambda pts, _: vandermonde_metric(pts))
-    return _polygon_report("simplex_equality_ngon", poly, {"center": y}, lhs, rhs, tol)
+    s = _one(poly, simplex_equality_sides)
+    return _polygon_report("simplex_equality_ngon", poly, {"center": poly.center},
+                           float(s.lhs[0]), float(s.rhs[0]), tol)
 
 
 # ---------------------------------------------------------------------------

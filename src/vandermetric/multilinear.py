@@ -236,18 +236,16 @@ def counterexample_4_4_report() -> dict:
     """Structural verification of the 4-point zero-metric configuration."""
     pts = counterexample_4_4()
     spec = MultilinearMapSpec(n=4, m=4)
-    value = product_difference_form(spec, pts).tolist()
-    diffs = {
-        (j, i): tuple(pts[i][c] - pts[j][c] for c in range(4))
-        for j, i in ordered_pairs(4)
-    }
+    pairs = ordered_pairs(4)
+    diffs = _differences(pts, pairs)
+    value = spec.apply(diffs).tolist()  # the product-difference form
     # Each output component vanishes structurally iff some difference is zero
     # on both coordinates of its pair.
     killing = {}
     for t1, t2 in spec.pairs:
-        zeroed = [pair for pair, d in diffs.items() if d[t1] == 0 and d[t2] == 0]
+        zeroed = [pair for pair, d in zip(pairs, diffs) if d[t1] == 0 and d[t2] == 0]
         killing[f"({t1 + 1},{t2 + 1})"] = [(j + 1, i + 1) for j, i in zeroed]
-    distinct = all(pts[i] != pts[j] for j, i in ordered_pairs(4))
+    distinct = all(pts[i] != pts[j] for j, i in pairs)
     return {
         "points": [list(p) for p in pts],
         "metric_components": value,

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import BOUND, LINEAR, MetricReport, euclidean_3metric
+from .core import BOUND, LINEAR, MetricReport, _product, pairwise_distances, scalar_map
+from .core import euclidean_3metric  # noqa: F401  (bench/spans.py traces it under this module)
 from .errors import ArgumentError, StepSizeError
 
 # Per-step relative error allowed by the step-doubling estimate.
@@ -117,13 +118,18 @@ class MatrixFunction:
         raise ArgumentError(f"unknown matrix kind {kind!r}")
 
 
+def growth_bounds(a: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of the symmetric part of each matrix of a (..., m, m) stack."""
+    sym = 0.5 * (a + np.swapaxes(a, -1, -2))
+    return np.linalg.eigvalsh(sym)[..., -1]
+
+
 def derive_alpha(a: np.ndarray) -> float:
     """Sharpest growth bound: largest eigenvalue of the symmetric part."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ArgumentError(f"matrix must be square, got shape {a.shape}")
-    sym = 0.5 * (a + a.T)
-    return float(np.linalg.eigvalsh(sym)[-1])
+    return float(growth_bounds(a))
 
 
 @dataclass
@@ -178,11 +184,48 @@ class ODEProblem:
 
 
 def _rk4_step(matrix, y, t, h):
-    k1 = y @ matrix(t).T
-    k2 = (y + 0.5 * h * k1) @ matrix(t + 0.5 * h).T
-    k3 = (y + 0.5 * h * k2) @ matrix(t + 0.5 * h).T
-    k4 = (y + h * k3) @ matrix(t + h).T
+    mid = matrix(t + 0.5 * h).swapaxes(-1, -2)
+    k1 = y @ matrix(t).swapaxes(-1, -2)
+    k2 = (y + 0.5 * h * k1) @ mid
+    k3 = (y + 0.5 * h * k2) @ mid
+    k4 = (y + h * k3) @ matrix(t + h).swapaxes(-1, -2)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: float = STEP_RTOL):
+    """RK4 trajectories of B problems that share one time grid.
+
+    matrix(t) is the (B, m, m) stack of coefficient matrices at time t (a
+    MatrixFunction of stacked coefficient arrays is one) and initials is
+    (B, 3, m).  Each step is validated by step doubling, row by row; a row
+    whose error estimate exceeds rel_tol stays frozen from that step on.
+    Returns the (B, 3, K, m) trajectories, each row's first rejected step
+    (-1 for none) and that step's error estimate.
+    """
+    rows = initials.shape[0]
+    out = np.empty((rows, 3, len(grid), initials.shape[2]))
+    y = initials.copy()
+    out[:, :, 0] = y
+    rejected = np.full(rows, -1)
+    errors = np.zeros(rows)
+    for k in range(len(grid) - 1):
+        t0, t1 = grid[k], grid[k + 1]
+        h = t1 - t0
+        full = _rk4_step(matrix, y, t0, h)
+        half = _rk4_step(matrix, _rk4_step(matrix, y, t0, 0.5 * h), t0 + 0.5 * h, 0.5 * h)
+        scale = np.maximum(np.abs(half).max(axis=(1, 2)), 1.0)
+        err = np.abs(full - half).max(axis=(1, 2)) / scale
+        new = (err > rel_tol) & (rejected < 0)
+        if new.any():
+            rejected[new] = k
+            errors[new] = err[new]
+            if np.all(rejected >= 0):
+                break
+        if rejected.max() >= 0:
+            half = np.where((rejected < 0)[:, None, None], half, y)
+        y = half
+        out[:, :, k + 1] = y
+    return out, rejected, errors
 
 
 def integrate(problem: ODEProblem, rel_tol: float = STEP_RTOL) -> np.ndarray:
@@ -192,26 +235,17 @@ def integrate(problem: ODEProblem, rel_tol: float = STEP_RTOL) -> np.ndarray:
     doubling; a too-coarse grid raises StepSizeError with a suggested size.
     """
     grid = problem.grid
-    out = np.empty((3, len(grid), problem.matrix.dim))
-    y = problem.initials.copy()
-    out[:, 0, :] = y
-    matrix = problem.matrix
-    for k in range(len(grid) - 1):
-        t0, t1 = grid[k], grid[k + 1]
-        h = t1 - t0
-        full = _rk4_step(matrix, y, t0, h)
-        half = _rk4_step(matrix, _rk4_step(matrix, y, t0, 0.5 * h), t0 + 0.5 * h, 0.5 * h)
-        err = float(np.max(np.abs(full - half))) / max(float(np.max(np.abs(half))), 1.0)
-        if err > rel_tol:
-            factor = math.ceil((err / rel_tol) ** 0.2) + 1
-            raise StepSizeError(
-                f"step {k} error estimate {err:.3e} exceeds {rel_tol:.1e}; "
-                f"refine the grid by a factor of about {factor}",
-                suggested_steps=(len(grid) - 1) * factor,
-            )
-        y = half
-        out[:, k + 1, :] = y
-    return out
+    out, rejected, errors = integrate_rows(lambda t: problem.matrix(t)[None],
+                                           problem.initials[None], grid, rel_tol)
+    if rejected[0] >= 0:
+        err = float(errors[0])
+        factor = math.ceil((err / rel_tol) ** 0.2) + 1
+        raise StepSizeError(
+            f"step {rejected[0]} error estimate {err:.3e} exceeds {rel_tol:.1e}; "
+            f"refine the grid by a factor of about {factor}",
+            suggested_steps=(len(grid) - 1) * factor,
+        )
+    return out[0]
 
 
 def _quad_piece(x0, x1, x2, y0, y1, y2, a, b) -> float:
@@ -230,58 +264,85 @@ def _quad_piece(x0, x1, x2, y0, y1, y2, a, b) -> float:
 
 
 def cumulative_simpson(y, x) -> np.ndarray:
-    """Cumulative composite Simpson quadrature on a (possibly nonuniform) grid."""
+    """Cumulative composite Simpson quadrature on a (possibly nonuniform) grid.
+
+    y holds the samples along its last axis, one row per leading index.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     k_max = len(x) - 1
-    out = np.zeros(len(x))
+    out = np.zeros(y.shape)
     for k in range(1, k_max + 1):
         if k == 1 and k_max == 1:
-            piece = 0.5 * (y[0] + y[1]) * (x[1] - x[0])
+            piece = 0.5 * (y[..., 0] + y[..., 1]) * (x[1] - x[0])
         elif k % 2 == 1 and k < k_max:
-            piece = _quad_piece(x[k - 1], x[k], x[k + 1], y[k - 1], y[k], y[k + 1],
-                                x[k - 1], x[k])
-        elif k % 2 == 1:
-            piece = _quad_piece(x[k - 2], x[k - 1], x[k], y[k - 2], y[k - 1], y[k],
-                                x[k - 1], x[k])
+            piece = _quad_piece(x[k - 1], x[k], x[k + 1], y[..., k - 1], y[..., k],
+                                y[..., k + 1], x[k - 1], x[k])
         else:
-            piece = _quad_piece(x[k - 2], x[k - 1], x[k], y[k - 2], y[k - 1], y[k],
-                                x[k - 1], x[k])
-        out[k] = out[k - 1] + piece
+            piece = _quad_piece(x[k - 2], x[k - 1], x[k], y[..., k - 2], y[..., k - 1],
+                                y[..., k], x[k - 1], x[k])
+        out[..., k] = out[..., k - 1] + piece
     return out
+
+
+class EstimateSides(NamedTuple):
+    """Sides of the contraction estimate, one row per problem and one column per grid time."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    near_collision: np.ndarray
+    degenerate: np.ndarray  # (B,): the initial points are not distinct
+
+
+def estimate_rows(trajectories: np.ndarray, alphas: np.ndarray, grid) -> EstimateSides:
+    """d3 of the trajectories and exp(3 int_0^t alpha) d3 of the initials.
+
+    trajectories is (B, 3, K, m) and alphas the (B, K) growth bounds on the
+    grid.  A grid time where two trajectories come within 1e-12 of each
+    other is near a collision.  Degenerate initials (d3 = 0 at t = 0) force
+    the trajectory metric to stay at zero up to rounding, so their right
+    side is the rounding floor 1e-9 * max(1, max ||x_i(t)||)^3.
+    """
+    rows, _, times, m = trajectories.shape
+    points = np.swapaxes(trajectories, 1, 2).reshape(rows * times, 3, m)
+    distances = pairwise_distances(points)
+    lhs = _product(distances).reshape(rows, times)
+    near = (distances.min(axis=1) <= _NEAR_COLLISION).reshape(rows, times)
+    d0 = lhs[:, :1]
+    with np.errstate(over="ignore"):  # an infinite bound fails the verdict
+        rhs = scalar_map(math.exp, 3.0 * cumulative_simpson(alphas, grid)) * d0
+    degenerate = d0[:, 0] == 0.0
+    for row in np.flatnonzero(degenerate):
+        for k in range(times):
+            largest = max(np.linalg.norm(p) for p in trajectories[row, :, k])
+            rhs[row, k] = _DEGENERATE_FLOOR * max(1.0, largest) ** 3
+    return EstimateSides(lhs, rhs, near, degenerate)
 
 
 def verify_estimate(problem: ODEProblem, trajectories: np.ndarray | None = None,
                     tol: float = ESTIMATE_RTOL) -> list[MetricReport]:
     """Check d3(x1, x2, x3)(t) <= exp(3 int_0^t alpha) d3 of the initials.
 
-    One report per grid time, each a bound.  Grid points where two
-    trajectories come within 1e-12 of each other are flagged near_collision
-    (and reported, not failed).  Degenerate initials (d3 = 0 at t = 0) force
-    the trajectory metric to stay at zero up to rounding, so their right
-    side is the rounding floor 1e-9 * max(1, max ||x_i(t)||)^3.
+    One report per grid time, each a bound (see estimate_rows).  Grid points
+    near a collision are flagged near_collision (and reported, not failed);
+    degenerate initials are flagged degenerate_initials.
     """
     if trajectories is None:
         trajectories = integrate(problem)
+    if not np.all(np.isfinite(trajectories)):
+        raise ArgumentError("non-finite input coordinate")
     grid = problem.grid
-    alphas = np.array([problem.alpha_at(t) for t in grid])
-    cum = cumulative_simpson(alphas, grid)
-    d0 = euclidean_3metric(*(tuple(v) for v in problem.initials))
-    reports = []
-    for k, t in enumerate(grid):
-        pts = [tuple(trajectories[j, k, :]) for j in range(3)]
-        lhs = euclidean_3metric(*pts)
-        rhs = math.exp(3.0 * cum[k]) * d0
-        if d0 == 0.0:
-            rhs = _DEGENERATE_FLOOR * max(1.0, max(np.linalg.norm(p) for p in pts)) ** 3
-        min_dist = min(
-            math.dist(pts[0], pts[1]), math.dist(pts[0], pts[2]), math.dist(pts[1], pts[2])
+    if problem.alpha is None:
+        alphas = growth_bounds(np.stack([problem.matrix(t) for t in grid]))
+    else:
+        alphas = np.array([problem.alpha_at(t) for t in grid])
+    sides = estimate_rows(trajectories[None], alphas[None], grid)
+    return [
+        MetricReport(
+            "ode_estimate", {"t": t}, float(sides.lhs[0, k]), float(sides.rhs[0, k]), tol,
+            kind=BOUND, domain=LINEAR,
+            flags={"near_collision": bool(sides.near_collision[0, k]),
+                   "degenerate_initials": bool(sides.degenerate[0])},
         )
-        reports.append(MetricReport(
-            "ode_estimate", {"t": t}, lhs, rhs, tol, kind=BOUND, domain=LINEAR,
-            flags={
-                "near_collision": bool(min_dist <= _NEAR_COLLISION),
-                "degenerate_initials": bool(d0 == 0.0),
-            },
-        ))
-    return reports
+        for k, t in enumerate(grid)
+    ]
