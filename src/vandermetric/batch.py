@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from .core import IDENTITY, LINEAR, verdict
-from .multilinear import EXPANSION_MAX_N, ordered_pairs, permutation_sign
+from .multilinear import EXPANSION_MAX_N, expansion_terms, ordered_pairs
 from .errors import ResourceError
 
 
@@ -118,25 +118,55 @@ def pdf_batch(points: np.ndarray):
     return _projected_form(points, None, 1)
 
 
+# Elements of one (C, B, P) fold buffer: C permutations of B rows at P
+# coordinate pairs.  Six such buffers stay near 1 MB of float64.
+EXPANSION_CHUNK_ELEMENTS = 16384
+
+
 def expansion_batch(points: np.ndarray):
-    """Signed permutation expansion per row; must match pdf_batch."""
+    """Signed permutation expansion per row; must match pdf_batch.
+
+    The permutations run in chunks of C, lexicographically.  Each leaf is
+    folded left to right with the step of _apply_projected, and the signed
+    leaves are added into the accumulator in permutation order, so every
+    element gets the same sequence of operations as a per-permutation loop.
+    """
     B, n, m = points.shape
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
     t1, t2 = pair_index_arrays(m)
     p = len(t1)
+    # Point-major planes, so that one np.take gathers a factor of every leaf.
+    planes_re = np.ascontiguousarray(points[:, :, t1].transpose(1, 0, 2))
+    planes_im = np.ascontiguousarray(points[:, :, t2].transpose(1, 0, 2))
     acc_re = np.zeros((B, p), dtype=points.dtype)
     acc_im = np.zeros((B, p), dtype=points.dtype)
-    for perm in itertools.permutations(range(n)):
-        idx = [j for j, power in enumerate(perm) for _ in range(power)]
-        sign = permutation_sign(perm)
-        re, im = _apply_projected(points[:, idx, :], t1, t2)
-        if sign > 0:
-            acc_re += re
-            acc_im += im
-        else:
-            acc_re -= re
-            acc_im -= im
+    chunk = max(1, EXPANSION_CHUNK_ELEMENTS // (B * p))
+    re, im, a, b, x, y = (np.empty((chunk, B, p), dtype=points.dtype) for _ in range(6))
+    terms = expansion_terms(n)
+    while rows := list(itertools.islice(terms, chunk)):
+        signs, idx = zip(*rows)
+        idx = np.array(idx, dtype=np.intp)
+        c = len(rows)
+        # mode="clip" writes straight into out; the default mode buffers it.
+        re_c, im_c, a_c, b_c, x_c, y_c = re[:c], im[:c], a[:c], b[:c], x[:c], y[:c]
+        np.take(planes_re, idx[:, 0], axis=0, out=re_c, mode="clip")
+        np.take(planes_im, idx[:, 0], axis=0, out=im_c, mode="clip")
+        for k in range(1, idx.shape[1]):
+            np.take(planes_re, idx[:, k], axis=0, out=a_c, mode="clip")
+            np.take(planes_im, idx[:, k], axis=0, out=b_c, mode="clip")
+            # re, im = re * a - im * b, re * b + im * a
+            np.multiply(re_c, a_c, out=x_c)
+            np.multiply(im_c, b_c, out=y_c)
+            np.subtract(x_c, y_c, out=x_c)
+            np.multiply(re_c, b_c, out=y_c)
+            np.multiply(im_c, a_c, out=im_c)
+            np.add(y_c, im_c, out=im_c)
+            re_c, x_c = x_c, re_c
+        for j, sign in enumerate(signs):
+            step = np.add if sign > 0 else np.subtract
+            step(acc_re, re_c[j], out=acc_re)
+            step(acc_im, im_c[j], out=acc_im)
     return acc_re, acc_im
 
 

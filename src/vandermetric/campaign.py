@@ -63,11 +63,12 @@ class CampaignResult:
     trials: int
     violations: int
     worst: float  # smallest normalized gap of an inequality, largest of an identity or bound
+    checked: int  # rows the verdict checked; a campaign that checked none never passes
     failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        return self.violations == 0 and self.checked > 0
 
     def summary(self) -> dict:
         return {
@@ -131,7 +132,7 @@ def _reduce(config, kind, domain, lhs, rhs, tol, extra) -> CampaignResult:
     """Count and record the rows of lhs/rhs whose verdict fails.
 
     worst is the smallest normalized gap of an inequality and the largest
-    of an identity or a bound.
+    of an identity or a bound; with no row to check it is NaN.
     """
     v = verdict(kind, domain, lhs, rhs, tol)
     bad = np.flatnonzero(~v.passed)
@@ -148,7 +149,7 @@ def _reduce(config, kind, domain, lhs, rhs, tol, extra) -> CampaignResult:
         failures.append(rec)
     normalized = v.normalized
     if not len(normalized):
-        worst = 0.0
+        worst = math.nan
     elif kind == INEQUALITY:
         worst = float(np.min(normalized))
     else:
@@ -158,6 +159,7 @@ def _reduce(config, kind, domain, lhs, rhs, tol, extra) -> CampaignResult:
         trials=len(normalized),
         violations=int(len(bad)),
         worst=worst,
+        checked=len(normalized),
         failures=failures,
     )
 

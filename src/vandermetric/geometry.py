@@ -289,6 +289,7 @@ def _lengths(sides: PolygonSides) -> dict:
 
 def _polygon_report(operation, poly, inputs, lhs, rhs, tol) -> MetricReport:
     """Inequality report on a polygon, flagged with equality and equilateral."""
+    lhs, rhs = float(lhs), float(rhs)
     return MetricReport(operation, {"R": poly.R, "angles": list(poly.angles), **inputs},
                         lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR,
                         flags={"equality": _equality(lhs, rhs, tol),
@@ -323,7 +324,7 @@ def ptolemy_gap(poly: CyclicPolygon, tol: float = PTOLEMY_RTOL) -> MetricReport:
     _check_size("ptolemy_gap", poly, 4)
     s = _one(poly, ptolemy_sides)
     return MetricReport("ptolemy_gap", {"R": poly.R, "angles": list(poly.angles)},
-                        s.lhs[0], s.rhs[0], tol, kind=IDENTITY, domain=LINEAR,
+                        float(s.lhs[0]), float(s.rhs[0]), tol, kind=IDENTITY, domain=LINEAR,
                         flags={"identity": True})
 
 
@@ -355,7 +356,7 @@ def simplex_equality_ngon(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> 
     """Simplex gap with y at the circumcenter; equality iff equilateral."""
     s = _one(poly, simplex_equality_sides)
     return _polygon_report("simplex_equality_ngon", poly, {"center": poly.center},
-                           float(s.lhs[0]), float(s.rhs[0]), tol)
+                           s.lhs[0], s.rhs[0], tol)
 
 
 # ---------------------------------------------------------------------------

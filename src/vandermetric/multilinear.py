@@ -133,7 +133,7 @@ def product_difference_form(spec: MultilinearMapSpec, points) -> np.ndarray:
     return spec.apply(_differences(points, ordered_pairs(spec.n)))
 
 
-def _expansion_terms(n):
+def expansion_terms(n):
     """(sign, argument index multiset) per permutation of {0, ..., n-1}."""
     for perm in itertools.permutations(range(n)):
         idx = []
@@ -153,7 +153,7 @@ def permutation_expansion(spec: MultilinearMapSpec, points) -> np.ndarray:
     if spec.n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
     return sum(sign * spec.apply([points[j] for j in idx])
-               for sign, idx in _expansion_terms(spec.n))
+               for sign, idx in expansion_terms(spec.n))
 
 
 def sum_identity_gap(spec: MultilinearMapSpec, points, y):
@@ -282,11 +282,8 @@ class DefinitenessVerdict:
         return d
 
 
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+# Assignments decided per array pass; its (n, C) label arrays stay near 1 MB.
+DECIDE_CHUNK = 4096
 
 
 def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> DefinitenessVerdict:
@@ -297,45 +294,82 @@ def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> Definiteness
     coordinate pairs to point pairs are enumerated lexicographically; an
     assignment admits pairwise-distinct points iff for every point pair some
     coordinate separates it under the forced equalities.  The first witness
-    found wins; exhaustion of all assignments proves definiteness.
+    found wins; exhaustion of all assignments proves definiteness.  Past
+    `budget` assignments the verdict is "exhausted".
+
+    Assignments run in chunks of consecutive indices, each chunk decided in
+    one array pass (_first_separable).
     """
     if n < 3:
         raise ArgumentError(f"n must be >= 3, got {n}")
     if m < 2:
         raise ArgumentError(f"m must be >= 2, got {m}")
+    if budget < 1:
+        raise ArgumentError(f"budget must be >= 1, got {budget}")
     pairs_n = ordered_pairs(n)
     pairs_m = ordered_pairs(m)
-    taus_by_coord = [
-        [k for k, t in enumerate(pairs_m) if r in t] for r in range(m)
-    ]
-    tried = 0
-    for assignment in itertools.product(range(len(pairs_n)), repeat=len(pairs_m)):
-        if tried >= budget:
-            return DefinitenessVerdict(n=n, m=m, verdict="exhausted", assignments_tried=tried)
-        tried += 1
-        # Per coordinate: equivalence classes of points forced equal there.
-        labels = []
-        for r in range(m):
-            parent = list(range(n))
-            for k in taus_by_coord[r]:
-                a, b = pairs_n[assignment[k]]
-                ra, rb = _find(parent, a), _find(parent, b)
-                if ra != rb:
-                    parent[ra] = rb
-            labels.append([_find(parent, i) for i in range(n)])
-        separable = all(
-            any(labels[r][a] != labels[r][b] for r in range(m)) for a, b in pairs_n
-        )
-        if not separable:
+    total = len(pairs_n) ** len(pairs_m)
+    limit = min(budget, total)
+    for start in range(0, limit, DECIDE_CHUNK):
+        found = _first_separable(np.arange(start, min(start + DECIDE_CHUNK, limit)),
+                                 pairs_n, pairs_m, n, m)
+        if found is None:
             continue
+        index, labels, digits = found
         witness = _build_witness(labels, n, m)
         _verify_witness(n, m, witness)
-        chosen = tuple((pairs_m[k], pairs_n[assignment[k]]) for k in range(len(pairs_m)))
+        chosen = tuple((tau, pairs_n[d]) for tau, d in zip(pairs_m, digits))
         return DefinitenessVerdict(
-            n=n, m=m, verdict="counterexample", assignments_tried=tried,
+            n=n, m=m, verdict="counterexample", assignments_tried=index + 1,
             witness=witness, assignment=chosen,
         )
-    return DefinitenessVerdict(n=n, m=m, verdict="definite", assignments_tried=tried)
+    if limit < total:
+        return DefinitenessVerdict(n=n, m=m, verdict="exhausted", assignments_tried=limit)
+    return DefinitenessVerdict(n=n, m=m, verdict="definite", assignments_tried=total)
+
+
+def _first_separable(index, pairs_n, pairs_m, n, m):
+    """The first of the assignments numbered `index` that admits pairwise-distinct points.
+
+    Returns None, or its number, its class labels at each coordinate and its
+    point-pair digits.
+    """
+    # digits[k] is the point pair each assignment gives tau k, most significant first.
+    digits = np.empty((len(pairs_m), len(index)), dtype=np.intp)
+    quotient = index
+    for k in reversed(range(len(pairs_m))):
+        quotient, digits[k] = np.divmod(quotient, len(pairs_n))
+    ends = np.array(pairs_n).T  # (2, P_n): the two points of each point pair
+    labels = [_coordinate_classes(digits, ends, pairs_m, r, n) for r in range(m)]
+    together = np.ones((len(pairs_n), len(index)), dtype=bool)
+    for classes in labels:
+        together &= classes[ends[0]] == classes[ends[1]]
+    separable = np.flatnonzero(~together.any(axis=0))
+    if not len(separable):
+        return None
+    row = separable[0]
+    return int(index[row]), [classes[:, row] for classes in labels], digits[:, row]
+
+
+def _coordinate_classes(digits, ends, pairs_m, r, n):
+    """(n, C) labels of the points each of C assignments forces equal at coordinate r.
+
+    digits[k] is the point pair each assignment gives tau k and ends holds
+    the two points of each pair.  The pairs of the taus containing r are
+    merged one edge at a time: the larger of the two labels becomes the
+    smaller, in every assignment at once.
+    """
+    c = digits.shape[1]
+    rows = np.arange(c)
+    labels = np.repeat(np.arange(n)[:, None], c, axis=1)
+    for k, tau in enumerate(pairs_m):
+        if r not in tau:
+            continue
+        # Offsets into the flattened labels of the two killed points.
+        a, b = (np.take(labels, np.take(end * c, digits[k]) + rows) for end in ends)
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        labels = np.where(labels == high, low, labels)
+    return labels
 
 
 def _build_witness(labels, n, m) -> tuple:

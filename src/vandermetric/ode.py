@@ -339,7 +339,7 @@ def verify_estimate(problem: ODEProblem, trajectories: np.ndarray | None = None,
     sides = estimate_rows(trajectories[None], alphas[None], grid)
     return [
         MetricReport(
-            "ode_estimate", {"t": t}, float(sides.lhs[0, k]), float(sides.rhs[0, k]), tol,
+            "ode_estimate", {"t": float(t)}, float(sides.lhs[0, k]), float(sides.rhs[0, k]), tol,
             kind=BOUND, domain=LINEAR,
             flags={"near_collision": bool(sides.near_collision[0, k]),
                    "degenerate_initials": bool(sides.degenerate[0])},

@@ -146,6 +146,16 @@ class TestPolygon:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "operation,lhs,rhs,gap"
 
+    @pytest.mark.parametrize("angles", [[0.1, 2.0, 4.0], [0.1, 2.0, 4.0, 5.0]])
+    def test_csv_rows_hold_plain_floats(self, runner, angles):
+        spec = json.dumps({"R": 1.0, "angles": angles, "center": [0, 0]})
+        result = runner.invoke(main, ["polygon", "--input", spec, "--emit-csv"])
+        assert result.exit_code == 0
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        assert len(rows) == (3 if len(angles) == 3 else 4)
+        for operation, *numbers in rows:
+            assert [repr(float(x)) for x in numbers] == numbers, operation
+
     def test_from_file(self, runner, tmp_path):
         path = tmp_path / "poly.json"
         path.write_text(json.dumps({"R": 1.0, "angles": [0.0, 2.1, 4.2]}))
@@ -199,6 +209,13 @@ class TestDefiniteness:
         result = runner.invoke(main, ["definiteness", "--n", "2", "--m", "3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-4"])
+    def test_empty_budget_is_a_usage_error(self, runner, budget):
+        result = runner.invoke(main, ["definiteness", "--n", "3", "--m", "5",
+                                      "--budget", budget])
+        assert result.exit_code == 2
+        assert "budget must be >= 1" in result.output
+
 
 class TestCounterexample:
     def test_tetrahedron(self, runner):
@@ -238,7 +255,10 @@ class TestOde:
         result = runner.invoke(main, ["ode", "--input", self.problem_spec(),
                                       "--format", "csv"])
         assert result.exit_code == 0
-        assert result.output.splitlines()[0] == "t,lhs,rhs,gap"
+        header, *rows = result.output.splitlines()
+        assert header == "t,lhs,rhs,gap" and rows
+        for row in rows:
+            assert [repr(float(x)) for x in row.split(",")] == row.split(",")
 
     def test_coarse_grid_usage_error(self, runner):
         spec = json.dumps({

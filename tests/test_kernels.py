@@ -1,6 +1,7 @@
 """Row kernels: B rows give the bits of each row alone and the streams of the per-trial loops."""
 
 import hashlib
+import itertools
 import logging
 import os
 import subprocess
@@ -33,8 +34,16 @@ from vandermetric.campaign import (
     _rng,
     random_ode_problem,
 )
+from vandermetric.batch import expansion_batch, pair_index_arrays
 from vandermetric.core import vandermonde_log_rows, vandermonde_rows
 from vandermetric.geometry import POLYGON_CHECKS
+from vandermetric.multilinear import (
+    DefinitenessVerdict,
+    _build_witness,
+    definiteness_decide,
+    ordered_pairs,
+    permutation_sign,
+)
 from vandermetric.ode import estimate_rows, growth_bounds, integrate_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -211,6 +220,18 @@ def test_overflowing_campaign_leaves_stderr_empty(args):
     assert proc.stderr == ""
 
 
+def coincident_ode_problems(monkeypatch):
+    """Make every drawn ODE problem start two trajectories at one point."""
+    draw = random_ode_problem
+
+    def coincident(rng, m):
+        problem = draw(rng, m)
+        problem.initials[1] = problem.initials[0]
+        return problem
+
+    monkeypatch.setattr("vandermetric.campaign.random_ode_problem", coincident)
+
+
 def test_campaigns_log_log_domain_refined_and_skipped_rows(caplog, monkeypatch):
     polygon = CampaignConfig(op="polygon", check="simplex-equality", n=13, seed=3, trials=5)
     ode = CampaignConfig(op="ode", seed=1100, trials=30)
@@ -228,16 +249,118 @@ def test_campaigns_log_log_domain_refined_and_skipped_rows(caplog, monkeypatch):
                for m in messages) == 4
 
     # Coincident initial points keep two trajectories together at every grid time.
-    draw = random_ode_problem
-
-    def coincident(rng, m):
-        problem = draw(rng, m)
-        problem.initials[1] = problem.initials[0]
-        return problem
-
-    monkeypatch.setattr("vandermetric.campaign.random_ode_problem", coincident)
+    coincident_ode_problems(monkeypatch)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="vandermetric"):
         run_campaign(CampaignConfig(op="ode", seed=2, trials=2))
     assert [r.getMessage() for r in caplog.records] == [
         f"ode trial {t}: 101 grid times near a collision left out" for t in range(2)]
+
+
+def test_ode_campaign_that_checks_no_row_fails(monkeypatch):
+    coincident_ode_problems(monkeypatch)
+    result = run_campaign(CampaignConfig(op="ode", seed=1, trials=3))
+    assert (result.trials, result.checked, result.violations) == (3, 0, 0)
+    assert not result.passed
+    summary = list(result.json_lines())[-1]
+    assert '"pass": false' in summary and '"worst": "nan"' in summary
+
+
+# ---------------------------------------------------------------------------
+# The chunked oracle kernels against the loops they replaced
+
+
+def expansion_loop(points):
+    """The per-permutation expansion_batch loop, one projected fold per permutation."""
+    B, n, m = points.shape
+    t1, t2 = pair_index_arrays(m)
+    acc_re = np.zeros((B, len(t1)), dtype=points.dtype)
+    acc_im = np.zeros((B, len(t1)), dtype=points.dtype)
+    for perm in itertools.permutations(range(n)):
+        idx = [j for j, power in enumerate(perm) for _ in range(power)]
+        args = points[:, idx, :]
+        ar, ai = args[:, :, t1], args[:, :, t2]
+        re, im = ar[:, 0, :].copy(), ai[:, 0, :].copy()
+        for k in range(1, len(idx)):
+            a, b = ar[:, k, :], ai[:, k, :]
+            re, im = re * a - im * b, re * b + im * a
+        if permutation_sign(perm) > 0:
+            acc_re += re
+            acc_im += im
+        else:
+            acc_re -= re
+            acc_im -= im
+    return acc_re, acc_im
+
+
+# B = 7 leaves a short last chunk of permutations (720 = 390 + 330 at m = 4).
+EXPANSION_CASES = [(b, n, m) for b in (1, 7) for n in range(2, 7) for m in range(2, 5)]
+
+
+@pytest.mark.parametrize("b,n,m", EXPANSION_CASES)
+def test_expansion_batch_equals_the_permutation_loop(b, n, m):
+    rng = np.random.default_rng(100 * b + 10 * n + m)
+    real = rng.uniform(-1.0, 1.0, size=(b, n, m))
+    real[0, 1] = real[0, 0]  # a zero difference
+    whole = rng.integers(-3, 4, size=(b, n, m)).astype(np.int64)
+    for points in (real, whole):
+        got, want = expansion_batch(points), expansion_loop(points)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == points.dtype
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def decide_loop(n, m, budget):
+    """The per-assignment definiteness loop with its union-find, witness unverified."""
+    pairs_n, pairs_m = ordered_pairs(n), ordered_pairs(m)
+    taus_by_coord = [[k for k, t in enumerate(pairs_m) if r in t] for r in range(m)]
+
+    def find(parent, x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tried = 0
+    for assignment in itertools.product(range(len(pairs_n)), repeat=len(pairs_m)):
+        if tried >= budget:
+            return DefinitenessVerdict(n=n, m=m, verdict="exhausted", assignments_tried=tried)
+        tried += 1
+        labels = []
+        for r in range(m):
+            parent = list(range(n))
+            for k in taus_by_coord[r]:
+                a, b = pairs_n[assignment[k]]
+                ra, rb = find(parent, a), find(parent, b)
+                if ra != rb:
+                    parent[ra] = rb
+            labels.append([find(parent, i) for i in range(n)])
+        if all(any(labels[r][a] != labels[r][b] for r in range(m)) for a, b in pairs_n):
+            chosen = tuple((pairs_m[k], pairs_n[assignment[k]]) for k in range(len(pairs_m)))
+            return DefinitenessVerdict(n=n, m=m, verdict="counterexample", assignments_tried=tried,
+                                       witness=_build_witness(labels, n, m), assignment=chosen)
+    return DefinitenessVerdict(n=n, m=m, verdict="definite", assignments_tried=tried)
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3)])
+def test_decider_equals_the_assignment_loop(n, m):
+    total = len(ordered_pairs(n)) ** len(ordered_pairs(m))
+    for budget in (1, 224, 225, total - 1, total):
+        got, want = definiteness_decide(n, m, budget=budget), decide_loop(n, m, budget)
+        assert got == want and got.to_dict() == want.to_dict()
+
+
+# sha256 of the multilinear-oracle JSONL at tol 0, recorded with the
+# per-permutation loop: 100 violation records pin the gaps of their rows.
+GOLDEN_ORACLES = [
+    ((6, 4), "14f97efe2582b51a84715e686bab6d92092445e31d763453c2b1866daef66467"),
+    ((5, 3), "98d6a54e1bff68e88bae6d90943c0260eae767394c5a793dcf6e8b846e9bc5aa"),
+]
+
+
+@pytest.mark.parametrize("size,expected", GOLDEN_ORACLES)
+def test_multilinear_oracle_stream_is_unchanged(size, expected):
+    n, m = size
+    config = CampaignConfig(op="multilinear-oracle", seed=10 * n + m, trials=300, tol=0.0,
+                            n=n, m=m)
+    assert digest(run_campaign(config).json_lines()) == expected

@@ -317,6 +317,11 @@ class TestDefiniteness:
         with pytest.raises(ArgumentError):
             definiteness_decide(3, 1)
 
+    @pytest.mark.parametrize("budget", [0, -4])
+    def test_empty_budget_is_rejected(self, budget):
+        with pytest.raises(ArgumentError, match="budget must be >= 1"):
+            definiteness_decide(3, 5, budget=budget)
+
     def test_verdict_serialization(self):
         d = definiteness_decide(4, 4).to_dict()
         assert d["verdict"] == "counterexample"
