@@ -8,20 +8,11 @@ as well, which gives exact integer arithmetic for small inputs.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .core import IDENTITY, LINEAR, verdict
-from .multilinear import EXPANSION_MAX_N, expansion_terms, ordered_pairs
+from .core import IDENTITY, LINEAR, _pair_indices, verdict
+from .multilinear import EXPANSION_MAX_N, expansion_terms
 from .errors import ResourceError
-
-
-def pair_index_arrays(n: int):
-    pairs = ordered_pairs(n)
-    j_idx = np.array([j for j, _ in pairs])
-    i_idx = np.array([i for _, i in pairs])
-    return j_idx, i_idx
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +21,7 @@ def pair_index_arrays(n: int):
 
 def dv_batch(z: np.ndarray) -> np.ndarray:
     """Pairwise-distance products for a (B, n) array of complex points."""
-    j_idx, i_idx = pair_index_arrays(z.shape[1])
+    j_idx, i_idx = _pair_indices(z.shape[1])
     return np.prod(np.abs(z[:, i_idx] - z[:, j_idx]), axis=1)
 
 
@@ -69,7 +60,7 @@ def extended_sides_complex(z: np.ndarray, y: np.ndarray, k: int):
 
 def pairwise_product_batch(x: np.ndarray) -> np.ndarray:
     """Products of pairwise Euclidean distances for (B, n, m) point batches."""
-    j_idx, i_idx = pair_index_arrays(x.shape[1])
+    j_idx, i_idx = _pair_indices(x.shape[1])
     d = np.linalg.norm(x[:, i_idx, :] - x[:, j_idx, :], axis=2)
     return np.prod(d, axis=1)
 
@@ -103,11 +94,11 @@ def _projected_form(points: np.ndarray, tail, q: int):
 
     Returns (re, im) arrays of shape (B, M_m).
     """
-    j_idx, i_idx = pair_index_arrays(points.shape[1])
+    j_idx, i_idx = _pair_indices(points.shape[1])
     args = points[:, i_idx, :] - points[:, j_idx, :]
     if q > 1:
         args = np.concatenate([args, np.repeat(tail[:, None, :], q - 1, axis=1)], axis=1)
-    return _apply_projected(args, *pair_index_arrays(points.shape[2]))
+    return _apply_projected(args, *_pair_indices(points.shape[2]))
 
 
 def pdf_batch(points: np.ndarray):
@@ -134,7 +125,7 @@ def expansion_batch(points: np.ndarray):
     B, n, m = points.shape
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
-    t1, t2 = pair_index_arrays(m)
+    t1, t2 = _pair_indices(m)
     p = len(t1)
     # Point-major planes, so that one np.take gathers a factor of every leaf.
     planes_re = np.ascontiguousarray(points[:, :, t1].transpose(1, 0, 2))
@@ -143,11 +134,10 @@ def expansion_batch(points: np.ndarray):
     acc_im = np.zeros((B, p), dtype=points.dtype)
     chunk = max(1, EXPANSION_CHUNK_ELEMENTS // (B * p))
     re, im, a, b, x, y = (np.empty((chunk, B, p), dtype=points.dtype) for _ in range(6))
-    terms = expansion_terms(n)
-    while rows := list(itertools.islice(terms, chunk)):
-        signs, idx = zip(*rows)
-        idx = np.array(idx, dtype=np.intp)
-        c = len(rows)
+    signs, indices = expansion_terms(n)
+    for start in range(0, len(signs), chunk):
+        idx = indices[start:start + chunk]
+        c = len(idx)
         # mode="clip" writes straight into out; the default mode buffers it.
         re_c, im_c, a_c, b_c, x_c, y_c = re[:c], im[:c], a[:c], b[:c], x[:c], y[:c]
         np.take(planes_re, idx[:, 0], axis=0, out=re_c, mode="clip")
@@ -163,7 +153,7 @@ def expansion_batch(points: np.ndarray):
             np.multiply(im_c, a_c, out=im_c)
             np.add(y_c, im_c, out=im_c)
             re_c, x_c = x_c, re_c
-        for j, sign in enumerate(signs):
+        for j, sign in enumerate(signs[start:start + c].tolist()):
             step = np.add if sign > 0 else np.subtract
             step(acc_re, re_c[j], out=acc_re)
             step(acc_im, im_c[j], out=acc_im)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import batch
 from .core import BOUND, IDENTITY, INEQUALITY, INEQUALITY_RTOL, LINEAR, dump_json, verdict
-from .errors import ArgumentError, StepSizeError
+from .errors import ArgumentError
 from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
     POLYGON_CHECKS,
     CyclicPolygon,  # noqa: F401
@@ -26,14 +26,15 @@ from .geometry import (  # the scalar checks: bench/spans.py traces them under t
     simplex_equality_ngon,  # noqa: F401
     triangle_check,  # noqa: F401
 )
-from .ode import (
+from .ode import (  # integrate and verify_estimate: bench/spans.py traces them under this module
     MatrixFunction,
     ODEProblem,
     estimate_rows,
     growth_bounds,
-    integrate,
+    integrate,  # noqa: F401
     integrate_rows,
-    verify_estimate,
+    step_size_error,
+    verify_estimate,  # noqa: F401
 )
 
 log = logging.getLogger(__name__)
@@ -330,55 +331,52 @@ def random_ode_problem(rng: np.random.Generator, m: int, t_end: float = 2.0,
     return ODEProblem(matrix=MatrixFunction.linear(a0, a1), initials=initials, grid=grid)
 
 
-def _integrate_refining(problem: ODEProblem, max_refinements: int = 3):
-    """Integrate, refining the grid when step doubling rejects a step.
-
-    Returns the (possibly refined) problem together with its trajectories,
-    since the verification has to run on the grid actually integrated.
-    """
-    for _ in range(max_refinements):
-        try:
-            return problem, integrate(problem)
-        except StepSizeError as exc:
-            steps = exc.suggested_steps or 2 * (len(problem.grid) - 1)
-            log.debug("ode: %s; integrating again on %d steps", exc, steps)
-            grid = np.linspace(problem.grid[0], problem.grid[-1], steps + 1)
-            problem = ODEProblem(matrix=problem.matrix, initials=problem.initials,
-                                 grid=grid, alpha=problem.alpha)
-    return problem, integrate(problem)
+# Grid refinements an ode problem gets when step doubling rejects a step.
+_MAX_REFINEMENTS = 3
 
 
 def _ode_estimates(problems: list[ODEProblem]) -> list:
     """(problem integrated, lhs, rhs, near-collision mask) of each problem's estimate.
 
-    The problems are linear and of one grid.  Those of one dimension m are
-    integrated together; a problem whose step doubling rejects a step is
-    integrated again alone, through the grid refinement.
+    The problems are linear and start on one grid.  Each round integrates
+    the pending problems of one dimension m and one grid together, and a
+    row that step doubling rejects goes to the next round on the grid its
+    error estimate suggests.  Rows still rejected after _MAX_REFINEMENTS
+    refinements raise the StepSizeError of the first in (m, trial) order.
     """
+    problems = list(problems)
     out = [None] * len(problems)
-    for m in sorted({p.matrix.dim for p in problems}):
-        members = [t for t, p in enumerate(problems) if p.matrix.dim == m]
-        group = [problems[t] for t in members]
-        matrix = MatrixFunction.linear(np.stack([p.matrix.a0 for p in group]),
-                                       np.stack([p.matrix.a1 for p in group]))
-        grid = group[0].grid
-        trajectories, rejected, _ = integrate_rows(
-            matrix, np.stack([p.initials for p in group]), grid)
-        accepted = np.flatnonzero(rejected < 0)
-        alphas = growth_bounds(np.stack([matrix(t) for t in grid], axis=1)[accepted])
-        sides = estimate_rows(trajectories[accepted], alphas, grid)
-        for row, b in enumerate(accepted):
-            out[members[b]] = (group[b], sides.lhs[row], sides.rhs[row],
-                              sides.near_collision[row])
-        for b in np.flatnonzero(rejected >= 0):
-            log.debug("ode trial %d: step doubling rejected a step; integrating it alone",
-                      members[b])
-            problem, trajectories = _integrate_refining(group[b])
-            reports = verify_estimate(problem, trajectories)
-            out[members[b]] = (problem, np.array([r.lhs for r in reports]),
-                              np.array([r.rhs for r in reports]),
-                              np.array([r.flags["near_collision"] for r in reports]))
-    return out
+    pending = sorted(range(len(problems)), key=lambda t: problems[t].matrix.dim)
+    for refinement in range(_MAX_REFINEMENTS + 1):
+        groups, rejections = {}, {}
+        for t in pending:
+            groups.setdefault((problems[t].matrix.dim, len(problems[t].grid)), []).append(t)
+        for members in groups.values():
+            group = [problems[t] for t in members]
+            matrix = MatrixFunction.linear(np.stack([p.matrix.a0 for p in group]),
+                                           np.stack([p.matrix.a1 for p in group]))
+            grid = group[0].grid
+            trajectories, rejected, errors = integrate_rows(
+                matrix, np.stack([p.initials for p in group]), grid)
+            accepted = np.flatnonzero(rejected < 0)
+            alphas = growth_bounds(np.stack([matrix(t) for t in grid], axis=1)[accepted])
+            sides = estimate_rows(trajectories[accepted], alphas, grid)
+            for row, b in enumerate(accepted):
+                out[members[b]] = (group[b], sides.lhs[row], sides.rhs[row],
+                                  sides.near_collision[row])
+            for b in np.flatnonzero(rejected >= 0):
+                rejections[members[b]] = step_size_error(int(rejected[b]), float(errors[b]),
+                                                         len(grid) - 1)
+        pending = [t for t in pending if t in rejections]
+        if not pending:
+            return out
+        if refinement == _MAX_REFINEMENTS:
+            raise rejections[pending[0]]
+        for t in pending:
+            steps = rejections[t].suggested_steps
+            log.debug("ode trial %d: %s; integrating again on %d steps", t, rejections[t], steps)
+            grid = problems[t].grid
+            problems[t] = replace(problems[t], grid=np.linspace(grid[0], grid[-1], steps + 1))
 
 
 def _ode_campaign(config: CampaignConfig) -> CampaignResult:

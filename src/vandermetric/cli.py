@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 all checks passed, 1 a mathematical check failed,
-2 usage or input error.  Set VANDERMETRIC_LOG to a logging level name
-(DEBUG, INFO, ...) for diagnostics on stderr.
+Exit codes: 0 all checks passed, 1 a mathematical check failed or the
+definiteness search ran out of budget, 2 usage or input error.  Set
+VANDERMETRIC_LOG to a logging level name (DEBUG, INFO, ...) for
+diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -243,11 +244,11 @@ def multilinear_verify_cmd(n, m, trials, seed, tol, output):
 @click.option("--budget", default=1_000_000, type=int, show_default=True)
 @_output_opt
 def definiteness_cmd(n, m, budget, output):
-    """Decide definiteness of the generalized metric for (n, m)."""
+    """Decide definiteness of the generalized metric for (n, m); exit 1 when undecided."""
     def body():
         verdict = definiteness_decide(n, m, budget=budget)
         _emit([dump_json(verdict.to_dict())], output)
-        return EXIT_OK
+        return EXIT_CHECK_FAILED if verdict.verdict == "exhausted" else EXIT_OK
 
     sys.exit(_guard(body))
 

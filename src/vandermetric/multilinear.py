@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -133,13 +133,17 @@ def product_difference_form(spec: MultilinearMapSpec, points) -> np.ndarray:
     return spec.apply(_differences(points, ordered_pairs(spec.n)))
 
 
-def expansion_terms(n):
-    """(sign, argument index multiset) per permutation of {0, ..., n-1}."""
-    for perm in itertools.permutations(range(n)):
-        idx = []
-        for j, power in enumerate(perm):
-            idx.extend([j] * power)
-        yield permutation_sign(perm), idx
+@lru_cache(maxsize=None)
+def expansion_terms(n: int):
+    """Read-only signs and argument index multisets of the permutations of {0, ..., n-1}.
+
+    Row k is the k-th permutation in lexicographic order; index j occurs perm(j) times.
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    signs = np.array([permutation_sign(perm) for perm in perms.tolist()])
+    indices = np.repeat(np.tile(np.arange(n), len(perms)), perms.ravel()).reshape(len(perms), -1)
+    signs.flags.writeable = indices.flags.writeable = False
+    return signs, indices
 
 
 def permutation_expansion(spec: MultilinearMapSpec, points) -> np.ndarray:
@@ -152,8 +156,9 @@ def permutation_expansion(spec: MultilinearMapSpec, points) -> np.ndarray:
     _check_points(spec, points)
     if spec.n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
+    signs, indices = expansion_terms(spec.n)
     return sum(sign * spec.apply([points[j] for j in idx])
-               for sign, idx in expansion_terms(spec.n))
+               for sign, idx in zip(signs.tolist(), indices.tolist()))
 
 
 def sum_identity_gap(spec: MultilinearMapSpec, points, y):

@@ -228,6 +228,16 @@ def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: floa
     return out, rejected, errors
 
 
+def step_size_error(step, err, grid_steps, rel_tol=STEP_RTOL) -> StepSizeError:
+    """The error of a grid of grid_steps steps whose step `step` has estimate err > rel_tol."""
+    factor = math.ceil((err / rel_tol) ** 0.2) + 1  # RK4's local error scales as h^5
+    return StepSizeError(
+        f"step {step} error estimate {err:.3e} exceeds {rel_tol:.1e}; "
+        f"refine the grid by a factor of about {factor}",
+        suggested_steps=grid_steps * factor,
+    )
+
+
 def integrate(problem: ODEProblem, rel_tol: float = STEP_RTOL) -> np.ndarray:
     """RK4 trajectories of all three initial conditions on the grid.
 
@@ -238,13 +248,7 @@ def integrate(problem: ODEProblem, rel_tol: float = STEP_RTOL) -> np.ndarray:
     out, rejected, errors = integrate_rows(lambda t: problem.matrix(t)[None],
                                            problem.initials[None], grid, rel_tol)
     if rejected[0] >= 0:
-        err = float(errors[0])
-        factor = math.ceil((err / rel_tol) ** 0.2) + 1
-        raise StepSizeError(
-            f"step {rejected[0]} error estimate {err:.3e} exceeds {rel_tol:.1e}; "
-            f"refine the grid by a factor of about {factor}",
-            suggested_steps=(len(grid) - 1) * factor,
-        )
+        raise step_size_error(int(rejected[0]), float(errors[0]), len(grid) - 1, rel_tol)
     return out[0]
 
 

@@ -205,6 +205,12 @@ class TestDefiniteness:
         assert record["verdict"] == "counterexample"
         assert "witness_matrix" in record
 
+    def test_exhausted_budget_exits_1(self, runner):
+        result = runner.invoke(main, ["definiteness", "--n", "3", "--m", "5",
+                                      "--budget", "100"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["verdict"] == "exhausted"
+
     def test_invalid_n(self, runner):
         result = runner.invoke(main, ["definiteness", "--n", "2", "--m", "3"])
         assert result.exit_code == 2

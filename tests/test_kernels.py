@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from vandermetric import (
     CampaignConfig,
@@ -28,14 +29,14 @@ from vandermetric import (
     verify_estimate,
 )
 from vandermetric.campaign import (
-    _integrate_refining,
     _ode_estimates,
     _random_sorted_angles,
     _rng,
     random_ode_problem,
 )
-from vandermetric.batch import expansion_batch, pair_index_arrays
-from vandermetric.core import vandermonde_log_rows, vandermonde_rows
+from vandermetric.batch import expansion_batch
+from vandermetric.cli import main
+from vandermetric.core import _pair_indices, vandermonde_log_rows, vandermonde_rows
 from vandermetric.geometry import POLYGON_CHECKS
 from vandermetric.multilinear import (
     DefinitenessVerdict,
@@ -47,6 +48,8 @@ from vandermetric.multilinear import (
 from vandermetric.ode import estimate_rows, growth_bounds, integrate_rows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+log = logging.getLogger(__name__)
 
 
 def bits(a):
@@ -140,6 +143,26 @@ def test_batched_integration_and_estimate_match_each_row_alone():
         assert near == sides.near_collision[row].tolist()
 
 
+# The per-problem refinement the ode campaign ran before it refined rejected
+# rows through integrate_rows; the reference for the two tests below.
+def _integrate_refining(problem: ODEProblem, max_refinements: int = 3):
+    """Integrate, refining the grid when step doubling rejects a step.
+
+    Returns the (possibly refined) problem together with its trajectories,
+    since the verification has to run on the grid actually integrated.
+    """
+    for _ in range(max_refinements):
+        try:
+            return problem, integrate(problem)
+        except StepSizeError as exc:
+            steps = exc.suggested_steps or 2 * (len(problem.grid) - 1)
+            log.debug("ode: %s; integrating again on %d steps", exc, steps)
+            grid = np.linspace(problem.grid[0], problem.grid[-1], steps + 1)
+            problem = ODEProblem(matrix=problem.matrix, initials=problem.initials,
+                                 grid=grid, alpha=problem.alpha)
+    return problem, integrate(problem)
+
+
 def test_refined_ode_rows_equal_the_scalar_refinement():
     config = CampaignConfig(op="ode", seed=1100, trials=30)
     rng = _rng(config)
@@ -154,6 +177,54 @@ def test_refined_ode_rows_equal_the_scalar_refinement():
         assert bits(lhs) == bits(np.array([rep.lhs for rep in reports]))
         assert bits(rhs) == bits(np.array([rep.rhs for rep in reports]))
         assert near.tolist() == [rep.flags["near_collision"] for rep in reports]
+
+
+def test_refinement_rounds_equal_the_scalar_refinement(monkeypatch):
+    # On a 5-step grid the rows are refined to several grid sizes, some twice.
+    rng = np.random.default_rng(7)
+    problems = [random_ode_problem(rng, (2, 3, 4)[t % 3], steps=5) for t in range(6)]
+    estimates = _ode_estimates(problems)
+    for t, (problem, lhs, rhs, near) in enumerate(estimates):
+        scalar_problem, trajectories = _integrate_refining(problems[t])
+        reports = verify_estimate(scalar_problem, trajectories)
+        assert bits(problem.grid) == bits(scalar_problem.grid)
+        assert bits(lhs) == bits(np.array([rep.lhs for rep in reports]))
+        assert bits(rhs) == bits(np.array([rep.rhs for rep in reports]))
+        assert near.tolist() == [rep.flags["near_collision"] for rep in reports]
+    # With one refinement, trials 0 (refined to 40 steps) and 3 (to 30 steps)
+    # are still rejected at m = 2; the error raised is trial 0's.
+    failed = {}
+    for t in range(len(problems)):
+        try:
+            _integrate_refining(problems[t], max_refinements=1)
+        except StepSizeError as exc:
+            failed[t] = str(exc)
+    assert sorted(failed) == [0, 3, 4, 5]
+    monkeypatch.setattr("vandermetric.campaign._MAX_REFINEMENTS", 1)
+    with pytest.raises(StepSizeError) as exc_info:
+        _ode_estimates(problems)
+    assert str(exc_info.value) == failed[0]
+
+
+def test_rows_rejected_after_the_last_refinement_raise(monkeypatch):
+    config = CampaignConfig(op="ode", seed=1100, trials=30)
+    rng = _rng(config)
+    problems = [random_ode_problem(rng, (2, 3, 4)[t % 3]) for t in range(config.trials)]
+    failed = []
+    for t in sorted(range(config.trials), key=lambda t: (problems[t].matrix.dim, t)):
+        try:
+            integrate(problems[t])
+        except StepSizeError as exc:
+            failed.append(str(exc))
+    assert len(failed) == 4
+    monkeypatch.setattr("vandermetric.campaign._MAX_REFINEMENTS", 0)
+    with pytest.raises(StepSizeError) as exc_info:
+        run_campaign(config)
+    assert str(exc_info.value) == failed[0]
+    result = CliRunner().invoke(main, ["campaign", "--op", "ode", "--seed", "1100",
+                                       "--trials", "30"])
+    assert result.exit_code == 2
+    assert f"error: {failed[0]}" in result.output
 
 
 def digest(lines):
@@ -242,8 +313,8 @@ def test_campaigns_log_log_domain_refined_and_skipped_rows(caplog, monkeypatch):
     messages = [r.getMessage() for r in caplog.records]
     assert "polygon simplex-equality: trials evaluated in the log domain: [0, 1, 2, 3, 4]" \
         in messages
-    refined = [m for m in messages if "step doubling rejected a step; integrating it alone" in m]
-    assert refined == [f"ode trial {t}: step doubling rejected a step; integrating it alone"
+    refined = [m.split(":")[0] for m in messages if "integrating again on 300 steps" in m]
+    assert refined == [f"ode trial {t}"
                        for t in (21, 4, 11, 29)]  # by dimension m = 2, 3, 4, then trial
     assert sum("error estimate" in m and "integrating again on 300 steps" in m
                for m in messages) == 4
@@ -273,7 +344,7 @@ def test_ode_campaign_that_checks_no_row_fails(monkeypatch):
 def expansion_loop(points):
     """The per-permutation expansion_batch loop, one projected fold per permutation."""
     B, n, m = points.shape
-    t1, t2 = pair_index_arrays(m)
+    t1, t2 = _pair_indices(m)
     acc_re = np.zeros((B, len(t1)), dtype=points.dtype)
     acc_im = np.zeros((B, len(t1)), dtype=points.dtype)
     for perm in itertools.permutations(range(n)):
