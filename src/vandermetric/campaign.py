@@ -119,7 +119,9 @@ def _validate(config: CampaignConfig) -> None:
                                 f"known: {sorted(POLYGON_CHECKS)}")
         if POLYGON_CHECKS[config.check][0] is None and config.n < 3:
             raise ArgumentError(f"a polygon needs n >= 3, got {config.n}")
-    if config.op in ("multilinear-oracle", "sum-identity", "w-identity") and config.m < 2:
+    multilinear = config.op in ("multilinear-oracle", "sum-identity", "w-identity") or (
+        config.op == "simplex" and config.metric == "generalized")
+    if multilinear and config.m < 2:
         raise ArgumentError(f"multilinear campaigns need m >= 2, got {config.m}")
     if config.op == "w-identity" and not (1 <= config.q <= config.n):
         raise ArgumentError(f"q must be in [1, {config.n}], got {config.q}")
@@ -184,8 +186,7 @@ def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
     if config.metric in ("vandermonde", "root"):
         z = _complex_sample(rng, (b, n))
         y = _complex_sample(rng, (b,))
-        metric = batch.dv_batch if config.metric == "vandermonde" else batch.root_batch
-        lhs, rhs = batch.simplex_sides_complex(z, y, metric)
+        lhs, rhs = batch.simplex_sides_complex(z, y, root=config.metric == "root")
         extra = lambda t: {"points": _jsonable_complex(z[t]), "y": [y[t].real, y[t].imag]}
     elif config.metric == "euclidean3":
         x = rng.standard_normal((b, 3, m))
@@ -206,22 +207,15 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
     b, n = config.trials, config.n
     z = _complex_sample(rng, (b, n))
     y = _complex_sample(rng, (b,))
-    ks = range(n) if config.k is None else [config.k]
-    lhs_all, rhs_all = [], []
-    for k in ks:
-        lhs, rhs = batch.extended_sides_complex(z, y, k)
-        lhs_all.append(lhs)
-        rhs_all.append(rhs)
-    lhs = np.concatenate(lhs_all)
-    rhs = np.concatenate(rhs_all)
-    ks = list(ks)
+    ks = list(range(n)) if config.k is None else [config.k]
+    lhs, rhs = batch.extended_sides_complex(z, y, ks)
 
     def extra(t):
         k = ks[t // b]
         row = t % b
         return {"k": k, "points": _jsonable_complex(z[row]), "y": [y[row].real, y[row].imag]}
 
-    return _reduce(config, INEQUALITY, LINEAR, lhs, rhs, tol, extra)
+    return _reduce(config, INEQUALITY, LINEAR, lhs.ravel(), rhs.ravel(), tol, extra)
 
 
 def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:

@@ -56,8 +56,8 @@ class TestComplexKernels:
     def test_extended_sides_match_reports(self, rng):
         z = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
         y = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        for k in range(4):
-            lhs, rhs = batch.extended_sides_complex(z, y, k)
+        lhs_k, rhs_k = batch.extended_sides_complex(z, y, range(4))
+        for k, lhs, rhs in zip(range(4), lhs_k, rhs_k):
             for t in range(20):
                 report = extended_inequality_gap(list(z[t]), complex(y[t]), k)
                 assert close(lhs[t], report.lhs)

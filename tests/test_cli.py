@@ -334,6 +334,7 @@ class TestCampaignCommand:
         ["--op", "w-identity", "--n", "3", "--q", "5"],
         ["--op", "polygon", "--check", "hexagon"],
         ["--op", "simplex", "--tol", "-1"],
+        ["--op", "simplex", "--metric", "generalized", "--m", "1"],
     ])
     def test_invalid_config_usage_error(self, runner, args):
         result = runner.invoke(main, ["campaign", *args])

@@ -34,6 +34,7 @@ from vandermetric.campaign import (
     _rng,
     random_ode_problem,
 )
+from vandermetric import batch
 from vandermetric.batch import expansion_batch
 from vandermetric.cli import main
 from vandermetric.core import _pair_indices, vandermonde_log_rows, vandermonde_rows
@@ -435,3 +436,170 @@ def test_multilinear_oracle_stream_is_unchanged(size, expected):
     config = CampaignConfig(op="multilinear-oracle", seed=10 * n + m, trials=300, tol=0.0,
                             n=n, m=m)
     assert digest(run_campaign(config).json_lines()) == expected
+
+
+# ---------------------------------------------------------------------------
+# The shared-factor replacement pass against the copy-per-slot path it replaced
+
+
+def _dv_loop(z):
+    j_idx, i_idx = _pair_indices(z.shape[1])
+    return np.prod(np.abs(z[:, i_idx] - z[:, j_idx]), axis=1)
+
+
+def _pairwise_loop(x):
+    j_idx, i_idx = _pair_indices(x.shape[1])
+    d = np.linalg.norm(x[:, i_idx, :] - x[:, j_idx, :], axis=2)
+    return np.prod(d, axis=1)
+
+
+def _root_of(metric):
+    return lambda points: metric(points) ** (2.0 / (points.shape[1] * (points.shape[1] - 1)))
+
+
+def replacement_sides_loop(points, y, side):
+    """lhs = side(points, y) and rhs = sum_i side(points with slot i -> y, points[:, i])."""
+    lhs = side(points, y)
+    rhs = np.zeros_like(lhs)
+    for i in range(points.shape[1]):
+        replaced = points.copy()
+        replaced[:, i] = y
+        rhs += side(replaced, points[:, i])
+    return lhs, rhs
+
+
+def _projected_loop(points, tail, q):
+    j_idx, i_idx = _pair_indices(points.shape[1])
+    args = points[:, i_idx, :] - points[:, j_idx, :]
+    if q > 1:
+        args = np.concatenate([args, np.repeat(tail[:, None, :], q - 1, axis=1)], axis=1)
+    t1, t2 = _pair_indices(points.shape[2])
+    ar, ai = args[:, :, t1], args[:, :, t2]
+    re, im = ar[:, 0, :].copy(), ai[:, 0, :].copy()
+    for k in range(1, args.shape[1]):
+        a, b = ar[:, k, :], ai[:, k, :]
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
+
+
+def _generalized_loop(points):
+    re, im = _projected_loop(points, None, 1)
+    return np.sqrt(np.sum(re.astype(float) ** 2 + im.astype(float) ** 2, axis=1))
+
+
+def _replacement_inputs(rng, b, n, m, whole):
+    """(points, y) with coincident points in row 0 and y equal to a point in row 1."""
+    shape = (b, n) if m is None else (b, n, m)
+    y_shape = (b,) if m is None else (b, m)
+    if whole:
+        points, y = rng.integers(-3, 4, size=shape), rng.integers(-3, 4, size=y_shape)
+    elif m is None:
+        points = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = rng.standard_normal(y_shape) + 1j * rng.standard_normal(y_shape)
+    else:
+        points, y = rng.uniform(-1.0, 1.0, size=shape), rng.uniform(-1.0, 1.0, size=y_shape)
+    points[0, 1] = points[0, 0]
+    if b > 1:
+        y[1] = points[1, n - 1]
+    return points, y
+
+
+def _pairs(k):
+    return k * (k - 1) // 2
+
+
+# (kernel call, reference call, n, m, gathered elements per row)
+REPLACEMENT_CASES = [
+    *[(f"simplex-n{n}-root{root}",
+       lambda z, y, root=root: batch.simplex_sides_complex(z, y, root=root),
+       lambda z, y, root=root: replacement_sides_loop(
+           z, y, lambda p, _: (_root_of(_dv_loop) if root else _dv_loop)(p)),
+       n, None, (n + 1) * _pairs(n))
+      for n in [*range(2, 14), 60] for root in (False, True)],
+    *[(f"euclidean3-m{m}-root{root}",
+       lambda x, y, root=root: batch.simplex_sides_vectors(x, y, root=root),
+       lambda x, y, root=root: replacement_sides_loop(
+           x, y, lambda p, _: (_root_of(_pairwise_loop) if root else _pairwise_loop)(p)),
+       3, m, 4 * 3) for m in (2, 3, 4) for root in (False, True)],
+    *[(f"generalized-n{n}-m{m}", batch.simplex_sides_generalized,
+       lambda x, y: replacement_sides_loop(x, y, lambda p, _: _generalized_loop(p)),
+       n, m, (n + 1) * _pairs(n) * _pairs(m)) for n in (2, 3, 4) for m in (2, 3, 4)],
+    *[(f"w-identity-n{n}-m{m}-q{q}",
+       lambda x, y, q=q: batch.w_identity_sides(x, y, q),
+       lambda x, y, q=q: replacement_sides_loop(
+           x, y, lambda p, tail: np.concatenate(_projected_loop(p, tail, q), axis=1)),
+       n, m, (n + 1) * (_pairs(n) + q - 1) * _pairs(m))
+      for n in (2, 3, 4) for m in (2, 3) for q in range(1, n + 1)],
+]
+
+
+@pytest.mark.parametrize("name,kernel,reference,n,m,per_row", REPLACEMENT_CASES,
+                         ids=[case[0] for case in REPLACEMENT_CASES])
+def test_replacement_sides_equal_the_copy_per_slot_path(monkeypatch, name, kernel, reference,
+                                                        n, m, per_row):
+    # Three rows per chunk: B = 7 leaves a short last chunk.
+    monkeypatch.setattr(batch, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row)
+    rng = np.random.default_rng(n * 10 + (m or 0))
+    for b in (1, 7):
+        for whole in (False, True):
+            points, y = _replacement_inputs(rng, b, n, m, whole)
+            with np.errstate(over="ignore", invalid="ignore"):  # n = 60 overflows
+                sides = zip(kernel(points, y), reference(points, y))
+            for got, want in sides:
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_extended_sides_equal_the_copy_per_slot_path(monkeypatch, n):
+    monkeypatch.setattr(batch, "REPLACEMENT_CHUNK_ELEMENTS", 3 * (n + 1) * _pairs(n))
+    rng = np.random.default_rng(n)
+    for b in (1, 7):
+        for whole in (False, True):
+            z, y = _replacement_inputs(rng, b, n, None, whole)
+            lhs, rhs = batch.extended_sides_complex(z, y, range(n))
+            for k in range(n):
+                want = replacement_sides_loop(z, y, lambda p, w: np.abs(w) ** k * _dv_loop(p))
+                for got, ref in zip((lhs[k], rhs[k]), want):
+                    assert got.dtype == ref.dtype
+                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+# sha256 of each batch campaign's JSONL, recorded with the copy-per-slot
+# replacement path; the identity campaigns run at tol 0 so that 100
+# violation records pin the gaps of their rows bit for bit.
+GOLDEN_BATCH_CAMPAIGNS = [
+    (dict(op="simplex", metric="vandermonde", n=6, trials=2000),
+     "771330e0770ca0e23d3bfd21e405ed1eaf250e597ef835f9c77e0a8471aae630"),
+    (dict(op="simplex", metric="vandermonde", n=12, trials=500),
+     "f92ddbceab3627936b03f58c9fb750ab3ff7ec94c96a545f652fd3236bdd7297"),
+    (dict(op="simplex", metric="root", n=5, trials=2000),
+     "82cbbf1a5b00159c79d3f6b8285cabc253b1f3663efe4fac0ad462d4e9f54bd4"),
+    (dict(op="simplex", metric="generalized", n=3, m=4, trials=2000),
+     "2392422fb6c7093d329c9a9c40aefb4c436ce97532b2ede7b6eb5cab8831bdb8"),
+    (dict(op="simplex", metric="euclidean3", m=3, trials=2000),
+     "f177eb8e4e85e3de0f538ddba1e3e25ceb992a74c15b9df329834d08165a7b3e"),
+    (dict(op="simplex", metric="vandermonde", n=60, trials=20),
+     "5ff3d95daa24d2f2c40f3cf29209b5dccfaf0535c90dfa9142208929959a0288"),
+    (dict(op="extended", n=4, trials=2000),
+     "74557cebc9b7a0e47f51723f543e00d8cc02bbe76e29e52d6cc69422dcf96e2c"),
+    (dict(op="sum-identity", n=4, m=3, trials=2000, tol=0.0),
+     "3278bcf88619ff7b6aee1dbfa78e8f436bed713aadb0f42b6e2c9ecbf3e58400"),
+    (dict(op="w-identity", n=4, m=3, q=1, trials=2000, tol=0.0),
+     "351dad9af0fe05299228ffb29b10b3af97edf2f54e5da3da39bef4224a14b48b"),
+    (dict(op="w-identity", n=4, m=3, q=2, trials=2000, tol=0.0),
+     "410490dcb6c17f4e88a5f0c76c77b6c424d731a3f21b63e2997643c4f509440e"),
+    (dict(op="w-identity", n=4, m=3, q=3, trials=2000, tol=0.0),
+     "594a2cc39b86348f117f44eb28eb8db8bbf1059259d4b3bf9e70a22e008a9ae8"),
+    (dict(op="w-identity", n=4, m=3, q=4, trials=2000, tol=0.0),
+     "5764c3ab34263917bb8a2473024f02f2fc48a75f8b31cee4f4a0b714cfb82083"),
+    (dict(op="equality-family", trials=2000, tol=0.0),
+     "ba7eb4bdb86cc92b3253ceb36e4e0a604065689c649f4bfed0fd8ed001f32a27"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_BATCH_CAMPAIGNS)))
+def test_batch_campaign_stream_is_unchanged(index):
+    kwargs, expected = GOLDEN_BATCH_CAMPAIGNS[index]
+    result = run_campaign(CampaignConfig(seed=70 + index, **kwargs))
+    assert digest(result.json_lines()) == expected
