@@ -139,13 +139,6 @@ def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
 # Euclidean metrics on R^m
 
 
-def pairwise_product_batch(x: np.ndarray) -> np.ndarray:
-    """Products of pairwise Euclidean distances for (B, n, m) point batches."""
-    j_idx, i_idx = _pair_indices(x.shape[1])
-    d = np.linalg.norm(x[:, i_idx, :] - x[:, j_idx, :], axis=2)
-    return np.prod(d, axis=1)
-
-
 def simplex_sides_vectors(x: np.ndarray, y: np.ndarray, root: bool = False):
     """(lhs, rhs) of the simplex inequality; y is (B, m).
 

@@ -106,6 +106,15 @@ def eval_cmd(input_path, complex_points, metric, output):
     sys.exit(_guard(body))
 
 
+def _parse_y(spec: str, complex_point: bool):
+    """The --y replacement point: re[,im] for complex points, else the coordinates."""
+    try:
+        y = [float(c) for c in spec.split(",")]
+    except ValueError:
+        raise ArgumentError(f"--y must be comma-separated numbers, got {spec!r}") from None
+    return complex(y[0], y[1] if len(y) > 1 else 0.0) if complex_point else y
+
+
 @main.command("simplex")
 @_input_opt
 @_complex_opt
@@ -119,8 +128,7 @@ def simplex_cmd(input_path, complex_points, metric, y_spec, tol, output):
     """Check the simplex inequality for one tuple and replacement point."""
     def body():
         t = read_points_csv(input_path, complex_points=complex_points)
-        y = [float(c) for c in y_spec.split(",")]
-        y = complex(y[0], y[1] if len(y) > 1 else 0.0) if t.is_complex else y
+        y = _parse_y(y_spec, t.is_complex)
         kwargs = {"tol": tol} if tol is not None else {}
         report = simplex_gap(t, y, metric=metric, **kwargs)
         _emit([report.to_json()], output)
@@ -139,8 +147,7 @@ def extended_cmd(input_path, y_spec, k, tol, output):
     """Check the weighted simplex inequality |y|^k d <= sum |z_i|^k d_i."""
     def body():
         t = read_points_csv(input_path, complex_points=True)
-        parts = [float(c) for c in y_spec.split(",")]
-        y = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
+        y = _parse_y(y_spec, complex_point=True)
         ks = range(t.n) if k is None else [k]
         kwargs = {"tol": tol} if tol is not None else {}
         reports = [extended_inequality_gap(t, y, kk, **kwargs) for kk in ks]

@@ -124,8 +124,8 @@ class MonotoneNorm:
             raise ArgumentError(f"p must be >= 1, got {self.p}")
         if self.weights is not None:
             w = tuple(float(x) for x in self.weights)
-            if any(x <= 0.0 for x in w):
-                raise ArgumentError("weights must be strictly positive")
+            if not all(x > 0.0 and math.isfinite(x) for x in w):
+                raise ArgumentError("weights must be finite and strictly positive")
             object.__setattr__(self, "weights", w)
 
     def __call__(self, values: Sequence[float]) -> float:
@@ -319,14 +319,6 @@ def _log_sums(factors: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _product(factors: np.ndarray) -> np.ndarray:
-    """Product of each row of factors in order; exactly 0 for a row holding a zero."""
-    with np.errstate(over="ignore"):
-        product = np.cumprod(factors, axis=1)[:, -1]
-    product[np.any(factors == 0.0, axis=1)] = 0.0
-    return product
-
-
 # Rows are folded in chunks of about this many pair factors, which bounds
 # the temporaries however many rows a caller stacks.
 _CHUNK_FACTORS = 1 << 13
@@ -337,34 +329,41 @@ def _chunks(rows: int, factors_per_row: int):
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
+def pair_product_rows(factors: np.ndarray):
+    """Product of each row of a (rows, P) array of the pair factors of n points.
+
+    The factors are multiplied in order.  A row with n > 12, or whose
+    partial product leaves [1e-300, 1e300], is evaluated as the exp of its
+    log sum instead; a row holding a zero factor is exactly 0.  Returns the
+    values and the mask of the log-domain rows.
+    """
+    zero = np.any(factors == 0.0, axis=1)
+    if factors.shape[1] > _LOG_SWITCH_N * (_LOG_SWITCH_N - 1) // 2:
+        in_range = np.zeros(len(factors), dtype=bool)
+        product = np.zeros(len(factors))
+    else:
+        with np.errstate(over="ignore"):
+            partial = np.cumprod(factors, axis=1)
+        in_range = np.all((partial >= _PRODUCT_FLOOR) & (partial <= _PRODUCT_CEIL), axis=1)
+        product = partial[:, -1]
+    log = ~(in_range | zero)
+    product[zero] = 0.0
+    product[log] = scalar_map(_exp_or_zero, _log_sums(factors[log]))
+    return product, log
+
+
 def vandermonde_rows(z: np.ndarray):
     """Pairwise-distance product of each row of a (B, n) complex array.
 
     Each row is sorted by (real, imag) and its factors hypot(z_i - z_j) are
-    multiplied in lexicographic pair order.  A row with n > 12, or whose
-    partial product leaves [1e-300, 1e300], is evaluated as the exp of its
-    log sum instead.  Returns the values and the mask of those log-domain
-    rows.
+    folded by pair_product_rows.  Returns the values and the mask of the
+    log-domain rows.
     """
     n = z.shape[1]
     values = np.empty(z.shape[0])
     log_rows = np.empty(z.shape[0], dtype=bool)
     for rows in _chunks(z.shape[0], n * (n - 1) // 2):
-        factors = _complex_factors(z[rows])
-        zero = np.any(factors == 0.0, axis=1)
-        if n > _LOG_SWITCH_N:
-            in_range = np.zeros(len(factors), dtype=bool)
-            product = np.zeros(len(factors))
-        else:
-            with np.errstate(over="ignore"):
-                partial = np.cumprod(factors, axis=1)
-            in_range = np.all((partial >= _PRODUCT_FLOOR) & (partial <= _PRODUCT_CEIL), axis=1)
-            product = partial[:, -1]
-        log = ~(in_range | zero)
-        product[zero] = 0.0
-        product[log] = scalar_map(_exp_or_zero, _log_sums(factors[log]))
-        values[rows] = product
-        log_rows[rows] = log
+        values[rows], log_rows[rows] = pair_product_rows(_complex_factors(z[rows]))
     return values, log_rows
 
 
@@ -401,14 +400,14 @@ def vandermonde_metric_log(points) -> float:
     return float(vandermonde_log_rows(np.array([_complex_points(points)]))[0])
 
 
+def _root(factors: np.ndarray) -> float:
+    """Product of a (1, P) row of pair factors to the 1/P = 2/(n(n-1)), from its log sum."""
+    return _exp_or_zero(float(_log_sums(factors)[0]) / factors.shape[1])
+
+
 def root_metric(points) -> float:
     """Pairwise-distance product raised to 2/(n(n-1)); homogeneous of degree 1."""
-    z = _complex_points(points)
-    log_value = vandermonde_metric_log(z)
-    if log_value == -math.inf:
-        return 0.0
-    n = len(z)
-    return math.exp(log_value * 2.0 / (n * (n - 1)))
+    return _root(_complex_factors(np.array([_complex_points(points)])))
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +500,13 @@ def pairwise_product_metric(points) -> float:
     A genuine 3-metric for n = 3; for n >= 4 in dimension >= 3 the simplex
     inequality fails (see geometry.tetrahedron_counterexample).
     """
-    return float(_product(pairwise_distances(np.array([_vector_points(points)])))[0])
+    values, _ = pair_product_rows(pairwise_distances(np.array([_vector_points(points)])))
+    return float(values[0])
 
 
 def pairwise_root_metric(points) -> float:
     """pairwise_product_metric raised to 2/(n(n-1))."""
-    pts = _vector_points(points)
-    n = len(pts)
-    value = pairwise_product_metric(pts)
-    if value == 0.0:
-        return 0.0
-    return value ** (2.0 / (n * (n - 1)))
+    return _root(pairwise_distances(np.array([_vector_points(points)])))
 
 
 def _euclidean3_on_tuple(points) -> float:
@@ -623,14 +618,9 @@ def componentwise_metric(points, norm: MonotoneNorm | None = None) -> float:
     Only a pseudo n-metric for k >= 2 coordinates: distinct points may share
     a coordinate value per column and force the value to zero.
     """
-    pts = _vector_points(points)
-    norm = norm or MonotoneNorm(p=2.0)
-    k = len(pts[0])
-    values = []
-    for c in range(k):
-        column = [complex(p[c]) for p in pts]
-        values.append(vandermonde_metric(column))
-    return norm(values)
+    columns = np.array(_vector_points(points)).T.astype(complex)
+    values, _ = vandermonde_rows(columns)
+    return (norm or MonotoneNorm(p=2.0))(values.tolist())
 
 
 def lp_function_metric(samples, weights, p: float) -> float:
@@ -640,7 +630,7 @@ def lp_function_metric(samples, weights, p: float) -> float:
     """
     if not (p >= 1.0) or math.isinf(p):
         raise ArgumentError(f"p must be a finite real >= 1, got {p}")
-    fs = sorted(tuple(float(v) for v in f) for f in samples)
+    fs = [tuple(float(v) for v in f) for f in samples]
     if len(fs) < 2:
         raise ArgumentError("need at least 2 sampled functions")
     grid_len = len(fs[0])
@@ -649,14 +639,10 @@ def lp_function_metric(samples, weights, p: float) -> float:
     w = [float(x) for x in weights]
     if len(w) != grid_len:
         raise ArgumentError("weights length must match grid length")
-    if any(x < 0.0 for x in w):
-        raise ArgumentError("weights must be nonnegative")
-    n = len(fs)
-    total = 0.0
-    for g in range(grid_len):
-        prod = 1.0
-        for j in range(n):
-            for i in range(j + 1, n):
-                prod *= abs(fs[i][g] - fs[j][g]) ** p
-        total += w[g] * prod
+    if not all(math.isfinite(x) for f in fs for x in f):
+        raise ArgumentError("non-finite sample")
+    if not all(x >= 0.0 and math.isfinite(x) for x in w):
+        raise ArgumentError("weights must be finite and nonnegative")
+    values, _ = vandermonde_rows(np.array(fs).T.astype(complex))
+    total = sum(wg * v ** p for wg, v in zip(w, values.tolist()))
     return total ** (1.0 / p)

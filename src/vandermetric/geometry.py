@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    BOUND,
     IDENTITY,
     INEQUALITY,
     INEQUALITY_RTOL,
@@ -436,13 +437,13 @@ def tetrahedron_counterexample() -> TetrahedronReport:
         points=pts,
         lhs=lhs,
         rhs=rhs,
-        simplex_holds=bool(lhs <= rhs),
+        simplex_holds=bool(verdict(INEQUALITY, LINEAR, lhs, rhs, 0.0).passed),
         exact_lhs_squared=exact_lhs_sq,
         exact_rhs_squared=exact_rhs_sq,
         reduction_holds=bool(2**5 <= 3**3 and exact_lhs_sq <= exact_rhs_sq),
         root_lhs=root_lhs,
         root_rhs=root_rhs,
-        root_holds=bool(root_lhs <= root_rhs * (1 + 1e-12)),
+        root_holds=bool(verdict(BOUND, LINEAR, root_lhs, root_rhs, 1e-12).passed),
         max_norm_error=norm_err,
         max_distance_error=dist_err,
     )

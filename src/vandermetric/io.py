@@ -52,11 +52,13 @@ def polygon_from_json(source) -> CyclicPolygon:
     center = obj.get("center", [0.0, 0.0])
     if isinstance(center, (int, float)):
         center = [center, 0.0]
-    return CyclicPolygon(
-        R=float(obj["R"]),
-        angles=tuple(obj["angles"]),
-        center=complex(center[0], center[1]),
-    )
+    try:
+        radius = float(obj["R"])
+        angles = tuple(float(a) for a in obj["angles"])
+        center = complex(float(center[0]), float(center[1]))
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ArgumentError(f"malformed polygon: {exc}") from None
+    return CyclicPolygon(R=radius, angles=angles, center=center)
 
 
 def problem_from_json(source) -> ODEProblem:

@@ -65,13 +65,6 @@ class TestComplexKernels:
 
 
 class TestVectorKernels:
-    def test_pairwise_product_batch(self, rng):
-        from vandermetric import pairwise_product_metric
-        x = rng.standard_normal((40, 4, 3))
-        values = batch.pairwise_product_batch(x)
-        for rows, v in zip(x, values):
-            assert close(v, pairwise_product_metric([tuple(p) for p in rows]))
-
     def test_generalized_metric_batch(self, rng):
         x = rng.standard_normal((40, 4, 3))
         spec = MultilinearMapSpec(n=4, m=3)

@@ -342,6 +342,30 @@ class TestCampaignCommand:
         assert result.output.startswith("error: ")
 
 
+_ODE_SPEC = {
+    "matrix": {"kind": "constant", "a0": [[-1.0, 0.0], [0.0, -1.0]]},
+    "initials": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    "grid": [0.0, 0.5, 1.0],
+}
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("args", [
+        ["simplex", "--input", "{csv}", "--y", "a,b"],
+        ["simplex", "--input", "{csv}", "--y", ","],
+        ["extended", "--input", "{csv}", "--y", "x"],
+        ["polygon", "--input", json.dumps({"R": "x", "angles": [0.0, 1.0, 2.0]})],
+        ["polygon", "--input", json.dumps({"R": 1.0, "angles": [0.0, "a", 2.0]})],
+        ["ode", "--input", json.dumps({**_ODE_SPEC, "grid": [0.0, "x", 1.0]})],
+        ["ode", "--input", json.dumps({**_ODE_SPEC, "matrix": {"kind": "constant",
+                                                              "a0": [["x", 0.0], [0.0, 1.0]]}})],
+    ])
+    def test_usage_error(self, runner, complex_csv, args):
+        result = runner.invoke(main, [a.replace("{csv}", complex_csv) for a in args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+
+
 class TestLogging:
     def test_log_env_var(self, runner, complex_csv, monkeypatch):
         monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")

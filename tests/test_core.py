@@ -156,6 +156,30 @@ class TestVectorMetrics:
         pts = [(0.0, 1.5), (-2.0, 0.0), (3.0, 3.0)]
         assert pairwise_product_metric(pts) == pairwise_product_metric(pts[::-1])
 
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_pairwise_root_large_n_matches_complex_root(self, n):
+        # The product of the n(n-1)/2 distances overflows a float; the root does not.
+        pts = np.random.default_rng(n).uniform(-10.0, 10.0, size=(n, 2))
+        value = pairwise_root_metric([tuple(p) for p in pts])
+        assert pairwise_product_metric([tuple(p) for p in pts]) == math.inf
+        assert math.isfinite(value)
+        assert rel_close(value, root_metric([complex(*p) for p in pts]), 1e-12)
+
+    def test_pairwise_root_simplex_at_n60(self):
+        pts = np.random.default_rng(5).uniform(-10.0, 10.0, size=(60, 2))
+        report = simplex_gap([tuple(p) for p in pts], (0.5, -0.25), metric="pairwise_root")
+        assert math.isfinite(report.lhs) and math.isfinite(report.rhs)
+        assert report.passed
+
+    @pytest.mark.parametrize("xs", [
+        [0.0, 0.0, 1e-301, 2.0],  # a zero factor and one below 1e-300
+        [0.0, 1e-301, 2.0, 5.0],  # a partial product below 1e-300
+        list(np.linspace(-40.0, 40.0, 14)),  # n > 12
+    ])
+    def test_vector_fold_matches_complex_fold_bits(self, xs):
+        vector = pairwise_product_metric([(x,) for x in xs])
+        assert vector.hex() == vandermonde_metric([complex(x) for x in xs]).hex()
+
 
 # ---------------------------------------------------------------------------
 # Input validation
@@ -187,6 +211,21 @@ class TestValidation:
     def test_norm_p_below_one(self):
         with pytest.raises(ArgumentError):
             MonotoneNorm(p=0.5)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_norm_non_finite_weights(self, weights):
+        with pytest.raises(ArgumentError):
+            MonotoneNorm(weights=weights)
+
+    @pytest.mark.parametrize("samples,weights", [
+        ([[0.0, math.nan], [1.0, 2.0]], [1.0, 1.0]),
+        ([[0.0, 1.0], [math.inf, 2.0]], [1.0, 1.0]),
+        ([[0.0, 1.0], [1.0, 2.0]], [math.nan, 1.0]),
+        ([[0.0, 1.0], [1.0, 2.0]], [1.0, math.inf]),
+    ])
+    def test_lp_non_finite_inputs(self, samples, weights):
+        with pytest.raises(ArgumentError):
+            lp_function_metric(samples, weights, 2.0)
 
     def test_norm_nonpositive_weight(self):
         with pytest.raises(ArgumentError):
@@ -323,6 +362,17 @@ class TestConstructions:
         assert componentwise_metric(zeroed, MonotoneNorm(p=1.0, weights=(1.0, 1e-9))) > 0
         fully = [(1.0, 0.0), (1.0, 0.0), (2.0, 3.0)]
         assert componentwise_metric(fully) == 0.0
+
+    def test_componentwise_is_norm_of_column_metrics(self):
+        pts = [tuple(p) for p in np.random.default_rng(3).standard_normal((5, 3))]
+        norm = MonotoneNorm(p=3.0, weights=(1.0, 0.5, 2.0))
+        columns = [vandermonde_metric([complex(p[c]) for p in pts]) for c in range(3)]
+        assert componentwise_metric(pts, norm).hex() == norm(columns).hex()
+
+    def test_lp_function_metric_known(self):
+        # grid point 0: |1-0| |3-0| |3-1| = 6; grid point 1: |2-0| |5-0| |5-2| = 30
+        value = lp_function_metric([[0.0, 0.0], [1.0, 2.0], [3.0, 5.0]], [1.0, 0.5], 2.0)
+        assert rel_close(value, math.sqrt(36.0 + 0.5 * 900.0), 1e-14)
 
     def test_lp_function_metric_simplex(self):
         rng = np.random.default_rng(31)
