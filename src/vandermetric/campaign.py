@@ -23,6 +23,7 @@ from .geometry import (  # the scalar checks: bench/spans.py traces them under t
     ngon_check,  # noqa: F401
     ptolemy_gap,  # noqa: F401
     quadrilateral_check,  # noqa: F401
+    random_sorted_angles,
     simplex_equality_ngon,  # noqa: F401
     triangle_check,  # noqa: F401
 )
@@ -86,11 +87,6 @@ class CampaignResult:
             yield dump_json(f)
         yield dump_json(self.summary())
 
-    def csv_rows(self):
-        yield ("trial", "lhs", "rhs", "gap")
-        for f in self.failures:
-            yield (f.get("trial"), f.get("lhs"), f.get("rhs"), f.get("gap"))
-
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     _validate(config)
@@ -117,7 +113,7 @@ def _validate(config: CampaignConfig) -> None:
         if config.check not in POLYGON_CHECKS:
             raise ArgumentError(f"unknown polygon check {config.check!r}; "
                                 f"known: {sorted(POLYGON_CHECKS)}")
-        if POLYGON_CHECKS[config.check][0] is None and config.n < 3:
+        if POLYGON_CHECKS[config.check].size is None and config.n < 3:
             raise ArgumentError(f"a polygon needs n >= 3, got {config.n}")
     multilinear = config.op in ("multilinear-oracle", "sum-identity", "w-identity") or (
         config.op == "simplex" and config.metric == "generalized")
@@ -234,23 +230,14 @@ def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
     return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
 
 
-def _random_sorted_angles(rng, b, n, min_gap=1e-6):
-    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=(b, n)), axis=1)
-    while True:
-        bad = np.flatnonzero(np.min(np.diff(angles, axis=1), axis=1) <= min_gap)
-        if len(bad) == 0:
-            return angles
-        angles[bad] = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=(len(bad), n)), axis=1)
-
-
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
     """One row of the check's kernel per random polygon."""
-    size, kernel, kind, default_tol = POLYGON_CHECKS[config.check]
+    size, kernel, kind, default_tol, _ = POLYGON_CHECKS[config.check]
     n = size or config.n
     tol = config.tol if config.tol is not None else default_tol
     rng = _rng(config)
     b = config.trials
-    angles = _random_sorted_angles(rng, b, n)
+    angles = random_sorted_angles(rng, b, n)
     radii = rng.uniform(0.5, 3.0, size=b)
     sides = kernel(angles, radii)
     if log.isEnabledFor(logging.DEBUG) and sides.log_rows is not None and sides.log_rows.any():

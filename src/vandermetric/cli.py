@@ -8,6 +8,7 @@ diagnostics on stderr.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -25,28 +26,24 @@ from .core import (
 )
 from .errors import ArgumentError, ResourceError, SingularityError, StepSizeError
 from .geometry import (
+    POLYGON_CHECKS,
     equality_family,
     equality_gap_3,
-    ngon_check,
-    ptolemy_gap,
-    quadrilateral_check,
-    simplex_equality_ngon,
     tetrahedron_counterexample,
     tetrahedron_simplex_report,
-    triangle_check,
 )
 from .io import polygon_from_json, problem_from_json, read_points_csv
 from .multilinear import counterexample_4_4_report, definiteness_decide
-from .ode import integrate, verify_estimate
+from .ode import verify_estimate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-log = logging.getLogger("vandermetric")
-
+# OSError covers input files that cannot be read and --output files that
+# cannot be written.
 _USAGE_ERRORS = (ArgumentError, SingularityError, ResourceError, StepSizeError,
-                 FileNotFoundError, KeyError, json.JSONDecodeError)
+                 OSError, KeyError, json.JSONDecodeError)
 
 
 def _setup_logging():
@@ -55,28 +52,48 @@ def _setup_logging():
                         stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
-def _emit(lines, output):
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-
-
-def _guard(fn):
-    """Run a command body, mapping domain errors to exit code 2."""
-    try:
-        return fn()
-    except _USAGE_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-
-
 @click.group()
 def main():
     """Vandermonde n-metric verification toolkit."""
     _setup_logging()
+
+
+def _command(name):
+    """Register a command body that returns (output lines, passed).
+
+    The runner writes the lines to stdout or to --output and exits 0 when
+    passed, 1 when not, and 2 on a usage or input error.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def run(output, **kwargs):
+            try:
+                lines, passed = body(**kwargs)
+                text = "\n".join(lines) + "\n"
+                if output:
+                    with open(output, "w") as fh:
+                        fh.write(text)
+                else:
+                    click.echo(text, nl=False)
+            except _USAGE_ERRORS as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_USAGE)
+            sys.exit(EXIT_OK if passed else EXIT_CHECK_FAILED)
+
+        return main.command(name)(run)
+
+    return register
+
+
+def _tol(tol):
+    """The tol keyword of a library check: left out unless given, so the check's default holds."""
+    return {} if tol is None else {"tol": tol}
+
+
+def _csv(header, rows):
+    """CSV lines: the header, then one line per row with floats as repr and the rest as str."""
+    return [",".join(header)] + [
+        ",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
 
 
 _input_opt = click.option("--input", "input_path", required=True,
@@ -89,21 +106,17 @@ _tol_opt = click.option("--tol", default=None, type=float, help="Relative tolera
 _seed_opt = click.option("--seed", default=0, type=int, show_default=True)
 
 
-@main.command("eval")
+@_command("eval")
 @_input_opt
 @_complex_opt
 @click.option("--metric", default="vandermonde", show_default=True,
               type=click.Choice(sorted(METRICS)))
 @_output_opt
-def eval_cmd(input_path, complex_points, metric, output):
+def eval_cmd(input_path, complex_points, metric):
     """Evaluate a metric on a point tuple read from CSV."""
-    def body():
-        t = read_points_csv(input_path, complex_points=complex_points)
-        value = resolve_metric(metric)(list(t.points))
-        _emit([dump_json({"metric": metric, "n": t.n, "m": t.m, "value": value})], output)
-        return EXIT_OK
-
-    sys.exit(_guard(body))
+    t = read_points_csv(input_path, complex_points=complex_points)
+    value = resolve_metric(metric)(list(t.points))
+    return [dump_json({"metric": metric, "n": t.n, "m": t.m, "value": value})], True
 
 
 def _parse_y(spec: str, complex_point: bool):
@@ -112,10 +125,14 @@ def _parse_y(spec: str, complex_point: bool):
         y = [float(c) for c in spec.split(",")]
     except ValueError:
         raise ArgumentError(f"--y must be comma-separated numbers, got {spec!r}") from None
-    return complex(y[0], y[1] if len(y) > 1 else 0.0) if complex_point else y
+    if not complex_point:
+        return y
+    if len(y) > 2:
+        raise ArgumentError(f"--y must be re[,im] for a complex point, got {spec!r}")
+    return complex(*y)
 
 
-@main.command("simplex")
+@_command("simplex")
 @_input_opt
 @_complex_opt
 @click.option("--metric", default="vandermonde", show_default=True,
@@ -124,192 +141,136 @@ def _parse_y(spec: str, complex_point: bool):
               help="Replacement point, comma-separated coordinates.")
 @_tol_opt
 @_output_opt
-def simplex_cmd(input_path, complex_points, metric, y_spec, tol, output):
+def simplex_cmd(input_path, complex_points, metric, y_spec, tol):
     """Check the simplex inequality for one tuple and replacement point."""
-    def body():
-        t = read_points_csv(input_path, complex_points=complex_points)
-        y = _parse_y(y_spec, t.is_complex)
-        kwargs = {"tol": tol} if tol is not None else {}
-        report = simplex_gap(t, y, metric=metric, **kwargs)
-        _emit([report.to_json()], output)
-        return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-    sys.exit(_guard(body))
+    t = read_points_csv(input_path, complex_points=complex_points)
+    report = simplex_gap(t, _parse_y(y_spec, t.is_complex), metric=metric, **_tol(tol))
+    return [report.to_json()], report.passed
 
 
-@main.command("extended")
+@_command("extended")
 @_input_opt
 @click.option("--y", "y_spec", required=True, help="Replacement point re,im.")
 @click.option("--k", default=None, type=int, help="Power; default checks all k.")
 @_tol_opt
 @_output_opt
-def extended_cmd(input_path, y_spec, k, tol, output):
+def extended_cmd(input_path, y_spec, k, tol):
     """Check the weighted simplex inequality |y|^k d <= sum |z_i|^k d_i."""
-    def body():
-        t = read_points_csv(input_path, complex_points=True)
-        y = _parse_y(y_spec, complex_point=True)
-        ks = range(t.n) if k is None else [k]
-        kwargs = {"tol": tol} if tol is not None else {}
-        reports = [extended_inequality_gap(t, y, kk, **kwargs) for kk in ks]
-        _emit([r.to_json() for r in reports], output)
-        return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
-
-    sys.exit(_guard(body))
+    t = read_points_csv(input_path, complex_points=True)
+    y = _parse_y(y_spec, complex_point=True)
+    ks = range(t.n) if k is None else [k]
+    reports = [extended_inequality_gap(t, y, kk, **_tol(tol)) for kk in ks]
+    return [r.to_json() for r in reports], all(r.passed for r in reports)
 
 
-@main.command("equality-family")
+@_command("equality-family")
 @click.option("--q", default=1.0, type=float, show_default=True)
 @click.option("--s", default=2.0, type=float, show_default=True)
 @_tol_opt
 @_output_opt
-def equality_family_cmd(q, s, tol, output):
+def equality_family_cmd(q, s, tol):
     """Evaluate the two-parameter exact-equality configuration."""
-    def body():
-        fam = equality_family(q, s)
-        kwargs = {"tol": tol} if tol is not None else {}
-        report = equality_gap_3(*fam.quadruple(), **kwargs)
-        record = report.to_dict()
-        record["q"] = q
-        record["s"] = s
-        _emit([dump_json(record)], output)
-        return EXIT_OK if report.flags["equality"] else EXIT_CHECK_FAILED
-
-    sys.exit(_guard(body))
+    report = equality_gap_3(*equality_family(q, s).quadruple(), **_tol(tol))
+    return [dump_json({**report.to_dict(), "q": q, "s": s})], report.flags["equality"]
 
 
-@main.command("polygon")
+@_command("polygon")
 @click.option("--input", "input_path", required=True,
               help='Polygon JSON {"R": ..., "angles": [...], "center": [re, im]} or a path.')
 @click.option("--check", default="all", show_default=True,
-              type=click.Choice(["triangle", "quadrilateral", "ptolemy", "ngon",
-                                 "simplex-equality", "all"]))
+              type=click.Choice([*POLYGON_CHECKS, "all"]))
 @_tol_opt
 @_output_opt
 @click.option("--emit-csv", is_flag=True, help="Emit CSV rows instead of JSON.")
-def polygon_cmd(input_path, check, tol, output, emit_csv):
+def polygon_cmd(input_path, check, tol, emit_csv):
     """Run the cyclic-polygon inequality checks on one polygon."""
-    def body():
-        poly = polygon_from_json(input_path)
-        checkers = {
-            "triangle": triangle_check,
-            "quadrilateral": quadrilateral_check,
-            "ptolemy": ptolemy_gap,
-            "ngon": ngon_check,
-            "simplex-equality": simplex_equality_ngon,
-        }
-        if check == "all":
-            names = ["ngon", "simplex-equality"]
-            if poly.n == 3:
-                names.insert(0, "triangle")
-            if poly.n == 4:
-                names = ["quadrilateral", "ptolemy"] + names
-        else:
-            names = [check]
-        kwargs = {"tol": tol} if tol is not None else {}
-        reports = [checkers[name](poly, **kwargs) for name in names]
-        if emit_csv:
-            lines = ["operation,lhs,rhs,gap"]
-            lines += [f"{r.operation},{r.lhs!r},{r.rhs!r},{r.gap!r}" for r in reports]
-        else:
-            lines = [r.to_json() for r in reports]
-        _emit(lines, output)
-        return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
-
-    sys.exit(_guard(body))
+    poly = polygon_from_json(input_path)
+    if check == "all":
+        checks = [c for c in POLYGON_CHECKS.values() if c.size in (None, poly.n)]
+    else:
+        checks = [POLYGON_CHECKS[check]]
+    reports = [c.check(poly, **_tol(tol)) for c in checks]
+    if emit_csv:
+        lines = _csv(("operation", "lhs", "rhs", "gap"),
+                     [(r.operation, r.lhs, r.rhs, r.gap) for r in reports])
+    else:
+        lines = [r.to_json() for r in reports]
+    return lines, all(r.passed for r in reports)
 
 
-@main.command("multilinear-verify")
+@_command("multilinear-verify")
 @click.option("--n", default=3, type=int, show_default=True)
 @click.option("--m", default=3, type=int, show_default=True)
 @click.option("--trials", default=100, type=int, show_default=True)
 @_seed_opt
 @_tol_opt
 @_output_opt
-def multilinear_verify_cmd(n, m, trials, seed, tol, output):
+def multilinear_verify_cmd(n, m, trials, seed, tol):
     """Alias: the multilinear-oracle, sum-identity and w-identity (q = 1..n) campaigns."""
-    def body():
-        ops = [("multilinear-oracle", 1), ("sum-identity", 1)]
-        ops += [("w-identity", q) for q in range(1, n + 1)]
-        lines = []
-        ok = True
-        for op, q in ops:
-            result = run_campaign(CampaignConfig(op=op, seed=seed, trials=trials, tol=tol,
-                                                 n=n, m=m, q=q))
-            lines += result.json_lines()
-            ok = ok and result.passed
-        lines.append(dump_json({"record": "summary", "n": n, "m": m, "trials": trials,
-                                "seed": seed, "pass": ok}))
-        _emit(lines, output)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-    sys.exit(_guard(body))
+    ops = [("multilinear-oracle", 1), ("sum-identity", 1)]
+    ops += [("w-identity", q) for q in range(1, n + 1)]
+    lines = []
+    ok = True
+    for op, q in ops:
+        result = run_campaign(CampaignConfig(op=op, seed=seed, trials=trials, tol=tol,
+                                             n=n, m=m, q=q))
+        lines += result.json_lines()
+        ok = ok and result.passed
+    lines.append(dump_json({"record": "summary", "n": n, "m": m, "trials": trials,
+                            "seed": seed, "pass": ok}))
+    return lines, ok
 
 
-@main.command("definiteness")
+@_command("definiteness")
 @click.option("--n", required=True, type=int)
 @click.option("--m", required=True, type=int)
 @click.option("--budget", default=1_000_000, type=int, show_default=True)
 @_output_opt
-def definiteness_cmd(n, m, budget, output):
+def definiteness_cmd(n, m, budget):
     """Decide definiteness of the generalized metric for (n, m); exit 1 when undecided."""
-    def body():
-        verdict = definiteness_decide(n, m, budget=budget)
-        _emit([dump_json(verdict.to_dict())], output)
-        return EXIT_CHECK_FAILED if verdict.verdict == "exhausted" else EXIT_OK
-
-    sys.exit(_guard(body))
+    verdict = definiteness_decide(n, m, budget=budget)
+    return [dump_json(verdict.to_dict())], verdict.verdict != "exhausted"
 
 
-@main.command("counterexample")
+@_command("counterexample")
 @click.argument("which", type=click.Choice(["tetrahedron", "four-four"]))
 @_output_opt
-def counterexample_cmd(which, output):
+def counterexample_cmd(which):
     """Reproduce a known counterexample; exit 0 when it reproduces."""
-    def body():
-        if which == "tetrahedron":
-            report = tetrahedron_counterexample()
-            record = report.to_dict()
-            record["simplex_report"] = tetrahedron_simplex_report().to_dict()
-            # Reproducing the EXPECTED failure is the pass condition.
-            reproduced = (not report.simplex_holds) and (not report.reduction_holds)
-        else:
-            record = counterexample_4_4_report()
-            del record["metric_components"]
-            reproduced = record["structurally_zero"] and record["pairwise_distinct"] \
-                and record["metric_value"] == 0.0
-        record["reproduced"] = reproduced
-        _emit([dump_json(record)], output)
-        return EXIT_OK if reproduced else EXIT_CHECK_FAILED
-
-    sys.exit(_guard(body))
+    if which == "tetrahedron":
+        report = tetrahedron_counterexample()
+        record = report.to_dict()
+        record["simplex_report"] = tetrahedron_simplex_report().to_dict()
+        # Reproducing the EXPECTED failure is the pass condition.
+        reproduced = (not report.simplex_holds) and (not report.reduction_holds)
+    else:
+        record = counterexample_4_4_report()
+        del record["metric_components"]
+        reproduced = record["structurally_zero"] and record["pairwise_distinct"] \
+            and record["metric_value"] == 0.0
+    record["reproduced"] = reproduced
+    return [dump_json(record)], reproduced
 
 
-@main.command("ode")
+@_command("ode")
 @click.option("--input", "input_path", required=True,
               help="Problem JSON (matrix catalog entry, initials, grid) or a path.")
 @_tol_opt
 @_output_opt
 @click.option("--format", "fmt", default="jsonl", show_default=True,
               type=click.Choice(["jsonl", "csv"]))
-def ode_cmd(input_path, tol, fmt, output):
+def ode_cmd(input_path, tol, fmt):
     """Integrate a linear ODE problem and verify the contraction estimate."""
-    def body():
-        problem = problem_from_json(input_path)
-        trajectories = integrate(problem)
-        kwargs = {"tol": tol} if tol is not None else {}
-        reports = verify_estimate(problem, trajectories, **kwargs)
-        if fmt == "csv":
-            lines = ["t,lhs,rhs,gap"]
-            lines += [f"{r.inputs['t']!r},{r.lhs!r},{r.rhs!r},{r.gap!r}" for r in reports]
-        else:
-            lines = [r.to_json() for r in reports]
-        _emit(lines, output)
-        return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
-
-    sys.exit(_guard(body))
+    reports = verify_estimate(problem_from_json(input_path), **_tol(tol))
+    if fmt == "csv":
+        lines = _csv(("t", "lhs", "rhs", "gap"),
+                     [(r.inputs["t"], r.lhs, r.rhs, r.gap) for r in reports])
+    else:
+        lines = [r.to_json() for r in reports]
+    return lines, all(r.passed for r in reports)
 
 
-@main.command("campaign")
+@_command("campaign")
 @click.option("--op", required=True, type=click.Choice(CAMPAIGN_OPS))
 @click.option("--metric", default="vandermonde", show_default=True)
 @click.option("--trials", default=1000, type=int, show_default=True)
@@ -323,23 +284,17 @@ def ode_cmd(input_path, tol, fmt, output):
 @_output_opt
 @click.option("--format", "fmt", default="jsonl", show_default=True,
               type=click.Choice(["json", "jsonl", "csv"]))
-def campaign_cmd(op, metric, trials, seed, tol, n, m, k, q, check, output, fmt):
+def campaign_cmd(fmt, **config):
     """Run a seeded randomized verification campaign."""
-    def body():
-        config = CampaignConfig(op=op, metric=metric, seed=seed, trials=trials,
-                                tol=tol, n=n, m=m, k=k, q=q, check=check)
-        result = run_campaign(config)
-        if fmt == "csv":
-            lines = [",".join(repr(c) if isinstance(c, float) else str(c) for c in row)
-                     for row in result.csv_rows()]
-        elif fmt == "json":
-            lines = [dump_json({"failures": result.failures, "summary": result.summary()})]
-        else:
-            lines = list(result.json_lines())
-        _emit(lines, output)
-        return EXIT_OK if result.passed else EXIT_CHECK_FAILED
-
-    sys.exit(_guard(body))
+    result = run_campaign(CampaignConfig(**config))
+    if fmt == "csv":
+        header = ("trial", "lhs", "rhs", "gap")
+        lines = _csv(header, [[f.get(c) for c in header] for f in result.failures])
+    elif fmt == "json":
+        lines = [dump_json({"failures": result.failures, "summary": result.summary()})]
+    else:
+        lines = list(result.json_lines())
+    return lines, result.passed
 
 
 if __name__ == "__main__":

@@ -97,14 +97,24 @@ class CyclicPolygon:
     @classmethod
     def random(cls, n: int, rng: np.random.Generator, R: float = 1.0,
                center: complex = 0j, min_gap: float = 1e-6):
-        while True:
-            angles = np.sort(rng.uniform(0.0, TWO_PI, size=n))
-            if np.min(np.diff(angles)) > min_gap:
-                return cls(R=R, angles=tuple(angles), center=center)
+        angles = random_sorted_angles(rng, 1, n, min_gap)[0]
+        return cls(R=R, angles=tuple(angles), center=center)
 
     def perturbed(self, deltas) -> "CyclicPolygon":
         angles = sorted((a + d) % TWO_PI for a, d in zip(self.angles, deltas))
         return CyclicPolygon(R=self.R, angles=tuple(angles), center=self.center)
+
+
+def random_sorted_angles(rng: np.random.Generator, b: int, n: int,
+                         min_gap: float = 1e-6) -> np.ndarray:
+    """(b, n) uniform vertex angles, sorted by row; a row with two angles
+    within min_gap of each other is drawn again."""
+    angles = np.sort(rng.uniform(0.0, TWO_PI, size=(b, n)), axis=1)
+    while True:
+        bad = np.flatnonzero(np.min(np.diff(angles, axis=1), axis=1) <= min_gap)
+        if len(bad) == 0:
+            return angles
+        angles[bad] = np.sort(rng.uniform(0.0, TWO_PI, size=(len(bad), n)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +277,6 @@ def simplex_equality_sides(angles, radii, center=0j) -> PolygonSides:
     return PolygonSides(lhs, rhs, log_rows=log_rows)
 
 
-# Polygon checks by campaign name: vertex count (None: any n >= 3), kernel,
-# claim kind and default tolerance.
-POLYGON_CHECKS = {
-    "triangle": (3, triangle_sides, INEQUALITY, INEQUALITY_RTOL),
-    "quadrilateral": (4, quadrilateral_sides, INEQUALITY, INEQUALITY_RTOL),
-    "ptolemy": (4, ptolemy_sides, IDENTITY, PTOLEMY_RTOL),
-    "ngon": (None, ngon_sides, INEQUALITY, INEQUALITY_RTOL),
-    "simplex-equality": (None, simplex_equality_sides, INEQUALITY, INEQUALITY_RTOL),
-}
-
-
 def _one(poly: CyclicPolygon, kernel) -> PolygonSides:
     """The kernel on the single polygon poly."""
     return kernel(np.array([poly.angles]), np.array([poly.R]), poly.center)
@@ -358,6 +357,28 @@ def simplex_equality_ngon(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> 
     s = _one(poly, simplex_equality_sides)
     return _polygon_report("simplex_equality_ngon", poly, {"center": poly.center},
                            s.lhs[0], s.rhs[0], tol)
+
+
+class PolygonCheck(NamedTuple):
+    """One polygon check: its kernel over B polygons and its scalar check on one."""
+
+    size: int | None  # vertex count; None: any n >= 3
+    kernel: object
+    kind: str
+    tol: float  # default tolerance
+    check: object
+
+
+# Polygon checks by campaign and `polygon --check` name.
+POLYGON_CHECKS = {
+    "triangle": PolygonCheck(3, triangle_sides, INEQUALITY, INEQUALITY_RTOL, triangle_check),
+    "quadrilateral": PolygonCheck(4, quadrilateral_sides, INEQUALITY, INEQUALITY_RTOL,
+                                  quadrilateral_check),
+    "ptolemy": PolygonCheck(4, ptolemy_sides, IDENTITY, PTOLEMY_RTOL, ptolemy_gap),
+    "ngon": PolygonCheck(None, ngon_sides, INEQUALITY, INEQUALITY_RTOL, ngon_check),
+    "simplex-equality": PolygonCheck(None, simplex_equality_sides, INEQUALITY, INEQUALITY_RTOL,
+                                     simplex_equality_ngon),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, output formats, determinism, file handling."""
 
+import hashlib
 import json
 import math
 
@@ -359,9 +360,43 @@ class TestMalformedNumbers:
         ["ode", "--input", json.dumps({**_ODE_SPEC, "grid": [0.0, "x", 1.0]})],
         ["ode", "--input", json.dumps({**_ODE_SPEC, "matrix": {"kind": "constant",
                                                               "a0": [["x", 0.0], [0.0, 1.0]]}})],
+        ["simplex", "--input", "{csv}", "--y", "1,2,3"],
+        ["extended", "--input", "{csv}", "--y", "1,2,3"],
     ])
     def test_usage_error(self, runner, complex_csv, args):
         result = runner.invoke(main, [a.replace("{csv}", complex_csv) for a in args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+
+
+class TestRunner:
+    """Every command's output goes through one runner: exit 0/1 from the verdict, 2 on misuse."""
+
+    @pytest.mark.parametrize("args", [
+        ["campaign", "--op", "simplex", "--trials", "10"],
+        ["polygon", "--input", json.dumps({"R": 1.0, "angles": [0.0, 2.0, 4.0]})],
+    ])
+    @pytest.mark.parametrize("output", ["/no/such/dir/x", "{dir}"])
+    def test_unwritable_output_is_usage_error(self, runner, tmp_path, args, output):
+        result = runner.invoke(main, [*args, "--output", output.replace("{dir}", str(tmp_path))])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+
+    @pytest.mark.parametrize("n,operations", [
+        (3, ["triangle_check", "ngon_check", "simplex_equality_ngon"]),
+        (4, ["quadrilateral_check", "ptolemy_gap", "ngon_check", "simplex_equality_ngon"]),
+        (5, ["ngon_check", "simplex_equality_ngon"]),
+    ])
+    def test_polygon_all_runs_the_checks_of_its_size(self, runner, n, operations):
+        spec = json.dumps({"R": 1.3, "angles": [0.2 + 1.1 * k for k in range(n)]})
+        result = runner.invoke(main, ["polygon", "--input", spec, "--check", "all"])
+        assert result.exit_code == 0
+        assert [json.loads(line)["operation"] for line in result.output.splitlines()] \
+            == operations
+
+    def test_polygon_check_of_another_size_is_usage_error(self, runner):
+        spec = json.dumps({"R": 1.0, "angles": [0.0, 1.0, 2.0, 3.0, 4.0]})
+        result = runner.invoke(main, ["polygon", "--input", spec, "--check", "triangle"])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
 
@@ -371,3 +406,71 @@ class TestLogging:
         monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
         result = runner.invoke(main, ["eval", "--input", complex_csv])
         assert result.exit_code == 0
+
+
+# One invocation per behaviour the runner must keep byte for byte: every
+# command, each output format, exit-1 verdicts and usage errors.  Paths are
+# hashed as their placeholders; --help is left out (its text is click's).
+_PENTAGON = json.dumps({"R": 1.0, "angles": [2 * math.pi * k / 5 for k in range(5)]})
+_REGULAR = {n: json.dumps({"R": 1.0, "angles": [2 * math.pi * k / n for k in range(n)]})
+            for n in (3, 4)}
+_QUAD = json.dumps({"R": 2.0, "angles": [0.3, 1.2, 3.0, 5.0]})
+_TRIANGLE = json.dumps({"R": 1.5, "angles": [0.1, 2.0, 4.0], "center": [0.5, -1.0]})
+_ODE_GOLDEN = json.dumps({**_ODE_SPEC, "grid": list(np.linspace(0.0, 1.0, 21))})
+_MISSING_OUTPUT = "/no/such/dir/x"
+_GOLDEN_INVOCATIONS = [
+    ["eval", "--input", "{csv}"],
+    ["eval", "--input", "{tetra}", "--vectors", "--metric", "pairwise"],
+    ["eval", "--input", "/no/such/file.csv"],
+    ["simplex", "--input", "{csv}", "--y", "0.5,0.5"],
+    ["simplex", "--input", "{tetra}", "--vectors", "--metric", "pairwise", "--y", "0,0,0"],
+    ["simplex", "--input", "{tetra}", "--vectors", "--metric", "pairwise_root", "--y", "0,0,0",
+     "--tol", "0"],
+    ["simplex", "--input", "{csv}", "--y", "a,b"],
+    ["extended", "--input", "{csv}", "--y", "1,1"],
+    ["extended", "--input", "{csv}", "--y", "1,1", "--k", "1", "--tol", "0"],
+    ["extended", "--input", "{csv}", "--y", "1,1", "--k", "7"],
+    ["equality-family"],
+    ["equality-family", "--q", "2", "--s", "0.5", "--tol", "0"],
+    ["equality-family", "--q", "-1"],
+    ["polygon", "--input", _PENTAGON],
+    ["polygon", "--input", _QUAD],
+    ["polygon", "--input", _TRIANGLE, "--tol", "0"],
+    ["polygon", "--input", _QUAD, "--emit-csv"],
+    ["polygon", "--input", _REGULAR[3], "--tol", "0"],
+    ["polygon", "--input", _REGULAR[4], "--tol", "0", "--emit-csv"],
+    ["polygon", "--input", _TRIANGLE, "--check", "triangle", "--emit-csv"],
+    ["polygon", "--input", _PENTAGON, "--check", "ngon", "--output", _MISSING_OUTPUT],
+    ["polygon", "--input", _PENTAGON, "--check", "triangle"],
+    ["multilinear-verify", "--n", "3", "--m", "3", "--trials", "20", "--seed", "1"],
+    ["multilinear-verify", "--n", "3", "--m", "3", "--trials", "20", "--tol", "0"],
+    ["multilinear-verify", "--n", "1", "--trials", "20"],
+    ["definiteness", "--n", "3", "--m", "3"],
+    ["definiteness", "--n", "3", "--m", "5", "--budget", "100"],
+    ["definiteness", "--n", "2", "--m", "3"],
+    ["counterexample", "tetrahedron"],
+    ["counterexample", "four-four"],
+    ["counterexample", "tetrahedron", "--output", _MISSING_OUTPUT],
+    ["ode", "--input", _ODE_GOLDEN],
+    ["ode", "--input", _ODE_GOLDEN, "--format", "csv"],
+    ["ode", "--input", json.dumps({**_ODE_SPEC, "grid": [0.0, "x", 1.0]})],
+    ["campaign", "--op", "simplex", "--trials", "200", "--seed", "1"],
+    ["campaign", "--op", "equality-family", "--trials", "50", "--tol", "0", "--format", "csv"],
+    ["campaign", "--op", "simplex", "--n", "60", "--trials", "5", "--format", "csv"],
+    ["campaign", "--op", "sum-identity", "--trials", "20", "--tol", "0", "--format", "json"],
+    ["campaign", "--op", "polygon", "--check", "ngon", "--n", "5", "--trials", "50",
+     "--format", "json"],
+    ["campaign", "--op", "polygon", "--check", "ptolemy", "--trials", "30", "--tol", "0"],
+    ["campaign", "--op", "simplex", "--trials", "0"],
+    ["campaign", "--op", "simplex", "--trials", "10", "--output", _MISSING_OUTPUT],
+]
+_GOLDEN_SHA256 = "2da99d35b0fc13cb143873e94a5123a0461c0953e979bdd50aa91f6fe2d24c18"
+
+
+def test_cli_golden(runner, complex_csv, tetrahedron_csv):
+    digest = hashlib.sha256()
+    for args in _GOLDEN_INVOCATIONS:
+        result = runner.invoke(main, [a.replace("{csv}", complex_csv)
+                                      .replace("{tetra}", tetrahedron_csv) for a in args])
+        digest.update(f"{args!r}\0{result.exit_code}\0{result.output}\0".encode())
+    assert digest.hexdigest() == _GOLDEN_SHA256

@@ -30,7 +30,6 @@ from vandermetric import (
 )
 from vandermetric.campaign import (
     _ode_estimates,
-    _random_sorted_angles,
     _rng,
     random_ode_problem,
 )
@@ -38,7 +37,7 @@ from vandermetric import batch
 from vandermetric.batch import expansion_batch
 from vandermetric.cli import main
 from vandermetric.core import _pair_indices, vandermonde_log_rows, vandermonde_rows
-from vandermetric.geometry import POLYGON_CHECKS
+from vandermetric.geometry import POLYGON_CHECKS, random_sorted_angles
 from vandermetric.multilinear import (
     DefinitenessVerdict,
     _build_witness,
@@ -98,7 +97,7 @@ SCALAR_CHECKS = {"triangle": triangle_check, "quadrilateral": quadrilateral_chec
 def test_polygon_kernel_rows_match_each_row_alone(check, n):
     kernel = POLYGON_CHECKS[check][1]
     rng = np.random.default_rng(n)
-    angles = _random_sorted_angles(rng, 40, n)
+    angles = random_sorted_angles(rng, 40, n)
     radii = rng.uniform(0.5, 3.0, size=40)
     whole = kernel(angles, radii)
     for t in range(40):

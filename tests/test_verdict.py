@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from vandermetric import CampaignConfig, CyclicPolygon, run_campaign
 from vandermetric.cli import main
-from vandermetric.campaign import _random_sorted_angles, _reduce, _rng
+from vandermetric.campaign import _reduce, _rng
 from vandermetric.core import (
     BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, verdict,
 )
 from vandermetric.geometry import (
-    ngon_check, ptolemy_gap, quadrilateral_check, simplex_equality_ngon, triangle_check,
+    ngon_check, ptolemy_gap, quadrilateral_check, random_sorted_angles, simplex_equality_ngon,
+    triangle_check,
 )
 
 KINDS = (INEQUALITY, IDENTITY, BOUND)
@@ -93,7 +94,7 @@ def test_polygon_campaign_rows_match_reports(check, n, checker, tol):
     with np.errstate(all="ignore"):
         result = run_campaign(config)
     rng = _rng(config)
-    angles = _random_sorted_angles(rng, config.trials, n)
+    angles = random_sorted_angles(rng, config.trials, n)
     radii = rng.uniform(0.5, 3.0, size=config.trials)
     kwargs = {} if tol is None else {"tol": tol}
     failed = {t for t in range(config.trials)
