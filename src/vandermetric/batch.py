@@ -111,17 +111,20 @@ def _replacement_products(points: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _replacement_rows(_product_rows, (n + 1) * n * (n - 1) // 2, points, y)
 
 
-def _simplex_sides(points: np.ndarray, y: np.ndarray, root: bool):
+def simplex_sides_complex(points: np.ndarray, y: np.ndarray, root: bool = False):
+    """(lhs, rhs) of the simplex inequality for each row.
+
+    points is (B, n) complex with y (B,), or (B, n, m) real with y (B, m).
+    The sides are the pairwise-distance product (d_V for complex points),
+    or its 2 / (n(n-1)) power (the root metric) with root.
+    """
     values = _replacement_products(points, y)
     return _sides(values ** _root_power(points.shape[1]) if root else values)
 
 
-def simplex_sides_complex(z: np.ndarray, y: np.ndarray, root: bool = False):
-    """(lhs, rhs) of the simplex inequality for each row; y is (B,) complex.
-
-    The sides are d_V, or the root metric d_V ** (2 / (n(n-1))) with root.
-    """
-    return _simplex_sides(z, y, root)
+# The same kernel: _product_rows measures vectors with the Euclidean norm.
+# Both names stay, as bench/spans.py traces each.
+simplex_sides_vectors = simplex_sides_complex
 
 
 def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
@@ -133,19 +136,6 @@ def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
     weights = [np.abs(y)] + [np.abs(z[:, s]) for s in range(z.shape[1])]
     lhs, rhs = zip(*(_sides([w ** k * v for w, v in zip(weights, values)]) for k in ks))
     return np.array(lhs), np.array(rhs)
-
-
-# ---------------------------------------------------------------------------
-# Euclidean metrics on R^m
-
-
-def simplex_sides_vectors(x: np.ndarray, y: np.ndarray, root: bool = False):
-    """(lhs, rhs) of the simplex inequality; y is (B, m).
-
-    The sides are the pairwise-distance product, or its 2 / (n(n-1)) power
-    with root.
-    """
-    return _simplex_sides(x, y, root)
 
 
 # ---------------------------------------------------------------------------

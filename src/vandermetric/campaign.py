@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import batch
-from .core import BOUND, IDENTITY, INEQUALITY, INEQUALITY_RTOL, LINEAR, dump_json, verdict
+from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR,
+                   dump_json, verdict)
 from .errors import ArgumentError
 from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
     POLYGON_CHECKS,
@@ -28,6 +29,7 @@ from .geometry import (  # the scalar checks: bench/spans.py traces them under t
     triangle_check,  # noqa: F401
 )
 from .ode import (  # integrate and verify_estimate: bench/spans.py traces them under this module
+    ESTIMATE_RTOL,
     MatrixFunction,
     ODEProblem,
     estimate_rows,
@@ -41,6 +43,9 @@ from .ode import (  # integrate and verify_estimate: bench/spans.py traces them 
 log = logging.getLogger(__name__)
 
 _MAX_RECORDED_FAILURES = 100
+
+# The tolerance of a campaign whose config gives none: its claim kind's.
+_DEFAULT_TOL = {INEQUALITY: INEQUALITY_RTOL, IDENTITY: IDENTITY_RTOL, BOUND: ESTIMATE_RTOL}
 
 @dataclass
 class CampaignConfig:
@@ -66,6 +71,7 @@ class CampaignResult:
     violations: int
     worst: float  # smallest normalized gap of an inequality, largest of an identity or bound
     checked: int  # rows the verdict checked; a campaign that checked none never passes
+    kind: str  # the claim kind: an identity's failure records hold gap and scale, not the sides
     failures: list = field(default_factory=list)
 
     @property
@@ -127,12 +133,14 @@ def _rng(config: CampaignConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed))
 
 
-def _reduce(config, kind, domain, lhs, rhs, tol, extra) -> CampaignResult:
+def _reduce(config, kind, domain, lhs, rhs, extra) -> CampaignResult:
     """Count and record the rows of lhs/rhs whose verdict fails.
 
+    The tolerance is config.tol, or the kind's default when that is None.
     worst is the smallest normalized gap of an inequality and the largest
     of an identity or a bound; with no row to check it is NaN.
     """
+    tol = _DEFAULT_TOL[kind] if config.tol is None else config.tol
     v = verdict(kind, domain, lhs, rhs, tol)
     bad = np.flatnonzero(~v.passed)
     scale = np.broadcast_to(v.scale, v.gap.shape)
@@ -159,6 +167,7 @@ def _reduce(config, kind, domain, lhs, rhs, tol, extra) -> CampaignResult:
         violations=int(len(bad)),
         worst=worst,
         checked=len(normalized),
+        kind=kind,
         failures=failures,
     )
 
@@ -177,7 +186,6 @@ def _jsonable_complex(z):
 
 def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
-    tol = config.tol if config.tol is not None else INEQUALITY_RTOL
     b, n, m = config.trials, config.n, config.m
     if config.metric in ("vandermonde", "root"):
         z = _complex_sample(rng, (b, n))
@@ -194,12 +202,11 @@ def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
         y = rng.standard_normal((b, m))
         lhs, rhs = batch.simplex_sides_generalized(x, y)
         extra = lambda t: {"points": x[t].tolist(), "y": y[t].tolist()}
-    return _reduce(config, INEQUALITY, LINEAR, lhs, rhs, tol, extra)
+    return _reduce(config, INEQUALITY, LINEAR, lhs, rhs, extra)
 
 
 def _extended_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
-    tol = config.tol if config.tol is not None else INEQUALITY_RTOL
     b, n = config.trials, config.n
     z = _complex_sample(rng, (b, n))
     y = _complex_sample(rng, (b,))
@@ -211,12 +218,11 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
         row = t % b
         return {"k": k, "points": _jsonable_complex(z[row]), "y": [y[row].real, y[row].imag]}
 
-    return _reduce(config, INEQUALITY, LINEAR, lhs.ravel(), rhs.ravel(), tol, extra)
+    return _reduce(config, INEQUALITY, LINEAR, lhs.ravel(), rhs.ravel(), extra)
 
 
 def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
-    tol = config.tol if config.tol is not None else 1e-10
     b = config.trials
     log_lo, log_hi = np.log(0.01), np.log(100.0)
     q = np.exp(rng.uniform(log_lo, log_hi, size=b))
@@ -227,14 +233,13 @@ def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
     z[:, 2] = (-1.0 - 1j * np.sqrt((1.0 + s) / q)) / s
     lhs, rhs = batch.simplex_sides_complex(z, np.zeros(b, dtype=complex))
     extra = lambda t: {"q": float(q[t]), "s": float(s[t])}
-    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
+    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
 
 
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
     """One row of the check's kernel per random polygon."""
-    size, kernel, kind, default_tol, _ = POLYGON_CHECKS[config.check]
+    size, kernel, kind, _ = POLYGON_CHECKS[config.check]
     n = size or config.n
-    tol = config.tol if config.tol is not None else default_tol
     rng = _rng(config)
     b = config.trials
     angles = random_sorted_angles(rng, b, n)
@@ -244,7 +249,7 @@ def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
         log.debug("polygon %s: trials evaluated in the log domain: %s", config.check,
                   np.flatnonzero(sides.log_rows).tolist())
     extra = lambda t: {"R": float(radii[t]), "angles": angles[t].tolist()}
-    return _reduce(config, kind, sides.domain, sides.lhs, sides.rhs, tol, extra)
+    return _reduce(config, kind, sides.domain, sides.lhs, sides.rhs, extra)
 
 
 def _int_sample(rng, shape, bound):
@@ -254,15 +259,11 @@ def _int_sample(rng, shape, bound):
 def _multilinear_oracle_campaign(config: CampaignConfig) -> CampaignResult:
     """Permutation expansion against the product-difference form."""
     rng = _rng(config)
-    tol = config.tol if config.tol is not None else 1e-10
     b, n, m = config.trials, config.n, config.m
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
-    er, ei = batch.expansion_batch(points)
-    pr, pi = batch.pdf_batch(points)
-    lhs = np.concatenate([er, ei], axis=1)
-    rhs = np.concatenate([pr, pi], axis=1)
+    lhs, rhs = _oracle_sides(points)
     extra = lambda t: {"points": points[t].tolist()}
-    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
+    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
 
 
 def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int = 3) -> int:
@@ -274,33 +275,34 @@ def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int 
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     points = _int_sample(rng, (trials, n, m), bound).astype(np.int64)
-    er, ei = batch.expansion_batch(points)
-    pr, pi = batch.pdf_batch(points)
-    return int(
-        max(np.max(np.abs(er - pr)), np.max(np.abs(ei - pi)))
-    )
+    lhs, rhs = _oracle_sides(points)
+    return int(np.max(np.abs(lhs - rhs)))
+
+
+def _oracle_sides(points):
+    """Permutation expansion and product-difference form of each row, as [re | im] stacks."""
+    return (np.concatenate(batch.expansion_batch(points), axis=1),
+            np.concatenate(batch.pdf_batch(points), axis=1))
 
 
 def _sum_identity_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
-    tol = config.tol if config.tol is not None else 1e-10
     b, n, m = config.trials, config.n, config.m
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
     lhs, rhs = batch.sum_identity_sides(points, y)
     extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
-    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
+    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
 
 
 def _w_identity_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
-    tol = config.tol if config.tol is not None else 1e-10
     b, n, m, q = config.trials, config.n, config.m, config.q
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
     lhs, rhs = batch.w_identity_sides(points, y, q)
     extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist(), "q": q}
-    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, tol, extra)
+    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
 
 
 def random_ode_problem(rng: np.random.Generator, m: int, t_end: float = 2.0,
@@ -363,7 +365,6 @@ def _ode_estimates(problems: list[ODEProblem]) -> list:
 def _ode_campaign(config: CampaignConfig) -> CampaignResult:
     """Contraction-estimate bounds at every grid time, near collisions left out."""
     rng = _rng(config)
-    tol = config.tol if config.tol is not None else 1e-6
     dims = [2, 3, 4]
     problems = [random_ode_problem(rng, dims[t % len(dims)]) for t in range(config.trials)]
     estimates = _ode_estimates(problems)
@@ -382,7 +383,7 @@ def _ode_campaign(config: CampaignConfig) -> CampaignResult:
         t = int(trials[row])
         return {"trial": t, "t": times[row], "problem": estimates[t][0].to_dict()}
 
-    result = _reduce(config, BOUND, LINEAR, np.concatenate(lhs), np.concatenate(rhs), tol, extra)
+    result = _reduce(config, BOUND, LINEAR, np.concatenate(lhs), np.concatenate(rhs), extra)
     return replace(result, trials=config.trials)
 
 

@@ -18,6 +18,7 @@ import click
 
 from .campaign import CAMPAIGN_OPS, CampaignConfig, run_campaign
 from .core import (
+    IDENTITY,
     METRICS,
     dump_json,
     extended_inequality_gap,
@@ -288,8 +289,9 @@ def campaign_cmd(fmt, **config):
     """Run a seeded randomized verification campaign."""
     result = run_campaign(CampaignConfig(**config))
     if fmt == "csv":
-        header = ("trial", "lhs", "rhs", "gap")
-        lines = _csv(header, [[f.get(c) for c in header] for f in result.failures])
+        sides = ("gap", "scale") if result.kind == IDENTITY else ("lhs", "rhs", "gap")
+        header = ("trial", *sides)
+        lines = _csv(header, [[f[c] for c in header] for f in result.failures])
     elif fmt == "json":
         lines = [dump_json({"failures": result.failures, "summary": result.summary()})]
     else:

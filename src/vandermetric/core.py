@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import ArgumentError, SingularityError
 
-# Relative tolerance for inequality checks; identities use tighter values.
+# Default relative tolerances of inequality and identity checks.
 INEQUALITY_RTOL = 1e-9
+IDENTITY_RTOL = 1e-10
 
 # Beyond this tuple size (or once a partial product leaves the safe range)
 # products are evaluated in the log domain.
@@ -246,7 +247,6 @@ class MetricReport:
     tolerance: float
     kind: str
     domain: str
-    seed: int | None = None
     flags: dict = field(default_factory=dict)
 
     @property
@@ -267,8 +267,6 @@ class MetricReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-        if self.seed is not None:
-            d["seed"] = self.seed
         if self.flags:
             d.update(_jsonify(self.flags))
         return d
@@ -568,7 +566,7 @@ def _replacement_sides(points, y, side):
     return lhs, rhs
 
 
-def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL, seed=None) -> MetricReport:
+def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL) -> MetricReport:
     """Check d(x) <= sum_i d(x with x_i replaced by y) for the chosen metric."""
     t = as_point_tuple(points)
     y = _coerce_like(t, y)
@@ -576,10 +574,10 @@ def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL, seed=None)
     lhs, rhs = _replacement_sides(t.points, y, lambda pts, _: d(pts))
     name = metric if isinstance(metric, str) else getattr(metric, "__name__", "custom")
     return MetricReport("simplex_gap", {"points": t, "y": y, "metric": name}, lhs, rhs, tol,
-                        kind=INEQUALITY, domain=LINEAR, seed=seed)
+                        kind=INEQUALITY, domain=LINEAR)
 
 
-def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL, seed=None) -> MetricReport:
+def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL) -> MetricReport:
     """Check |y|^k d_V(z) <= sum_i |z_i|^k d_V(z with z_i replaced by y).
 
     k = 0 reduces to the plain simplex inequality.
@@ -591,7 +589,7 @@ def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL, see
         raise ArgumentError(f"k must be in [0, {n - 1}], got {k}")
     lhs, rhs = _replacement_sides(z, y, lambda pts, w: abs(w) ** k * vandermonde_metric(pts))
     return MetricReport("extended_inequality_gap", {"points": list(z), "y": y, "k": k},
-                        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR, seed=seed)
+                        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR)
 
 
 # ---------------------------------------------------------------------------

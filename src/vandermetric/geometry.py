@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     BOUND,
     IDENTITY,
+    IDENTITY_RTOL,
     INEQUALITY,
     INEQUALITY_RTOL,
     LINEAR,
@@ -149,12 +150,12 @@ def equality_family(q: float, s: float) -> EqualityFamilyPoint:
 
 
 def equality_gap_3(y: complex, z1: complex, z2: complex, z3: complex,
-                   tol: float = 1e-10, seed=None) -> MetricReport:
+                   tol: float = IDENTITY_RTOL) -> MetricReport:
     """Gap of the 3-point simplex inequality, with equality/strict flags."""
     y, z1, z2, z3 = complex(y), complex(z1), complex(z2), complex(z3)
     lhs, rhs = _replacement_sides([z1, z2, z3], y, lambda pts, _: vandermonde_metric(pts))
     report = MetricReport("equality_gap_3", {"y": y, "z": [z1, z2, z3]}, lhs, rhs, tol,
-                          kind=INEQUALITY, domain=LINEAR, seed=seed)
+                          kind=INEQUALITY, domain=LINEAR)
     equality = _equality(lhs, rhs, tol)
     report.flags["equality"] = equality
     report.flags["strict"] = report.passed and not equality
@@ -173,7 +174,7 @@ def _equality(lhs, rhs, tol) -> bool:
 # vertex angles and (B,) circumradii around one center; the scalar checks
 # are B = 1 calls into it.
 
-PTOLEMY_RTOL = 1e-10
+PTOLEMY_RTOL = IDENTITY_RTOL
 
 
 class PolygonSides(NamedTuple):
@@ -257,23 +258,20 @@ def ngon_sides(angles, radii, center=0j) -> PolygonSides:
 def simplex_equality_sides(angles, radii, center=0j) -> PolygonSides:
     """Simplex sides with y at the circumcenter for each polygon.
 
-    Each polygon and its n replaced tuples are evaluated as one stacked
-    (n + 1, B, n) batch; the right side is summed in slot order.
+    The scalar replacement rule runs on the vertex columns, so the right
+    side is summed in slot order; a row is in the log domain when any of
+    its n + 1 tuples is.
     """
-    b, n = angles.shape
     z = _vertices(angles, radii, center)
-    lhs, rhs, log_rows = np.empty(b), np.zeros(b), np.empty(b, dtype=bool)
-    for rows in _chunks(b, (n + 1) * n * (n - 1) // 2):
-        tuples = np.repeat(z[None, rows], n + 1, axis=0)
-        for i in range(n):
-            tuples[i + 1, :, i] = center
-        values, log = vandermonde_rows(tuples.reshape(-1, n))
-        values = values.reshape(n + 1, -1)
-        lhs[rows] = values[0]
-        with np.errstate(over="ignore"):  # an infinite side fails the verdict
-            for term in values[1:]:
-                rhs[rows] += term
-        log_rows[rows] = log.reshape(n + 1, -1).any(axis=0)
+    log_rows = np.zeros(len(z), dtype=bool)
+
+    def metric(columns, _):
+        values, log = vandermonde_rows(np.stack(columns, axis=1))
+        np.logical_or(log_rows, log, out=log_rows)
+        return values
+
+    with np.errstate(over="ignore"):  # an infinite side fails the verdict
+        lhs, rhs = _replacement_sides(list(z.T), np.full(len(z), center, dtype=complex), metric)
     return PolygonSides(lhs, rhs, log_rows=log_rows)
 
 
@@ -365,18 +363,16 @@ class PolygonCheck(NamedTuple):
     size: int | None  # vertex count; None: any n >= 3
     kernel: object
     kind: str
-    tol: float  # default tolerance
     check: object
 
 
 # Polygon checks by campaign and `polygon --check` name.
 POLYGON_CHECKS = {
-    "triangle": PolygonCheck(3, triangle_sides, INEQUALITY, INEQUALITY_RTOL, triangle_check),
-    "quadrilateral": PolygonCheck(4, quadrilateral_sides, INEQUALITY, INEQUALITY_RTOL,
-                                  quadrilateral_check),
-    "ptolemy": PolygonCheck(4, ptolemy_sides, IDENTITY, PTOLEMY_RTOL, ptolemy_gap),
-    "ngon": PolygonCheck(None, ngon_sides, INEQUALITY, INEQUALITY_RTOL, ngon_check),
-    "simplex-equality": PolygonCheck(None, simplex_equality_sides, INEQUALITY, INEQUALITY_RTOL,
+    "triangle": PolygonCheck(3, triangle_sides, INEQUALITY, triangle_check),
+    "quadrilateral": PolygonCheck(4, quadrilateral_sides, INEQUALITY, quadrilateral_check),
+    "ptolemy": PolygonCheck(4, ptolemy_sides, IDENTITY, ptolemy_gap),
+    "ngon": PolygonCheck(None, ngon_sides, INEQUALITY, ngon_check),
+    "simplex-equality": PolygonCheck(None, simplex_equality_sides, INEQUALITY,
                                      simplex_equality_ngon),
 }
 

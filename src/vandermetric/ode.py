@@ -100,30 +100,28 @@ class MatrixFunction:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        if self.a0 is not None:
-            d["a0"] = self.a0.tolist()
-        if self.a1 is not None:
-            d["a1"] = self.a1.tolist()
-        if self.kind == "sinusoidal":
-            d["omega"] = self.omega
-        if self.kind == "sampled":
-            d["times"] = self.times.tolist()
-            d["samples"] = self.samples.tolist()
+        for name in _MATRIX_FIELDS[self.kind]:
+            value = getattr(self, name)
+            d[name] = value.tolist() if isinstance(value, np.ndarray) else value
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "MatrixFunction":
+        """The matrix function of a to_dict record; omega defaults to 1.0."""
         kind = d["kind"]
-        if kind == "constant":
-            return cls.constant(d["a0"])
-        if kind == "linear":
-            return cls.linear(d["a0"], d["a1"])
-        if kind == "sinusoidal":
-            return cls.sinusoidal(d["a0"], d["a1"], d.get("omega", 1.0))
-        if kind == "sampled":
-            return cls.sampled(d["times"], d["samples"])
-        raise ArgumentError(f"unknown matrix kind {kind!r}")
+        if kind not in _MATRIX_FIELDS:
+            raise ArgumentError(f"unknown matrix kind {kind!r}")
+        args = [d.get(name, 1.0) if name == "omega" else d[name] for name in _MATRIX_FIELDS[kind]]
+        return getattr(cls, kind)(*args)
 
+
+# The fields each kind of MatrixFunction stores, in its constructor's argument order.
+_MATRIX_FIELDS = {
+    "constant": ("a0",),
+    "linear": ("a0", "a1"),
+    "sinusoidal": ("a0", "a1", "omega"),
+    "sampled": ("times", "samples"),
+}
 
 def growth_bounds(a: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of the symmetric part of each matrix of a (..., m, m) stack."""

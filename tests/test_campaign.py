@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from vandermetric import ArgumentError, CampaignConfig, run_campaign
+from vandermetric import ArgumentError, CampaignConfig, campaign, run_campaign
 from vandermetric.campaign import CAMPAIGN_OPS, multilinear_oracle_exact
 
 
@@ -139,3 +139,48 @@ class TestDeterminism:
         for op in CAMPAIGN_OPS:
             config = CampaignConfig(op=op, seed=0, trials=2, n=3, m=3)
             assert run_campaign(config) is not None
+
+
+# Every op's config with the documented default tolerance of its claim kind:
+# inequality 1e-9, identity 1e-10, bound 1e-6.
+DEFAULT_TOL_CASES = [
+    (dict(op="simplex", metric="vandermonde"), 1e-9),
+    (dict(op="simplex", metric="root", n=5), 1e-9),
+    (dict(op="simplex", metric="euclidean3"), 1e-9),
+    (dict(op="simplex", metric="generalized", n=3, m=4), 1e-9),
+    (dict(op="extended"), 1e-9),
+    (dict(op="equality-family"), 1e-10),
+    (dict(op="polygon", check="triangle"), 1e-9),
+    (dict(op="polygon", check="quadrilateral"), 1e-9),
+    (dict(op="polygon", check="ptolemy"), 1e-10),
+    (dict(op="polygon", check="ngon", n=7), 1e-9),
+    (dict(op="polygon", check="simplex-equality", n=6), 1e-9),
+    (dict(op="multilinear-oracle", n=3, m=3), 1e-10),
+    (dict(op="sum-identity", n=3, m=3), 1e-10),
+    (dict(op="w-identity", n=3, m=3, q=2), 1e-10),
+    (dict(op="ode", trials=5), 1e-6),
+]
+
+
+def test_default_tol_cases_cover_every_op():
+    assert {kwargs["op"] for kwargs, _ in DEFAULT_TOL_CASES} == set(CAMPAIGN_OPS)
+
+
+@pytest.mark.parametrize("kwargs,default", DEFAULT_TOL_CASES)
+def test_no_tol_is_the_kinds_default(monkeypatch, kwargs, default):
+    kwargs = {"seed": 11, "trials": 100, **kwargs}
+    used = []
+
+    def recording_verdict(kind, domain, lhs, rhs, tol):
+        used.append(tol)
+        return verdict(kind, domain, lhs, rhs, tol)
+
+    verdict = campaign.verdict
+    monkeypatch.setattr(campaign, "verdict", recording_verdict)
+    implicit = list(run_campaign(CampaignConfig(tol=None, **kwargs)).json_lines())
+    explicit = list(run_campaign(CampaignConfig(tol=default, **kwargs)).json_lines())
+    assert used == [default, default]
+    summary = json.loads(explicit[-1])
+    assert summary["config"]["tol"] == default
+    summary["config"]["tol"] = None
+    assert implicit == explicit[:-1] + [json.dumps(summary, sort_keys=True)]

@@ -307,6 +307,22 @@ class TestCampaignCommand:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "trial,lhs,rhs,gap"
 
+    @pytest.mark.parametrize("args,failures", [
+        (["--op", "equality-family", "--trials", "50", "--tol", "0"], True),
+        (["--op", "sum-identity", "--trials", "20", "--tol", "0"], True),
+        (["--op", "polygon", "--check", "ptolemy", "--trials", "30", "--tol", "0"], True),
+        (["--op", "sum-identity", "--trials", "20"], False),
+    ])
+    def test_identity_csv_holds_gap_and_scale(self, runner, args, failures):
+        result = runner.invoke(main, ["campaign", *args, "--format", "csv"])
+        assert result.exit_code == (1 if failures else 0)
+        header, *rows = result.output.splitlines()
+        assert header == "trial,gap,scale"
+        assert bool(rows) == failures
+        for row in rows:
+            trial, gap, scale = row.split(",")
+            assert int(trial) >= 0 and float(gap) > 0.0 and float(scale) >= 1.0
+
     def test_unknown_op_rejected(self, runner):
         result = runner.invoke(main, ["campaign", "--op", "bogus"])
         assert result.exit_code == 2
@@ -464,7 +480,7 @@ _GOLDEN_INVOCATIONS = [
     ["campaign", "--op", "simplex", "--trials", "0"],
     ["campaign", "--op", "simplex", "--trials", "10", "--output", _MISSING_OUTPUT],
 ]
-_GOLDEN_SHA256 = "2da99d35b0fc13cb143873e94a5123a0461c0953e979bdd50aa91f6fe2d24c18"
+_GOLDEN_SHA256 = "65ad004dc2044c03c084a1d5249fc21cb1c5c47a3b55ba23f4f7d5c940159bb5"
 
 
 def test_cli_golden(runner, complex_csv, tetrahedron_csv):

@@ -1,9 +1,11 @@
 """Integrator, quadrature, and the 3-metric contraction estimate."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from vandermetric import (
     ArgumentError,
@@ -15,6 +17,7 @@ from vandermetric import (
     integrate,
     verify_estimate,
 )
+from vandermetric.cli import main
 
 INITIALS_2D = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -57,6 +60,34 @@ class TestMatrixFunction:
     def test_sampled_shape_mismatch(self):
         with pytest.raises(ArgumentError):
             MatrixFunction.sampled([0.0, 1.0], [np.eye(2)])
+
+    @pytest.mark.parametrize("mf,expected", [
+        (MatrixFunction.constant([[1.0, 2.0], [3.0, 4.0]]),
+         {"kind": "constant", "a0": [[1.0, 2.0], [3.0, 4.0]]}),
+        (MatrixFunction.linear([[1.0]], [[2.0]]),
+         {"kind": "linear", "a0": [[1.0]], "a1": [[2.0]]}),
+        (MatrixFunction.sinusoidal([[1.0]], [[2.0]], omega=3),
+         {"kind": "sinusoidal", "a0": [[1.0]], "a1": [[2.0]], "omega": 3.0}),
+        (MatrixFunction.sampled([0.0, 1.0], [[[1.0]], [[2.0]]]),
+         {"kind": "sampled", "times": [0.0, 1.0], "samples": [[[1.0]], [[2.0]]]}),
+    ])
+    def test_to_dict_holds_the_fields_of_its_kind(self, mf, expected):
+        assert mf.to_dict() == expected
+        assert list(mf.to_dict()) == list(expected)
+
+    def test_sinusoidal_omega_defaults_to_one(self):
+        mf = MatrixFunction.from_dict({"kind": "sinusoidal", "a0": [[0.0]], "a1": [[1.0]]})
+        assert mf.omega == 1.0
+        assert mf(0.5)[0, 0] == math.sin(0.5)
+
+    def test_unknown_kind_is_a_usage_error(self):
+        with pytest.raises(ArgumentError, match="unknown matrix kind 'cubic'"):
+            MatrixFunction.from_dict({"kind": "cubic", "a0": [[1.0]]})
+        spec = json.dumps({"matrix": {"kind": "cubic", "a0": [[-1.0, 0.0], [0.0, -1.0]]},
+                           "initials": INITIALS_2D.tolist(), "grid": [0.0, 0.5, 1.0]})
+        result = CliRunner().invoke(main, ["ode", "--input", spec])
+        assert result.exit_code == 2
+        assert result.output == "error: unknown matrix kind 'cubic'\n"
 
 
 class TestAlpha:

@@ -38,8 +38,8 @@ sides = st.one_of(
 def test_report_and_campaign_reducer_agree(kind, domain, lhs, rhs, tol):
     report = MetricReport("probe", {}, lhs, rhs, tol, kind=kind, domain=domain)
     with np.errstate(all="ignore"):
-        result = _reduce(CampaignConfig(op="simplex"), kind, domain,
-                         np.array([lhs]), np.array([rhs]), tol, lambda t: {})
+        result = _reduce(CampaignConfig(op="simplex", tol=tol), kind, domain,
+                         np.array([lhs]), np.array([rhs]), lambda t: {})
         normalized = verdict(kind, domain, lhs, rhs, tol).normalized
     assert report.passed is result.passed
     if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(normalized)):
