@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import IDENTITY, LINEAR, _pair_indices, verdict
+from .core import IDENTITY, LINEAR, _pair_indices, _root_power, verdict
 from .multilinear import EXPANSION_MAX_N, expansion_terms
 from .errors import ResourceError
 
@@ -35,10 +35,6 @@ def dv_batch(z: np.ndarray) -> np.ndarray:
     """Pairwise-distance products for a (B, n) array of complex points."""
     j_idx, i_idx = _pair_indices(z.shape[1])
     return np.prod(np.abs(z[:, i_idx] - z[:, j_idx]), axis=1)
-
-
-def _root_power(n: int) -> float:
-    return 2.0 / (n * (n - 1))
 
 
 def root_batch(z: np.ndarray) -> np.ndarray:

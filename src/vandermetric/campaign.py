@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import batch
-from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR,
-                   dump_json, verdict)
+from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR, LOG,
+                   _LOG_SWITCH_N, dump_json, extended_log_sides, simplex_log_sides, verdict)
 from .errors import ArgumentError
 from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
     POLYGON_CHECKS,
@@ -184,13 +184,24 @@ def _jsonable_complex(z):
 # Campaigns
 
 
+def _lagrange_domain(config: CampaignConfig, name: str) -> str:
+    """LOG, logged at DEBUG, when the campaign's rows are Lagrange log sums (n > 12)."""
+    if config.n <= _LOG_SWITCH_N:
+        return LINEAR
+    log.debug("%s: %d trials evaluated as Lagrange log sums", name, config.trials)
+    return LOG
+
+
 def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
     b, n, m = config.trials, config.n, config.m
+    domain = LINEAR
     if config.metric in ("vandermonde", "root"):
         z = _complex_sample(rng, (b, n))
         y = _complex_sample(rng, (b,))
-        lhs, rhs = batch.simplex_sides_complex(z, y, root=config.metric == "root")
+        domain = _lagrange_domain(config, f"simplex {config.metric}")
+        sides = simplex_log_sides if domain == LOG else batch.simplex_sides_complex
+        lhs, rhs = sides(z, y, root=config.metric == "root")
         extra = lambda t: {"points": _jsonable_complex(z[t]), "y": [y[t].real, y[t].imag]}
     elif config.metric == "euclidean3":
         x = rng.standard_normal((b, 3, m))
@@ -202,7 +213,7 @@ def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
         y = rng.standard_normal((b, m))
         lhs, rhs = batch.simplex_sides_generalized(x, y)
         extra = lambda t: {"points": x[t].tolist(), "y": y[t].tolist()}
-    return _reduce(config, INEQUALITY, LINEAR, lhs, rhs, extra)
+    return _reduce(config, INEQUALITY, domain, lhs, rhs, extra)
 
 
 def _extended_campaign(config: CampaignConfig) -> CampaignResult:
@@ -211,14 +222,16 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
     z = _complex_sample(rng, (b, n))
     y = _complex_sample(rng, (b,))
     ks = list(range(n)) if config.k is None else [config.k]
-    lhs, rhs = batch.extended_sides_complex(z, y, ks)
+    domain = _lagrange_domain(config, "extended")
+    sides = extended_log_sides if domain == LOG else batch.extended_sides_complex
+    lhs, rhs = sides(z, y, ks)
 
     def extra(t):
         k = ks[t // b]
         row = t % b
         return {"k": k, "points": _jsonable_complex(z[row]), "y": [y[row].real, y[row].imag]}
 
-    return _reduce(config, INEQUALITY, LINEAR, lhs.ravel(), rhs.ravel(), extra)
+    return _reduce(config, INEQUALITY, domain, lhs.ravel(), rhs.ravel(), extra)
 
 
 def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:

@@ -198,28 +198,34 @@ def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
       passes when <= tol.
 
     The normalized gap is gap / scale.  Fails closed: a check whose
-    normalized gap or right side is not finite never passes.
+    normalized gap or right side is not finite never passes.  The one
+    exception is a log side of -inf, which is the value 0: in the log domain
+    a left side of -inf holds against a finite right side, or against one
+    of -inf as an equality, as the linear sides 0 and rhs would.
     """
     if kind not in (INEQUALITY, IDENTITY, BOUND) or domain not in (LINEAR, LOG):
         raise ArgumentError(f"unknown verdict kind {kind!r} or domain {domain!r}")
     array = isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray)
     finite = True
-    if kind == BOUND:
-        if domain == LOG:
-            gap = lhs - rhs
-        else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                gap = np.divide(lhs, rhs) - 1.0
-            # lhs / inf - 1 is finite, so an infinite bound is caught here.
-            finite = abs(rhs) < math.inf
+    if domain == LOG:
+        # -inf is the log of 0, so two sides of -inf are equal, gap 0.
+        zeros = (lhs == -math.inf) & (rhs == -math.inf)
+        with np.errstate(invalid="ignore"):
+            gap = np.where(zeros, 0.0, lhs - rhs if kind == BOUND else rhs - lhs)[()]
+        if kind == IDENTITY:
+            gap = abs(gap)
+        scale = 1.0
+    elif kind == BOUND:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gap = np.divide(lhs, rhs) - 1.0
+        # lhs / inf - 1 is finite, so an infinite bound is caught here.
+        finite = abs(rhs) < math.inf
         scale = 1.0
     else:
         gap = rhs - lhs
         if kind == IDENTITY:
             gap = abs(gap)
-        if domain == LOG:
-            scale = 1.0
-        elif array:
+        if array:
             left, right = abs(lhs), abs(rhs)
             if gap.ndim > 1:
                 gap, left, right = gap.max(axis=-1), left.max(axis=-1), right.max(axis=-1)
@@ -229,6 +235,9 @@ def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
     normalized = gap / scale
     within = normalized >= -tol if kind == INEQUALITY else normalized <= tol
     finite = finite & (abs(normalized) < math.inf)
+    if domain == LOG:
+        # A left side of 0 under a finite right side is decided, its gap infinite.
+        finite = finite | ((lhs == -math.inf) & (abs(rhs) < math.inf))
     return Verdict(normalized, within & finite, gap, scale)
 
 
@@ -236,8 +245,9 @@ def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
 class MetricReport:
     """Outcome of one inequality, identity or bound check.
 
-    gap is rhs - lhs exactly as computed; passed is the verdict() of kind
-    and domain on the two sides at the given tolerance.
+    gap is rhs - lhs exactly as computed, and 0 for two log sides of -inf
+    (two zeros) as in verdict(); passed is the verdict() of kind and
+    domain on the two sides at the given tolerance.
     """
 
     operation: str
@@ -251,6 +261,8 @@ class MetricReport:
 
     @property
     def gap(self) -> float:
+        if self.domain == LOG and self.lhs == self.rhs == -math.inf:
+            return 0.0
         return self.rhs - self.lhs
 
     @property
@@ -301,18 +313,33 @@ def _pair_indices(n: int):
     return j, i
 
 
+def _sorted_rows(z: np.ndarray):
+    """Each row of a (B, n) complex array sorted by (real, imag), and the sort order."""
+    order = np.lexsort((z.imag, z.real))
+    return np.take_along_axis(z, order, axis=1), order
+
+
+def _abs(d: np.ndarray) -> np.ndarray:
+    """|d| as np.hypot of the parts, which is Python's abs (numpy's rounds differently)."""
+    return np.hypot(d.real, d.imag)
+
+
 def _complex_factors(z: np.ndarray) -> np.ndarray:
     """|z_i - z_j| over the pairs of each row sorted by (real, imag), in pair order."""
-    z = np.take_along_axis(z, np.lexsort((z.imag, z.real)), axis=1)
+    z = _sorted_rows(z)[0]
     j, i = _pair_indices(z.shape[1])
-    d = z[:, i] - z[:, j]
-    return np.hypot(d.real, d.imag)
+    return _abs(z[:, i] - z[:, j])
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Sum of each row of a 2-d array, added left to right."""
+    return np.cumsum(values, axis=1)[:, -1]
 
 
 def _log_sums(factors: np.ndarray) -> np.ndarray:
     """Sum of the logs of each row of factors in order; -inf for a row holding a zero."""
     with np.errstate(divide="ignore"):
-        sums = np.cumsum(np.log(factors), axis=1)[:, -1]
+        sums = _row_sums(np.log(factors))
     sums[np.any(factors == 0.0, axis=1)] = -math.inf
     return sums
 
@@ -465,6 +492,82 @@ def _signed_product(z: list[complex]) -> complex:
     return prod
 
 
+def _endpoint_sums(values: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) sums of a (rows, P) array of pair values over the pairs at each point.
+
+    Each pair's value goes into both of its points' rows of an n x n
+    matrix, whose rows are added left to right.
+    """
+    j, i = _pair_indices(n)
+    both = np.zeros((len(values), n, n))
+    both[:, j, i] = values
+    both[:, i, j] = values
+    return _row_sums(both.reshape(-1, n)).reshape(-1, n)
+
+
+def _sums_without_each(logs: np.ndarray, at_points):
+    """Row sums of logs, and for each point the sum of the logs not at that point.
+
+    at_points maps a (rows, K) array to the (rows, n) sums of its entries
+    at each point.  A log of -inf is a zero factor: a sum that takes one in
+    is -inf, and a sum that leaves every one out is the sum of the rest.
+    """
+    zero = logs == -math.inf
+    hit = np.flatnonzero(zero.any(axis=1))
+    if len(hit):
+        logs = np.where(zero, 0.0, logs)
+    total = _row_sums(logs)
+    without = total[:, None] - at_points(logs)
+    if len(hit):
+        zeros = zero[hit].astype(float)
+        zeros_left_in = _row_sums(zeros)[:, None] - at_points(zeros)
+        without[hit] = np.where(zeros_left_in > 0.0, -math.inf, without[hit])
+        total[hit] = -math.inf
+    return total, without
+
+
+def _lagrange_logs(z: np.ndarray, y: np.ndarray):
+    """lagrange_log_rows on one chunk of rows."""
+    z, order = _sorted_rows(z)
+    n = z.shape[1]
+    j, i = _pair_indices(n)
+    with np.errstate(divide="ignore"):
+        pair_logs = np.log(_abs(z[:, i] - z[:, j]))
+        y_logs = np.log(_abs(y[:, None] - z))
+    log_dv, pairs_off = _sums_without_each(pair_logs, lambda v: _endpoint_sums(v, n))
+    _, y_off = _sums_without_each(y_logs, lambda v: v)
+    terms = np.empty_like(pairs_off)
+    np.put_along_axis(terms, order, pairs_off + y_off, axis=1)
+    return log_dv, terms
+
+
+def lagrange_log_rows(z: np.ndarray, y: np.ndarray):
+    """log d_V(z) and log d_V(z with z_i -> y) of each row of a (B, n) complex array.
+
+    y is (B,).  Term i is log d_V(z) + log|a_i(y)|, a_i the Lagrange
+    (Cramer) coefficients: the pairs at z_i are swapped for the factors
+    |z_l - y|.  Each row is sorted as in vandermonde_log_rows, so log d_V
+    equals it bit for bit, and each pair's log is taken once and added into
+    both of its points' sums, at O(n^2) per row.  A zero factor gives the
+    sums that hold it -inf, never NaN.  Returns the (B,) logs of d_V and
+    the (B, n) terms in the input's slot order.
+    """
+    n = z.shape[1]
+    log_dv = np.empty(len(z))
+    terms = np.empty(z.shape)
+    for rows in _chunks(len(z), n * (n - 1) // 2):
+        log_dv[rows], terms[rows] = _lagrange_logs(z[rows], y[rows])
+    return log_dv, terms
+
+
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log sum_i exp(terms[:, i]) of each row, added left to right; -inf for a row of -inf."""
+    top = terms.max(axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(_row_sums(np.exp(terms - top[:, None])))
+
+
 # ---------------------------------------------------------------------------
 # Euclidean and product-of-distances metrics on R^m
 
@@ -566,30 +669,80 @@ def _replacement_sides(points, y, side):
     return lhs, rhs
 
 
+def _root_power(n: int) -> float:
+    return 2.0 / (n * (n - 1))
+
+
+def simplex_log_sides(z: np.ndarray, y: np.ndarray, root: bool = False):
+    """Logs of both sides of d(z) <= sum_i d(z with z_i -> y) for each row.
+
+    z is (B, n) complex and y (B,); d is d_V, or with root its
+    2 / (n(n-1)) power, which scales the log of d_V and of every term.
+    """
+    log_dv, terms = lagrange_log_rows(z, y)
+    if root:
+        power = _root_power(z.shape[1])
+        log_dv, terms = power * log_dv, power * terms
+    return log_dv, _log_sum_exp(terms)
+
+
+def extended_log_sides(z: np.ndarray, y: np.ndarray, ks):
+    """Logs of both sides of |y|^k d_V(z) <= sum_i |z_i|^k d_V(z with z_i -> y).
+
+    Both are (len(ks), B), from one lagrange_log_rows call for every k.
+    """
+    log_dv, terms = lagrange_log_rows(z, y)
+    with np.errstate(divide="ignore"):
+        log_y, log_z = np.log(_abs(y)), np.log(_abs(z))
+    # k = 0 adds nothing: |0|^0 is 1, where 0 * log 0 would be NaN.
+    lhs = [log_dv + k * log_y if k else log_dv for k in ks]
+    rhs = [_log_sum_exp(terms + k * log_z if k else terms) for k in ks]
+    return np.array(lhs), np.array(rhs)
+
+
+def _log_report(operation, inputs, lhs, rhs, tol) -> MetricReport:
+    """Inequality report on the log sides of one row, flagged log_domain."""
+    return MetricReport(operation, inputs, float(lhs), float(rhs), tol, kind=INEQUALITY,
+                        domain=LOG, flags={"log_domain": True})
+
+
 def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL) -> MetricReport:
-    """Check d(x) <= sum_i d(x with x_i replaced by y) for the chosen metric."""
+    """Check d(x) <= sum_i d(x with x_i replaced by y) for the chosen metric.
+
+    For complex points with n > 12 the vandermonde and root metrics compare
+    the logs of the sides (simplex_log_sides).
+    """
     t = as_point_tuple(points)
     y = _coerce_like(t, y)
     d = resolve_metric(metric)
-    lhs, rhs = _replacement_sides(t.points, y, lambda pts, _: d(pts))
     name = metric if isinstance(metric, str) else getattr(metric, "__name__", "custom")
-    return MetricReport("simplex_gap", {"points": t, "y": y, "metric": name}, lhs, rhs, tol,
-                        kind=INEQUALITY, domain=LINEAR)
+    inputs = {"points": t, "y": y, "metric": name}
+    if t.is_complex and t.n > _LOG_SWITCH_N and d in (vandermonde_metric, root_metric):
+        lhs, rhs = simplex_log_sides(np.array([t.points]), np.array([y]),
+                                     root=d is root_metric)
+        return _log_report("simplex_gap", inputs, lhs[0], rhs[0], tol)
+    lhs, rhs = _replacement_sides(t.points, y, lambda pts, _: d(pts))
+    return MetricReport("simplex_gap", inputs, lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR)
 
 
 def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL) -> MetricReport:
     """Check |y|^k d_V(z) <= sum_i |z_i|^k d_V(z with z_i replaced by y).
 
-    k = 0 reduces to the plain simplex inequality.
+    k = 0 reduces to the plain simplex inequality.  For n > 12 the logs of
+    the sides are compared (extended_log_sides).
     """
     z = _complex_points(points)
     y = complex(y)
     n = len(z)
     if not (0 <= k <= n - 1):
         raise ArgumentError(f"k must be in [0, {n - 1}], got {k}")
+    inputs = {"points": list(z), "y": y, "k": k}
+    if n > _LOG_SWITCH_N:
+        lhs, rhs = extended_log_sides(np.array([z]), np.array([y]), [k])
+        return _log_report("extended_inequality_gap", inputs, lhs[0, 0], rhs[0, 0], tol)
     lhs, rhs = _replacement_sides(z, y, lambda pts, w: abs(w) ** k * vandermonde_metric(pts))
-    return MetricReport("extended_inequality_gap", {"points": list(z), "y": y, "k": k},
-                        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR)
+    return MetricReport("extended_inequality_gap", inputs, lhs, rhs, tol,
+                        kind=INEQUALITY, domain=LINEAR)
 
 
 # ---------------------------------------------------------------------------

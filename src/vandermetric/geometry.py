@@ -25,12 +25,14 @@ from .core import (
     LINEAR,
     LOG,
     MetricReport,
+    _LOG_SWITCH_N,
     _chunks,
     _pair_indices,
     _replacement_sides,
     pairwise_product_metric,
     pairwise_root_metric,
     scalar_map,
+    simplex_log_sides,
     vandermonde_log_rows,
     vandermonde_metric,
     vandermonde_rows,
@@ -162,9 +164,9 @@ def equality_gap_3(y: complex, z1: complex, z2: complex, z3: complex,
     return report
 
 
-def _equality(lhs, rhs, tol) -> bool:
+def _equality(lhs, rhs, tol, domain=LINEAR) -> bool:
     """Whether an inequality's two sides are equal to within tol."""
-    return bool(verdict(IDENTITY, LINEAR, lhs, rhs, tol).passed)
+    return bool(verdict(IDENTITY, domain, lhs, rhs, tol).passed)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +260,15 @@ def ngon_sides(angles, radii, center=0j) -> PolygonSides:
 def simplex_equality_sides(angles, radii, center=0j) -> PolygonSides:
     """Simplex sides with y at the circumcenter for each polygon.
 
-    The scalar replacement rule runs on the vertex columns, so the right
-    side is summed in slot order; a row is in the log domain when any of
-    its n + 1 tuples is.
+    Beyond n = 12 both sides are logarithms (core.simplex_log_sides).
+    Otherwise the scalar replacement rule runs on the vertex columns, so
+    the right side is summed in slot order; a row is in the log domain when
+    any of its n + 1 tuples is.
     """
     z = _vertices(angles, radii, center)
+    y = np.full(len(z), center, dtype=complex)
+    if z.shape[1] > _LOG_SWITCH_N:
+        return PolygonSides(*simplex_log_sides(z, y), LOG, np.ones(len(z), dtype=bool))
     log_rows = np.zeros(len(z), dtype=bool)
 
     def metric(columns, _):
@@ -271,7 +277,7 @@ def simplex_equality_sides(angles, radii, center=0j) -> PolygonSides:
         return values
 
     with np.errstate(over="ignore"):  # an infinite side fails the verdict
-        lhs, rhs = _replacement_sides(list(z.T), np.full(len(z), center, dtype=complex), metric)
+        lhs, rhs = _replacement_sides(list(z.T), y, metric)
     return PolygonSides(lhs, rhs, log_rows=log_rows)
 
 
@@ -285,13 +291,17 @@ def _lengths(sides: PolygonSides) -> dict:
     return {key: list(value[0]) for key, value in sides.lengths.items()}
 
 
-def _polygon_report(operation, poly, inputs, lhs, rhs, tol) -> MetricReport:
-    """Inequality report on a polygon, flagged with equality and equilateral."""
+def _polygon_report(operation, poly, inputs, lhs, rhs, tol, domain=LINEAR) -> MetricReport:
+    """Inequality report on a polygon, flagged with equality and equilateral.
+
+    A log-domain report is also flagged log_domain.
+    """
     lhs, rhs = float(lhs), float(rhs)
+    flags = {"equality": _equality(lhs, rhs, tol, domain), "equilateral": poly.is_equilateral()}
+    if domain == LOG:
+        flags["log_domain"] = True
     return MetricReport(operation, {"R": poly.R, "angles": list(poly.angles), **inputs},
-                        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR,
-                        flags={"equality": _equality(lhs, rhs, tol),
-                               "equilateral": poly.is_equilateral()})
+                        lhs, rhs, tol, kind=INEQUALITY, domain=domain, flags=flags)
 
 
 def _check_size(name, poly, n):
@@ -354,7 +364,7 @@ def simplex_equality_ngon(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> 
     """Simplex gap with y at the circumcenter; equality iff equilateral."""
     s = _one(poly, simplex_equality_sides)
     return _polygon_report("simplex_equality_ngon", poly, {"center": poly.center},
-                           s.lhs[0], s.rhs[0], tol)
+                           s.lhs[0], s.rhs[0], tol, s.domain)
 
 
 class PolygonCheck(NamedTuple):

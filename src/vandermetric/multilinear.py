@@ -18,7 +18,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import INEQUALITY, LINEAR, MetricReport, MonotoneNorm, _replacement_sides, _vector_points
+from .core import (INEQUALITY, INEQUALITY_RTOL, LINEAR, MetricReport, MonotoneNorm,
+                   _replacement_sides, _vector_points)
 from .errors import ArgumentError, ResourceError
 
 # Permutation expansion is factorially expensive; refuse beyond this size.
@@ -193,7 +194,7 @@ def w_identity_gap(spec: MultilinearMapSpec, points, y, q: int):
 
 
 def w_norm_inequality(spec: MultilinearMapSpec, points, y, q: int,
-                      tol: float = 1e-10) -> MetricReport:
+                      tol: float = INEQUALITY_RTOL) -> MetricReport:
     """||W(x, y)|| <= sum_i ||W(..., y at slot i, ..., x_i)||."""
     _check_w_args(spec, points, q)
 

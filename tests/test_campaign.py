@@ -1,6 +1,7 @@
 """Seeded campaign runner: coverage of every op, determinism, serialization."""
 
 import json
+import math
 
 import pytest
 
@@ -103,6 +104,19 @@ class TestRunners:
                                              trials=20))
         assert result.passed
         assert result.worst > 1.0  # log-domain slack; the linear rule divides it by |log rhs|
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(op="simplex", metric="vandermonde", n=60),
+        dict(op="simplex", metric="vandermonde", n=120),
+        dict(op="simplex", metric="root", n=60),
+        dict(op="simplex", metric="root", n=120),
+        dict(op="extended", n=60),
+        dict(op="polygon", check="simplex-equality", n=40),
+    ])
+    def test_large_n_replacement_checks_pass_as_log_sums(self, kwargs):
+        result = run_campaign(CampaignConfig(seed=1, trials=30, **kwargs))
+        assert result.passed and result.violations == 0
+        assert 0.0 < result.worst < math.inf  # log(rhs / lhs): strict at random inputs
 
 
 class TestDeterminism:

@@ -28,6 +28,15 @@ from vandermetric import (
     vandermonde_metric,
     vandermonde_metric_log,
 )
+from vandermetric.core import (
+    INEQUALITY,
+    INEQUALITY_RTOL,
+    LOG,
+    lagrange_log_rows,
+    simplex_log_sides,
+    vandermonde_log_rows,
+    verdict,
+)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 cpx = st.builds(complex, finite, finite)
@@ -334,6 +343,53 @@ class TestExtendedInequality:
             extended_inequality_gap([0, 1, 2], 1j, 3)
         with pytest.raises(ArgumentError):
             extended_inequality_gap([0, 1, 2], 1j, -1)
+
+
+class TestLagrangeLogSums:
+    """Sides beyond n = 12 as log d_V plus the Lagrange coefficients' logs."""
+
+    @pytest.mark.parametrize("n", range(13, 21))
+    def test_terms_are_the_cramer_coefficients(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        log_dv, terms = lagrange_log_rows(z, y)
+        assert np.array_equal(log_dv, vandermonde_log_rows(z))
+        for row in range(4):
+            want = np.abs(cramer_coefficients(list(z[row]), y[row]))
+            got = np.exp(terms[row] - log_dv[row])
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_scalar_checks_at_large_n_compare_logs(self):
+        rng = np.random.default_rng(120)
+        z = [complex(a, b) for a, b in rng.standard_normal((120, 2))]
+        for report in (simplex_gap(z, 0.3 - 0.2j), simplex_gap(z, 0.3 - 0.2j, metric="root"),
+                       extended_inequality_gap(z[:60], 0.3 - 0.2j, 59)):
+            assert report.domain == LOG and report.flags == {"log_domain": True}
+            assert math.isfinite(report.lhs) and math.isfinite(report.rhs)
+            assert report.passed and report.gap > 0.0
+
+    def test_coincident_points_still_pass(self):
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal((2, 13)) + 1j * rng.standard_normal((2, 13))
+        y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        z[:, 1] = z[:, 0]  # lhs = 0
+        z[1, 4] = z[1, 5]  # and every replaced tuple keeps a coincidence: rhs = 0
+        lhs, rhs = simplex_log_sides(z, y)
+        assert lhs.tolist() == [-math.inf, -math.inf]
+        assert math.isfinite(rhs[0]) and rhs[1] == -math.inf
+        assert verdict(INEQUALITY, LOG, lhs, rhs, INEQUALITY_RTOL).passed.all()
+        assert simplex_gap(list(z[1]), y[1]).gap == 0.0  # 0 <= 0
+        for row in range(2):
+            assert simplex_gap(list(z[row]), y[row]).passed
+            linear = simplex_gap(list(z[row, :12]), y[row])  # the same rows in the linear rule
+            assert linear.lhs == 0.0 and linear.passed
+
+    def test_y_at_a_point_is_an_equality(self):
+        rng = np.random.default_rng(14)
+        z = [complex(a, b) for a, b in rng.standard_normal((14, 2))]
+        report = simplex_gap(z, z[3])
+        assert report.passed and report.lhs == report.rhs
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from vandermetric import (
     tetrahedron_counterexample,
     triangle_check,
 )
+from vandermetric.core import LOG
 from vandermetric.geometry import (
     ngon_constant,
     ngon_constant_inductive,
@@ -140,6 +141,15 @@ class TestSimplexEqualityNgon:
             report = simplex_equality_ngon(CyclicPolygon.regular(n, R=1.1))
             assert report.flags["equality"], (n, report.to_json())
             assert report.flags["equilateral"]
+
+    def test_regular_16_gon_achieves_equality_in_the_log_domain(self):
+        report = simplex_equality_ngon(CyclicPolygon.regular(16, R=1.2), tol=1e-10)
+        assert report.domain == LOG and report.flags["log_domain"]
+        assert report.flags["equality"] and report.flags["equilateral"]
+        deltas = [1e-3 * (-1) ** k for k in range(16)]
+        strict = simplex_equality_ngon(CyclicPolygon.regular(16, R=1.2).perturbed(deltas),
+                                       tol=1e-10)
+        assert strict.passed and not strict.flags["equality"] and strict.gap > 0.0
 
     def test_perturbation_breaks_equality(self):
         for n in range(3, 11):

@@ -279,8 +279,8 @@ def test_scalar_reports_are_unchanged():
 
 
 @pytest.mark.parametrize("args", [
-    ["--op", "simplex", "--n", "60", "--trials", "20"],
-    ["--op", "polygon", "--check", "simplex-equality", "--n", "40", "--trials", "30"],
+    ["--op", "simplex", "--metric", "generalized", "--n", "60", "--m", "3", "--trials", "5"],
+    ["--op", "simplex", "--metric", "generalized", "--n", "40", "--m", "5", "--trials", "5"],
 ])
 def test_overflowing_campaign_leaves_stderr_empty(args):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -304,15 +304,22 @@ def coincident_ode_problems(monkeypatch):
 
 
 def test_campaigns_log_log_domain_refined_and_skipped_rows(caplog, monkeypatch):
-    polygon = CampaignConfig(op="polygon", check="simplex-equality", n=13, seed=3, trials=5)
-    ode = CampaignConfig(op="ode", seed=1100, trials=30)
-    quiet = ["\n".join(run_campaign(c).json_lines()) for c in (polygon, ode)]
+    configs = [CampaignConfig(op="polygon", check="simplex-equality", n=13, seed=3, trials=5),
+               CampaignConfig(op="ode", seed=1100, trials=30),
+               CampaignConfig(op="simplex", n=13, seed=3, trials=5),
+               CampaignConfig(op="simplex", metric="root", n=40, seed=3, trials=7),
+               CampaignConfig(op="extended", n=13, seed=3, trials=6)]
+    quiet = ["\n".join(run_campaign(c).json_lines()) for c in configs]
     with caplog.at_level(logging.DEBUG, logger="vandermetric"):
-        loud = ["\n".join(run_campaign(c).json_lines()) for c in (polygon, ode)]
+        loud = ["\n".join(run_campaign(c).json_lines()) for c in configs]
     assert loud == quiet
     messages = [r.getMessage() for r in caplog.records]
     assert "polygon simplex-equality: trials evaluated in the log domain: [0, 1, 2, 3, 4]" \
         in messages
+    assert [m for m in messages if "Lagrange" in m] == [
+        "simplex vandermonde: 5 trials evaluated as Lagrange log sums",
+        "simplex root: 7 trials evaluated as Lagrange log sums",
+        "extended: 6 trials evaluated as Lagrange log sums"]
     refined = [m.split(":")[0] for m in messages if "integrating again on 300 steps" in m]
     assert refined == [f"ode trial {t}"
                        for t in (21, 4, 11, 29)]  # by dimension m = 2, 3, 4, then trial
@@ -381,8 +388,14 @@ def test_expansion_batch_equals_the_permutation_loop(b, n, m):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
-def decide_loop(n, m, budget):
-    """The per-assignment definiteness loop with its union-find, witness unverified."""
+def decide_loop(n, m, budgets):
+    """The per-assignment definiteness loop with its union-find, witness unverified.
+
+    One walk gives the verdict at every budget of budgets, by budget: a
+    budget that runs out before the walk ends is exhausted there.
+    """
+    pending = sorted(set(budgets))
+    out = {}
     pairs_n, pairs_m = ordered_pairs(n), ordered_pairs(m)
     taus_by_coord = [[k for k, t in enumerate(pairs_m) if r in t] for r in range(m)]
 
@@ -394,8 +407,11 @@ def decide_loop(n, m, budget):
 
     tried = 0
     for assignment in itertools.product(range(len(pairs_n)), repeat=len(pairs_m)):
-        if tried >= budget:
-            return DefinitenessVerdict(n=n, m=m, verdict="exhausted", assignments_tried=tried)
+        while pending and tried >= pending[0]:
+            out[pending.pop(0)] = DefinitenessVerdict(n=n, m=m, verdict="exhausted",
+                                                      assignments_tried=tried)
+        if not pending:
+            return out
         tried += 1
         labels = []
         for r in range(m):
@@ -408,16 +424,20 @@ def decide_loop(n, m, budget):
             labels.append([find(parent, i) for i in range(n)])
         if all(any(labels[r][a] != labels[r][b] for r in range(m)) for a, b in pairs_n):
             chosen = tuple((pairs_m[k], pairs_n[assignment[k]]) for k in range(len(pairs_m)))
-            return DefinitenessVerdict(n=n, m=m, verdict="counterexample", assignments_tried=tried,
-                                       witness=_build_witness(labels, n, m), assignment=chosen)
-    return DefinitenessVerdict(n=n, m=m, verdict="definite", assignments_tried=tried)
+            found = DefinitenessVerdict(n=n, m=m, verdict="counterexample", assignments_tried=tried,
+                                        witness=_build_witness(labels, n, m), assignment=chosen)
+            return {**out, **{budget: found for budget in pending}}
+    definite = DefinitenessVerdict(n=n, m=m, verdict="definite", assignments_tried=tried)
+    return {**out, **{budget: definite for budget in pending}}
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3)])
 def test_decider_equals_the_assignment_loop(n, m):
     total = len(ordered_pairs(n)) ** len(ordered_pairs(m))
-    for budget in (1, 224, 225, total - 1, total):
-        got, want = definiteness_decide(n, m, budget=budget), decide_loop(n, m, budget)
+    budgets = (1, 224, 225, total - 1, total)
+    loop = decide_loop(n, m, budgets)
+    for budget in budgets:
+        got, want = definiteness_decide(n, m, budget=budget), loop[budget]
         assert got == want and got.to_dict() == want.to_dict()
 
 
@@ -578,8 +598,8 @@ GOLDEN_BATCH_CAMPAIGNS = [
      "2392422fb6c7093d329c9a9c40aefb4c436ce97532b2ede7b6eb5cab8831bdb8"),
     (dict(op="simplex", metric="euclidean3", m=3, trials=2000),
      "f177eb8e4e85e3de0f538ddba1e3e25ceb992a74c15b9df329834d08165a7b3e"),
-    (dict(op="simplex", metric="vandermonde", n=60, trials=20),
-     "5ff3d95daa24d2f2c40f3cf29209b5dccfaf0535c90dfa9142208929959a0288"),
+    (dict(op="simplex", metric="vandermonde", n=60, trials=20),  # Lagrange log sums
+     "f5eba12eb1b1f668b4feeb1bc35a036de535518d19c55b7907f12e807045b541"),
     (dict(op="extended", n=4, trials=2000),
      "74557cebc9b7a0e47f51723f543e00d8cc02bbe76e29e52d6cc69422dcf96e2c"),
     (dict(op="sum-identity", n=4, m=3, trials=2000, tol=0.0),

@@ -21,6 +21,7 @@ from vandermetric import (
     w_identity_gap,
     w_norm_inequality,
 )
+from vandermetric.core import INEQUALITY_RTOL, simplex_gap
 from vandermetric.multilinear import ordered_pairs, permutation_sign
 
 
@@ -220,6 +221,12 @@ class TestReplacementIdentities:
                 pts = random_points(rng, 3, 3)
                 y = tuple(rng.uniform(-1, 1, size=3))
                 assert w_norm_inequality(spec, pts, y, q).passed
+
+    def test_w_norm_inequality_uses_the_inequality_tolerance(self):
+        spec = MultilinearMapSpec(n=3, m=3)
+        pts = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+        report = w_norm_inequality(spec, pts, (0.5, -0.5, 0.25), 1)
+        assert report.tolerance == INEQUALITY_RTOL == simplex_gap([0, 1, 2], 1j).tolerance
 
     def test_q_validation(self):
         spec = MultilinearMapSpec(n=3, m=3)

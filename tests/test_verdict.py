@@ -42,7 +42,10 @@ def test_report_and_campaign_reducer_agree(kind, domain, lhs, rhs, tol):
                          np.array([lhs]), np.array([rhs]), lambda t: {})
         normalized = verdict(kind, domain, lhs, rhs, tol).normalized
     assert report.passed is result.passed
-    if not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(normalized)):
+    if domain == LOG and lhs == -math.inf and (math.isfinite(rhs) or rhs == lhs):
+        # The log of 0: decided as the linear sides 0 and exp(rhs) would be.
+        assert report.passed is (kind != IDENTITY or rhs == lhs)
+    elif not (math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(normalized)):
         assert not report.passed
     for line in [report.to_json(), *result.json_lines()]:
         strict_json(line)
@@ -57,15 +60,26 @@ def strict_json(text):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "json"])
 def test_campaign_output_is_valid_json_with_non_finite_values(fmt):
-    result = CliRunner().invoke(main, ["campaign", "--op", "simplex", "--n", "60",
-                                       "--trials", "20", "--format", fmt])
+    result = CliRunner().invoke(main, ["campaign", "--op", "simplex", "--metric", "generalized",
+                                       "--n", "60", "--m", "3", "--trials", "5",
+                                       "--format", fmt])
     records = [strict_json(line) for line in result.output.strip().splitlines()]
     if fmt == "json":
         records = records[0]["failures"] + [records[0]["summary"]]
     assert records[-1]["worst"] == "nan"
     assert {"inf", "nan"} & {r["gap"] for r in records[:-1]}
     with np.errstate(all="ignore"):
-        assert math.isnan(run_campaign(CampaignConfig(op="simplex", n=60, trials=20)).worst)
+        assert math.isnan(run_campaign(CampaignConfig(op="simplex", metric="generalized", n=60,
+                                                      m=3, trials=5)).worst)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_log_side_of_minus_inf_is_zero(kind):
+    assert verdict(kind, LOG, -math.inf, -math.inf, 0.0).passed  # 0 == 0
+    assert bool(verdict(kind, LOG, -math.inf, 2.0, 0.0).passed) is (kind != IDENTITY)
+    for lhs, rhs in [(math.inf, math.inf), (-math.inf, math.inf), (-math.inf, math.nan),
+                     (1.0, math.inf), (1.0, -math.inf)]:
+        assert not verdict(kind, LOG, lhs, rhs, 0.0).passed
 
 
 def test_vector_identity_uses_the_max_norm():
@@ -84,7 +98,7 @@ POLYGON_CASES = [
     ("ngon", 7, ngon_check, None),
     ("ngon", 25, ngon_check, None),  # log domain
     ("simplex-equality", 6, simplex_equality_ngon, None),
-    ("simplex-equality", 40, simplex_equality_ngon, None),  # overflow: some rows fail
+    ("simplex-equality", 40, simplex_equality_ngon, None),  # Lagrange log sums
 ]
 
 
