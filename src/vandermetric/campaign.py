@@ -16,7 +16,7 @@ import numpy as np
 
 from . import batch
 from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR, LOG,
-                   _LOG_SWITCH_N, dump_json, extended_log_sides, simplex_log_sides, verdict)
+                   _LOG_SWITCH_N, dump_json, replacement_sides, verdict)
 from .errors import ArgumentError
 from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
     POLYGON_CHECKS,
@@ -107,6 +107,8 @@ def _validate(config: CampaignConfig) -> None:
         raise ArgumentError(f"unknown campaign op {config.op!r}; known: {sorted(_RUNNERS)}")
     if config.trials < 1:
         raise ArgumentError(f"trials must be >= 1, got {config.trials}")
+    if config.seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {config.seed}")
     if config.tol is not None and not (0.0 <= config.tol < math.inf):
         raise ArgumentError(f"tol must be a finite number >= 0, got {config.tol}")
     if config.n < 2 or config.m < 1:
@@ -200,8 +202,10 @@ def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
         z = _complex_sample(rng, (b, n))
         y = _complex_sample(rng, (b,))
         domain = _lagrange_domain(config, f"simplex {config.metric}")
-        sides = simplex_log_sides if domain == LOG else batch.simplex_sides_complex
-        lhs, rhs = sides(z, y, root=config.metric == "root")
+        if domain == LOG:
+            (lhs,), (rhs,), _, _ = replacement_sides(z, y, config.metric)
+        else:
+            lhs, rhs = batch.simplex_sides_complex(z, y, root=config.metric == "root")
         extra = lambda t: {"points": _jsonable_complex(z[t]), "y": [y[t].real, y[t].imag]}
     elif config.metric == "euclidean3":
         x = rng.standard_normal((b, 3, m))
@@ -223,8 +227,10 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
     y = _complex_sample(rng, (b,))
     ks = list(range(n)) if config.k is None else [config.k]
     domain = _lagrange_domain(config, "extended")
-    sides = extended_log_sides if domain == LOG else batch.extended_sides_complex
-    lhs, rhs = sides(z, y, ks)
+    if domain == LOG:
+        lhs, rhs, _, _ = replacement_sides(z, y, "vandermonde", ks)
+    else:
+        lhs, rhs = batch.extended_sides_complex(z, y, ks)
 
     def extra(t):
         k = ks[t // b]
@@ -258,9 +264,9 @@ def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
     angles = random_sorted_angles(rng, b, n)
     radii = rng.uniform(0.5, 3.0, size=b)
     sides = kernel(angles, radii)
-    if log.isEnabledFor(logging.DEBUG) and sides.log_rows is not None and sides.log_rows.any():
-        log.debug("polygon %s: trials evaluated in the log domain: %s", config.check,
-                  np.flatnonzero(sides.log_rows).tolist())
+    if sides.log_rows is not None and sides.log_rows.any():
+        log.debug("polygon %s: %d trials evaluated in the log domain", config.check,
+                  np.count_nonzero(sides.log_rows))
     extra = lambda t: {"R": float(radii[t]), "angles": angles[t].tolist()}
     return _reduce(config, kind, sides.domain, sides.lhs, sides.rhs, extra)
 

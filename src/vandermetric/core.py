@@ -313,22 +313,30 @@ def _pair_indices(n: int):
     return j, i
 
 
-def _sorted_rows(z: np.ndarray):
-    """Each row of a (B, n) complex array sorted by (real, imag), and the sort order."""
-    order = np.lexsort((z.imag, z.real))
-    return np.take_along_axis(z, order, axis=1), order
+def _sorted_rows(x: np.ndarray):
+    """Each row of a (B, n) complex array sorted by (real, imag), or of a (B, n, m)
+    real array lexicographically, and the sort order."""
+    if x.ndim == 2:
+        order = np.lexsort((x.imag, x.real))
+        return np.take_along_axis(x, order, axis=1), order
+    order = np.lexsort(np.moveaxis(x[..., ::-1], -1, 0))
+    return np.take_along_axis(x, order[..., None], axis=1), order
 
 
 def _abs(d: np.ndarray) -> np.ndarray:
-    """|d| as np.hypot of the parts, which is Python's abs (numpy's rounds differently)."""
-    return np.hypot(d.real, d.imag)
+    """|d| of complex d as np.hypot of the parts, which is Python's abs (numpy's
+    rounds differently); of real d, the math.hypot of its last axis (math.dist)."""
+    if np.iscomplexobj(d):
+        return np.hypot(d.real, d.imag)
+    flat = d.reshape(-1, d.shape[-1])
+    return np.fromiter(map(math.hypot, *flat.T.tolist()), float, len(flat)).reshape(d.shape[:-1])
 
 
-def _complex_factors(z: np.ndarray) -> np.ndarray:
-    """|z_i - z_j| over the pairs of each row sorted by (real, imag), in pair order."""
-    z = _sorted_rows(z)[0]
-    j, i = _pair_indices(z.shape[1])
-    return _abs(z[:, i] - z[:, j])
+def _pair_factors(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_j| over the pairs of each sorted row (_sorted_rows), in pair order."""
+    x = _sorted_rows(x)[0]
+    j, i = _pair_indices(x.shape[1])
+    return _abs(x[:, i] - x[:, j])
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
@@ -388,7 +396,7 @@ def vandermonde_rows(z: np.ndarray):
     values = np.empty(z.shape[0])
     log_rows = np.empty(z.shape[0], dtype=bool)
     for rows in _chunks(z.shape[0], n * (n - 1) // 2):
-        values[rows], log_rows[rows] = pair_product_rows(_complex_factors(z[rows]))
+        values[rows], log_rows[rows] = pair_product_rows(_pair_factors(z[rows]))
     return values, log_rows
 
 
@@ -397,7 +405,7 @@ def vandermonde_log_rows(z: np.ndarray) -> np.ndarray:
     n = z.shape[1]
     out = np.empty(z.shape[0])
     for rows in _chunks(z.shape[0], n * (n - 1) // 2):
-        out[rows] = _log_sums(_complex_factors(z[rows]))
+        out[rows] = _log_sums(_pair_factors(z[rows]))
     return out
 
 
@@ -425,14 +433,14 @@ def vandermonde_metric_log(points) -> float:
     return float(vandermonde_log_rows(np.array([_complex_points(points)]))[0])
 
 
-def _root(factors: np.ndarray) -> float:
-    """Product of a (1, P) row of pair factors to the 1/P = 2/(n(n-1)), from its log sum."""
-    return _exp_or_zero(float(_log_sums(factors)[0]) / factors.shape[1])
+def _root_rows(factors: np.ndarray) -> np.ndarray:
+    """Product of each row of (rows, P) pair factors to the 1/P = 2/(n(n-1)), from its log sum."""
+    return scalar_map(_exp_or_zero, _log_sums(factors) / factors.shape[1])
 
 
 def root_metric(points) -> float:
     """Pairwise-distance product raised to 2/(n(n-1)); homogeneous of degree 1."""
-    return _root(_complex_factors(np.array([_complex_points(points)])))
+    return float(_root_rows(_pair_factors(np.array([_complex_points(points)])))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -526,38 +534,39 @@ def _sums_without_each(logs: np.ndarray, at_points):
     return total, without
 
 
-def _lagrange_logs(z: np.ndarray, y: np.ndarray):
+def _lagrange_logs(x: np.ndarray, y: np.ndarray):
     """lagrange_log_rows on one chunk of rows."""
-    z, order = _sorted_rows(z)
-    n = z.shape[1]
+    x, order = _sorted_rows(x)
+    n = x.shape[1]
     j, i = _pair_indices(n)
     with np.errstate(divide="ignore"):
-        pair_logs = np.log(_abs(z[:, i] - z[:, j]))
-        y_logs = np.log(_abs(y[:, None] - z))
-    log_dv, pairs_off = _sums_without_each(pair_logs, lambda v: _endpoint_sums(v, n))
+        pair_logs = np.log(_abs(x[:, i] - x[:, j]))
+        y_logs = np.log(_abs(y[:, None] - x))
+    log_d, pairs_off = _sums_without_each(pair_logs, lambda v: _endpoint_sums(v, n))
     _, y_off = _sums_without_each(y_logs, lambda v: v)
     terms = np.empty_like(pairs_off)
     np.put_along_axis(terms, order, pairs_off + y_off, axis=1)
-    return log_dv, terms
+    return log_d, terms
 
 
-def lagrange_log_rows(z: np.ndarray, y: np.ndarray):
-    """log d_V(z) and log d_V(z with z_i -> y) of each row of a (B, n) complex array.
+def lagrange_log_rows(x: np.ndarray, y: np.ndarray):
+    """log d(x) and log d(x with x_i -> y) of each row, d the pairwise-distance product.
 
-    y is (B,).  Term i is log d_V(z) + log|a_i(y)|, a_i the Lagrange
-    (Cramer) coefficients: the pairs at z_i are swapped for the factors
-    |z_l - y|.  Each row is sorted as in vandermonde_log_rows, so log d_V
-    equals it bit for bit, and each pair's log is taken once and added into
-    both of its points' sums, at O(n^2) per row.  A zero factor gives the
-    sums that hold it -inf, never NaN.  Returns the (B,) logs of d_V and
-    the (B, n) terms in the input's slot order.
+    x is (B, n) complex with y (B,), or (B, n, m) real with y (B, m).  Term
+    i swaps the pairs at x_i for the |x_l - y|; for complex x it is
+    log d_V(x) + log|a_i(y)|, a_i the Lagrange (Cramer) coefficients.  Rows
+    are sorted and distances taken as in pairwise_distances, so log d is
+    their log sum bit for bit; each pair's log is taken once and added into
+    both of its points' sums, at O(n^2) per row.  A zero distance gives the
+    sums that hold it -inf, never NaN.  Returns the (B,) log d and the
+    (B, n) terms in the input's slot order.
     """
-    n = z.shape[1]
-    log_dv = np.empty(len(z))
-    terms = np.empty(z.shape)
-    for rows in _chunks(len(z), n * (n - 1) // 2):
-        log_dv[rows], terms[rows] = _lagrange_logs(z[rows], y[rows])
-    return log_dv, terms
+    n = x.shape[1]
+    log_d = np.empty(len(x))
+    terms = np.empty(x.shape[:2])
+    for rows in _chunks(len(x), n * (n - 1) // 2):
+        log_d[rows], terms[rows] = _lagrange_logs(x[rows], y[rows])
+    return log_d, terms
 
 
 def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
@@ -583,15 +592,13 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
 
     Each row's points are sorted lexicographically and the distances come
     in lexicographic pair order.  Each is math.hypot of the coordinate
-    differences, which is math.dist of the two points.
+    differences, which is math.dist of the two points.  A (B, n) complex
+    array gives the factors |z_i - z_j| of vandermonde_rows.
     """
-    order = np.lexsort(np.moveaxis(x[..., ::-1], -1, 0))
-    x = np.take_along_axis(x, order[..., None], axis=1)
-    j, i = _pair_indices(x.shape[1])
-    out = np.empty((x.shape[0], len(i)))
-    for rows in _chunks(x.shape[0], len(i)):
-        d = (x[rows, i] - x[rows, j]).reshape(-1, x.shape[2])
-        out[rows] = np.fromiter(map(math.hypot, *d.T.tolist()), float, len(d)).reshape(-1, len(i))
+    pairs = x.shape[1] * (x.shape[1] - 1) // 2
+    out = np.empty((x.shape[0], pairs))
+    for rows in _chunks(x.shape[0], pairs):
+        out[rows] = _pair_factors(x[rows])
     return out
 
 
@@ -607,7 +614,7 @@ def pairwise_product_metric(points) -> float:
 
 def pairwise_root_metric(points) -> float:
     """pairwise_product_metric raised to 2/(n(n-1))."""
-    return _root(pairwise_distances(np.array([_vector_points(points)])))
+    return float(_root_rows(pairwise_distances(np.array([_vector_points(points)])))[0])
 
 
 def _euclidean3_on_tuple(points) -> float:
@@ -654,95 +661,101 @@ def _coerce_like(t: PointTuple, y):
 # Simplex and extended inequalities
 
 
-def _replacement_sides(points, y, side):
-    """lhs = side(points, y) and rhs = sum_i side(points with slot i -> y, points[i]).
-
-    rhs is summed from 0 in slot order, so it keeps the type of the terms:
-    float, numpy array or exact int / Fraction.
-    """
-    lhs = side(list(points), y)
-    rhs = 0
-    for i, p in enumerate(points):
-        replaced = list(points)
-        replaced[i] = y
-        rhs = rhs + side(replaced, p)
-    return lhs, rhs
-
-
 def _root_power(n: int) -> float:
     return 2.0 / (n * (n - 1))
 
 
-def simplex_log_sides(z: np.ndarray, y: np.ndarray, root: bool = False):
-    """Logs of both sides of d(z) <= sum_i d(z with z_i -> y) for each row.
+def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
+    """Both sides of |y|^k d(x) <= sum_i |x_i|^k d(x with x_i -> y) for each row and k.
 
-    z is (B, n) complex and y (B,); d is d_V, or with root its
-    2 / (n(n-1)) power, which scales the log of d_V and of every term.
+    points is (B, n) complex with y (B,), or (B, n, m) real with y (B, m);
+    metric is a METRICS name, and k > 0 needs complex points.  Up to n = 12
+    each chunk of rows stacks its n + 1 tuples (x, then x with slot i -> y)
+    and folds them as the scalar metric does (the roots from log sums),
+    and rhs is summed from 0 in slot order: the scalar per-slot rule bit
+    for bit.  Beyond n = 12 both sides are logs, from lagrange_log_rows.
+    Returns lhs and rhs, each (len(ks), B), their domain, and the (B,) mask
+    of the rows with a tuple evaluated in the log domain.
     """
-    log_dv, terms = lagrange_log_rows(z, y)
-    if root:
-        power = _root_power(z.shape[1])
-        log_dv, terms = power * log_dv, power * terms
-    return log_dv, _log_sum_exp(terms)
+    if metric not in METRICS:
+        raise ArgumentError(f"unknown metric {metric!r}; known: {sorted(METRICS)}")
+    if (points.ndim == 2) != (metric in ("vandermonde", "root")) or (points.ndim > 2 and any(ks)):
+        raise ArgumentError(f"metric {metric!r} with k in {list(ks)} does not take these points")
+    n = points.shape[1]
+    if metric == "euclidean3" and n != 3:
+        raise ArgumentError(f"euclidean3 takes exactly 3 points, got {n}")
+    lhs = np.empty((len(ks), len(points)))
+    rhs = np.empty_like(lhs)
+    if n > _LOG_SWITCH_N:
+        log_x, terms = lagrange_log_rows(points, y)
+        if metric.endswith("root"):
+            power = _root_power(n)
+            log_x, terms = power * log_x, power * terms
+        if any(ks):
+            with np.errstate(divide="ignore"):
+                log_y, log_points = np.log(_abs(y)), np.log(_abs(points))
+        for row, k in enumerate(ks):
+            # k = 0 adds nothing: |0|^0 is 1, where 0 * log 0 would be NaN.
+            lhs[row] = log_x + k * log_y if k else log_x
+            rhs[row] = _log_sum_exp(terms + k * log_points if k else terms)
+        return lhs, rhs, LOG, np.ones(len(points), dtype=bool)
+    log_rows = np.empty(len(points), dtype=bool)
+    for rows in _chunks(len(points), (n + 1) * n * (n - 1) // 2):
+        x, w = points[rows], y[rows]
+        tuples = np.repeat(x[None], n + 1, axis=0)
+        for slot in range(n):
+            tuples[slot + 1, :, slot] = w
+        factors = pairwise_distances(tuples.reshape(-1, *x.shape[1:]))
+        if metric.endswith("root"):
+            values, log = _root_rows(factors), np.ones(len(factors), dtype=bool)
+        else:
+            values, log = pair_product_rows(factors)
+        values = values.reshape(n + 1, -1)
+        log_rows[rows] = log.reshape(n + 1, -1).any(axis=0)
+        # Overflow and inf * 0 give inf and NaN, as the scalar rule's floats do.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, k in enumerate(ks):
+                weighted = values
+                if k:
+                    weights = np.concatenate([w[None], x.T])
+                    weighted = scalar_map(lambda v: abs(v) ** k, weights) * values
+                lhs[row, rows] = weighted[0]
+                rhs[row, rows] = sum(weighted[1:])
+    return lhs, rhs, LINEAR, log_rows
 
 
-def extended_log_sides(z: np.ndarray, y: np.ndarray, ks):
-    """Logs of both sides of |y|^k d_V(z) <= sum_i |z_i|^k d_V(z with z_i -> y).
-
-    Both are (len(ks), B), from one lagrange_log_rows call for every k.
-    """
-    log_dv, terms = lagrange_log_rows(z, y)
-    with np.errstate(divide="ignore"):
-        log_y, log_z = np.log(_abs(y)), np.log(_abs(z))
-    # k = 0 adds nothing: |0|^0 is 1, where 0 * log 0 would be NaN.
-    lhs = [log_dv + k * log_y if k else log_dv for k in ks]
-    rhs = [_log_sum_exp(terms + k * log_z if k else terms) for k in ks]
-    return np.array(lhs), np.array(rhs)
-
-
-def _log_report(operation, inputs, lhs, rhs, tol) -> MetricReport:
-    """Inequality report on the log sides of one row, flagged log_domain."""
-    return MetricReport(operation, inputs, float(lhs), float(rhs), tol, kind=INEQUALITY,
-                        domain=LOG, flags={"log_domain": True})
+def _replacement_report(operation, inputs, points, y, metric, k, tol) -> MetricReport:
+    """Inequality report of replacement_sides on one row, flagged log_domain in that domain."""
+    lhs, rhs, domain, _ = replacement_sides(np.array([points]), np.array([y]), metric, (k,))
+    return MetricReport(operation, inputs, float(lhs[0, 0]), float(rhs[0, 0]), tol,
+                        kind=INEQUALITY, domain=domain,
+                        flags={"log_domain": True} if domain == LOG else {})
 
 
 def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL) -> MetricReport:
-    """Check d(x) <= sum_i d(x with x_i replaced by y) for the chosen metric.
+    """Check d(x) <= sum_i d(x with x_i replaced by y) for a METRICS metric.
 
-    For complex points with n > 12 the vandermonde and root metrics compare
-    the logs of the sides (simplex_log_sides).
+    For n > 12 the logs of the sides are compared (replacement_sides).
     """
     t = as_point_tuple(points)
     y = _coerce_like(t, y)
-    d = resolve_metric(metric)
-    name = metric if isinstance(metric, str) else getattr(metric, "__name__", "custom")
-    inputs = {"points": t, "y": y, "metric": name}
-    if t.is_complex and t.n > _LOG_SWITCH_N and d in (vandermonde_metric, root_metric):
-        lhs, rhs = simplex_log_sides(np.array([t.points]), np.array([y]),
-                                     root=d is root_metric)
-        return _log_report("simplex_gap", inputs, lhs[0], rhs[0], tol)
-    lhs, rhs = _replacement_sides(t.points, y, lambda pts, _: d(pts))
-    return MetricReport("simplex_gap", inputs, lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR)
+    return _replacement_report("simplex_gap", {"points": t, "y": y, "metric": metric},
+                               t.points, y, metric, 0, tol)
 
 
 def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL) -> MetricReport:
     """Check |y|^k d_V(z) <= sum_i |z_i|^k d_V(z with z_i replaced by y).
 
     k = 0 reduces to the plain simplex inequality.  For n > 12 the logs of
-    the sides are compared (extended_log_sides).
+    the sides are compared (replacement_sides).
     """
     z = _complex_points(points)
     y = complex(y)
     n = len(z)
     if not (0 <= k <= n - 1):
         raise ArgumentError(f"k must be in [0, {n - 1}], got {k}")
-    inputs = {"points": list(z), "y": y, "k": k}
-    if n > _LOG_SWITCH_N:
-        lhs, rhs = extended_log_sides(np.array([z]), np.array([y]), [k])
-        return _log_report("extended_inequality_gap", inputs, lhs[0, 0], rhs[0, 0], tol)
-    lhs, rhs = _replacement_sides(z, y, lambda pts, w: abs(w) ** k * vandermonde_metric(pts))
-    return MetricReport("extended_inequality_gap", inputs, lhs, rhs, tol,
-                        kind=INEQUALITY, domain=LINEAR)
+    return _replacement_report("extended_inequality_gap", {"points": list(z), "y": y, "k": k},
+                               z, y, "vandermonde", k, tol)
 
 
 # ---------------------------------------------------------------------------

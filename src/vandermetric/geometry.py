@@ -25,19 +25,17 @@ from .core import (
     LINEAR,
     LOG,
     MetricReport,
-    _LOG_SWITCH_N,
     _chunks,
     _pair_indices,
-    _replacement_sides,
-    pairwise_product_metric,
-    pairwise_root_metric,
+    _replacement_report,
+    replacement_sides,
     scalar_map,
-    simplex_log_sides,
+    simplex_gap,
     vandermonde_log_rows,
-    vandermonde_metric,
     vandermonde_rows,
     verdict,
 )
+from .core import vandermonde_metric  # noqa: F401  (bench/spans.py traces it under this module)
 from .errors import ArgumentError
 
 TWO_PI = 2.0 * math.pi
@@ -155,10 +153,9 @@ def equality_gap_3(y: complex, z1: complex, z2: complex, z3: complex,
                    tol: float = IDENTITY_RTOL) -> MetricReport:
     """Gap of the 3-point simplex inequality, with equality/strict flags."""
     y, z1, z2, z3 = complex(y), complex(z1), complex(z2), complex(z3)
-    lhs, rhs = _replacement_sides([z1, z2, z3], y, lambda pts, _: vandermonde_metric(pts))
-    report = MetricReport("equality_gap_3", {"y": y, "z": [z1, z2, z3]}, lhs, rhs, tol,
-                          kind=INEQUALITY, domain=LINEAR)
-    equality = _equality(lhs, rhs, tol)
+    report = _replacement_report("equality_gap_3", {"y": y, "z": [z1, z2, z3]},
+                                 (z1, z2, z3), y, "vandermonde", 0, tol)
+    equality = _equality(report.lhs, report.rhs, tol)
     report.flags["equality"] = equality
     report.flags["strict"] = report.passed and not equality
     return report
@@ -258,27 +255,15 @@ def ngon_sides(angles, radii, center=0j) -> PolygonSides:
 
 
 def simplex_equality_sides(angles, radii, center=0j) -> PolygonSides:
-    """Simplex sides with y at the circumcenter for each polygon.
+    """Simplex sides with y at the circumcenter for each polygon (core.replacement_sides).
 
-    Beyond n = 12 both sides are logarithms (core.simplex_log_sides).
-    Otherwise the scalar replacement rule runs on the vertex columns, so
-    the right side is summed in slot order; a row is in the log domain when
-    any of its n + 1 tuples is.
+    Beyond n = 12 both sides are logarithms; a row is in the log domain
+    when any of its n + 1 tuples is.
     """
     z = _vertices(angles, radii, center)
-    y = np.full(len(z), center, dtype=complex)
-    if z.shape[1] > _LOG_SWITCH_N:
-        return PolygonSides(*simplex_log_sides(z, y), LOG, np.ones(len(z), dtype=bool))
-    log_rows = np.zeros(len(z), dtype=bool)
-
-    def metric(columns, _):
-        values, log = vandermonde_rows(np.stack(columns, axis=1))
-        np.logical_or(log_rows, log, out=log_rows)
-        return values
-
-    with np.errstate(over="ignore"):  # an infinite side fails the verdict
-        lhs, rhs = _replacement_sides(list(z.T), y, metric)
-    return PolygonSides(lhs, rhs, log_rows=log_rows)
+    (lhs,), (rhs,), domain, log_rows = replacement_sides(
+        z, np.full(len(z), center, dtype=complex), "vandermonde")
+    return PolygonSides(lhs, rhs, domain, log_rows)
 
 
 def _one(poly: CyclicPolygon, kernel) -> PolygonSides:
@@ -459,7 +444,7 @@ def tetrahedron_counterexample() -> TetrahedronReport:
     # lhs <= rhs  <=>  lhs^2 <= rhs^2  <=>  (8/3)^6 <= 16 (8/3)^3  <=>  2^5 <= 3^3
     exact_lhs_sq = Fraction(8, 3) ** 6
     exact_rhs_sq = 16 * Fraction(8, 3) ** 3
-    root_lhs, root_rhs = _replacement_sides(pts, _ORIGIN, lambda x, _: pairwise_root_metric(x))
+    root = simplex_gap(pts, _ORIGIN, metric="pairwise_root")
     return TetrahedronReport(
         points=pts,
         lhs=lhs,
@@ -468,9 +453,9 @@ def tetrahedron_counterexample() -> TetrahedronReport:
         exact_lhs_squared=exact_lhs_sq,
         exact_rhs_squared=exact_rhs_sq,
         reduction_holds=bool(2**5 <= 3**3 and exact_lhs_sq <= exact_rhs_sq),
-        root_lhs=root_lhs,
-        root_rhs=root_rhs,
-        root_holds=bool(verdict(BOUND, LINEAR, root_lhs, root_rhs, 1e-12).passed),
+        root_lhs=root.lhs,
+        root_rhs=root.rhs,
+        root_holds=bool(verdict(BOUND, LINEAR, root.lhs, root.rhs, 1e-12).passed),
         max_norm_error=norm_err,
         max_distance_error=dist_err,
     )
@@ -479,9 +464,8 @@ def tetrahedron_counterexample() -> TetrahedronReport:
 def tetrahedron_simplex_report(tol: float = INEQUALITY_RTOL) -> MetricReport:
     """The failing simplex check itself, as a standard report."""
     pts = tetrahedron_vertices()
-    lhs, rhs = _replacement_sides(pts, _ORIGIN, lambda x, _: pairwise_product_metric(x))
-    return MetricReport(
+    return _replacement_report(
         "tetrahedron_simplex",
         {"points": [list(p) for p in pts], "y": list(_ORIGIN), "metric": "pairwise"},
-        lhs, rhs, tol, kind=INEQUALITY, domain=LINEAR,
+        pts, _ORIGIN, "pairwise", 0, tol,
     )

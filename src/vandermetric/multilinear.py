@@ -18,8 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import (INEQUALITY, INEQUALITY_RTOL, LINEAR, MetricReport, MonotoneNorm,
-                   _replacement_sides, _vector_points)
+from .core import INEQUALITY, INEQUALITY_RTOL, LINEAR, MetricReport, MonotoneNorm, _vector_points
 from .errors import ArgumentError, ResourceError
 
 # Permutation expansion is factorially expensive; refuse beyond this size.
@@ -178,6 +177,21 @@ def _check_w_args(spec, points, q):
 def _w_value(spec, points, tail, q):
     args = _differences(points, ordered_pairs(spec.n)) + [tail] * (q - 1)
     return spec.apply(args)
+
+
+def _replacement_sides(points, y, side):
+    """lhs = side(points, y) and rhs = sum_i side(points with slot i -> y, points[i]).
+
+    rhs is summed from 0 in slot order, so it keeps the type of the terms:
+    float, numpy array or exact int / Fraction.
+    """
+    lhs = side(list(points), y)
+    rhs = 0
+    for i, p in enumerate(points):
+        replaced = list(points)
+        replaced[i] = y
+        rhs = rhs + side(replaced, p)
+    return lhs, rhs
 
 
 def w_identity_gap(spec: MultilinearMapSpec, points, y, q: int):

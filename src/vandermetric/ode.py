@@ -41,6 +41,15 @@ def _float_array(value) -> np.ndarray:
         raise ArgumentError(f"expected numbers: {exc}") from None
 
 
+def _square_matrices(*values) -> list:
+    """values as float arrays of one shape (..., m, m); otherwise an ArgumentError."""
+    arrays = [_float_array(v) for v in values]
+    shape = arrays[0].shape
+    if len(shape) < 2 or shape[-1] != shape[-2] or any(a.shape != shape for a in arrays):
+        raise ArgumentError(f"need square matrices of one shape, got {[a.shape for a in arrays]}")
+    return arrays
+
+
 @dataclass(frozen=True)
 class MatrixFunction:
     """Serializable time-dependent coefficient matrix.
@@ -58,30 +67,32 @@ class MatrixFunction:
 
     @classmethod
     def constant(cls, a):
-        return cls(kind="constant", a0=_float_array(a))
+        (a0,) = _square_matrices(a)
+        return cls(kind="constant", a0=a0)
 
     @classmethod
     def linear(cls, a0, a1):
-        return cls(kind="linear", a0=_float_array(a0), a1=_float_array(a1))
+        a0, a1 = _square_matrices(a0, a1)
+        return cls(kind="linear", a0=a0, a1=a1)
 
     @classmethod
     def sinusoidal(cls, a0, a1, omega=1.0):
-        return cls(kind="sinusoidal", a0=_float_array(a0), a1=_float_array(a1),
-                   omega=float(omega))
+        a0, a1 = _square_matrices(a0, a1)
+        return cls(kind="sinusoidal", a0=a0, a1=a1, omega=float(omega))
 
     @classmethod
     def sampled(cls, times, samples):
         times = _float_array(times)
-        samples = _float_array(samples)
-        if samples.shape[0] != times.shape[0]:
+        (samples,) = _square_matrices(samples)
+        if times.ndim != 1 or not np.all(np.diff(times) > 0.0):
+            raise ArgumentError("sample times must be strictly increasing")
+        if samples.ndim != 3 or samples.shape[0] != times.shape[0]:
             raise ArgumentError("one sample matrix per sample time required")
         return cls(kind="sampled", times=times, samples=samples)
 
     @property
     def dim(self) -> int:
-        if self.kind == "sampled":
-            return self.samples.shape[1]
-        return self.a0.shape[0]
+        return (self.samples if self.kind == "sampled" else self.a0).shape[-1]
 
     def __call__(self, t: float) -> np.ndarray:
         if self.kind == "constant":

@@ -193,6 +193,12 @@ class TestMultilinearVerify:
         assert json.loads(result.output.strip().splitlines()[-1])["pass"] is False
 
 
+    def test_negative_seed_usage_error(self, runner):
+        result = runner.invoke(main, ["multilinear-verify", "--trials", "5", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: seed must be >= 0")
+
+
 class TestDefiniteness:
     def test_definite_case(self, runner):
         result = runner.invoke(main, ["definiteness", "--n", "3", "--m", "3"])
@@ -266,6 +272,18 @@ class TestOde:
         assert header == "t,lhs,rhs,gap" and rows
         for row in rows:
             assert [repr(float(x)) for x in row.split(",")] == row.split(",")
+
+    @pytest.mark.parametrize("matrix", [
+        {"kind": "constant", "a0": [[1.0, 2.0]]},
+        {"kind": "linear", "a0": [[1.0, 0.0], [0.0, 1.0]], "a1": [[1.0]]},
+        {"kind": "sampled", "times": [1.0, 0.0], "samples": [[[1.0, 0.0], [0.0, 1.0]]] * 2},
+    ])
+    def test_malformed_matrix_usage_error(self, runner, matrix):
+        spec = json.dumps({"matrix": matrix, "initials": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                           "grid": [0.0, 0.5, 1.0]})
+        result = runner.invoke(main, ["ode", "--input", spec])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
 
     def test_coarse_grid_usage_error(self, runner):
         spec = json.dumps({
@@ -352,6 +370,7 @@ class TestCampaignCommand:
         ["--op", "polygon", "--check", "hexagon"],
         ["--op", "simplex", "--tol", "-1"],
         ["--op", "simplex", "--metric", "generalized", "--m", "1"],
+        ["--op", "simplex", "--seed", "-1"],
     ])
     def test_invalid_config_usage_error(self, runner, args):
         result = runner.invoke(main, ["campaign", *args])

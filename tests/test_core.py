@@ -28,13 +28,20 @@ from vandermetric import (
     vandermonde_metric,
     vandermonde_metric_log,
 )
+from vandermetric import core
 from vandermetric.core import (
     INEQUALITY,
     INEQUALITY_RTOL,
+    LINEAR,
     LOG,
+    METRICS,
+    _log_sums,
     lagrange_log_rows,
-    simplex_log_sides,
+    pair_product_rows,
+    pairwise_distances,
+    replacement_sides,
     vandermonde_log_rows,
+    vandermonde_rows,
     verdict,
 )
 
@@ -375,7 +382,7 @@ class TestLagrangeLogSums:
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         z[:, 1] = z[:, 0]  # lhs = 0
         z[1, 4] = z[1, 5]  # and every replaced tuple keeps a coincidence: rhs = 0
-        lhs, rhs = simplex_log_sides(z, y)
+        (lhs,), (rhs,), _, _ = replacement_sides(z, y, "vandermonde")
         assert lhs.tolist() == [-math.inf, -math.inf]
         assert math.isfinite(rhs[0]) and rhs[1] == -math.inf
         assert verdict(INEQUALITY, LOG, lhs, rhs, INEQUALITY_RTOL).passed.all()
@@ -390,6 +397,109 @@ class TestLagrangeLogSums:
         z = [complex(a, b) for a, b in rng.standard_normal((14, 2))]
         report = simplex_gap(z, z[3])
         assert report.passed and report.lhs == report.rhs
+
+    def test_vector_rows_compare_logs(self):
+        rng = np.random.default_rng(40)
+        x = [tuple(p) for p in 5.0 * rng.standard_normal((40, 3))]
+        for metric in ("pairwise", "pairwise_root"):
+            report = simplex_gap(x, (0.1, 0.2, 0.3), metric=metric)
+            assert report.domain == LOG and report.flags == {"log_domain": True}
+            assert math.isfinite(report.lhs) and math.isfinite(report.rhs)
+            assert report.passed
+
+    @pytest.mark.parametrize("n", [13, 20, 40])
+    def test_vector_log_sums_are_the_distance_log_sums(self, n):
+        rng = np.random.default_rng(n)
+        x = 5.0 * rng.standard_normal((3, n, 3))
+        y = rng.standard_normal((3, 3))
+        x[0, 1] = x[0, 0]  # a zero distance
+        log_d, terms = lagrange_log_rows(x, y)
+        assert np.array_equal(log_d, _log_sums(pairwise_distances(x)))
+        assert log_d[0] == -math.inf
+        for i in range(n):
+            replaced = x.copy()
+            replaced[:, i] = y
+            want = _log_sums(pairwise_distances(replaced))
+            assert np.allclose(terms[:, i], want, rtol=1e-12, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The row kernel against the scalar per-slot rule
+
+
+def _per_slot_sides(metric, points, y, k):
+    """lhs = |y|^k d(x) and rhs = 0 + sum_i |x_i|^k d(x with x_i -> y) with the scalar
+    metric, one tuple at a time; k = 0 takes no weight, as simplex_gap did."""
+    d = METRICS[metric]
+    side = (lambda pts, w: abs(w) ** k * d(pts)) if k else (lambda pts, w: d(pts))
+    lhs = side(points, y)
+    rhs = 0
+    for i, p in enumerate(points):
+        replaced = list(points)
+        replaced[i] = y
+        rhs = rhs + side(replaced, p)
+    return lhs, rhs
+
+
+def _row_inputs(rng, b, n, complex_points):
+    """(points, y) with coincident points in row 1 and y on a point in row 2 (when b > 2)."""
+    if complex_points:
+        points = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+        y = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+    else:
+        points, y = rng.uniform(-2.0, 2.0, size=(b, n, 3)), rng.uniform(-2.0, 2.0, size=(b, 3))
+    if b > 2:
+        points[1, 1] = points[1, 0]
+        y[2] = points[2, n - 1]
+    return points, y
+
+
+def _scalar_rows(points):
+    return [list(row) if row.ndim == 1 else [tuple(p) for p in row] for row in points]
+
+
+_KERNEL_CASES = [(metric, n) for metric in ("vandermonde", "root", "pairwise", "pairwise_root")
+                 for n in range(2, 13)] + [("euclidean3", 3)]
+
+
+@pytest.mark.parametrize("metric,n", _KERNEL_CASES)
+def test_replacement_sides_equal_the_per_slot_scalar_rule(monkeypatch, metric, n):
+    # Three rows per chunk: B = 7 spans three chunks.
+    monkeypatch.setattr(core, "_CHUNK_FACTORS", 3 * (n + 1) * n * (n - 1) // 2)
+    complex_points = metric in ("vandermonde", "root")
+    ks = list(range(n)) if complex_points else [0]
+    rng = np.random.default_rng(n)
+    for b in (1, 7):
+        points, y = _row_inputs(rng, b, n, complex_points)
+        lhs, rhs, domain, log_rows = replacement_sides(points, y, metric, ks)
+        assert domain == LINEAR and lhs.shape == rhs.shape == (len(ks), b)
+        rows, ys = _scalar_rows(points), _scalar_rows(y[:, None])
+        for row, k in enumerate(ks):
+            want = [_per_slot_sides(metric, rows[t], ys[t][0], k) for t in range(b)]
+            assert [v.hex() for v in lhs[row]] == [w[0].hex() for w in want]
+            assert [v.hex() for v in rhs[row]] == [w[1].hex() for w in want]
+        tuples = [points]
+        for slot in range(n):
+            tuples.append(points.copy())
+            tuples[-1][:, slot] = y
+        if metric.endswith("root"):
+            assert log_rows.all()
+        else:
+            fold = vandermonde_rows if complex_points else (
+                lambda x: pair_product_rows(pairwise_distances(x)))
+            assert np.array_equal(log_rows, np.any([fold(t)[1] for t in tuples], axis=0))
+
+
+def test_replacement_sides_reject_mismatched_inputs():
+    z = np.zeros((1, 4), dtype=complex)
+    x = np.zeros((1, 4, 3))
+    for points, metric in ((z, "pairwise"), (x, "root"), (z, "bogus"), (x, "euclidean3")):
+        with pytest.raises(ArgumentError):
+            replacement_sides(points, np.zeros(1), metric)
+    with pytest.raises(ArgumentError):  # the weights |x_i|^k are for complex points
+        replacement_sides(x, np.zeros((1, 3)), "pairwise", ks=(0, 1))
+    with pytest.raises(ArgumentError):
+        simplex_gap([0, 1, 2], 1j, metric=vandermonde_metric)
 
 
 # ---------------------------------------------------------------------------

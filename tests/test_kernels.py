@@ -314,8 +314,7 @@ def test_campaigns_log_log_domain_refined_and_skipped_rows(caplog, monkeypatch):
         loud = ["\n".join(run_campaign(c).json_lines()) for c in configs]
     assert loud == quiet
     messages = [r.getMessage() for r in caplog.records]
-    assert "polygon simplex-equality: trials evaluated in the log domain: [0, 1, 2, 3, 4]" \
-        in messages
+    assert "polygon simplex-equality: 5 trials evaluated in the log domain" in messages
     assert [m for m in messages if "Lagrange" in m] == [
         "simplex vandermonde: 5 trials evaluated as Lagrange log sums",
         "simplex root: 7 trials evaluated as Lagrange log sums",

@@ -61,6 +61,26 @@ class TestMatrixFunction:
         with pytest.raises(ArgumentError):
             MatrixFunction.sampled([0.0, 1.0], [np.eye(2)])
 
+    @pytest.mark.parametrize("build", [
+        lambda: MatrixFunction.constant([[1.0, 2.0]]),
+        lambda: MatrixFunction.constant([1.0, 2.0]),
+        lambda: MatrixFunction.linear(np.eye(2), np.eye(3)),
+        lambda: MatrixFunction.linear([[1.0, 2.0]], [[1.0, 2.0]]),
+        lambda: MatrixFunction.sinusoidal(np.eye(2), np.ones((3, 2, 2))),
+        lambda: MatrixFunction.sampled([0.0, 1.0], np.ones((2, 2, 3))),
+        lambda: MatrixFunction.sampled([0.0, 1.0], np.ones((2, 2))),
+        lambda: MatrixFunction.sampled([1.0, 0.0], [[[1.0]], [[2.0]]]),
+        lambda: MatrixFunction.sampled([0.0, 0.0], [[[1.0]], [[2.0]]]),
+    ])
+    def test_malformed_matrices_are_rejected(self, build):
+        with pytest.raises(ArgumentError):
+            build()
+
+    def test_stacked_matrices_of_one_shape_are_accepted(self):
+        a = np.ones((4, 3, 3))
+        mf = MatrixFunction.linear(a, 2 * a)
+        assert mf(1.0).shape == (4, 3, 3) and mf.dim == 3
+
     @pytest.mark.parametrize("mf,expected", [
         (MatrixFunction.constant([[1.0, 2.0], [3.0, 4.0]]),
          {"kind": "constant", "a0": [[1.0, 2.0], [3.0, 4.0]]}),
