@@ -7,13 +7,17 @@ as well, which gives exact integer arithmetic for small inputs.
 
 The replacement kernels compare a function of each tuple x with the n
 tuples "x with x_s -> y".  Replacing slot s changes only the n - 1 pair
-factors that involve x_s, so each row's factors are computed once: the
-P = n(n-1)/2 pair factors of x, then those of y with each point.  The
-cached slot map of n lists where each of the n + 1 tuples finds its P
-factors in that pool, in lexicographic pair order; one gather then gives
-every tuple's factor row, which each kernel reduces exactly as it would
-reduce the tuple's own factors.  Rows run in chunks that gather at most
-REPLACEMENT_CHUNK_ELEMENTS elements, or one row.
+factors that involve x_s, so each row's factors are computed once, into a
+factor-major pool: the P = n(n-1)/2 pair factors of x, then those of y
+with each point.  The cached slot map lists where each of the n + 1
+tuples finds its P factors in that pool, in lexicographic pair order.  All
+n + 1 tuples then fold in lockstep, one factor position per step: a take
+of that column of the slot map into a reused buffer, multiplied into the
+accumulators, so each tuple's factors are reduced left to right exactly as
+the tuple's own would be.  Rows run in chunks of at most
+REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or one row, and each
+chunk is reduced straight into the two sides, so the only arrays that grow
+with B are the inputs and the sides.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ def root_batch(z: np.ndarray) -> np.ndarray:
 # The replacement pass
 
 
-# Elements of one chunk's gathered factor rows: rows times the elements the
-# n + 1 tuples of a row gather.  About 256 KiB of float64.
-REPLACEMENT_CHUNK_ELEMENTS = 1 << 15
+# Pool and lockstep-buffer elements of one chunk (_row_elements per row).
+# About 1 MiB of float64.
+REPLACEMENT_CHUNK_ELEMENTS = 1 << 17
 
 
 @lru_cache(maxsize=None)
@@ -70,41 +74,67 @@ def _slot_map(n: int, signed: bool) -> np.ndarray:
     return slots
 
 
-def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *args):
-    """kernel(points[rows], y[rows], *args) over row chunks, joined along axis 1.
+def _row_elements(n: int, m: int = 0, q: int = 0) -> int:
+    """Pool and lockstep-buffer elements of one row, the unit of REPLACEMENT_CHUNK_ELEMENTS.
 
-    The kernel returns (n + 1, rows, ...) values: x first, then x with slot
-    s -> y in slot order.  per_row is the elements one row gathers.
+    q = 0 is the product pass: P + n pooled factors and two buffers of
+    n + 1.  q >= 1 is the projected pass over the M_m coordinate pairs of
+    m: re and im pools of P + 3n + 1 planes and six buffers of n + 1.
+    """
+    p = n * (n - 1) // 2
+    if not q:
+        return p + n + 2 * (n + 1)
+    return (2 * (p + 3 * n + 1) + 6 * (n + 1)) * (m * (m - 1) // 2)
+
+
+def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *args,
+                      order: str = "C"):
+    """Sides lhs = values[0] and rhs = values[1] + ... + values[n] of kernel, chunk by chunk.
+
+    kernel(points[rows], y[rows], *args) returns the n + 1 tuples' values,
+    each shaped (rows, ...): x first, then x with slot s -> y in slot
+    order.  rhs is summed from zeros in slot order.  per_row is
+    _row_elements of one row.  The sides are allocated at the first chunk,
+    in the values' dtype and the memory order given; an empty batch runs
+    one empty chunk for it.
     """
     step = max(1, REPLACEMENT_CHUNK_ELEMENTS // max(1, per_row))
-    return np.concatenate([kernel(points[start:start + step], y[start:start + step], *args)
-                           for start in range(0, len(points), step)], axis=1)
-
-
-def _sides(values):
-    """lhs = values[0] and rhs = values[1] + ... + values[n], summed from zeros in slot order."""
-    rhs = np.zeros_like(values[0])
-    for v in values[1:]:
-        rhs += v
-    return values[0], rhs
+    lhs = rhs = None
+    for start in range(0, max(1, len(points)), step):
+        rows = slice(start, start + step)
+        values = kernel(points[rows], y[rows], *args)
+        if lhs is None:
+            lhs = np.empty((len(points),) + values[0].shape[1:], dtype=values[0].dtype,
+                           order=order)
+            rhs = np.zeros_like(lhs)
+        lhs[rows] = values[0]
+        chunk = rhs[rows]
+        for v in values[1:]:
+            chunk += v
+    return lhs, rhs
 
 
 def _product_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(n + 1, rows) products of the pair distances of x and of each x with slot s -> y.
 
     x is (rows, n) complex, distance abs, or (rows, n, m) real, distance the
-    Euclidean norm.
+    Euclidean norm.  The factors are pooled factor-major, (P + n, rows), and
+    all n + 1 tuples multiply theirs in lockstep, left to right, one
+    slot-map column per step, as np.prod over each tuple would.
     """
     n = x.shape[1]
     j, i = _pair_indices(n)
-    diffs = np.concatenate([x[:, i] - x[:, j], y[:, None] - x], axis=1)
-    factors = np.abs(diffs) if diffs.ndim == 2 else np.linalg.norm(diffs, axis=2)
-    return np.prod(np.take(factors, _slot_map(n, False), axis=1), axis=2).T
-
-
-def _replacement_products(points: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = points.shape[1]
-    return _replacement_rows(_product_rows, (n + 1) * n * (n - 1) // 2, points, y)
+    xt = np.swapaxes(x, 0, 1)
+    diffs = np.concatenate([xt[i] - xt[j], y[None] - xt])
+    pool = np.abs(diffs) if diffs.ndim == 2 else np.linalg.norm(diffs, axis=2)
+    slots = _slot_map(n, False)
+    acc = np.take(pool, slots[:, 0], axis=0)
+    buf = np.empty_like(acc)
+    for k in range(1, slots.shape[1]):
+        # mode="clip" writes straight into out; the default mode buffers it.
+        np.take(pool, slots[:, k], axis=0, out=buf, mode="clip")
+        acc *= buf
+    return acc
 
 
 def simplex_sides_complex(points: np.ndarray, y: np.ndarray, root: bool = False):
@@ -114,8 +144,10 @@ def simplex_sides_complex(points: np.ndarray, y: np.ndarray, root: bool = False)
     The sides are the pairwise-distance product (d_V for complex points),
     or its 2 / (n(n-1)) power (the root metric) with root.
     """
-    values = _replacement_products(points, y)
-    return _sides(values ** _root_power(points.shape[1]) if root else values)
+    n = points.shape[1]
+    power = _root_power(n)
+    kernel = (lambda x, w: _product_rows(x, w) ** power) if root else _product_rows
+    return _replacement_rows(kernel, _row_elements(n), points, y)
 
 
 # The same kernel: _product_rows measures vectors with the Euclidean norm.
@@ -123,15 +155,25 @@ def simplex_sides_complex(points: np.ndarray, y: np.ndarray, root: bool = False)
 simplex_sides_vectors = simplex_sides_complex
 
 
+def _extended_rows(z: np.ndarray, y: np.ndarray, ks) -> list:
+    """n + 1 values (rows, len(ks)) of |w|^k times the product.
+
+    w is y for z and z_s for z with z_s -> y.
+    """
+    products = _product_rows(z, y)
+    weights = [np.abs(y)] + [np.abs(z[:, s]) for s in range(z.shape[1])]
+    return [np.stack([w ** k * v for k in ks], axis=1) for w, v in zip(weights, products)]
+
+
 def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
     """(lhs, rhs) of |y|^k d_V(z) <= sum_s |z_s|^k d_V(z with z_s -> y) for each k of ks.
 
     Both are (len(ks), B); the products are computed once for every k.
     """
-    values = _replacement_products(z, y)
-    weights = [np.abs(y)] + [np.abs(z[:, s]) for s in range(z.shape[1])]
-    lhs, rhs = zip(*(_sides([w ** k * v for w, v in zip(weights, values)]) for k in ks))
-    return np.array(lhs), np.array(rhs)
+    # Column-major (B, len(ks)) sides are C-contiguous once transposed.
+    lhs, rhs = _replacement_rows(_extended_rows, _row_elements(z.shape[1]), z, y, list(ks),
+                                 order="F")
+    return lhs.T, rhs.T
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +242,28 @@ def _fold_map(n: int, q: int) -> np.ndarray:
 
 
 def _projected_rows(x: np.ndarray, y: np.ndarray, q: int):
-    """Re and im (n + 1, rows, M_m) of the projected fold of x and of each x with slot s -> y."""
+    """Re and im (n + 1, rows, M_m) of the projected fold of x and of each x with slot s -> y.
+
+    All n + 1 tuples fold in lockstep: step k gathers each tuple's k-th
+    factor from the (pool, rows, M_m) re and im pools into reused buffers
+    and multiplies it in with _complex_step, as _apply_projected would.
+    """
     n = x.shape[1]
     j, i = _pair_indices(n)
     fold = _fold_map(n, q)
-    planes = []
+    pools = []
     for p in _coordinate_planes(np.concatenate([y[:, None], x], axis=1)):
         yp, xp = p[:1], p[1:]
-        pool = np.concatenate([xp[i] - xp[j], yp - xp, xp - yp, p])
-        planes.append(np.take(pool, fold, axis=0))
-    return _apply_projected(*planes)
-
-
-def _projected_elements(points: np.ndarray, q: int) -> int:
-    """Elements of one row's gathered re planes in _projected_rows (as many for im)."""
-    n, m = points.shape[1:]
-    return (n + 1) * (n * (n - 1) // 2 + q - 1) * (m * (m - 1) // 2)
+        pools.append(np.concatenate([xp[i] - xp[j], yp - xp, xp - yp, p]))
+    pool_re, pool_im = pools
+    re, im = np.take(pool_re, fold[0], axis=0), np.take(pool_im, fold[0], axis=0)
+    a, b, s, t = (np.empty_like(re) for _ in range(4))
+    for k in range(1, len(fold)):
+        # mode="clip" writes straight into out; the default mode buffers it.
+        np.take(pool_re, fold[k], axis=0, out=a, mode="clip")
+        np.take(pool_im, fold[k], axis=0, out=b, mode="clip")
+        re, im, s = _complex_step(re, im, a, b, s, t)
+    return re, im
 
 
 # Elements of one (C, B, P) fold buffer: C permutations of B rows at P
@@ -275,8 +323,7 @@ def _generalized_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def simplex_sides_generalized(points: np.ndarray, y: np.ndarray):
-    return _sides(_replacement_rows(_generalized_rows, _projected_elements(points, 1),
-                                    points, y))
+    return _replacement_rows(_generalized_rows, _row_elements(*points.shape[1:], 1), points, y)
 
 
 def sum_identity_sides(points: np.ndarray, y: np.ndarray):
@@ -290,7 +337,7 @@ def _w_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 
 def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
     """(lhs, rhs) component stacks [re | im] of the extended identity; y is (B, m)."""
-    return _sides(_replacement_rows(_w_rows, _projected_elements(points, q), points, y, q))
+    return _replacement_rows(_w_rows, _row_elements(*points.shape[1:], q), points, y, q)
 
 
 def max_gap_and_scale(lhs: np.ndarray, rhs: np.ndarray):

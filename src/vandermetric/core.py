@@ -184,6 +184,18 @@ class Verdict(NamedTuple):
     scale: object
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the last axis, as an np.maximum fold of its columns.
+
+    Exact, and NaN propagates as in ndarray.max; over a short trailing axis
+    the fold is several times faster than max(axis=-1).
+    """
+    out = a[..., 0].copy()
+    for c in range(1, a.shape[-1]):
+        np.maximum(out, a[..., c], out=out)
+    return out
+
+
 def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
     """Normalized gap and pass decision of a claim: the one pass/fail rule.
 
@@ -228,7 +240,7 @@ def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
         if array:
             left, right = abs(lhs), abs(rhs)
             if gap.ndim > 1:
-                gap, left, right = gap.max(axis=-1), left.max(axis=-1), right.max(axis=-1)
+                gap, left, right = _row_max(gap), _row_max(left), _row_max(right)
             scale = np.maximum(np.maximum(left, right), 1.0)
         else:
             scale = max(abs(lhs), abs(rhs), 1.0)
@@ -375,7 +387,8 @@ def pair_product_rows(factors: np.ndarray):
         in_range = np.zeros(len(factors), dtype=bool)
         product = np.zeros(len(factors))
     else:
-        with np.errstate(over="ignore"):
+        # inf * 0 is NaN only in a row holding a zero, whose product is 0.
+        with np.errstate(over="ignore", invalid="ignore"):
             partial = np.cumprod(factors, axis=1)
         in_range = np.all((partial >= _PRODUCT_FLOOR) & (partial <= _PRODUCT_CEIL), axis=1)
         product = partial[:, -1]
@@ -665,6 +678,14 @@ def _root_power(n: int) -> float:
     return 2.0 / (n * (n - 1))
 
 
+def _weight(v, k: int) -> float:
+    """|v|^k as a float, inf where it overflows: a float power raises there."""
+    try:
+        return abs(v) ** k
+    except OverflowError:
+        return math.inf
+
+
 def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
     """Both sides of |y|^k d(x) <= sum_i |x_i|^k d(x with x_i -> y) for each row and k.
 
@@ -718,7 +739,7 @@ def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
                 weighted = values
                 if k:
                     weights = np.concatenate([w[None], x.T])
-                    weighted = scalar_map(lambda v: abs(v) ** k, weights) * values
+                    weighted = scalar_map(lambda v: _weight(v, k), weights) * values
                 lhs[row, rows] = weighted[0]
                 rhs[row, rows] = sum(weighted[1:])
     return lhs, rhs, LINEAR, log_rows

@@ -268,41 +268,44 @@ def integrate(problem: ODEProblem, rel_tol: float = STEP_RTOL) -> np.ndarray:
     return out[0]
 
 
-def _quad_piece(x0, x1, x2, y0, y1, y2, a, b) -> float:
-    """Integral over [a, b] of the quadratic through three sample points."""
-    c1 = (y1 - y0) / (x1 - x0)
-    c2 = ((y2 - y1) / (x2 - x1) - c1) / (x2 - x0)
-
-    def antideriv(t):
-        return (
-            y0 * t
-            + c1 * (t - x0) ** 2 / 2.0
-            + c2 * (t**3 / 3.0 - (x0 + x1) * t**2 / 2.0 + x0 * x1 * t)
-        )
-
-    return antideriv(b) - antideriv(a)
+def _powers(values: np.ndarray, p: int) -> np.ndarray:
+    """values ** p one numpy scalar at a time; the vectorized power rounds some differently."""
+    return np.array([v**p for v in values])
 
 
 def cumulative_simpson(y, x) -> np.ndarray:
     """Cumulative composite Simpson quadrature on a (possibly nonuniform) grid.
 
     y holds the samples along its last axis, one row per leading index.
+    Step k integrates over [x_{k-1}, x_k] the quadratic through the samples
+    k-1, k, k+1 (odd k with a point after it) or k-2, k-1, k; a 2-point
+    grid takes the trapezoid.  All steps are evaluated at once and summed
+    left to right from 0.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     k_max = len(x) - 1
-    out = np.zeros(y.shape)
-    for k in range(1, k_max + 1):
-        if k == 1 and k_max == 1:
-            piece = 0.5 * (y[..., 0] + y[..., 1]) * (x[1] - x[0])
-        elif k % 2 == 1 and k < k_max:
-            piece = _quad_piece(x[k - 1], x[k], x[k + 1], y[..., k - 1], y[..., k],
-                                y[..., k + 1], x[k - 1], x[k])
-        else:
-            piece = _quad_piece(x[k - 2], x[k - 1], x[k], y[..., k - 2], y[..., k - 1],
-                                y[..., k], x[k - 1], x[k])
-        out[..., k] = out[..., k - 1] + piece
-    return out
+    if k_max < 1:
+        return np.zeros(y.shape)
+    if k_max == 1:
+        pieces = (0.5 * (y[..., 0] + y[..., 1]) * (x[1] - x[0]))[..., None]
+    else:
+        k = np.arange(1, k_max + 1)
+        s = np.where((k % 2 == 1) & (k < k_max), k - 1, k - 2)
+        x0, x1, x2 = x[s], x[s + 1], x[s + 2]
+        y0, y1, y2 = y[..., s], y[..., s + 1], y[..., s + 2]
+        c1 = (y1 - y0) / (x1 - x0)
+        c2 = ((y2 - y1) / (x2 - x1) - c1) / (x2 - x0)
+        squares, cubes = _powers(x, 2), _powers(x, 3)
+
+        def antideriv(t):
+            """Antiderivative of each step's quadratic at the grid points t."""
+            return (y0 * x[t] + c1 * _powers(x[t] - x0, 2) / 2.0
+                    + c2 * (cubes[t] / 3.0 - (x0 + x1) * squares[t] / 2.0 + x0 * x1 * x[t]))
+
+        pieces = antideriv(k) - antideriv(k - 1)
+    zero = np.zeros(y.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([zero, pieces], axis=-1), axis=-1)
 
 
 class EstimateSides(NamedTuple):

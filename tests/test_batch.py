@@ -1,5 +1,7 @@
 """Vectorized campaign kernels against the scalar reference implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,31 @@ class TestMultilinearKernels:
             for t in range(20):
                 ref = w_identity_gap(spec, [tuple(p) for p in x[t]], tuple(y[t]), q)
                 assert abs(gaps[t] - ref) <= 1e-12
+
+
+def _temporaries(kernel, *args):
+    """Peak bytes numpy allocated during kernel(*args), less its outputs."""
+    tracemalloc.start()
+    try:
+        sides = kernel(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(side.nbytes for side in sides)
+
+
+@pytest.mark.parametrize("name", ["products", "extended", "w-identity"])
+def test_replacement_temporaries_do_not_grow_with_the_batch(rng, name):
+    def call(b):
+        z = rng.standard_normal((b, 6)) + 1j * rng.standard_normal((b, 6))
+        w = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+        x, y = rng.uniform(-1, 1, size=(b, 4, 3)), rng.uniform(-1, 1, size=(b, 3))
+        if name == "products":
+            return _temporaries(batch.simplex_sides_complex, z, w)
+        if name == "extended":
+            return _temporaries(batch.extended_sides_complex, z, w, range(6))
+        return _temporaries(batch.w_identity_sides, x, y, 2)
+
+    # Both batches span several chunks; the larger one holds 4x the rows.
+    small, large = call(8000), call(32000)
+    assert large <= small + (1 << 16)

@@ -112,6 +112,15 @@ class TestExtended:
                                       "--y", "1,1", "--k", "7"])
         assert result.exit_code == 2
 
+    def test_overflowing_weight_fails_closed(self, runner, tmp_path):
+        path = tmp_path / "huge.csv"
+        write_csv(path, [(1e200, 0), (0, 1), (2, 0)])
+        result = runner.invoke(main, ["extended", "--input", str(path), "--y", "1e200,0",
+                                      "--k", "2"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
+        record = json.loads(result.output)
+        assert record["pass"] is False and record["lhs"] == "inf"
+
 
 class TestEqualityFamily:
     def test_default_parameters(self, runner):

@@ -345,6 +345,22 @@ class TestExtendedInequality:
             for k in range(4):
                 assert extended_inequality_gap(z, y, k).passed
 
+    def test_an_overflowing_weight_is_inf_and_fails_closed(self):
+        z = [1e200, 1j, 2]
+        for y, k in [(1e200, 2), (1.0, 2), (1e200, 1)]:
+            report = extended_inequality_gap(z, y, k)
+            assert not report.passed and math.isnan(report.gap)
+            assert report.lhs == math.inf or report.rhs == math.inf
+
+    def test_finite_weights_keep_their_bits(self):
+        z = [1e150, 1j, 2]
+        lhs, rhs, _, _ = replacement_sides(np.array([z]), np.array([0.5 + 0.5j]), "vandermonde",
+                                           (0, 1, 2))
+        weights = [abs(0.5 + 0.5j)] + [abs(v) for v in z]
+        for k in (1, 2):
+            assert lhs[k, 0] == weights[0] ** k * lhs[0, 0]
+            assert math.isfinite(rhs[k, 0])
+
     def test_k_out_of_range(self):
         with pytest.raises(ArgumentError):
             extended_inequality_gap([0, 1, 2], 1j, 3)

@@ -522,47 +522,65 @@ def _replacement_inputs(rng, b, n, m, whole):
     return points, y
 
 
-def _pairs(k):
-    return k * (k - 1) // 2
-
-
-# (kernel call, reference call, n, m, gathered elements per row)
+# (kernel call, reference call, n, m, q): q is 0 for the product pass,
+# else the projected pass with q - 1 tail factors.
 REPLACEMENT_CASES = [
     *[(f"simplex-n{n}-root{root}",
        lambda z, y, root=root: batch.simplex_sides_complex(z, y, root=root),
        lambda z, y, root=root: replacement_sides_loop(
            z, y, lambda p, _: (_root_of(_dv_loop) if root else _dv_loop)(p)),
-       n, None, (n + 1) * _pairs(n))
+       n, None, 0)
       for n in [*range(2, 14), 60] for root in (False, True)],
     *[(f"euclidean3-m{m}-root{root}",
        lambda x, y, root=root: batch.simplex_sides_vectors(x, y, root=root),
        lambda x, y, root=root: replacement_sides_loop(
            x, y, lambda p, _: (_root_of(_pairwise_loop) if root else _pairwise_loop)(p)),
-       3, m, 4 * 3) for m in (2, 3, 4) for root in (False, True)],
+       3, m, 0) for m in (2, 3, 4) for root in (False, True)],
     *[(f"generalized-n{n}-m{m}", batch.simplex_sides_generalized,
        lambda x, y: replacement_sides_loop(x, y, lambda p, _: _generalized_loop(p)),
-       n, m, (n + 1) * _pairs(n) * _pairs(m)) for n in (2, 3, 4) for m in (2, 3, 4)],
+       n, m, 1) for n, m in [*itertools.product((2, 3, 4), repeat=2), (13, 3)]],
     *[(f"w-identity-n{n}-m{m}-q{q}",
        lambda x, y, q=q: batch.w_identity_sides(x, y, q),
        lambda x, y, q=q: replacement_sides_loop(
            x, y, lambda p, tail: np.concatenate(_projected_loop(p, tail, q), axis=1)),
-       n, m, (n + 1) * (_pairs(n) + q - 1) * _pairs(m))
-      for n in (2, 3, 4) for m in (2, 3) for q in range(1, n + 1)],
+       n, m, q)
+      for n in (2, 3, 4, 5) for m in (2, 3) for q in range(1, n + 1)],
 ]
 
 
-@pytest.mark.parametrize("name,kernel,reference,n,m,per_row", REPLACEMENT_CASES,
+def _three_rows_per_chunk(monkeypatch, n, m, q):
+    """Chunks of three rows, by the kernel's own per-row count; returns the list of chunk sizes.
+
+    Each call of the fold that a chunk makes (_product_rows for the product
+    pass, _projected_rows for the projected one) appends its row count.
+    """
+    per_row = batch._row_elements(n, m or 0, q)
+    monkeypatch.setattr(batch, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row)
+    name = "_projected_rows" if q else "_product_rows"
+    fold, chunks = getattr(batch, name), []
+
+    def counted(x, *args):
+        chunks.append(len(x))
+        return fold(x, *args)
+
+    monkeypatch.setattr(batch, name, counted)
+    return chunks
+
+
+@pytest.mark.parametrize("name,kernel,reference,n,m,q", REPLACEMENT_CASES,
                          ids=[case[0] for case in REPLACEMENT_CASES])
 def test_replacement_sides_equal_the_copy_per_slot_path(monkeypatch, name, kernel, reference,
-                                                        n, m, per_row):
+                                                        n, m, q):
     # Three rows per chunk: B = 7 leaves a short last chunk.
-    monkeypatch.setattr(batch, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row)
+    chunks = _three_rows_per_chunk(monkeypatch, n, m, q)
     rng = np.random.default_rng(n * 10 + (m or 0))
     for b in (1, 7):
         for whole in (False, True):
             points, y = _replacement_inputs(rng, b, n, m, whole)
+            chunks.clear()
             with np.errstate(over="ignore", invalid="ignore"):  # n = 60 overflows
                 sides = zip(kernel(points, y), reference(points, y))
+            assert chunks == ([1] if b == 1 else [3, 3, 1])
             for got, want in sides:
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -570,12 +588,14 @@ def test_replacement_sides_equal_the_copy_per_slot_path(monkeypatch, name, kerne
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_extended_sides_equal_the_copy_per_slot_path(monkeypatch, n):
-    monkeypatch.setattr(batch, "REPLACEMENT_CHUNK_ELEMENTS", 3 * (n + 1) * _pairs(n))
+    chunks = _three_rows_per_chunk(monkeypatch, n, None, 0)
     rng = np.random.default_rng(n)
     for b in (1, 7):
         for whole in (False, True):
             z, y = _replacement_inputs(rng, b, n, None, whole)
+            chunks.clear()
             lhs, rhs = batch.extended_sides_complex(z, y, range(n))
+            assert chunks == ([1] if b == 1 else [3, 3, 1])
             for k in range(n):
                 want = replacement_sides_loop(z, y, lambda p, w: np.abs(w) ** k * _dv_loop(p))
                 for got, ref in zip((lhs[k], rhs[k]), want):

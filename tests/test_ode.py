@@ -210,6 +210,40 @@ class TestIntegrator:
         assert integrate(p).shape == (3, 41, 2)
 
 
+def _quad_piece(x0, x1, x2, y0, y1, y2, a, b):
+    """Integral over [a, b] of the quadratic through three sample points."""
+    c1 = (y1 - y0) / (x1 - x0)
+    c2 = ((y2 - y1) / (x2 - x1) - c1) / (x2 - x0)
+
+    def antideriv(t):
+        return (
+            y0 * t
+            + c1 * (t - x0) ** 2 / 2.0
+            + c2 * (t**3 / 3.0 - (x0 + x1) * t**2 / 2.0 + x0 * x1 * t)
+        )
+
+    return antideriv(b) - antideriv(a)
+
+
+def _simpson_loop(y, x):
+    """The per-step loop that cumulative_simpson vectorizes."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    k_max = len(x) - 1
+    out = np.zeros(y.shape)
+    for k in range(1, k_max + 1):
+        if k == 1 and k_max == 1:
+            piece = 0.5 * (y[..., 0] + y[..., 1]) * (x[1] - x[0])
+        elif k % 2 == 1 and k < k_max:
+            piece = _quad_piece(x[k - 1], x[k], x[k + 1], y[..., k - 1], y[..., k],
+                                y[..., k + 1], x[k - 1], x[k])
+        else:
+            piece = _quad_piece(x[k - 2], x[k - 1], x[k], y[..., k - 2], y[..., k - 1],
+                                y[..., k], x[k - 1], x[k])
+        out[..., k] = out[..., k - 1] + piece
+    return out
+
+
 class TestQuadrature:
     def test_exact_on_quadratics(self):
         rng = np.random.default_rng(62)
@@ -229,6 +263,22 @@ class TestQuadrature:
         x = np.linspace(0.0, 1.0, 201)
         out = cumulative_simpson(np.exp(x), x)
         assert out[-1] == pytest.approx(math.e - 1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 8, 301])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_equals_the_per_step_loop_bit_for_bit(self, points, uniform):
+        rng = np.random.default_rng(points * 2 + uniform)
+        for _ in range(20):
+            if uniform:
+                x = np.linspace(0.0, rng.uniform(0.5, 3.0), points)
+            else:
+                x = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 0.1, points - 1))])
+            y = rng.standard_normal((4, points)) * 10.0 ** rng.integers(-3, 4, size=(4, 1))
+            y[0, :2] = -0.0  # a signed zero piece becomes 0.0 + -0.0
+            for got, want in ((cumulative_simpson(y, x), _simpson_loop(y, x)),
+                              (cumulative_simpson(y[1], x), _simpson_loop(y[1], x))):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestVerifyEstimate:

@@ -13,7 +13,7 @@ from vandermetric import CampaignConfig, CyclicPolygon, run_campaign
 from vandermetric.cli import main
 from vandermetric.campaign import _reduce, _rng
 from vandermetric.core import (
-    BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, verdict,
+    BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, _row_max, verdict,
 )
 from vandermetric.geometry import (
     ngon_check, ptolemy_gap, quadrilateral_check, random_sorted_angles, simplex_equality_ngon,
@@ -89,6 +89,31 @@ def test_vector_identity_uses_the_max_norm():
     assert v.gap.tolist() == [0.5, 0.0]
     assert v.scale.tolist() == [2.5, 3.0]
     assert v.passed.tolist() == [False, True]
+
+
+@pytest.mark.parametrize("columns", [1, 2, 5, 6, 9])
+def test_row_maxima_fold_equals_max_over_the_last_axis(columns):
+    rng = np.random.default_rng(columns)
+    for shape in [(200, columns), (3, 40, columns)]:
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        specials = rng.choice([math.nan, math.inf, -math.inf, 0.0], size=shape)
+        sprinkle = rng.random(shape) < 0.1
+        a[sprinkle] = specials[sprinkle]
+        got, want = _row_max(a), a.max(axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["lhs", "rhs", "both"])
+def test_an_identity_row_with_one_non_finite_component_fails(bad, side):
+    lhs = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    rhs = lhs.copy()
+    for sides in ([lhs] if side == "lhs" else [rhs] if side == "rhs" else [lhs, rhs]):
+        sides[1, 2] = bad
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+        v = verdict(IDENTITY, LINEAR, lhs, rhs, 1e-9)
+    assert v.passed.tolist() == [True, False, True]
 
 
 POLYGON_CASES = [
