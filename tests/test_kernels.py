@@ -42,6 +42,7 @@ from vandermetric.multilinear import (
     DefinitenessVerdict,
     _build_witness,
     definiteness_decide,
+    expansion_terms,
     ordered_pairs,
     permutation_sign,
 )
@@ -385,6 +386,92 @@ def test_expansion_batch_equals_the_permutation_loop(b, n, m):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype == points.dtype
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def expansion_lockstep(points, chunk_elements=16384):
+    """The permutation-chunk expansion_batch that prefix-shared folding replaced.
+
+    C = chunk_elements // (B P) permutations at a time, each folded from its
+    first factor over all of its n(n-1)/2 factors, the signed leaves added
+    in lexicographic order.
+    """
+    B, n, m = points.shape
+    p = m * (m - 1) // 2
+    planes_re, planes_im = (np.ascontiguousarray(points[:, :, t].transpose(1, 0, 2))
+                            for t in _pair_indices(m))
+    acc_re = np.zeros((B, p), dtype=points.dtype)
+    acc_im = np.zeros((B, p), dtype=points.dtype)
+    chunk = max(1, chunk_elements // (B * p))
+    signs, indices = expansion_terms(n)
+    for start in range(0, len(signs), chunk):
+        idx = indices[start:start + chunk]
+        re, im = planes_re[idx[:, 0]], planes_im[idx[:, 0]]
+        for k in range(1, idx.shape[1]):
+            a, b = planes_re[idx[:, k]], planes_im[idx[:, k]]
+            x = re * a
+            x -= im * b
+            y = re * b
+            im *= a
+            re, im = x, y + im
+        for j, sign in enumerate(signs[start:start + len(idx)].tolist()):
+            step = np.add if sign > 0 else np.subtract
+            step(acc_re, re[j], out=acc_re)
+            step(acc_im, im[j], out=acc_im)
+    return acc_re, acc_im
+
+
+def _expansion_inputs(b, n, m, seed):
+    rng = np.random.default_rng(seed)
+    real = rng.uniform(-1.0, 1.0, size=(b, n, m))
+    real[0, 1] = real[0, 0]  # two equal points
+    return real, rng.integers(-2, 3, size=(b, n, m)).astype(np.int64)
+
+
+@pytest.mark.parametrize("b,n,m", [(3, 7, 3), (2, 8, 2)])
+def test_expansion_batch_equals_the_lockstep_kernel(b, n, m):
+    for points in _expansion_inputs(b, n, m, 10 * n + m):
+        for g, w in zip(expansion_batch(points), expansion_lockstep(points)):
+            assert g.dtype == w.dtype == points.dtype
+            assert bits(g) == bits(w)
+
+
+def test_expansion_batch_equals_the_lockstep_kernel_over_row_chunks(monkeypatch):
+    # A small chunk makes 40 rows span several row chunks of expansion_batch.
+    monkeypatch.setattr(batch, "EXPANSION_CHUNK_ELEMENTS", 256)
+    for points in _expansion_inputs(40, 6, 4, 64):
+        for g, w in zip(expansion_batch(points), expansion_lockstep(points)):
+            assert bits(g) == bits(w)
+
+
+# to_dict() of the decider, recorded with the per-assignment label pass.
+GOLDEN_DECISIONS = [
+    ((4, 5, 1_000_000), {
+        "n": 4, "m": 5, "verdict": "counterexample", "assignments_tried": 46881,
+        "witness_matrix": [[0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [1, 1, 1, 0, 0]],
+        "assignment": [{"tau": t, "kills": k} for t, k in [
+            ([1, 2], [1, 2]), ([1, 3], [1, 2]), ([1, 4], [1, 2]), ([1, 5], [1, 3]),
+            ([2, 3], [1, 2]), ([2, 4], [1, 2]), ([2, 5], [1, 3]), ([3, 4], [1, 2]),
+            ([3, 5], [1, 3]), ([4, 5], [1, 4])]]}),
+    ((5, 4, 1_000_000), {
+        "n": 5, "m": 4, "verdict": "counterexample", "assignments_tried": 1013,
+        "witness_matrix": [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 0, 0],
+                           [2, 2, 2, 2]],
+        "assignment": [{"tau": t, "kills": k} for t, k in [
+            ([1, 2], [1, 2]), ([1, 3], [1, 2]), ([1, 4], [1, 3]), ([2, 3], [1, 2]),
+            ([2, 4], [1, 3]), ([3, 4], [1, 4])]]}),
+    ((6, 3, 1_000_000), {
+        "n": 6, "m": 3, "verdict": "counterexample", "assignments_tried": 18,
+        "witness_matrix": [[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0], [2, 2, 2], [3, 3, 3]],
+        "assignment": [{"tau": t, "kills": k} for t, k in [
+            ([1, 2], [1, 2]), ([1, 3], [1, 3]), ([2, 3], [1, 4])]]}),
+    ((4, 6, 100_000), {"n": 4, "m": 6, "verdict": "exhausted", "assignments_tried": 100000}),
+]
+
+
+@pytest.mark.parametrize("args,expected", GOLDEN_DECISIONS)
+def test_decider_outputs_are_unchanged(args, expected):
+    n, m, budget = args
+    assert definiteness_decide(n, m, budget=budget).to_dict() == expected
 
 
 def decide_loop(n, m, budgets):
