@@ -18,10 +18,20 @@ the tuple's own would be.  Rows run in chunks of at most
 REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or one row, and each
 chunk is reduced straight into the two sides, so the only arrays that grow
 with B are the inputs and the sides.
+
+The permutation expansion sums a signed fold over each of the n!
+permutations.  Permutations that agree on sigma(0 .. k) share that part
+of their fold, so the expansion walks them in lexicographic groups with a
+common prefix: each prefix is folded once, depth first, and a group's
+members finish their last factors in lockstep from it.  Its rows run in
+chunks of EXPANSION_CHUNK_ELEMENTS, so its temporaries do not grow with B
+either.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +39,8 @@ import numpy as np
 from .core import IDENTITY, LINEAR, _pair_indices, _root_power, verdict
 from .multilinear import EXPANSION_MAX_N, expansion_terms
 from .errors import ResourceError
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +192,25 @@ def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
 # Complex-product-projection map, batched over re/im planes
 
 
-def _complex_step(re, im, a, b, x, y):
-    """(re + i im)(a + i b) into buffers; returns (re, im, free buffer).
+def _complex_mul(re, im, a, b, x, y, z):
+    """(re + i im)(a + i b) into x (real part) and z (imaginary part); returns (x, z).
 
-    Split as re*a - im*b, re*b + im*a, never numpy's complex multiply; x
-    receives the real part, y is scratch, im is overwritten.
+    Split as re*a - im*b, re*b + im*a, never numpy's complex multiply.  y
+    is scratch; z may be im, x may be neither re nor im.  re and im may
+    broadcast against a and b.
     """
     np.multiply(re, a, out=x)
     np.multiply(im, b, out=y)
     np.subtract(x, y, out=x)
     np.multiply(re, b, out=y)
-    np.multiply(im, a, out=im)
-    np.add(y, im, out=im)
-    return x, im, re
+    np.multiply(im, a, out=z)
+    np.add(y, z, out=z)
+    return x, z
+
+
+def _complex_step(re, im, a, b, x, y):
+    """(re + i im)(a + i b) in place of im and into x; returns (re, im, free buffer)."""
+    return (*_complex_mul(re, im, a, b, x, y, im), re)
 
 
 def _apply_projected(planes_re: np.ndarray, planes_im: np.ndarray):
@@ -222,8 +240,20 @@ def pdf_batch(points: np.ndarray):
 
     Returns (re, im) arrays of shape (B, M_m).
     """
-    j_idx, i_idx = _pair_indices(points.shape[1])
-    return _apply_projected(*(p[i_idx] - p[j_idx] for p in _coordinate_planes(points)))
+    j, i = _pair_indices(points.shape[1])
+    return _apply_projected(*(_pair_differences(p, i, j) for p in _coordinate_planes(points)))
+
+
+def _pair_differences(planes: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """planes[i] - planes[j], written pair by pair into one (P, ...) array.
+
+    The same differences as the gathered expression, without its two
+    gathered (P, ...) temporaries.
+    """
+    out = np.empty((len(i),) + planes.shape[1:], dtype=planes.dtype)
+    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+        np.subtract(planes[a], planes[b], out=out[k])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -266,46 +296,126 @@ def _projected_rows(x: np.ndarray, y: np.ndarray, q: int):
     return re, im
 
 
-# Elements of one (C, B, P) fold buffer: C permutations of B rows at P
-# coordinate pairs.  Six such buffers stay near 1 MB of float64.
+# Elements of one (M, R, P) lockstep buffer: M permutations that share a
+# prefix, R rows, P coordinate pairs.  Six such buffers stay near 1 MB of
+# float64; R is chosen for M = 3! and M grows while R M P still fits.
 EXPANSION_CHUNK_ELEMENTS = 16384
+
+
+@lru_cache(maxsize=None)
+def _prefix_groups(n: int, k: int) -> tuple:
+    """The permutations of {0, ..., n-1} in lexicographic groups of k! that share a prefix.
+
+    A group's members agree on sigma(0 .. n-k-1) and run through the
+    permutations of the last k values.  Each group is (suffix, signs): the
+    read-only (L, k!) argument indices of its members' factors of the last
+    k points, one row per fold step, and its members' signs, members in
+    lexicographic order.
+    """
+    signs, indices = expansion_terms(n)
+    size = math.factorial(k)
+    groups = []
+    for start in range(0, len(signs), size):
+        # A row's indices ascend, so the shared prefix is its indices below n - k.
+        head = int(np.count_nonzero(indices[start] < n - k))
+        suffix = np.ascontiguousarray(indices[start:start + size, head:].T)
+        suffix.flags.writeable = False
+        groups.append((suffix, signs[start:start + size].tolist()))
+    return tuple(groups)
+
+
+def _prefixes(planes, pairs, scratch, unused, value=None):
+    """Yield the folded prefix of each group in turn, lexicographically; None is empty.
+
+    planes are the (re, im) point-major planes and pairs holds two (re, im)
+    buffer pairs for each prefix point still to fold.  The next point
+    multiplies value by x_l, x_l, ... up to each unused power in turn, so
+    siblings share that chain and every prefix is folded once.  A yielded
+    prefix stays intact until the next one is asked for.
+    """
+    if not pairs:
+        yield value
+        return
+    l = len(planes[0]) - len(unused)
+    power = 0
+    for v in unused:
+        for _ in range(power, v):
+            if value is None:
+                value = planes[0][l], planes[1][l]
+            else:
+                out_re, out_im = pairs[0][value[0] is pairs[0][0][0]]
+                value = _complex_mul(*value, planes[0][l], planes[1][l], out_re, scratch, out_im)
+        power = v
+        yield from _prefixes(planes, pairs[1:], scratch, [u for u in unused if u != v], value)
+
+
+def _expand_rows(planes_re, planes_im, groups, depth, acc_re, acc_im):
+    """Add every group's signed leaves into acc, in lexicographic permutation order.
+
+    planes are the (n, R, P) point-major re and im planes of R rows, and
+    the groups share prefixes over the first depth points (_prefixes).  A
+    group's members fold their remaining factors in lockstep, starting
+    from the prefix (from their first factor when it is empty), and are
+    added into acc in order.  Every leaf gets the operations of a
+    left-to-right fold of its own factors.
+    """
+    shape, dtype = planes_re.shape[1:], planes_re.dtype
+    scratch = np.empty(shape, dtype)
+    # Two (re, im) pairs per prefix point: a step reads one and writes the other.
+    pairs = [[(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(2)]
+             for _ in range(depth)]
+    re, im, a, b, x, y = (np.empty((len(groups[0][1]),) + shape, dtype) for _ in range(6))
+    prefixes = _prefixes((planes_re, planes_im), pairs, scratch, list(range(len(planes_re))))
+    for prefix, (suffix, signs) in zip(prefixes, groups):
+        # mode="clip" writes straight into out; the default mode buffers it.
+        if prefix is None:
+            planes_re.take(suffix[0], 0, re, "clip")
+            planes_im.take(suffix[0], 0, im, "clip")
+            leaf_re, leaf_im = re, im
+        else:
+            planes_re.take(suffix[0], 0, a, "clip")
+            planes_im.take(suffix[0], 0, b, "clip")
+            leaf_re, leaf_im = _complex_mul(*prefix, a, b, re, y, im)
+        free = x
+        for column in suffix[1:]:
+            planes_re.take(column, 0, a, "clip")
+            planes_im.take(column, 0, b, "clip")
+            leaf_re, leaf_im, free = _complex_step(leaf_re, leaf_im, a, b, free, y)
+        for j, sign in enumerate(signs):
+            step = np.add if sign > 0 else np.subtract
+            step(acc_re, leaf_re[j], out=acc_re)
+            step(acc_im, leaf_im[j], out=acc_im)
 
 
 def expansion_batch(points: np.ndarray):
     """Signed permutation expansion per row; must match pdf_batch.
 
-    The permutations run in chunks of C, lexicographically.  Each leaf is
-    folded left to right with _complex_step, as in _apply_projected, and
-    the signed leaves are added into the accumulator in permutation order,
-    so every element gets the same sequence of operations as a
-    per-permutation loop.
+    Rows run in chunks of R.  The permutations run in lexicographic groups
+    of M = k! that share sigma(0 .. n-k-1), k >= min(n, 3) as large as
+    EXPANSION_CHUNK_ELEMENTS allows for R rows; each prefix is folded once
+    and shared by its group (_expand_rows).  The signed leaves are added
+    into the accumulator in permutation order, so every element gets the
+    same sequence of operations as a per-permutation loop: bit for bit in
+    float64, exact in int64.
     """
     B, n, m = points.shape
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
     p = m * (m - 1) // 2
-    # Point-major planes, so that one np.take gathers a factor of every leaf.
-    planes_re, planes_im = _coordinate_planes(points)
+    k = min(n, 3)
+    rows = max(1, EXPANSION_CHUNK_ELEMENTS // (math.factorial(k) * max(1, p)))
+    width = max(1, min(rows, B) * p)
+    while k < n and math.factorial(k + 1) * width <= EXPANSION_CHUNK_ELEMENTS:
+        k += 1
+    groups = _prefix_groups(n, k)
+    log.debug("expansion_batch n=%d: %d prefix groups of %d permutations", n, len(groups),
+              math.factorial(k))
     acc_re = np.zeros((B, p), dtype=points.dtype)
     acc_im = np.zeros((B, p), dtype=points.dtype)
-    chunk = max(1, EXPANSION_CHUNK_ELEMENTS // (B * p))
-    re, im, a, b, x, y = (np.empty((chunk, B, p), dtype=points.dtype) for _ in range(6))
-    signs, indices = expansion_terms(n)
-    for start in range(0, len(signs), chunk):
-        idx = indices[start:start + chunk]
-        c = len(idx)
-        # mode="clip" writes straight into out; the default mode buffers it.
-        re_c, im_c, a_c, b_c, x_c, y_c = re[:c], im[:c], a[:c], b[:c], x[:c], y[:c]
-        np.take(planes_re, idx[:, 0], axis=0, out=re_c, mode="clip")
-        np.take(planes_im, idx[:, 0], axis=0, out=im_c, mode="clip")
-        for k in range(1, idx.shape[1]):
-            np.take(planes_re, idx[:, k], axis=0, out=a_c, mode="clip")
-            np.take(planes_im, idx[:, k], axis=0, out=b_c, mode="clip")
-            re_c, im_c, x_c = _complex_step(re_c, im_c, a_c, b_c, x_c, y_c)
-        for j, sign in enumerate(signs[start:start + c].tolist()):
-            step = np.add if sign > 0 else np.subtract
-            step(acc_re, re_c[j], out=acc_re)
-            step(acc_im, im_c[j], out=acc_im)
+    for start in range(0, B, rows):
+        chunk = slice(start, start + rows)
+        _expand_rows(*_coordinate_planes(points[chunk]), groups, n - k, acc_re[chunk],
+                     acc_im[chunk])
     return acc_re, acc_im
 
 

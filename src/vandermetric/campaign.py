@@ -290,8 +290,10 @@ def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int 
 
     The bound keeps every intermediate int64 product well inside the
     representable range (worst case (bound * n * sqrt(2))^(n(n-1)/2) summed
-    over n! permutations).
+    over n! permutations).  The arguments follow the multilinear-oracle
+    campaign's rules (ArgumentError); n > 8 is a ResourceError.
     """
+    _validate(CampaignConfig(op="multilinear-oracle", seed=seed, trials=trials, n=n, m=m))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     points = _int_sample(rng, (trials, n, m), bound).astype(np.int64)
     lhs, rhs = _oracle_sides(points)

@@ -705,21 +705,10 @@ def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
     n = points.shape[1]
     if metric == "euclidean3" and n != 3:
         raise ArgumentError(f"euclidean3 takes exactly 3 points, got {n}")
+    if n > _LOG_SWITCH_N:
+        return (*_lagrange_sides(points, y, metric, ks), LOG, np.ones(len(points), dtype=bool))
     lhs = np.empty((len(ks), len(points)))
     rhs = np.empty_like(lhs)
-    if n > _LOG_SWITCH_N:
-        log_x, terms = lagrange_log_rows(points, y)
-        if metric.endswith("root"):
-            power = _root_power(n)
-            log_x, terms = power * log_x, power * terms
-        if any(ks):
-            with np.errstate(divide="ignore"):
-                log_y, log_points = np.log(_abs(y)), np.log(_abs(points))
-        for row, k in enumerate(ks):
-            # k = 0 adds nothing: |0|^0 is 1, where 0 * log 0 would be NaN.
-            lhs[row] = log_x + k * log_y if k else log_x
-            rhs[row] = _log_sum_exp(terms + k * log_points if k else terms)
-        return lhs, rhs, LOG, np.ones(len(points), dtype=bool)
     log_rows = np.empty(len(points), dtype=bool)
     for rows in _chunks(len(points), (n + 1) * n * (n - 1) // 2):
         x, w = points[rows], y[rows]
@@ -745,9 +734,38 @@ def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
     return lhs, rhs, LINEAR, log_rows
 
 
+def _lagrange_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
+    """The logs of both replacement_sides sides, (len(ks), B) each, as Lagrange log sums.
+
+    metric is a pairwise-product METRICS name (not euclidean3).
+    """
+    lhs = np.empty((len(ks), len(points)))
+    rhs = np.empty_like(lhs)
+    log_x, terms = lagrange_log_rows(points, y)
+    if metric.endswith("root"):
+        power = _root_power(points.shape[1])
+        log_x, terms = power * log_x, power * terms
+    if any(ks):
+        with np.errstate(divide="ignore"):
+            log_y, log_points = np.log(_abs(y)), np.log(_abs(points))
+    for row, k in enumerate(ks):
+        # k = 0 adds nothing: |0|^0 is 1, where 0 * log 0 would be NaN.
+        lhs[row] = log_x + k * log_y if k else log_x
+        rhs[row] = _log_sum_exp(terms + k * log_points if k else terms)
+    return lhs, rhs
+
+
 def _replacement_report(operation, inputs, points, y, metric, k, tol) -> MetricReport:
-    """Inequality report of replacement_sides on one row, flagged log_domain in that domain."""
-    lhs, rhs, domain, _ = replacement_sides(np.array([points]), np.array([y]), metric, (k,))
+    """Inequality report of replacement_sides on one row, flagged log_domain in that domain.
+
+    Finite points whose linear sides overflow (inf, or NaN from inf * 0)
+    are compared as Lagrange log sums instead, so they reach a verdict.
+    """
+    x, w = np.array([points]), np.array([y])
+    lhs, rhs, domain, _ = replacement_sides(x, w, metric, (k,))
+    if (domain == LINEAR and metric != "euclidean3" and np.isfinite(x).all()
+            and np.isfinite(w).all() and not np.isfinite([lhs, rhs]).all()):
+        (lhs, rhs), domain = _lagrange_sides(x, w, metric, (k,)), LOG
     return MetricReport(operation, inputs, float(lhs[0, 0]), float(rhs[0, 0]), tol,
                         kind=INEQUALITY, domain=domain,
                         flags={"log_domain": True} if domain == LOG else {})
@@ -756,7 +774,8 @@ def _replacement_report(operation, inputs, points, y, metric, k, tol) -> MetricR
 def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL) -> MetricReport:
     """Check d(x) <= sum_i d(x with x_i replaced by y) for a METRICS metric.
 
-    For n > 12 the logs of the sides are compared (replacement_sides).
+    For n > 12, and for finite points whose sides overflow, the logs of
+    the sides are compared (_replacement_report).
     """
     t = as_point_tuple(points)
     y = _coerce_like(t, y)
@@ -767,8 +786,9 @@ def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL) -> MetricR
 def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL) -> MetricReport:
     """Check |y|^k d_V(z) <= sum_i |z_i|^k d_V(z with z_i replaced by y).
 
-    k = 0 reduces to the plain simplex inequality.  For n > 12 the logs of
-    the sides are compared (replacement_sides).
+    k = 0 reduces to the plain simplex inequality.  For n > 12, and for
+    finite points whose sides overflow, the logs of the sides are compared
+    (_replacement_report).
     """
     z = _complex_points(points)
     y = complex(y)

@@ -155,7 +155,7 @@ def equality_gap_3(y: complex, z1: complex, z2: complex, z3: complex,
     y, z1, z2, z3 = complex(y), complex(z1), complex(z2), complex(z3)
     report = _replacement_report("equality_gap_3", {"y": y, "z": [z1, z2, z3]},
                                  (z1, z2, z3), y, "vandermonde", 0, tol)
-    equality = _equality(report.lhs, report.rhs, tol)
+    equality = _equality(report.lhs, report.rhs, tol, report.domain)
     report.flags["equality"] = equality
     report.flags["strict"] = report.passed and not equality
     return report

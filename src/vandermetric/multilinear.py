@@ -12,6 +12,7 @@ Definiteness of the induced metric is decided combinatorially for small
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -20,6 +21,8 @@ import numpy as np
 
 from .core import INEQUALITY, INEQUALITY_RTOL, LINEAR, MetricReport, MonotoneNorm, _vector_points
 from .errors import ArgumentError, ResourceError
+
+log = logging.getLogger(__name__)
 
 # Permutation expansion is factorially expensive; refuse beyond this size.
 EXPANSION_MAX_N = 8
@@ -302,8 +305,10 @@ class DefinitenessVerdict:
         return d
 
 
-# Assignments decided per array pass; its (n, C) label arrays stay near 1 MB.
-DECIDE_CHUNK = 4096
+# A block of assignments holds at most DECIDE_CHUNK // (n + ceil(P/8)) of
+# them: with n labels and ceil(P/8) bitmask bytes each at most, its arrays
+# stay near 0.5 MB whatever the budget.
+DECIDE_CHUNK = 1 << 16
 
 
 def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> DefinitenessVerdict:
@@ -317,8 +322,13 @@ def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> Definiteness
     found wins; exhaustion of all assignments proves definiteness.  Past
     `budget` assignments the verdict is "exhausted".
 
-    Assignments run in chunks of consecutive indices, each chunk decided in
-    one array pass (_first_separable).
+    An assignment is a number whose digits in base P = n(n-1)/2 are the
+    point pairs of the taus, most significant first.  The numbers run in
+    aligned blocks (_blocks) in which the leading digits are fixed and the
+    trailing ones run through a grid.  Coordinate r's classes depend only
+    on the digits of the m - 1 taus that contain r, so each block computes
+    them once per such sub-assignment (_first_separable); only the first
+    separable assignment gets its full labels, for the witness.
     """
     if n < 3:
         raise ArgumentError(f"n must be >= 3, got {n}")
@@ -328,65 +338,105 @@ def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> Definiteness
         raise ArgumentError(f"budget must be >= 1, got {budget}")
     pairs_n = ordered_pairs(n)
     pairs_m = ordered_pairs(m)
-    total = len(pairs_n) ** len(pairs_m)
+    base, width = len(pairs_n), len(pairs_m)
+    total = base ** width
     limit = min(budget, total)
-    for start in range(0, limit, DECIDE_CHUNK):
-        found = _first_separable(np.arange(start, min(start + DECIDE_CHUNK, limit)),
-                                 pairs_n, pairs_m, n, m)
-        if found is None:
+    ends = np.array(pairs_n).T  # (2, P): the two points of each point pair
+    taus = [[k for k, tau in enumerate(pairs_m) if r in tau] for r in range(m)]
+    chunk = max(1, DECIDE_CHUNK // (n + -(-base // 8)))
+    chunks = 0
+    for start, fixed, axes in _blocks(base, width, limit, chunk):
+        chunks += 1
+        row = _first_separable(fixed, axes, taus, ends, n)
+        if row is None or start + row >= limit:
             continue
-        index, labels, digits = found
+        index = start + row
+        digits = [index // base ** (width - 1 - k) % base for k in range(width)]
+        labels = [_coordinate_classes([np.array([digits[k]]) for k in ks], ends, n)[:, 0]
+                  for ks in taus]
         witness = _build_witness(labels, n, m)
         _verify_witness(n, m, witness)
         chosen = tuple((tau, pairs_n[d]) for tau, d in zip(pairs_m, digits))
-        return DefinitenessVerdict(
+        verdict = DefinitenessVerdict(
             n=n, m=m, verdict="counterexample", assignments_tried=index + 1,
             witness=witness, assignment=chosen,
         )
-    if limit < total:
-        return DefinitenessVerdict(n=n, m=m, verdict="exhausted", assignments_tried=limit)
-    return DefinitenessVerdict(n=n, m=m, verdict="definite", assignments_tried=total)
+        break
+    else:
+        verdict = DefinitenessVerdict(n=n, m=m, verdict="exhausted" if limit < total else
+                                      "definite", assignments_tried=limit)
+    log.debug("definiteness_decide n=%d m=%d: %s after %d assignments in %d chunks", n, m,
+              verdict.verdict, verdict.assignments_tried, chunks)
+    return verdict
 
 
-def _first_separable(index, pairs_n, pairs_m, n, m):
-    """The first of the assignments numbered `index` that admits pairwise-distinct points.
+def _blocks(base, width, limit, chunk):
+    """Aligned blocks of at most `chunk` consecutive assignments below limit.
 
-    Returns None, or its number, its class labels at each coordinate and its
-    point-pair digits.
+    Yields (start, fixed, axes): the block's first assignment number, the
+    digits of its leading positions and the values that each trailing
+    position runs through, the block being their grid in lexicographic
+    order.  The last e positions run through every digit, base**e <= chunk,
+    and the position before them through c consecutive digits.
     """
-    # digits[k] is the point pair each assignment gives tau k, most significant first.
-    digits = np.empty((len(pairs_m), len(index)), dtype=np.intp)
-    quotient = index
-    for k in reversed(range(len(pairs_m))):
-        quotient, digits[k] = np.divmod(quotient, len(pairs_n))
-    ends = np.array(pairs_n).T  # (2, P_n): the two points of each point pair
-    labels = [_coordinate_classes(digits, ends, pairs_m, r, n) for r in range(m)]
-    together = np.ones((len(pairs_n), len(index)), dtype=bool)
-    for classes in labels:
-        together &= classes[ends[0]] == classes[ends[1]]
-    separable = np.flatnonzero(~together.any(axis=0))
-    if not len(separable):
-        return None
-    row = separable[0]
-    return int(index[row]), [classes[:, row] for classes in labels], digits[:, row]
+    e = 0
+    while e < width - 1 and base ** (e + 1) <= chunk:
+        e += 1
+    span = base ** e
+    c = max(1, min(base, chunk // span))
+    for outer in range(-(-limit // (base * span))):
+        fixed = [outer // base ** (width - 2 - e - k) % base for k in range(width - 1 - e)]
+        for low in range(0, base, c):
+            start = (outer * base + low) * span
+            if start >= limit:
+                return
+            yield start, fixed, [np.arange(low, min(low + c, base))] + [np.arange(base)] * e
 
 
-def _coordinate_classes(digits, ends, pairs_m, r, n):
-    """(n, C) labels of the points each of C assignments forces equal at coordinate r.
+def _first_separable(fixed, axes, taus, ends, n):
+    """Position, in its block, of the block's first assignment that admits pairwise-distinct points.
 
-    digits[k] is the point pair each assignment gives tau k and ends holds
-    the two points of each pair.  The pairs of the taus containing r are
-    merged one edge at a time: the larger of the two labels becomes the
-    smaller, in every assignment at once.
+    fixed and axes describe the block as _blocks yields it; taus[r] lists
+    the taus that contain coordinate r.  Coordinate r's classes are
+    computed once for each combination of its taus' digits in the block,
+    and each combination's point pairs kept together (in one class) become
+    a bitmask.  The masks AND-ed across coordinates, broadcast over the
+    block, leave an assignment's bits all zero iff every point pair is
+    separated somewhere.  Returns None when no assignment of the block is
+    separable.
     """
-    c = digits.shape[1]
+    lead = len(fixed)
+    together = None
+    for ks in taus:
+        moving = [k - lead for k in ks if k >= lead]
+        grid = np.meshgrid(*(axes[a] for a in moving), indexing="ij")
+        size = grid[0].size if moving else 1
+        kills = [np.full(size, fixed[k]) if k < lead else grid[moving.index(k - lead)].ravel()
+                 for k in ks]
+        classes = _coordinate_classes(kills, ends, n)
+        kept = np.packbits(classes[ends[0]] == classes[ends[1]], axis=0)
+        kept = kept.reshape((len(kept),) + tuple(len(v) if a in moving else 1
+                                                 for a, v in enumerate(axes)))
+        together = kept if together is None else together & kept
+    free = ~together.any(axis=0).ravel()
+    row = int(free.argmax())
+    return row if free[row] else None
+
+
+def _coordinate_classes(kills, ends, n):
+    """(n, C) labels of the points that C sub-assignments force equal at one coordinate.
+
+    kills holds, for each tau that contains the coordinate, the point pair
+    each sub-assignment gives it, and ends the two points of each pair.
+    The pairs are merged one edge at a time: the larger of the two labels
+    becomes the smaller, in every sub-assignment at once.
+    """
+    c = len(kills[0])
     rows = np.arange(c)
     labels = np.repeat(np.arange(n)[:, None], c, axis=1)
-    for k, tau in enumerate(pairs_m):
-        if r not in tau:
-            continue
+    for digit in kills:
         # Offsets into the flattened labels of the two killed points.
-        a, b = (np.take(labels, np.take(end * c, digits[k]) + rows) for end in ends)
+        a, b = (np.take(labels, np.take(end * c, digit) + rows) for end in ends)
         low, high = np.minimum(a, b), np.maximum(a, b)
         labels = np.where(labels == high, low, labels)
     return labels

@@ -8,6 +8,7 @@ import pytest
 from vandermetric import (
     MultilinearMapSpec,
     ResourceError,
+    definiteness_decide,
     extended_inequality_gap,
     generalized_metric,
     permutation_expansion,
@@ -129,14 +130,20 @@ class TestMultilinearKernels:
                 assert abs(gaps[t] - ref) <= 1e-12
 
 
-def _temporaries(kernel, *args):
-    """Peak bytes numpy allocated during kernel(*args), less its outputs."""
+def _peak(function, *args):
+    """(peak bytes allocated during function(*args), its result)."""
     tracemalloc.start()
     try:
-        sides = kernel(*args)
+        result = function(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, result
+
+
+def _temporaries(kernel, *args):
+    """Peak bytes numpy allocated during kernel(*args), less its outputs."""
+    peak, sides = _peak(kernel, *args)
     return peak - sum(side.nbytes for side in sides)
 
 
@@ -154,4 +161,22 @@ def test_replacement_temporaries_do_not_grow_with_the_batch(rng, name):
 
     # Both batches span several chunks; the larger one holds 4x the rows.
     small, large = call(8000), call(32000)
+    assert large <= small + (1 << 16)
+
+
+def test_expansion_temporaries_do_not_grow_with_the_batch(rng):
+    def call(b):
+        return _temporaries(batch.expansion_batch, rng.uniform(-1, 1, size=(b, 5, 3)))
+
+    call(2000)  # caches the permutation groups this row chunk uses
+    # Both batches span several row chunks; the larger one holds 4x the rows.
+    small, large = call(2000), call(8000)
+    assert large <= small + (1 << 16)
+
+
+def test_decider_temporaries_do_not_grow_with_the_budget():
+    # (4, 6) is exhausted at either budget; an array of the larger budget's
+    # assignment numbers alone would take 320 KB.
+    (small, short), (large, long) = (_peak(definiteness_decide, 4, 6, b) for b in (4000, 40000))
+    assert (short.verdict, long.verdict) == ("exhausted", "exhausted")
     assert large <= small + (1 << 16)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from vandermetric import ArgumentError, CampaignConfig, campaign, run_campaign
+from vandermetric import ArgumentError, CampaignConfig, ResourceError, campaign, run_campaign
 from vandermetric.campaign import CAMPAIGN_OPS, multilinear_oracle_exact
 
 
@@ -58,6 +58,21 @@ class TestRunners:
 
     def test_multilinear_oracle_exact_gap_zero(self):
         assert multilinear_oracle_exact(seed=5, trials=200, n=4, m=3) == 0
+
+    @pytest.mark.parametrize("args,message", [
+        (dict(n=1, m=3, trials=5), "need n >= 2"),
+        (dict(n=3, m=1, trials=5), "need m >= 2"),
+        (dict(n=3, m=3, trials=0), "trials must be >= 1"),
+    ])
+    def test_multilinear_oracle_exact_rejects_what_the_campaign_rejects(self, args, message):
+        with pytest.raises(ArgumentError, match=message):
+            multilinear_oracle_exact(seed=5, **args)
+        with pytest.raises(ArgumentError, match=message):
+            run_campaign(CampaignConfig(op="multilinear-oracle", seed=5, **args))
+
+    def test_multilinear_oracle_exact_past_n_8_is_a_resource_error(self):
+        with pytest.raises(ResourceError):
+            multilinear_oracle_exact(seed=5, trials=1, n=9, m=2)
 
     def test_sum_identity(self):
         result = run_campaign(CampaignConfig(op="sum-identity", seed=6, trials=500,

@@ -112,14 +112,15 @@ class TestExtended:
                                       "--y", "1,1", "--k", "7"])
         assert result.exit_code == 2
 
-    def test_overflowing_weight_fails_closed(self, runner, tmp_path):
+    def test_overflowing_weight_is_decided_in_logs(self, runner, tmp_path):
         path = tmp_path / "huge.csv"
         write_csv(path, [(1e200, 0), (0, 1), (2, 0)])
         result = runner.invoke(main, ["extended", "--input", str(path), "--y", "1e200,0",
                                       "--k", "2"])
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)  # no traceback
+        assert result.exit_code == 0
         record = json.loads(result.output)
-        assert record["pass"] is False and record["lhs"] == "inf"
+        assert record["pass"] is True and record["log_domain"] is True
+        assert record["lhs"] == record["rhs"] == pytest.approx(1842.8727933514538)
 
 
 class TestEqualityFamily:

@@ -327,6 +327,29 @@ class TestSimplexGap:
         with pytest.raises(ArgumentError):
             simplex_gap([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)], (1.0,), metric="euclidean3")
 
+    def test_overflowing_sides_are_compared_in_logs(self):
+        z, y = [1e200, 1j, 2, 3, -1j], 0.5
+        report = simplex_gap(z, y)
+        assert report.passed and report.domain == LOG and report.flags == {"log_domain": True}
+        assert report.lhs == pytest.approx(_log_dv(z), rel=1e-12)
+        terms = [_log_dv(z[:i] + [y] + z[i + 1:]) for i in range(len(z))]
+        assert report.rhs == pytest.approx(_log_sum(terms), rel=1e-12)
+        assert (report.lhs, report.rhs) == pytest.approx((1846.67, 1847.01), abs=0.01)
+
+    def test_non_finite_points_still_fail_closed(self):
+        report = simplex_gap([1e200, 1j, 2], math.nan)
+        assert not report.passed and report.domain == LINEAR and report.flags == {}
+
+
+def _log_dv(z):
+    return math.fsum(math.log(abs(z[i] - z[j])) for j in range(len(z))
+                     for i in range(j + 1, len(z)))
+
+
+def _log_sum(terms):
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
 
 class TestExtendedInequality:
     def test_k_zero_is_simplex(self):
@@ -345,12 +368,21 @@ class TestExtendedInequality:
             for k in range(4):
                 assert extended_inequality_gap(z, y, k).passed
 
-    def test_an_overflowing_weight_is_inf_and_fails_closed(self):
+    def test_an_overflowing_weight_is_compared_in_logs(self):
         z = [1e200, 1j, 2]
         for y, k in [(1e200, 2), (1.0, 2), (1e200, 1)]:
             report = extended_inequality_gap(z, y, k)
-            assert not report.passed and math.isnan(report.gap)
-            assert report.lhs == math.inf or report.rhs == math.inf
+            assert report.passed and report.domain == LOG and report.flags == {"log_domain": True}
+            assert report.lhs == pytest.approx(k * math.log(abs(y)) + _log_dv(z), rel=1e-12)
+
+    def test_overflowing_products_are_compared_in_logs(self):
+        z, y, k = [1e150, 1j, 2, 3, -1j], 0.5, 2
+        report = extended_inequality_gap(z, y, k)
+        assert report.passed and report.domain == LOG and report.flags == {"log_domain": True}
+        terms = [k * math.log(abs(z[i])) + _log_dv(z[:i] + [y] + z[i + 1:])
+                 for i in range(len(z))]
+        assert report.lhs == pytest.approx(k * math.log(abs(y)) + _log_dv(z), rel=1e-12)
+        assert report.rhs == pytest.approx(_log_sum(terms), rel=1e-12)
 
     def test_finite_weights_keep_their_bits(self):
         z = [1e150, 1j, 2]

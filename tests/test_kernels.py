@@ -474,6 +474,21 @@ def test_decider_outputs_are_unchanged(args, expected):
     assert definiteness_decide(n, m, budget=budget).to_dict() == expected
 
 
+def test_oracles_log_at_debug_and_keep_their_output(caplog, monkeypatch):
+    runner = CliRunner()
+    commands = [["campaign", "--op", "multilinear-oracle", "--n", "5", "--m", "3",
+                 "--trials", "50", "--seed", "3"],
+                ["definiteness", "--n", "3", "--m", "5"]]
+    quiet = [runner.invoke(main, args).stdout for args in commands]
+    monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
+    with caplog.at_level(logging.DEBUG, logger="vandermetric"):
+        loud = [runner.invoke(main, args).stdout for args in commands]
+    assert loud == quiet and '"verdict": "definite"' in quiet[1]
+    assert [r.getMessage() for r in caplog.records] == [
+        "expansion_batch n=5: 5 prefix groups of 24 permutations",
+        "definiteness_decide n=3 m=5: definite after 59049 assignments in 6 chunks"]
+
+
 def decide_loop(n, m, budgets):
     """The per-assignment definiteness loop with its union-find, witness unverified.
 
@@ -525,6 +540,14 @@ def test_decider_equals_the_assignment_loop(n, m):
     for budget in budgets:
         got, want = definiteness_decide(n, m, budget=budget), loop[budget]
         assert got == want and got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("chunk", [12, 40, 300])
+def test_decider_blocks_of_any_size_give_the_same_verdicts(monkeypatch, chunk):
+    cases = [(3, 4, 10**6), (3, 4, 500), (4, 4, 10**6), (4, 4, 200), (5, 3, 10**6)]
+    want = [definiteness_decide(n, m, budget=b) for n, m, b in cases]
+    monkeypatch.setattr("vandermetric.multilinear.DECIDE_CHUNK", chunk)
+    assert [definiteness_decide(n, m, budget=b) for n, m, b in cases] == want
 
 
 # sha256 of the multilinear-oracle JSONL at tol 0, recorded with the
