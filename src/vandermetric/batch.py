@@ -328,23 +328,24 @@ def _prefixes(planes, pairs, scratch, unused, value=None):
     """Yield the folded prefix of each group in turn, lexicographically; None is empty.
 
     planes are the (re, im) point-major planes and pairs holds two (re, im)
-    buffer pairs for each prefix point still to fold.  The next point
-    multiplies value by x_l, x_l, ... up to each unused power in turn, so
+    buffer pairs for each prefix point still to fold.  The next point, x,
+    multiplies value by x, x, ... up to each unused power in turn, so
     siblings share that chain and every prefix is folded once.  A yielded
     prefix stays intact until the next one is asked for.
     """
     if not pairs:
         yield value
         return
-    l = len(planes[0]) - len(unused)
+    point = len(planes[0]) - len(unused)
+    x = planes[0][point], planes[1][point]
     power = 0
     for v in unused:
         for _ in range(power, v):
             if value is None:
-                value = planes[0][l], planes[1][l]
+                value = x
             else:
                 out_re, out_im = pairs[0][value[0] is pairs[0][0][0]]
-                value = _complex_mul(*value, planes[0][l], planes[1][l], out_re, scratch, out_im)
+                value = _complex_mul(*value, *x, out_re, scratch, out_im)
         power = v
         yield from _prefixes(planes, pairs[1:], scratch, [u for u in unused if u != v], value)
 
