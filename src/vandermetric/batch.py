@@ -307,10 +307,12 @@ def _prefix_groups(n: int, k: int) -> tuple:
     """The permutations of {0, ..., n-1} in lexicographic groups of k! that share a prefix.
 
     A group's members agree on sigma(0 .. n-k-1) and run through the
-    permutations of the last k values.  Each group is (suffix, signs): the
+    permutations of the last k values.  Each group is (suffix, sign): the
     read-only (L, k!) argument indices of its members' factors of the last
-    k points, one row per fold step, and its members' signs, members in
-    lexicographic order.
+    k points, one row per fold step, members in lexicographic order, and
+    the sign of its first member.  The members' signs are sign times those
+    of the permutations of k values in lexicographic order, since the
+    inversions between prefix and suffix do not depend on the suffix's order.
     """
     signs, indices = expansion_terms(n)
     size = math.factorial(k)
@@ -320,7 +322,7 @@ def _prefix_groups(n: int, k: int) -> tuple:
         head = int(np.count_nonzero(indices[start] < n - k))
         suffix = np.ascontiguousarray(indices[start:start + size, head:].T)
         suffix.flags.writeable = False
-        groups.append((suffix, signs[start:start + size].tolist()))
+        groups.append((suffix, int(signs[start])))
     return tuple(groups)
 
 
@@ -350,24 +352,38 @@ def _prefixes(planes, pairs, scratch, unused, value=None):
         yield from _prefixes(planes, pairs[1:], scratch, [u for u in unused if u != v], value)
 
 
-def _expand_rows(planes_re, planes_im, groups, depth, acc_re, acc_im):
+def _expand_rows(planes_re, planes_im, groups, pattern, depth, acc):
     """Add every group's signed leaves into acc, in lexicographic permutation order.
 
-    planes are the (n, R, P) point-major re and im planes of R rows, and
-    the groups share prefixes over the first depth points (_prefixes).  A
-    group's members fold their remaining factors in lockstep, starting
-    from the prefix (from their first factor when it is empty), and are
-    added into acc in order.  Every leaf gets the operations of a
-    left-to-right fold of its own factors.
+    planes are the (n, R, P) point-major re and im planes of R rows, acc
+    the (2, R, P) re and im accumulators, the groups share prefixes over
+    the first depth points (_prefixes), and pattern holds the signs of the
+    permutations of k values in lexicographic order.  A group's members
+    fold their remaining factors in lockstep, starting from the prefix
+    (from their first factor when it is empty).  Their signed leaves go to
+    rows 1.. of one (k! + 1, 2, R, P) buffer, acc to row 0, and one
+    reduction over the rows, the slowest axis, adds them into acc in row
+    order.  Every leaf gets the operations of a left-to-right fold of its
+    own factors, and acc the additions of a per-leaf loop (a product with
+    -1 is exact).
     """
     shape, dtype = planes_re.shape[1:], planes_re.dtype
     scratch = np.empty(shape, dtype)
     # Two (re, im) pairs per prefix point: a step reads one and writes the other.
     pairs = [[(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(2)]
              for _ in range(depth)]
-    re, im, a, b, x, y = (np.empty((len(groups[0][1]),) + shape, dtype) for _ in range(6))
+    size = len(pattern)
+    re, im, a, b, x, y = (np.empty((size,) + shape, dtype) for _ in range(6))
+    sums = np.empty((size + 1, 2) + shape, dtype)
+    # The members' signs of either group sign, full size: a multiply with a
+    # broadcast sign runs several times slower.
+    signed = {1: np.empty_like(re)}
+    signed[1][...] = pattern[:, None, None]
+    signed[-1] = -signed[1]
+    # -0.0 + s is s for every float s, -0.0 too; an integer dtype reads it as 0.
+    start = dtype.type(-0.0)
     prefixes = _prefixes((planes_re, planes_im), pairs, scratch, list(range(len(planes_re))))
-    for prefix, (suffix, signs) in zip(prefixes, groups):
+    for prefix, (suffix, sign) in zip(prefixes, groups):
         # mode="clip" writes straight into out; the default mode buffers it.
         if prefix is None:
             planes_re.take(suffix[0], 0, re, "clip")
@@ -382,10 +398,10 @@ def _expand_rows(planes_re, planes_im, groups, depth, acc_re, acc_im):
             planes_re.take(column, 0, a, "clip")
             planes_im.take(column, 0, b, "clip")
             leaf_re, leaf_im, free = _complex_step(leaf_re, leaf_im, a, b, free, y)
-        for j, sign in enumerate(signs):
-            step = np.add if sign > 0 else np.subtract
-            step(acc_re, leaf_re[j], out=acc_re)
-            step(acc_im, leaf_im[j], out=acc_im)
+        np.multiply(leaf_re, signed[sign], out=sums[1:, 0])
+        np.multiply(leaf_im, signed[sign], out=sums[1:, 1])
+        sums[0] = acc
+        np.add.reduce(sums, axis=0, out=acc, initial=start)
 
 
 def expansion_batch(points: np.ndarray):
@@ -409,20 +425,20 @@ def expansion_batch(points: np.ndarray):
     while k < n and math.factorial(k + 1) * width <= EXPANSION_CHUNK_ELEMENTS:
         k += 1
     groups = _prefix_groups(n, k)
+    pattern = expansion_terms(k)[0]
     log.debug("expansion_batch n=%d: %d prefix groups of %d permutations", n, len(groups),
               math.factorial(k))
-    acc_re = np.zeros((B, p), dtype=points.dtype)
-    acc_im = np.zeros((B, p), dtype=points.dtype)
+    acc = np.zeros((2, B, p), dtype=points.dtype)
     for start in range(0, B, rows):
-        chunk = slice(start, start + rows)
-        _expand_rows(*_coordinate_planes(points[chunk]), groups, n - k, acc_re[chunk],
-                     acc_im[chunk])
-    return acc_re, acc_im
+        _expand_rows(*_coordinate_planes(points[start:start + rows]), groups, pattern, n - k,
+                     acc[:, start:start + rows])
+    return acc[0], acc[1]
 
 
 def _norm(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Euclidean norm of the [re | im] components along the last axis, in float."""
-    return np.sqrt(np.sum(re.astype(float) ** 2 + im.astype(float) ** 2, axis=-1))
+    return np.sqrt(np.sum(re.astype(float, copy=False) ** 2 + im.astype(float, copy=False) ** 2,
+                          axis=-1))
 
 
 def generalized_metric_batch(points: np.ndarray) -> np.ndarray:

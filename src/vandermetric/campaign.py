@@ -44,6 +44,11 @@ log = logging.getLogger(__name__)
 
 _MAX_RECORDED_FAILURES = 100
 
+# Side elements per verdict block of _reduce.  The verdict's temporaries of
+# one block, about 1 MiB, stay in a 4 MiB L2 cache; on (1e5, 6) identity and
+# 4e5-row inequality sides 1 << 14 judged faster than 1 << 13 and 1 << 15.
+_VERDICT_BLOCK_ELEMENTS = 1 << 14
+
 # The tolerance of a campaign whose config gives none: its claim kind's.
 _DEFAULT_TOL = {INEQUALITY: INEQUALITY_RTOL, IDENTITY: IDENTITY_RTOL, BOUND: ESTIMATE_RTOL}
 
@@ -140,42 +145,54 @@ def _reduce(config, kind, domain, lhs, rhs, extra) -> CampaignResult:
 
     The tolerance is config.tol, or the kind's default when that is None.
     worst is the smallest normalized gap of an inequality and the largest
-    of an identity or a bound; with no row to check it is NaN.
+    of an identity or a bound; with no row to check it is NaN.  The verdict
+    runs on consecutive blocks of _VERDICT_BLOCK_ELEMENTS side elements, so
+    its temporaries hold one block; it judges each row on its own, so the
+    blocks give the counts, records and worst of one whole-batch call.
     """
     tol = _DEFAULT_TOL[kind] if config.tol is None else config.tol
-    v = verdict(kind, domain, lhs, rhs, tol)
-    bad = np.flatnonzero(~v.passed)
-    scale = np.broadcast_to(v.scale, v.gap.shape)
-    failures = []
-    for t in bad[:_MAX_RECORDED_FAILURES]:
-        if kind == IDENTITY:
-            rec = {"gap": float(v.gap[t]), "scale": float(scale[t])}
-        else:
-            rec = {"lhs": float(lhs[t]), "rhs": float(rhs[t]),
-                   "gap": float(rhs[t] - lhs[t])}
-        rec.update(record="violation", trial=int(t), seed=config.seed)
-        rec.update(extra(int(t)))
-        failures.append(rec)
-    normalized = v.normalized
-    if not len(normalized):
-        worst = math.nan
-    elif kind == INEQUALITY:
-        worst = float(np.min(normalized))
-    else:
-        worst = float(np.max(normalized))
+    rows = len(lhs)
+    step = max(1, _VERDICT_BLOCK_ELEMENTS // math.prod(lhs.shape[1:]))
+    # np.min and np.max propagate NaN, so a NaN in any block makes worst NaN.
+    extreme = np.min if kind == INEQUALITY else np.max
+    violations, failures, extremes = 0, [], []
+    for start in range(0, rows, step):
+        v = verdict(kind, domain, lhs[start:start + step], rhs[start:start + step], tol)
+        bad = np.flatnonzero(~v.passed)
+        violations += len(bad)
+        extremes.append(extreme(v.normalized))
+        scale = np.broadcast_to(v.scale, v.gap.shape)
+        for b in bad[:_MAX_RECORDED_FAILURES - len(failures)].tolist():
+            t = start + b
+            if kind == IDENTITY:
+                rec = {"gap": float(v.gap[b]), "scale": float(scale[b])}
+            else:
+                rec = {"lhs": float(lhs[t]), "rhs": float(rhs[t]),
+                       "gap": float(rhs[t] - lhs[t])}
+            rec.update(record="violation", trial=t, seed=config.seed)
+            rec.update(extra(t))
+            failures.append(rec)
+    log.debug("%s campaign: %d rows judged, %d verdict blocks, %d violations", config.op,
+              rows, len(extremes), violations)
     return CampaignResult(
         config=config,
-        trials=len(normalized),
-        violations=int(len(bad)),
-        worst=worst,
-        checked=len(normalized),
+        trials=rows,
+        violations=violations,
+        worst=float(extreme(extremes)) if extremes else math.nan,
+        checked=rows,
         kind=kind,
         failures=failures,
     )
 
 
 def _complex_sample(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Complex standard normals: the first draw is the real parts, the second the imaginary."""
+    z = np.empty(shape, dtype=complex)
+    # The generator fills only contiguous arrays, so each draw is one float
+    # plane, copied into place.
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
 
 
 def _jsonable_complex(z):

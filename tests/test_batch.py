@@ -19,8 +19,8 @@ from vandermetric import (
     vandermonde_metric,
     w_identity_gap,
 )
-from vandermetric import batch
-from vandermetric.core import IDENTITY, LINEAR, verdict
+from vandermetric import CampaignConfig, batch, campaign
+from vandermetric.core import IDENTITY, INEQUALITY, LINEAR, verdict
 
 RTOL = 1e-12
 
@@ -180,3 +180,26 @@ def test_decider_temporaries_do_not_grow_with_the_budget():
     (small, short), (large, long) = (_peak(definiteness_decide, 4, 6, b) for b in (4000, 40000))
     assert (short.verdict, long.verdict) == ("exhausted", "exhausted")
     assert large <= small + (1 << 16)
+
+
+@pytest.mark.parametrize("kind,columns,b", [(IDENTITY, 6, 20000), (INEQUALITY, None, 40000)])
+def test_reduce_temporaries_do_not_grow_with_the_batch(rng, kind, columns, b):
+    def call(rows):
+        shape = (rows, columns) if columns else (rows,)
+        lhs = rng.uniform(0.5, 2.0, size=shape)
+        rhs = lhs.copy()
+        rhs[::rows // 200] -= 1.0  # 200 failing rows, so both record 100 failures
+        config = CampaignConfig(op="simplex")
+        peak, result = _peak(campaign._reduce, config, kind, LINEAR, lhs, rhs, lambda t: {})
+        assert result.violations == 200
+        return peak
+
+    # Both batches span several verdict blocks; the larger one holds 4x the rows.
+    small, large = call(b), call(4 * b)
+    assert large <= small + (1 << 16)
+
+
+def test_complex_sample_allocates_its_output_and_one_float_plane():
+    peak, z = _peak(campaign._complex_sample, np.random.default_rng(3), (20000, 6))
+    assert z.dtype == complex and z.shape == (20000, 6)
+    assert peak <= z.nbytes + z.real.nbytes + (1 << 12)

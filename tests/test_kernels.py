@@ -33,7 +33,7 @@ from vandermetric.campaign import (
     _rng,
     random_ode_problem,
 )
-from vandermetric import batch
+from vandermetric import batch, campaign
 from vandermetric.batch import expansion_batch
 from vandermetric.cli import main
 from vandermetric.core import _pair_indices, vandermonde_log_rows, vandermonde_rows
@@ -332,7 +332,8 @@ def test_campaigns_log_log_domain_refined_and_skipped_rows(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="vandermetric"):
         run_campaign(CampaignConfig(op="ode", seed=2, trials=2))
     assert [r.getMessage() for r in caplog.records] == [
-        f"ode trial {t}: 101 grid times near a collision left out" for t in range(2)]
+        *[f"ode trial {t}: 101 grid times near a collision left out" for t in range(2)],
+        "ode campaign: 0 rows judged, 0 verdict blocks, 0 violations"]
 
 
 def test_ode_campaign_that_checks_no_row_fails(monkeypatch):
@@ -486,7 +487,29 @@ def test_oracles_log_at_debug_and_keep_their_output(caplog, monkeypatch):
     assert loud == quiet and '"verdict": "definite"' in quiet[1]
     assert [r.getMessage() for r in caplog.records] == [
         "expansion_batch n=5: 5 prefix groups of 24 permutations",
+        "multilinear-oracle campaign: 50 rows judged, 1 verdict blocks, 0 violations",
         "definiteness_decide n=3 m=5: definite after 59049 assignments in 6 chunks"]
+
+
+def test_reduce_logs_its_verdict_blocks_and_keeps_the_streams(caplog, monkeypatch):
+    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", 1000)
+    runner = CliRunner()
+    commands = [["campaign", "--op", "simplex", "--n", "5", "--trials", "2500", "--seed", "4"],
+                ["campaign", "--op", "sum-identity", "--n", "4", "--m", "3", "--trials", "500",
+                 "--seed", "4"],
+                ["campaign", "--op", "ode", "--trials", "12", "--seed", "4"]]
+    quiet = [runner.invoke(main, args) for args in commands]
+    monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
+    with caplog.at_level(logging.DEBUG, logger="vandermetric"):
+        loud = [runner.invoke(main, args) for args in commands]
+    assert [r.exit_code for r in quiet + loud] == [0] * 6
+    assert [r.stdout for r in loud] == [r.stdout for r in quiet]
+    # (500, 6) identity sides take 166 rows a block; the ode campaign judges
+    # every grid time of each trial, 101 or 301 on a refined grid.
+    assert [r.getMessage() for r in caplog.records if "rows judged" in r.getMessage()] == [
+        "simplex campaign: 2500 rows judged, 3 verdict blocks, 0 violations",
+        "sum-identity campaign: 500 rows judged, 4 verdict blocks, 0 violations",
+        "ode campaign: 1412 rows judged, 2 verdict blocks, 0 violations"]
 
 
 def decide_loop(n, m, budgets):

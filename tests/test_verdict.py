@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vandermetric import CampaignConfig, CyclicPolygon, run_campaign
+from vandermetric import CampaignConfig, CyclicPolygon, batch, campaign, run_campaign
 from vandermetric.cli import main
-from vandermetric.campaign import _reduce, _rng
+from vandermetric.campaign import CampaignResult, _reduce, _rng
 from vandermetric.core import (
     BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, _row_max, verdict,
 )
@@ -141,3 +142,113 @@ def test_polygon_campaign_rows_match_reports(check, n, checker, tol):
                              **kwargs).passed}
     assert {f["trial"] for f in result.failures} == failed
     assert result.violations == len(failed)
+
+
+# ---------------------------------------------------------------------------
+# The reducer judges in blocks: the same result as one whole-batch verdict
+
+
+def reduce_whole(config, kind, domain, lhs, rhs, extra):
+    """The reducer that judging in blocks replaced: one verdict over the whole batch."""
+    tol = campaign._DEFAULT_TOL[kind] if config.tol is None else config.tol
+    v = verdict(kind, domain, lhs, rhs, tol)
+    bad = np.flatnonzero(~v.passed)
+    scale = np.broadcast_to(v.scale, v.gap.shape)
+    failures = []
+    for t in bad[:campaign._MAX_RECORDED_FAILURES]:
+        if kind == IDENTITY:
+            rec = {"gap": float(v.gap[t]), "scale": float(scale[t])}
+        else:
+            rec = {"lhs": float(lhs[t]), "rhs": float(rhs[t]), "gap": float(rhs[t] - lhs[t])}
+        rec.update(record="violation", trial=int(t), seed=config.seed)
+        rec.update(extra(int(t)))
+        failures.append(rec)
+    normalized = v.normalized
+    if not len(normalized):
+        worst = math.nan
+    elif kind == INEQUALITY:
+        worst = float(np.min(normalized))
+    else:
+        worst = float(np.max(normalized))
+    return CampaignResult(config=config, trials=len(normalized), violations=int(len(bad)),
+                          worst=worst, checked=len(normalized), kind=kind, failures=failures)
+
+
+def assert_blocks_equal_whole(kind, domain, lhs, rhs, extra=lambda t: {"row": t}):
+    config = CampaignConfig(op="simplex", seed=5, tol=1e-9)
+    with np.errstate(all="ignore"):
+        got = _reduce(config, kind, domain, lhs, rhs, extra)
+        want = reduce_whole(config, kind, domain, lhs, rhs, extra)
+    assert (got.trials, got.checked, got.violations) == (want.trials, want.checked,
+                                                         want.violations)
+    assert list(got.json_lines()) == list(want.json_lines())
+    # Bit for bit; a NaN's payload is not output (it is written "nan").
+    if math.isnan(want.worst):
+        assert math.isnan(got.worst)
+    else:
+        assert struct.pack("<d", got.worst) == struct.pack("<d", want.worst)
+    return got
+
+
+# 24 side elements a block: 24 rows of (B,) sides, 4 rows of (B, 6) sides.
+BLOCK_ELEMENTS = 24
+
+
+# Every kind and domain on (B,) sides, and the (B, 6) component sides of the
+# linear identity campaigns.
+REDUCE_CASES = [(kind, domain, None) for kind in KINDS for domain in DOMAINS] + [
+    (IDENTITY, LINEAR, 6)]
+
+
+@pytest.mark.parametrize("finite", [True, False])
+@pytest.mark.parametrize("kind,domain,columns", REDUCE_CASES)
+def test_blocks_equal_one_whole_batch_verdict(monkeypatch, kind, domain, columns, finite):
+    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    per_block = BLOCK_ELEMENTS // (columns or 1)
+    rows = 60 * per_block + per_block // 2 + 1  # a short last block
+    rng = np.random.default_rng(17)
+    shape = (rows, columns) if columns else (rows,)
+    lhs = rng.uniform(0.5, 2.0, size=shape)
+    # About two rows in three fail, so more than 100 of them, in every block.
+    bad = rng.random(rows) < 2 / 3
+    if kind == INEQUALITY:
+        rhs = lhs + np.where(bad, -1.0, 1.0) * rng.uniform(0.01, 1.0, size=rows)
+    elif kind == BOUND:
+        rhs = lhs * np.where(bad, rng.uniform(0.5, 0.9, size=rows), 1.0)
+    else:
+        noise = rng.uniform(0.01, 1.0, size=shape)
+        rhs = lhs + np.where(bad if not columns else bad[:, None], noise, 0.0)
+    if not finite:
+        # Non-finite values only in the last blocks; each kind meets NaN and both infinities.
+        late = rows - per_block - 1
+        for row, side, value in [(late, lhs, math.nan), (late + 1, rhs, math.inf),
+                                 (rows - 1, lhs, -math.inf), (rows - 2, rhs, -math.inf)]:
+            side[row] = value
+    result = assert_blocks_equal_whole(kind, domain, lhs, rhs)
+    assert result.violations > campaign._MAX_RECORDED_FAILURES
+    assert len(result.failures) == campaign._MAX_RECORDED_FAILURES
+    assert math.isnan(result.worst) is not finite
+
+
+def test_blocks_equal_one_whole_batch_verdict_on_raveled_extended_rows(monkeypatch):
+    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    rng = np.random.default_rng(19)
+    b, n = 37, 4
+    z = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+    y = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+    lhs, rhs = batch.extended_sides_complex(z, y, range(n))
+    extra = lambda t: {"k": t // b, "row": t % b}
+    assert_blocks_equal_whole(INEQUALITY, LINEAR, lhs.ravel(), rhs.ravel(), extra)
+    # Swapped sides fail in almost every row of every k.
+    result = assert_blocks_equal_whole(INEQUALITY, LINEAR, rhs.ravel(), lhs.ravel(), extra)
+    assert result.violations > campaign._MAX_RECORDED_FAILURES
+    assert [f["k"] for f in result.failures[-3:]] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("kind,domain,columns", REDUCE_CASES)
+def test_empty_sides_check_nothing_and_fail(monkeypatch, kind, domain, columns):
+    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    empty = np.empty((0, columns) if columns else (0,))
+    result = assert_blocks_equal_whole(kind, domain, empty, empty.copy())
+    assert (result.trials, result.checked, result.violations) == (0, 0, 0)
+    assert math.isnan(result.worst) and not result.passed
