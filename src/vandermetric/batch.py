@@ -352,6 +352,51 @@ def _prefixes(planes, pairs, scratch, unused, value=None):
         yield from _prefixes(planes, pairs[1:], scratch, [u for u in unused if u != v], value)
 
 
+# Leaf planes of fewer elements than this are summed a group at a time by one
+# reduction; larger ones by one add per leaf and plane.  The reduction saves
+# about two calls per leaf but costs a sign pass over the leaves, which
+# outweighs the calls from about 512 elements (measured at k! = 6 and 24).
+LEAF_REDUCE_ELEMENTS = 512
+
+
+def _leaf_adder(pattern, acc):
+    """A function (leaf_re, leaf_im, sign) that adds a group's signed leaves into acc.
+
+    acc holds the (2, R, P) re and im accumulators; the group's members have
+    the signs sign * pattern.  Either way acc gets the additions of a
+    per-leaf loop, in member order: small leaves, multiplied by their signs
+    (exact), go below acc in one (k! + 1, 2, R, P) buffer, which one
+    reduction over its rows, the slowest axis, adds in row order; large
+    leaves are added with one numpy call per leaf and plane.
+    """
+    shape, dtype = acc.shape[1:], acc.dtype
+    acc_re, acc_im = acc
+    if math.prod(shape) >= LEAF_REDUCE_ELEMENTS:
+        members = pattern.tolist()
+
+        def add_each(leaf_re, leaf_im, sign):
+            for j, member in enumerate(members):
+                step = np.add if member == sign else np.subtract
+                step(acc_re, leaf_re[j], out=acc_re)
+                step(acc_im, leaf_im[j], out=acc_im)
+        return add_each
+    sums = np.empty((len(pattern) + 1, 2) + shape, dtype)
+    # The members' signs for either group sign, full size: a multiply with a
+    # broadcast sign runs several times slower.
+    signed = {1: np.empty_like(sums[1:, 0])}
+    signed[1][...] = pattern[:, None, None]
+    signed[-1] = -signed[1]
+    # -0.0 + s is s for every float s, -0.0 too; an integer dtype reads it as 0.
+    start = dtype.type(-0.0)
+
+    def add_reduced(leaf_re, leaf_im, sign):
+        np.multiply(leaf_re, signed[sign], out=sums[1:, 0])
+        np.multiply(leaf_im, signed[sign], out=sums[1:, 1])
+        sums[0] = acc
+        np.add.reduce(sums, axis=0, out=acc, initial=start)
+    return add_reduced
+
+
 def _expand_rows(planes_re, planes_im, groups, pattern, depth, acc):
     """Add every group's signed leaves into acc, in lexicographic permutation order.
 
@@ -360,28 +405,17 @@ def _expand_rows(planes_re, planes_im, groups, pattern, depth, acc):
     the first depth points (_prefixes), and pattern holds the signs of the
     permutations of k values in lexicographic order.  A group's members
     fold their remaining factors in lockstep, starting from the prefix
-    (from their first factor when it is empty).  Their signed leaves go to
-    rows 1.. of one (k! + 1, 2, R, P) buffer, acc to row 0, and one
-    reduction over the rows, the slowest axis, adds them into acc in row
-    order.  Every leaf gets the operations of a left-to-right fold of its
-    own factors, and acc the additions of a per-leaf loop (a product with
-    -1 is exact).
+    (from their first factor when it is empty), and _leaf_adder adds them
+    into acc in order.  Every leaf gets the operations of a left-to-right
+    fold of its own factors.
     """
     shape, dtype = planes_re.shape[1:], planes_re.dtype
     scratch = np.empty(shape, dtype)
     # Two (re, im) pairs per prefix point: a step reads one and writes the other.
     pairs = [[(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(2)]
              for _ in range(depth)]
-    size = len(pattern)
-    re, im, a, b, x, y = (np.empty((size,) + shape, dtype) for _ in range(6))
-    sums = np.empty((size + 1, 2) + shape, dtype)
-    # The members' signs of either group sign, full size: a multiply with a
-    # broadcast sign runs several times slower.
-    signed = {1: np.empty_like(re)}
-    signed[1][...] = pattern[:, None, None]
-    signed[-1] = -signed[1]
-    # -0.0 + s is s for every float s, -0.0 too; an integer dtype reads it as 0.
-    start = dtype.type(-0.0)
+    re, im, a, b, x, y = (np.empty((len(pattern),) + shape, dtype) for _ in range(6))
+    add = _leaf_adder(pattern, acc)
     prefixes = _prefixes((planes_re, planes_im), pairs, scratch, list(range(len(planes_re))))
     for prefix, (suffix, sign) in zip(prefixes, groups):
         # mode="clip" writes straight into out; the default mode buffers it.
@@ -398,10 +432,7 @@ def _expand_rows(planes_re, planes_im, groups, pattern, depth, acc):
             planes_re.take(column, 0, a, "clip")
             planes_im.take(column, 0, b, "clip")
             leaf_re, leaf_im, free = _complex_step(leaf_re, leaf_im, a, b, free, y)
-        np.multiply(leaf_re, signed[sign], out=sums[1:, 0])
-        np.multiply(leaf_im, signed[sign], out=sums[1:, 1])
-        sums[0] = acc
-        np.add.reduce(sums, axis=0, out=acc, initial=start)
+        add(leaf_re, leaf_im, sign)
 
 
 def expansion_batch(points: np.ndarray):
