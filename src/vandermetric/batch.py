@@ -307,12 +307,10 @@ def _prefix_groups(n: int, k: int) -> tuple:
     """The permutations of {0, ..., n-1} in lexicographic groups of k! that share a prefix.
 
     A group's members agree on sigma(0 .. n-k-1) and run through the
-    permutations of the last k values.  Each group is (suffix, sign): the
+    permutations of the last k values.  Each group is (suffix, signs): the
     read-only (L, k!) argument indices of its members' factors of the last
-    k points, one row per fold step, members in lexicographic order, and
-    the sign of its first member.  The members' signs are sign times those
-    of the permutations of k values in lexicographic order, since the
-    inversions between prefix and suffix do not depend on the suffix's order.
+    k points, one row per fold step, and its members' signs, members in
+    lexicographic order.
     """
     signs, indices = expansion_terms(n)
     size = math.factorial(k)
@@ -322,7 +320,7 @@ def _prefix_groups(n: int, k: int) -> tuple:
         head = int(np.count_nonzero(indices[start] < n - k))
         suffix = np.ascontiguousarray(indices[start:start + size, head:].T)
         suffix.flags.writeable = False
-        groups.append((suffix, int(signs[start])))
+        groups.append((suffix, signs[start:start + size].tolist()))
     return tuple(groups)
 
 
@@ -352,72 +350,24 @@ def _prefixes(planes, pairs, scratch, unused, value=None):
         yield from _prefixes(planes, pairs[1:], scratch, [u for u in unused if u != v], value)
 
 
-# Leaf planes of fewer elements than this are summed a group at a time by one
-# reduction; larger ones by one add per leaf and plane.  The reduction saves
-# about two calls per leaf but costs a sign pass over the leaves, which
-# outweighs the calls from about 512 elements (measured at k! = 6 and 24).
-LEAF_REDUCE_ELEMENTS = 512
-
-
-def _leaf_adder(pattern, acc):
-    """A function (leaf_re, leaf_im, sign) that adds a group's signed leaves into acc.
-
-    acc holds the (2, R, P) re and im accumulators; the group's members have
-    the signs sign * pattern.  Either way acc gets the additions of a
-    per-leaf loop, in member order: small leaves, multiplied by their signs
-    (exact), go below acc in one (k! + 1, 2, R, P) buffer, which one
-    reduction over its rows, the slowest axis, adds in row order; large
-    leaves are added with one numpy call per leaf and plane.
-    """
-    shape, dtype = acc.shape[1:], acc.dtype
-    acc_re, acc_im = acc
-    if math.prod(shape) >= LEAF_REDUCE_ELEMENTS:
-        members = pattern.tolist()
-
-        def add_each(leaf_re, leaf_im, sign):
-            for j, member in enumerate(members):
-                step = np.add if member == sign else np.subtract
-                step(acc_re, leaf_re[j], out=acc_re)
-                step(acc_im, leaf_im[j], out=acc_im)
-        return add_each
-    sums = np.empty((len(pattern) + 1, 2) + shape, dtype)
-    # The members' signs for either group sign, full size: a multiply with a
-    # broadcast sign runs several times slower.
-    signed = {1: np.empty_like(sums[1:, 0])}
-    signed[1][...] = pattern[:, None, None]
-    signed[-1] = -signed[1]
-    # -0.0 + s is s for every float s, -0.0 too; an integer dtype reads it as 0.
-    start = dtype.type(-0.0)
-
-    def add_reduced(leaf_re, leaf_im, sign):
-        np.multiply(leaf_re, signed[sign], out=sums[1:, 0])
-        np.multiply(leaf_im, signed[sign], out=sums[1:, 1])
-        sums[0] = acc
-        np.add.reduce(sums, axis=0, out=acc, initial=start)
-    return add_reduced
-
-
-def _expand_rows(planes_re, planes_im, groups, pattern, depth, acc):
+def _expand_rows(planes_re, planes_im, groups, depth, acc_re, acc_im):
     """Add every group's signed leaves into acc, in lexicographic permutation order.
 
-    planes are the (n, R, P) point-major re and im planes of R rows, acc
-    the (2, R, P) re and im accumulators, the groups share prefixes over
-    the first depth points (_prefixes), and pattern holds the signs of the
-    permutations of k values in lexicographic order.  A group's members
-    fold their remaining factors in lockstep, starting from the prefix
-    (from their first factor when it is empty), and _leaf_adder adds them
-    into acc in order.  Every leaf gets the operations of a left-to-right
-    fold of its own factors.
+    planes are the (n, R, P) point-major re and im planes of R rows, and
+    the groups share prefixes over the first depth points (_prefixes).  A
+    group's members fold their remaining factors in lockstep, starting
+    from the prefix (from their first factor when it is empty), and are
+    added into acc in order.  Every leaf gets the operations of a
+    left-to-right fold of its own factors.
     """
     shape, dtype = planes_re.shape[1:], planes_re.dtype
     scratch = np.empty(shape, dtype)
     # Two (re, im) pairs per prefix point: a step reads one and writes the other.
     pairs = [[(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(2)]
              for _ in range(depth)]
-    re, im, a, b, x, y = (np.empty((len(pattern),) + shape, dtype) for _ in range(6))
-    add = _leaf_adder(pattern, acc)
+    re, im, a, b, x, y = (np.empty((len(groups[0][1]),) + shape, dtype) for _ in range(6))
     prefixes = _prefixes((planes_re, planes_im), pairs, scratch, list(range(len(planes_re))))
-    for prefix, (suffix, sign) in zip(prefixes, groups):
+    for prefix, (suffix, signs) in zip(prefixes, groups):
         # mode="clip" writes straight into out; the default mode buffers it.
         if prefix is None:
             planes_re.take(suffix[0], 0, re, "clip")
@@ -432,7 +382,10 @@ def _expand_rows(planes_re, planes_im, groups, pattern, depth, acc):
             planes_re.take(column, 0, a, "clip")
             planes_im.take(column, 0, b, "clip")
             leaf_re, leaf_im, free = _complex_step(leaf_re, leaf_im, a, b, free, y)
-        add(leaf_re, leaf_im, sign)
+        for j, sign in enumerate(signs):
+            step = np.add if sign > 0 else np.subtract
+            step(acc_re, leaf_re[j], out=acc_re)
+            step(acc_im, leaf_im[j], out=acc_im)
 
 
 def expansion_batch(points: np.ndarray):
@@ -456,14 +409,15 @@ def expansion_batch(points: np.ndarray):
     while k < n and math.factorial(k + 1) * width <= EXPANSION_CHUNK_ELEMENTS:
         k += 1
     groups = _prefix_groups(n, k)
-    pattern = expansion_terms(k)[0]
     log.debug("expansion_batch n=%d: %d prefix groups of %d permutations", n, len(groups),
               math.factorial(k))
-    acc = np.zeros((2, B, p), dtype=points.dtype)
+    acc_re = np.zeros((B, p), dtype=points.dtype)
+    acc_im = np.zeros((B, p), dtype=points.dtype)
     for start in range(0, B, rows):
-        _expand_rows(*_coordinate_planes(points[start:start + rows]), groups, pattern, n - k,
-                     acc[:, start:start + rows])
-    return acc[0], acc[1]
+        chunk = slice(start, start + rows)
+        _expand_rows(*_coordinate_planes(points[chunk]), groups, n - k, acc_re[chunk],
+                     acc_im[chunk])
+    return acc_re, acc_im
 
 
 def _norm(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -373,10 +373,7 @@ def expansion_loop(points):
 
 
 # B = 7 leaves a short last chunk of permutations (720 = 390 + 330 at m = 4).
-# 200 rows of 6 coordinate pairs make leaves of 1200 elements, which are
-# added one call each (batch.LEAF_REDUCE_ELEMENTS); the others are reduced.
-EXPANSION_CASES = [(b, n, m) for b in (1, 7) for n in range(2, 7) for m in range(2, 5)] + [
-    (200, 4, 4), (200, 5, 4)]
+EXPANSION_CASES = [(b, n, m) for b in (1, 7) for n in range(2, 7) for m in range(2, 5)]
 
 
 @pytest.mark.parametrize("b,n,m", EXPANSION_CASES)
