@@ -360,10 +360,12 @@ def _ode_estimates(problems: list[ODEProblem]) -> list:
     """(problem integrated, lhs, rhs, near-collision mask) of each problem's estimate.
 
     The problems are linear and start on one grid.  Each round integrates
-    the pending problems of one dimension m and one grid together, and a
-    row that step doubling rejects goes to the next round on the grid its
-    error estimate suggests.  Rows still rejected after _MAX_REFINEMENTS
-    refinements raise the StepSizeError of the first in (m, trial) order.
+    the pending problems of one grid in one integrate_rows call, zero-padded
+    to the widest m (which keeps every row's bits), then bounds alpha and
+    the estimate per m on the unpadded rows.  A row that step doubling
+    rejects goes to the next round on the grid its error estimate suggests.
+    Rows still rejected after _MAX_REFINEMENTS refinements raise the
+    StepSizeError of the first in (m, trial) order.
     """
     problems = list(problems)
     out = [None] * len(problems)
@@ -371,20 +373,32 @@ def _ode_estimates(problems: list[ODEProblem]) -> list:
     for refinement in range(_MAX_REFINEMENTS + 1):
         groups, rejections = {}, {}
         for t in pending:
-            groups.setdefault((problems[t].matrix.dim, len(problems[t].grid)), []).append(t)
+            groups.setdefault(problems[t].grid.tobytes(), []).append(t)
         for members in groups.values():
             group = [problems[t] for t in members]
-            matrix = MatrixFunction.linear(np.stack([p.matrix.a0 for p in group]),
-                                           np.stack([p.matrix.a1 for p in group]))
             grid = group[0].grid
-            trajectories, rejected, errors = integrate_rows(
-                matrix, np.stack([p.initials for p in group]), grid)
-            accepted = np.flatnonzero(rejected < 0)
-            alphas = growth_bounds(np.stack([matrix(t) for t in grid], axis=1)[accepted])
-            sides = estimate_rows(trajectories[accepted], alphas, grid)
-            for row, b in enumerate(accepted):
-                out[members[b]] = (group[b], sides.lhs[row], sides.rhs[row],
-                                  sides.near_collision[row])
+            dims = np.array([p.matrix.dim for p in group])
+            width = dims.max()
+            a0, a1 = np.zeros((2, len(group), width, width))
+            initials = np.zeros((len(group), 3, width))
+            for b, (p, m) in enumerate(zip(group, dims)):
+                a0[b, :m, :m], a1[b, :m, :m] = p.matrix.a0, p.matrix.a1
+                initials[b, :, :m] = p.initials
+            trajectories, rejected, errors = integrate_rows(MatrixFunction.linear(a0, a1),
+                                                            initials, grid)
+            log.debug("ode round %d: %d problems, m %d..%d padded to %d, %d steps, %d rejected",
+                      refinement, len(group), dims.min(), width, width, len(grid) - 1,
+                      (rejected >= 0).sum())
+            for m in range(dims.min(), width + 1):
+                accepted = np.flatnonzero((dims == m) & (rejected < 0))
+                if not len(accepted):
+                    continue
+                rows = MatrixFunction.linear(a0[accepted, :m, :m], a1[accepted, :m, :m])
+                alphas = growth_bounds(np.swapaxes(rows(grid), 0, 1))
+                sides = estimate_rows(trajectories[accepted, :, :, :m], alphas, grid)
+                for row, b in enumerate(accepted):
+                    out[members[b]] = (group[b], sides.lhs[row], sides.rhs[row],
+                                      sides.near_collision[row])
             for b in np.flatnonzero(rejected >= 0):
                 rejections[members[b]] = step_size_error(int(rejected[b]), float(errors[b]),
                                                          len(grid) - 1)

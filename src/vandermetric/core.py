@@ -205,7 +205,8 @@ def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
 
     - inequality: gap = rhs - lhs, passes when gap / scale >= -tol;
     - identity: gap = |rhs - lhs|, passes when gap / scale <= tol.  Sides
-      with a trailing component axis are compared row by row in the max norm;
+      with a trailing component axis are compared row by row in the max
+      norm, in either domain, so a non-finite component fails its row;
     - bound: gap = lhs / rhs - 1 (lhs - rhs in the log domain) over scale 1,
       passes when <= tol.
 
@@ -226,6 +227,8 @@ def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
             gap = np.where(zeros, 0.0, lhs - rhs if kind == BOUND else rhs - lhs)[()]
         if kind == IDENTITY:
             gap = abs(gap)
+            if gap.ndim > 1:
+                gap = _row_max(gap)
         scale = 1.0
     elif kind == BOUND:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -247,8 +250,9 @@ def verdict(kind: str, domain: str, lhs, rhs, tol) -> Verdict:
     normalized = gap / scale
     within = normalized >= -tol if kind == INEQUALITY else normalized <= tol
     finite = finite & (abs(normalized) < math.inf)
-    if domain == LOG:
-        # A left side of 0 under a finite right side is decided, its gap infinite.
+    if domain == LOG and kind != IDENTITY:
+        # A left side of 0 under a finite right side is decided, its gap
+        # infinite (an identity's infinite gap fails anyway).
         finite = finite | ((lhs == -math.inf) & (abs(rhs) < math.inf))
     return Verdict(normalized, within & finite, gap, scale)
 

@@ -94,20 +94,26 @@ class MatrixFunction:
     def dim(self) -> int:
         return (self.samples if self.kind == "sampled" else self.a0).shape[-1]
 
-    def __call__(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return self.a0
-        if self.kind == "linear":
-            return self.a0 + t * self.a1
-        if self.kind == "sinusoidal":
-            return self.a0 + math.sin(self.omega * t) * self.a1
+    def __call__(self, t) -> np.ndarray:
+        """A(t); at an array of times, the stack times.shape + A's shape.
+
+        Each matrix of the stack equals the call at its time alone, bit for bit.
+        """
+        if self.kind not in _MATRIX_FIELDS:
+            raise ArgumentError(f"unknown matrix kind {self.kind!r}")
+        times = np.asarray(t, dtype=float)
         if self.kind == "sampled":
-            out = np.empty_like(self.samples[0])
-            for i in range(out.shape[0]):
-                for j in range(out.shape[1]):
-                    out[i, j] = np.interp(t, self.times, self.samples[:, i, j])
+            out = np.empty(times.shape + self.samples.shape[1:])
+            for i in range(out.shape[-2]):
+                for j in range(out.shape[-1]):
+                    out[..., i, j] = np.interp(times, self.times, self.samples[:, i, j])
             return out
-        raise ArgumentError(f"unknown matrix kind {self.kind!r}")
+        at = times.reshape(times.shape + (1,) * self.a0.ndim)
+        if self.kind == "constant":
+            return np.broadcast_to(self.a0, times.shape + self.a0.shape)
+        if self.kind == "linear":
+            return self.a0 + at * self.a1
+        return self.a0 + scalar_map(math.sin, self.omega * at) * self.a1
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -199,48 +205,73 @@ class ODEProblem:
         )
 
 
-def _rk4_step(matrix, y, t, h):
-    mid = matrix(t + 0.5 * h).swapaxes(-1, -2)
-    k1 = y @ matrix(t).swapaxes(-1, -2)
+def _rk4_stages(y, k1, mid, end, h):
+    """The classical RK4 step of y given k1 = y @ A(t)^T and A^T at t + h/2 and t + h.
+
+    h may be an array of steps, stacked ahead of y's shape; each stacked
+    step then has the bits of the step taken alone.
+    """
     k2 = (y + 0.5 * h * k1) @ mid
     k3 = (y + 0.5 * h * k2) @ mid
-    k4 = (y + h * k3) @ matrix(t + h).swapaxes(-1, -2)
+    k4 = (y + h * k3) @ end
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: float = STEP_RTOL):
     """RK4 trajectories of B problems that share one time grid.
 
-    matrix(t) is the (B, m, m) stack of coefficient matrices at time t (a
-    MatrixFunction of stacked coefficient arrays is one) and initials is
-    (B, 3, m).  Each step is validated by step doubling, row by row; a row
-    whose error estimate exceeds rel_tol stays frozen from that step on.
-    Returns the (B, 3, K, m) trajectories, each row's first rejected step
-    (-1 for none) and that step's error estimate.
+    matrix(t) is the (B, m, m) stack of coefficient matrices at time t, and
+    at an array of times the stack times.shape + (B, m, m) (a MatrixFunction
+    of stacked coefficient arrays is one); initials is (B, 3, m).  Each step
+    is validated by step doubling, row by row; a row whose error estimate
+    exceeds rel_tol stays frozen from that step on.  Returns the (B, 3, K, m)
+    trajectories, each row's first rejected step (-1 for none) and that
+    step's error estimate.
+
+    A step evaluates A at its six distinct times in one call.  The full step
+    h and the first half step h/2 start from the same y at the same t, so
+    they share k1 and run as one (2, B, 3, m) stack; the second half step
+    follows.  Every element is computed by the same operations in the same
+    order as three separate steps, so the bits are those of integrating
+    each row alone.  Rows of smaller dimension may be zero-padded: a zero
+    coefficient row or column adds exact zeros to each dot product, and the
+    padded coordinates stay 0.  Overflow gives inf/NaN trajectories, not
+    warnings; the caller checks that they are finite.
     """
-    rows = initials.shape[0]
-    out = np.empty((rows, 3, len(grid), initials.shape[2]))
+    rows, _, m = initials.shape
+    out = np.empty((rows, 3, len(grid), m))
     y = initials.copy()
     out[:, :, 0] = y
     rejected = np.full(rows, -1)
     errors = np.zeros(rows)
-    for k in range(len(grid) - 1):
-        t0, t1 = grid[k], grid[k + 1]
-        h = t1 - t0
-        full = _rk4_step(matrix, y, t0, h)
-        half = _rk4_step(matrix, _rk4_step(matrix, y, t0, 0.5 * h), t0 + 0.5 * h, 0.5 * h)
-        scale = np.maximum(np.abs(half).max(axis=(1, 2)), 1.0)
-        err = np.abs(full - half).max(axis=(1, 2)) / scale
-        new = (err > rel_tol) & (rejected < 0)
-        if new.any():
-            rejected[new] = k
-            errors[new] = err[new]
-            if np.all(rejected >= 0):
-                break
-        if rejected.max() >= 0:
-            half = np.where((rejected < 0)[:, None, None], half, y)
-        y = half
-        out[:, :, k + 1] = y
+    frozen = False
+    t0, h = grid[:-1], grid[1:] - grid[:-1]
+    half_h, tm = 0.5 * h, t0 + 0.5 * h
+    # Per step: A(t0), the full step's end, the shared time t0 + h/2 (the
+    # full step's midpoint, the first half's end and the second's start),
+    # the first half's midpoint, and the second half's midpoint and end.
+    times = np.stack([t0, t0 + h, tm, t0 + 0.5 * half_h, tm + 0.5 * half_h, tm + half_h], axis=1)
+    steps = np.stack([h, half_h], axis=1)[:, :, None, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(grid) - 1):
+            at = matrix(times[k]).swapaxes(-1, -2)  # A(t)^T at the step's six times
+            # The full step and the first half step, stacked.
+            full, half = _rk4_stages(y, y @ at[0], at[2:4], at[1:3], steps[k])
+            half = _rk4_stages(half, half @ at[2], at[4], at[5], half_h[k])
+            scale = np.maximum(np.abs(half).max(axis=(1, 2)), 1.0)
+            err = np.abs(full - half).max(axis=(1, 2)) / scale
+            over = err > rel_tol
+            if over.any():  # a row over rel_tol is new or already frozen
+                new = over & (rejected < 0)
+                rejected[new] = k
+                errors[new] = err[new]
+                frozen = True
+                if np.all(rejected >= 0):
+                    break
+            if frozen:
+                half = np.where((rejected < 0)[:, None, None], half, y)
+            y = half
+            out[:, :, k + 1] = y
     return out, rejected, errors
 
 
@@ -261,7 +292,7 @@ def integrate(problem: ODEProblem, rel_tol: float = STEP_RTOL) -> np.ndarray:
     doubling; a too-coarse grid raises StepSizeError with a suggested size.
     """
     grid = problem.grid
-    out, rejected, errors = integrate_rows(lambda t: problem.matrix(t)[None],
+    out, rejected, errors = integrate_rows(lambda t: problem.matrix(t)[..., None, :, :],
                                            problem.initials[None], grid, rel_tol)
     if rejected[0] >= 0:
         raise step_size_error(int(rejected[0]), float(errors[0]), len(grid) - 1, rel_tol)
@@ -348,15 +379,18 @@ def verify_estimate(problem: ODEProblem, trajectories: np.ndarray | None = None,
 
     One report per grid time, each a bound (see estimate_rows).  Grid points
     near a collision are flagged near_collision (and reported, not failed);
-    degenerate initials are flagged degenerate_initials.
+    degenerate initials are flagged degenerate_initials.  Trajectories that
+    are not finite, given or integrated here, are an ArgumentError.
     """
     if trajectories is None:
         trajectories = integrate(problem)
-    if not np.all(np.isfinite(trajectories)):
+        if not np.all(np.isfinite(trajectories)):
+            raise ArgumentError("the trajectories left the float range")
+    elif not np.all(np.isfinite(trajectories)):
         raise ArgumentError("non-finite input coordinate")
     grid = problem.grid
     if problem.alpha is None:
-        alphas = growth_bounds(np.stack([problem.matrix(t) for t in grid]))
+        alphas = growth_bounds(problem.matrix(grid))
     else:
         alphas = np.array([problem.alpha_at(t) for t in grid])
     sides = estimate_rows(trajectories[None], alphas[None], grid)

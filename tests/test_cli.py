@@ -3,6 +3,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from click.testing import CliRunner
 from vandermetric.cli import main
 from vandermetric.io import read_points_csv, write_points_csv
 from vandermetric import ArgumentError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -294,6 +300,16 @@ class TestOde:
         result = runner.invoke(main, ["ode", "--input", spec])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
+
+    def test_trajectories_that_overflow_are_one_usage_error(self):
+        spec = json.dumps({"matrix": {"kind": "constant", "a0": [[1e200]]},
+                           "initials": [[1.0], [2.0], [3.0]], "grid": [0.0, 0.1]})
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("VANDERMETRIC_LOG", None)
+        proc = subprocess.run([sys.executable, "-m", "vandermetric.cli", "ode", "--input", spec],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the trajectories left the float range\n"
 
     def test_coarse_grid_usage_error(self, runner):
         spec = json.dumps({

@@ -325,6 +325,11 @@ def test_campaigns_log_log_domain_refined_and_skipped_rows(caplog, monkeypatch):
                        for t in (21, 4, 11, 29)]  # by dimension m = 2, 3, 4, then trial
     assert sum("error estimate" in m and "integrating again on 300 steps" in m
                for m in messages) == 4
+    # One integration per round: all 30 problems zero-padded to m = 4, then
+    # the four refined rows together on their common 300-step grid.
+    assert [m for m in messages if m.startswith("ode round")] == [
+        "ode round 0: 30 problems, m 2..4 padded to 4, 100 steps, 4 rejected",
+        "ode round 1: 4 problems, m 2..4 padded to 4, 300 steps, 0 rejected"]
 
     # Coincident initial points keep two trajectories together at every grid time.
     coincident_ode_problems(monkeypatch)
@@ -332,6 +337,7 @@ def test_campaigns_log_log_domain_refined_and_skipped_rows(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="vandermetric"):
         run_campaign(CampaignConfig(op="ode", seed=2, trials=2))
     assert [r.getMessage() for r in caplog.records] == [
+        "ode round 0: 2 problems, m 2..3 padded to 3, 100 steps, 0 rejected",
         *[f"ode trial {t}: 101 grid times near a collision left out" for t in range(2)],
         "ode campaign: 0 rows judged, 0 verdict blocks, 0 violations"]
 

@@ -18,6 +18,7 @@ from vandermetric import (
     verify_estimate,
 )
 from vandermetric.cli import main
+from vandermetric.ode import integrate_rows
 
 INITIALS_2D = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -208,6 +209,148 @@ class TestIntegrator:
     def test_trajectories_shape(self):
         p = problem_minus_identity(steps=40)
         assert integrate(p).shape == (3, 41, 2)
+
+
+# The integrator as it was before a step's stages were stacked: three
+# separate RK4 steps per grid step, each evaluating A(t) at its own three
+# times.  The bit-for-bit reference of integrate_rows.
+def _rk4_step_reference(matrix, y, t, h):
+    mid = matrix(t + 0.5 * h).swapaxes(-1, -2)
+    k1 = y @ matrix(t).swapaxes(-1, -2)
+    k2 = (y + 0.5 * h * k1) @ mid
+    k3 = (y + 0.5 * h * k2) @ mid
+    k4 = (y + h * k3) @ matrix(t + h).swapaxes(-1, -2)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate_rows_reference(matrix, initials, grid, rel_tol=1e-8):
+    rows = initials.shape[0]
+    out = np.empty((rows, 3, len(grid), initials.shape[2]))
+    y = initials.copy()
+    out[:, :, 0] = y
+    rejected = np.full(rows, -1)
+    errors = np.zeros(rows)
+    for k in range(len(grid) - 1):
+        t0, t1 = grid[k], grid[k + 1]
+        h = t1 - t0
+        full = _rk4_step_reference(matrix, y, t0, h)
+        half = _rk4_step_reference(
+            matrix, _rk4_step_reference(matrix, y, t0, 0.5 * h), t0 + 0.5 * h, 0.5 * h)
+        scale = np.maximum(np.abs(half).max(axis=(1, 2)), 1.0)
+        err = np.abs(full - half).max(axis=(1, 2)) / scale
+        new = (err > rel_tol) & (rejected < 0)
+        if new.any():
+            rejected[new] = k
+            errors[new] = err[new]
+            if np.all(rejected >= 0):
+                break
+        if rejected.max() >= 0:
+            half = np.where((rejected < 0)[:, None, None], half, y)
+        y = half
+        out[:, :, k + 1] = y
+    return out, rejected, errors
+
+
+def _assert_same_integration(got, want):
+    """Equal bits in the rejections, the errors and every trajectory time written."""
+    (out, rejected, errors), (ref_out, ref_rejected, ref_errors) = got, want
+    assert rejected.tolist() == ref_rejected.tolist()
+    assert errors.tobytes() == ref_errors.tobytes()
+    # A loop that rejected every row stops before writing the later times.
+    written = ref_rejected.max() + 1 if np.all(ref_rejected >= 0) else ref_out.shape[2]
+    assert out.shape == ref_out.shape
+    assert out[:, :, :written].tobytes() == ref_out[:, :, :written].tobytes()
+
+
+def _stacked(functions):
+    """One matrix function of B per-row functions: (B, m, m) at a time, T + (B, m, m) at times T."""
+    return lambda t: np.stack([f(t) for f in functions], axis=-3)
+
+
+def _matrix_functions(kind, rng, rows, m):
+    """rows MatrixFunctions of one kind, and the matrix function of the stack."""
+    a0 = rng.uniform(-1.0, 1.0, size=(rows, m, m))
+    a1 = rng.uniform(-1.0, 1.0, size=(rows, m, m))
+    a0[::2] *= 3.0  # a stiffer row or two, which the coarse grids reject
+    if kind == "sampled":
+        # Knots on the test grids' points, where A's kinks cost no accuracy.
+        times = np.linspace(0.0, 2.0, 6)
+        samples = rng.uniform(-2.0, 2.0, size=(rows, 6, m, m))
+        functions = [MatrixFunction.sampled(times, s) for s in samples]
+        return functions, _stacked(functions)
+    build = {"constant": lambda a, b: MatrixFunction.constant(a),
+             "linear": MatrixFunction.linear,
+             "sinusoidal": lambda a, b: MatrixFunction.sinusoidal(a, b, omega=2.5)}[kind]
+    return [build(a0[r], a1[r]) for r in range(rows)], build(a0, a1)
+
+
+MATRIX_KINDS = ["constant", "linear", "sinusoidal", "sampled"]
+
+
+class TestIntegrateRows:
+    @pytest.mark.parametrize("rows", [1, 6])
+    @pytest.mark.parametrize("kind", MATRIX_KINDS)
+    @pytest.mark.parametrize("steps", [100, 150])
+    def test_equals_the_three_step_loop(self, kind, rows, steps):
+        rng = np.random.default_rng([rows, steps, MATRIX_KINDS.index(kind)])
+        _, matrix = _matrix_functions(kind, rng, rows, 3)
+        initials = rng.uniform(-1.0, 1.0, size=(rows, 3, 3))
+        grid = np.linspace(0.0, 2.0, steps + 1)
+        _assert_same_integration(integrate_rows(matrix, initials, grid),
+                                 _integrate_rows_reference(matrix, initials, grid))
+
+    def test_equals_the_three_step_loop_with_rows_rejected_at_different_steps(self):
+        rng = np.random.default_rng(3)
+        rows, m = 6, 3
+        a0 = rng.uniform(-1.0, 1.0, size=(rows, m, m))
+        a1 = rng.uniform(-1.0, 1.0, size=(rows, m, m))
+        initials = rng.uniform(-1.0, 1.0, size=(rows, 3, m))
+        a0[2] *= 4.0
+        grid = np.linspace(0.0, 2.0, 41)
+        matrix = MatrixFunction.linear(a0, a1)
+        got = integrate_rows(matrix, initials, grid)
+        assert got[1].tolist() == [26, 22, 0, -1, -1, 12]
+        _assert_same_integration(got, _integrate_rows_reference(matrix, initials, grid))
+
+    def test_a_zero_padded_stack_of_mixed_m_equals_each_row_alone(self):
+        rng = np.random.default_rng(5)
+        dims = [2, 3, 4, 2, 3, 4, 3]
+        width = max(dims)
+        a0, a1 = np.zeros((2, len(dims), width, width))
+        initials = np.zeros((len(dims), 3, width))
+        alone = []
+        for b, m in enumerate(dims):
+            a0[b, :m, :m] = rng.uniform(-1.0, 1.0, size=(m, m)) * (4.0 if b == 4 else 1.0)
+            a1[b, :m, :m] = rng.uniform(-1.0, 1.0, size=(m, m))
+            initials[b, :, :m] = rng.uniform(-1.0, 1.0, size=(3, m))
+            alone.append((MatrixFunction.linear(a0[b:b + 1, :m, :m], a1[b:b + 1, :m, :m]),
+                          initials[b:b + 1, :, :m].copy()))
+        grid = np.linspace(0.0, 2.0, 41)
+        out, rejected, errors = integrate_rows(MatrixFunction.linear(a0, a1), initials, grid)
+        assert 0 <= rejected[4] and (rejected >= 0).sum() < len(dims)
+        for b, (m, (matrix, row_initials)) in enumerate(zip(dims, alone)):
+            row = (out[b:b + 1, ..., :m], rejected[b:b + 1], errors[b:b + 1])
+            _assert_same_integration(row, integrate_rows(matrix, row_initials, grid))
+            assert not out[b, ..., m:].any()  # the padded coordinates stay 0
+
+
+class TestMatrixFunctionAtArrayTimes:
+    # A sampled MatrixFunction holds one matrix per sample time, not a stack.
+    @pytest.mark.parametrize("kind,rows", [(kind, None) for kind in MATRIX_KINDS]
+                             + [(kind, 4) for kind in MATRIX_KINDS if kind != "sampled"])
+    def test_equals_one_call_per_time(self, kind, rows):
+        rng = np.random.default_rng(MATRIX_KINDS.index(kind))
+        functions, stacked = _matrix_functions(kind, rng, rows or 1, 3)
+        mf = functions[0] if rows is None else stacked
+        # The sample times, times between them and times outside their range.
+        times = np.concatenate([np.linspace(0.0, 2.0, 6), np.linspace(-0.5, 2.5, 19)])
+        times = times.reshape(5, 5)
+        got = mf(times)
+        one = mf(0.7)
+        assert got.shape == times.shape + one.shape
+        for index in np.ndindex(times.shape):
+            assert got[index].tobytes() == np.ascontiguousarray(mf(times[index])).tobytes()
+            assert mf(float(times[index])).tobytes() == mf(times[index]).tobytes()
 
 
 def _quad_piece(x0, x1, x2, y0, y1, y2, a, b):

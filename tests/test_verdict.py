@@ -117,6 +117,21 @@ def test_an_identity_row_with_one_non_finite_component_fails(bad, side):
     assert v.passed.tolist() == [True, False, True]
 
 
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_identity_component_sides_are_judged_per_row_in_both_domains(domain):
+    lhs = np.array([[1.0, 2.0], [1.0, 2.0]])
+    rhs = np.array([[1.0, 2.0], [1.0, 2.5]])
+    v = verdict(IDENTITY, domain, lhs, rhs, 1e-9)
+    assert v.passed.shape == v.normalized.shape == (2,)
+    assert v.passed.tolist() == [True, False]
+    assert v.normalized.tolist() == [0.0, 0.2 if domain == LINEAR else 0.5]
+    # A non-finite component fails its row and no other.
+    for bad in (math.nan, math.inf, -math.inf):
+        with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+            v = verdict(IDENTITY, domain, lhs, np.array([[1.0, 2.0], [bad, 2.0]]), 1e-9)
+        assert v.passed.tolist() == [True, False]
+
+
 POLYGON_CASES = [
     ("triangle", 3, triangle_check, 0.0),
     ("quadrilateral", 4, quadrilateral_check, 0.0),
