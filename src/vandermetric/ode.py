@@ -108,9 +108,9 @@ class MatrixFunction:
                 for j in range(out.shape[-1]):
                     out[..., i, j] = np.interp(times, self.times, self.samples[:, i, j])
             return out
-        at = times.reshape(times.shape + (1,) * self.a0.ndim)
         if self.kind == "constant":
             return np.broadcast_to(self.a0, times.shape + self.a0.shape)
+        at = times.reshape(times.shape + (1,) * self.a0.ndim)
         if self.kind == "linear":
             return self.a0 + at * self.a1
         return self.a0 + scalar_map(math.sin, self.omega * at) * self.a1
@@ -255,7 +255,7 @@ def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: floa
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(len(grid) - 1):
             at = matrix(times[k]).swapaxes(-1, -2)  # A(t)^T at the step's six times
-            # The full step and the first half step, stacked.
+            # Full step and first half step stacked: midpoints tm and t0 + h/4, ends t0 + h and tm.
             full, half = _rk4_stages(y, y @ at[0], at[2:4], at[1:3], steps[k])
             half = _rk4_stages(half, half @ at[2], at[4], at[5], half_h[k])
             scale = np.maximum(np.abs(half).max(axis=(1, 2)), 1.0)
