@@ -6,18 +6,19 @@ speed (campaign checks are tolerance-based), and they run on int64 arrays
 as well, which gives exact integer arithmetic for small inputs.
 
 The replacement kernels compare a function of each tuple x with the n
-tuples "x with x_s -> y".  Replacing slot s changes only the n - 1 pair
-factors that involve x_s, so each row's factors are computed once, into a
-factor-major pool: the P = n(n-1)/2 pair factors of x, then those of y
-with each point.  The cached slot map lists where each of the n + 1
-tuples finds its P factors in that pool, in lexicographic pair order.  All
-n + 1 tuples then fold in lockstep, one factor position per step: a take
-of that column of the slot map into a reused buffer, multiplied into the
-accumulators, so each tuple's factors are reduced left to right exactly as
-the tuple's own would be.  Rows run in chunks of at most
-REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or one row, and each
-chunk is reduced straight into the two sides, so the only arrays that grow
-with B are the inputs and the sides.
+tuples "x with x_s -> y".  The product pass, core's lockstep fold, is
+the evaluator of core.replacement_sides, which the simplex, extended and
+equality-family campaigns call; simplex_sides_complex,
+simplex_sides_vectors and extended_sides_complex are that fold without
+its log escape, at any n and on int64 inputs.  The projected pass of the
+generalized metric and the replacement identities here runs on the same
+scheme: each row's factors are computed once, into a factor-major pool,
+the signed slot map (core._slot_map) lists where each of the n + 1
+tuples finds its factors, and all n + 1 tuples fold in lockstep, one
+factor position per step.  Rows run in chunks of at most
+core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or one row, and
+each chunk is reduced straight into the two sides, so the only arrays
+that grow with B are the inputs and the sides.
 
 The permutation expansion sums a signed fold over each of the n!
 permutations.  Permutations that agree on sigma(0 .. k) share that part
@@ -36,7 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import IDENTITY, LINEAR, _pair_indices, _root_power, verdict
+from .core import (IDENTITY, LINEAR, _lockstep_sides, _pair_indices, _replacement_rows,
+                   _root_power, _row_elements, _slot_map, verdict)
 from .multilinear import EXPANSION_MAX_N, expansion_terms
 from .errors import ResourceError
 
@@ -58,123 +60,22 @@ def root_batch(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The replacement pass
-
-
-# Pool and lockstep-buffer elements of one chunk (_row_elements per row).
-# About 1 MiB of float64.
-REPLACEMENT_CHUNK_ELEMENTS = 1 << 17
-
-
-@lru_cache(maxsize=None)
-def _slot_map(n: int, signed: bool) -> np.ndarray:
-    """Read-only (n + 1, P) pool positions of the pair factors of each tuple.
-
-    Row 0 is x and row 1 + s is x with slot s -> y.  The pool holds the P
-    pair factors of x (pair (j, i) holds x_i - x_j), then the n factors of
-    y - x_k and, when signed, the n factors of x_k - y: a replaced slot
-    s = i reads y - x_j and s = j reads x_i - y.  Unsigned factors (norms)
-    read x_i - y from y - x_i.
-    """
-    j, i = _pair_indices(n)
-    p = len(i)
-    slots = np.tile(np.arange(p), (n + 1, 1))
-    for s in range(n):
-        slots[s + 1, i == s] = p + j[i == s]
-        slots[s + 1, j == s] = p + (n if signed else 0) + i[j == s]
-    slots.flags.writeable = False
-    return slots
-
-
-def _row_elements(n: int, m: int = 0, q: int = 0) -> int:
-    """Pool and lockstep-buffer elements of one row, the unit of REPLACEMENT_CHUNK_ELEMENTS.
-
-    q = 0 is the product pass: P + n pooled factors and two buffers of
-    n + 1.  q >= 1 is the projected pass over the M_m coordinate pairs of
-    m: re and im pools of P + 3n + 1 planes and six buffers of n + 1.
-    """
-    p = n * (n - 1) // 2
-    if not q:
-        return p + n + 2 * (n + 1)
-    return (2 * (p + 3 * n + 1) + 6 * (n + 1)) * (m * (m - 1) // 2)
-
-
-def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *args,
-                      order: str = "C"):
-    """Sides lhs = values[0] and rhs = values[1] + ... + values[n] of kernel, chunk by chunk.
-
-    kernel(points[rows], y[rows], *args) returns the n + 1 tuples' values,
-    each shaped (rows, ...): x first, then x with slot s -> y in slot
-    order.  rhs is summed from zeros in slot order.  per_row is
-    _row_elements of one row.  The sides are allocated at the first chunk,
-    in the values' dtype and the memory order given; an empty batch runs
-    one empty chunk for it.
-    """
-    step = max(1, REPLACEMENT_CHUNK_ELEMENTS // max(1, per_row))
-    lhs = rhs = None
-    for start in range(0, max(1, len(points)), step):
-        rows = slice(start, start + step)
-        values = kernel(points[rows], y[rows], *args)
-        if lhs is None:
-            lhs = np.empty((len(points),) + values[0].shape[1:], dtype=values[0].dtype,
-                           order=order)
-            rhs = np.zeros_like(lhs)
-        lhs[rows] = values[0]
-        chunk = rhs[rows]
-        for v in values[1:]:
-            chunk += v
-    return lhs, rhs
-
-
-def _product_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n + 1, rows) products of the pair distances of x and of each x with slot s -> y.
-
-    x is (rows, n) complex, distance abs, or (rows, n, m) real, distance the
-    Euclidean norm.  The factors are pooled factor-major, (P + n, rows), and
-    all n + 1 tuples multiply theirs in lockstep, left to right, one
-    slot-map column per step, as np.prod over each tuple would.
-    """
-    n = x.shape[1]
-    j, i = _pair_indices(n)
-    xt = np.swapaxes(x, 0, 1)
-    diffs = np.concatenate([xt[i] - xt[j], y[None] - xt])
-    pool = np.abs(diffs) if diffs.ndim == 2 else np.linalg.norm(diffs, axis=2)
-    slots = _slot_map(n, False)
-    acc = np.take(pool, slots[:, 0], axis=0)
-    buf = np.empty_like(acc)
-    for k in range(1, slots.shape[1]):
-        # mode="clip" writes straight into out; the default mode buffers it.
-        np.take(pool, slots[:, k], axis=0, out=buf, mode="clip")
-        acc *= buf
-    return acc
+# The raw replacement kernels: core's lockstep fold without its log escape
 
 
 def simplex_sides_complex(points: np.ndarray, y: np.ndarray, root: bool = False):
-    """(lhs, rhs) of the simplex inequality for each row.
+    """(lhs, rhs) of the simplex inequality for each row, at any n.
 
     points is (B, n) complex with y (B,), or (B, n, m) real with y (B, m).
     The sides are the pairwise-distance product (d_V for complex points),
     or its 2 / (n(n-1)) power (the root metric) with root.
     """
-    n = points.shape[1]
-    power = _root_power(n)
-    kernel = (lambda x, w: _product_rows(x, w) ** power) if root else _product_rows
-    return _replacement_rows(kernel, _row_elements(n), points, y)
+    return _lockstep_sides(points, y, _root_power(points.shape[1]) if root else None)
 
 
-# The same kernel: _product_rows measures vectors with the Euclidean norm.
+# The same kernel: core._product_rows measures vectors with the Euclidean norm.
 # Both names stay, as bench/spans.py traces each.
 simplex_sides_vectors = simplex_sides_complex
-
-
-def _extended_rows(z: np.ndarray, y: np.ndarray, ks) -> list:
-    """n + 1 values (rows, len(ks)) of |w|^k times the product.
-
-    w is y for z and z_s for z with z_s -> y.
-    """
-    products = _product_rows(z, y)
-    weights = [np.abs(y)] + [np.abs(z[:, s]) for s in range(z.shape[1])]
-    return [np.stack([w ** k * v for k in ks], axis=1) for w, v in zip(weights, products)]
 
 
 def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
@@ -182,10 +83,7 @@ def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
 
     Both are (len(ks), B); the products are computed once for every k.
     """
-    # Column-major (B, len(ks)) sides are C-contiguous once transposed.
-    lhs, rhs = _replacement_rows(_extended_rows, _row_elements(z.shape[1]), z, y, list(ks),
-                                 order="F")
-    return lhs.T, rhs.T
+    return _lockstep_sides(z, y, ks=ks)
 
 
 # ---------------------------------------------------------------------------

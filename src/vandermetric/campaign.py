@@ -16,7 +16,7 @@ import numpy as np
 
 from . import batch
 from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR, LOG,
-                   _LOG_SWITCH_N, dump_json, replacement_sides, verdict)
+                   dump_json, replacement_sides, verdict)
 from .errors import ArgumentError
 from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
     POLYGON_CHECKS,
@@ -120,8 +120,12 @@ def _validate(config: CampaignConfig) -> None:
         raise ArgumentError(f"need n >= 2 and m >= 1, got n={config.n}, m={config.m}")
     if config.op == "simplex" and config.metric not in _SIMPLEX_METRICS:
         raise ArgumentError(f"simplex campaign does not support metric {config.metric!r}")
-    if config.op == "extended" and config.k is not None and not (0 <= config.k < config.n):
-        raise ArgumentError(f"k must be in [0, {config.n - 1}], got {config.k}")
+    if config.k is not None:
+        if config.op != "extended":
+            raise ArgumentError(f"k is a power of the extended campaign only, "
+                                f"not of {config.op!r}")
+        if not (0 <= config.k < config.n):
+            raise ArgumentError(f"k must be in [0, {config.n - 1}], got {config.k}")
     if config.op == "polygon":
         if config.check not in POLYGON_CHECKS:
             raise ArgumentError(f"unknown polygon check {config.check!r}; "
@@ -203,37 +207,32 @@ def _jsonable_complex(z):
 # Campaigns
 
 
-def _lagrange_domain(config: CampaignConfig, name: str) -> str:
-    """LOG, logged at DEBUG, when the campaign's rows are Lagrange log sums (n > 12)."""
-    if config.n <= _LOG_SWITCH_N:
-        return LINEAR
-    log.debug("%s: %d trials evaluated as Lagrange log sums", name, config.trials)
-    return LOG
+def _replacement_campaign(config, name, points, y, metric, ks=(0,)):
+    """replacement_sides of the campaign's rows, logged at DEBUG when they are Lagrange log sums."""
+    lhs, rhs, domain = replacement_sides(points, y, metric, ks)
+    if domain == LOG:
+        log.debug("%s: %d trials evaluated as Lagrange log sums", name, config.trials)
+    return lhs, rhs, domain
 
 
 def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
     b, n, m = config.trials, config.n, config.m
-    domain = LINEAR
-    if config.metric in ("vandermonde", "root"):
-        z = _complex_sample(rng, (b, n))
-        y = _complex_sample(rng, (b,))
-        domain = _lagrange_domain(config, f"simplex {config.metric}")
-        if domain == LOG:
-            (lhs,), (rhs,), _, _ = replacement_sides(z, y, config.metric)
-        else:
-            lhs, rhs = batch.simplex_sides_complex(z, y, root=config.metric == "root")
-        extra = lambda t: {"points": _jsonable_complex(z[t]), "y": [y[t].real, y[t].imag]}
-    elif config.metric == "euclidean3":
-        x = rng.standard_normal((b, 3, m))
-        y = rng.standard_normal((b, m))
-        lhs, rhs = batch.simplex_sides_vectors(x, y)
-        extra = lambda t: {"points": x[t].tolist(), "y": y[t].tolist()}
-    else:  # "generalized"
+    if config.metric == "generalized":
         x = rng.standard_normal((b, n, m))
         y = rng.standard_normal((b, m))
-        lhs, rhs = batch.simplex_sides_generalized(x, y)
         extra = lambda t: {"points": x[t].tolist(), "y": y[t].tolist()}
+        return _reduce(config, INEQUALITY, LINEAR, *batch.simplex_sides_generalized(x, y), extra)
+    if config.metric == "euclidean3":
+        points = rng.standard_normal((b, 3, m))
+        y = rng.standard_normal((b, m))
+        extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
+    else:  # "vandermonde" or "root"
+        points = _complex_sample(rng, (b, n))
+        y = _complex_sample(rng, (b,))
+        extra = lambda t: {"points": _jsonable_complex(points[t]), "y": [y[t].real, y[t].imag]}
+    (lhs,), (rhs,), domain = _replacement_campaign(config, f"simplex {config.metric}", points,
+                                                   y, config.metric)
     return _reduce(config, INEQUALITY, domain, lhs, rhs, extra)
 
 
@@ -243,11 +242,7 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
     z = _complex_sample(rng, (b, n))
     y = _complex_sample(rng, (b,))
     ks = list(range(n)) if config.k is None else [config.k]
-    domain = _lagrange_domain(config, "extended")
-    if domain == LOG:
-        lhs, rhs, _, _ = replacement_sides(z, y, "vandermonde", ks)
-    else:
-        lhs, rhs = batch.extended_sides_complex(z, y, ks)
+    lhs, rhs, domain = _replacement_campaign(config, "extended", z, y, "vandermonde", ks)
 
     def extra(t):
         k = ks[t // b]
@@ -267,9 +262,10 @@ def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
     z[:, 0] = 1.0
     z[:, 1] = (-1.0 + 1j * np.sqrt(q * (1.0 + s))) / s
     z[:, 2] = (-1.0 - 1j * np.sqrt((1.0 + s) / q)) / s
-    lhs, rhs = batch.simplex_sides_complex(z, np.zeros(b, dtype=complex))
+    (lhs,), (rhs,), domain = _replacement_campaign(config, "equality-family", z,
+                                                   np.zeros(b, dtype=complex), "vandermonde")
     extra = lambda t: {"q": float(q[t]), "s": float(s[t])}
-    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
+    return _reduce(config, IDENTITY, domain, lhs, rhs, extra)
 
 
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
@@ -281,9 +277,12 @@ def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
     angles = random_sorted_angles(rng, b, n)
     radii = rng.uniform(0.5, 3.0, size=b)
     sides = kernel(angles, radii)
-    if sides.log_rows is not None and sides.log_rows.any():
-        log.debug("polygon %s: %d trials evaluated in the log domain", config.check,
-                  np.count_nonzero(sides.log_rows))
+    if sides.domain == LOG:
+        logged = b
+    else:
+        logged = 0 if sides.log_rows is None else np.count_nonzero(sides.log_rows)
+    if logged:
+        log.debug("polygon %s: %d trials evaluated in the log domain", config.check, logged)
     extra = lambda t: {"R": float(radii[t]), "angles": angles[t].tolist()}
     return _reduce(config, kind, sides.domain, sides.lhs, sides.rhs, extra)
 

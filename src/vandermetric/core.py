@@ -7,9 +7,12 @@ behind the simplex inequality, the Euclidean 3-metric, and the standard
 combinators (product spaces, componentwise application, weighted L^p
 function metrics).
 
-All evaluations multiply pairwise factors in lexicographic pair order of a
+The metrics multiply pairwise factors in lexicographic pair order of a
 canonically sorted copy of the input, so permuting the input points yields
-bit-identical results.
+bit-identical values.  The simplex and weighted sides come from one
+evaluator, replacement_sides: up to n = 12 a lockstep fold of the n + 1
+tuples in input order, whose bits the campaigns and the scalar reports
+share; beyond that, or where those sides overflow, Lagrange log sums.
 """
 
 from __future__ import annotations
@@ -141,7 +144,20 @@ class MonotoneNorm:
             return max(wi * vi for wi, vi in zip(w, v))
         if self.p == 1.0:
             return sum(wi * vi for wi, vi in zip(w, v))
-        return sum(wi * vi**self.p for wi, vi in zip(w, v)) ** (1.0 / self.p)
+        return _power_sum_root(w, v, self.p)
+
+
+def _power_sum_root(weights, values, p: float) -> float:
+    """(sum_i w_i v_i^p)^(1/p) of non-negative floats, summed left to right.
+
+    Where a power overflows (a float power raises there), the sum is taken
+    as M (sum_i w_i (v_i / M)^p)^(1/p) instead, M the largest value.
+    """
+    try:
+        return sum(w * v**p for w, v in zip(weights, values)) ** (1.0 / p)
+    except OverflowError:
+        top = max(values)
+        return top * sum(w * (v / top) ** p for w, v in zip(weights, values)) ** (1.0 / p)
 
 
 def _jsonify(obj):
@@ -682,12 +698,118 @@ def _root_power(n: int) -> float:
     return 2.0 / (n * (n - 1))
 
 
-def _weight(v, k: int) -> float:
-    """|v|^k as a float, inf where it overflows: a float power raises there."""
-    try:
-        return abs(v) ** k
-    except OverflowError:
-        return math.inf
+# Pool and lockstep-buffer elements of one chunk (_row_elements per row).
+# About 1 MiB of float64.
+REPLACEMENT_CHUNK_ELEMENTS = 1 << 17
+
+
+@lru_cache(maxsize=None)
+def _slot_map(n: int, signed: bool) -> np.ndarray:
+    """Read-only (n + 1, P) pool positions of the pair factors of each tuple.
+
+    Row 0 is x and row 1 + s is x with slot s -> y.  The pool holds the P
+    pair factors of x (pair (j, i) holds x_i - x_j), then the n factors of
+    y - x_k and, when signed, the n factors of x_k - y: a replaced slot
+    s = i reads y - x_j and s = j reads x_i - y.  Unsigned factors (norms)
+    read x_i - y from y - x_i.
+    """
+    j, i = _pair_indices(n)
+    p = len(i)
+    slots = np.tile(np.arange(p), (n + 1, 1))
+    for s in range(n):
+        slots[s + 1, i == s] = p + j[i == s]
+        slots[s + 1, j == s] = p + (n if signed else 0) + i[j == s]
+    slots.flags.writeable = False
+    return slots
+
+
+def _row_elements(n: int, m: int = 0, q: int = 0) -> int:
+    """Pool and lockstep-buffer elements of one row, the unit of REPLACEMENT_CHUNK_ELEMENTS.
+
+    q = 0 is the product pass: P + n pooled factors and two buffers of
+    n + 1.  q >= 1 is the projected pass over the M_m coordinate pairs of
+    m: re and im pools of P + 3n + 1 planes and six buffers of n + 1.
+    """
+    p = n * (n - 1) // 2
+    if not q:
+        return p + n + 2 * (n + 1)
+    return (2 * (p + 3 * n + 1) + 6 * (n + 1)) * (m * (m - 1) // 2)
+
+
+def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *args,
+                      order: str = "C"):
+    """Sides lhs = values[0] and rhs = values[1] + ... + values[n] of kernel, chunk by chunk.
+
+    kernel(points[rows], y[rows], *args) returns the n + 1 tuples' values,
+    each shaped (rows, ...): x first, then x with slot s -> y in slot
+    order.  rhs is summed from zeros in slot order.  per_row is
+    _row_elements of one row.  The sides are allocated at the first chunk,
+    in the values' dtype and the memory order given; an empty batch runs
+    one empty chunk for it.
+    """
+    step = max(1, REPLACEMENT_CHUNK_ELEMENTS // max(1, per_row))
+    lhs = rhs = None
+    for start in range(0, max(1, len(points)), step):
+        rows = slice(start, start + step)
+        values = kernel(points[rows], y[rows], *args)
+        if lhs is None:
+            lhs = np.empty((len(points),) + values[0].shape[1:], dtype=values[0].dtype,
+                           order=order)
+            rhs = np.zeros_like(lhs)
+        lhs[rows] = values[0]
+        chunk = rhs[rows]
+        for v in values[1:]:
+            chunk += v
+    return lhs, rhs
+
+
+def _product_rows(x: np.ndarray, y: np.ndarray, power=None) -> np.ndarray:
+    """(n + 1, rows) products of the pair distances of x and of each x with slot s -> y.
+
+    x is (rows, n) complex, distance abs, or (rows, n, m) real, distance the
+    Euclidean norm.  The factors are pooled factor-major, (P + n, rows), and
+    all n + 1 tuples multiply theirs in lockstep, left to right, one
+    slot-map column per step, as np.prod over each tuple would.  With a
+    power, the products are raised to it.
+    """
+    n = x.shape[1]
+    j, i = _pair_indices(n)
+    xt = np.swapaxes(x, 0, 1)
+    diffs = np.concatenate([xt[i] - xt[j], y[None] - xt])
+    pool = np.abs(diffs) if diffs.ndim == 2 else np.linalg.norm(diffs, axis=2)
+    slots = _slot_map(n, False)
+    acc = np.take(pool, slots[:, 0], axis=0)
+    buf = np.empty_like(acc)
+    for k in range(1, slots.shape[1]):
+        # mode="clip" writes straight into out; the default mode buffers it.
+        np.take(pool, slots[:, k], axis=0, out=buf, mode="clip")
+        acc *= buf
+    return acc if power is None else acc**power
+
+
+def _extended_rows(z: np.ndarray, y: np.ndarray, ks, power=None) -> list:
+    """n + 1 values (rows, len(ks)) of |w|^k times the product (to the power, if given).
+
+    w is y for z and z_s for z with z_s -> y.
+    """
+    products = _product_rows(z, y, power)
+    weights = [np.abs(y)] + [np.abs(z[:, s]) for s in range(z.shape[1])]
+    return [np.stack([w**k * v for k in ks], axis=1) for w, v in zip(weights, products)]
+
+
+def _lockstep_sides(points: np.ndarray, y: np.ndarray, power=None, ks=None):
+    """Sides of _product_rows, (B,) each, or of _extended_rows, (len(ks), B) each, at any n.
+
+    No overflow escapes to logs here (replacement_sides does that), and
+    int64 inputs stay int64 up to a power.
+    """
+    per_row = _row_elements(points.shape[1])
+    if ks is None:
+        return _replacement_rows(_product_rows, per_row, points, y, power)
+    # Column-major (B, len(ks)) sides are C-contiguous once transposed.
+    lhs, rhs = _replacement_rows(_extended_rows, per_row, points, y, list(ks), power,
+                                 order="F")
+    return lhs.T, rhs.T
 
 
 def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
@@ -695,12 +817,12 @@ def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
 
     points is (B, n) complex with y (B,), or (B, n, m) real with y (B, m);
     metric is a METRICS name, and k > 0 needs complex points.  Up to n = 12
-    each chunk of rows stacks its n + 1 tuples (x, then x with slot i -> y)
-    and folds them as the scalar metric does (the roots from log sums),
-    and rhs is summed from 0 in slot order: the scalar per-slot rule bit
-    for bit.  Beyond n = 12 both sides are logs, from lagrange_log_rows.
-    Returns lhs and rhs, each (len(ks), B), their domain, and the (B,) mask
-    of the rows with a tuple evaluated in the log domain.
+    the sides are _lockstep_sides, the roots as the product to the power
+    2 / (n(n-1)) and the weights as np.abs(w) ** k, in the points' input
+    order.  Beyond n = 12, or when finite inputs give a side that is not
+    finite there, the whole call is evaluated as Lagrange log sums
+    (lagrange_log_rows).  Returns lhs and rhs, each (len(ks), B), and their
+    domain, LINEAR or LOG.
     """
     if metric not in METRICS:
         raise ArgumentError(f"unknown metric {metric!r}; known: {sorted(METRICS)}")
@@ -709,40 +831,24 @@ def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
     n = points.shape[1]
     if metric == "euclidean3" and n != 3:
         raise ArgumentError(f"euclidean3 takes exactly 3 points, got {n}")
-    if n > _LOG_SWITCH_N:
-        return (*_lagrange_sides(points, y, metric, ks), LOG, np.ones(len(points), dtype=bool))
-    lhs = np.empty((len(ks), len(points)))
-    rhs = np.empty_like(lhs)
-    log_rows = np.empty(len(points), dtype=bool)
-    for rows in _chunks(len(points), (n + 1) * n * (n - 1) // 2):
-        x, w = points[rows], y[rows]
-        tuples = np.repeat(x[None], n + 1, axis=0)
-        for slot in range(n):
-            tuples[slot + 1, :, slot] = w
-        factors = pairwise_distances(tuples.reshape(-1, *x.shape[1:]))
-        if metric.endswith("root"):
-            values, log = _root_rows(factors), np.ones(len(factors), dtype=bool)
-        else:
-            values, log = pair_product_rows(factors)
-        values = values.reshape(n + 1, -1)
-        log_rows[rows] = log.reshape(n + 1, -1).any(axis=0)
-        # Overflow and inf * 0 give inf and NaN, as the scalar rule's floats do.
+    if n <= _LOG_SWITCH_N:
+        power = _root_power(n) if metric.endswith("root") else None
+        # Overflow and inf * 0 give inf and NaN; inputs that are not finite fail closed.
         with np.errstate(over="ignore", invalid="ignore"):
-            for row, k in enumerate(ks):
-                weighted = values
-                if k:
-                    weights = np.concatenate([w[None], x.T])
-                    weighted = scalar_map(lambda v: _weight(v, k), weights) * values
-                lhs[row, rows] = weighted[0]
-                rhs[row, rows] = sum(weighted[1:])
-    return lhs, rhs, LINEAR, log_rows
+            if list(ks) == [0]:
+                lhs, rhs = (side[None] for side in _lockstep_sides(points, y, power))
+            else:
+                lhs, rhs = _lockstep_sides(points, y, power, ks)
+        # Sides of products (>= 0 or NaN) are finite where their max is: NaN
+        # propagates, and no temporary the size of a side is made.
+        if all(not side.size or math.isfinite(side.max()) for side in (lhs, rhs)) or not (
+                np.isfinite(points).all() and np.isfinite(y).all()):
+            return lhs, rhs, LINEAR
+    return (*_lagrange_sides(points, y, metric, ks), LOG)
 
 
 def _lagrange_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
-    """The logs of both replacement_sides sides, (len(ks), B) each, as Lagrange log sums.
-
-    metric is a pairwise-product METRICS name (not euclidean3).
-    """
+    """The logs of both replacement_sides sides, (len(ks), B) each, as Lagrange log sums."""
     lhs = np.empty((len(ks), len(points)))
     rhs = np.empty_like(lhs)
     log_x, terms = lagrange_log_rows(points, y)
@@ -760,16 +866,8 @@ def _lagrange_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
 
 
 def _replacement_report(operation, inputs, points, y, metric, k, tol) -> MetricReport:
-    """Inequality report of replacement_sides on one row, flagged log_domain in that domain.
-
-    Finite points whose linear sides overflow (inf, or NaN from inf * 0)
-    are compared as Lagrange log sums instead, so they reach a verdict.
-    """
-    x, w = np.array([points]), np.array([y])
-    lhs, rhs, domain, _ = replacement_sides(x, w, metric, (k,))
-    if (domain == LINEAR and metric != "euclidean3" and np.isfinite(x).all()
-            and np.isfinite(w).all() and not np.isfinite([lhs, rhs]).all()):
-        (lhs, rhs), domain = _lagrange_sides(x, w, metric, (k,)), LOG
+    """Inequality report of replacement_sides on one row, flagged log_domain in that domain."""
+    lhs, rhs, domain = replacement_sides(np.array([points]), np.array([y]), metric, (k,))
     return MetricReport(operation, inputs, float(lhs[0, 0]), float(rhs[0, 0]), tol,
                         kind=INEQUALITY, domain=domain,
                         flags={"log_domain": True} if domain == LOG else {})
@@ -779,7 +877,7 @@ def simplex_gap(points, y, metric="vandermonde", tol=INEQUALITY_RTOL) -> MetricR
     """Check d(x) <= sum_i d(x with x_i replaced by y) for a METRICS metric.
 
     For n > 12, and for finite points whose sides overflow, the logs of
-    the sides are compared (_replacement_report).
+    the sides are compared (replacement_sides).
     """
     t = as_point_tuple(points)
     y = _coerce_like(t, y)
@@ -792,7 +890,7 @@ def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL) -> 
 
     k = 0 reduces to the plain simplex inequality.  For n > 12, and for
     finite points whose sides overflow, the logs of the sides are compared
-    (_replacement_report).
+    (replacement_sides).
     """
     z = _complex_points(points)
     y = complex(y)
@@ -853,5 +951,4 @@ def lp_function_metric(samples, weights, p: float) -> float:
     if not all(x >= 0.0 and math.isfinite(x) for x in w):
         raise ArgumentError("weights must be finite and nonnegative")
     values, _ = vandermonde_rows(np.array(fs).T.astype(complex))
-    total = sum(wg * v ** p for wg, v in zip(w, values.tolist()))
-    return total ** (1.0 / p)
+    return _power_sum_root(w, values.tolist(), p)

@@ -182,7 +182,7 @@ class PolygonSides(NamedTuple):
     lhs: np.ndarray
     rhs: np.ndarray
     domain: str = LINEAR
-    log_rows: np.ndarray | None = None  # rows with a metric evaluated in the log domain
+    log_rows: np.ndarray | None = None  # linear rows whose metric was evaluated in logs
     lengths: dict | None = None  # side and diagonal lengths listed by the scalar report
 
 
@@ -246,7 +246,7 @@ def ngon_sides(angles, radii, center=0j) -> PolygonSides:
     if n > _LOG_SWITCH_NGON:
         rhs = (math.lgamma(n - 1) + ((n + 1) * (n - 2) / 2.0) * scalar_map(math.log, radii)
                + scalar_map(math.log, pair_sum))
-        return PolygonSides(vandermonde_log_rows(z), rhs, LOG, np.ones(len(z), dtype=bool))
+        return PolygonSides(vandermonde_log_rows(z), rhs, LOG)
     lhs, log_rows = vandermonde_rows(z)
     constant = scalar_map(lambda r: ngon_constant(n, r), radii)
     with np.errstate(over="ignore"):  # an infinite side fails the verdict
@@ -257,13 +257,13 @@ def ngon_sides(angles, radii, center=0j) -> PolygonSides:
 def simplex_equality_sides(angles, radii, center=0j) -> PolygonSides:
     """Simplex sides with y at the circumcenter for each polygon (core.replacement_sides).
 
-    Beyond n = 12 both sides are logarithms; a row is in the log domain
-    when any of its n + 1 tuples is.
+    Up to n = 12 they are the lockstep fold of the campaigns; beyond n = 12,
+    or when a side overflows, both sides of every row are logarithms.
     """
     z = _vertices(angles, radii, center)
-    (lhs,), (rhs,), domain, log_rows = replacement_sides(
-        z, np.full(len(z), center, dtype=complex), "vandermonde")
-    return PolygonSides(lhs, rhs, domain, log_rows)
+    (lhs,), (rhs,), domain = replacement_sides(z, np.full(len(z), center, dtype=complex),
+                                               "vandermonde")
+    return PolygonSides(lhs, rhs, domain)
 
 
 def _one(poly: CyclicPolygon, kernel) -> PolygonSides:

@@ -224,7 +224,7 @@ def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: floa
     at an array of times the stack times.shape + (B, m, m) (a MatrixFunction
     of stacked coefficient arrays is one); initials is (B, 3, m).  Each step
     is validated by step doubling, row by row; a row whose error estimate
-    exceeds rel_tol stays frozen from that step on.  Returns the (B, 3, K, m)
+    exceeds rel_tol stays frozen from that step on, to the last column.  Returns the (B, 3, K, m)
     trajectories, each row's first rejected step (-1 for none) and that
     step's error estimate.
 
@@ -266,7 +266,8 @@ def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: floa
                 rejected[new] = k
                 errors[new] = err[new]
                 frozen = True
-                if np.all(rejected >= 0):
+                if np.all(rejected >= 0):  # every row frozen: the rest of its columns is y
+                    out[:, :, k + 1:] = y[:, :, None]
                     break
             if frozen:
                 half = np.where((rejected < 0)[:, None, None], half, y)

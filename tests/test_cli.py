@@ -403,6 +403,15 @@ class TestCampaignCommand:
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
 
+    def test_k_of_an_op_that_never_reads_it_is_usage_error(self, runner):
+        for op, k in (("simplex", "2"), ("sum-identity", "9")):
+            result = runner.invoke(main, ["campaign", "--op", op, "--k", k, "--trials", "10"])
+            assert result.exit_code == 2
+            assert result.output == f"error: k is a power of the extended campaign only, " \
+                                    f"not of {op!r}\n"
+        result = runner.invoke(main, ["campaign", "--op", "extended", "--k", "2", "--trials", "10"])
+        assert result.exit_code == 0
+
 
 _ODE_SPEC = {
     "matrix": {"kind": "constant", "a0": [[-1.0, 0.0], [0.0, -1.0]]},
@@ -525,7 +534,7 @@ _GOLDEN_INVOCATIONS = [
     ["campaign", "--op", "simplex", "--trials", "0"],
     ["campaign", "--op", "simplex", "--trials", "10", "--output", _MISSING_OUTPUT],
 ]
-_GOLDEN_SHA256 = "6667a96eb2da226cf2464a73a8762e8c0e8181ec2922d8f34f81e9cf5a7ebf85"
+_GOLDEN_SHA256 = "30f5659e902047e31f92dd80b22402083bbdd3e63d64761773a674ad0ac21496"
 
 
 def test_cli_golden(runner, complex_csv, tetrahedron_csv):

@@ -28,7 +28,7 @@ from vandermetric import (
     vandermonde_metric,
     vandermonde_metric_log,
 )
-from vandermetric import core
+from vandermetric import batch, core
 from vandermetric.core import (
     INEQUALITY,
     INEQUALITY_RTOL,
@@ -37,11 +37,9 @@ from vandermetric.core import (
     METRICS,
     _log_sums,
     lagrange_log_rows,
-    pair_product_rows,
     pairwise_distances,
     replacement_sides,
     vandermonde_log_rows,
-    vandermonde_rows,
     verdict,
 )
 
@@ -386,9 +384,9 @@ class TestExtendedInequality:
 
     def test_finite_weights_keep_their_bits(self):
         z = [1e150, 1j, 2]
-        lhs, rhs, _, _ = replacement_sides(np.array([z]), np.array([0.5 + 0.5j]), "vandermonde",
-                                           (0, 1, 2))
-        weights = [abs(0.5 + 0.5j)] + [abs(v) for v in z]
+        lhs, rhs, _ = replacement_sides(np.array([z]), np.array([0.5 + 0.5j]), "vandermonde",
+                                        (0, 1, 2))
+        weights = np.abs([0.5 + 0.5j] + z)  # the weights are np.abs(w) ** k
         for k in (1, 2):
             assert lhs[k, 0] == weights[0] ** k * lhs[0, 0]
             assert math.isfinite(rhs[k, 0])
@@ -430,7 +428,7 @@ class TestLagrangeLogSums:
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         z[:, 1] = z[:, 0]  # lhs = 0
         z[1, 4] = z[1, 5]  # and every replaced tuple keeps a coincidence: rhs = 0
-        (lhs,), (rhs,), _, _ = replacement_sides(z, y, "vandermonde")
+        (lhs,), (rhs,), _ = replacement_sides(z, y, "vandermonde")
         assert lhs.tolist() == [-math.inf, -math.inf]
         assert math.isfinite(rhs[0]) and rhs[1] == -math.inf
         assert verdict(INEQUALITY, LOG, lhs, rhs, INEQUALITY_RTOL).passed.all()
@@ -512,30 +510,74 @@ _KERNEL_CASES = [(metric, n) for metric in ("vandermonde", "root", "pairwise", "
 
 @pytest.mark.parametrize("metric,n", _KERNEL_CASES)
 def test_replacement_sides_equal_the_per_slot_scalar_rule(monkeypatch, metric, n):
+    """The lockstep sides agree with the scalar metric per slot to rounding.
+
+    The fold takes the points in input order, the scalar metrics in their
+    canonical sort, so the two round differently within a few ulps.
+    """
     # Three rows per chunk: B = 7 spans three chunks.
-    monkeypatch.setattr(core, "_CHUNK_FACTORS", 3 * (n + 1) * n * (n - 1) // 2)
+    monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * core._row_elements(n))
     complex_points = metric in ("vandermonde", "root")
     ks = list(range(n)) if complex_points else [0]
     rng = np.random.default_rng(n)
     for b in (1, 7):
         points, y = _row_inputs(rng, b, n, complex_points)
-        lhs, rhs, domain, log_rows = replacement_sides(points, y, metric, ks)
+        lhs, rhs, domain = replacement_sides(points, y, metric, ks)
         assert domain == LINEAR and lhs.shape == rhs.shape == (len(ks), b)
         rows, ys = _scalar_rows(points), _scalar_rows(y[:, None])
         for row, k in enumerate(ks):
-            want = [_per_slot_sides(metric, rows[t], ys[t][0], k) for t in range(b)]
-            assert [v.hex() for v in lhs[row]] == [w[0].hex() for w in want]
-            assert [v.hex() for v in rhs[row]] == [w[1].hex() for w in want]
-        tuples = [points]
-        for slot in range(n):
-            tuples.append(points.copy())
-            tuples[-1][:, slot] = y
-        if metric.endswith("root"):
-            assert log_rows.all()
-        else:
-            fold = vandermonde_rows if complex_points else (
-                lambda x: pair_product_rows(pairwise_distances(x)))
-            assert np.array_equal(log_rows, np.any([fold(t)[1] for t in tuples], axis=0))
+            want = np.array([_per_slot_sides(metric, rows[t], ys[t][0], k) for t in range(b)])
+            assert np.allclose(lhs[row], want[:, 0], rtol=1e-13, atol=0.0)
+            assert np.allclose(rhs[row], want[:, 1], rtol=1e-13, atol=0.0)
+            # Exact zeros stay exact: coincident points in row 1, y on a point in row 2.
+            assert np.array_equal(lhs[row] == 0.0, want[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_scalar_reports_are_rows_of_the_campaign_kernel(metric):
+    """A B = 1 report has the bits of its row in a B = 7 call, and of the batch kernel.
+
+    Every k of the weighted check is a vandermonde report.
+    """
+    n = 3 if metric == "euclidean3" else 5
+    ks = list(range(n)) if metric == "vandermonde" else [0]
+    points, y = _row_inputs(np.random.default_rng(17), 7, n, metric in ("vandermonde", "root"))
+    lhs, rhs, domain = replacement_sides(points, y, metric, ks)
+    assert domain == LINEAR
+    if metric == "vandermonde":
+        kernel = batch.extended_sides_complex(points, y, ks)
+    else:
+        kernel = [side[None] for side in batch.simplex_sides_complex(points, y,
+                                                                     metric.endswith("root"))]
+    for side, want in zip((lhs, rhs), kernel):
+        assert np.array_equal(side.view(np.int64), want.view(np.int64))
+    rows, ys = _scalar_rows(points), _scalar_rows(y[:, None])
+    for row, k in enumerate(ks):
+        for t in range(7):
+            report = (extended_inequality_gap(rows[t], ys[t][0], k) if k
+                      else simplex_gap(rows[t], ys[t][0], metric=metric))
+            assert report.domain == LINEAR
+            assert (report.lhs.hex(), report.rhs.hex()) == (lhs[row, t].hex(), rhs[row, t].hex())
+
+
+_OVERFLOW_CASES = [("vandermonde", (0,)), ("root", (0,)), ("pairwise", (0,)),
+                   ("pairwise_root", (0,)), ("vandermonde", (1, 2, 3))]
+
+
+@pytest.mark.parametrize("metric,ks", _OVERFLOW_CASES)
+def test_an_overflowing_row_takes_the_batch_to_lagrange_log_sums(metric, ks):
+    """One row scaled to overflow: every row of the n <= 12 batch still reaches a verdict."""
+    complex_points = metric in ("vandermonde", "root")
+    points, y = _row_inputs(np.random.default_rng(5), 5, 4, complex_points)
+    points[3] *= 1e200  # its products pass 1e308: inf, or NaN times a zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = batch.extended_sides_complex(points, y, ks) if any(ks) else \
+            batch.simplex_sides_complex(points, y, metric.endswith("root"))
+    assert not np.isfinite(np.concatenate([np.ravel(raw[0]), np.ravel(raw[1])])).all()
+    lhs, rhs, domain = replacement_sides(points, y, metric, ks)
+    assert domain == LOG and lhs.shape == rhs.shape == (len(ks), 5)
+    v = verdict(INEQUALITY, LOG, lhs, rhs, INEQUALITY_RTOL)
+    assert v.passed.all() and math.isfinite(v.normalized.min())
 
 
 def test_replacement_sides_reject_mismatched_inputs():
@@ -600,6 +642,18 @@ class TestConstructions:
                 d([y if i == j else fs[j] for j in range(3)]) for i in range(3)
             )
             assert lhs <= rhs * (1 + 1e-9)
+
+    def test_norm_of_an_overflowing_power_is_scaled_by_the_largest_value(self):
+        # (1e200)^2 overflows a float power, which raises.
+        assert MonotoneNorm(p=2.0)([1e200, 1.0]) == 1e200
+        assert MonotoneNorm(p=3.0, weights=(1.0, 8.0))([1e200, -1e200]) == \
+            pytest.approx(9.0 ** (1.0 / 3.0) * 1e200, rel=1e-15)
+        # A call that does not overflow keeps the bits of the plain formula.
+        assert MonotoneNorm(p=3.0)([1.5, 2.5]) == (1.5**3.0 + 2.5**3.0) ** (1.0 / 3.0)
+
+    def test_lp_of_an_overflowing_power_is_scaled_by_the_largest_value(self):
+        samples = [[0.0, 1e200], [1.0, -1e200]]  # grid values 1 and 2e200; (2e200)^2 raises
+        assert lp_function_metric(samples, [1, 1], 2.0) == 2e200
 
     def test_lp_rejects_bad_p(self):
         with pytest.raises(ArgumentError):

@@ -33,10 +33,11 @@ from vandermetric.campaign import (
     _rng,
     random_ode_problem,
 )
-from vandermetric import batch, campaign
+from vandermetric import batch, campaign, core
 from vandermetric.batch import expansion_batch
 from vandermetric.cli import main
-from vandermetric.core import _pair_indices, vandermonde_log_rows, vandermonde_rows
+from vandermetric.core import (LINEAR, _pair_indices, replacement_sides, vandermonde_log_rows,
+                               vandermonde_rows)
 from vandermetric.geometry import POLYGON_CHECKS, random_sorted_angles
 from vandermetric.multilinear import (
     DefinitenessVerdict,
@@ -234,7 +235,9 @@ def digest(lines):
 
 # sha256 of each campaign's JSONL, recorded with the per-trial loops these
 # kernels replaced; the ptolemy case runs at tol 0 so that 100 violation
-# records pin the gaps of its rows bit for bit.
+# records pin the gaps of its rows bit for bit.  simplex-equality was
+# recorded again when its sides became the lockstep fold of
+# core.replacement_sides: its worst moved by 6 ulps.
 GOLDEN_CAMPAIGNS = [
     (dict(check="triangle"), "d50e43c5cb6f2da50dce41248974e6d7b4841f61fefc94936dec36df0f9b90b8"),
     (dict(check="quadrilateral"),
@@ -243,7 +246,7 @@ GOLDEN_CAMPAIGNS = [
      "ab3129988d89e7d61fb480f84b819d128e87c7bf731aec2ce932048c26f97de9"),
     (dict(check="ngon", n=7), "ea9f599a9c65157a08a41bc465bf0d649f784c9cae3fae9ede6193c7321b7820"),
     (dict(check="simplex-equality", n=6),
-     "ade4401272139831aa151efed33777582f8290d342431c447b3b4f1e7260083a"),
+     "57632659c7c87786fb450827edecfb360d87f472d8ba237eb4d480351ff6b845"),
 ]
 
 
@@ -260,7 +263,11 @@ def test_ode_campaign_stream_is_unchanged():
 
 
 def test_scalar_reports_are_unchanged():
-    """Report JSON of the five polygon checks and of verify_estimate, recorded likewise."""
+    """Report JSON of the five polygon checks and of verify_estimate, recorded likewise.
+
+    The simplex-equality reports were recorded again with the lockstep sides
+    of core.replacement_sides, which moved them by at most 8 ulps.
+    """
     rng = np.random.default_rng(41)
     lines = []
     for check, n in (("triangle", 3), ("quadrilateral", 4), ("ptolemy", 4), ("ngon", 7),
@@ -269,7 +276,7 @@ def test_scalar_reports_are_unchanged():
             poly = CyclicPolygon.random(n, rng, R=float(rng.uniform(0.5, 3.0)))
             lines.append(SCALAR_CHECKS[check](poly).to_json())
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "aac0c38708135f9c24cf6f6b9a8169cba412b0f9217678d49ba9bfcfcd55746d")
+        "c279b6b86d6edb760887d37ca3c60dc1a5fdcc508257d8fc6b9c51b4570eae54")
     rng = np.random.default_rng(np.random.SeedSequence(1100))
     lines = []
     for t in range(30):
@@ -675,6 +682,22 @@ REPLACEMENT_CASES = [
        lambda x, y, root=root: replacement_sides_loop(
            x, y, lambda p, _: (_root_of(_pairwise_loop) if root else _pairwise_loop)(p)),
        3, m, 0) for m in (2, 3, 4) for root in (False, True)],
+    # The one evaluator: core.replacement_sides up to n = 12, on float inputs.
+    *[(f"replacement-sides-{metric}-n{n}",
+       lambda z, y, metric=metric: _evaluator_sides(z, y, metric),
+       lambda z, y, root=metric == "root": replacement_sides_loop(
+           *_floats(z, y), lambda p, _: (_root_of(_dv_loop) if root else _dv_loop)(p)),
+       n, None, 0)
+      for n in range(2, 13) for metric in ("vandermonde", "root")],
+    *[(f"replacement-sides-{metric}-n{n}-m{m}",
+       lambda x, y, metric=metric: _evaluator_sides(x, y, metric),
+       lambda x, y, root=metric.endswith("root"): replacement_sides_loop(
+           *_floats(x, y), lambda p, _: (_root_of(_pairwise_loop) if root else _pairwise_loop)(p)),
+       n, m, 0)
+      for metric, sizes in (("euclidean3", [(3, 2), (3, 3), (3, 4)]),
+                            ("pairwise", [(n, 3) for n in range(2, 13)] + [(4, 1), (4, 5)]),
+                            ("pairwise_root", [(n, 3) for n in range(2, 13)]))
+      for n, m in sizes],
     *[(f"generalized-n{n}-m{m}", batch.simplex_sides_generalized,
        lambda x, y: replacement_sides_loop(x, y, lambda p, _: _generalized_loop(p)),
        n, m, 1) for n, m in [*itertools.product((2, 3, 4), repeat=2), (13, 3)]],
@@ -687,22 +710,35 @@ REPLACEMENT_CASES = [
 ]
 
 
+def _floats(points, y):
+    """The inputs as floats: the one evaluator takes float points, not int64 ones."""
+    return points.astype(np.result_type(points, float)), y.astype(np.result_type(y, float))
+
+
+def _evaluator_sides(points, y, metric, ks=(0,)):
+    """core.replacement_sides of the inputs as floats: (lhs, rhs), (len(ks), B) or (B,) each."""
+    lhs, rhs, domain = replacement_sides(*_floats(points, y), metric, ks)
+    assert domain == LINEAR
+    return (lhs, rhs) if len(ks) > 1 else (lhs[0], rhs[0])
+
+
 def _three_rows_per_chunk(monkeypatch, n, m, q):
     """Chunks of three rows, by the kernel's own per-row count; returns the list of chunk sizes.
 
-    Each call of the fold that a chunk makes (_product_rows for the product
-    pass, _projected_rows for the projected one) appends its row count.
+    Each call of the fold that a chunk makes (core._product_rows for the
+    product pass, batch._projected_rows for the projected one) appends its
+    row count.
     """
-    per_row = batch._row_elements(n, m or 0, q)
-    monkeypatch.setattr(batch, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row)
-    name = "_projected_rows" if q else "_product_rows"
-    fold, chunks = getattr(batch, name), []
+    per_row = core._row_elements(n, m or 0, q)
+    monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row)
+    module, name = (batch, "_projected_rows") if q else (core, "_product_rows")
+    fold, chunks = getattr(module, name), []
 
     def counted(x, *args):
         chunks.append(len(x))
         return fold(x, *args)
 
-    monkeypatch.setattr(batch, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return chunks
 
 
@@ -732,14 +768,22 @@ def test_extended_sides_equal_the_copy_per_slot_path(monkeypatch, n):
     for b in (1, 7):
         for whole in (False, True):
             z, y = _replacement_inputs(rng, b, n, None, whole)
-            chunks.clear()
-            lhs, rhs = batch.extended_sides_complex(z, y, range(n))
-            assert chunks == ([1] if b == 1 else [3, 3, 1])
-            for k in range(n):
-                want = replacement_sides_loop(z, y, lambda p, w: np.abs(w) ** k * _dv_loop(p))
-                for got, ref in zip((lhs[k], rhs[k]), want):
-                    assert got.dtype == ref.dtype
-                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            # The raw kernel on the inputs as drawn; the one evaluator, for
+            # the root metric too, on them as floats.
+            for metric, inputs in ((None, (z, y)), ("vandermonde", _floats(z, y)),
+                                   ("root", _floats(z, y))):
+                chunks.clear()
+                if metric is None:
+                    lhs, rhs = batch.extended_sides_complex(*inputs, range(n))
+                else:
+                    lhs, rhs = _evaluator_sides(*inputs, metric, range(n))
+                assert chunks == ([1] if b == 1 else [3, 3, 1])
+                d = _root_of(_dv_loop) if metric == "root" else _dv_loop
+                for k in range(n):
+                    want = replacement_sides_loop(*inputs, lambda p, w: np.abs(w) ** k * d(p))
+                    for got, ref in zip((lhs[k], rhs[k]), want):
+                        assert got.dtype == ref.dtype
+                        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 # sha256 of each batch campaign's JSONL, recorded with the copy-per-slot
