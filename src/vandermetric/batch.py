@@ -10,8 +10,10 @@ tuples "x with x_s -> y".  The product pass, core's lockstep fold, is
 the evaluator of core.replacement_sides, which the simplex, extended and
 equality-family campaigns call; simplex_sides_complex,
 simplex_sides_vectors and extended_sides_complex are that fold without
-its log escape, at any n and on int64 inputs.  The projected pass of the
-generalized metric and the replacement identities here runs on the same
+its log escape, at any n and on int64 inputs, and
+simplex_sides_generalized is the same fold on each coordinate plane
+with the l2 norm over the planes.  The projected pass of the replacement
+identities here runs on the same
 scheme: each row's factors are computed once, into a factor-major pool,
 the signed slot map (core._slot_map) lists where each of the n + 1
 tuples finds its factors, and all n + 1 tuples fold in lockstep, one
@@ -37,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (IDENTITY, LINEAR, _lockstep_sides, _pair_indices, _replacement_rows,
-                   _root_power, _row_elements, _slot_map, verdict)
+from .core import (IDENTITY, LINEAR, _generalized_sides, _lockstep_sides, _pair_indices,
+                   _replacement_rows, _root_power, _row_elements, _slot_map, verdict)
 from .multilinear import EXPANSION_MAX_N, expansion_terms
 from .errors import ResourceError
 
@@ -328,12 +330,13 @@ def generalized_metric_batch(points: np.ndarray) -> np.ndarray:
     return _norm(*pdf_batch(points))
 
 
-def _generalized_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _norm(*_projected_rows(x, y, 1))
-
-
 def simplex_sides_generalized(points: np.ndarray, y: np.ndarray):
-    return _replacement_rows(_generalized_rows, _row_elements(*points.shape[1:], 1), points, y)
+    """(lhs, rhs) of the simplex inequality of the generalized metric for each row, at any n.
+
+    points is (B, n, m) real with y (B, m), m >= 2: core's per-plane
+    product pass with the l2 norm over the planes, without its log escape.
+    """
+    return _generalized_sides(points, y)
 
 
 def sum_identity_sides(points: np.ndarray, y: np.ndarray):

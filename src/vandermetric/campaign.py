@@ -218,19 +218,14 @@ def _replacement_campaign(config, name, points, y, metric, ks=(0,)):
 def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
     b, n, m = config.trials, config.n, config.m
-    if config.metric == "generalized":
-        x = rng.standard_normal((b, n, m))
-        y = rng.standard_normal((b, m))
-        extra = lambda t: {"points": x[t].tolist(), "y": y[t].tolist()}
-        return _reduce(config, INEQUALITY, LINEAR, *batch.simplex_sides_generalized(x, y), extra)
-    if config.metric == "euclidean3":
-        points = rng.standard_normal((b, 3, m))
-        y = rng.standard_normal((b, m))
-        extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
-    else:  # "vandermonde" or "root"
+    if config.metric in ("vandermonde", "root"):
         points = _complex_sample(rng, (b, n))
         y = _complex_sample(rng, (b,))
         extra = lambda t: {"points": _jsonable_complex(points[t]), "y": [y[t].real, y[t].imag]}
+    else:  # "euclidean3" or "generalized"
+        points = rng.standard_normal((b, 3 if config.metric == "euclidean3" else n, m))
+        y = rng.standard_normal((b, m))
+        extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
     (lhs,), (rhs,), domain = _replacement_campaign(config, f"simplex {config.metric}", points,
                                                    y, config.metric)
     return _reduce(config, INEQUALITY, domain, lhs, rhs, extra)

@@ -10,9 +10,11 @@ function metrics).
 The metrics multiply pairwise factors in lexicographic pair order of a
 canonically sorted copy of the input, so permuting the input points yields
 bit-identical values.  The simplex and weighted sides come from one
-evaluator, replacement_sides: up to n = 12 a lockstep fold of the n + 1
-tuples in input order, whose bits the campaigns and the scalar reports
-share; beyond that, or where those sides overflow, Lagrange log sums.
+evaluator, replacement_sides, which also takes the generalized metric of
+multilinear as the l2 norm of d_V over the coordinate planes: up to
+n = 12 a lockstep fold of the n + 1 tuples in input order, whose bits the
+campaigns and the scalar reports share; beyond that, or where those sides
+overflow or underflow to 0, Lagrange log sums.
 """
 
 from __future__ import annotations
@@ -812,21 +814,94 @@ def _lockstep_sides(points: np.ndarray, y: np.ndarray, power=None, ks=None):
     return lhs.T, rhs.T
 
 
+# The generalized metric of points in R^m, m >= 2, is the l2 norm over the
+# M = m(m-1)/2 coordinate planes (s, t) of d_V of the complex projections
+# x[s] + i x[t]: the norm of the product-difference form, plane by plane.
+
+
+def _planes(v: np.ndarray) -> np.ndarray:
+    """The (M, ...) complex projections v[..., s] + i v[..., t] of real (..., m) v, plane-major."""
+    s, t = _pair_indices(v.shape[-1])
+    out = np.empty((len(s),) + v.shape[:-1], dtype=complex)
+    out.real = np.moveaxis(v[..., s], -1, 0)
+    out.imag = np.moveaxis(v[..., t], -1, 0)
+    return out
+
+
+def _plane_elements(n: int, m: int) -> int:
+    """Elements of one row of _generalized_rows, the unit of REPLACEMENT_CHUNK_ELEMENTS.
+
+    Per plane: the product pass (_row_elements), the projected points and
+    y as complex (2(n + 1)), and the n + 1 squared products.
+    """
+    return (_row_elements(n) + 3 * (n + 1)) * (m * (m - 1) // 2)
+
+
+def _generalized_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n + 1, rows) generalized metrics of x and of each x with slot s -> y.
+
+    _product_rows runs on the (M * rows, n) planes of the chunk at once;
+    each tuple's squared products are added over the planes in plane order
+    before the square root.
+    """
+    planes = _planes(x)
+    count, rows, n = planes.shape
+    squares = _product_rows(planes.reshape(-1, n), _planes(y).ravel()).reshape(n + 1, count, rows)
+    squares *= squares
+    total = squares[:, 0]
+    for plane in range(1, count):
+        total += squares[:, plane]
+    return np.sqrt(total)
+
+
+def _generalized_sides(points: np.ndarray, y: np.ndarray):
+    """Sides of _generalized_rows, (B,) each, at any n, with no escape to logs."""
+    return _replacement_rows(_generalized_rows, _plane_elements(*points.shape[1:]), points, y)
+
+
+def _underflowed(lhs: np.ndarray, points: np.ndarray, y: np.ndarray, metric: str, ks) -> bool:
+    """Whether a left side of replacement_sides is 0 only because its product underflowed.
+
+    A zero lhs at k = 0, or at k > 0 with y != 0, is exact only when two
+    points of its row coincide (for the generalized metric, on every
+    plane).  Only the rows with a zero lhs are checked.
+    """
+    if not lhs.size or lhs.min() > 0.0:
+        return False
+    zero = lhs == 0.0
+    weighted = np.asarray(ks) > 0
+    if weighted.any():
+        zero[weighted] &= y != 0.0
+    x = points[zero.any(axis=0)]
+    if metric == "generalized":
+        x = _planes(x).reshape(-1, x.shape[1])
+    # Coincident points sort next to each other.
+    sorted_x = _sorted_rows(x)[0]
+    same = sorted_x[:, 1:] == sorted_x[:, :-1]
+    if same.ndim > 2:
+        same = same.all(axis=2)
+    return bool((~same.any(axis=1)).any())
+
+
 def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
     """Both sides of |y|^k d(x) <= sum_i |x_i|^k d(x with x_i -> y) for each row and k.
 
     points is (B, n) complex with y (B,), or (B, n, m) real with y (B, m);
-    metric is a METRICS name, and k > 0 needs complex points.  Up to n = 12
-    the sides are _lockstep_sides, the roots as the product to the power
-    2 / (n(n-1)) and the weights as np.abs(w) ** k, in the points' input
-    order.  Beyond n = 12, or when finite inputs give a side that is not
-    finite there, the whole call is evaluated as Lagrange log sums
+    metric is a METRICS name or "generalized" (m >= 2), and k > 0 needs
+    complex points.  Up to n = 12 the sides are _lockstep_sides, the roots
+    as the product to the power 2 / (n(n-1)) and the weights as
+    np.abs(w) ** k, in the points' input order; the generalized sides are
+    _generalized_sides.  Beyond n = 12, or when finite inputs give a side
+    that is not finite there, or a left side of 0 that only underflow
+    explains, the whole call is evaluated as Lagrange log sums
     (lagrange_log_rows).  Returns lhs and rhs, each (len(ks), B), and their
     domain, LINEAR or LOG.
     """
-    if metric not in METRICS:
-        raise ArgumentError(f"unknown metric {metric!r}; known: {sorted(METRICS)}")
-    if (points.ndim == 2) != (metric in ("vandermonde", "root")) or (points.ndim > 2 and any(ks)):
+    if metric not in METRICS and metric != "generalized":
+        raise ArgumentError(f"unknown metric {metric!r}; known: "
+                            f"{sorted([*METRICS, 'generalized'])}")
+    if (points.ndim == 2) != (metric in ("vandermonde", "root")) or (points.ndim > 2 and any(ks)) \
+            or (metric == "generalized" and points.shape[2] < 2):
         raise ArgumentError(f"metric {metric!r} with k in {list(ks)} does not take these points")
     n = points.shape[1]
     if metric == "euclidean3" and n != 3:
@@ -835,23 +910,46 @@ def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
         power = _root_power(n) if metric.endswith("root") else None
         # Overflow and inf * 0 give inf and NaN; inputs that are not finite fail closed.
         with np.errstate(over="ignore", invalid="ignore"):
-            if list(ks) == [0]:
+            if metric == "generalized":
+                lhs, rhs = (side[None] for side in _generalized_sides(points, y))
+            elif list(ks) == [0]:
                 lhs, rhs = (side[None] for side in _lockstep_sides(points, y, power))
             else:
                 lhs, rhs = _lockstep_sides(points, y, power, ks)
         # Sides of products (>= 0 or NaN) are finite where their max is: NaN
         # propagates, and no temporary the size of a side is made.
-        if all(not side.size or math.isfinite(side.max()) for side in (lhs, rhs)) or not (
+        finite = all(not side.size or math.isfinite(side.max()) for side in (lhs, rhs))
+        if finite and not _underflowed(lhs, points, y, metric, ks) or not (
                 np.isfinite(points).all() and np.isfinite(y).all()):
             return lhs, rhs, LINEAR
     return (*_lagrange_sides(points, y, metric, ks), LOG)
+
+
+def _generalized_log_rows(x: np.ndarray, y: np.ndarray):
+    """lagrange_log_rows of the generalized metric: of each plane's d_V, then the l2 norm.
+
+    log d = 1/2 logsumexp over the planes of 2 log d^plane, and each term
+    likewise over its planes' terms.  Rows run in chunks of at most
+    REPLACEMENT_CHUNK_ELEMENTS, four per projected point (its complex value,
+    its term and that doubled); lagrange_log_rows chunks its pair factors.
+    """
+    n, count = x.shape[1], x.shape[2] * (x.shape[2] - 1) // 2
+    log_d, terms = np.empty(len(x)), np.empty(x.shape[:2])
+    step = max(1, REPLACEMENT_CHUNK_ELEMENTS // (4 * count * n))
+    for rows in (slice(start, start + step) for start in range(0, len(x), step)):
+        plane_d, plane_terms = lagrange_log_rows(_planes(x[rows]).reshape(-1, n),
+                                                 _planes(y[rows]).ravel())
+        log_d[rows] = 0.5 * _log_sum_exp(2.0 * plane_d.reshape(count, -1).T)
+        terms[rows] = 0.5 * _log_sum_exp(2.0 * plane_terms.reshape(count, -1).T).reshape(-1, n)
+    return log_d, terms
 
 
 def _lagrange_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
     """The logs of both replacement_sides sides, (len(ks), B) each, as Lagrange log sums."""
     lhs = np.empty((len(ks), len(points)))
     rhs = np.empty_like(lhs)
-    log_x, terms = lagrange_log_rows(points, y)
+    log_rows = _generalized_log_rows if metric == "generalized" else lagrange_log_rows
+    log_x, terms = log_rows(points, y)
     if metric.endswith("root"):
         power = _root_power(points.shape[1])
         log_x, terms = power * log_x, power * terms

@@ -145,7 +145,7 @@ def _temporaries(kernel, *args):
     return peak - sum(side.nbytes for side in sides)
 
 
-@pytest.mark.parametrize("name", ["products", "extended", "w-identity"])
+@pytest.mark.parametrize("name", ["products", "extended", "generalized", "w-identity"])
 def test_replacement_temporaries_do_not_grow_with_the_batch(rng, name):
     def call(b):
         z = rng.standard_normal((b, 6)) + 1j * rng.standard_normal((b, 6))
@@ -155,6 +155,8 @@ def test_replacement_temporaries_do_not_grow_with_the_batch(rng, name):
             return _temporaries(batch.simplex_sides_complex, z, w)
         if name == "extended":
             return _temporaries(batch.extended_sides_complex, z, w, range(6))
+        if name == "generalized":
+            return _temporaries(batch.simplex_sides_generalized, x, y)
         return _temporaries(batch.w_identity_sides, x, y, 2)
 
     # Both batches span several chunks; the larger one holds 4x the rows.

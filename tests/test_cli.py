@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from vandermetric import campaign
 from vandermetric.cli import main
 from vandermetric.io import read_points_csv, write_points_csv
 from vandermetric import ArgumentError
@@ -376,16 +377,32 @@ class TestCampaignCommand:
                                       "--metric", "bogus", "--trials", "10"])
         assert result.exit_code == 2
 
-    # The generalized sides still overflow to inf at these sizes.
+    # The generalized products pass the float range at these sizes.
     @pytest.mark.parametrize("args", [
         ["--op", "simplex", "--metric", "generalized", "--n", "60", "--m", "3", "--trials", "5"],
         ["--op", "simplex", "--metric", "generalized", "--n", "40", "--m", "5", "--trials", "5"],
     ])
-    def test_non_finite_rows_fail_closed(self, runner, args):
+    def test_overflowing_rows_are_decided_in_logs(self, runner, args):
         result = runner.invoke(main, ["campaign", *args])
+        assert result.exit_code == 0
+        summary = json.loads(result.output.strip().splitlines()[-1])
+        assert summary["pass"] is True and math.isfinite(summary["worst"])
+
+    def test_non_finite_rows_fail_closed(self, runner, monkeypatch):
+        # No campaign yields a side that is not finite, so the evaluator's are made so.
+        evaluate = campaign.replacement_sides
+
+        def non_finite(*args):
+            lhs, rhs, domain = evaluate(*args)
+            lhs[0, 1], rhs[0, 3] = math.nan, math.inf
+            return lhs, rhs, domain
+
+        monkeypatch.setattr(campaign, "replacement_sides", non_finite)
+        result = runner.invoke(main, ["campaign", "--op", "simplex", "--trials", "5"])
         assert result.exit_code == 1
         summary = json.loads(result.output.strip().splitlines()[-1])
-        assert summary["pass"] is False and summary["violations"] > 0
+        assert summary["pass"] is False and summary["violations"] == 2
+        assert summary["worst"] == "nan"
 
     @pytest.mark.parametrize("args", [
         ["--op", "simplex", "--trials", "0"],

@@ -15,6 +15,7 @@ from vandermetric import (
     SingularityError,
     as_point_tuple,
     componentwise_metric,
+    counterexample_4_4,
     cramer_coefficients,
     cramer_coefficients_determinant_ratio,
     euclidean_3metric,
@@ -338,6 +339,22 @@ class TestSimplexGap:
         report = simplex_gap([1e200, 1j, 2], math.nan)
         assert not report.passed and report.domain == LINEAR and report.flags == {}
 
+    def test_underflowing_sides_are_compared_in_logs(self):
+        # 15 distances near 1e-30 multiply to 0 in floats, yet no two points coincide.
+        z = [1e-30 * c for c in (1, 2j, -1, 3, 1 + 1j, -2j)]
+        report = simplex_gap(z, 0.5e-30)
+        assert report.domain == LOG and report.flags == {"log_domain": True}
+        assert math.isfinite(report.lhs) and math.isfinite(report.rhs) and report.passed
+        assert report.lhs == pytest.approx(_log_dv(z), rel=1e-12)
+        # The generalized metric: every plane's product underflows.
+        x = 1e-60 * np.random.default_rng(3).standard_normal((2, 6, 3))
+        lhs, rhs, domain = replacement_sides(x, np.zeros((2, 3)), "generalized")
+        assert domain == LOG and np.isfinite(lhs).all() and np.isfinite(rhs).all()
+        # Distinct points that collide on every plane: a generalized metric of exactly 0.
+        x = np.array([counterexample_4_4()], dtype=float)
+        lhs, rhs, domain = replacement_sides(x, np.ones((1, 4)), "generalized")
+        assert domain == LINEAR and lhs[0, 0] == 0.0 and rhs[0, 0] > 0.0
+
 
 def _log_dv(z):
     return math.fsum(math.log(abs(z[i] - z[j])) for j in range(len(z))
@@ -381,6 +398,13 @@ class TestExtendedInequality:
                  for i in range(len(z))]
         assert report.lhs == pytest.approx(k * math.log(abs(y)) + _log_dv(z), rel=1e-12)
         assert report.rhs == pytest.approx(_log_sum(terms), rel=1e-12)
+
+    def test_an_underflowing_side_is_compared_in_logs_unless_y_is_0(self):
+        z = [1e-30 * c for c in (1, 2j, -1, 3, 1 + 1j, -2j)]
+        report = extended_inequality_gap(z, 0.5e-30, 1)
+        assert report.domain == LOG and report.passed
+        report = extended_inequality_gap(z, 0, 1)  # |y|^k d(z) is exactly 0
+        assert report.domain == LINEAR and report.lhs == 0.0 and report.passed
 
     def test_finite_weights_keep_their_bits(self):
         z = [1e150, 1j, 2]
@@ -452,6 +476,18 @@ class TestLagrangeLogSums:
             assert report.domain == LOG and report.flags == {"log_domain": True}
             assert math.isfinite(report.lhs) and math.isfinite(report.rhs)
             assert report.passed
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_generalized_log_sums_are_the_logs_of_the_linear_sides(self, monkeypatch, n):
+        monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 1 << 9)  # chunks of 1 to 10 rows
+        rng = np.random.default_rng(n)
+        for m in (2, 3, 5):
+            x, y = rng.standard_normal((50, n, m)), rng.standard_normal((50, m))
+            lhs, rhs, domain = replacement_sides(x, y, "generalized")
+            assert domain == LINEAR
+            log_lhs, log_rhs = core._lagrange_sides(x, y, "generalized", (0,))
+            assert np.max(np.abs(log_lhs - np.log(lhs))) <= 1e-13
+            assert np.max(np.abs(log_rhs - np.log(rhs))) <= 1e-13
 
     @pytest.mark.parametrize("n", [13, 20, 40])
     def test_vector_log_sums_are_the_distance_log_sums(self, n):
@@ -583,11 +619,13 @@ def test_an_overflowing_row_takes_the_batch_to_lagrange_log_sums(metric, ks):
 def test_replacement_sides_reject_mismatched_inputs():
     z = np.zeros((1, 4), dtype=complex)
     x = np.zeros((1, 4, 3))
-    for points, metric in ((z, "pairwise"), (x, "root"), (z, "bogus"), (x, "euclidean3")):
+    for points, metric in ((z, "pairwise"), (x, "root"), (z, "bogus"), (x, "euclidean3"),
+                           (z, "generalized"), (x[:, :, :1], "generalized")):
         with pytest.raises(ArgumentError):
             replacement_sides(points, np.zeros(1), metric)
-    with pytest.raises(ArgumentError):  # the weights |x_i|^k are for complex points
-        replacement_sides(x, np.zeros((1, 3)), "pairwise", ks=(0, 1))
+    for metric in ("pairwise", "generalized"):
+        with pytest.raises(ArgumentError):  # the weights |x_i|^k are for complex points
+            replacement_sides(x, np.zeros((1, 3)), metric, ks=(0, 1))
     with pytest.raises(ArgumentError):
         simplex_gap([0, 1, 2], 1j, metric=vandermonde_metric)
 

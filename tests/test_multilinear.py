@@ -1,6 +1,7 @@
 """Symmetric multilinear map, expansion oracle, identities, definiteness."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from vandermetric import (
     w_identity_gap,
     w_norm_inequality,
 )
-from vandermetric.core import INEQUALITY_RTOL, simplex_gap
+from vandermetric.core import INEQUALITY_RTOL, LINEAR, replacement_sides, simplex_gap
 from vandermetric.multilinear import ordered_pairs, permutation_sign
 
 
@@ -279,6 +280,25 @@ class TestGeneralizedMetric:
                 for i in range(3)
             )
             assert lhs <= rhs * (1 + 1e-9) + 1e-12
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_norm_of_the_per_plane_metrics(self, m):
+        """The metric is the l2 norm over the planes (s, t) of d_V of x[s] + i x[t].
+
+        So is the left side of the one replacement evaluator.
+        """
+        rng = np.random.default_rng(60 + m)
+        for n in range(2, 7):
+            spec = MultilinearMapSpec(n=n, m=m)
+            x, y = rng.standard_normal((20, n, m)), rng.standard_normal((20, m))
+            (lhs,), _, domain = replacement_sides(x, y, "generalized")
+            assert domain == LINEAR
+            for row, got in zip(x, lhs.tolist()):
+                want = generalized_metric(spec, [tuple(p) for p in row])
+                planes = math.hypot(*(vandermonde_metric([complex(p[s], p[t]) for p in row])
+                                      for s, t in ordered_pairs(m)))
+                assert abs(planes - want) <= 1e-13 * want
+                assert abs(got - want) <= 1e-13 * want
 
     def test_zero_on_repeated_point(self):
         spec = MultilinearMapSpec(n=3, m=3)

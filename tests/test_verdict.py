@@ -6,15 +6,13 @@ import struct
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vandermetric import CampaignConfig, CyclicPolygon, batch, campaign, run_campaign
-from vandermetric.cli import main
 from vandermetric.campaign import CampaignResult, _reduce, _rng
 from vandermetric.core import (
-    BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, _row_max, verdict,
+    BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, _row_max, dump_json, verdict,
 )
 from vandermetric.geometry import (
     ngon_check, ptolemy_gap, quadrilateral_check, random_sorted_angles, simplex_equality_ngon,
@@ -61,17 +59,21 @@ def strict_json(text):
 
 @pytest.mark.parametrize("fmt", ["jsonl", "json"])
 def test_campaign_output_is_valid_json_with_non_finite_values(fmt):
-    result = CliRunner().invoke(main, ["campaign", "--op", "simplex", "--metric", "generalized",
-                                       "--n", "60", "--m", "3", "--trials", "5",
-                                       "--format", fmt])
-    records = [strict_json(line) for line in result.output.strip().splitlines()]
+    # No campaign yields a side that is not finite, so the sides are made here.
+    lhs = np.array([1.0, math.nan, 1.0, math.inf, 2.0])
+    rhs = np.array([2.0, 2.0, math.inf, math.inf, 1.0])
+    with np.errstate(all="ignore"):
+        result = _reduce(CampaignConfig(op="simplex"), INEQUALITY, LINEAR, lhs, rhs,
+                         lambda t: {})
+    assert math.isnan(result.worst) and result.violations == 4
+    # The two formats of `vandermetric campaign --format`.
+    lines = list(result.json_lines()) if fmt == "jsonl" else [
+        dump_json({"failures": result.failures, "summary": result.summary()})]
+    records = [strict_json(line) for line in lines]
     if fmt == "json":
         records = records[0]["failures"] + [records[0]["summary"]]
     assert records[-1]["worst"] == "nan"
-    assert {"inf", "nan"} & {r["gap"] for r in records[:-1]}
-    with np.errstate(all="ignore"):
-        assert math.isnan(run_campaign(CampaignConfig(op="simplex", metric="generalized", n=60,
-                                                      m=3, trials=5)).worst)
+    assert [r["gap"] for r in records[:-1]] == ["nan", "inf", "nan", -1.0]
 
 
 @pytest.mark.parametrize("kind", KINDS)
