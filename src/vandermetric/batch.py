@@ -12,21 +12,22 @@ equality-family campaigns call; simplex_sides_complex,
 simplex_sides_vectors and extended_sides_complex are that fold without
 its log escape, at any n and on int64 inputs, and
 simplex_sides_generalized is the same fold on each coordinate plane
-with the l2 norm over the planes.  The projected pass of the replacement
-identities here runs on the same
-scheme: each row's factors are computed once, into a factor-major pool,
-the signed slot map (core._slot_map) lists where each of the n + 1
-tuples finds its factors, and all n + 1 tuples fold in lockstep, one
-factor position per step.  Rows run in chunks of at most
-core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or one row, and
-each chunk is reduced straight into the two sides, so the only arrays
-that grow with B are the inputs and the sides.
+with the l2 norm over the planes.
+
+The multilinear kernels multiply projected complex factors, split into
+re and im planes, with one lockstep fold, _fold: each step gathers one
+factor per member from a factor-major pool into reused buffers and
+multiplies it in.  pdf_batch folds the pair differences as one member;
+the projected pass of the replacement identities folds the n + 1 tuples,
+as the signed slot map (core._slot_map) lists their factors, in chunks
+of at most core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or
+one row, each reduced straight into the two sides.
 
 The permutation expansion sums a signed fold over each of the n!
 permutations.  Permutations that agree on sigma(0 .. k) share that part
 of their fold, so the expansion walks them in lexicographic groups with a
 common prefix: each prefix is folded once, depth first, and a group's
-members finish their last factors in lockstep from it.  Its rows run in
+members finish their last factors with _fold from it.  Its rows run in
 chunks of EXPANSION_CHUNK_ELEMENTS, so its temporaries do not grow with B
 either.
 """
@@ -40,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (IDENTITY, LINEAR, _generalized_sides, _lockstep_sides, _pair_indices,
-                   _replacement_rows, _root_power, _row_elements, _slot_map, verdict)
+                   _replacement_rows, _root_power, _slot_map, verdict)
 from .multilinear import EXPANSION_MAX_N, expansion_terms
 from .errors import ResourceError
 
@@ -113,15 +114,33 @@ def _complex_step(re, im, a, b, x, y):
     return (*_complex_mul(re, im, a, b, x, y, im), re)
 
 
-def _apply_projected(planes_re: np.ndarray, planes_im: np.ndarray):
-    """Fold K projected complex factors left to right; planes are (K, ...) re and im.
+def _buffers(members: int, plane: np.ndarray) -> list:
+    """The six (members, ...) buffers of _fold, shaped and typed like one plane."""
+    return [np.empty((members,) + plane.shape, plane.dtype) for _ in range(6)]
 
-    Returns the (re, im) products, each shaped like one plane.
+
+def _fold(pool_re, pool_im, columns, re, im, a, b, free, y, prefix=None):
+    """Fold the factors columns names, in lockstep, from the (K, ...) re and im pools.
+
+    columns is (L, members): step k gathers each member's k-th factor,
+    pool[columns[k]], into the reused (members, ...) buffers a and b and
+    multiplies it in with _complex_step.  The first factor starts the
+    fold, or multiplies prefix, a (re, im) pair that broadcasts against
+    the buffers, when one is given.  Returns the (re, im) products, two of
+    the six buffers.
     """
-    re, im = planes_re[0].copy(), planes_im[0].copy()
-    x, y = np.empty_like(re), np.empty_like(re)
-    for a, b in zip(planes_re[1:], planes_im[1:]):
-        re, im, x = _complex_step(re, im, a, b, x, y)
+    # mode="clip" writes straight into out; the default mode buffers it.
+    if prefix is None:
+        pool_re.take(columns[0], 0, re, "clip")
+        pool_im.take(columns[0], 0, im, "clip")
+    else:
+        pool_re.take(columns[0], 0, a, "clip")
+        pool_im.take(columns[0], 0, b, "clip")
+        _complex_mul(*prefix, a, b, re, y, im)
+    for column in columns[1:]:
+        pool_re.take(column, 0, a, "clip")
+        pool_im.take(column, 0, b, "clip")
+        re, im, free = _complex_step(re, im, a, b, free, y)
     return re, im
 
 
@@ -141,7 +160,9 @@ def pdf_batch(points: np.ndarray):
     Returns (re, im) arrays of shape (B, M_m).
     """
     j, i = _pair_indices(points.shape[1])
-    return _apply_projected(*(_pair_differences(p, i, j) for p in _coordinate_planes(points)))
+    pools = [_pair_differences(p, i, j) for p in _coordinate_planes(points)]
+    re, im = _fold(*pools, np.arange(len(i))[:, None], *_buffers(1, pools[0][0]))
+    return re[0], im[0]
 
 
 def _pair_differences(planes: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -156,44 +177,29 @@ def _pair_differences(planes: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.nd
     return out
 
 
-@lru_cache(maxsize=None)
-def _fold_map(n: int, q: int) -> np.ndarray:
-    """Read-only (P + q - 1, n + 1) projected-pool positions of each tuple's factors.
-
-    The pool of _projected_rows: the signed slot-map pool, then the tails y
-    and x_0 .. x_{n-1}; each tuple's P pair factors come first, then q - 1
-    copies of its tail (y for x, x_s for x with slot s -> y).
-    """
-    p = n * (n - 1) // 2
-    tails = np.tile(p + 2 * n + np.arange(n + 1), (q - 1, 1))
-    fold = np.concatenate([_slot_map(n, True).T, tails])
-    fold.flags.writeable = False
-    return fold
+def _projected_elements(n: int, m: int) -> int:
+    """Elements of one row of _projected_rows: per coordinate pair, re and im pools of
+    P + 3n + 1 planes and _fold's six buffers of n + 1."""
+    return (2 * (n * (n - 1) // 2 + 3 * n + 1) + 6 * (n + 1)) * (m * (m - 1) // 2)
 
 
 def _projected_rows(x: np.ndarray, y: np.ndarray, q: int):
     """Re and im (n + 1, rows, M_m) of the projected fold of x and of each x with slot s -> y.
 
-    All n + 1 tuples fold in lockstep: step k gathers each tuple's k-th
-    factor from the (pool, rows, M_m) re and im pools into reused buffers
-    and multiplies it in with _complex_step, as _apply_projected would.
+    The (pool, rows, M_m) re and im pools hold the signed slot-map pool
+    (core._slot_map), then the tails y and x_0 .. x_{n-1}.  Each tuple
+    folds its P pair factors, then q - 1 copies of its tail (y for x, x_s
+    for x with slot s -> y); all n + 1 fold in lockstep (_fold).
     """
     n = x.shape[1]
     j, i = _pair_indices(n)
-    fold = _fold_map(n, q)
     pools = []
     for p in _coordinate_planes(np.concatenate([y[:, None], x], axis=1)):
         yp, xp = p[:1], p[1:]
-        pools.append(np.concatenate([xp[i] - xp[j], yp - xp, xp - yp, p]))
-    pool_re, pool_im = pools
-    re, im = np.take(pool_re, fold[0], axis=0), np.take(pool_im, fold[0], axis=0)
-    a, b, s, t = (np.empty_like(re) for _ in range(4))
-    for k in range(1, len(fold)):
-        # mode="clip" writes straight into out; the default mode buffers it.
-        np.take(pool_re, fold[k], axis=0, out=a, mode="clip")
-        np.take(pool_im, fold[k], axis=0, out=b, mode="clip")
-        re, im, s = _complex_step(re, im, a, b, s, t)
-    return re, im
+        pools.append(np.concatenate([_pair_differences(xp, i, j), yp - xp, xp - yp, p]))
+    tails = np.tile(len(i) + 2 * n + np.arange(n + 1), (q - 1, 1))
+    columns = np.concatenate([_slot_map(n, True).T, tails])
+    return _fold(*pools, columns, *_buffers(n + 1, pools[0][0]))
 
 
 # Elements of one (M, R, P) lockstep buffer: M permutations that share a
@@ -255,9 +261,9 @@ def _expand_rows(planes_re, planes_im, groups, depth, acc_re, acc_im):
 
     planes are the (n, R, P) point-major re and im planes of R rows, and
     the groups share prefixes over the first depth points (_prefixes).  A
-    group's members fold their remaining factors in lockstep, starting
-    from the prefix (from their first factor when it is empty), and are
-    added into acc in order.  Every leaf gets the operations of a
+    group's members fold their remaining factors in lockstep (_fold),
+    starting from the prefix (from their first factor when it is empty),
+    and are added into acc in order.  Every leaf gets the operations of a
     left-to-right fold of its own factors.
     """
     shape, dtype = planes_re.shape[1:], planes_re.dtype
@@ -265,23 +271,10 @@ def _expand_rows(planes_re, planes_im, groups, depth, acc_re, acc_im):
     # Two (re, im) pairs per prefix point: a step reads one and writes the other.
     pairs = [[(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(2)]
              for _ in range(depth)]
-    re, im, a, b, x, y = (np.empty((len(groups[0][1]),) + shape, dtype) for _ in range(6))
+    buffers = _buffers(len(groups[0][1]), planes_re[0])
     prefixes = _prefixes((planes_re, planes_im), pairs, scratch, list(range(len(planes_re))))
     for prefix, (suffix, signs) in zip(prefixes, groups):
-        # mode="clip" writes straight into out; the default mode buffers it.
-        if prefix is None:
-            planes_re.take(suffix[0], 0, re, "clip")
-            planes_im.take(suffix[0], 0, im, "clip")
-            leaf_re, leaf_im = re, im
-        else:
-            planes_re.take(suffix[0], 0, a, "clip")
-            planes_im.take(suffix[0], 0, b, "clip")
-            leaf_re, leaf_im = _complex_mul(*prefix, a, b, re, y, im)
-        free = x
-        for column in suffix[1:]:
-            planes_re.take(column, 0, a, "clip")
-            planes_im.take(column, 0, b, "clip")
-            leaf_re, leaf_im, free = _complex_step(leaf_re, leaf_im, a, b, free, y)
+        leaf_re, leaf_im = _fold(planes_re, planes_im, suffix, *buffers, prefix)
         for j, sign in enumerate(signs):
             step = np.add if sign > 0 else np.subtract
             step(acc_re, leaf_re[j], out=acc_re)
@@ -350,7 +343,7 @@ def _w_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 
 def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
     """(lhs, rhs) component stacks [re | im] of the extended identity; y is (B, m)."""
-    return _replacement_rows(_w_rows, _row_elements(*points.shape[1:], q), points, y, q)
+    return _replacement_rows(_w_rows, _projected_elements(*points.shape[1:]), points, y, q)
 
 
 def max_gap_and_scale(lhs: np.ndarray, rhs: np.ndarray):

@@ -118,6 +118,10 @@ def _validate(config: CampaignConfig) -> None:
         raise ArgumentError(f"tol must be a finite number >= 0, got {config.tol}")
     if config.n < 2 or config.m < 1:
         raise ArgumentError(f"need n >= 2 and m >= 1, got n={config.n}, m={config.m}")
+    for name, (op, default) in _OP_FIELDS.items():
+        if config.op != op and getattr(config, name) != default:
+            raise ArgumentError(f"{name} is a field of the {op} campaign only, not of "
+                                f"{config.op!r}; got {name}={getattr(config, name)!r}")
     if config.op == "simplex" and config.metric not in _SIMPLEX_METRICS:
         raise ArgumentError(f"simplex campaign does not support metric {config.metric!r}")
     if config.k is not None:
@@ -317,23 +321,19 @@ def _oracle_sides(points):
             np.concatenate(batch.pdf_batch(points), axis=1))
 
 
-def _sum_identity_campaign(config: CampaignConfig) -> CampaignResult:
-    rng = _rng(config)
-    b, n, m = config.trials, config.n, config.m
-    points = rng.uniform(-1.0, 1.0, size=(b, n, m))
-    y = rng.uniform(-1.0, 1.0, size=(b, m))
-    lhs, rhs = batch.sum_identity_sides(points, y)
-    extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
-    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
+def _identity_campaign(config: CampaignConfig) -> CampaignResult:
+    """The replacement identity (sum-identity) or its extension with q tail factors (w-identity).
 
-
-def _w_identity_campaign(config: CampaignConfig) -> CampaignResult:
+    sum-identity is q = 1 (_validate), and its records hold no q.
+    """
     rng = _rng(config)
     b, n, m, q = config.trials, config.n, config.m, config.q
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
-    lhs, rhs = batch.w_identity_sides(points, y, q)
-    extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist(), "q": q}
+    w = config.op == "w-identity"
+    lhs, rhs = batch.w_identity_sides(points, y, q) if w else batch.sum_identity_sides(points, y)
+    tail = {"q": q} if w else {}
+    extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist(), **tail}
     return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
 
 
@@ -435,14 +435,19 @@ def _ode_campaign(config: CampaignConfig) -> CampaignResult:
 
 _SIMPLEX_METRICS = ("vandermonde", "root", "euclidean3", "generalized")
 
+# Fields that one op alone reads, with their defaults.  Every other op takes
+# the default only, so no summary names a setting its campaign did not check.
+_OP_FIELDS = {"metric": ("simplex", "vandermonde"), "check": ("polygon", "triangle"),
+              "q": ("w-identity", 1)}
+
 _RUNNERS = {
     "simplex": _simplex_campaign,
     "extended": _extended_campaign,
     "equality-family": _equality_family_campaign,
     "polygon": _polygon_campaign,
     "multilinear-oracle": _multilinear_oracle_campaign,
-    "sum-identity": _sum_identity_campaign,
-    "w-identity": _w_identity_campaign,
+    "sum-identity": _identity_campaign,
+    "w-identity": _identity_campaign,
     "ode": _ode_campaign,
 }
 

@@ -679,17 +679,24 @@ def resolve_metric(selector) -> Callable:
         ) from None
 
 
+def _finite(y, what="replacement point"):
+    """y, when every component of it is finite; an ArgumentError otherwise."""
+    if not np.isfinite(y).all():
+        raise ArgumentError(f"non-finite {what}: {y!r}")
+    return y
+
+
 def _coerce_like(t: PointTuple, y):
     if t.is_complex:
         if isinstance(y, (list, tuple, np.ndarray)):
             if len(y) != 2:
                 raise ArgumentError("complex replacement point needs 2 components")
-            return complex(float(y[0]), float(y[1]))
-        return complex(y)
+            return _finite(complex(float(y[0]), float(y[1])))
+        return _finite(complex(y))
     y = tuple(float(c) for c in np.atleast_1d(y))
     if len(y) != t.m:
         raise ArgumentError(f"replacement point has dimension {len(y)}, expected {t.m}")
-    return y
+    return _finite(y)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +707,7 @@ def _root_power(n: int) -> float:
     return 2.0 / (n * (n - 1))
 
 
-# Pool and lockstep-buffer elements of one chunk (_row_elements per row).
+# Pool and lockstep-buffer elements of one chunk of _replacement_rows.
 # About 1 MiB of float64.
 REPLACEMENT_CHUNK_ELEMENTS = 1 << 17
 
@@ -725,17 +732,12 @@ def _slot_map(n: int, signed: bool) -> np.ndarray:
     return slots
 
 
-def _row_elements(n: int, m: int = 0, q: int = 0) -> int:
+def _row_elements(n: int) -> int:
     """Pool and lockstep-buffer elements of one row, the unit of REPLACEMENT_CHUNK_ELEMENTS.
 
-    q = 0 is the product pass: P + n pooled factors and two buffers of
-    n + 1.  q >= 1 is the projected pass over the M_m coordinate pairs of
-    m: re and im pools of P + 3n + 1 planes and six buffers of n + 1.
+    The product pass pools P + n factors and folds two buffers of n + 1.
     """
-    p = n * (n - 1) // 2
-    if not q:
-        return p + n + 2 * (n + 1)
-    return (2 * (p + 3 * n + 1) + 6 * (n + 1)) * (m * (m - 1) // 2)
+    return n * (n - 1) // 2 + n + 2 * (n + 1)
 
 
 def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *args,
@@ -744,10 +746,10 @@ def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *
 
     kernel(points[rows], y[rows], *args) returns the n + 1 tuples' values,
     each shaped (rows, ...): x first, then x with slot s -> y in slot
-    order.  rhs is summed from zeros in slot order.  per_row is
-    _row_elements of one row.  The sides are allocated at the first chunk,
-    in the values' dtype and the memory order given; an empty batch runs
-    one empty chunk for it.
+    order.  rhs is summed from zeros in slot order.  per_row is the
+    kernel's pool and buffer elements of one row.  The sides are allocated
+    at the first chunk, in the values' dtype and the memory order given;
+    an empty batch runs one empty chunk for it.
     """
     step = max(1, REPLACEMENT_CHUNK_ELEMENTS // max(1, per_row))
     lhs = rhs = None
@@ -991,7 +993,7 @@ def extended_inequality_gap(points, y: complex, k: int, tol=INEQUALITY_RTOL) -> 
     (replacement_sides).
     """
     z = _complex_points(points)
-    y = complex(y)
+    y = _finite(complex(y))
     n = len(z)
     if not (0 <= k <= n - 1):
         raise ArgumentError(f"k must be in [0, {n - 1}], got {k}")

@@ -26,6 +26,7 @@ from .core import (
     LOG,
     MetricReport,
     _chunks,
+    _finite,
     _pair_indices,
     _replacement_report,
     replacement_sides,
@@ -60,8 +61,9 @@ class CyclicPolygon:
     def __post_init__(self):
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         object.__setattr__(self, "center", complex(self.center))
-        if not (self.R > 0.0):
-            raise ArgumentError(f"circumradius must be positive, got {self.R}")
+        if not (0.0 < self.R < math.inf):
+            raise ArgumentError(f"circumradius must be positive and finite, got {self.R}")
+        _finite(self.center, "center")
         if len(self.angles) < 3:
             raise ArgumentError("a polygon needs at least 3 vertices")
         for a in self.angles:
@@ -146,13 +148,14 @@ def equality_family(q: float, s: float) -> EqualityFamilyPoint:
         raise ArgumentError(f"parameters must be positive, got q={q}, s={s}")
     z2 = complex(-1.0, math.sqrt(q * (1.0 + s))) / s
     z3 = complex(-1.0, -math.sqrt((1.0 + s) / q)) / s
+    _finite((z2, z3), f"equality-family point at q={q}, s={s}")
     return EqualityFamilyPoint(q=q, s=s, y=0j, z1=1 + 0j, z2=z2, z3=z3)
 
 
 def equality_gap_3(y: complex, z1: complex, z2: complex, z3: complex,
                    tol: float = IDENTITY_RTOL) -> MetricReport:
     """Gap of the 3-point simplex inequality, with equality/strict flags."""
-    y, z1, z2, z3 = complex(y), complex(z1), complex(z2), complex(z3)
+    y, z1, z2, z3 = _finite((complex(y), complex(z1), complex(z2), complex(z3)), "input point")
     report = _replacement_report("equality_gap_3", {"y": y, "z": [z1, z2, z3]},
                                  (z1, z2, z3), y, "vandermonde", 0, tol)
     equality = _equality(report.lhs, report.rhs, tol, report.domain)

@@ -109,10 +109,21 @@ class TestRunners:
         {"op": "polygon", "check": "ngon", "n": 2},
         {"op": "sum-identity", "m": 1},
         {"op": "ode", "tol": float("nan")},
+        {"op": "extended", "metric": "root"},
+        {"op": "equality-family", "metric": "generalized"},
+        {"op": "sum-identity", "q": 3},
+        {"op": "multilinear-oracle", "q": 2},
+        {"op": "simplex", "check": "ngon"},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ArgumentError):
             run_campaign(CampaignConfig(**kwargs))
+
+    @pytest.mark.parametrize("op", CAMPAIGN_OPS)
+    def test_every_op_accepts_the_default_of_each_field(self, op):
+        # As the bench's command lines do: every field given, at its default.
+        config = CampaignConfig(op=op, metric="vandermonde", check="triangle", q=1, trials=4)
+        assert run_campaign(config).checked > 0
 
     def test_ngon_log_domain_worst_is_log_gap(self):
         result = run_campaign(CampaignConfig(op="polygon", check="ngon", n=25, seed=4,

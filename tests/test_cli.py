@@ -107,6 +107,17 @@ class TestSimplex:
         assert result.exit_code == 1
         assert json.loads(result.output)["pass"] is False
 
+    @pytest.mark.parametrize("fixture,args", [
+        ("complex_csv", ["--y", "nan,0"]),
+        ("complex_csv", ["--y", "0,inf"]),
+        ("tetrahedron_csv", ["--vectors", "--metric", "pairwise", "--y", "0,nan,0"]),
+    ])
+    def test_non_finite_replacement_point_is_usage_error(self, runner, request, fixture, args):
+        result = runner.invoke(main, ["simplex", "--input", request.getfixturevalue(fixture),
+                                      *args])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: non-finite replacement point")
+
 
 class TestExtended:
     def test_all_k(self, runner, complex_csv):
@@ -118,6 +129,12 @@ class TestExtended:
         result = runner.invoke(main, ["extended", "--input", complex_csv,
                                       "--y", "1,1", "--k", "7"])
         assert result.exit_code == 2
+
+    def test_non_finite_replacement_point_is_usage_error(self, runner, complex_csv):
+        result = runner.invoke(main, ["extended", "--input", complex_csv, "--y", "inf,0",
+                                      "--k", "1"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: non-finite replacement point")
 
     def test_overflowing_weight_is_decided_in_logs(self, runner, tmp_path):
         path = tmp_path / "huge.csv"
@@ -136,6 +153,11 @@ class TestEqualityFamily:
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["equality"] is True
+
+    def test_non_finite_point_is_usage_error(self, runner):
+        result = runner.invoke(main, ["equality-family", "--q", "1e-300", "--s", "1e300"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: non-finite equality-family point")
 
     def test_negative_parameter(self, runner):
         result = runner.invoke(main, ["equality-family", "--q", "-1"])
@@ -184,6 +206,20 @@ class TestPolygon:
         spec = json.dumps({"R": -1.0, "angles": [0.0, 1.0, 2.0]})
         result = runner.invoke(main, ["polygon", "--input", spec])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("spec", [
+        '{"R": Infinity, "angles": [0, 2, 4]}',
+        '{"R": 1, "angles": [0, 2, 4], "center": [NaN, 0]}',
+    ])
+    def test_non_finite_radius_or_center_is_usage_error(self, spec):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("VANDERMETRIC_LOG", None)
+        proc = subprocess.run([sys.executable, "-m", "vandermetric.cli", "polygon", "--input",
+                               spec, "--check", "triangle"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        # The usage error alone: no numpy warning reaches stderr.
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestMultilinearVerify:
@@ -414,6 +450,9 @@ class TestCampaignCommand:
         ["--op", "simplex", "--tol", "-1"],
         ["--op", "simplex", "--metric", "generalized", "--m", "1"],
         ["--op", "simplex", "--seed", "-1"],
+        ["--op", "extended", "--metric", "root"],
+        ["--op", "sum-identity", "--q", "3"],
+        ["--op", "simplex", "--check", "ngon"],
     ])
     def test_invalid_config_usage_error(self, runner, args):
         result = runner.invoke(main, ["campaign", *args])

@@ -336,8 +336,22 @@ class TestSimplexGap:
         assert (report.lhs, report.rhs) == pytest.approx((1846.67, 1847.01), abs=0.01)
 
     def test_non_finite_points_still_fail_closed(self):
-        report = simplex_gap([1e200, 1j, 2], math.nan)
-        assert not report.passed and report.domain == LINEAR and report.flags == {}
+        # The array API does not validate its inputs: a NaN y fails its row, in LINEAR.
+        lhs, rhs, domain = replacement_sides(np.array([[1e200, 1j, 2]]), np.array([math.nan]),
+                                             "vandermonde")
+        assert domain == LINEAR and math.isnan(rhs[0, 0])
+        assert not verdict(INEQUALITY, domain, lhs, rhs, INEQUALITY_RTOL).passed.any()
+
+    @pytest.mark.parametrize("call", [
+        lambda: simplex_gap([1e200, 1j, 2], math.nan),
+        lambda: simplex_gap([0, 1, 2], (math.inf, 0.0)),
+        lambda: simplex_gap([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+                            (0.0, math.nan, 0.0), metric="euclidean3"),
+        lambda: extended_inequality_gap([0, 1, 2], complex(math.inf, 0.0), 1),
+    ])
+    def test_non_finite_replacement_point_is_an_argument_error(self, call):
+        with pytest.raises(ArgumentError, match="non-finite replacement point"):
+            call()
 
     def test_underflowing_sides_are_compared_in_logs(self):
         # 15 distances near 1e-30 multiply to 0 in floats, yet no two points coincide.

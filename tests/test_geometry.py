@@ -54,6 +54,10 @@ class TestCyclicPolygon:
             CyclicPolygon(R=1.0, angles=(0.0, 2.0, 1.0))
         with pytest.raises(ArgumentError):
             CyclicPolygon(R=1.0, angles=(0.0, 1.0, 7.0))
+        for kwargs in (dict(R=math.inf), dict(R=1.0, center=complex(math.nan, 0.0)),
+                       dict(R=1.0, center=complex(0.0, -math.inf))):
+            with pytest.raises(ArgumentError):
+                CyclicPolygon(angles=(0.0, 2.0, 4.0), **kwargs)
 
     def test_perturbed_stays_valid(self):
         poly = CyclicPolygon.regular(5)
@@ -186,6 +190,15 @@ class TestEqualityFamily:
             equality_family(-1.0, 2.0)
         with pytest.raises(ArgumentError):
             equality_family(1.0, 0.0)
+
+    def test_non_finite_points_are_argument_errors(self):
+        # sqrt((1 + s) / q) overflows: z3 = nan - inf i.
+        with pytest.raises(ArgumentError, match="non-finite equality-family point"):
+            equality_family(1e-300, 1e300)
+        with pytest.raises(ArgumentError, match="non-finite input point"):
+            equality_gap_3(0j, 1 + 0j, complex(math.nan, 1.0), -1 - 2j)
+        with pytest.raises(ArgumentError, match="non-finite input point"):
+            equality_gap_3(complex(0.0, math.inf), 1 + 0j, -1 + 1j, -1 - 2j)
 
 
 class TestTetrahedron:

@@ -607,6 +607,18 @@ def test_multilinear_oracle_stream_is_unchanged(size, expected):
     assert digest(run_campaign(config).json_lines()) == expected
 
 
+@pytest.mark.parametrize("n,m", [(2, 2), (4, 3), (6, 4)])
+def test_pdf_batch_is_the_left_side_of_the_identity(n, m):
+    # Both fold x's pair differences in pair order: x is the identity's tuple 0.
+    rng = np.random.default_rng(100 + 10 * n + m)
+    for points, y in ((rng.uniform(-1.0, 1.0, (9, n, m)), rng.uniform(-1.0, 1.0, (9, m))),
+                      (rng.integers(-3, 4, (9, n, m)), rng.integers(-3, 4, (9, m)))):
+        lhs, _ = batch.w_identity_sides(points, y, 1)
+        pdf = np.concatenate(batch.pdf_batch(points), axis=1)
+        assert lhs.dtype == pdf.dtype == points.dtype
+        assert bits(lhs) == bits(pdf)
+
+
 # ---------------------------------------------------------------------------
 # The shared-factor replacement pass against the copy-per-slot path it replaced
 
@@ -742,9 +754,10 @@ def _three_rows_per_chunk(monkeypatch, n, m, q):
     """
     if q is None:
         per_row, module, name = core._plane_elements(n, m), core, "_generalized_rows"
+    elif q:
+        per_row, module, name = batch._projected_elements(n, m), batch, "_projected_rows"
     else:
-        per_row = core._row_elements(n, m or 0, q)
-        module, name = (batch, "_projected_rows") if q else (core, "_product_rows")
+        per_row, module, name = core._row_elements(n), core, "_product_rows"
     monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row)
     fold, chunks = getattr(module, name), []
 
