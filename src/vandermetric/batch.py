@@ -29,11 +29,14 @@ of their fold, so the expansion walks them in lexicographic groups with a
 common prefix: each prefix is folded once, depth first, and a group's
 members finish their last factors with _fold from it.  Its rows run in
 chunks of EXPANSION_CHUNK_ELEMENTS, so its temporaries do not grow with B
-either.
+either.  That order fixes the float bits.  On int64 points, where any
+grouping gives the same ints, _laplace_expansion forms the same sum by
+subset recursion in n 2^(n-1) complex multiply-adds.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from functools import lru_cache
@@ -43,7 +46,7 @@ import numpy as np
 from .core import (IDENTITY, LINEAR, _generalized_sides, _lockstep_sides, _pair_indices,
                    _replacement_rows, _root_power, _slot_map, verdict)
 from .multilinear import EXPANSION_MAX_N, expansion_terms
-from .errors import ResourceError
+from .errors import ArgumentError, ResourceError
 
 log = logging.getLogger(__name__)
 
@@ -310,6 +313,134 @@ def expansion_batch(points: np.ndarray):
         chunk = slice(start, start + rows)
         _expand_rows(*_coordinate_planes(points[chunk]), groups, n - k, acc_re[chunk],
                      acc_im[chunk])
+    return acc_re, acc_im
+
+
+# Elements of one row chunk's working set in the subset recursion: the
+# gathered terms of its widest step, the two subset tables, the power table
+# and the coordinate planes, re and im, of R rows and P coordinate pairs.
+# 768 KiB of int64 stays below expansion_batch's temporaries at n = 6.
+LAPLACE_CHUNK_ELEMENTS = 98304
+
+
+@lru_cache(maxsize=None)
+def _laplace_steps(n: int) -> tuple:
+    """The steps of the subset recursion that add points 1 .. n-1, each (sources, powers).
+
+    The subsets of {0, ..., n-1} of each size are listed in combinations
+    order.  Adding point j gives each subset T of j + 1 powers the sum over
+    p in T of (-1)^#{s in T : s > p} D[T - {p}] z_j^p.  Both tables are
+    read-only (C(n, j + 1), j + 1), one row per T and one column per p in
+    T, ascending: powers holds p, and sources the position of T - {p}
+    among the subsets of j powers.  The p in column k has j - k members of
+    T above it, so the signs alternate along a row and the last is +.
+    """
+    steps = []
+    previous = {(p,): p for p in range(n)}
+    for j in range(1, n):
+        targets = list(itertools.combinations(range(n), j + 1))
+        sources = np.array([[previous[t[:k] + t[k + 1:]] for k in range(j + 1)]
+                            for t in targets], dtype=np.intp)
+        powers = np.array(targets, dtype=np.intp)
+        sources.flags.writeable = powers.flags.writeable = False
+        steps.append((sources, powers))
+        previous = {t: k for k, t in enumerate(targets)}
+    return tuple(steps)
+
+
+def _laplace_widths(n: int):
+    """(subsets, terms): the most subsets of one size, C(n, n // 2), and the most
+    terms of one step, (j + 1) C(n, j + 1) = n C(n - 1, j) at j = (n - 1) // 2."""
+    return math.comb(n, n // 2), n * math.comb(n - 1, (n - 1) // 2)
+
+
+def _power_table(x_re, x_im):
+    """The (n, n, W) re and im tables of z_j^p, power-major, of the n points z = x_re + i x_im.
+
+    x_re and x_im are (n, W); each power is one complex multiply of all n points.
+    """
+    n, width = x_re.shape
+    powers_re, powers_im = (np.empty((n, n, width), np.int64) for _ in range(2))
+    scratch = np.empty((n, width), np.int64)
+    powers_re[0], powers_im[0] = 1, 0
+    for p in range(1, n):
+        _complex_mul(powers_re[p - 1], powers_im[p - 1], x_re, x_im, powers_re[p], scratch,
+                     powers_im[p])
+    return powers_re, powers_im
+
+
+def _laplace_rows(planes_re, planes_im, steps, out_re, out_im):
+    """The expansion of R rows by subset recursion into the (R, P) out pair.
+
+    planes are the (n, R, P) point-major re and im planes.  The subset
+    tables start as D[{p}] = z_0^p.  A step gathers its terms' D values
+    and powers into reused (C, j + 1, R P) buffers, negates the columns
+    whose sign is -, multiplies and sums each row into the other table.
+    """
+    n = len(planes_re)
+    width = planes_re[0].size
+    powers_re, powers_im = _power_table(planes_re.reshape(n, width), planes_im.reshape(n, width))
+    tables, terms = _laplace_widths(n)
+    d_re, d_im, e_re, e_im = (np.empty((tables, width), np.int64) for _ in range(4))
+    buffers = [np.empty(terms * width, np.int64) for _ in range(5)]
+    d_re[:n], d_im[:n] = powers_re[:, 0], powers_im[:, 0]
+    for j, (sources, powers) in enumerate(steps, 1):
+        shape = sources.shape + (width,)
+        a_re, a_im, b_re, b_im, x = (b[:sources.size * width].reshape(shape) for b in buffers)
+        d_re.take(sources, 0, a_re, "clip")
+        d_im.take(sources, 0, a_im, "clip")
+        powers_re[:, j].take(powers, 0, b_re, "clip")
+        powers_im[:, j].take(powers, 0, b_im, "clip")
+        minus = slice((j + 1) % 2, None, 2)
+        np.negative(b_re[:, minus], out=b_re[:, minus])
+        np.negative(b_im[:, minus], out=b_im[:, minus])
+        # (a_re + i a_im)(b_re + i b_im) in place, with x as the one extra buffer.
+        np.multiply(a_re, b_re, out=x)
+        np.multiply(b_re, a_im, out=b_re)
+        np.multiply(a_im, b_im, out=a_im)
+        np.subtract(x, a_im, out=x)
+        np.multiply(a_re, b_im, out=a_re)
+        np.add(a_re, b_re, out=a_re)
+        np.add.reduce(x, axis=1, out=e_re[:len(sources)])
+        np.add.reduce(a_re, axis=1, out=e_im[:len(sources)])
+        d_re, d_im, e_re, e_im = e_re, e_im, d_re, d_im
+    out_re[...] = d_re[0].reshape(out_re.shape)
+    out_im[...] = d_im[0].reshape(out_im.shape)
+
+
+def _laplace_expansion(points: np.ndarray):
+    """Signed permutation expansion of each row of int64 points by Laplace subset recursion.
+
+    Per coordinate pair, with z_j = x_j[s] + i x_j[t], the sum over
+    permutations sigma of sgn(sigma) prod_j z_j^sigma(j) that expansion_batch
+    forms leaf by leaf is the last of the subset sums D[S] over bijections
+    from points 0 .. |S|-1 to the powers in S; adding one point costs a
+    complex multiply-add per (subset, power) pair, n 2^(n-1) in all
+    (_laplace_steps).  int64 arithmetic is the ring Z/2^64, so any
+    grouping of the same sum gives the same ints: the result equals
+    expansion_batch's bit for bit, wraparound included.  Rows run in chunks
+    of at most LAPLACE_CHUNK_ELEMENTS working-set elements.  Float points
+    are an ArgumentError; their bits depend on the fold order, which
+    expansion_batch keeps.
+    """
+    B, n, m = points.shape
+    if points.dtype != np.int64:
+        raise ArgumentError(f"the subset recursion is exact on int64 points only, "
+                            f"got {points.dtype}")
+    if n > EXPANSION_MAX_N:
+        raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
+    p = m * (m - 1) // 2
+    steps = _laplace_steps(n)
+    tables, terms = _laplace_widths(n)
+    # Per row and pair: four subset tables, five term buffers, and re and im
+    # of the n^2 powers and the n coordinates.
+    per_row = (4 * tables + 5 * terms + 2 * n * (n + 1)) * max(1, p)
+    rows = max(1, LAPLACE_CHUNK_ELEMENTS // per_row)
+    acc_re = np.empty((B, p), dtype=np.int64)
+    acc_im = np.empty((B, p), dtype=np.int64)
+    for start in range(0, B, rows):
+        chunk = slice(start, start + rows)
+        _laplace_rows(*_coordinate_planes(points[chunk]), steps, acc_re[chunk], acc_im[chunk])
     return acc_re, acc_im
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import batch
 from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR, LOG,
-                   dump_json, replacement_sides, verdict)
+                   checked_tol, dump_json, replacement_sides, verdict)
 from .errors import ArgumentError
 from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
     POLYGON_CHECKS,
@@ -114,8 +114,7 @@ def _validate(config: CampaignConfig) -> None:
         raise ArgumentError(f"trials must be >= 1, got {config.trials}")
     if config.seed < 0:
         raise ArgumentError(f"seed must be >= 0, got {config.seed}")
-    if config.tol is not None and not (0.0 <= config.tol < math.inf):
-        raise ArgumentError(f"tol must be a finite number >= 0, got {config.tol}")
+    checked_tol(config.tol)
     if config.n < 2 or config.m < 1:
         raise ArgumentError(f"need n >= 2 and m >= 1, got n={config.n}, m={config.m}")
     for name, (op, default) in _OP_FIELDS.items():
@@ -295,7 +294,8 @@ def _multilinear_oracle_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
     b, n, m = config.trials, config.n, config.m
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
-    lhs, rhs = _oracle_sides(points)
+    lhs = np.concatenate(batch.expansion_batch(points), axis=1)
+    rhs = np.concatenate(batch.pdf_batch(points), axis=1)
     extra = lambda t: {"points": points[t].tolist()}
     return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
 
@@ -303,22 +303,28 @@ def _multilinear_oracle_campaign(config: CampaignConfig) -> CampaignResult:
 def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int = 3) -> int:
     """Exact-integer run of the expansion/product oracle; returns the max gap.
 
-    The bound keeps every intermediate int64 product well inside the
-    representable range (worst case (bound * n * sqrt(2))^(n(n-1)/2) summed
-    over n! permutations).  The arguments follow the multilinear-oracle
-    campaign's rules (ArgumentError); n > 8 is a ResourceError.
+    The points are ints in [-bound, bound], bound an int >= 1, and both
+    sides are evaluated in int64: the expansion by subset recursion
+    (batch._laplace_expansion), the product-difference form by
+    batch.pdf_batch.  A pair difference on a coordinate plane has modulus
+    at most 2 bound sqrt(2), so each side, and every partial product of
+    the form, lies within (2 bound sqrt(2))^(n(n-1)/2); at bound 3 that
+    passes 2^63 from n = 7 on.  Past it the check holds modulo 2^64, the
+    ring int64 arithmetic computes in: it never fails falsely, but a
+    discrepancy that is a multiple of 2^64 goes unseen.  The other
+    arguments follow the multilinear-oracle campaign's rules
+    (ArgumentError); n > 8 is a ResourceError.
     """
     _validate(CampaignConfig(op="multilinear-oracle", seed=seed, trials=trials, n=n, m=m))
+    if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < 1:
+        raise ArgumentError(f"bound must be an int >= 1, got {bound!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     points = _int_sample(rng, (trials, n, m), bound).astype(np.int64)
-    lhs, rhs = _oracle_sides(points)
+    log.debug("exact multilinear oracle n=%d m=%d: %d rows by subset recursion, %d terms",
+              n, m, trials, n * 2 ** (n - 1))
+    lhs = np.concatenate(batch._laplace_expansion(points), axis=1)
+    rhs = np.concatenate(batch.pdf_batch(points), axis=1)
     return int(np.max(np.abs(lhs - rhs)))
-
-
-def _oracle_sides(points):
-    """Permutation expansion and product-difference form of each row, as [re | im] stacks."""
-    return (np.concatenate(batch.expansion_batch(points), axis=1),
-            np.concatenate(batch.pdf_batch(points), axis=1))
 
 
 def _identity_campaign(config: CampaignConfig) -> CampaignResult:

@@ -20,6 +20,7 @@ from .campaign import CAMPAIGN_OPS, CampaignConfig, run_campaign
 from .core import (
     IDENTITY,
     METRICS,
+    checked_tol,
     dump_json,
     extended_inequality_gap,
     resolve_metric,
@@ -87,7 +88,11 @@ def _command(name):
 
 
 def _tol(tol):
-    """The tol keyword of a library check: left out unless given, so the check's default holds."""
+    """The tol keyword of a library check: left out unless given, so the check's default holds.
+
+    A given tol must be a finite number >= 0 (ArgumentError).
+    """
+    checked_tol(tol)
     return {} if tol is None else {"tol": tol}
 
 

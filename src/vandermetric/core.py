@@ -490,7 +490,7 @@ def cramer_coefficients(points, y: complex) -> list[complex]:
     Vandermonde system would be hopelessly ill-conditioned.
     """
     z = _complex_points(points)
-    y = complex(y)
+    y = _finite(complex(y))
     n = len(z)
     for j in range(n):
         for i in range(j + 1, n):
@@ -513,7 +513,7 @@ def cramer_coefficients_determinant_ratio(points, y: complex) -> list[complex]:
     cross-check of the Lagrange form.
     """
     z = list(_complex_points(points))
-    y = complex(y)
+    y = _finite(complex(y))
     n = len(z)
     v = _signed_product(z)
     if v == 0:
@@ -677,6 +677,12 @@ def resolve_metric(selector) -> Callable:
         raise ArgumentError(
             f"unknown metric {selector!r}; known: {sorted(METRICS)}"
         ) from None
+
+
+def checked_tol(tol) -> None:
+    """Raise ArgumentError unless tol is None or a finite number >= 0."""
+    if tol is not None and not (0.0 <= tol < math.inf):
+        raise ArgumentError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _finite(y, what="replacement point"):

@@ -74,6 +74,19 @@ class TestRunners:
         with pytest.raises(ResourceError):
             multilinear_oracle_exact(seed=5, trials=1, n=9, m=2)
 
+    @pytest.mark.parametrize("bound", [0, -1, 2.5, True, None])
+    def test_multilinear_oracle_exact_bound_must_be_a_positive_int(self, bound):
+        with pytest.raises(ArgumentError, match="bound must be an int >= 1"):
+            multilinear_oracle_exact(seed=5, trials=10, n=3, m=3, bound=bound)
+
+    def test_multilinear_oracle_exact_past_2_63_holds_modulo_2_64(self):
+        # At bound 3 the worst case (2 bound sqrt(2))^(n(n-1)/2) passes 2^63
+        # from n = 7 on; at bound 10^6 three pair factors can pass it.  Both
+        # sides compute in the ring Z/2^64, so the gap stays 0.
+        for n in (7, 8):
+            assert multilinear_oracle_exact(seed=900 + n, trials=200, n=n, m=4) == 0
+        assert multilinear_oracle_exact(seed=5, trials=50, n=6, m=3, bound=10 ** 6) == 0
+
     def test_sum_identity(self):
         result = run_campaign(CampaignConfig(op="sum-identity", seed=6, trials=500,
                                              n=4, m=3))

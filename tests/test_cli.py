@@ -600,3 +600,18 @@ def test_cli_golden(runner, complex_csv, tetrahedron_csv):
                                       .replace("{tetra}", tetrahedron_csv) for a in args])
         digest.update(f"{args!r}\0{result.exit_code}\0{result.output}\0".encode())
     assert digest.hexdigest() == _GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("args", [
+    ["simplex", "--input", "{csv}", "--y", "1,0"],
+    ["extended", "--input", "{csv}", "--y", "1,1", "--k", "1"],
+    ["equality-family"],
+    ["polygon", "--input", _TRIANGLE],
+    ["ode", "--input", json.dumps(_ODE_SPEC)],
+])
+def test_invalid_tol_is_usage_error(runner, complex_csv, args, tol):
+    result = runner.invoke(main, [a.replace("{csv}", complex_csv) for a in args]
+                           + ["--tol", tol])
+    assert result.exit_code == 2
+    assert result.output == f"error: tol must be a finite number >= 0, got {float(tol)}\n"

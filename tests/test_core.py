@@ -290,6 +290,12 @@ class TestCramer:
         with pytest.raises(SingularityError):
             cramer_coefficients_determinant_ratio([1j, 1j, 0], 2.0)
 
+    @pytest.mark.parametrize("y", [complex(math.nan, 0), complex(0, -math.inf), math.inf])
+    def test_non_finite_y_raises(self, y):
+        for coefficients in (cramer_coefficients, cramer_coefficients_determinant_ratio):
+            with pytest.raises(ArgumentError, match="non-finite replacement point"):
+                coefficients([0, 1, 2], y)
+
 
 # ---------------------------------------------------------------------------
 # Simplex and extended inequalities

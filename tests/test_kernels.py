@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,12 @@ import pytest
 from click.testing import CliRunner
 
 from vandermetric import (
+    ArgumentError,
     CampaignConfig,
     CyclicPolygon,
     MatrixFunction,
     ODEProblem,
+    ResourceError,
     StepSizeError,
     integrate,
     ngon_check,
@@ -33,6 +36,7 @@ from vandermetric import (
 from vandermetric.campaign import (
     _ode_estimates,
     _rng,
+    multilinear_oracle_exact,
     random_ode_problem,
 )
 from vandermetric import batch, campaign, core
@@ -460,6 +464,61 @@ def test_expansion_batch_equals_the_lockstep_kernel_over_row_chunks(monkeypatch)
     for points in _expansion_inputs(40, 6, 4, 64):
         for g, w in zip(expansion_batch(points), expansion_lockstep(points)):
             assert bits(g) == bits(w)
+
+
+def _laplace_inputs(n, m):
+    """Rows at bound 3, then rows at bound 2^40, whose products wrap in int64 from n = 3."""
+    rng = np.random.default_rng(10 * n + m)
+    return np.concatenate([rng.integers(-3, 4, size=(3, n, m)),
+                           rng.integers(-2 ** 40, 2 ** 40 + 1, size=(2, n, m))]).astype(np.int64)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 9) for m in range(2, 5)])
+def test_laplace_expansion_equals_expansion_batch(n, m):
+    points = _laplace_inputs(n, m)
+    for got, want in zip(batch._laplace_expansion(points), expansion_batch(points)):
+        assert got.dtype == want.dtype == np.int64
+        assert bits(got) == bits(want)
+
+
+def test_laplace_expansion_equals_expansion_batch_over_row_chunks(monkeypatch):
+    # A chunk of one row makes 40 rows span 40 row chunks.
+    monkeypatch.setattr(batch, "LAPLACE_CHUNK_ELEMENTS", 1)
+    points = _expansion_inputs(40, 6, 4, 64)[1]
+    for got, want in zip(batch._laplace_expansion(points), expansion_batch(points)):
+        assert bits(got) == bits(want)
+
+
+def test_laplace_expansion_rejects_floats_and_n_past_8():
+    with pytest.raises(ArgumentError, match="int64 points only"):
+        batch._laplace_expansion(np.zeros((2, 4, 3)))
+    with pytest.raises(ResourceError):
+        batch._laplace_expansion(np.zeros((2, 9, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("b", [300, 1000])
+def test_laplace_expansion_temporaries_stay_within_expansion_batch(b):
+    points = np.random.default_rng(b).integers(-3, 4, size=(b, 6, 4)).astype(np.int64)
+    peaks = []
+    for kernel in (batch._laplace_expansion, expansion_batch):
+        kernel(points)  # fills the kernel's caches
+        tracemalloc.start()
+        try:
+            kernel(points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
+def test_exact_oracle_logs_its_kernel_and_keeps_the_gap(caplog, monkeypatch):
+    quiet = multilinear_oracle_exact(seed=906, trials=300, n=6, m=4)
+    monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
+    with caplog.at_level(logging.DEBUG, logger="vandermetric"):
+        loud = multilinear_oracle_exact(seed=906, trials=300, n=6, m=4)
+    assert loud == quiet == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "exact multilinear oracle n=6 m=4: 300 rows by subset recursion, 192 terms"]
 
 
 # to_dict() of the decider, recorded with the per-assignment label pass.
