@@ -23,15 +23,10 @@ as the signed slot map (core._slot_map) lists their factors, in chunks
 of at most core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or
 one row, each reduced straight into the two sides.
 
-The permutation expansion sums a signed fold over each of the n!
-permutations.  Permutations that agree on sigma(0 .. k) share that part
-of their fold, so the expansion walks them in lexicographic groups with a
-common prefix: each prefix is folded once, depth first, and a group's
-members finish their last factors with _fold from it.  Its rows run in
-chunks of EXPANSION_CHUNK_ELEMENTS, so its temporaries do not grow with B
-either.  That order fixes the float bits.  On int64 points, where any
-grouping gives the same ints, _laplace_expansion forms the same sum by
-subset recursion in n 2^(n-1) complex multiply-adds.
+The permutation expansion, expansion_batch, is the one kernel of the
+Leibniz sum for float and int64 points alike: a Laplace subset recursion
+in n 2^(n-1) complex multiply-adds per row and plane, in row chunks of
+LAPLACE_CHUNK_ELEMENTS, so its temporaries do not grow with B either.
 """
 
 from __future__ import annotations
@@ -45,8 +40,8 @@ import numpy as np
 
 from .core import (IDENTITY, LINEAR, _generalized_sides, _lockstep_sides, _pair_indices,
                    _replacement_rows, _root_power, _slot_map, verdict)
-from .multilinear import EXPANSION_MAX_N, expansion_terms
-from .errors import ArgumentError, ResourceError
+from .multilinear import EXPANSION_MAX_N
+from .errors import ResourceError
 
 log = logging.getLogger(__name__)
 
@@ -122,24 +117,17 @@ def _buffers(members: int, plane: np.ndarray) -> list:
     return [np.empty((members,) + plane.shape, plane.dtype) for _ in range(6)]
 
 
-def _fold(pool_re, pool_im, columns, re, im, a, b, free, y, prefix=None):
+def _fold(pool_re, pool_im, columns, re, im, a, b, free, y):
     """Fold the factors columns names, in lockstep, from the (K, ...) re and im pools.
 
     columns is (L, members): step k gathers each member's k-th factor,
     pool[columns[k]], into the reused (members, ...) buffers a and b and
-    multiplies it in with _complex_step.  The first factor starts the
-    fold, or multiplies prefix, a (re, im) pair that broadcasts against
-    the buffers, when one is given.  Returns the (re, im) products, two of
-    the six buffers.
+    multiplies it in with _complex_step; the first factor starts the fold.
+    Returns the (re, im) products, two of the six buffers.
     """
     # mode="clip" writes straight into out; the default mode buffers it.
-    if prefix is None:
-        pool_re.take(columns[0], 0, re, "clip")
-        pool_im.take(columns[0], 0, im, "clip")
-    else:
-        pool_re.take(columns[0], 0, a, "clip")
-        pool_im.take(columns[0], 0, b, "clip")
-        _complex_mul(*prefix, a, b, re, y, im)
+    pool_re.take(columns[0], 0, re, "clip")
+    pool_im.take(columns[0], 0, im, "clip")
     for column in columns[1:]:
         pool_re.take(column, 0, a, "clip")
         pool_im.take(column, 0, b, "clip")
@@ -205,121 +193,10 @@ def _projected_rows(x: np.ndarray, y: np.ndarray, q: int):
     return _fold(*pools, columns, *_buffers(n + 1, pools[0][0]))
 
 
-# Elements of one (M, R, P) lockstep buffer: M permutations that share a
-# prefix, R rows, P coordinate pairs.  Six such buffers stay near 1 MB of
-# float64; R is chosen for M = 3! and M grows while R M P still fits.
-EXPANSION_CHUNK_ELEMENTS = 16384
-
-
-@lru_cache(maxsize=None)
-def _prefix_groups(n: int, k: int) -> tuple:
-    """The permutations of {0, ..., n-1} in lexicographic groups of k! that share a prefix.
-
-    A group's members agree on sigma(0 .. n-k-1) and run through the
-    permutations of the last k values.  Each group is (suffix, signs): the
-    read-only (L, k!) argument indices of its members' factors of the last
-    k points, one row per fold step, and its members' signs, members in
-    lexicographic order.
-    """
-    signs, indices = expansion_terms(n)
-    size = math.factorial(k)
-    groups = []
-    for start in range(0, len(signs), size):
-        # A row's indices ascend, so the shared prefix is its indices below n - k.
-        head = int(np.count_nonzero(indices[start] < n - k))
-        suffix = np.ascontiguousarray(indices[start:start + size, head:].T)
-        suffix.flags.writeable = False
-        groups.append((suffix, signs[start:start + size].tolist()))
-    return tuple(groups)
-
-
-def _prefixes(planes, pairs, scratch, unused, value=None):
-    """Yield the folded prefix of each group in turn, lexicographically; None is empty.
-
-    planes are the (re, im) point-major planes and pairs holds two (re, im)
-    buffer pairs for each prefix point still to fold.  The next point, x,
-    multiplies value by x, x, ... up to each unused power in turn, so
-    siblings share that chain and every prefix is folded once.  A yielded
-    prefix stays intact until the next one is asked for.
-    """
-    if not pairs:
-        yield value
-        return
-    point = len(planes[0]) - len(unused)
-    x = planes[0][point], planes[1][point]
-    power = 0
-    for v in unused:
-        for _ in range(power, v):
-            if value is None:
-                value = x
-            else:
-                out_re, out_im = pairs[0][value[0] is pairs[0][0][0]]
-                value = _complex_mul(*value, *x, out_re, scratch, out_im)
-        power = v
-        yield from _prefixes(planes, pairs[1:], scratch, [u for u in unused if u != v], value)
-
-
-def _expand_rows(planes_re, planes_im, groups, depth, acc_re, acc_im):
-    """Add every group's signed leaves into acc, in lexicographic permutation order.
-
-    planes are the (n, R, P) point-major re and im planes of R rows, and
-    the groups share prefixes over the first depth points (_prefixes).  A
-    group's members fold their remaining factors in lockstep (_fold),
-    starting from the prefix (from their first factor when it is empty),
-    and are added into acc in order.  Every leaf gets the operations of a
-    left-to-right fold of its own factors.
-    """
-    shape, dtype = planes_re.shape[1:], planes_re.dtype
-    scratch = np.empty(shape, dtype)
-    # Two (re, im) pairs per prefix point: a step reads one and writes the other.
-    pairs = [[(np.empty(shape, dtype), np.empty(shape, dtype)) for _ in range(2)]
-             for _ in range(depth)]
-    buffers = _buffers(len(groups[0][1]), planes_re[0])
-    prefixes = _prefixes((planes_re, planes_im), pairs, scratch, list(range(len(planes_re))))
-    for prefix, (suffix, signs) in zip(prefixes, groups):
-        leaf_re, leaf_im = _fold(planes_re, planes_im, suffix, *buffers, prefix)
-        for j, sign in enumerate(signs):
-            step = np.add if sign > 0 else np.subtract
-            step(acc_re, leaf_re[j], out=acc_re)
-            step(acc_im, leaf_im[j], out=acc_im)
-
-
-def expansion_batch(points: np.ndarray):
-    """Signed permutation expansion per row; must match pdf_batch.
-
-    Rows run in chunks of R.  The permutations run in lexicographic groups
-    of M = k! that share sigma(0 .. n-k-1), k >= min(n, 3) as large as
-    EXPANSION_CHUNK_ELEMENTS allows for R rows; each prefix is folded once
-    and shared by its group (_expand_rows).  The signed leaves are added
-    into the accumulator in permutation order, so every element gets the
-    same sequence of operations as a per-permutation loop: bit for bit in
-    float64, exact in int64.
-    """
-    B, n, m = points.shape
-    if n > EXPANSION_MAX_N:
-        raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
-    p = m * (m - 1) // 2
-    k = min(n, 3)
-    rows = max(1, EXPANSION_CHUNK_ELEMENTS // (math.factorial(k) * max(1, p)))
-    width = max(1, min(rows, B) * p)
-    while k < n and math.factorial(k + 1) * width <= EXPANSION_CHUNK_ELEMENTS:
-        k += 1
-    groups = _prefix_groups(n, k)
-    log.debug("expansion_batch n=%d: %d prefix groups of %d permutations", n, len(groups),
-              math.factorial(k))
-    acc_re = np.zeros((B, p), dtype=points.dtype)
-    acc_im = np.zeros((B, p), dtype=points.dtype)
-    for start in range(0, B, rows):
-        chunk = slice(start, start + rows)
-        _expand_rows(*_coordinate_planes(points[chunk]), groups, n - k, acc_re[chunk],
-                     acc_im[chunk])
-    return acc_re, acc_im
-
-
 # Elements of one row chunk's working set in the subset recursion: the
 # gathered terms of its widest step, the two subset tables, the power table
 # and the coordinate planes, re and im, of R rows and P coordinate pairs.
-# 768 KiB of int64 stays below expansion_batch's temporaries at n = 6.
+# 768 KiB of float64 or int64, so a chunk stays in a 4 MiB L2 cache.
 LAPLACE_CHUNK_ELEMENTS = 98304
 
 
@@ -357,16 +234,28 @@ def _laplace_widths(n: int):
 def _power_table(x_re, x_im):
     """The (n, n, W) re and im tables of z_j^p, power-major, of the n points z = x_re + i x_im.
 
-    x_re and x_im are (n, W); each power is one complex multiply of all n points.
+    x_re and x_im are (n, W); each power is one complex multiply of all n
+    points.  The tables take the points' dtype.
     """
     n, width = x_re.shape
-    powers_re, powers_im = (np.empty((n, n, width), np.int64) for _ in range(2))
-    scratch = np.empty((n, width), np.int64)
+    powers_re, powers_im = (np.empty((n, n, width), x_re.dtype) for _ in range(2))
+    scratch = np.empty((n, width), x_re.dtype)
     powers_re[0], powers_im[0] = 1, 0
     for p in range(1, n):
         _complex_mul(powers_re[p - 1], powers_im[p - 1], x_re, x_im, powers_re[p], scratch,
                      powers_im[p])
     return powers_re, powers_im
+
+
+def _left_sums(terms, out):
+    """out = terms[:, 0] + terms[:, 1] + ..., added left to right at every width.
+
+    np.add.reduce adds a row of 8 or more terms that is one element wide
+    pairwise, so a row's bits would depend on the rows chunked with it.
+    """
+    np.add(terms[:, 0], terms[:, 1], out=out)
+    for k in range(2, terms.shape[1]):
+        np.add(out, terms[:, k], out=out)
 
 
 def _laplace_rows(planes_re, planes_im, steps, out_re, out_im):
@@ -375,14 +264,16 @@ def _laplace_rows(planes_re, planes_im, steps, out_re, out_im):
     planes are the (n, R, P) point-major re and im planes.  The subset
     tables start as D[{p}] = z_0^p.  A step gathers its terms' D values
     and powers into reused (C, j + 1, R P) buffers, negates the columns
-    whose sign is -, multiplies and sums each row into the other table.
+    whose sign is -, multiplies and sums each row into the other table
+    (_left_sums).  Every buffer takes the planes' dtype.
     """
     n = len(planes_re)
     width = planes_re[0].size
+    dtype = planes_re.dtype
     powers_re, powers_im = _power_table(planes_re.reshape(n, width), planes_im.reshape(n, width))
     tables, terms = _laplace_widths(n)
-    d_re, d_im, e_re, e_im = (np.empty((tables, width), np.int64) for _ in range(4))
-    buffers = [np.empty(terms * width, np.int64) for _ in range(5)]
+    d_re, d_im, e_re, e_im = (np.empty((tables, width), dtype) for _ in range(4))
+    buffers = [np.empty(terms * width, dtype) for _ in range(5)]
     d_re[:n], d_im[:n] = powers_re[:, 0], powers_im[:, 0]
     for j, (sources, powers) in enumerate(steps, 1):
         shape = sources.shape + (width,)
@@ -401,34 +292,33 @@ def _laplace_rows(planes_re, planes_im, steps, out_re, out_im):
         np.subtract(x, a_im, out=x)
         np.multiply(a_re, b_im, out=a_re)
         np.add(a_re, b_re, out=a_re)
-        np.add.reduce(x, axis=1, out=e_re[:len(sources)])
-        np.add.reduce(a_re, axis=1, out=e_im[:len(sources)])
+        _left_sums(x, e_re[:len(sources)])
+        _left_sums(a_re, e_im[:len(sources)])
         d_re, d_im, e_re, e_im = e_re, e_im, d_re, d_im
     out_re[...] = d_re[0].reshape(out_re.shape)
     out_im[...] = d_im[0].reshape(out_im.shape)
 
 
-def _laplace_expansion(points: np.ndarray):
-    """Signed permutation expansion of each row of int64 points by Laplace subset recursion.
+def expansion_batch(points: np.ndarray):
+    """Signed permutation expansion per row by Laplace subset recursion; must match pdf_batch.
 
-    Per coordinate pair, with z_j = x_j[s] + i x_j[t], the sum over
-    permutations sigma of sgn(sigma) prod_j z_j^sigma(j) that expansion_batch
-    forms leaf by leaf is the last of the subset sums D[S] over bijections
-    from points 0 .. |S|-1 to the powers in S; adding one point costs a
-    complex multiply-add per (subset, power) pair, n 2^(n-1) in all
-    (_laplace_steps).  int64 arithmetic is the ring Z/2^64, so any
-    grouping of the same sum gives the same ints: the result equals
-    expansion_batch's bit for bit, wraparound included.  Rows run in chunks
-    of at most LAPLACE_CHUNK_ELEMENTS working-set elements.  Float points
-    are an ArgumentError; their bits depend on the fold order, which
-    expansion_batch keeps.
+    points is (B, n, m), float or int; returns (re, im) arrays of shape
+    (B, M_m) in the points' dtype.  Per coordinate pair, with z_j =
+    x_j[s] + i x_j[t], the sum over permutations sigma of sgn(sigma)
+    prod_j z_j^sigma(j) is the last of the subset sums D[S] over
+    bijections from points 0 .. |S|-1 to the powers in S; adding one
+    point costs a complex multiply-add per (subset, power) pair, n 2^(n-1)
+    in all (_laplace_steps), against the n! leaves of the sum as written
+    (multilinear.permutation_expansion).  On int64 points the result is
+    that sum in the ring Z/2^64, wraparound included.  Rows run in chunks
+    of at most LAPLACE_CHUNK_ELEMENTS working-set elements; n > 8 is a
+    ResourceError.
     """
     B, n, m = points.shape
-    if points.dtype != np.int64:
-        raise ArgumentError(f"the subset recursion is exact on int64 points only, "
-                            f"got {points.dtype}")
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
+    log.debug("expansion_batch n=%d: %d terms per row and plane by subset recursion", n,
+              n * 2 ** (n - 1))
     p = m * (m - 1) // 2
     steps = _laplace_steps(n)
     tables, terms = _laplace_widths(n)
@@ -436,8 +326,8 @@ def _laplace_expansion(points: np.ndarray):
     # of the n^2 powers and the n coordinates.
     per_row = (4 * tables + 5 * terms + 2 * n * (n + 1)) * max(1, p)
     rows = max(1, LAPLACE_CHUNK_ELEMENTS // per_row)
-    acc_re = np.empty((B, p), dtype=np.int64)
-    acc_im = np.empty((B, p), dtype=np.int64)
+    acc_re = np.empty((B, p), dtype=points.dtype)
+    acc_im = np.empty((B, p), dtype=points.dtype)
     for start in range(0, B, rows):
         chunk = slice(start, start + rows)
         _laplace_rows(*_coordinate_planes(points[chunk]), steps, acc_re[chunk], acc_im[chunk])

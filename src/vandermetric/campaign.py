@@ -135,6 +135,10 @@ def _validate(config: CampaignConfig) -> None:
                                 f"known: {sorted(POLYGON_CHECKS)}")
         if POLYGON_CHECKS[config.check].size is None and config.n < 3:
             raise ArgumentError(f"a polygon needs n >= 3, got {config.n}")
+    size = _fixed_size(config)
+    if size is not None and config.n not in (size, CampaignConfig.n):
+        raise ArgumentError(f"this {config.op} campaign checks {size} points whatever n is; "
+                            f"got n={config.n} (leave n out, or give {size})")
     multilinear = config.op in ("multilinear-oracle", "sum-identity", "w-identity") or (
         config.op == "simplex" and config.metric == "generalized")
     if multilinear and config.m < 2:
@@ -304,25 +308,25 @@ def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int 
     """Exact-integer run of the expansion/product oracle; returns the max gap.
 
     The points are ints in [-bound, bound], bound an int >= 1, and both
-    sides are evaluated in int64: the expansion by subset recursion
-    (batch._laplace_expansion), the product-difference form by
-    batch.pdf_batch.  A pair difference on a coordinate plane has modulus
-    at most 2 bound sqrt(2), so each side, and every partial product of
-    the form, lies within (2 bound sqrt(2))^(n(n-1)/2); at bound 3 that
-    passes 2^63 from n = 7 on.  Past it the check holds modulo 2^64, the
-    ring int64 arithmetic computes in: it never fails falsely, but a
-    discrepancy that is a multiple of 2^64 goes unseen.  The other
-    arguments follow the multilinear-oracle campaign's rules
-    (ArgumentError); n > 8 is a ResourceError.
+    sides are evaluated in int64 by the kernels of the float campaign:
+    the expansion by batch.expansion_batch's subset recursion, the
+    product-difference form by batch.pdf_batch.  A pair difference on a
+    coordinate plane has modulus at most 2 bound sqrt(2), so each side,
+    and every partial product of the form, lies within
+    (2 bound sqrt(2))^(n(n-1)/2); at bound 3 that passes 2^63 from n = 7
+    on.  Past it the check holds modulo 2^64, the ring int64 arithmetic
+    computes in: it never fails falsely, but a discrepancy that is a
+    multiple of 2^64 goes unseen.  expansion_batch logs its DEBUG line,
+    as for the float campaign.  The other arguments follow the
+    multilinear-oracle campaign's rules (ArgumentError); n > 8 is a
+    ResourceError.
     """
     _validate(CampaignConfig(op="multilinear-oracle", seed=seed, trials=trials, n=n, m=m))
     if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < 1:
         raise ArgumentError(f"bound must be an int >= 1, got {bound!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     points = _int_sample(rng, (trials, n, m), bound).astype(np.int64)
-    log.debug("exact multilinear oracle n=%d m=%d: %d rows by subset recursion, %d terms",
-              n, m, trials, n * 2 ** (n - 1))
-    lhs = np.concatenate(batch._laplace_expansion(points), axis=1)
+    lhs = np.concatenate(batch.expansion_batch(points), axis=1)
     rhs = np.concatenate(batch.pdf_batch(points), axis=1)
     return int(np.max(np.abs(lhs - rhs)))
 
@@ -445,6 +449,21 @@ _SIMPLEX_METRICS = ("vandermonde", "root", "euclidean3", "generalized")
 # the default only, so no summary names a setting its campaign did not check.
 _OP_FIELDS = {"metric": ("simplex", "vandermonde"), "check": ("polygon", "triangle"),
               "q": ("w-identity", 1)}
+
+
+def _fixed_size(config: CampaignConfig) -> int | None:
+    """The number of points the campaign checks whatever n says, or None when n sets it.
+
+    n must then be that number or its default: any other n is a size the
+    campaign would echo without checking it.  A non-simplex config has
+    the default metric.
+    """
+    if config.op == "polygon":
+        return POLYGON_CHECKS[config.check].size
+    if config.op in ("ode", "equality-family") or config.metric == "euclidean3":
+        return 3
+    return None
+
 
 _RUNNERS = {
     "simplex": _simplex_campaign,

@@ -95,9 +95,9 @@ class TestMultilinearKernels:
             assert np.max(np.abs(im[t] - ref[1::2])) <= 1e-10 * scale
 
     def test_expansion_batch_size_limit(self, rng):
-        x = rng.standard_normal((2, 9, 2))
-        with pytest.raises(ResourceError):
-            batch.expansion_batch(x)
+        for x in (rng.standard_normal((2, 9, 2)), rng.integers(-3, 4, size=(2, 9, 2))):
+            with pytest.raises(ResourceError):
+                batch.expansion_batch(x)
 
     def test_int64_arithmetic_is_exact(self, rng):
         x = rng.integers(-3, 4, size=(200, 5, 3)).astype(np.int64)

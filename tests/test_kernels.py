@@ -1,5 +1,6 @@
 """Row kernels: B rows give the bits of each row alone and the streams of the per-trial loops."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -8,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +16,10 @@ import pytest
 from click.testing import CliRunner
 
 from vandermetric import (
-    ArgumentError,
     CampaignConfig,
     CyclicPolygon,
     MatrixFunction,
     ODEProblem,
-    ResourceError,
     StepSizeError,
     integrate,
     ngon_check,
@@ -47,11 +45,11 @@ from vandermetric.core import (LINEAR, _pair_indices, replacement_sides, vanderm
 from vandermetric.geometry import POLYGON_CHECKS, random_sorted_angles
 from vandermetric.multilinear import (
     DefinitenessVerdict,
+    MultilinearMapSpec,
     _build_witness,
     definiteness_decide,
-    expansion_terms,
     ordered_pairs,
-    permutation_sign,
+    permutation_expansion,
 )
 from vandermetric.ode import estimate_rows, growth_bounds, integrate_rows
 
@@ -368,147 +366,97 @@ def test_ode_campaign_that_checks_no_row_fails(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The chunked oracle kernels against the loops they replaced
+# The oracle kernels against their references
 
 
-def expansion_loop(points):
-    """The per-permutation expansion_batch loop, one projected fold per permutation."""
-    B, n, m = points.shape
-    t1, t2 = _pair_indices(m)
-    acc_re = np.zeros((B, len(t1)), dtype=points.dtype)
-    acc_im = np.zeros((B, len(t1)), dtype=points.dtype)
-    for perm in itertools.permutations(range(n)):
-        idx = [j for j, power in enumerate(perm) for _ in range(power)]
-        args = points[:, idx, :]
-        ar, ai = args[:, :, t1], args[:, :, t2]
-        re, im = ar[:, 0, :].copy(), ai[:, 0, :].copy()
-        for k in range(1, len(idx)):
-            a, b = ar[:, k, :], ai[:, k, :]
-            re, im = re * a - im * b, re * b + im * a
-        if permutation_sign(perm) > 0:
-            acc_re += re
-            acc_im += im
-        else:
-            acc_re -= re
-            acc_im -= im
-    return acc_re, acc_im
+def _signed_64(v):
+    """A Python int reduced to the int64 it wraps to."""
+    return (v + 2 ** 63) % 2 ** 64 - 2 ** 63
 
 
-# B = 7 leaves a short last chunk of permutations (720 = 390 + 330 at m = 4).
-EXPANSION_CASES = [(b, n, m) for b in (1, 7) for n in range(2, 7) for m in range(2, 5)]
+def _scalar_expansion(points):
+    """multilinear.permutation_expansion of each row, as (B, P) re and im arrays.
 
-
-@pytest.mark.parametrize("b,n,m", EXPANSION_CASES)
-def test_expansion_batch_equals_the_permutation_loop(b, n, m):
-    rng = np.random.default_rng(100 * b + 10 * n + m)
-    real = rng.uniform(-1.0, 1.0, size=(b, n, m))
-    real[0, 1] = real[0, 0]  # a zero difference
-    whole = rng.integers(-3, 4, size=(b, n, m)).astype(np.int64)
-    for points in (real, whole):
-        got, want = expansion_batch(points), expansion_loop(points)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype == points.dtype
-            assert np.array_equal(g.view(np.int64), w.view(np.int64))
-
-
-def expansion_lockstep(points, chunk_elements=16384):
-    """The permutation-chunk expansion_batch that prefix-shared folding replaced.
-
-    C = chunk_elements // (B P) permutations at a time, each folded from its
-    first factor over all of its n(n-1)/2 factors, the signed leaves added
-    in lexicographic order.
+    On int64 rows the scalar expansion is exact in Python ints, each then
+    reduced to the int64 it wraps to.
     """
     B, n, m = points.shape
-    p = m * (m - 1) // 2
-    planes_re, planes_im = (np.ascontiguousarray(points[:, :, t].transpose(1, 0, 2))
-                            for t in _pair_indices(m))
-    acc_re = np.zeros((B, p), dtype=points.dtype)
-    acc_im = np.zeros((B, p), dtype=points.dtype)
-    chunk = max(1, chunk_elements // (B * p))
-    signs, indices = expansion_terms(n)
-    for start in range(0, len(signs), chunk):
-        idx = indices[start:start + chunk]
-        re, im = planes_re[idx[:, 0]], planes_im[idx[:, 0]]
-        for k in range(1, idx.shape[1]):
-            a, b = planes_re[idx[:, k]], planes_im[idx[:, k]]
-            x = re * a
-            x -= im * b
-            y = re * b
-            im *= a
-            re, im = x, y + im
-        for j, sign in enumerate(signs[start:start + len(idx)].tolist()):
-            step = np.add if sign > 0 else np.subtract
-            step(acc_re, re[j], out=acc_re)
-            step(acc_im, im[j], out=acc_im)
-    return acc_re, acc_im
+    spec = MultilinearMapSpec(n=n, m=m)
+    rows = [permutation_expansion(spec, [tuple(p) for p in row]) for row in points]
+    if points.dtype == np.int64:
+        rows = [[_signed_64(v) for v in row] for row in rows]
+    values = np.array(rows, dtype=points.dtype).reshape(B, -1, 2)
+    return values[..., 0], values[..., 1]
 
 
-def _expansion_inputs(b, n, m, seed):
-    rng = np.random.default_rng(seed)
-    real = rng.uniform(-1.0, 1.0, size=(b, n, m))
-    real[0, 1] = real[0, 0]  # two equal points
-    return real, rng.integers(-2, 3, size=(b, n, m)).astype(np.int64)
+# The kernel's float gap to the scalar expansion, relative to max(|expansion|, 1).
+# Against pdf_batch it measured at most 2.1e-13 at n = 8, m = 4 over 1000 rows.
+EXPANSION_RTOL = 1e-12
 
 
-@pytest.mark.parametrize("b,n,m", [(3, 7, 3), (2, 8, 2)])
-def test_expansion_batch_equals_the_lockstep_kernel(b, n, m):
-    for points in _expansion_inputs(b, n, m, 10 * n + m):
-        for g, w in zip(expansion_batch(points), expansion_lockstep(points)):
-            assert g.dtype == w.dtype == points.dtype
-            assert bits(g) == bits(w)
+@functools.lru_cache(maxsize=None)
+def _float_rows(n):
+    """(points, re, im): float rows in R^4 and their scalar expansion.
+
+    The scalar expansion takes about half a second per row and plane at
+    n = 8, so n >= 7 gets one row; below, row 0 holds two equal points,
+    where the expansion is 0.  The rows in R^m and their expansion are the
+    first m coordinates and the planes within them, so one reference
+    serves every m.
+    """
+    points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(3 if n <= 6 else 1, n, 4))
+    if len(points) > 1:
+        points[0, 1] = points[0, 0]
+    return (points, *_scalar_expansion(points))
 
 
-def test_expansion_batch_equals_the_lockstep_kernel_over_row_chunks(monkeypatch):
-    # A small chunk makes 40 rows span several row chunks of expansion_batch.
-    monkeypatch.setattr(batch, "EXPANSION_CHUNK_ELEMENTS", 256)
-    for points in _expansion_inputs(40, 6, 4, 64):
-        for g, w in zip(expansion_batch(points), expansion_lockstep(points)):
-            assert bits(g) == bits(w)
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 9) for m in range(2, 5)])
+def test_expansion_batch_is_the_scalar_expansion_in_floats(n, m):
+    points, *scalar = _float_rows(n)
+    planes = [k for k, pair in enumerate(ordered_pairs(4)) if max(pair) < m]
+    for got, want in zip(expansion_batch(points[:, :, :m]), scalar):
+        want = want[:, planes]
+        assert got.dtype == np.float64 and got.shape == want.shape
+        scale = np.maximum(np.max(np.abs(want), axis=1, keepdims=True), 1.0)
+        assert np.all(np.abs(got - want) <= EXPANSION_RTOL * scale)
 
 
-def _laplace_inputs(n, m):
+def _wrapping_inputs(n, m):
     """Rows at bound 3, then rows at bound 2^40, whose products wrap in int64 from n = 3."""
     rng = np.random.default_rng(10 * n + m)
     return np.concatenate([rng.integers(-3, 4, size=(3, n, m)),
                            rng.integers(-2 ** 40, 2 ** 40 + 1, size=(2, n, m))]).astype(np.int64)
 
 
-@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 9) for m in range(2, 5)])
-def test_laplace_expansion_equals_expansion_batch(n, m):
-    points = _laplace_inputs(n, m)
-    for got, want in zip(batch._laplace_expansion(points), expansion_batch(points)):
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 6) for m in range(2, 5)])
+def test_expansion_batch_is_the_python_int_expansion_in_int64(n, m):
+    points = _wrapping_inputs(n, m)
+    for got, want in zip(expansion_batch(points), _scalar_expansion(points)):
+        assert got.dtype == np.int64
+        assert bits(got) == bits(want)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(6, 9) for m in range(2, 5)])
+def test_expansion_batch_equals_pdf_batch_in_int64(n, m):
+    # At bound 1 a pair difference has modulus at most 2 sqrt(2), so each
+    # side stays within (2 sqrt(2))^28 = 2^42 and neither wraps.
+    points = np.random.default_rng(10 * n + m).integers(-1, 2, size=(20, n, m))
+    for got, want in zip(expansion_batch(points), batch.pdf_batch(points)):
         assert got.dtype == want.dtype == np.int64
         assert bits(got) == bits(want)
 
 
-def test_laplace_expansion_equals_expansion_batch_over_row_chunks(monkeypatch):
-    # A chunk of one row makes 40 rows span 40 row chunks.
-    monkeypatch.setattr(batch, "LAPLACE_CHUNK_ELEMENTS", 1)
-    points = _expansion_inputs(40, 6, 4, 64)[1]
-    for got, want in zip(batch._laplace_expansion(points), expansion_batch(points)):
-        assert bits(got) == bits(want)
-
-
-def test_laplace_expansion_rejects_floats_and_n_past_8():
-    with pytest.raises(ArgumentError, match="int64 points only"):
-        batch._laplace_expansion(np.zeros((2, 4, 3)))
-    with pytest.raises(ResourceError):
-        batch._laplace_expansion(np.zeros((2, 9, 2), dtype=np.int64))
-
-
-@pytest.mark.parametrize("b", [300, 1000])
-def test_laplace_expansion_temporaries_stay_within_expansion_batch(b):
-    points = np.random.default_rng(b).integers(-3, 4, size=(b, 6, 4)).astype(np.int64)
-    peaks = []
-    for kernel in (batch._laplace_expansion, expansion_batch):
-        kernel(points)  # fills the kernel's caches
-        tracemalloc.start()
-        try:
-            kernel(points)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] <= peaks[1]
+def test_expansion_batch_rows_chunked_one_at_a_time_keep_their_bits(monkeypatch):
+    rng = np.random.default_rng(64)
+    # One row in R^2 is one element wide, where the sums of 8 terms at n = 8
+    # must still be added left to right.
+    inputs = (rng.uniform(-1.0, 1.0, size=(40, 6, 4)), rng.uniform(-1.0, 1.0, size=(40, 8, 2)),
+              _wrapping_inputs(6, 4))
+    whole = [expansion_batch(points) for points in inputs]
+    monkeypatch.setattr(batch, "LAPLACE_CHUNK_ELEMENTS", 1)  # one row per chunk
+    for points, want in zip(inputs, whole):
+        for got, w in zip(expansion_batch(points), want):
+            assert bits(got) == bits(w)
 
 
 def test_exact_oracle_logs_its_kernel_and_keeps_the_gap(caplog, monkeypatch):
@@ -518,7 +466,7 @@ def test_exact_oracle_logs_its_kernel_and_keeps_the_gap(caplog, monkeypatch):
         loud = multilinear_oracle_exact(seed=906, trials=300, n=6, m=4)
     assert loud == quiet == 0
     assert [r.getMessage() for r in caplog.records] == [
-        "exact multilinear oracle n=6 m=4: 300 rows by subset recursion, 192 terms"]
+        "expansion_batch n=6: 192 terms per row and plane by subset recursion"]
 
 
 # to_dict() of the decider, recorded with the per-assignment label pass.
@@ -563,7 +511,7 @@ def test_oracles_log_at_debug_and_keep_their_output(caplog, monkeypatch):
         loud = [runner.invoke(main, args).stdout for args in commands]
     assert loud == quiet and '"verdict": "definite"' in quiet[1]
     assert [r.getMessage() for r in caplog.records] == [
-        "expansion_batch n=5: 5 prefix groups of 24 permutations",
+        "expansion_batch n=5: 80 terms per row and plane by subset recursion",
         "multilinear-oracle campaign: 50 rows judged, 1 verdict blocks, 0 violations",
         "definiteness_decide n=3 m=5: definite after 59049 assignments in 6 chunks"]
 
@@ -650,11 +598,12 @@ def test_decider_blocks_of_any_size_give_the_same_verdicts(monkeypatch, chunk):
     assert [definiteness_decide(n, m, budget=b) for n, m, b in cases] == want
 
 
-# sha256 of the multilinear-oracle JSONL at tol 0, recorded with the
-# per-permutation loop: 100 violation records pin the gaps of their rows.
+# sha256 of the multilinear-oracle JSONL at tol 0: 100 violation records pin
+# the gaps of their rows.  Recorded again when the expansion became the
+# subset recursion, which moved the gaps of most records by a few ulps.
 GOLDEN_ORACLES = [
-    ((6, 4), "14f97efe2582b51a84715e686bab6d92092445e31d763453c2b1866daef66467"),
-    ((5, 3), "98d6a54e1bff68e88bae6d90943c0260eae767394c5a793dcf6e8b846e9bc5aa"),
+    ((6, 4), "5220d26b950c12ed6b84ce90b891c14e67f206bf97c7f320b2777480cd6cde46"),
+    ((5, 3), "f5f60625c971f846074f073b5e496dafa94bf31720794591abc575f38674abc3"),
 ]
 
 
