@@ -50,6 +50,7 @@ from vandermetric.multilinear import (
     definiteness_decide,
     ordered_pairs,
     permutation_expansion,
+    permutation_sign,
 )
 from vandermetric.ode import estimate_rows, growth_bounds, integrate_rows
 
@@ -417,6 +418,49 @@ def test_expansion_batch_is_the_scalar_expansion_in_floats(n, m):
     for got, want in zip(expansion_batch(points[:, :, :m]), scalar):
         want = want[:, planes]
         assert got.dtype == np.float64 and got.shape == want.shape
+        scale = np.maximum(np.max(np.abs(want), axis=1, keepdims=True), 1.0)
+        assert np.all(np.abs(got - want) <= EXPANSION_RTOL * scale)
+
+
+def expansion_loop(points):
+    """The expansion as a loop over permutations, one projected fold per permutation."""
+    B, n, m = points.shape
+    t1, t2 = _pair_indices(m)
+    acc_re = np.zeros((B, len(t1)), dtype=points.dtype)
+    acc_im = np.zeros((B, len(t1)), dtype=points.dtype)
+    for perm in itertools.permutations(range(n)):
+        idx = [j for j, power in enumerate(perm) for _ in range(power)]
+        args = points[:, idx, :]
+        ar, ai = args[:, :, t1], args[:, :, t2]
+        re, im = ar[:, 0, :].copy(), ai[:, 0, :].copy()
+        for k in range(1, len(idx)):
+            a, b = ar[:, k, :], ai[:, k, :]
+            re, im = re * a - im * b, re * b + im * a
+        if permutation_sign(perm) > 0:
+            acc_re += re
+            acc_im += im
+        else:
+            acc_re -= re
+            acc_im -= im
+    return acc_re, acc_im
+
+
+EXPANSION_CASES = [(b, n, m) for b in (1, 7) for n in range(2, 7) for m in range(2, 5)]
+
+
+@pytest.mark.parametrize("b,n,m", EXPANSION_CASES)
+def test_expansion_batch_equals_the_permutation_loop(b, n, m):
+    # int64 is the ring Z/2^64, so any order of the terms gives the same bits;
+    # in floats the two orders agree within EXPANSION_RTOL.
+    rng = np.random.default_rng(100 * b + 10 * n + m)
+    real = rng.uniform(-1.0, 1.0, size=(b, n, m))
+    real[0, 1] = real[0, 0]  # a zero difference
+    whole = rng.integers(-3, 4, size=(b, n, m)).astype(np.int64)
+    for got, want in zip(expansion_batch(whole), expansion_loop(whole)):
+        assert got.dtype == want.dtype == np.int64
+        assert bits(got) == bits(want)
+    for got, want in zip(expansion_batch(real), expansion_loop(real)):
+        assert got.dtype == want.dtype == np.float64
         scale = np.maximum(np.max(np.abs(want), axis=1, keepdims=True), 1.0)
         assert np.all(np.abs(got - want) <= EXPANSION_RTOL * scale)
 
