@@ -21,7 +21,11 @@ multiplies it in.  pdf_batch folds the pair differences as one member;
 the projected pass of the replacement identities folds the n + 1 tuples,
 as the signed slot map (core._slot_map) lists their factors, in chunks
 of at most core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or
-one row, each reduced straight into the two sides.
+one row, each reduced straight into the two sides; its fold columns are
+one read-only table per (n, q) (_projected_columns).  The campaigns call
+sum_identity_sides and w_identity_sides on row blocks of whole chunks
+(identity_chunk_rows) and judge each block before the next, so their
+sides never span the whole batch.
 
 The permutation expansion, expansion_batch, is the one kernel of the
 Leibniz sum for float and int64 points alike: a Laplace subset recursion
@@ -38,8 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (IDENTITY, LINEAR, _generalized_sides, _lockstep_sides, _pair_indices,
-                   _replacement_rows, _root_power, _slot_map, verdict)
+from .core import (IDENTITY, LINEAR, _chunk_rows, _generalized_sides, _lockstep_sides,
+                   _pair_indices, _replacement_rows, _root_power, _slot_map, verdict)
 from .multilinear import EXPANSION_MAX_N
 from .errors import ResourceError
 
@@ -188,9 +192,21 @@ def _projected_rows(x: np.ndarray, y: np.ndarray, q: int):
     for p in _coordinate_planes(np.concatenate([y[:, None], x], axis=1)):
         yp, xp = p[:1], p[1:]
         pools.append(np.concatenate([_pair_differences(xp, i, j), yp - xp, xp - yp, p]))
-    tails = np.tile(len(i) + 2 * n + np.arange(n + 1), (q - 1, 1))
+    return _fold(*pools, _projected_columns(n, q), *_buffers(n + 1, pools[0][0]))
+
+
+@lru_cache(maxsize=None)
+def _projected_columns(n: int, q: int) -> np.ndarray:
+    """Read-only (P + q - 1, n + 1) fold columns of _projected_rows.
+
+    The signed slot map's P pair factors of each tuple, then q - 1 rows
+    of the tails' pool positions (after the P + 2n slot-map factors).
+    """
+    p = n * (n - 1) // 2
+    tails = np.tile(p + 2 * n + np.arange(n + 1), (q - 1, 1))
     columns = np.concatenate([_slot_map(n, True).T, tails])
-    return _fold(*pools, columns, *_buffers(n + 1, pools[0][0]))
+    columns.flags.writeable = False
+    return columns
 
 
 # Elements of one row chunk's working set in the subset recursion: the
@@ -365,6 +381,11 @@ def _w_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
     """(lhs, rhs) component stacks [re | im] of the extended identity; y is (B, m)."""
     return _replacement_rows(_w_rows, _projected_elements(*points.shape[1:]), points, y, q)
+
+
+def identity_chunk_rows(points: np.ndarray) -> int:
+    """Rows of one chunk of sum_identity_sides and w_identity_sides on these (B, n, m) points."""
+    return _chunk_rows(_projected_elements(*points.shape[1:]))
 
 
 def max_gap_and_scale(lhs: np.ndarray, rhs: np.ndarray):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import batch
 from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR, LOG,
-                   checked_tol, dump_json, replacement_sides, verdict)
+                   checked_tol, dump_json, replacement_chunk_rows, replacement_sides, verdict)
 from .errors import ArgumentError
 from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
     POLYGON_CHECKS,
@@ -44,9 +44,10 @@ log = logging.getLogger(__name__)
 
 _MAX_RECORDED_FAILURES = 100
 
-# Side elements per verdict block of _reduce.  The verdict's temporaries of
+# Side elements per verdict block of _Reduction.  The verdict's temporaries of
 # one block, about 1 MiB, stay in a 4 MiB L2 cache; on (1e5, 6) identity and
 # 4e5-row inequality sides 1 << 14 judged faster than 1 << 13 and 1 << 15.
+# It also sizes the campaigns' row blocks and the pieces of _complex_sample.
 _VERDICT_BLOCK_ELEMENTS = 1 << 14
 
 # The tolerance of a campaign whose config gives none: its claim kind's.
@@ -151,58 +152,133 @@ def _rng(config: CampaignConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed))
 
 
-def _reduce(config, kind, domain, lhs, rhs, extra) -> CampaignResult:
-    """Count and record the rows of lhs/rhs whose verdict fails.
+class _Reduction:
+    """The verdict of a campaign's rows, judged block by block as they arrive.
 
-    The tolerance is config.tol, or the kind's default when that is None.
-    worst is the smallest normalized gap of an inequality and the largest
-    of an identity or a bound; with no row to check it is NaN.  The verdict
-    runs on consecutive blocks of _VERDICT_BLOCK_ELEMENTS side elements, so
-    its temporaries hold one block; it judges each row on its own, so the
-    blocks give the counts, records and worst of one whole-batch call.
+    judge(lhs, rhs, first) takes the sides of the consecutive trials first,
+    first + 1, ..., and the blocks may come in any order.  The tolerance is
+    config.tol, or the kind's default when that is None.  The verdict runs
+    on blocks of at most _VERDICT_BLOCK_ELEMENTS side elements, so its
+    temporaries hold one block.  The reduction adds up the violations,
+    keeps the _MAX_RECORDED_FAILURES failures of smallest trial, in trial
+    order, and takes worst: the smallest normalized gap of an inequality,
+    the largest of an identity or a bound, NaN with no row to check.  The
+    verdict judges each row on its own, so any blocks in any order give the
+    counts, records and worst of one whole-batch call.
     """
-    tol = _DEFAULT_TOL[kind] if config.tol is None else config.tol
-    rows = len(lhs)
-    step = max(1, _VERDICT_BLOCK_ELEMENTS // math.prod(lhs.shape[1:]))
-    # np.min and np.max propagate NaN, so a NaN in any block makes worst NaN.
-    extreme = np.min if kind == INEQUALITY else np.max
-    violations, failures, extremes = 0, [], []
-    for start in range(0, rows, step):
-        v = verdict(kind, domain, lhs[start:start + step], rhs[start:start + step], tol)
+
+    def __init__(self, config, kind, domain, extra):
+        self.config, self.kind, self.domain, self.extra = config, kind, domain, extra
+        self.tol = _DEFAULT_TOL[kind] if config.tol is None else config.tol
+        # np.min and np.max propagate NaN, so a NaN in any block makes worst NaN.
+        self.extreme = np.min if kind == INEQUALITY else np.max
+        self.rows = self.violations = 0
+        self.failures, self.extremes = [], []  # failures are (trial, record), by trial
+
+    def judge(self, lhs, rhs, first=0):
+        step = max(1, _VERDICT_BLOCK_ELEMENTS // math.prod(lhs.shape[1:]))
+        for start in range(0, len(lhs), step):
+            self._block(lhs[start:start + step], rhs[start:start + step], first + start)
+
+    def _block(self, lhs, rhs, first):
+        v = verdict(self.kind, self.domain, lhs, rhs, self.tol)
         bad = np.flatnonzero(~v.passed)
-        violations += len(bad)
-        extremes.append(extreme(v.normalized))
+        self.rows += len(lhs)
+        self.violations += len(bad)
+        self.extremes.append(self.extreme(v.normalized))
+        if len(self.failures) == _MAX_RECORDED_FAILURES:  # only trials before the last kept
+            bad = bad[:np.searchsorted(bad, self.failures[-1][0] - first)]
+        if not len(bad):
+            return
         scale = np.broadcast_to(v.scale, v.gap.shape)
-        for b in bad[:_MAX_RECORDED_FAILURES - len(failures)].tolist():
-            t = start + b
-            if kind == IDENTITY:
+        for b in bad[:_MAX_RECORDED_FAILURES].tolist():
+            t = first + b
+            if self.kind == IDENTITY:
                 rec = {"gap": float(v.gap[b]), "scale": float(scale[b])}
             else:
-                rec = {"lhs": float(lhs[t]), "rhs": float(rhs[t]),
-                       "gap": float(rhs[t] - lhs[t])}
-            rec.update(record="violation", trial=t, seed=config.seed)
-            rec.update(extra(t))
-            failures.append(rec)
-    log.debug("%s campaign: %d rows judged, %d verdict blocks, %d violations", config.op,
-              rows, len(extremes), violations)
-    return CampaignResult(
-        config=config,
-        trials=rows,
-        violations=violations,
-        worst=float(extreme(extremes)) if extremes else math.nan,
-        checked=rows,
-        kind=kind,
-        failures=failures,
-    )
+                rec = {"lhs": float(lhs[b]), "rhs": float(rhs[b]), "gap": float(rhs[b] - lhs[b])}
+            rec.update(record="violation", trial=t, seed=self.config.seed)
+            rec.update(self.extra(t))
+            self.failures.append((t, rec))
+        self.failures.sort(key=lambda failure: failure[0])
+        del self.failures[_MAX_RECORDED_FAILURES:]
+
+    def result(self) -> CampaignResult:
+        log.debug("%s campaign: %d rows judged, %d verdict blocks, %d violations",
+                  self.config.op, self.rows, len(self.extremes), self.violations)
+        return CampaignResult(
+            config=self.config,
+            trials=self.rows,
+            violations=self.violations,
+            worst=float(self.extreme(self.extremes)) if self.extremes else math.nan,
+            checked=self.rows,
+            kind=self.kind,
+            failures=[rec for _, rec in self.failures],
+        )
+
+
+def _reduce(config, kind, domain, lhs, rhs, extra) -> CampaignResult:
+    """The _Reduction of whole lhs/rhs arrays: row t is trial t, extra(t) adds to its record."""
+    reduction = _Reduction(config, kind, domain, extra)
+    reduction.judge(lhs, rhs)
+    return reduction.result()
+
+
+def _judge_stacks(reduction, lhs, rhs, b, start):
+    """Judge (K, rows, ...) side stacks whose row r of stack k is trial k b + start + r."""
+    for k, (left, right) in enumerate(zip(lhs, rhs)):
+        reduction.judge(left, right, k * b + start)
+
+
+def _reduce_blocks(config, kind, name, sides, chunk, width, extra) -> CampaignResult:
+    """Compute and judge the campaign's B = config.trials rows block by block.
+
+    sides(rows) returns the lhs, rhs and domain of the rows in the slice
+    rows, each side a (K, rows, ...) stack of width side elements a row,
+    whose row r of stack k is trial k B + r.  A block is the most whole
+    kernel chunks of chunk rows that fit one verdict block, or one chunk,
+    so the kernel runs no short chunk but the last and a block's sides are
+    judged before the next block is computed.  replacement_sides takes
+    the log escape for a whole call, so a block that comes back not
+    LINEAR discards the verdict so far: the whole batch is computed and
+    judged as one call, as without blocks, and logged at DEBUG when LOG.
+    """
+    b = config.trials
+    block = chunk * max(1, _VERDICT_BLOCK_ELEMENTS // width // chunk)
+    reduction = _Reduction(config, kind, LINEAR, extra)
+    for start in range(0, b, block):
+        lhs, rhs, domain = sides(slice(start, start + block))
+        if domain == LINEAR:
+            _judge_stacks(reduction, lhs, rhs, b, start)
+            del lhs, rhs  # before the next block's sides are computed
+            continue
+        if block < b:
+            lhs, rhs, domain = sides(slice(0, b))
+        if domain == LOG:
+            log.debug("%s: %d trials evaluated as Lagrange log sums", name, b)
+        reduction = _Reduction(config, kind, domain, extra)
+        _judge_stacks(reduction, lhs, rhs, b, 0)
+        break
+    return reduction.result()
 
 
 def _complex_sample(rng, shape):
-    """Complex standard normals: the first draw is the real parts, the second the imaginary."""
+    """Complex standard normals: the first draws are the real parts, the next the imaginary.
+
+    The generator fills only contiguous arrays, so each plane is drawn in
+    pieces of _VERDICT_BLOCK_ELEMENTS through one buffer and copied into
+    place.  A normal draw takes the generator's values one at a time, so
+    the pieces hold the values of one whole-plane draw, without its
+    (B, n) float temporary.
+    """
     z = np.empty(shape, dtype=complex)
-    # The generator fills only contiguous arrays, so each draw is one float
-    # plane, copied into place.
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
+    values = z.reshape(-1).view(float)  # re, im, re, im, ...
+    buffer = np.empty(min(z.size, _VERDICT_BLOCK_ELEMENTS))
+    for plane in (values[0::2], values[1::2]):
+        for start in range(0, z.size, len(buffer)):
+            piece = buffer[:z.size - start]
+            rng.standard_normal(out=piece)
+            plane[start:start + len(piece)] = piece
     return z
 
 
@@ -214,12 +290,13 @@ def _jsonable_complex(z):
 # Campaigns
 
 
-def _replacement_campaign(config, name, points, y, metric, ks=(0,)):
-    """replacement_sides of the campaign's rows, logged at DEBUG when they are Lagrange log sums."""
-    lhs, rhs, domain = replacement_sides(points, y, metric, ks)
-    if domain == LOG:
-        log.debug("%s: %d trials evaluated as Lagrange log sums", name, config.trials)
-    return lhs, rhs, domain
+def _replacement_campaign(config, kind, name, points, y, metric, extra, ks=(0,)):
+    """Judge replacement_sides of the campaign's rows block by block (_reduce_blocks)."""
+    def sides(rows):
+        return replacement_sides(points[rows], y[rows], metric, ks)
+
+    return _reduce_blocks(config, kind, name, sides, replacement_chunk_rows(points, metric),
+                          len(ks), extra)
 
 
 def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
@@ -233,9 +310,8 @@ def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
         points = rng.standard_normal((b, 3 if config.metric == "euclidean3" else n, m))
         y = rng.standard_normal((b, m))
         extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
-    (lhs,), (rhs,), domain = _replacement_campaign(config, f"simplex {config.metric}", points,
-                                                   y, config.metric)
-    return _reduce(config, INEQUALITY, domain, lhs, rhs, extra)
+    return _replacement_campaign(config, INEQUALITY, f"simplex {config.metric}", points, y,
+                                 config.metric, extra)
 
 
 def _extended_campaign(config: CampaignConfig) -> CampaignResult:
@@ -244,14 +320,13 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
     z = _complex_sample(rng, (b, n))
     y = _complex_sample(rng, (b,))
     ks = list(range(n)) if config.k is None else [config.k]
-    lhs, rhs, domain = _replacement_campaign(config, "extended", z, y, "vandermonde", ks)
 
     def extra(t):
         k = ks[t // b]
         row = t % b
         return {"k": k, "points": _jsonable_complex(z[row]), "y": [y[row].real, y[row].imag]}
 
-    return _reduce(config, INEQUALITY, domain, lhs.ravel(), rhs.ravel(), extra)
+    return _replacement_campaign(config, INEQUALITY, "extended", z, y, "vandermonde", extra, ks)
 
 
 def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
@@ -264,10 +339,10 @@ def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
     z[:, 0] = 1.0
     z[:, 1] = (-1.0 + 1j * np.sqrt(q * (1.0 + s))) / s
     z[:, 2] = (-1.0 - 1j * np.sqrt((1.0 + s) / q)) / s
-    (lhs,), (rhs,), domain = _replacement_campaign(config, "equality-family", z,
-                                                   np.zeros(b, dtype=complex), "vandermonde")
     extra = lambda t: {"q": float(q[t]), "s": float(s[t])}
-    return _reduce(config, IDENTITY, domain, lhs, rhs, extra)
+    # y = 0 for every row, as a read-only view of one zero.
+    return _replacement_campaign(config, IDENTITY, "equality-family", z, np.broadcast_to(0j, (b,)),
+                                 "vandermonde", extra)
 
 
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
@@ -341,10 +416,16 @@ def _identity_campaign(config: CampaignConfig) -> CampaignResult:
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
     w = config.op == "w-identity"
-    lhs, rhs = batch.w_identity_sides(points, y, q) if w else batch.sum_identity_sides(points, y)
+
+    def sides(rows):
+        x, at = points[rows], y[rows]
+        lhs, rhs = batch.w_identity_sides(x, at, q) if w else batch.sum_identity_sides(x, at)
+        return lhs[None], rhs[None], LINEAR
+
     tail = {"q": q} if w else {}
     extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist(), **tail}
-    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
+    return _reduce_blocks(config, IDENTITY, config.op, sides, batch.identity_chunk_rows(points),
+                          m * (m - 1), extra)
 
 
 def random_ode_problem(rng: np.random.Generator, m: int, t_end: float = 2.0,

@@ -738,6 +738,11 @@ def _slot_map(n: int, signed: bool) -> np.ndarray:
     return slots
 
 
+def _chunk_rows(per_row: int) -> int:
+    """Rows of one chunk of a kernel that holds per_row elements a row: at least one."""
+    return max(1, REPLACEMENT_CHUNK_ELEMENTS // max(1, per_row))
+
+
 def _row_elements(n: int) -> int:
     """Pool and lockstep-buffer elements of one row, the unit of REPLACEMENT_CHUNK_ELEMENTS.
 
@@ -757,7 +762,7 @@ def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *
     at the first chunk, in the values' dtype and the memory order given;
     an empty batch runs one empty chunk for it.
     """
-    step = max(1, REPLACEMENT_CHUNK_ELEMENTS // max(1, per_row))
+    step = _chunk_rows(per_row)
     lhs = rhs = None
     for start in range(0, max(1, len(points)), step):
         rows = slice(start, start + step)
@@ -943,7 +948,7 @@ def _generalized_log_rows(x: np.ndarray, y: np.ndarray):
     """
     n, count = x.shape[1], x.shape[2] * (x.shape[2] - 1) // 2
     log_d, terms = np.empty(len(x)), np.empty(x.shape[:2])
-    step = max(1, REPLACEMENT_CHUNK_ELEMENTS // (4 * count * n))
+    step = _chunk_rows(4 * count * n)
     for rows in (slice(start, start + step) for start in range(0, len(x), step)):
         plane_d, plane_terms = lagrange_log_rows(_planes(x[rows]).reshape(-1, n),
                                                  _planes(y[rows]).ravel())
@@ -969,6 +974,19 @@ def _lagrange_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
         lhs[row] = log_x + k * log_y if k else log_x
         rhs[row] = _log_sum_exp(terms + k * log_points if k else terms)
     return lhs, rhs
+
+
+def replacement_chunk_rows(points: np.ndarray, metric: str) -> int:
+    """Rows of one chunk of replacement_sides on these (B, n) or (B, n, m) points.
+
+    A call on a whole number of chunks runs no short chunk.  Beyond n = 12
+    every call is log sums for the whole batch, so the chunk is all B rows.
+    """
+    n = points.shape[1]
+    if n > _LOG_SWITCH_N:
+        return max(1, len(points))
+    return _chunk_rows(_plane_elements(n, points.shape[2]) if metric == "generalized"
+                      else _row_elements(n))
 
 
 def _replacement_report(operation, inputs, points, y, metric, k, tol) -> MetricReport:

@@ -199,7 +199,42 @@ def test_reduce_temporaries_do_not_grow_with_the_batch(rng, kind, columns, b):
     assert large <= small + (1 << 16)
 
 
-def test_complex_sample_allocates_its_output_and_one_float_plane():
+def test_complex_sample_allocates_its_output_and_one_draw_buffer():
     peak, z = _peak(campaign._complex_sample, np.random.default_rng(3), (20000, 6))
     assert z.dtype == complex and z.shape == (20000, 6)
-    assert peak <= z.nbytes + z.real.nbytes + (1 << 12)
+    assert peak <= z.nbytes + 8 * campaign._VERDICT_BLOCK_ELEMENTS + (1 << 12)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 3), (5000, 7)])
+def test_complex_sample_draws_the_values_of_two_whole_planes(shape):
+    # (5000, 7) takes three pieces a plane, the last one short.
+    rng, whole = np.random.default_rng(3), np.random.default_rng(3)
+    z = campaign._complex_sample(rng, shape)
+    real, imag = whole.standard_normal(shape), whole.standard_normal(shape)
+    assert np.array_equal(z.real, real) and np.array_equal(z.imag, imag)
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+# A campaign's inputs: bytes a row of the points and y it draws.
+CAMPAIGN_INPUT_CASES = [
+    (dict(op="sum-identity", n=4, m=3), (4 + 1) * 3 * 8),
+    (dict(op="extended", n=4), (4 + 1) * 16),
+    (dict(op="simplex", n=6), (6 + 1) * 16),
+    (dict(op="simplex", metric="generalized", n=3, m=4), (3 + 1) * 4 * 8),
+]
+
+
+@pytest.mark.parametrize("fields,row_bytes", CAMPAIGN_INPUT_CASES)
+def test_campaign_memory_grows_with_its_inputs_only(fields, row_bytes):
+    def call(trials):
+        peak, result = _peak(campaign.run_campaign, CampaignConfig(seed=1, trials=trials, **fields))
+        assert result.passed
+        return peak
+
+    call(100)  # caches the slot maps and fold columns
+    # 2^14 rows fill at least one block of every one of these campaigns; the
+    # larger batch holds 4x the rows, and its sides would add 3 * 2^14 * 8
+    # bytes or more were they held whole.
+    b = 1 << 14
+    small, large = call(b), call(4 * b)
+    assert large <= small + 3 * b * row_bytes + (1 << 16)

@@ -1,6 +1,7 @@
 """The one pass/fail rule: scalar reports and campaign reducers agree and fail closed."""
 
 import json
+import logging
 import math
 import struct
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vandermetric import CampaignConfig, CyclicPolygon, batch, campaign, run_campaign
+from vandermetric import CampaignConfig, CyclicPolygon, batch, campaign, core, run_campaign
 from vandermetric.campaign import CampaignResult, _reduce, _rng
 from vandermetric.core import (
     BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, _row_max, dump_json, verdict,
@@ -191,11 +192,7 @@ def reduce_whole(config, kind, domain, lhs, rhs, extra):
                           worst=worst, checked=len(normalized), kind=kind, failures=failures)
 
 
-def assert_blocks_equal_whole(kind, domain, lhs, rhs, extra=lambda t: {"row": t}):
-    config = CampaignConfig(op="simplex", seed=5, tol=1e-9)
-    with np.errstate(all="ignore"):
-        got = _reduce(config, kind, domain, lhs, rhs, extra)
-        want = reduce_whole(config, kind, domain, lhs, rhs, extra)
+def assert_same_result(got, want):
     assert (got.trials, got.checked, got.violations) == (want.trials, want.checked,
                                                          want.violations)
     assert list(got.json_lines()) == list(want.json_lines())
@@ -204,6 +201,35 @@ def assert_blocks_equal_whole(kind, domain, lhs, rhs, extra=lambda t: {"row": t}
         assert math.isnan(got.worst)
     else:
         assert struct.pack("<d", got.worst) == struct.pack("<d", want.worst)
+
+
+def reduce_out_of_order(config, kind, domain, lhs, rhs, extra, order):
+    """_Reduction fed the 31-row blocks of lhs/rhs in the given order of their indices.
+
+    31 rows are not a whole number of verdict blocks, so judge() splits them
+    with offsets of its own.
+    """
+    reduction = campaign._Reduction(config, kind, domain, extra)
+    starts = range(0, len(lhs), 31)
+    for start in (starts[i] for i in order(len(starts))):
+        reduction.judge(lhs[start:start + 31], rhs[start:start + 31], start)
+    return reduction.result()
+
+
+# Block orders: last first, and shuffled.
+BLOCK_ORDERS = [lambda count: range(count - 1, -1, -1),
+                lambda count: np.random.default_rng(count).permutation(count).tolist()]
+
+
+def assert_blocks_equal_whole(kind, domain, lhs, rhs, extra=lambda t: {"row": t}):
+    config = CampaignConfig(op="simplex", seed=5, tol=1e-9)
+    with np.errstate(all="ignore"):
+        got = _reduce(config, kind, domain, lhs, rhs, extra)
+        want = reduce_whole(config, kind, domain, lhs, rhs, extra)
+        fed = [reduce_out_of_order(config, kind, domain, lhs, rhs, extra, order)
+               for order in BLOCK_ORDERS]
+    for result in [got, *fed]:
+        assert_same_result(result, want)
     return got
 
 
@@ -260,6 +286,17 @@ def test_blocks_equal_one_whole_batch_verdict_on_raveled_extended_rows(monkeypat
     result = assert_blocks_equal_whole(INEQUALITY, LINEAR, rhs.ravel(), lhs.ravel(), extra)
     assert result.violations > campaign._MAX_RECORDED_FAILURES
     assert [f["k"] for f in result.failures[-3:]] == [2, 2, 2]
+    # By row blocks, every k of a block before the next block, as the
+    # streamed campaign judges them: trial k b + row arrives out of order.
+    config = CampaignConfig(op="simplex", seed=5, tol=1e-9)
+    for left, right in ((lhs, rhs), (rhs, lhs)):
+        reduction = campaign._Reduction(config, INEQUALITY, LINEAR, extra)
+        for start in range(0, b, 5):
+            campaign._judge_stacks(reduction, left[:, start:start + 5], right[:, start:start + 5],
+                                   b, start)
+        assert_same_result(reduction.result(),
+                           reduce_whole(config, INEQUALITY, LINEAR, left.ravel(), right.ravel(),
+                                        extra))
 
 
 @pytest.mark.parametrize("kind,domain,columns", REDUCE_CASES)
@@ -269,3 +306,50 @@ def test_empty_sides_check_nothing_and_fail(monkeypatch, kind, domain, columns):
     result = assert_blocks_equal_whole(kind, domain, empty, empty.copy())
     assert (result.trials, result.checked, result.violations) == (0, 0, 0)
     assert math.isnan(result.worst) and not result.passed
+
+
+# ---------------------------------------------------------------------------
+# Streamed campaigns: a log escape in the last chunk judges the whole batch
+
+
+@pytest.mark.parametrize("op", ["simplex", "extended"])
+@pytest.mark.parametrize("scale", [1e60, 1e-30], ids=["overflow", "underflow"])
+def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, caplog, op, scale):
+    # The last row's 15 pair factors pass the float range at n = 6 (1e900
+    # and 1e-450), so its block takes the log escape, the earlier ones not.
+    # Over 100 violations either way: extended judges six trials a row.
+    n, b = 6, 150 if op == "simplex" else 40
+    config = CampaignConfig(op=op, n=n, trials=b, seed=2, tol=0.0)
+    # Three rows a kernel chunk; 24 rows a block of simplex, 3 of extended.
+    monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * core._row_elements(n))
+    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    draw, evaluate, calls = campaign._complex_sample, campaign.replacement_sides, []
+
+    def scaled(rng, shape):
+        z = draw(rng, shape)
+        if len(shape) == 2:
+            z[-1] *= scale
+        return z
+
+    def swapped(points, *args):
+        # Swapped sides fail in most rows, so the records are full.
+        lhs, rhs, domain = evaluate(points, *args)
+        calls.append((len(points), domain))
+        return rhs, lhs, domain
+
+    monkeypatch.setattr(campaign, "_complex_sample", scaled)
+    monkeypatch.setattr(campaign, "replacement_sides", swapped)
+    with caplog.at_level(logging.DEBUG, logger="vandermetric"), np.errstate(all="ignore"):
+        got = run_campaign(config)
+        streamed, calls[:] = calls[:], []
+        # One block of all rows: one whole-batch replacement_sides call.
+        monkeypatch.setattr(campaign, "replacement_chunk_rows", lambda points, metric: b)
+        want = run_campaign(config)
+    assert streamed[-1] == (b, LOG) and streamed[-2][1] == LOG
+    assert {domain for _, domain in streamed[:-2]} == {LINEAR}
+    assert calls == [(b, LOG)]
+    assert_same_result(got, want)
+    assert got.violations > campaign._MAX_RECORDED_FAILURES
+    name = "simplex vandermonde" if op == "simplex" else "extended"
+    assert [r.getMessage() for r in caplog.records if "Lagrange" in r.getMessage()] == [
+        f"{name}: {b} trials evaluated as Lagrange log sums"] * 2
