@@ -21,11 +21,16 @@ multiplies it in.  pdf_batch folds the pair differences as one member;
 the projected pass of the replacement identities folds the n + 1 tuples,
 as the signed slot map (core._slot_map) lists their factors, in chunks
 of at most core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or
-one row, each reduced straight into the two sides; its fold columns are
-one read-only table per (n, q) (_projected_columns).  The campaigns call
-sum_identity_sides and w_identity_sides on row blocks of whole chunks
-(identity_chunk_rows) and judge each block before the next, so their
-sides never span the whole batch.
+one row; its fold columns are one read-only table per (n, q)
+(_projected_columns).  That pass is plane-major, rows last, from end to
+end (_projected_rows): a chunk's points are copied once, coordinate-
+major, its factors make one (2, K, M_m, rows) re/im pool, and the
+fold's products are summed straight into component-major (2 M_m, B)
+sides, whose transposed (B, 2 M_m) views, [re | im] per row, are what
+w_identity_sides returns.  The campaigns call sum_identity_sides and
+w_identity_sides on row blocks of whole chunks (identity_chunk_rows) and
+judge each block before the next, so their sides never span the whole
+batch.
 
 The permutation expansion, expansion_batch, is the one kernel of the
 Leibniz sum for float and int64 points alike: a Laplace subset recursion
@@ -43,7 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (IDENTITY, LINEAR, _chunk_rows, _generalized_sides, _lockstep_sides,
-                   _pair_indices, _replacement_rows, _root_power, _slot_map, verdict)
+                   _pair_differences, _pair_indices, _replacement_rows, _root_power, _slot_map,
+                   verdict)
 from .multilinear import EXPANSION_MAX_N
 from .errors import ResourceError
 
@@ -154,45 +160,57 @@ def pdf_batch(points: np.ndarray):
 
     Returns (re, im) arrays of shape (B, M_m).
     """
-    j, i = _pair_indices(points.shape[1])
-    pools = [_pair_differences(p, i, j) for p in _coordinate_planes(points)]
-    re, im = _fold(*pools, np.arange(len(i))[:, None], *_buffers(1, pools[0][0]))
+    pools = [_pair_differences(p) for p in _coordinate_planes(points)]
+    re, im = _fold(*pools, np.arange(len(pools[0]))[:, None], *_buffers(1, pools[0][0]))
     return re[0], im[0]
 
 
-def _pair_differences(planes: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """planes[i] - planes[j], written pair by pair into one (P, ...) array.
-
-    The same differences as the gathered expression, without its two
-    gathered (P, ...) temporaries.
-    """
-    out = np.empty((len(i),) + planes.shape[1:], dtype=planes.dtype)
-    for k, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-        np.subtract(planes[a], planes[b], out=out[k])
-    return out
-
-
 def _projected_elements(n: int, m: int) -> int:
-    """Elements of one row of _projected_rows: per coordinate pair, re and im pools of
-    P + 3n + 1 planes and _fold's six buffers of n + 1."""
-    return (2 * (n * (n - 1) // 2 + 3 * n + 1) + 6 * (n + 1)) * (m * (m - 1) // 2)
+    """Elements of one row of _projected_rows: its K = P + 3n + 1 factors of m coordinates,
+    and per coordinate pair their re and im pools (2K) and _fold's six buffers of n + 1,
+    two of them the result."""
+    k = n * (n - 1) // 2 + 3 * n + 1
+    return k * m + (2 * k + 6 * (n + 1)) * (m * (m - 1) // 2)
 
 
-def _projected_rows(x: np.ndarray, y: np.ndarray, q: int):
-    """Re and im (n + 1, rows, M_m) of the projected fold of x and of each x with slot s -> y.
+def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """(n + 1, 2, M_m, rows) re and im of the projected fold of x and of each x with slot s -> y.
 
-    The (pool, rows, M_m) re and im pools hold the signed slot-map pool
-    (core._slot_map), then the tails y and x_0 .. x_{n-1}.  Each tuple
-    folds its P pair factors, then q - 1 copies of its tail (y for x, x_s
-    for x with slot s -> y); all n + 1 fold in lockstep (_fold).
+    Plane-major throughout, rows last.  The K = P + 3n + 1 factors of the
+    signed slot-map pool (core._slot_map) and the tails y and x_0 ..
+    x_{n-1} are written coordinate-major into one (K, m, rows) array: the
+    chunk is copied once into the tails, and the differences are
+    subtracted from them (core._pair_differences).  Two takes make the
+    (2, K, M_m, rows) re/im pool, coordinate s (re) and t (im) of each
+    coordinate pair s < t.  Each tuple folds its P pair factors, then
+    q - 1 copies of its tail (y for x, x_s for x with slot s -> y); all
+    n + 1 fold in lockstep (_fold) into the halves of one (2, n + 1, M_m,
+    rows) array.  Every array takes the dtype np.result_type(x, y).
     """
-    n = x.shape[1]
-    j, i = _pair_indices(n)
-    pools = []
-    for p in _coordinate_planes(np.concatenate([y[:, None], x], axis=1)):
-        yp, xp = p[:1], p[1:]
-        pools.append(np.concatenate([_pair_differences(xp, i, j), yp - xp, xp - yp, p]))
-    return _fold(*pools, _projected_columns(n, q), *_buffers(n + 1, pools[0][0]))
+    rows, n, m = x.shape
+    p = n * (n - 1) // 2
+    factors = np.empty((p + 3 * n + 1, m, rows), np.result_type(x, y))
+    tails = factors[p + 2 * n:]
+    tails[0] = y.T
+    tails[1:] = x.transpose(1, 2, 0)
+    ys, xs = tails[:1], tails[1:]
+    _pair_differences(xs, factors)
+    np.subtract(ys, xs, out=factors[p:p + n])
+    np.subtract(xs, ys, out=factors[p + n:p + 2 * n])
+    coordinates = _pair_indices(m)
+    pool = np.empty((2, len(factors), len(coordinates[0]), rows), factors.dtype)
+    for part, c in zip(pool, coordinates):
+        factors.take(c, 1, part, "clip")
+    columns = _projected_columns(n, q)
+    sides = np.empty((2, n + 1) + pool.shape[2:], pool.dtype)
+    a, b, free, scratch = (np.empty_like(sides[0]) for _ in range(4))
+    # _complex_step keeps im in place and moves re to the free buffer, so re
+    # ends where it starts after an even number of steps, else in free.
+    re = sides[0]
+    if len(columns) % 2 == 0:
+        re, free = free, re
+    _fold(pool[0], pool[1], columns, re, sides[1], a, b, free, scratch)
+    return sides.swapaxes(0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -374,13 +392,15 @@ def sum_identity_sides(points: np.ndarray, y: np.ndarray):
     return w_identity_sides(points, y, 1)
 
 
-def _w_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
-    return np.concatenate(_projected_rows(x, y, q), axis=2)
-
-
 def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
-    """(lhs, rhs) component stacks [re | im] of the extended identity; y is (B, m)."""
-    return _replacement_rows(_w_rows, _projected_elements(*points.shape[1:]), points, y, q)
+    """(lhs, rhs) component stacks [re | im] of the extended identity, (B, 2 M_m); y is (B, m).
+
+    The sides are written component-major, (2 M_m, B), chunk by chunk
+    (_projected_rows), and returned as their transposed views.
+    """
+    b, n, m = points.shape
+    sides = _replacement_rows(_projected_rows, _projected_elements(n, m), points, y, q)
+    return tuple(side.reshape(m * (m - 1), b).T for side in sides)
 
 
 def identity_chunk_rows(points: np.ndarray) -> int:

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import batch
 from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR, LOG,
-                   checked_tol, dump_json, replacement_chunk_rows, replacement_sides, verdict)
+                   checked_tol, dump_json, replacement_chunk_rows, replacement_domain,
+                   replacement_sides, verdict)
 from .errors import ArgumentError
 from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
     POLYGON_CHECKS,
@@ -230,35 +231,39 @@ def _judge_stacks(reduction, lhs, rhs, b, start):
         reduction.judge(left, right, k * b + start)
 
 
-def _reduce_blocks(config, kind, name, sides, chunk, width, extra) -> CampaignResult:
+def _reduce_blocks(config, kind, name, sides, chunk, width, extra,
+                   domain=LINEAR) -> CampaignResult:
     """Compute and judge the campaign's B = config.trials rows block by block.
 
     sides(rows) returns the lhs, rhs and domain of the rows in the slice
     rows, each side a (K, rows, ...) stack of width side elements a row,
-    whose row r of stack k is trial k B + r.  A block is the most whole
-    kernel chunks of chunk rows that fit one verdict block, or one chunk,
-    so the kernel runs no short chunk but the last and a block's sides are
-    judged before the next block is computed.  replacement_sides takes
-    the log escape for a whole call, so a block that comes back not
-    LINEAR discards the verdict so far: the whole batch is computed and
-    judged as one call, as without blocks, and logged at DEBUG when LOG.
+    whose row r of stack k is trial k B + r; domain is the one it returns
+    unless it escapes to logs.  A LINEAR block is the most whole kernel
+    chunks of chunk rows that fit one verdict block, or one chunk, so the
+    kernel runs no short chunk but the last; a LOG block is one chunk, as
+    the log sums' temporaries grow with the rows of a call.  Each block's
+    sides are judged before the next block is computed.  replacement_sides
+    takes the log escape for a whole call, so a LINEAR block that comes
+    back LOG discards the verdict so far: the whole batch is computed and
+    judged as one call, as without blocks.  A LOG verdict is logged at
+    DEBUG.
     """
     b = config.trials
-    block = chunk * max(1, _VERDICT_BLOCK_ELEMENTS // width // chunk)
-    reduction = _Reduction(config, kind, LINEAR, extra)
+    block = chunk if domain == LOG else chunk * max(1, _VERDICT_BLOCK_ELEMENTS // width // chunk)
+    reduction = _Reduction(config, kind, domain, extra)
     for start in range(0, b, block):
-        lhs, rhs, domain = sides(slice(start, start + block))
-        if domain == LINEAR:
+        lhs, rhs, got = sides(slice(start, start + block))
+        if got == domain:
             _judge_stacks(reduction, lhs, rhs, b, start)
             del lhs, rhs  # before the next block's sides are computed
             continue
         if block < b:
-            lhs, rhs, domain = sides(slice(0, b))
-        if domain == LOG:
-            log.debug("%s: %d trials evaluated as Lagrange log sums", name, b)
-        reduction = _Reduction(config, kind, domain, extra)
+            lhs, rhs, got = sides(slice(0, b))
+        reduction = _Reduction(config, kind, got, extra)
         _judge_stacks(reduction, lhs, rhs, b, 0)
         break
+    if reduction.domain == LOG:
+        log.debug("%s: %d trials evaluated as Lagrange log sums", name, b)
     return reduction.result()
 
 
@@ -296,7 +301,7 @@ def _replacement_campaign(config, kind, name, points, y, metric, extra, ks=(0,))
         return replacement_sides(points[rows], y[rows], metric, ks)
 
     return _reduce_blocks(config, kind, name, sides, replacement_chunk_rows(points, metric),
-                          len(ks), extra)
+                          len(ks), extra, replacement_domain(points))
 
 
 def _simplex_campaign(config: CampaignConfig) -> CampaignResult:

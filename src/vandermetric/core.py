@@ -743,24 +743,26 @@ def _chunk_rows(per_row: int) -> int:
     return max(1, REPLACEMENT_CHUNK_ELEMENTS // max(1, per_row))
 
 
-def _row_elements(n: int) -> int:
+def _row_elements(n: int, m: int = 0) -> int:
     """Pool and lockstep-buffer elements of one row, the unit of REPLACEMENT_CHUNK_ELEMENTS.
 
-    The product pass pools P + n factors and folds two buffers of n + 1.
+    The product pass pools P + n factors and folds two buffers of n + 1;
+    vectors of m coordinates add the copy of their n points and their
+    P + n differences, m elements each.
     """
-    return n * (n - 1) // 2 + n + 2 * (n + 1)
+    p = n * (n - 1) // 2
+    return p + n + 2 * (n + 1) + (p + 2 * n) * m
 
 
-def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *args,
-                      order: str = "C"):
+def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *args):
     """Sides lhs = values[0] and rhs = values[1] + ... + values[n] of kernel, chunk by chunk.
 
     kernel(points[rows], y[rows], *args) returns the n + 1 tuples' values,
-    each shaped (rows, ...): x first, then x with slot s -> y in slot
-    order.  rhs is summed from zeros in slot order.  per_row is the
-    kernel's pool and buffer elements of one row.  The sides are allocated
-    at the first chunk, in the values' dtype and the memory order given;
-    an empty batch runs one empty chunk for it.
+    each shaped (..., rows), rows last: x first, then x with slot s -> y in
+    slot order.  rhs is summed from zeros in slot order.  per_row is the
+    kernel's pool and buffer elements of one row.  The (..., B) sides are
+    allocated at the first chunk, in the values' dtype; an empty batch runs
+    one empty chunk for it.
     """
     step = _chunk_rows(per_row)
     lhs = rhs = None
@@ -768,31 +770,77 @@ def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *
         rows = slice(start, start + step)
         values = kernel(points[rows], y[rows], *args)
         if lhs is None:
-            lhs = np.empty((len(points),) + values[0].shape[1:], dtype=values[0].dtype,
-                           order=order)
+            lhs = np.empty(values[0].shape[:-1] + (len(points),), dtype=values[0].dtype)
             rhs = np.zeros_like(lhs)
-        lhs[rows] = values[0]
-        chunk = rhs[rows]
-        for v in values[1:]:
-            chunk += v
+        lhs[..., rows] = values[0]
+        chunk = rhs[..., rows]
+        for s in range(1, len(values)):
+            chunk += values[s]
+        del values  # before the next chunk's values are computed
     return lhs, rhs
+
+
+def _pair_differences(points: np.ndarray, out=None) -> np.ndarray:
+    """points[i] - points[j] of the pairs j < i of the (n, ...) points, in pair order.
+
+    One subtraction per j writes the pairs (j, j + 1), ..., (j, n - 1) into
+    out[:P], or into a new (P, ...) array; the differences are those of the
+    gathered points[i] - points[j], without its two gathered temporaries.
+    """
+    n, start = len(points), 0
+    if out is None:
+        out = np.empty((n * (n - 1) // 2,) + points.shape[1:], points.dtype)
+    for j in range(n - 1):
+        np.subtract(points[j + 1:], points[j], out=out[start:start + n - 1 - j])
+        start += n - 1 - j
+    return out
+
+
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(P + n, rows) pool of _product_rows: the pair distances of x, then |y - x_k|.
+
+    x is (rows, n) complex, distance abs, or (rows, n, m) real, distance
+    the Euclidean norm.  The chunk is copied once, point-major, and the
+    differences are written into one array (_pair_differences).  Below 8
+    coordinates the copy is coordinate-major, (n, m, rows), and the norm is
+    the left fold sqrt((d_0 d_0 + d_1 d_1) + ...), which is
+    np.linalg.norm(diffs, axis=2) bit for bit: numpy adds so short a
+    trailing axis left to right.  From 8 on numpy adds pairwise, so the
+    norm is that call.
+    """
+    n = x.shape[1]
+    p = n * (n - 1) // 2
+    vectors = x.ndim == 3
+    fold = vectors and x.shape[2] < 8
+    points = np.ascontiguousarray(x.transpose(1, 2, 0) if fold else np.swapaxes(x, 0, 1))
+    diffs = np.empty((p + n,) + points.shape[1:], np.result_type(x, y))
+    _pair_differences(points, diffs)
+    np.subtract(y.T if fold else y, points, out=diffs[p:])
+    if not vectors:
+        return np.abs(diffs)
+    if not fold:
+        return np.linalg.norm(diffs, axis=2)
+    if not np.issubdtype(diffs.dtype, np.inexact):
+        diffs = diffs.astype(float)  # as np.linalg.norm takes integers
+    pool = diffs[:, 0] * diffs[:, 0]
+    square = np.empty_like(pool)
+    for c in range(1, diffs.shape[1]):
+        np.multiply(diffs[:, c], diffs[:, c], out=square)
+        pool += square
+    return np.sqrt(pool, out=pool)
 
 
 def _product_rows(x: np.ndarray, y: np.ndarray, power=None) -> np.ndarray:
     """(n + 1, rows) products of the pair distances of x and of each x with slot s -> y.
 
     x is (rows, n) complex, distance abs, or (rows, n, m) real, distance the
-    Euclidean norm.  The factors are pooled factor-major, (P + n, rows), and
-    all n + 1 tuples multiply theirs in lockstep, left to right, one
-    slot-map column per step, as np.prod over each tuple would.  With a
-    power, the products are raised to it.
+    Euclidean norm.  The factors are pooled factor-major, (P + n, rows)
+    (_distances), and all n + 1 tuples multiply theirs in lockstep, left to
+    right, one slot-map column per step, as np.prod over each tuple would.
+    With a power, the products are raised to it.
     """
-    n = x.shape[1]
-    j, i = _pair_indices(n)
-    xt = np.swapaxes(x, 0, 1)
-    diffs = np.concatenate([xt[i] - xt[j], y[None] - xt])
-    pool = np.abs(diffs) if diffs.ndim == 2 else np.linalg.norm(diffs, axis=2)
-    slots = _slot_map(n, False)
+    pool = _distances(x, y)
+    slots = _slot_map(x.shape[1], False)
     acc = np.take(pool, slots[:, 0], axis=0)
     buf = np.empty_like(acc)
     for k in range(1, slots.shape[1]):
@@ -803,13 +851,13 @@ def _product_rows(x: np.ndarray, y: np.ndarray, power=None) -> np.ndarray:
 
 
 def _extended_rows(z: np.ndarray, y: np.ndarray, ks, power=None) -> list:
-    """n + 1 values (rows, len(ks)) of |w|^k times the product (to the power, if given).
+    """n + 1 values (len(ks), rows) of |w|^k times the product (to the power, if given).
 
     w is y for z and z_s for z with z_s -> y.
     """
     products = _product_rows(z, y, power)
     weights = [np.abs(y)] + [np.abs(z[:, s]) for s in range(z.shape[1])]
-    return [np.stack([w**k * v for k in ks], axis=1) for w, v in zip(weights, products)]
+    return [np.stack([w**k * v for k in ks]) for w, v in zip(weights, products)]
 
 
 def _lockstep_sides(points: np.ndarray, y: np.ndarray, power=None, ks=None):
@@ -818,13 +866,10 @@ def _lockstep_sides(points: np.ndarray, y: np.ndarray, power=None, ks=None):
     No overflow escapes to logs here (replacement_sides does that), and
     int64 inputs stay int64 up to a power.
     """
-    per_row = _row_elements(points.shape[1])
+    per_row = _row_elements(*points.shape[1:])
     if ks is None:
         return _replacement_rows(_product_rows, per_row, points, y, power)
-    # Column-major (B, len(ks)) sides are C-contiguous once transposed.
-    lhs, rhs = _replacement_rows(_extended_rows, per_row, points, y, list(ks), power,
-                                 order="F")
-    return lhs.T, rhs.T
+    return _replacement_rows(_extended_rows, per_row, points, y, list(ks), power)
 
 
 # The generalized metric of points in R^m, m >= 2, is the l2 norm over the
@@ -919,7 +964,7 @@ def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
     n = points.shape[1]
     if metric == "euclidean3" and n != 3:
         raise ArgumentError(f"euclidean3 takes exactly 3 points, got {n}")
-    if n <= _LOG_SWITCH_N:
+    if replacement_domain(points) == LINEAR:
         power = _root_power(n) if metric.endswith("root") else None
         # Overflow and inf * 0 give inf and NaN; inputs that are not finite fail closed.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -976,17 +1021,36 @@ def _lagrange_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
     return lhs, rhs
 
 
+def _log_elements(n: int) -> int:
+    """Elements of one row of _lagrange_sides that grow with the rows of a call.
+
+    The n terms, the n logs of the points, and per k the n weighted terms
+    and the three temporaries of n of _log_sum_exp; the pair factors are
+    chunked inside lagrange_log_rows.
+    """
+    return 6 * n
+
+
+def replacement_domain(points: np.ndarray) -> str:
+    """The domain of replacement_sides on these points when no side escapes to logs.
+
+    LOG beyond n = 12, where every call is Lagrange log sums; else LINEAR.
+    """
+    return LOG if points.shape[1] > _LOG_SWITCH_N else LINEAR
+
+
 def replacement_chunk_rows(points: np.ndarray, metric: str) -> int:
     """Rows of one chunk of replacement_sides on these (B, n) or (B, n, m) points.
 
     A call on a whole number of chunks runs no short chunk.  Beyond n = 12
-    every call is log sums for the whole batch, so the chunk is all B rows.
+    every call is log sums (_lagrange_sides), whose temporaries grow with
+    the rows of the call, so the chunk is the rows of their working set.
     """
     n = points.shape[1]
-    if n > _LOG_SWITCH_N:
-        return max(1, len(points))
+    if replacement_domain(points) == LOG:
+        return _chunk_rows(_log_elements(n))
     return _chunk_rows(_plane_elements(n, points.shape[2]) if metric == "generalized"
-                      else _row_elements(n))
+                      else _row_elements(*points.shape[1:]))
 
 
 def _replacement_report(operation, inputs, points, y, metric, k, tol) -> MetricReport:

@@ -145,7 +145,8 @@ def _temporaries(kernel, *args):
     return peak - sum(side.nbytes for side in sides)
 
 
-@pytest.mark.parametrize("name", ["products", "extended", "generalized", "w-identity"])
+@pytest.mark.parametrize("name",
+                         ["products", "euclidean3", "extended", "generalized", "w-identity"])
 def test_replacement_temporaries_do_not_grow_with_the_batch(rng, name):
     def call(b):
         z = rng.standard_normal((b, 6)) + 1j * rng.standard_normal((b, 6))
@@ -153,6 +154,8 @@ def test_replacement_temporaries_do_not_grow_with_the_batch(rng, name):
         x, y = rng.uniform(-1, 1, size=(b, 4, 3)), rng.uniform(-1, 1, size=(b, 3))
         if name == "products":
             return _temporaries(batch.simplex_sides_complex, z, w)
+        if name == "euclidean3":
+            return _temporaries(batch.simplex_sides_vectors, x[:, :3], y)
         if name == "extended":
             return _temporaries(batch.extended_sides_complex, z, w, range(6))
         if name == "generalized":
@@ -238,3 +241,25 @@ def test_campaign_memory_grows_with_its_inputs_only(fields, row_bytes):
     b = 1 << 14
     small, large = call(b), call(4 * b)
     assert large <= small + 3 * b * row_bytes + (1 << 16)
+
+
+# Campaigns beyond 12 points, all Lagrange log sums, and their input bytes a row.
+LOG_CAMPAIGN_INPUT_CASES = [
+    (dict(op="simplex", n=13), (13 + 1) * 16),
+    (dict(op="simplex", metric="generalized", n=13, m=3), (13 + 1) * 3 * 8),
+    (dict(op="extended", n=13), (13 + 1) * 16),
+]
+
+
+@pytest.mark.parametrize("fields,row_bytes", LOG_CAMPAIGN_INPUT_CASES)
+def test_log_domain_campaign_memory_grows_with_its_inputs_only(fields, row_bytes):
+    def call(trials):
+        peak, result = _peak(campaign.run_campaign, CampaignConfig(seed=1, trials=trials, **fields))
+        assert result.passed
+        return peak - trials * row_bytes
+
+    call(100)  # caches the pair indices
+    # Both span several log-sum blocks; whole-batch log sums would add
+    # several (trials, 13) float arrays.
+    small, large = call(2000), call(8000)
+    assert large <= small + (1 << 16)

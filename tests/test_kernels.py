@@ -671,6 +671,40 @@ def test_pdf_batch_is_the_left_side_of_the_identity(n, m):
         assert bits(lhs) == bits(pdf)
 
 
+@pytest.mark.parametrize("m", range(2, 10))
+def test_vector_distance_pool_is_the_norm_of_the_gathered_differences(m):
+    # Below 8 coordinates the pool folds coordinate-major, from 8 on it calls
+    # np.linalg.norm: both are the norm of the old gathered pool bit for bit.
+    rng = np.random.default_rng(m)
+    n = 5
+    j, i = _pair_indices(n)
+    for x, y in ((rng.standard_normal((257, n, m)), rng.standard_normal((257, m))),
+                 (rng.integers(-3, 4, (257, n, m)), rng.integers(-3, 4, (257, m)))):
+        xt = np.swapaxes(x, 0, 1)
+        want = np.linalg.norm(np.concatenate([xt[i] - xt[j], y[None] - xt]), axis=2)
+        got = core._distances(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+        assert bits(got) == bits(want)
+
+
+def test_w_identity_sides_on_int64_rows_past_the_float_mantissa():
+    # Pair differences up to 2^21 make products past 2^53, which wrap in
+    # int64 exactly as the reference's; a float pool would round them.  B
+    # leaves a short last chunk, and the sides are transposed views of
+    # component-major arrays.
+    n, m, q = 4, 3, 2
+    rng = np.random.default_rng(23)
+    b = 2 * batch.identity_chunk_rows(np.empty((0, n, m))) + 5
+    points, y = rng.integers(-2**20, 2**20, (b, n, m)), rng.integers(-2**20, 2**20, (b, m))
+    lhs, rhs = batch.w_identity_sides(points, y, q)
+    want = replacement_sides_loop(
+        points, y, lambda p, tail: np.concatenate(_projected_loop(p, tail, q), axis=1))
+    for got, ref in zip((lhs, rhs), want):
+        assert got.shape == ref.shape == (b, m * (m - 1)) and got.dtype == ref.dtype == np.int64
+        assert got.T.flags.c_contiguous
+        assert bits(got) == bits(ref)
+
+
 # ---------------------------------------------------------------------------
 # The shared-factor replacement pass against the copy-per-slot path it replaced
 
@@ -809,7 +843,7 @@ def _three_rows_per_chunk(monkeypatch, n, m, q):
     elif q:
         per_row, module, name = batch._projected_elements(n, m), batch, "_projected_rows"
     else:
-        per_row, module, name = core._row_elements(n), core, "_product_rows"
+        per_row, module, name = core._row_elements(n, m or 0), core, "_product_rows"
     monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row)
     fold, chunks = getattr(module, name), []
 

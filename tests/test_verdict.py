@@ -353,3 +353,34 @@ def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, capl
     name = "simplex vandermonde" if op == "simplex" else "extended"
     assert [r.getMessage() for r in caplog.records if "Lagrange" in r.getMessage()] == [
         f"{name}: {b} trials evaluated as Lagrange log sums"] * 2
+
+
+@pytest.mark.parametrize("op,metric", [("simplex", "vandermonde"), ("simplex", "root"),
+                                       ("simplex", "generalized"), ("extended", "vandermonde")])
+def test_log_domain_blocks_are_judged_as_they_come(monkeypatch, caplog, op, metric):
+    # Beyond 12 points every block is Lagrange log sums: it is judged as it
+    # comes, with no whole-batch call, and equals the one-block run.
+    n, b = 13, 150 if op == "simplex" else 40
+    config = CampaignConfig(op=op, metric=metric, n=n, m=3, trials=b, seed=4, tol=0.0)
+    monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 7 * core._log_elements(n))
+    evaluate, calls = campaign.replacement_sides, []
+
+    def swapped(points, *args):
+        # Swapped sides fail in most rows, so the records are full.
+        lhs, rhs, domain = evaluate(points, *args)
+        calls.append((len(points), domain))
+        return rhs, lhs, domain
+
+    monkeypatch.setattr(campaign, "replacement_sides", swapped)
+    with caplog.at_level(logging.DEBUG, logger="vandermetric"):
+        got = run_campaign(config)
+        streamed, calls[:] = calls[:], []
+        monkeypatch.setattr(campaign, "replacement_chunk_rows", lambda points, metric: b)
+        want = run_campaign(config)
+    assert streamed == [(7, LOG)] * (b // 7) + [(b % 7, LOG)]
+    assert calls == [(b, LOG)]
+    assert_same_result(got, want)
+    assert got.violations > campaign._MAX_RECORDED_FAILURES
+    name = f"simplex {metric}" if op == "simplex" else "extended"
+    assert [r.getMessage() for r in caplog.records if "Lagrange" in r.getMessage()] == [
+        f"{name}: {b} trials evaluated as Lagrange log sums"] * 2
