@@ -166,26 +166,26 @@ def pdf_batch(points: np.ndarray):
 
 
 def _projected_elements(n: int, m: int) -> int:
-    """Elements of one row of _projected_rows: its K = P + 3n + 1 factors of m coordinates,
-    and per coordinate pair their re and im pools (2K) and _fold's six buffers of n + 1,
-    two of them the result."""
-    k = n * (n - 1) // 2 + 3 * n + 1
-    return k * m + (2 * k + 6 * (n + 1)) * (m * (m - 1) // 2)
+    """Elements of one row of _projected_rows at its peak, with K = P + 3n + 1.
+
+    Per coordinate pair the re and im pools of K factors stay throughout;
+    beside them first the K coordinate-major factors of m coordinates
+    (_projected_pool), then _fold's six buffers of n + 1, two of them the
+    result.
+    """
+    k, pairs = n * (n - 1) // 2 + 3 * n + 1, m * (m - 1) // 2
+    return 2 * k * pairs + max(k * m, 6 * (n + 1) * pairs)
 
 
-def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
-    """(n + 1, 2, M_m, rows) re and im of the projected fold of x and of each x with slot s -> y.
+def _projected_pool(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (2, K, M_m, rows) re/im pool of _projected_rows, K = P + 3n + 1.
 
-    Plane-major throughout, rows last.  The K = P + 3n + 1 factors of the
-    signed slot-map pool (core._slot_map) and the tails y and x_0 ..
-    x_{n-1} are written coordinate-major into one (K, m, rows) array: the
-    chunk is copied once into the tails, and the differences are
+    The signed slot-map pool (core._slot_map), then the tails y and x_0
+    .. x_{n-1}, are written coordinate-major into one (K, m, rows) array:
+    the chunk is copied once into the tails, and the differences are
     subtracted from them (core._pair_differences).  Two takes make the
-    (2, K, M_m, rows) re/im pool, coordinate s (re) and t (im) of each
-    coordinate pair s < t.  Each tuple folds its P pair factors, then
-    q - 1 copies of its tail (y for x, x_s for x with slot s -> y); all
-    n + 1 fold in lockstep (_fold) into the halves of one (2, n + 1, M_m,
-    rows) array.  Every array takes the dtype np.result_type(x, y).
+    pool, coordinate s (re) and t (im) of each coordinate pair s < t.
+    Both take the dtype np.result_type(x, y).
     """
     rows, n, m = x.shape
     p = n * (n - 1) // 2
@@ -201,6 +201,20 @@ def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     pool = np.empty((2, len(factors), len(coordinates[0]), rows), factors.dtype)
     for part, c in zip(pool, coordinates):
         factors.take(c, 1, part, "clip")
+    return pool
+
+
+def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """(n + 1, 2, M_m, rows) re and im of the projected fold of x and of each x with slot s -> y.
+
+    Plane-major throughout, rows last.  Each tuple folds its P pair factors
+    from the chunk's pool (_projected_pool), then q - 1 copies of its tail
+    (y for x, x_s for x with slot s -> y); all n + 1 fold in lockstep
+    (_fold) into the halves of one (2, n + 1, M_m, rows) array, in the
+    pool's dtype.
+    """
+    n = x.shape[1]
+    pool = _projected_pool(x, y)
     columns = _projected_columns(n, q)
     sides = np.empty((2, n + 1) + pool.shape[2:], pool.dtype)
     a, b, free, scratch = (np.empty_like(sides[0]) for _ in range(4))
