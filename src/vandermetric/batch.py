@@ -47,10 +47,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (IDENTITY, LINEAR, _chunk_rows, _generalized_sides, _lockstep_sides,
-                   _pair_differences, _pair_indices, _replacement_rows, _root_power, _slot_map,
-                   verdict)
-from .multilinear import EXPANSION_MAX_N
+from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _chunk_rows, _generalized_sides,
+                   _lockstep_sides, _pair_differences, _pair_indices, _replacement_rows,
+                   _root_power, _slot_map, verdict)
 from .errors import ResourceError
 
 log = logging.getLogger(__name__)

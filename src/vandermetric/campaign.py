@@ -8,38 +8,21 @@ produce byte-identical output streams.
 
 from __future__ import annotations
 
+import importlib
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import batch
-from .core import (BOUND, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL, LINEAR, LOG,
-                   checked_tol, dump_json, replacement_chunk_rows, replacement_domain,
-                   replacement_sides, verdict)
+from .core import (BOUND, ESTIMATE_RTOL, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL,
+                   LINEAR, LOG, _lagrange_sides, checked_tol, dump_json, replacement_chunk_rows,
+                   replacement_domain, replacement_sides, verdict)
 from .errors import ArgumentError
-from .geometry import (  # the scalar checks: bench/spans.py traces them under this module
-    POLYGON_CHECKS,
-    CyclicPolygon,  # noqa: F401
-    ngon_check,  # noqa: F401
-    ptolemy_gap,  # noqa: F401
-    quadrilateral_check,  # noqa: F401
-    random_sorted_angles,
-    simplex_equality_ngon,  # noqa: F401
-    triangle_check,  # noqa: F401
-)
-from .ode import (  # integrate and verify_estimate: bench/spans.py traces them under this module
-    ESTIMATE_RTOL,
-    MatrixFunction,
-    ODEProblem,
-    estimate_rows,
-    growth_bounds,
-    integrate,  # noqa: F401
-    integrate_rows,
-    step_size_error,
-    verify_estimate,  # noqa: F401
-)
+
+if TYPE_CHECKING:
+    from .ode import ODEProblem
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +36,22 @@ _VERDICT_BLOCK_ELEMENTS = 1 << 14
 
 # The tolerance of a campaign whose config gives none: its claim kind's.
 _DEFAULT_TOL = {INEQUALITY: INEQUALITY_RTOL, IDENTITY: IDENTITY_RTOL, BOUND: ESTIMATE_RTOL}
+
+# The scalar checks and ODE entry points that bench/spans.py traces under
+# this module, by defining module.  Each campaign imports the batch,
+# geometry and ode modules only where it runs them, so these resolve on
+# first use (__getattr__) and a campaign that runs none of them does not
+# load their modules.
+_TRACED = {**dict.fromkeys(("CyclicPolygon", "ngon_check", "ptolemy_gap", "quadrilateral_check",
+                            "simplex_equality_ngon", "triangle_check"), "geometry"),
+           "integrate": "ode", "verify_estimate": "ode"}
+
+
+def __getattr__(name):
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_TRACED[name]}", __package__), name)
+
 
 @dataclass
 class CampaignConfig:
@@ -132,6 +131,8 @@ def _validate(config: CampaignConfig) -> None:
         if not (0 <= config.k < config.n):
             raise ArgumentError(f"k must be in [0, {config.n - 1}], got {config.k}")
     if config.op == "polygon":
+        from .geometry import POLYGON_CHECKS
+
         if config.check not in POLYGON_CHECKS:
             raise ArgumentError(f"unknown polygon check {config.check!r}; "
                                 f"known: {sorted(POLYGON_CHECKS)}")
@@ -231,37 +232,41 @@ def _judge_stacks(reduction, lhs, rhs, b, start):
         reduction.judge(left, right, k * b + start)
 
 
-def _reduce_blocks(config, kind, name, sides, chunk, width, extra,
+def _reduce_blocks(config, kind, name, sides, chunks, width, extra,
                    domain=LINEAR) -> CampaignResult:
     """Compute and judge the campaign's B = config.trials rows block by block.
 
-    sides(rows) returns the lhs, rhs and domain of the rows in the slice
-    rows, each side a (K, rows, ...) stack of width side elements a row,
-    whose row r of stack k is trial k B + r; domain is the one it returns
-    unless it escapes to logs.  A LINEAR block is the most whole kernel
-    chunks of chunk rows that fit one verdict block, or one chunk, so the
-    kernel runs no short chunk but the last; a LOG block is one chunk, as
-    the log sums' temporaries grow with the rows of a call.  Each block's
-    sides are judged before the next block is computed.  replacement_sides
-    takes the log escape for a whole call, so a LINEAR block that comes
-    back LOG discards the verdict so far: the whole batch is computed and
-    judged as one call, as without blocks.  A LOG verdict is logged at
-    DEBUG.
+    sides(rows, domain) returns the lhs, rhs and domain of the rows in the
+    slice rows, computed in domain, each side a (K, rows, ...) stack of
+    width side elements a row, whose row r of stack k is trial k B + r.
+    chunks[domain] is the rows of one kernel chunk in domain.  A LINEAR
+    block is the most whole kernel chunks that fit one verdict block, or
+    one chunk, so the kernel runs no short chunk but the last; a LOG block
+    is one chunk, as the log sums' temporaries grow with the rows of a
+    call.  Each block's sides are judged before the next block is
+    computed.  replacement_sides takes the log escape for a whole call, so
+    a LINEAR block that comes back LOG starts a LOG verdict of the whole
+    batch: its log sides are judged as they came, and every other row is
+    computed again in LOG blocks.  A LOG verdict is logged at DEBUG.
     """
     b = config.trials
-    block = chunk if domain == LOG else chunk * max(1, _VERDICT_BLOCK_ELEMENTS // width // chunk)
+
+    def blocks(domain, start, stop):
+        """The blocks of rows start to stop in domain, last first."""
+        chunk = chunks[domain]
+        size = chunk if domain == LOG else chunk * max(1, _VERDICT_BLOCK_ELEMENTS // width // chunk)
+        return [slice(s, min(s + size, stop)) for s in range(start, stop, size)][::-1]
+
     reduction = _Reduction(config, kind, domain, extra)
-    for start in range(0, b, block):
-        lhs, rhs, got = sides(slice(start, start + block))
-        if got == domain:
-            _judge_stacks(reduction, lhs, rhs, b, start)
-            del lhs, rhs  # before the next block's sides are computed
-            continue
-        if block < b:
-            lhs, rhs, got = sides(slice(0, b))
-        reduction = _Reduction(config, kind, got, extra)
-        _judge_stacks(reduction, lhs, rhs, b, 0)
-        break
+    pending = blocks(domain, 0, b)
+    while pending:
+        rows = pending.pop()
+        lhs, rhs, got = sides(rows, reduction.domain)
+        if got != reduction.domain:
+            reduction = _Reduction(config, kind, got, extra)
+            pending = blocks(got, rows.stop, b) + blocks(got, 0, rows.start)
+        _judge_stacks(reduction, lhs, rhs, b, rows.start)
+        del lhs, rhs  # before the next block's sides are computed
     if reduction.domain == LOG:
         log.debug("%s: %d trials evaluated as Lagrange log sums", name, b)
     return reduction.result()
@@ -296,12 +301,19 @@ def _jsonable_complex(z):
 
 
 def _replacement_campaign(config, kind, name, points, y, metric, extra, ks=(0,)):
-    """Judge replacement_sides of the campaign's rows block by block (_reduce_blocks)."""
-    def sides(rows):
+    """Judge replacement_sides of the campaign's rows block by block (_reduce_blocks).
+
+    Its LOG blocks are Lagrange log sums, as replacement_sides computes
+    them beyond n = 12 or on an escape to logs.
+    """
+    def sides(rows, domain):
+        if domain == LOG:
+            return (*_lagrange_sides(points[rows], y[rows], metric, ks), LOG)
         return replacement_sides(points[rows], y[rows], metric, ks)
 
-    return _reduce_blocks(config, kind, name, sides, replacement_chunk_rows(points, metric),
-                          len(ks), extra, replacement_domain(points))
+    chunks = {domain: replacement_chunk_rows(points, metric, domain) for domain in (LINEAR, LOG)}
+    return _reduce_blocks(config, kind, name, sides, chunks, len(ks), extra,
+                          replacement_domain(points))
 
 
 def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
@@ -352,6 +364,8 @@ def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
 
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
     """One row of the check's kernel per random polygon."""
+    from .geometry import POLYGON_CHECKS, random_sorted_angles
+
     size, kernel, kind, _ = POLYGON_CHECKS[config.check]
     n = size or config.n
     rng = _rng(config)
@@ -375,6 +389,8 @@ def _int_sample(rng, shape, bound):
 
 def _multilinear_oracle_campaign(config: CampaignConfig) -> CampaignResult:
     """Permutation expansion against the product-difference form."""
+    from . import batch
+
     rng = _rng(config)
     b, n, m = config.trials, config.n, config.m
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
@@ -401,6 +417,8 @@ def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int 
     multilinear-oracle campaign's rules (ArgumentError); n > 8 is a
     ResourceError.
     """
+    from . import batch
+
     _validate(CampaignConfig(op="multilinear-oracle", seed=seed, trials=trials, n=n, m=m))
     if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)) or bound < 1:
         raise ArgumentError(f"bound must be an int >= 1, got {bound!r}")
@@ -416,25 +434,29 @@ def _identity_campaign(config: CampaignConfig) -> CampaignResult:
 
     sum-identity is q = 1 (_validate), and its records hold no q.
     """
+    from . import batch
+
     rng = _rng(config)
     b, n, m, q = config.trials, config.n, config.m, config.q
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
     w = config.op == "w-identity"
 
-    def sides(rows):
+    def sides(rows, domain):
         x, at = points[rows], y[rows]
         lhs, rhs = batch.w_identity_sides(x, at, q) if w else batch.sum_identity_sides(x, at)
         return lhs[None], rhs[None], LINEAR
 
     tail = {"q": q} if w else {}
     extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist(), **tail}
-    return _reduce_blocks(config, IDENTITY, config.op, sides, batch.identity_chunk_rows(points),
-                          m * (m - 1), extra)
+    return _reduce_blocks(config, IDENTITY, config.op, sides,
+                          {LINEAR: batch.identity_chunk_rows(points)}, m * (m - 1), extra)
 
 
 def random_ode_problem(rng: np.random.Generator, m: int, t_end: float = 2.0,
                        steps: int = 100) -> ODEProblem:
+    from .ode import MatrixFunction, ODEProblem
+
     a0 = rng.uniform(-1.0, 1.0, size=(m, m))
     a1 = rng.uniform(-1.0, 1.0, size=(m, m))
     initials = rng.uniform(-1.0, 1.0, size=(3, m))
@@ -457,6 +479,8 @@ def _ode_estimates(problems: list[ODEProblem]) -> list:
     Rows still rejected after _MAX_REFINEMENTS refinements raise the
     StepSizeError of the first in (m, trial) order.
     """
+    from .ode import MatrixFunction, estimate_rows, growth_bounds, integrate_rows, step_size_error
+
     problems = list(problems)
     out = [None] * len(problems)
     pending = sorted(range(len(problems)), key=lambda t: problems[t].matrix.dim)
@@ -545,6 +569,8 @@ def _fixed_size(config: CampaignConfig) -> int | None:
     the default metric.
     """
     if config.op == "polygon":
+        from .geometry import POLYGON_CHECKS
+
         return POLYGON_CHECKS[config.check].size
     if config.op in ("ode", "equality-family") or config.metric == "euclidean3":
         return 3

@@ -20,6 +20,7 @@ from .campaign import CAMPAIGN_OPS, CampaignConfig, run_campaign
 from .core import (
     IDENTITY,
     METRICS,
+    POLYGON_CHECK_NAMES,
     checked_tol,
     dump_json,
     extended_inequality_gap,
@@ -27,16 +28,9 @@ from .core import (
     simplex_gap,
 )
 from .errors import ArgumentError, ResourceError, SingularityError, StepSizeError
-from .geometry import (
-    POLYGON_CHECKS,
-    equality_family,
-    equality_gap_3,
-    tetrahedron_counterexample,
-    tetrahedron_simplex_report,
-)
-from .io import polygon_from_json, problem_from_json, read_points_csv
-from .multilinear import counterexample_4_4_report, definiteness_decide
-from .ode import verify_estimate
+
+# Each command imports the modules beyond campaign and core that its body
+# runs, so a cold process compiles only those.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,6 +114,8 @@ _seed_opt = click.option("--seed", default=0, type=int, show_default=True)
 @_output_opt
 def eval_cmd(input_path, complex_points, metric):
     """Evaluate a metric on a point tuple read from CSV."""
+    from .io import read_points_csv
+
     t = read_points_csv(input_path, complex_points=complex_points)
     value = resolve_metric(metric)(list(t.points))
     return [dump_json({"metric": metric, "n": t.n, "m": t.m, "value": value})], True
@@ -149,6 +145,8 @@ def _parse_y(spec: str, complex_point: bool):
 @_output_opt
 def simplex_cmd(input_path, complex_points, metric, y_spec, tol):
     """Check the simplex inequality for one tuple and replacement point."""
+    from .io import read_points_csv
+
     t = read_points_csv(input_path, complex_points=complex_points)
     report = simplex_gap(t, _parse_y(y_spec, t.is_complex), metric=metric, **_tol(tol))
     return [report.to_json()], report.passed
@@ -162,6 +160,8 @@ def simplex_cmd(input_path, complex_points, metric, y_spec, tol):
 @_output_opt
 def extended_cmd(input_path, y_spec, k, tol):
     """Check the weighted simplex inequality |y|^k d <= sum |z_i|^k d_i."""
+    from .io import read_points_csv
+
     t = read_points_csv(input_path, complex_points=True)
     y = _parse_y(y_spec, complex_point=True)
     ks = range(t.n) if k is None else [k]
@@ -176,6 +176,8 @@ def extended_cmd(input_path, y_spec, k, tol):
 @_output_opt
 def equality_family_cmd(q, s, tol):
     """Evaluate the two-parameter exact-equality configuration."""
+    from .geometry import equality_family, equality_gap_3
+
     report = equality_gap_3(*equality_family(q, s).quadruple(), **_tol(tol))
     return [dump_json({**report.to_dict(), "q": q, "s": s})], report.flags["equality"]
 
@@ -184,12 +186,15 @@ def equality_family_cmd(q, s, tol):
 @click.option("--input", "input_path", required=True,
               help='Polygon JSON {"R": ..., "angles": [...], "center": [re, im]} or a path.')
 @click.option("--check", default="all", show_default=True,
-              type=click.Choice([*POLYGON_CHECKS, "all"]))
+              type=click.Choice([*POLYGON_CHECK_NAMES, "all"]))
 @_tol_opt
 @_output_opt
 @click.option("--emit-csv", is_flag=True, help="Emit CSV rows instead of JSON.")
 def polygon_cmd(input_path, check, tol, emit_csv):
     """Run the cyclic-polygon inequality checks on one polygon."""
+    from .geometry import POLYGON_CHECKS
+    from .io import polygon_from_json
+
     poly = polygon_from_json(input_path)
     if check == "all":
         checks = [c for c in POLYGON_CHECKS.values() if c.size in (None, poly.n)]
@@ -234,6 +239,8 @@ def multilinear_verify_cmd(n, m, trials, seed, tol):
 @_output_opt
 def definiteness_cmd(n, m, budget):
     """Decide definiteness of the generalized metric for (n, m); exit 1 when undecided."""
+    from .multilinear import definiteness_decide
+
     verdict = definiteness_decide(n, m, budget=budget)
     return [dump_json(verdict.to_dict())], verdict.verdict != "exhausted"
 
@@ -244,12 +251,16 @@ def definiteness_cmd(n, m, budget):
 def counterexample_cmd(which):
     """Reproduce a known counterexample; exit 0 when it reproduces."""
     if which == "tetrahedron":
+        from .geometry import tetrahedron_counterexample, tetrahedron_simplex_report
+
         report = tetrahedron_counterexample()
         record = report.to_dict()
         record["simplex_report"] = tetrahedron_simplex_report().to_dict()
         # Reproducing the EXPECTED failure is the pass condition.
         reproduced = (not report.simplex_holds) and (not report.reduction_holds)
     else:
+        from .multilinear import counterexample_4_4_report
+
         record = counterexample_4_4_report()
         del record["metric_components"]
         reproduced = record["structurally_zero"] and record["pairwise_distinct"] \
@@ -267,6 +278,9 @@ def counterexample_cmd(which):
               type=click.Choice(["jsonl", "csv"]))
 def ode_cmd(input_path, tol, fmt):
     """Integrate a linear ODE problem and verify the contraction estimate."""
+    from .io import problem_from_json
+    from .ode import verify_estimate
+
     reports = verify_estimate(problem_from_json(input_path), **_tol(tol))
     if fmt == "csv":
         lines = _csv(("t", "lhs", "rhs", "gap"),

@@ -33,6 +33,20 @@ from .errors import ArgumentError, SingularityError
 INEQUALITY_RTOL = 1e-9
 IDENTITY_RTOL = 1e-10
 
+# Relative slack on the ODE contraction estimate's exponential bound,
+# absorbing quadrature and integration error (the estimate is exact only in
+# the continuum).  Kept here, as ode.ESTIMATE_RTOL, so the campaigns' default
+# tolerances do not load the ode module.
+ESTIMATE_RTOL = 1e-6
+
+# Permutation expansion is factorially expensive; refuse beyond this size
+# (multilinear.EXPANSION_MAX_N, read by batch without loading multilinear).
+EXPANSION_MAX_N = 8
+
+# Names of the cyclic-polygon checks, in order: geometry.POLYGON_CHECKS
+# holds them, and the CLI offers them without loading geometry.
+POLYGON_CHECK_NAMES = ("triangle", "quadrilateral", "ptolemy", "ngon", "simplex-equality")
+
 # Beyond this tuple size (or once a partial product leaves the safe range)
 # products are evaluated in the log domain.
 _LOG_SWITCH_N = 12
@@ -881,8 +895,11 @@ def _planes(v: np.ndarray) -> np.ndarray:
     """The (M, ...) complex projections v[..., s] + i v[..., t] of real (..., m) v, plane-major."""
     s, t = _pair_indices(v.shape[-1])
     out = np.empty((len(s),) + v.shape[:-1], dtype=complex)
-    out.real = np.moveaxis(v[..., s], -1, 0)
-    out.imag = np.moveaxis(v[..., t], -1, 0)
+    re, im = out.real, out.imag
+    # One plain copy per coordinate: no gathered temporary, and the same bits.
+    for k, (a, b) in enumerate(zip(s.tolist(), t.tolist())):
+        re[k] = v[..., a]
+        im[k] = v[..., b]
     return out
 
 
@@ -1039,15 +1056,15 @@ def replacement_domain(points: np.ndarray) -> str:
     return LOG if points.shape[1] > _LOG_SWITCH_N else LINEAR
 
 
-def replacement_chunk_rows(points: np.ndarray, metric: str) -> int:
-    """Rows of one chunk of replacement_sides on these (B, n) or (B, n, m) points.
+def replacement_chunk_rows(points: np.ndarray, metric: str, domain: str) -> int:
+    """Rows of one chunk of replacement_sides on these (B, n) or (B, n, m) points, in domain.
 
-    A call on a whole number of chunks runs no short chunk.  Beyond n = 12
-    every call is log sums (_lagrange_sides), whose temporaries grow with
-    the rows of the call, so the chunk is the rows of their working set.
+    A call on a whole number of chunks runs no short chunk.  LOG sides are
+    log sums (_lagrange_sides), whose temporaries grow with the rows of
+    the call, so a LOG chunk is the rows of their working set.
     """
     n = points.shape[1]
-    if replacement_domain(points) == LOG:
+    if domain == LOG:
         return _chunk_rows(_log_elements(n))
     return _chunk_rows(_plane_elements(n, points.shape[2]) if metric == "generalized"
                       else _row_elements(*points.shape[1:]))

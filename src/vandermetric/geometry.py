@@ -24,6 +24,7 @@ from .core import (
     INEQUALITY_RTOL,
     LINEAR,
     LOG,
+    POLYGON_CHECK_NAMES,
     MetricReport,
     _chunks,
     _finite,
@@ -365,14 +366,13 @@ class PolygonCheck(NamedTuple):
 
 
 # Polygon checks by campaign and `polygon --check` name.
-POLYGON_CHECKS = {
-    "triangle": PolygonCheck(3, triangle_sides, INEQUALITY, triangle_check),
-    "quadrilateral": PolygonCheck(4, quadrilateral_sides, INEQUALITY, quadrilateral_check),
-    "ptolemy": PolygonCheck(4, ptolemy_sides, IDENTITY, ptolemy_gap),
-    "ngon": PolygonCheck(None, ngon_sides, INEQUALITY, ngon_check),
-    "simplex-equality": PolygonCheck(None, simplex_equality_sides, INEQUALITY,
-                                     simplex_equality_ngon),
-}
+POLYGON_CHECKS = dict(zip(POLYGON_CHECK_NAMES, (
+    PolygonCheck(3, triangle_sides, INEQUALITY, triangle_check),
+    PolygonCheck(4, quadrilateral_sides, INEQUALITY, quadrilateral_check),
+    PolygonCheck(4, ptolemy_sides, IDENTITY, ptolemy_gap),
+    PolygonCheck(None, ngon_sides, INEQUALITY, ngon_check),
+    PolygonCheck(None, simplex_equality_sides, INEQUALITY, simplex_equality_ngon),
+), strict=True))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+from typing import TYPE_CHECKING
 
 from .core import PointTuple, as_point_tuple
 from .errors import ArgumentError
-from .geometry import CyclicPolygon
-from .ode import ODEProblem
+
+if TYPE_CHECKING:
+    from .geometry import CyclicPolygon
+    from .ode import ODEProblem
 
 
 def read_points_csv(path, complex_points: bool = False) -> PointTuple:
@@ -48,6 +51,8 @@ def write_points_csv(path, points) -> None:
 
 def polygon_from_json(source) -> CyclicPolygon:
     """Accepts a dict, a JSON string, or a path to a JSON file."""
+    from .geometry import CyclicPolygon
+
     obj = _load_json(source)
     center = obj.get("center", [0.0, 0.0])
     if isinstance(center, (int, float)):
@@ -62,6 +67,8 @@ def polygon_from_json(source) -> CyclicPolygon:
 
 
 def problem_from_json(source) -> ODEProblem:
+    from .ode import ODEProblem
+
     return ODEProblem.from_dict(_load_json(source))
 
 

@@ -19,13 +19,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import INEQUALITY, INEQUALITY_RTOL, LINEAR, MetricReport, MonotoneNorm, _vector_points
+from .core import (EXPANSION_MAX_N, INEQUALITY, INEQUALITY_RTOL, LINEAR, MetricReport,
+                   MonotoneNorm, _vector_points)
 from .errors import ArgumentError, ResourceError
 
 log = logging.getLogger(__name__)
-
-# Permutation expansion is factorially expensive; refuse beyond this size.
-EXPANSION_MAX_N = 8
 
 
 def ordered_pairs(k: int) -> list[tuple[int, int]]:

@@ -15,16 +15,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import BOUND, LINEAR, MetricReport, pair_product_rows, pairwise_distances, scalar_map
+from .core import (BOUND, ESTIMATE_RTOL, LINEAR, MetricReport, pair_product_rows,
+                   pairwise_distances, scalar_map)
 from .core import euclidean_3metric  # noqa: F401  (bench/spans.py traces it under this module)
 from .errors import ArgumentError, StepSizeError
 
 # Per-step relative error allowed by the step-doubling estimate.
 STEP_RTOL = 1e-8
-
-# Relative slack on the exponential bound, absorbing quadrature and
-# integration error (the estimate is exact only in the continuum).
-ESTIMATE_RTOL = 1e-6
 
 _NEAR_COLLISION = 1e-12
 

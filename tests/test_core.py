@@ -650,6 +650,16 @@ def test_replacement_sides_reject_mismatched_inputs():
         simplex_gap([0, 1, 2], 1j, metric=vandermonde_metric)
 
 
+@pytest.mark.parametrize("shape", [(7, 3, 4), (5, 2), (0, 5, 3), (3,)])
+def test_planes_are_the_gathered_coordinate_pairs_bit_for_bit(shape):
+    v = np.random.default_rng(5).standard_normal(shape)
+    s, t = core._pair_indices(shape[-1])
+    planes = core._planes(v)
+    assert planes.shape == (len(s),) + shape[:-1]
+    assert np.array_equal(planes.real, np.moveaxis(v[..., s], -1, 0))
+    assert np.array_equal(planes.imag, np.moveaxis(v[..., t], -1, 0))
+
+
 # ---------------------------------------------------------------------------
 # Constructions
 

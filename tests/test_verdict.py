@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,18 +313,31 @@ def test_empty_sides_check_nothing_and_fail(monkeypatch, kind, domain, columns):
 # Streamed campaigns: a log escape in the last chunk judges the whole batch
 
 
+def _recording(calls, evaluate, label=None):
+    """evaluate with its two sides swapped, appending (rows, label or domain) to calls.
+
+    Swapped sides fail in most rows, so the records are full.
+    """
+    def swapped(points, *args):
+        lhs, rhs, *domain = evaluate(points, *args)
+        calls.append((len(points), label or domain[0]))
+        return (rhs, lhs, *domain)
+    return swapped
+
+
 @pytest.mark.parametrize("op", ["simplex", "extended"])
 @pytest.mark.parametrize("scale", [1e60, 1e-30], ids=["overflow", "underflow"])
 def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, caplog, op, scale):
     # The last row's 15 pair factors pass the float range at n = 6 (1e900
     # and 1e-450), so its block takes the log escape, the earlier ones not.
+    # The earlier rows are then computed again as log sums, in log chunks.
     # Over 100 violations either way: extended judges six trials a row.
     n, b = 6, 150 if op == "simplex" else 40
     config = CampaignConfig(op=op, n=n, trials=b, seed=2, tol=0.0)
-    # Three rows a kernel chunk; 24 rows a block of simplex, 3 of extended.
+    # Three rows a kernel chunk, two a log chunk; 24 rows a block of simplex, 3 of extended.
     monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * core._row_elements(n))
     monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
-    draw, evaluate, calls = campaign._complex_sample, campaign.replacement_sides, []
+    draw, calls = campaign._complex_sample, []
 
     def scaled(rng, shape):
         z = draw(rng, shape)
@@ -331,28 +345,63 @@ def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, capl
             z[-1] *= scale
         return z
 
-    def swapped(points, *args):
-        # Swapped sides fail in most rows, so the records are full.
-        lhs, rhs, domain = evaluate(points, *args)
-        calls.append((len(points), domain))
-        return rhs, lhs, domain
-
     monkeypatch.setattr(campaign, "_complex_sample", scaled)
-    monkeypatch.setattr(campaign, "replacement_sides", swapped)
+    monkeypatch.setattr(campaign, "replacement_sides",
+                        _recording(calls, campaign.replacement_sides))
+    monkeypatch.setattr(campaign, "_lagrange_sides",
+                        _recording(calls, campaign._lagrange_sides, "log sums"))
     with caplog.at_level(logging.DEBUG, logger="vandermetric"), np.errstate(all="ignore"):
         got = run_campaign(config)
         streamed, calls[:] = calls[:], []
         # One block of all rows: one whole-batch replacement_sides call.
-        monkeypatch.setattr(campaign, "replacement_chunk_rows", lambda points, metric: b)
+        monkeypatch.setattr(campaign, "replacement_chunk_rows", lambda *args: b)
         want = run_campaign(config)
-    assert streamed[-1] == (b, LOG) and streamed[-2][1] == LOG
-    assert {domain for _, domain in streamed[:-2]} == {LINEAR}
+    escape = [domain for _, domain in streamed].index(LOG)
+    start = sum(rows for rows, _ in streamed[:escape])
+    assert {domain for _, domain in streamed[:escape]} == {LINEAR}
+    assert start + streamed[escape][0] == b
+    chunk = core._chunk_rows(core._log_elements(n))
+    assert chunk == 2
+    assert streamed[escape + 1:] == [(min(chunk, start - s), "log sums")
+                                     for s in range(0, start, chunk)]
     assert calls == [(b, LOG)]
     assert_same_result(got, want)
     assert got.violations > campaign._MAX_RECORDED_FAILURES
     name = "simplex vandermonde" if op == "simplex" else "extended"
     assert [r.getMessage() for r in caplog.records if "Lagrange" in r.getMessage()] == [
         f"{name}: {b} trials evaluated as Lagrange log sums"] * 2
+
+
+def test_a_log_escaped_batch_holds_log_chunks_not_the_batch(monkeypatch):
+    # d_V at n = 6 with the last row scaled by 1e60 escapes to logs in the
+    # last block.  The other rows are computed again in log chunks, so the
+    # peak over the inputs does not grow from 8000 to 32000 trials, and the
+    # stream is that of one whole-batch call.
+    draw, inputs = campaign._complex_sample, []
+
+    def scaled(rng, shape):
+        z = draw(rng, shape)
+        if len(shape) == 2:
+            z[-1] *= 1e60
+        inputs.append(z.nbytes)
+        return z
+
+    monkeypatch.setattr(campaign, "_complex_sample", scaled)
+    peaks = {}
+    for trials in (8000, 32000):
+        config = CampaignConfig(op="simplex", n=6, trials=trials, seed=3)
+        inputs.clear()
+        tracemalloc.start()
+        try:
+            stream = list(run_campaign(config).json_lines())
+            peaks[trials] = tracemalloc.get_traced_memory()[1] - sum(inputs)
+        finally:
+            tracemalloc.stop()
+        with monkeypatch.context() as whole:
+            whole.setattr(campaign, "replacement_chunk_rows", lambda *args: trials)
+            assert stream == list(run_campaign(config).json_lines())
+        assert json.loads(stream[-1])["pass"]
+    assert peaks[32000] <= 1.1 * peaks[8000]
 
 
 @pytest.mark.parametrize("op,metric", [("simplex", "vandermonde"), ("simplex", "root"),
@@ -363,19 +412,13 @@ def test_log_domain_blocks_are_judged_as_they_come(monkeypatch, caplog, op, metr
     n, b = 13, 150 if op == "simplex" else 40
     config = CampaignConfig(op=op, metric=metric, n=n, m=3, trials=b, seed=4, tol=0.0)
     monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 7 * core._log_elements(n))
-    evaluate, calls = campaign.replacement_sides, []
-
-    def swapped(points, *args):
-        # Swapped sides fail in most rows, so the records are full.
-        lhs, rhs, domain = evaluate(points, *args)
-        calls.append((len(points), domain))
-        return rhs, lhs, domain
-
-    monkeypatch.setattr(campaign, "replacement_sides", swapped)
+    calls = []
+    monkeypatch.setattr(campaign, "_lagrange_sides",
+                        _recording(calls, campaign._lagrange_sides, LOG))
     with caplog.at_level(logging.DEBUG, logger="vandermetric"):
         got = run_campaign(config)
         streamed, calls[:] = calls[:], []
-        monkeypatch.setattr(campaign, "replacement_chunk_rows", lambda points, metric: b)
+        monkeypatch.setattr(campaign, "replacement_chunk_rows", lambda *args: b)
         want = run_campaign(config)
     assert streamed == [(7, LOG)] * (b // 7) + [(b % 7, LOG)]
     assert calls == [(b, LOG)]
