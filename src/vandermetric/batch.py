@@ -9,10 +9,10 @@ The replacement kernels compare a function of each tuple x with the n
 tuples "x with x_s -> y".  The product pass, core's lockstep fold, is
 the evaluator of core.replacement_sides, which the simplex, extended and
 equality-family campaigns call; simplex_sides_complex,
-simplex_sides_vectors and extended_sides_complex are that fold without
-its log escape, at any n and on int64 inputs, and
-simplex_sides_generalized is the same fold on each coordinate plane
-with the l2 norm over the planes.
+simplex_sides_vectors, extended_sides_complex and
+simplex_sides_generalized are that fold (core._linear_sides) without
+its log escape, at any n and on int64 inputs, the last one on each
+coordinate plane with the l2 norm over the planes.
 
 The multilinear kernels multiply projected complex factors, split into
 re and im planes, with one lockstep fold, _fold: each step gathers one
@@ -27,10 +27,9 @@ end (_projected_rows): a chunk's points are copied once, coordinate-
 major, its factors make one (2, K, M_m, rows) re/im pool, and the
 fold's products are summed straight into component-major (2 M_m, B)
 sides, whose transposed (B, 2 M_m) views, [re | im] per row, are what
-w_identity_sides returns.  The campaigns call sum_identity_sides and
-w_identity_sides on row blocks of whole chunks (identity_chunk_rows) and
-judge each block before the next, so their sides never span the whole
-batch.
+w_identity_sides returns.  The identity campaigns take their sides from
+identity_blocks, one row block of whole chunks at a time, and judge each
+block before the next, so their sides never span the whole batch.
 
 The permutation expansion, expansion_batch, is the one kernel of the
 Leibniz sum for float and int64 points alike: a Laplace subset recursion
@@ -47,9 +46,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _chunk_rows, _generalized_sides,
-                   _lockstep_sides, _pair_differences, _pair_indices, _replacement_rows,
-                   _root_power, _slot_map, verdict)
+from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _block_rows, _linear_sides,
+                   _pair_differences, _pair_indices, _replacement_rows, _root_power, _slices,
+                   _slot_map, verdict)
 from .errors import ResourceError
 
 log = logging.getLogger(__name__)
@@ -80,7 +79,8 @@ def simplex_sides_complex(points: np.ndarray, y: np.ndarray, root: bool = False)
     The sides are the pairwise-distance product (d_V for complex points),
     or its 2 / (n(n-1)) power (the root metric) with root.
     """
-    return _lockstep_sides(points, y, _root_power(points.shape[1]) if root else None)
+    lhs, rhs = _linear_sides(points, y, "root" if root else "vandermonde", (0,))
+    return lhs[0], rhs[0]
 
 
 # The same kernel: core._product_rows measures vectors with the Euclidean norm.
@@ -93,7 +93,7 @@ def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
 
     Both are (len(ks), B); the products are computed once for every k.
     """
-    return _lockstep_sides(z, y, ks=ks)
+    return _linear_sides(z, y, "vandermonde", ks)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,8 @@ def simplex_sides_generalized(points: np.ndarray, y: np.ndarray):
     points is (B, n, m) real with y (B, m), m >= 2: core's per-plane
     product pass with the l2 norm over the planes, without its log escape.
     """
-    return _generalized_sides(points, y)
+    lhs, rhs = _linear_sides(points, y, "generalized", (0,))
+    return lhs[0], rhs[0]
 
 
 def sum_identity_sides(points: np.ndarray, y: np.ndarray):
@@ -416,9 +417,19 @@ def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
     return tuple(side.reshape(m * (m - 1), b).T for side in sides)
 
 
-def identity_chunk_rows(points: np.ndarray) -> int:
-    """Rows of one chunk of sum_identity_sides and w_identity_sides on these (B, n, m) points."""
-    return _chunk_rows(_projected_elements(*points.shape[1:]))
+def identity_blocks(points: np.ndarray, y: np.ndarray, q=None):
+    """The identity sides of (B, n, m) points and (B, m) y, computed one row block at a time.
+
+    Yields (rows, lhs, rhs, LINEAR) as core.replacement_blocks does, each
+    side (1, rows, 2 M_m): sum_identity_sides with q None, else
+    w_identity_sides with q, called once a block of core._block_rows.
+    """
+    b, n, m = points.shape
+    for rows in _slices(0, b, _block_rows(_projected_elements(n, m), m * (m - 1))):
+        x, at = points[rows], y[rows]
+        lhs, rhs = sum_identity_sides(x, at) if q is None else w_identity_sides(x, at, q)
+        yield rows, lhs[None], rhs[None], LINEAR
+        del lhs, rhs  # before the next block's sides are computed
 
 
 def max_gap_and_scale(lhs: np.ndarray, rhs: np.ndarray):

@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import core
 from .core import (BOUND, ESTIMATE_RTOL, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL,
-                   LINEAR, LOG, _lagrange_sides, checked_tol, dump_json, replacement_chunk_rows,
-                   replacement_domain, replacement_sides, verdict)
+                   LINEAR, LOG, checked_tol, dump_json, replacement_blocks, verdict)
 from .errors import ArgumentError
 
 if TYPE_CHECKING:
@@ -27,12 +27,6 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 _MAX_RECORDED_FAILURES = 100
-
-# Side elements per verdict block of _Reduction.  The verdict's temporaries of
-# one block, about 1 MiB, stay in a 4 MiB L2 cache; on (1e5, 6) identity and
-# 4e5-row inequality sides 1 << 14 judged faster than 1 << 13 and 1 << 15.
-# It also sizes the campaigns' row blocks and the pieces of _complex_sample.
-_VERDICT_BLOCK_ELEMENTS = 1 << 14
 
 # The tolerance of a campaign whose config gives none: its claim kind's.
 _DEFAULT_TOL = {INEQUALITY: INEQUALITY_RTOL, IDENTITY: IDENTITY_RTOL, BOUND: ESTIMATE_RTOL}
@@ -160,7 +154,7 @@ class _Reduction:
     judge(lhs, rhs, first) takes the sides of the consecutive trials first,
     first + 1, ..., and the blocks may come in any order.  The tolerance is
     config.tol, or the kind's default when that is None.  The verdict runs
-    on blocks of at most _VERDICT_BLOCK_ELEMENTS side elements, so its
+    on blocks of at most core.VERDICT_BLOCK_ELEMENTS side elements, so its
     temporaries hold one block.  The reduction adds up the violations,
     keeps the _MAX_RECORDED_FAILURES failures of smallest trial, in trial
     order, and takes worst: the smallest normalized gap of an inequality,
@@ -178,7 +172,7 @@ class _Reduction:
         self.failures, self.extremes = [], []  # failures are (trial, record), by trial
 
     def judge(self, lhs, rhs, first=0):
-        step = max(1, _VERDICT_BLOCK_ELEMENTS // math.prod(lhs.shape[1:]))
+        step = max(1, core.VERDICT_BLOCK_ELEMENTS // math.prod(lhs.shape[1:]))
         for start in range(0, len(lhs), step):
             self._block(lhs[start:start + step], rhs[start:start + step], first + start)
 
@@ -226,46 +220,23 @@ def _reduce(config, kind, domain, lhs, rhs, extra) -> CampaignResult:
     return reduction.result()
 
 
-def _judge_stacks(reduction, lhs, rhs, b, start):
-    """Judge (K, rows, ...) side stacks whose row r of stack k is trial k b + start + r."""
-    for k, (left, right) in enumerate(zip(lhs, rhs)):
-        reduction.judge(left, right, k * b + start)
+def _judge_blocks(config, kind, name, blocks, extra) -> CampaignResult:
+    """The _Reduction of a stream of blocks of the campaign's B = config.trials rows.
 
-
-def _reduce_blocks(config, kind, name, sides, chunks, width, extra,
-                   domain=LINEAR) -> CampaignResult:
-    """Compute and judge the campaign's B = config.trials rows block by block.
-
-    sides(rows, domain) returns the lhs, rhs and domain of the rows in the
-    slice rows, computed in domain, each side a (K, rows, ...) stack of
-    width side elements a row, whose row r of stack k is trial k B + r.
-    chunks[domain] is the rows of one kernel chunk in domain.  A LINEAR
-    block is the most whole kernel chunks that fit one verdict block, or
-    one chunk, so the kernel runs no short chunk but the last; a LOG block
-    is one chunk, as the log sums' temporaries grow with the rows of a
-    call.  Each block's sides are judged before the next block is
-    computed.  replacement_sides takes the log escape for a whole call, so
-    a LINEAR block that comes back LOG starts a LOG verdict of the whole
-    batch: its log sides are judged as they came, and every other row is
-    computed again in LOG blocks.  A LOG verdict is logged at DEBUG.
+    blocks yields (rows, lhs, rhs, domain): the sides of the rows in the
+    slice rows, each a (K, rows, ...) stack whose row r of stack k is trial
+    k B + rows.start + r (core.replacement_blocks, batch.identity_blocks).
+    Each block is judged before the next is computed.  A block in a new
+    domain restarts the reduction: the blocks from there on cover the
+    batch.  A LOG verdict is logged at DEBUG.
     """
     b = config.trials
-
-    def blocks(domain, start, stop):
-        """The blocks of rows start to stop in domain, last first."""
-        chunk = chunks[domain]
-        size = chunk if domain == LOG else chunk * max(1, _VERDICT_BLOCK_ELEMENTS // width // chunk)
-        return [slice(s, min(s + size, stop)) for s in range(start, stop, size)][::-1]
-
-    reduction = _Reduction(config, kind, domain, extra)
-    pending = blocks(domain, 0, b)
-    while pending:
-        rows = pending.pop()
-        lhs, rhs, got = sides(rows, reduction.domain)
-        if got != reduction.domain:
-            reduction = _Reduction(config, kind, got, extra)
-            pending = blocks(got, rows.stop, b) + blocks(got, 0, rows.start)
-        _judge_stacks(reduction, lhs, rhs, b, rows.start)
+    reduction = _Reduction(config, kind, LINEAR, extra)
+    for rows, lhs, rhs, domain in blocks:
+        if domain != reduction.domain:
+            reduction = _Reduction(config, kind, domain, extra)
+        for k in range(len(lhs)):
+            reduction.judge(lhs[k], rhs[k], k * b + rows.start)
         del lhs, rhs  # before the next block's sides are computed
     if reduction.domain == LOG:
         log.debug("%s: %d trials evaluated as Lagrange log sums", name, b)
@@ -276,14 +247,14 @@ def _complex_sample(rng, shape):
     """Complex standard normals: the first draws are the real parts, the next the imaginary.
 
     The generator fills only contiguous arrays, so each plane is drawn in
-    pieces of _VERDICT_BLOCK_ELEMENTS through one buffer and copied into
+    pieces of core.VERDICT_BLOCK_ELEMENTS through one buffer and copied into
     place.  A normal draw takes the generator's values one at a time, so
     the pieces hold the values of one whole-plane draw, without its
     (B, n) float temporary.
     """
     z = np.empty(shape, dtype=complex)
     values = z.reshape(-1).view(float)  # re, im, re, im, ...
-    buffer = np.empty(min(z.size, _VERDICT_BLOCK_ELEMENTS))
+    buffer = np.empty(min(z.size, core.VERDICT_BLOCK_ELEMENTS))
     for plane in (values[0::2], values[1::2]):
         for start in range(0, z.size, len(buffer)):
             piece = buffer[:z.size - start]
@@ -300,22 +271,6 @@ def _jsonable_complex(z):
 # Campaigns
 
 
-def _replacement_campaign(config, kind, name, points, y, metric, extra, ks=(0,)):
-    """Judge replacement_sides of the campaign's rows block by block (_reduce_blocks).
-
-    Its LOG blocks are Lagrange log sums, as replacement_sides computes
-    them beyond n = 12 or on an escape to logs.
-    """
-    def sides(rows, domain):
-        if domain == LOG:
-            return (*_lagrange_sides(points[rows], y[rows], metric, ks), LOG)
-        return replacement_sides(points[rows], y[rows], metric, ks)
-
-    chunks = {domain: replacement_chunk_rows(points, metric, domain) for domain in (LINEAR, LOG)}
-    return _reduce_blocks(config, kind, name, sides, chunks, len(ks), extra,
-                          replacement_domain(points))
-
-
 def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
     rng = _rng(config)
     b, n, m = config.trials, config.n, config.m
@@ -327,8 +282,8 @@ def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
         points = rng.standard_normal((b, 3 if config.metric == "euclidean3" else n, m))
         y = rng.standard_normal((b, m))
         extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
-    return _replacement_campaign(config, INEQUALITY, f"simplex {config.metric}", points, y,
-                                 config.metric, extra)
+    return _judge_blocks(config, INEQUALITY, f"simplex {config.metric}",
+                         replacement_blocks(points, y, config.metric), extra)
 
 
 def _extended_campaign(config: CampaignConfig) -> CampaignResult:
@@ -343,7 +298,8 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
         row = t % b
         return {"k": k, "points": _jsonable_complex(z[row]), "y": [y[row].real, y[row].imag]}
 
-    return _replacement_campaign(config, INEQUALITY, "extended", z, y, "vandermonde", extra, ks)
+    blocks = replacement_blocks(z, y, "vandermonde", ks)
+    return _judge_blocks(config, INEQUALITY, "extended", blocks, extra)
 
 
 def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
@@ -358,8 +314,9 @@ def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
     z[:, 2] = (-1.0 - 1j * np.sqrt((1.0 + s) / q)) / s
     extra = lambda t: {"q": float(q[t]), "s": float(s[t])}
     # y = 0 for every row, as a read-only view of one zero.
-    return _replacement_campaign(config, IDENTITY, "equality-family", z, np.broadcast_to(0j, (b,)),
-                                 "vandermonde", extra)
+    y = np.broadcast_to(0j, (b,))
+    return _judge_blocks(config, IDENTITY, "equality-family",
+                         replacement_blocks(z, y, "vandermonde"), extra)
 
 
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
@@ -441,16 +398,10 @@ def _identity_campaign(config: CampaignConfig) -> CampaignResult:
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
     w = config.op == "w-identity"
-
-    def sides(rows, domain):
-        x, at = points[rows], y[rows]
-        lhs, rhs = batch.w_identity_sides(x, at, q) if w else batch.sum_identity_sides(x, at)
-        return lhs[None], rhs[None], LINEAR
-
     tail = {"q": q} if w else {}
     extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist(), **tail}
-    return _reduce_blocks(config, IDENTITY, config.op, sides,
-                          {LINEAR: batch.identity_chunk_rows(points)}, m * (m - 1), extra)
+    return _judge_blocks(config, IDENTITY, config.op,
+                         batch.identity_blocks(points, y, q if w else None), extra)
 
 
 def random_ode_problem(rng: np.random.Generator, m: int, t_end: float = 2.0,

@@ -14,7 +14,8 @@ evaluator, replacement_sides, which also takes the generalized metric of
 multilinear as the l2 norm of d_V over the coordinate planes: up to
 n = 12 a lockstep fold of the n + 1 tuples in input order, whose bits the
 campaigns and the scalar reports share; beyond that, or where those sides
-overflow or underflow to 0, Lagrange log sums.
+overflow or underflow to 0, Lagrange log sums.  The campaigns take these
+sides in row blocks of one domain (replacement_blocks).
 """
 
 from __future__ import annotations
@@ -207,6 +208,14 @@ LINEAR = "linear"  # the sides are the values themselves
 LOG = "log"  # the sides are logarithms of the values
 
 
+# Side elements per verdict block.  The verdict's temporaries of one block,
+# about 1 MiB, stay in a 4 MiB L2 cache; on (1e5, 6) identity and 4e5-row
+# inequality sides 1 << 14 judged faster than 1 << 13 and 1 << 15.  It also
+# sizes the campaigns' row blocks (_block_rows) and the pieces of their
+# complex draws.
+VERDICT_BLOCK_ELEMENTS = 1 << 14
+
+
 class Verdict(NamedTuple):
     """Outcome of verdict(); each field is a float or an array of rows."""
 
@@ -353,6 +362,11 @@ def scalar_map(fn, values) -> np.ndarray:
     return np.array([fn(v) for v in values.ravel().tolist()], dtype=float).reshape(values.shape)
 
 
+def scalar_powers(values, p) -> np.ndarray:
+    """values ** p, one Python float at a time (scalar_map)."""
+    return scalar_map(lambda v: v**p, values)
+
+
 @lru_cache(maxsize=None)
 def _pair_indices(n: int):
     """Read-only index arrays (j, i) of the pairs j < i in lexicographic order."""
@@ -406,8 +420,12 @@ _CHUNK_FACTORS = 1 << 13
 
 
 def _chunks(rows: int, factors_per_row: int):
-    step = max(1, _CHUNK_FACTORS // factors_per_row)
-    return (slice(start, start + step) for start in range(0, rows, step))
+    return _slices(0, rows, max(1, _CHUNK_FACTORS // factors_per_row))
+
+
+def _slices(start: int, stop: int, step: int):
+    """Consecutive slices of at most step rows from start to stop."""
+    return (slice(s, min(s + step, stop)) for s in range(start, stop, step))
 
 
 def pair_product_rows(factors: np.ndarray):
@@ -864,26 +882,17 @@ def _product_rows(x: np.ndarray, y: np.ndarray, power=None) -> np.ndarray:
     return acc if power is None else acc**power
 
 
-def _extended_rows(z: np.ndarray, y: np.ndarray, ks, power=None) -> list:
+def _extended_rows(z: np.ndarray, y: np.ndarray, ks, power=None):
     """n + 1 values (len(ks), rows) of |w|^k times the product (to the power, if given).
 
-    w is y for z and z_s for z with z_s -> y.
+    w is y for z and z_s for z with z_s -> y.  ks = [0] takes no weight, so
+    vector points take it too.
     """
     products = _product_rows(z, y, power)
+    if ks == [0]:
+        return products[:, None]
     weights = [np.abs(y)] + [np.abs(z[:, s]) for s in range(z.shape[1])]
     return [np.stack([w**k * v for k in ks]) for w, v in zip(weights, products)]
-
-
-def _lockstep_sides(points: np.ndarray, y: np.ndarray, power=None, ks=None):
-    """Sides of _product_rows, (B,) each, or of _extended_rows, (len(ks), B) each, at any n.
-
-    No overflow escapes to logs here (replacement_sides does that), and
-    int64 inputs stay int64 up to a power.
-    """
-    per_row = _row_elements(*points.shape[1:])
-    if ks is None:
-        return _replacement_rows(_product_rows, per_row, points, y, power)
-    return _replacement_rows(_extended_rows, per_row, points, y, list(ks), power)
 
 
 # The generalized metric of points in R^m, m >= 2, is the l2 norm over the
@@ -913,7 +922,7 @@ def _plane_elements(n: int, m: int) -> int:
 
 
 def _generalized_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n + 1, rows) generalized metrics of x and of each x with slot s -> y.
+    """(n + 1, 1, rows) generalized metrics of x and of each x with slot s -> y.
 
     _product_rows runs on the (M * rows, n) planes of the chunk at once;
     each tuple's squared products are added over the planes in plane order
@@ -926,12 +935,28 @@ def _generalized_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     total = squares[:, 0]
     for plane in range(1, count):
         total += squares[:, plane]
-    return np.sqrt(total)
+    return np.sqrt(total)[:, None]
 
 
-def _generalized_sides(points: np.ndarray, y: np.ndarray):
-    """Sides of _generalized_rows, (B,) each, at any n, with no escape to logs."""
-    return _replacement_rows(_generalized_rows, _plane_elements(*points.shape[1:]), points, y)
+def _linear_elements(points: np.ndarray, metric: str) -> int:
+    """Elements of one row of _linear_sides, the unit of REPLACEMENT_CHUNK_ELEMENTS."""
+    return (_plane_elements if metric == "generalized" else _row_elements)(*points.shape[1:])
+
+
+def _linear_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
+    """Sides of replacement_sides, (len(ks), B) each, as values, at any n, with no escape to logs.
+
+    The generalized metric folds each coordinate plane (_generalized_rows);
+    every other metric folds the pair distances (_extended_rows), the roots
+    as the product to the power 2 / (n(n-1)), the weights as np.abs(w) ** k.
+    int64 inputs stay int64 up to a power.
+    """
+    if metric == "generalized":
+        kernel, args = _generalized_rows, ()
+    else:
+        power = _root_power(points.shape[1]) if metric.endswith("root") else None
+        kernel, args = _extended_rows, (list(ks), power)
+    return _replacement_rows(kernel, _linear_elements(points, metric), points, y, *args)
 
 
 def _underflowed(lhs: np.ndarray, points: np.ndarray, y: np.ndarray, metric: str, ks) -> bool:
@@ -958,39 +983,36 @@ def _underflowed(lhs: np.ndarray, points: np.ndarray, y: np.ndarray, metric: str
     return bool((~same.any(axis=1)).any())
 
 
-def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
-    """Both sides of |y|^k d(x) <= sum_i |x_i|^k d(x with x_i -> y) for each row and k.
-
-    points is (B, n) complex with y (B,), or (B, n, m) real with y (B, m);
-    metric is a METRICS name or "generalized" (m >= 2), and k > 0 needs
-    complex points.  Up to n = 12 the sides are _lockstep_sides, the roots
-    as the product to the power 2 / (n(n-1)) and the weights as
-    np.abs(w) ** k, in the points' input order; the generalized sides are
-    _generalized_sides.  Beyond n = 12, or when finite inputs give a side
-    that is not finite there, or a left side of 0 that only underflow
-    explains, the whole call is evaluated as Lagrange log sums
-    (lagrange_log_rows).  Returns lhs and rhs, each (len(ks), B), and their
-    domain, LINEAR or LOG.
-    """
+def _check_replacement(points: np.ndarray, metric: str, ks) -> None:
+    """Raise ArgumentError unless replacement_sides takes these points, metric and ks."""
     if metric not in METRICS and metric != "generalized":
         raise ArgumentError(f"unknown metric {metric!r}; known: "
                             f"{sorted([*METRICS, 'generalized'])}")
     if (points.ndim == 2) != (metric in ("vandermonde", "root")) or (points.ndim > 2 and any(ks)) \
             or (metric == "generalized" and points.shape[2] < 2):
         raise ArgumentError(f"metric {metric!r} with k in {list(ks)} does not take these points")
+    if metric == "euclidean3" and points.shape[1] != 3:
+        raise ArgumentError(f"euclidean3 takes exactly 3 points, got {points.shape[1]}")
+
+
+def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
+    """Both sides of |y|^k d(x) <= sum_i |x_i|^k d(x with x_i -> y) for each row and k.
+
+    points is (B, n) complex with y (B,), or (B, n, m) real with y (B, m);
+    metric is a METRICS name or "generalized" (m >= 2), and k > 0 needs
+    complex points.  Up to n = 12 the sides are the lockstep fold of the
+    n + 1 tuples in the points' input order (_linear_sides).  Beyond n = 12,
+    or when finite inputs give a side that is not finite there, or a left
+    side of 0 that only underflow explains, the whole call is evaluated as
+    Lagrange log sums (lagrange_log_rows).  Returns lhs and rhs, each
+    (len(ks), B), and their domain, LINEAR or LOG.
+    """
+    _check_replacement(points, metric, ks)
     n = points.shape[1]
-    if metric == "euclidean3" and n != 3:
-        raise ArgumentError(f"euclidean3 takes exactly 3 points, got {n}")
-    if replacement_domain(points) == LINEAR:
-        power = _root_power(n) if metric.endswith("root") else None
+    if n <= _LOG_SWITCH_N:
         # Overflow and inf * 0 give inf and NaN; inputs that are not finite fail closed.
         with np.errstate(over="ignore", invalid="ignore"):
-            if metric == "generalized":
-                lhs, rhs = (side[None] for side in _generalized_sides(points, y))
-            elif list(ks) == [0]:
-                lhs, rhs = (side[None] for side in _lockstep_sides(points, y, power))
-            else:
-                lhs, rhs = _lockstep_sides(points, y, power, ks)
+            lhs, rhs = _linear_sides(points, y, metric, ks)
         # Sides of products (>= 0 or NaN) are finite where their max is: NaN
         # propagates, and no temporary the size of a side is made.
         finite = all(not side.size or math.isfinite(side.max()) for side in (lhs, rhs))
@@ -1011,7 +1033,7 @@ def _generalized_log_rows(x: np.ndarray, y: np.ndarray):
     n, count = x.shape[1], x.shape[2] * (x.shape[2] - 1) // 2
     log_d, terms = np.empty(len(x)), np.empty(x.shape[:2])
     step = _chunk_rows(4 * count * n)
-    for rows in (slice(start, start + step) for start in range(0, len(x), step)):
+    for rows in _slices(0, len(x), step):
         plane_d, plane_terms = lagrange_log_rows(_planes(x[rows]).reshape(-1, n),
                                                  _planes(y[rows]).ravel())
         log_d[rows] = 0.5 * _log_sum_exp(2.0 * plane_d.reshape(count, -1).T)
@@ -1048,26 +1070,43 @@ def _log_elements(n: int) -> int:
     return 6 * n
 
 
-def replacement_domain(points: np.ndarray) -> str:
-    """The domain of replacement_sides on these points when no side escapes to logs.
+def _block_rows(per_row: int, width: int) -> int:
+    """Rows of one block of a kernel of per_row elements a row and width side elements a row.
 
-    LOG beyond n = 12, where every call is Lagrange log sums; else LINEAR.
+    The most whole kernel chunks (_chunk_rows) whose sides fit one verdict
+    block, or one chunk, so the kernel runs no short chunk but the last.
     """
-    return LOG if points.shape[1] > _LOG_SWITCH_N else LINEAR
+    chunk = _chunk_rows(per_row)
+    return chunk * max(1, VERDICT_BLOCK_ELEMENTS // width // chunk)
 
 
-def replacement_chunk_rows(points: np.ndarray, metric: str, domain: str) -> int:
-    """Rows of one chunk of replacement_sides on these (B, n) or (B, n, m) points, in domain.
+def replacement_blocks(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
+    """replacement_sides of the (B, ...) points and y, computed one row block at a time.
 
-    A call on a whole number of chunks runs no short chunk.  LOG sides are
-    log sums (_lagrange_sides), whose temporaries grow with the rows of
-    the call, so a LOG chunk is the rows of their working set.
+    Yields (rows, lhs, rhs, domain): the slice rows of the batch and the
+    sides of its rows, (len(ks), rows) each, in domain.  Up to n = 12 a
+    block is _block_rows of the LINEAR kernel; the log sums' temporaries
+    grow with the rows of a call, so beyond n = 12 a block is one chunk of
+    their working set (_log_elements).  replacement_sides takes the log
+    escape for a whole call, so a LINEAR block that comes back LOG is
+    followed by every other row, in order, as LOG blocks: the blocks after
+    the first LOG one cover the batch in one domain.  The arguments are
+    checked as replacement_sides checks them, before any block.
     """
-    n = points.shape[1]
-    if domain == LOG:
-        return _chunk_rows(_log_elements(n))
-    return _chunk_rows(_plane_elements(n, points.shape[2]) if metric == "generalized"
-                      else _row_elements(*points.shape[1:]))
+    _check_replacement(points, metric, ks)
+    b, n = len(points), points.shape[1]
+    log_rows = _chunk_rows(_log_elements(n))
+    step = log_rows if n > _LOG_SWITCH_N else _block_rows(_linear_elements(points, metric), len(ks))
+    for rows in _slices(0, b, step):
+        lhs, rhs, domain = replacement_sides(points[rows], y[rows], metric, ks)
+        yield rows, lhs, rhs, domain
+        del lhs, rhs  # before the next block's sides are computed
+        if domain == LOG and n <= _LOG_SWITCH_N:
+            for again in (*_slices(0, rows.start, log_rows), *_slices(rows.stop, b, log_rows)):
+                lhs, rhs = _lagrange_sides(points[again], y[again], metric, ks)
+                yield again, lhs, rhs, LOG
+                del lhs, rhs
+            return
 
 
 def _replacement_report(operation, inputs, points, y, metric, k, tol) -> MetricReport:

@@ -32,6 +32,7 @@ from .core import (
     _replacement_report,
     replacement_sides,
     scalar_map,
+    scalar_powers,
     simplex_gap,
     vandermonde_log_rows,
     vandermonde_rows,
@@ -205,15 +206,11 @@ def _diagonal(z, a, b):
     return np.hypot(d.real, d.imag)
 
 
-def _powers(radii, exponent):
-    return scalar_map(lambda r: r ** exponent, radii)
-
-
 def triangle_sides(angles, radii, center=0j) -> PolygonSides:
     """abc and R^2 (a + b + c) for each triangle."""
     s = _side_lengths(_vertices(angles, radii, center))
     a, b, c = s.T
-    return PolygonSides(a * b * c, _powers(radii, 2) * (a + b + c), lengths={"sides": s})
+    return PolygonSides(a * b * c, scalar_powers(radii, 2) * (a + b + c), lengths={"sides": s})
 
 
 def quadrilateral_sides(angles, radii, center=0j) -> PolygonSides:
@@ -222,7 +219,7 @@ def quadrilateral_sides(angles, radii, center=0j) -> PolygonSides:
     s = _side_lengths(z)
     a, b, c, d = s.T
     e, f = _diagonal(z, 0, 2), _diagonal(z, 1, 3)
-    rhs = _powers(radii, 3) * (a * b * e + b * c * f + c * d * e + a * d * f)
+    rhs = scalar_powers(radii, 3) * (a * b * e + b * c * f + c * d * e + a * d * f)
     return PolygonSides(a * b * c * d * e * f, rhs,
                         lengths={"sides": s, "diagonals": np.stack([e, f], axis=1)})
 

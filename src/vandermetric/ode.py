@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (BOUND, ESTIMATE_RTOL, LINEAR, MetricReport, pair_product_rows,
-                   pairwise_distances, scalar_map)
+                   pairwise_distances, scalar_map, scalar_powers)
 from .core import euclidean_3metric  # noqa: F401  (bench/spans.py traces it under this module)
 from .errors import ArgumentError, StepSizeError
 
@@ -297,11 +297,6 @@ def integrate(problem: ODEProblem, rel_tol: float = STEP_RTOL) -> np.ndarray:
     return out[0]
 
 
-def _powers(values: np.ndarray, p: int) -> np.ndarray:
-    """values ** p one numpy scalar at a time; the vectorized power rounds some differently."""
-    return np.array([v**p for v in values])
-
-
 def cumulative_simpson(y, x) -> np.ndarray:
     """Cumulative composite Simpson quadrature on a (possibly nonuniform) grid.
 
@@ -325,11 +320,11 @@ def cumulative_simpson(y, x) -> np.ndarray:
         y0, y1, y2 = y[..., s], y[..., s + 1], y[..., s + 2]
         c1 = (y1 - y0) / (x1 - x0)
         c2 = ((y2 - y1) / (x2 - x1) - c1) / (x2 - x0)
-        squares, cubes = _powers(x, 2), _powers(x, 3)
+        squares, cubes = scalar_powers(x, 2), scalar_powers(x, 3)
 
         def antideriv(t):
             """Antiderivative of each step's quadratic at the grid points t."""
-            return (y0 * x[t] + c1 * _powers(x[t] - x0, 2) / 2.0
+            return (y0 * x[t] + c1 * scalar_powers(x[t] - x0, 2) / 2.0
                     + c2 * (cubes[t] / 3.0 - (x0 + x1) * squares[t] / 2.0 + x0 * x1 * x[t]))
 
         pieces = antideriv(k) - antideriv(k - 1)

@@ -19,7 +19,7 @@ from vandermetric import (
     vandermonde_metric,
     w_identity_gap,
 )
-from vandermetric import CampaignConfig, batch, campaign
+from vandermetric import CampaignConfig, batch, campaign, core
 from vandermetric.core import IDENTITY, INEQUALITY, LINEAR, verdict
 
 RTOL = 1e-12
@@ -205,7 +205,7 @@ def test_reduce_temporaries_do_not_grow_with_the_batch(rng, kind, columns, b):
 def test_complex_sample_allocates_its_output_and_one_draw_buffer():
     peak, z = _peak(campaign._complex_sample, np.random.default_rng(3), (20000, 6))
     assert z.dtype == complex and z.shape == (20000, 6)
-    assert peak <= z.nbytes + 8 * campaign._VERDICT_BLOCK_ELEMENTS + (1 << 12)
+    assert peak <= z.nbytes + 8 * core.VERDICT_BLOCK_ELEMENTS + (1 << 12)
 
 
 @pytest.mark.parametrize("shape", [(1,), (7, 3), (5000, 7)])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vandermetric import campaign
+from vandermetric import campaign, core
 from vandermetric.cli import main
 from vandermetric.io import read_points_csv, write_points_csv
 from vandermetric import ArgumentError
@@ -426,14 +426,14 @@ class TestCampaignCommand:
 
     def test_non_finite_rows_fail_closed(self, runner, monkeypatch):
         # No campaign yields a side that is not finite, so the evaluator's are made so.
-        evaluate = campaign.replacement_sides
+        evaluate = core.replacement_sides
 
         def non_finite(*args):
             lhs, rhs, domain = evaluate(*args)
             lhs[0, 1], rhs[0, 3] = math.nan, math.inf
             return lhs, rhs, domain
 
-        monkeypatch.setattr(campaign, "replacement_sides", non_finite)
+        monkeypatch.setattr(core, "replacement_sides", non_finite)
         result = runner.invoke(main, ["campaign", "--op", "simplex", "--trials", "5"])
         assert result.exit_code == 1
         summary = json.loads(result.output.strip().splitlines()[-1])

@@ -39,6 +39,7 @@ from vandermetric.core import (
     _log_sums,
     lagrange_log_rows,
     pairwise_distances,
+    replacement_blocks,
     replacement_sides,
     vandermonde_log_rows,
     verdict,
@@ -636,16 +637,21 @@ def test_an_overflowing_row_takes_the_batch_to_lagrange_log_sums(metric, ks):
     assert v.passed.all() and math.isfinite(v.normalized.min())
 
 
-def test_replacement_sides_reject_mismatched_inputs():
+def _first_block(*args, **kwargs):
+    return next(replacement_blocks(*args, **kwargs))
+
+
+@pytest.mark.parametrize("evaluate", [replacement_sides, _first_block])
+def test_replacement_sides_reject_mismatched_inputs(evaluate):
     z = np.zeros((1, 4), dtype=complex)
     x = np.zeros((1, 4, 3))
     for points, metric in ((z, "pairwise"), (x, "root"), (z, "bogus"), (x, "euclidean3"),
                            (z, "generalized"), (x[:, :, :1], "generalized")):
         with pytest.raises(ArgumentError):
-            replacement_sides(points, np.zeros(1), metric)
+            evaluate(points, np.zeros(1), metric)
     for metric in ("pairwise", "generalized"):
         with pytest.raises(ArgumentError):  # the weights |x_i|^k are for complex points
-            replacement_sides(x, np.zeros((1, 3)), metric, ks=(0, 1))
+            evaluate(x, np.zeros((1, 3)), metric, ks=(0, 1))
     with pytest.raises(ArgumentError):
         simplex_gap([0, 1, 2], 1j, metric=vandermonde_metric)
 

@@ -40,7 +40,7 @@ from vandermetric.campaign import (
 from vandermetric import batch, campaign, core
 from vandermetric.batch import expansion_batch
 from vandermetric.cli import main
-from vandermetric.core import (LINEAR, _pair_indices, replacement_sides, vandermonde_log_rows,
+from vandermetric.core import (LINEAR, LOG, _pair_indices, replacement_sides, vandermonde_log_rows,
                                vandermonde_rows)
 from vandermetric.geometry import POLYGON_CHECKS, random_sorted_angles
 from vandermetric.multilinear import (
@@ -561,7 +561,7 @@ def test_oracles_log_at_debug_and_keep_their_output(caplog, monkeypatch):
 
 
 def test_reduce_logs_its_verdict_blocks_and_keeps_the_streams(caplog, monkeypatch):
-    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", 1000)
+    monkeypatch.setattr(core, "VERDICT_BLOCK_ELEMENTS", 1000)
     runner = CliRunner()
     commands = [["campaign", "--op", "simplex", "--n", "5", "--trials", "2500", "--seed", "4"],
                 ["campaign", "--op", "sum-identity", "--n", "4", "--m", "3", "--trials", "500",
@@ -694,7 +694,7 @@ def test_w_identity_sides_on_int64_rows_past_the_float_mantissa():
     # component-major arrays.
     n, m, q = 4, 3, 2
     rng = np.random.default_rng(23)
-    b = 2 * batch.identity_chunk_rows(np.empty((0, n, m))) + 5
+    b = 2 * core._chunk_rows(batch._projected_elements(n, m)) + 5
     points, y = rng.integers(-2**20, 2**20, (b, n, m)), rng.integers(-2**20, 2**20, (b, m))
     lhs, rhs = batch.w_identity_sides(points, y, q)
     want = replacement_sides_loop(
@@ -938,4 +938,72 @@ GOLDEN_BATCH_CAMPAIGNS = [
 def test_batch_campaign_stream_is_unchanged(index):
     kwargs, expected = GOLDEN_BATCH_CAMPAIGNS[index]
     result = run_campaign(CampaignConfig(seed=70 + index, **kwargs))
+    assert digest(result.json_lines()) == expected
+
+
+# sha256 of batch campaigns that span three or more row blocks, recorded
+# while campaign planned the blocks itself, at tol 0 as the identities
+# above.  The escaped ones scale the last row of each (B, n) draw by 1e60,
+# so the last of three blocks takes the log escape.
+GOLDEN_MULTI_BLOCK_CAMPAIGNS = [
+    (dict(op="simplex", metric="vandermonde", n=6, trials=40000),
+     "1a14bb92afce35e1a508b8dc4a89a163388105aea14d69f524ef1b65510f1473"),
+    (dict(op="simplex", metric="generalized", n=3, m=4, trials=40000),
+     "31eac5aebd32fcc13588b0818f9a694751b87178f140438ed33babaa90c6213b"),
+    (dict(op="extended", n=4, trials=20000),
+     "57be78ab86be5b19860aef4657910b0c1a7e13a4bc6091dbd3a2aeef74950d6c"),
+    (dict(op="sum-identity", n=4, m=3, trials=8000),
+     "1c030da9f2c4a9cdaec3416285eb0b436331dad16048c4b0360072ea57d1c6df"),
+    (dict(op="w-identity", n=4, m=3, q=2, trials=8000),
+     "af8d697936ef5067759f49cbfbc3df9da40b9f6865accd14975aba727733a9b1"),
+    (dict(op="simplex", metric="vandermonde", n=60, trials=1000),  # Lagrange log sums
+     "396c2dbe6ce41c37a4c249428f86c790b919cfdc8920916bf85a235c01a01215"),
+]
+GOLDEN_ESCAPED_CAMPAIGNS = [
+    (dict(op="simplex", metric="vandermonde", n=6, trials=40000),
+     "08f180ab4e29269191216f3e486ff16b295edcf19b598e9388ef08233480c3dc"),
+    (dict(op="simplex", metric="root", n=6, trials=40000),
+     "b1aa256b80b67195dab7c55e9e56a9a577d7bd402b7830437a3783f8d00fde4e"),
+]
+
+
+def _run_in_blocks(monkeypatch, config):
+    """run_campaign(config) and the domain of each block it judged."""
+    judge, domains = campaign._judge_blocks, []
+
+    def counted(config, kind, name, blocks, extra):
+        def blocks_seen():
+            for block in blocks:
+                domains.append(block[3])
+                yield block
+        return judge(config, kind, name, blocks_seen(), extra)
+
+    monkeypatch.setattr(campaign, "_judge_blocks", counted)
+    return run_campaign(config), domains
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_MULTI_BLOCK_CAMPAIGNS)))
+def test_multi_block_campaign_stream_is_unchanged(monkeypatch, index):
+    kwargs, expected = GOLDEN_MULTI_BLOCK_CAMPAIGNS[index]
+    result, domains = _run_in_blocks(monkeypatch,
+                                     CampaignConfig(seed=90 + index, tol=0.0, **kwargs))
+    assert len(domains) >= 3 and len(set(domains)) == 1
+    assert digest(result.json_lines()) == expected
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_ESCAPED_CAMPAIGNS)))
+def test_escaped_campaign_stream_is_unchanged(monkeypatch, index):
+    kwargs, expected = GOLDEN_ESCAPED_CAMPAIGNS[index]
+    draw = campaign._complex_sample
+
+    def scaled(rng, shape):
+        z = draw(rng, shape)
+        if len(shape) == 2:
+            z[-1] *= 1e60
+        return z
+
+    monkeypatch.setattr(campaign, "_complex_sample", scaled)
+    result, domains = _run_in_blocks(monkeypatch, CampaignConfig(seed=96, tol=0.0, **kwargs))
+    # Two LINEAR blocks, the escaped third, then the rows before it in log chunks.
+    assert domains[:3] == [LINEAR, LINEAR, LOG] and set(domains[3:]) == {LOG}
     assert digest(result.json_lines()) == expected

@@ -247,7 +247,7 @@ REDUCE_CASES = [(kind, domain, None) for kind in KINDS for domain in DOMAINS] + 
 @pytest.mark.parametrize("finite", [True, False])
 @pytest.mark.parametrize("kind,domain,columns", REDUCE_CASES)
 def test_blocks_equal_one_whole_batch_verdict(monkeypatch, kind, domain, columns, finite):
-    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    monkeypatch.setattr(core, "VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
     per_block = BLOCK_ELEMENTS // (columns or 1)
     rows = 60 * per_block + per_block // 2 + 1  # a short last block
     rng = np.random.default_rng(17)
@@ -275,7 +275,7 @@ def test_blocks_equal_one_whole_batch_verdict(monkeypatch, kind, domain, columns
 
 
 def test_blocks_equal_one_whole_batch_verdict_on_raveled_extended_rows(monkeypatch):
-    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    monkeypatch.setattr(core, "VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
     rng = np.random.default_rng(19)
     b, n = 37, 4
     z = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
@@ -289,20 +289,18 @@ def test_blocks_equal_one_whole_batch_verdict_on_raveled_extended_rows(monkeypat
     assert [f["k"] for f in result.failures[-3:]] == [2, 2, 2]
     # By row blocks, every k of a block before the next block, as the
     # streamed campaign judges them: trial k b + row arrives out of order.
-    config = CampaignConfig(op="simplex", seed=5, tol=1e-9)
+    config = CampaignConfig(op="simplex", seed=5, tol=1e-9, trials=b)
     for left, right in ((lhs, rhs), (rhs, lhs)):
-        reduction = campaign._Reduction(config, INEQUALITY, LINEAR, extra)
-        for start in range(0, b, 5):
-            campaign._judge_stacks(reduction, left[:, start:start + 5], right[:, start:start + 5],
-                                   b, start)
-        assert_same_result(reduction.result(),
+        blocks = ((slice(start, start + 5), left[:, start:start + 5], right[:, start:start + 5],
+                   LINEAR) for start in range(0, b, 5))
+        assert_same_result(campaign._judge_blocks(config, INEQUALITY, "extended", blocks, extra),
                            reduce_whole(config, INEQUALITY, LINEAR, left.ravel(), right.ravel(),
                                         extra))
 
 
 @pytest.mark.parametrize("kind,domain,columns", REDUCE_CASES)
 def test_empty_sides_check_nothing_and_fail(monkeypatch, kind, domain, columns):
-    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    monkeypatch.setattr(core, "VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
     empty = np.empty((0, columns) if columns else (0,))
     result = assert_blocks_equal_whole(kind, domain, empty, empty.copy())
     assert (result.trials, result.checked, result.violations) == (0, 0, 0)
@@ -310,66 +308,99 @@ def test_empty_sides_check_nothing_and_fail(monkeypatch, kind, domain, columns):
 
 
 # ---------------------------------------------------------------------------
-# Streamed campaigns: a log escape in the last chunk judges the whole batch
+# Streamed campaigns: a log escape in one block judges the whole batch in logs
+
+# Kernel and log chunks of more rows than any batch here: one block of all rows.
+ONE_BLOCK = 1 << 40
 
 
-def _recording(calls, evaluate, label=None):
-    """evaluate with its two sides swapped, appending (rows, label or domain) to calls.
+def _recording(stream, blocks):
+    """blocks with the two sides of each block swapped, appending (start, stop, domain) to stream.
 
     Swapped sides fail in most rows, so the records are full.
     """
-    def swapped(points, *args):
-        lhs, rhs, *domain = evaluate(points, *args)
-        calls.append((len(points), label or domain[0]))
-        return (rhs, lhs, *domain)
+    def swapped(*args):
+        for rows, lhs, rhs, domain in blocks(*args):
+            stream.append((rows.start, rows.stop, domain))
+            yield rows, rhs, lhs, domain
     return swapped
 
 
-@pytest.mark.parametrize("op", ["simplex", "extended"])
+def _streamed_and_whole(monkeypatch, config):
+    """(result, block stream) of config as configured, then of config in one block of all rows.
+
+    The streams are the (start, stop, domain) of each block of
+    core.replacement_blocks, whose sides come swapped (_recording).
+    """
+    stream, runs = [], []
+    monkeypatch.setattr(campaign, "replacement_blocks",
+                        _recording(stream, campaign.replacement_blocks))
+    for chunk in (core.REPLACEMENT_CHUNK_ELEMENTS, ONE_BLOCK):
+        monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", chunk)
+        runs.append((run_campaign(config), stream[:]))
+        stream.clear()
+    return runs
+
+
+def _scaled_draws(monkeypatch, row, scale):
+    """Scale one row of each (B, n) complex draw of the campaigns."""
+    draw = campaign._complex_sample
+
+    def scaled(rng, shape):
+        z = draw(rng, shape)
+        if len(shape) == 2:
+            z[row] *= scale
+        return z
+
+    monkeypatch.setattr(campaign, "_complex_sample", scaled)
+
+
+@pytest.mark.parametrize("op,metric", [("simplex", "vandermonde"), ("simplex", "root"),
+                                       ("extended", "vandermonde")])
 @pytest.mark.parametrize("scale", [1e60, 1e-30], ids=["overflow", "underflow"])
-def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, caplog, op, scale):
+def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, caplog, op, metric,
+                                                              scale):
     # The last row's 15 pair factors pass the float range at n = 6 (1e900
     # and 1e-450), so its block takes the log escape, the earlier ones not.
     # The earlier rows are then computed again as log sums, in log chunks.
     # Over 100 violations either way: extended judges six trials a row.
     n, b = 6, 150 if op == "simplex" else 40
-    config = CampaignConfig(op=op, n=n, trials=b, seed=2, tol=0.0)
+    config = CampaignConfig(op=op, metric=metric, n=n, trials=b, seed=2, tol=0.0)
     # Three rows a kernel chunk, two a log chunk; 24 rows a block of simplex, 3 of extended.
     monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * core._row_elements(n))
-    monkeypatch.setattr(campaign, "_VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
-    draw, calls = campaign._complex_sample, []
-
-    def scaled(rng, shape):
-        z = draw(rng, shape)
-        if len(shape) == 2:
-            z[-1] *= scale
-        return z
-
-    monkeypatch.setattr(campaign, "_complex_sample", scaled)
-    monkeypatch.setattr(campaign, "replacement_sides",
-                        _recording(calls, campaign.replacement_sides))
-    monkeypatch.setattr(campaign, "_lagrange_sides",
-                        _recording(calls, campaign._lagrange_sides, "log sums"))
+    monkeypatch.setattr(core, "VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    assert core._chunk_rows(core._log_elements(n)) == 2
+    _scaled_draws(monkeypatch, -1, scale)
     with caplog.at_level(logging.DEBUG, logger="vandermetric"), np.errstate(all="ignore"):
-        got = run_campaign(config)
-        streamed, calls[:] = calls[:], []
-        # One block of all rows: one whole-batch replacement_sides call.
-        monkeypatch.setattr(campaign, "replacement_chunk_rows", lambda *args: b)
-        want = run_campaign(config)
-    escape = [domain for _, domain in streamed].index(LOG)
-    start = sum(rows for rows, _ in streamed[:escape])
-    assert {domain for _, domain in streamed[:escape]} == {LINEAR}
-    assert start + streamed[escape][0] == b
-    chunk = core._chunk_rows(core._log_elements(n))
-    assert chunk == 2
-    assert streamed[escape + 1:] == [(min(chunk, start - s), "log sums")
-                                     for s in range(0, start, chunk)]
-    assert calls == [(b, LOG)]
+        (got, streamed), (want, whole) = _streamed_and_whole(monkeypatch, config)
+    block = 24 if op == "simplex" else 3
+    start = (b - 1) // block * block
+    assert streamed == ([(s, s + block, LINEAR) for s in range(0, start, block)] + [(start, b, LOG)]
+                        + [(s, min(s + 2, start), LOG) for s in range(0, start, 2)])
+    assert whole == [(0, b, LOG)]
     assert_same_result(got, want)
     assert got.violations > campaign._MAX_RECORDED_FAILURES
-    name = "simplex vandermonde" if op == "simplex" else "extended"
+    name = f"simplex {metric}" if op == "simplex" else "extended"
     assert [r.getMessage() for r in caplog.records if "Lagrange" in r.getMessage()] == [
         f"{name}: {b} trials evaluated as Lagrange log sums"] * 2
+
+
+def test_a_log_escape_in_a_middle_block_computes_the_rows_before_then_after_it(monkeypatch):
+    # Row 30 escapes in the second of three blocks of 24, 24 and 2 rows:
+    # its log sides are followed by the rows before it, then those after it,
+    # in log chunks of two rows, and the result is that of one whole block.
+    n, b = 6, 50
+    config = CampaignConfig(op="simplex", n=n, trials=b, seed=2, tol=0.0)
+    monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * core._row_elements(n))
+    monkeypatch.setattr(core, "VERDICT_BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+    _scaled_draws(monkeypatch, 30, 1e60)
+    with np.errstate(all="ignore"):
+        (got, streamed), (want, whole) = _streamed_and_whole(monkeypatch, config)
+    assert streamed == ([(0, 24, LINEAR), (24, 48, LOG)]
+                        + [(s, s + 2, LOG) for s in range(0, 24, 2)] + [(48, 50, LOG)])
+    assert whole == [(0, b, LOG)]
+    assert_same_result(got, want)
+    assert got.violations == b
 
 
 def test_a_log_escaped_batch_holds_log_chunks_not_the_batch(monkeypatch):
@@ -398,7 +429,7 @@ def test_a_log_escaped_batch_holds_log_chunks_not_the_batch(monkeypatch):
         finally:
             tracemalloc.stop()
         with monkeypatch.context() as whole:
-            whole.setattr(campaign, "replacement_chunk_rows", lambda *args: trials)
+            whole.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", ONE_BLOCK)
             assert stream == list(run_campaign(config).json_lines())
         assert json.loads(stream[-1])["pass"]
     assert peaks[32000] <= 1.1 * peaks[8000]
@@ -412,16 +443,10 @@ def test_log_domain_blocks_are_judged_as_they_come(monkeypatch, caplog, op, metr
     n, b = 13, 150 if op == "simplex" else 40
     config = CampaignConfig(op=op, metric=metric, n=n, m=3, trials=b, seed=4, tol=0.0)
     monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 7 * core._log_elements(n))
-    calls = []
-    monkeypatch.setattr(campaign, "_lagrange_sides",
-                        _recording(calls, campaign._lagrange_sides, LOG))
     with caplog.at_level(logging.DEBUG, logger="vandermetric"):
-        got = run_campaign(config)
-        streamed, calls[:] = calls[:], []
-        monkeypatch.setattr(campaign, "replacement_chunk_rows", lambda *args: b)
-        want = run_campaign(config)
-    assert streamed == [(7, LOG)] * (b // 7) + [(b % 7, LOG)]
-    assert calls == [(b, LOG)]
+        (got, streamed), (want, whole) = _streamed_and_whole(monkeypatch, config)
+    assert streamed == [(s, min(s + 7, b), LOG) for s in range(0, b, 7)]
+    assert whole == [(0, b, LOG)]
     assert_same_result(got, want)
     assert got.violations > campaign._MAX_RECORDED_FAILURES
     name = f"simplex {metric}" if op == "simplex" else "extended"
