@@ -641,17 +641,18 @@ def _first_block(*args, **kwargs):
     return next(replacement_blocks(*args, **kwargs))
 
 
-@pytest.mark.parametrize("evaluate", [replacement_sides, _first_block])
-def test_replacement_sides_reject_mismatched_inputs(evaluate):
+def test_replacement_sides_reject_mismatched_inputs():
     z = np.zeros((1, 4), dtype=complex)
     x = np.zeros((1, 4, 3))
-    for points, metric in ((z, "pairwise"), (x, "root"), (z, "bogus"), (x, "euclidean3"),
-                           (z, "generalized"), (x[:, :, :1], "generalized")):
-        with pytest.raises(ArgumentError):
-            evaluate(points, np.zeros(1), metric)
-    for metric in ("pairwise", "generalized"):
-        with pytest.raises(ArgumentError):  # the weights |x_i|^k are for complex points
-            evaluate(x, np.zeros((1, 3)), metric, ks=(0, 1))
+    # replacement_blocks checks them as replacement_sides does, before any block.
+    for evaluate in (replacement_sides, _first_block):
+        for points, metric in ((z, "pairwise"), (x, "root"), (z, "bogus"), (x, "euclidean3"),
+                               (z, "generalized"), (x[:, :, :1], "generalized")):
+            with pytest.raises(ArgumentError):
+                evaluate(points, np.zeros(1), metric)
+        for metric in ("pairwise", "generalized"):
+            with pytest.raises(ArgumentError):  # the weights |x_i|^k are for complex points
+                evaluate(x, np.zeros((1, 3)), metric, ks=(0, 1))
     with pytest.raises(ArgumentError):
         simplex_gap([0, 1, 2], 1j, metric=vandermonde_metric)
 

@@ -356,7 +356,8 @@ def _scaled_draws(monkeypatch, row, scale):
 
 
 @pytest.mark.parametrize("op,metric", [("simplex", "vandermonde"), ("simplex", "root"),
-                                       ("extended", "vandermonde")])
+                                       ("extended", "vandermonde")],
+                         ids=["simplex", "simplex-root", "extended"])
 @pytest.mark.parametrize("scale", [1e60, 1e-30], ids=["overflow", "underflow"])
 def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, caplog, op, metric,
                                                               scale):
