@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: a table of commands, each a body plus its options, parsed by argparse.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed or the
 definiteness search ran out of budget, 2 usage or input error.  Set
@@ -8,13 +8,11 @@ diagnostics on stderr.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import logging
 import os
 import sys
-
-import click
 
 from .campaign import CAMPAIGN_OPS, CampaignConfig, run_campaign
 from .core import (
@@ -42,43 +40,87 @@ _USAGE_ERRORS = (ArgumentError, SingularityError, ResourceError, StepSizeError,
                  OSError, KeyError, json.JSONDecodeError)
 
 
-def _setup_logging():
+# name -> (body, options).  A body takes its options as keywords and returns
+# (output lines, passed).
+_COMMANDS = {}
+
+
+def _command(name, *options):
+    """Register body as the command name with its options, each (flags, add_argument keywords)."""
+    def register(body):
+        _COMMANDS[name] = (body, options)
+        return body
+
+    return register
+
+
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+_HELP = _opt("--help", action="help", help="Show this message and exit.")
+_OUTPUT = _opt("--output", help="Write reports to a file instead of stdout.")
+# No -h, and no prefix of an option name stands for it: `--tri 5` is an error.
+_STRICT = {"allow_abbrev": False, "add_help": False}
+
+
+def _parser():
+    """The parser of every command, plus the --output that each one takes."""
+    top = argparse.ArgumentParser(prog="vandermetric", **_STRICT,
+                                  description="Vandermonde n-metric verification toolkit.")
+    top.add_argument(*_HELP[0], **_HELP[1])
+    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (body, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=body.__doc__, description=body.__doc__, **_STRICT)
+        for flags, kwargs in (*options, _OUTPUT, _HELP):
+            if kwargs.get("default") is not None and "action" not in kwargs:
+                kwargs = {**kwargs, "help": f"{kwargs.get('help', '')} [default: %(default)s]"}
+            sub.add_argument(*flags, **kwargs)
+    return top
+
+
+def _attach_values(argv):
+    """argv with each `--option value` of an option that takes a value as `--option=value`.
+
+    argparse reads a token that starts with '-' and is not a plain number as
+    an option; attached, `--y -0.5,0.5` and `--tol -inf` reach the command.
+    """
+    valued = {flag for _, options in _COMMANDS.values() for flags, kwargs in (*options, _OUTPUT)
+              if "action" not in kwargs for flag in flags if flag.startswith("--")}
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in valued else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
+def main(argv=None):
+    """Run the command of argv (default sys.argv[1:]).
+
+    Writes its lines to stdout or to --output and exits 0 when they passed,
+    1 when not, and 2 on a usage or input error.
+    """
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
+    if "--help" in argv:  # help wins over an invalid value given with it
+        argv = [*argv[:1], "--help"]
+    args = vars(_parser().parse_args(argv))
     level = os.environ.get("VANDERMETRIC_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         stream=sys.stderr, format="%(levelname)s %(message)s")
-
-
-@click.group()
-def main():
-    """Vandermonde n-metric verification toolkit."""
-    _setup_logging()
-
-
-def _command(name):
-    """Register a command body that returns (output lines, passed).
-
-    The runner writes the lines to stdout or to --output and exits 0 when
-    passed, 1 when not, and 2 on a usage or input error.
-    """
-    def register(body):
-        @functools.wraps(body)
-        def run(output, **kwargs):
-            try:
-                lines, passed = body(**kwargs)
-                text = "\n".join(lines) + "\n"
-                if output:
-                    with open(output, "w") as fh:
-                        fh.write(text)
-                else:
-                    click.echo(text, nl=False)
-            except _USAGE_ERRORS as exc:
-                click.echo(f"error: {exc}", err=True)
-                sys.exit(EXIT_USAGE)
-            sys.exit(EXIT_OK if passed else EXIT_CHECK_FAILED)
-
-        return main.command(name)(run)
-
-    return register
+    body, _ = _COMMANDS[args.pop("command")]
+    output = args.pop("output")
+    try:
+        lines, passed = body(**args)
+        text = "\n".join(lines) + "\n"
+        if output:
+            with open(output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except _USAGE_ERRORS as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        sys.exit(EXIT_USAGE)
+    sys.exit(EXIT_OK if passed else EXIT_CHECK_FAILED)
 
 
 def _tol(tol):
@@ -96,22 +138,20 @@ def _csv(header, rows):
         ",".join(repr(c) if isinstance(c, float) else str(c) for c in row) for row in rows]
 
 
-_input_opt = click.option("--input", "input_path", required=True,
-                          type=click.Path(exists=False), help="CSV point file.")
-_complex_opt = click.option("--complex/--vectors", "complex_points", default=True,
-                            help="Interpret CSV rows as (re, im) pairs or as vectors.")
-_output_opt = click.option("--output", default=None, type=click.Path(),
-                           help="Write reports to a file instead of stdout.")
-_tol_opt = click.option("--tol", default=None, type=float, help="Relative tolerance.")
-_seed_opt = click.option("--seed", default=0, type=int, show_default=True)
+_INPUT = _opt("--input", dest="input_path", required=True, help="CSV point file.")
+# --complex and --vectors set one flag; the last given wins.
+_COMPLEX = (_opt("--complex", dest="complex_points", action="store_true", default=True,
+                 help="Interpret CSV rows as (re, im) pairs (the default)."),
+            _opt("--vectors", dest="complex_points", action="store_false",
+                 help="Interpret CSV rows as vectors."))
+_METRIC = _opt("--metric", default="vandermonde", choices=sorted(METRICS))
+_Y = _opt("--y", dest="y_spec", required=True,
+          help="Replacement point, comma-separated coordinates.")
+_TOL = _opt("--tol", type=float, help="Relative tolerance.")
+_SEED = _opt("--seed", type=int, default=0)
 
 
-@_command("eval")
-@_input_opt
-@_complex_opt
-@click.option("--metric", default="vandermonde", show_default=True,
-              type=click.Choice(sorted(METRICS)))
-@_output_opt
+@_command("eval", _INPUT, *_COMPLEX, _METRIC)
 def eval_cmd(input_path, complex_points, metric):
     """Evaluate a metric on a point tuple read from CSV."""
     from .io import read_points_csv
@@ -134,15 +174,7 @@ def _parse_y(spec: str, complex_point: bool):
     return complex(*y)
 
 
-@_command("simplex")
-@_input_opt
-@_complex_opt
-@click.option("--metric", default="vandermonde", show_default=True,
-              type=click.Choice(sorted(METRICS)))
-@click.option("--y", "y_spec", required=True,
-              help="Replacement point, comma-separated coordinates.")
-@_tol_opt
-@_output_opt
+@_command("simplex", _INPUT, *_COMPLEX, _METRIC, _Y, _TOL)
 def simplex_cmd(input_path, complex_points, metric, y_spec, tol):
     """Check the simplex inequality for one tuple and replacement point."""
     from .io import read_points_csv
@@ -152,12 +184,8 @@ def simplex_cmd(input_path, complex_points, metric, y_spec, tol):
     return [report.to_json()], report.passed
 
 
-@_command("extended")
-@_input_opt
-@click.option("--y", "y_spec", required=True, help="Replacement point re,im.")
-@click.option("--k", default=None, type=int, help="Power; default checks all k.")
-@_tol_opt
-@_output_opt
+@_command("extended", _INPUT, _Y, _opt("--k", type=int, help="Power; default checks all k."),
+          _TOL)
 def extended_cmd(input_path, y_spec, k, tol):
     """Check the weighted simplex inequality |y|^k d <= sum |z_i|^k d_i."""
     from .io import read_points_csv
@@ -169,11 +197,8 @@ def extended_cmd(input_path, y_spec, k, tol):
     return [r.to_json() for r in reports], all(r.passed for r in reports)
 
 
-@_command("equality-family")
-@click.option("--q", default=1.0, type=float, show_default=True)
-@click.option("--s", default=2.0, type=float, show_default=True)
-@_tol_opt
-@_output_opt
+@_command("equality-family", _opt("--q", type=float, default=1.0),
+          _opt("--s", type=float, default=2.0), _TOL)
 def equality_family_cmd(q, s, tol):
     """Evaluate the two-parameter exact-equality configuration."""
     from .geometry import equality_family, equality_gap_3
@@ -182,14 +207,11 @@ def equality_family_cmd(q, s, tol):
     return [dump_json({**report.to_dict(), "q": q, "s": s})], report.flags["equality"]
 
 
-@_command("polygon")
-@click.option("--input", "input_path", required=True,
-              help='Polygon JSON {"R": ..., "angles": [...], "center": [re, im]} or a path.')
-@click.option("--check", default="all", show_default=True,
-              type=click.Choice([*POLYGON_CHECK_NAMES, "all"]))
-@_tol_opt
-@_output_opt
-@click.option("--emit-csv", is_flag=True, help="Emit CSV rows instead of JSON.")
+@_command("polygon",
+          _opt("--input", dest="input_path", required=True,
+               help='Polygon JSON {"R": ..., "angles": [...], "center": [re, im]} or a path.'),
+          _opt("--check", default="all", choices=[*POLYGON_CHECK_NAMES, "all"]), _TOL,
+          _opt("--emit-csv", action="store_true", help="Emit CSV rows instead of JSON."))
 def polygon_cmd(input_path, check, tol, emit_csv):
     """Run the cyclic-polygon inequality checks on one polygon."""
     from .geometry import POLYGON_CHECKS
@@ -209,34 +231,21 @@ def polygon_cmd(input_path, check, tol, emit_csv):
     return lines, all(r.passed for r in reports)
 
 
-@_command("multilinear-verify")
-@click.option("--n", default=3, type=int, show_default=True)
-@click.option("--m", default=3, type=int, show_default=True)
-@click.option("--trials", default=100, type=int, show_default=True)
-@_seed_opt
-@_tol_opt
-@_output_opt
+@_command("multilinear-verify", _opt("--n", type=int, default=3), _opt("--m", type=int, default=3),
+          _opt("--trials", type=int, default=100), _SEED, _TOL)
 def multilinear_verify_cmd(n, m, trials, seed, tol):
     """Alias: the multilinear-oracle, sum-identity and w-identity (q = 1..n) campaigns."""
     ops = [("multilinear-oracle", 1), ("sum-identity", 1)]
     ops += [("w-identity", q) for q in range(1, n + 1)]
-    lines = []
-    ok = True
-    for op, q in ops:
-        result = run_campaign(CampaignConfig(op=op, seed=seed, trials=trials, tol=tol,
-                                             n=n, m=m, q=q))
-        lines += result.json_lines()
-        ok = ok and result.passed
-    lines.append(dump_json({"record": "summary", "n": n, "m": m, "trials": trials,
-                            "seed": seed, "pass": ok}))
-    return lines, ok
+    results = [run_campaign(CampaignConfig(op=op, seed=seed, trials=trials, tol=tol, n=n, m=m, q=q))
+               for op, q in ops]
+    ok = all(r.passed for r in results)
+    summary = {"record": "summary", "n": n, "m": m, "trials": trials, "seed": seed, "pass": ok}
+    return [line for r in results for line in r.json_lines()] + [dump_json(summary)], ok
 
 
-@_command("definiteness")
-@click.option("--n", required=True, type=int)
-@click.option("--m", required=True, type=int)
-@click.option("--budget", default=1_000_000, type=int, show_default=True)
-@_output_opt
+@_command("definiteness", _opt("--n", type=int, required=True),
+          _opt("--m", type=int, required=True), _opt("--budget", type=int, default=1_000_000))
 def definiteness_cmd(n, m, budget):
     """Decide definiteness of the generalized metric for (n, m); exit 1 when undecided."""
     from .multilinear import definiteness_decide
@@ -245,9 +254,7 @@ def definiteness_cmd(n, m, budget):
     return [dump_json(verdict.to_dict())], verdict.verdict != "exhausted"
 
 
-@_command("counterexample")
-@click.argument("which", type=click.Choice(["tetrahedron", "four-four"]))
-@_output_opt
+@_command("counterexample", _opt("which", choices=["tetrahedron", "four-four"]))
 def counterexample_cmd(which):
     """Reproduce a known counterexample; exit 0 when it reproduces."""
     if which == "tetrahedron":
@@ -269,13 +276,10 @@ def counterexample_cmd(which):
     return [dump_json(record)], reproduced
 
 
-@_command("ode")
-@click.option("--input", "input_path", required=True,
-              help="Problem JSON (matrix catalog entry, initials, grid) or a path.")
-@_tol_opt
-@_output_opt
-@click.option("--format", "fmt", default="jsonl", show_default=True,
-              type=click.Choice(["jsonl", "csv"]))
+@_command("ode",
+          _opt("--input", dest="input_path", required=True,
+               help="Problem JSON (matrix catalog entry, initials, grid) or a path."),
+          _TOL, _opt("--format", dest="fmt", default="jsonl", choices=["jsonl", "csv"]))
 def ode_cmd(input_path, tol, fmt):
     """Integrate a linear ODE problem and verify the contraction estimate."""
     from .io import problem_from_json
@@ -290,20 +294,12 @@ def ode_cmd(input_path, tol, fmt):
     return lines, all(r.passed for r in reports)
 
 
-@_command("campaign")
-@click.option("--op", required=True, type=click.Choice(CAMPAIGN_OPS))
-@click.option("--metric", default="vandermonde", show_default=True)
-@click.option("--trials", default=1000, type=int, show_default=True)
-@_seed_opt
-@_tol_opt
-@click.option("--n", default=4, type=int, show_default=True)
-@click.option("--m", default=3, type=int, show_default=True)
-@click.option("--k", default=None, type=int)
-@click.option("--q", default=1, type=int, show_default=True)
-@click.option("--check", default="triangle", show_default=True)
-@_output_opt
-@click.option("--format", "fmt", default="jsonl", show_default=True,
-              type=click.Choice(["json", "jsonl", "csv"]))
+@_command("campaign", _opt("--op", required=True, choices=CAMPAIGN_OPS),
+          _opt("--metric", default="vandermonde"), _opt("--trials", type=int, default=1000),
+          _SEED, _TOL, _opt("--n", type=int, default=4), _opt("--m", type=int, default=3),
+          _opt("--k", type=int), _opt("--q", type=int, default=1),
+          _opt("--check", default="triangle"),
+          _opt("--format", dest="fmt", default="jsonl", choices=["json", "jsonl", "csv"]))
 def campaign_cmd(fmt, **config):
     """Run a seeded randomized verification campaign."""
     result = run_campaign(CampaignConfig(**config))

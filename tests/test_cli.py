@@ -10,19 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from vandermetric import campaign, core
-from vandermetric.cli import main
 from vandermetric.io import read_points_csv, write_points_csv
 from vandermetric import ArgumentError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_csv(path, rows):
@@ -76,34 +69,34 @@ class TestIO:
 
 
 class TestEval:
-    def test_eval_complex(self, runner, complex_csv):
-        result = runner.invoke(main, ["eval", "--input", complex_csv])
+    def test_eval_complex(self, cli, complex_csv):
+        result = cli(["eval", "--input", complex_csv])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["value"] == 2.0
 
-    def test_eval_vectors(self, runner, tetrahedron_csv):
-        result = runner.invoke(main, ["eval", "--input", tetrahedron_csv,
-                                      "--vectors", "--metric", "pairwise"])
+    def test_eval_vectors(self, cli, tetrahedron_csv):
+        result = cli(["eval", "--input", tetrahedron_csv,
+                      "--vectors", "--metric", "pairwise"])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["value"] == pytest.approx((8.0 / 3.0) ** 3, rel=1e-12)
 
-    def test_missing_file_is_usage_error(self, runner):
-        result = runner.invoke(main, ["eval", "--input", "/no/such/file.csv"])
+    def test_missing_file_is_usage_error(self, cli):
+        result = cli(["eval", "--input", "/no/such/file.csv"])
         assert result.exit_code == 2
 
 
 class TestSimplex:
-    def test_holds(self, runner, complex_csv):
-        result = runner.invoke(main, ["simplex", "--input", complex_csv, "--y", "0.5,0.5"])
+    def test_holds(self, cli, complex_csv):
+        result = cli(["simplex", "--input", complex_csv, "--y", "0.5,0.5"])
         assert result.exit_code == 0
         assert json.loads(result.output)["pass"] is True
 
-    def test_tetrahedron_fails_with_exit_1(self, runner, tetrahedron_csv):
-        result = runner.invoke(main, ["simplex", "--input", tetrahedron_csv,
-                                      "--vectors", "--metric", "pairwise",
-                                      "--y", "0,0,0"])
+    def test_tetrahedron_fails_with_exit_1(self, cli, tetrahedron_csv):
+        result = cli(["simplex", "--input", tetrahedron_csv,
+                      "--vectors", "--metric", "pairwise",
+                      "--y", "0,0,0"])
         assert result.exit_code == 1
         assert json.loads(result.output)["pass"] is False
 
@@ -112,35 +105,35 @@ class TestSimplex:
         ("complex_csv", ["--y", "0,inf"]),
         ("tetrahedron_csv", ["--vectors", "--metric", "pairwise", "--y", "0,nan,0"]),
     ])
-    def test_non_finite_replacement_point_is_usage_error(self, runner, request, fixture, args):
-        result = runner.invoke(main, ["simplex", "--input", request.getfixturevalue(fixture),
-                                      *args])
+    def test_non_finite_replacement_point_is_usage_error(self, cli, request, fixture, args):
+        result = cli(["simplex", "--input", request.getfixturevalue(fixture),
+                      *args])
         assert result.exit_code == 2
         assert result.output.startswith("error: non-finite replacement point")
 
 
 class TestExtended:
-    def test_all_k(self, runner, complex_csv):
-        result = runner.invoke(main, ["extended", "--input", complex_csv, "--y", "1,1"])
+    def test_all_k(self, cli, complex_csv):
+        result = cli(["extended", "--input", complex_csv, "--y", "1,1"])
         assert result.exit_code == 0
         assert len(result.output.strip().splitlines()) == 3
 
-    def test_bad_k(self, runner, complex_csv):
-        result = runner.invoke(main, ["extended", "--input", complex_csv,
-                                      "--y", "1,1", "--k", "7"])
+    def test_bad_k(self, cli, complex_csv):
+        result = cli(["extended", "--input", complex_csv,
+                      "--y", "1,1", "--k", "7"])
         assert result.exit_code == 2
 
-    def test_non_finite_replacement_point_is_usage_error(self, runner, complex_csv):
-        result = runner.invoke(main, ["extended", "--input", complex_csv, "--y", "inf,0",
-                                      "--k", "1"])
+    def test_non_finite_replacement_point_is_usage_error(self, cli, complex_csv):
+        result = cli(["extended", "--input", complex_csv, "--y", "inf,0",
+                      "--k", "1"])
         assert result.exit_code == 2
         assert result.output.startswith("error: non-finite replacement point")
 
-    def test_overflowing_weight_is_decided_in_logs(self, runner, tmp_path):
+    def test_overflowing_weight_is_decided_in_logs(self, cli, tmp_path):
         path = tmp_path / "huge.csv"
         write_csv(path, [(1e200, 0), (0, 1), (2, 0)])
-        result = runner.invoke(main, ["extended", "--input", str(path), "--y", "1e200,0",
-                                      "--k", "2"])
+        result = cli(["extended", "--input", str(path), "--y", "1e200,0",
+                      "--k", "2"])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["pass"] is True and record["log_domain"] is True
@@ -148,63 +141,63 @@ class TestExtended:
 
 
 class TestEqualityFamily:
-    def test_default_parameters(self, runner):
-        result = runner.invoke(main, ["equality-family"])
+    def test_default_parameters(self, cli):
+        result = cli(["equality-family"])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["equality"] is True
 
-    def test_non_finite_point_is_usage_error(self, runner):
-        result = runner.invoke(main, ["equality-family", "--q", "1e-300", "--s", "1e300"])
+    def test_non_finite_point_is_usage_error(self, cli):
+        result = cli(["equality-family", "--q", "1e-300", "--s", "1e300"])
         assert result.exit_code == 2
         assert result.output.startswith("error: non-finite equality-family point")
 
-    def test_negative_parameter(self, runner):
-        result = runner.invoke(main, ["equality-family", "--q", "-1"])
+    def test_negative_parameter(self, cli):
+        result = cli(["equality-family", "--q", "-1"])
         assert result.exit_code == 2
 
 
 class TestPolygon:
-    def test_regular_pentagon_all(self, runner):
+    def test_regular_pentagon_all(self, cli):
         angles = [2 * math.pi * k / 5 for k in range(5)]
         spec = json.dumps({"R": 1.0, "angles": angles})
-        result = runner.invoke(main, ["polygon", "--input", spec])
+        result = cli(["polygon", "--input", spec])
         assert result.exit_code == 0
 
-    def test_quadrilateral_includes_ptolemy(self, runner):
+    def test_quadrilateral_includes_ptolemy(self, cli):
         angles = [0.3, 1.2, 3.0, 5.0]
         spec = json.dumps({"R": 2.0, "angles": angles})
-        result = runner.invoke(main, ["polygon", "--input", spec])
+        result = cli(["polygon", "--input", spec])
         assert result.exit_code == 0
         ops = [json.loads(line)["operation"] for line in result.output.strip().splitlines()]
         assert "ptolemy_gap" in ops and "quadrilateral_check" in ops
 
-    def test_csv_output(self, runner):
+    def test_csv_output(self, cli):
         spec = json.dumps({"R": 1.0, "angles": [0.0, 2.0, 4.0]})
-        result = runner.invoke(main, ["polygon", "--input", spec, "--check", "triangle",
-                                      "--emit-csv"])
+        result = cli(["polygon", "--input", spec, "--check", "triangle",
+                      "--emit-csv"])
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "operation,lhs,rhs,gap"
 
     @pytest.mark.parametrize("angles", [[0.1, 2.0, 4.0], [0.1, 2.0, 4.0, 5.0]])
-    def test_csv_rows_hold_plain_floats(self, runner, angles):
+    def test_csv_rows_hold_plain_floats(self, cli, angles):
         spec = json.dumps({"R": 1.0, "angles": angles, "center": [0, 0]})
-        result = runner.invoke(main, ["polygon", "--input", spec, "--emit-csv"])
+        result = cli(["polygon", "--input", spec, "--emit-csv"])
         assert result.exit_code == 0
         rows = [line.split(",") for line in result.output.splitlines()[1:]]
         assert len(rows) == (3 if len(angles) == 3 else 4)
         for operation, *numbers in rows:
             assert [repr(float(x)) for x in numbers] == numbers, operation
 
-    def test_from_file(self, runner, tmp_path):
+    def test_from_file(self, cli, tmp_path):
         path = tmp_path / "poly.json"
         path.write_text(json.dumps({"R": 1.0, "angles": [0.0, 2.1, 4.2]}))
-        result = runner.invoke(main, ["polygon", "--input", str(path)])
+        result = cli(["polygon", "--input", str(path)])
         assert result.exit_code == 0
 
-    def test_invalid_polygon(self, runner):
+    def test_invalid_polygon(self, cli):
         spec = json.dumps({"R": -1.0, "angles": [0.0, 1.0, 2.0]})
-        result = runner.invoke(main, ["polygon", "--input", spec])
+        result = cli(["polygon", "--input", spec])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("spec", [
@@ -223,83 +216,83 @@ class TestPolygon:
 
 
 class TestMultilinearVerify:
-    def test_passes(self, runner):
-        result = runner.invoke(main, ["multilinear-verify", "--n", "3", "--m", "3",
-                                      "--trials", "20", "--seed", "1"])
+    def test_passes(self, cli):
+        result = cli(["multilinear-verify", "--n", "3", "--m", "3",
+                      "--trials", "20", "--seed", "1"])
         assert result.exit_code == 0
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["pass"] is True
 
-    def test_runs_the_identity_campaigns(self, runner):
-        result = runner.invoke(main, ["multilinear-verify", "--n", "3", "--m", "3",
-                                      "--trials", "20", "--seed", "1"])
+    def test_runs_the_identity_campaigns(self, cli):
+        result = cli(["multilinear-verify", "--n", "3", "--m", "3",
+                      "--trials", "20", "--seed", "1"])
         records = [json.loads(line) for line in result.output.strip().splitlines()]
         runs = [(r["config"]["op"], r["config"]["q"]) for r in records[:-1]]
         assert runs == [("multilinear-oracle", 1), ("sum-identity", 1),
                         ("w-identity", 1), ("w-identity", 2), ("w-identity", 3)]
         assert all(r["config"]["seed"] == 1 and r["pass"] for r in records[:-1])
 
-    def test_failed_run_fails_the_summary(self, runner):
-        result = runner.invoke(main, ["multilinear-verify", "--n", "3", "--m", "3",
-                                      "--trials", "20", "--tol", "0"])
+    def test_failed_run_fails_the_summary(self, cli):
+        result = cli(["multilinear-verify", "--n", "3", "--m", "3",
+                      "--trials", "20", "--tol", "0"])
         assert result.exit_code == 1
         assert json.loads(result.output.strip().splitlines()[-1])["pass"] is False
 
 
-    def test_negative_seed_usage_error(self, runner):
-        result = runner.invoke(main, ["multilinear-verify", "--trials", "5", "--seed", "-1"])
+    def test_negative_seed_usage_error(self, cli):
+        result = cli(["multilinear-verify", "--trials", "5", "--seed", "-1"])
         assert result.exit_code == 2
         assert result.output.startswith("error: seed must be >= 0")
 
 
 class TestDefiniteness:
-    def test_definite_case(self, runner):
-        result = runner.invoke(main, ["definiteness", "--n", "3", "--m", "3"])
+    def test_definite_case(self, cli):
+        result = cli(["definiteness", "--n", "3", "--m", "3"])
         assert result.exit_code == 0
         assert json.loads(result.output)["verdict"] == "definite"
 
-    def test_counterexample_case(self, runner):
-        result = runner.invoke(main, ["definiteness", "--n", "4", "--m", "4"])
+    def test_counterexample_case(self, cli):
+        result = cli(["definiteness", "--n", "4", "--m", "4"])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["verdict"] == "counterexample"
         assert "witness_matrix" in record
 
-    def test_exhausted_budget_exits_1(self, runner):
-        result = runner.invoke(main, ["definiteness", "--n", "3", "--m", "5",
-                                      "--budget", "100"])
+    def test_exhausted_budget_exits_1(self, cli):
+        result = cli(["definiteness", "--n", "3", "--m", "5",
+                      "--budget", "100"])
         assert result.exit_code == 1
         assert json.loads(result.output)["verdict"] == "exhausted"
 
-    def test_invalid_n(self, runner):
-        result = runner.invoke(main, ["definiteness", "--n", "2", "--m", "3"])
+    def test_invalid_n(self, cli):
+        result = cli(["definiteness", "--n", "2", "--m", "3"])
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("budget", ["0", "-4"])
-    def test_empty_budget_is_a_usage_error(self, runner, budget):
-        result = runner.invoke(main, ["definiteness", "--n", "3", "--m", "5",
-                                      "--budget", budget])
+    def test_empty_budget_is_a_usage_error(self, cli, budget):
+        result = cli(["definiteness", "--n", "3", "--m", "5",
+                      "--budget", budget])
         assert result.exit_code == 2
         assert "budget must be >= 1" in result.output
 
 
 class TestCounterexample:
-    def test_tetrahedron(self, runner):
-        result = runner.invoke(main, ["counterexample", "tetrahedron"])
+    def test_tetrahedron(self, cli):
+        result = cli(["counterexample", "tetrahedron"])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["reproduced"] is True
         assert record["simplex_holds"] is False
 
-    def test_four_four(self, runner):
-        result = runner.invoke(main, ["counterexample", "four-four"])
+    def test_four_four(self, cli):
+        result = cli(["counterexample", "four-four"])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["reproduced"] is True
         assert record["metric_value"] == 0.0
 
-    def test_unknown_choice(self, runner):
-        result = runner.invoke(main, ["counterexample", "pentagon"])
+    def test_unknown_choice(self, cli):
+        result = cli(["counterexample", "pentagon"])
         assert result.exit_code == 2
 
 
@@ -311,15 +304,15 @@ class TestOde:
             "grid": list(np.linspace(0.0, 1.0, steps + 1)),
         })
 
-    def test_estimate_holds(self, runner):
-        result = runner.invoke(main, ["ode", "--input", self.problem_spec()])
+    def test_estimate_holds(self, cli):
+        result = cli(["ode", "--input", self.problem_spec()])
         assert result.exit_code == 0
         for line in result.output.strip().splitlines():
             assert json.loads(line)["pass"] is True
 
-    def test_csv_format(self, runner):
-        result = runner.invoke(main, ["ode", "--input", self.problem_spec(),
-                                      "--format", "csv"])
+    def test_csv_format(self, cli):
+        result = cli(["ode", "--input", self.problem_spec(),
+                      "--format", "csv"])
         assert result.exit_code == 0
         header, *rows = result.output.splitlines()
         assert header == "t,lhs,rhs,gap" and rows
@@ -331,10 +324,10 @@ class TestOde:
         {"kind": "linear", "a0": [[1.0, 0.0], [0.0, 1.0]], "a1": [[1.0]]},
         {"kind": "sampled", "times": [1.0, 0.0], "samples": [[[1.0, 0.0], [0.0, 1.0]]] * 2},
     ])
-    def test_malformed_matrix_usage_error(self, runner, matrix):
+    def test_malformed_matrix_usage_error(self, cli, matrix):
         spec = json.dumps({"matrix": matrix, "initials": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                            "grid": [0.0, 0.5, 1.0]})
-        result = runner.invoke(main, ["ode", "--input", spec])
+        result = cli(["ode", "--input", spec])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
 
@@ -348,43 +341,43 @@ class TestOde:
         assert proc.returncode == 2
         assert proc.stderr == "error: the trajectories left the float range\n"
 
-    def test_coarse_grid_usage_error(self, runner):
+    def test_coarse_grid_usage_error(self, cli):
         spec = json.dumps({
             "matrix": {"kind": "constant", "a0": [[-10.0, 0.0], [0.0, -10.0]]},
             "initials": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
             "grid": [0.0, 1.0, 2.0],
         })
-        result = runner.invoke(main, ["ode", "--input", spec])
+        result = cli(["ode", "--input", spec])
         assert result.exit_code == 2
 
 
 class TestCampaignCommand:
-    def test_simplex_summary(self, runner):
-        result = runner.invoke(main, ["campaign", "--op", "simplex",
-                                      "--trials", "200", "--seed", "1"])
+    def test_simplex_summary(self, cli):
+        result = cli(["campaign", "--op", "simplex",
+                      "--trials", "200", "--seed", "1"])
         assert result.exit_code == 0
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["pass"] is True
 
-    def test_output_file_byte_identical(self, runner, tmp_path):
+    def test_output_file_byte_identical(self, cli, tmp_path):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
-            result = runner.invoke(main, ["campaign", "--op", "equality-family",
-                                          "--trials", "300", "--seed", "9",
-                                          "--output", str(path)])
+            result = cli(["campaign", "--op", "equality-family",
+                          "--trials", "300", "--seed", "9",
+                          "--output", str(path)])
             assert result.exit_code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_json_format(self, runner):
-        result = runner.invoke(main, ["campaign", "--op", "polygon", "--check", "ngon",
-                                      "--n", "5", "--trials", "50", "--format", "json"])
+    def test_json_format(self, cli):
+        result = cli(["campaign", "--op", "polygon", "--check", "ngon",
+                      "--n", "5", "--trials", "50", "--format", "json"])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert record["summary"]["pass"] is True
 
-    def test_csv_format(self, runner):
-        result = runner.invoke(main, ["campaign", "--op", "simplex",
-                                      "--trials", "50", "--format", "csv"])
+    def test_csv_format(self, cli):
+        result = cli(["campaign", "--op", "simplex",
+                      "--trials", "50", "--format", "csv"])
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "trial,lhs,rhs,gap"
 
@@ -394,8 +387,8 @@ class TestCampaignCommand:
         (["--op", "polygon", "--check", "ptolemy", "--trials", "30", "--tol", "0"], True),
         (["--op", "sum-identity", "--trials", "20"], False),
     ])
-    def test_identity_csv_holds_gap_and_scale(self, runner, args, failures):
-        result = runner.invoke(main, ["campaign", *args, "--format", "csv"])
+    def test_identity_csv_holds_gap_and_scale(self, cli, args, failures):
+        result = cli(["campaign", *args, "--format", "csv"])
         assert result.exit_code == (1 if failures else 0)
         header, *rows = result.output.splitlines()
         assert header == "trial,gap,scale"
@@ -404,13 +397,13 @@ class TestCampaignCommand:
             trial, gap, scale = row.split(",")
             assert int(trial) >= 0 and float(gap) > 0.0 and float(scale) >= 1.0
 
-    def test_unknown_op_rejected(self, runner):
-        result = runner.invoke(main, ["campaign", "--op", "bogus"])
+    def test_unknown_op_rejected(self, cli):
+        result = cli(["campaign", "--op", "bogus"])
         assert result.exit_code == 2
 
-    def test_bad_metric_usage_error(self, runner):
-        result = runner.invoke(main, ["campaign", "--op", "simplex",
-                                      "--metric", "bogus", "--trials", "10"])
+    def test_bad_metric_usage_error(self, cli):
+        result = cli(["campaign", "--op", "simplex",
+                      "--metric", "bogus", "--trials", "10"])
         assert result.exit_code == 2
 
     # The generalized products pass the float range at these sizes.
@@ -418,13 +411,13 @@ class TestCampaignCommand:
         ["--op", "simplex", "--metric", "generalized", "--n", "60", "--m", "3", "--trials", "5"],
         ["--op", "simplex", "--metric", "generalized", "--n", "40", "--m", "5", "--trials", "5"],
     ])
-    def test_overflowing_rows_are_decided_in_logs(self, runner, args):
-        result = runner.invoke(main, ["campaign", *args])
+    def test_overflowing_rows_are_decided_in_logs(self, cli, args):
+        result = cli(["campaign", *args])
         assert result.exit_code == 0
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["pass"] is True and math.isfinite(summary["worst"])
 
-    def test_non_finite_rows_fail_closed(self, runner, monkeypatch):
+    def test_non_finite_rows_fail_closed(self, cli, monkeypatch):
         # No campaign yields a side that is not finite, so the evaluator's are made so.
         evaluate = core.replacement_sides
 
@@ -434,7 +427,7 @@ class TestCampaignCommand:
             return lhs, rhs, domain
 
         monkeypatch.setattr(core, "replacement_sides", non_finite)
-        result = runner.invoke(main, ["campaign", "--op", "simplex", "--trials", "5"])
+        result = cli(["campaign", "--op", "simplex", "--trials", "5"])
         assert result.exit_code == 1
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["pass"] is False and summary["violations"] == 2
@@ -454,8 +447,8 @@ class TestCampaignCommand:
         ["--op", "sum-identity", "--q", "3"],
         ["--op", "simplex", "--check", "ngon"],
     ])
-    def test_invalid_config_usage_error(self, runner, args):
-        result = runner.invoke(main, ["campaign", *args])
+    def test_invalid_config_usage_error(self, cli, args):
+        result = cli(["campaign", *args])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
 
@@ -466,8 +459,8 @@ class TestCampaignCommand:
         (["--op", "polygon", "--check", "ptolemy", "--n", "40"], 4),
         (["--op", "equality-family", "--n", "10"], 3),
     ])
-    def test_size_the_campaign_does_not_check_is_usage_error(self, runner, args, size):
-        result = runner.invoke(main, ["campaign", *args, "--trials", "5"])
+    def test_size_the_campaign_does_not_check_is_usage_error(self, cli, args, size):
+        result = cli(["campaign", *args, "--trials", "5"])
         assert result.exit_code == 2
         assert result.output == (f"error: this {args[1]} campaign checks {size} points whatever "
                                  f"n is; got n={args[-1]} (leave n out, or give {size})\n")
@@ -477,17 +470,17 @@ class TestCampaignCommand:
         ["--op", "polygon", "--check", "triangle", "--n", "3"],
         ["--op", "simplex", "--metric", "euclidean3", "--n", "3"],
     ])
-    def test_size_the_campaign_checks_runs(self, runner, args):
-        result = runner.invoke(main, ["campaign", *args, "--trials", "5"])
+    def test_size_the_campaign_checks_runs(self, cli, args):
+        result = cli(["campaign", *args, "--trials", "5"])
         assert result.exit_code == 0
 
-    def test_k_of_an_op_that_never_reads_it_is_usage_error(self, runner):
+    def test_k_of_an_op_that_never_reads_it_is_usage_error(self, cli):
         for op, k in (("simplex", "2"), ("sum-identity", "9")):
-            result = runner.invoke(main, ["campaign", "--op", op, "--k", k, "--trials", "10"])
+            result = cli(["campaign", "--op", op, "--k", k, "--trials", "10"])
             assert result.exit_code == 2
             assert result.output == f"error: k is a power of the extended campaign only, " \
                                     f"not of {op!r}\n"
-        result = runner.invoke(main, ["campaign", "--op", "extended", "--k", "2", "--trials", "10"])
+        result = cli(["campaign", "--op", "extended", "--k", "2", "--trials", "10"])
         assert result.exit_code == 0
 
 
@@ -511,8 +504,8 @@ class TestMalformedNumbers:
         ["simplex", "--input", "{csv}", "--y", "1,2,3"],
         ["extended", "--input", "{csv}", "--y", "1,2,3"],
     ])
-    def test_usage_error(self, runner, complex_csv, args):
-        result = runner.invoke(main, [a.replace("{csv}", complex_csv) for a in args])
+    def test_usage_error(self, cli, complex_csv, args):
+        result = cli([a.replace("{csv}", complex_csv) for a in args])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
 
@@ -525,8 +518,8 @@ class TestRunner:
         ["polygon", "--input", json.dumps({"R": 1.0, "angles": [0.0, 2.0, 4.0]})],
     ])
     @pytest.mark.parametrize("output", ["/no/such/dir/x", "{dir}"])
-    def test_unwritable_output_is_usage_error(self, runner, tmp_path, args, output):
-        result = runner.invoke(main, [*args, "--output", output.replace("{dir}", str(tmp_path))])
+    def test_unwritable_output_is_usage_error(self, cli, tmp_path, args, output):
+        result = cli([*args, "--output", output.replace("{dir}", str(tmp_path))])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
 
@@ -535,25 +528,89 @@ class TestRunner:
         (4, ["quadrilateral_check", "ptolemy_gap", "ngon_check", "simplex_equality_ngon"]),
         (5, ["ngon_check", "simplex_equality_ngon"]),
     ])
-    def test_polygon_all_runs_the_checks_of_its_size(self, runner, n, operations):
+    def test_polygon_all_runs_the_checks_of_its_size(self, cli, n, operations):
         spec = json.dumps({"R": 1.3, "angles": [0.2 + 1.1 * k for k in range(n)]})
-        result = runner.invoke(main, ["polygon", "--input", spec, "--check", "all"])
+        result = cli(["polygon", "--input", spec, "--check", "all"])
         assert result.exit_code == 0
         assert [json.loads(line)["operation"] for line in result.output.splitlines()] \
             == operations
 
-    def test_polygon_check_of_another_size_is_usage_error(self, runner):
+    def test_polygon_check_of_another_size_is_usage_error(self, cli):
         spec = json.dumps({"R": 1.0, "angles": [0.0, 1.0, 2.0, 3.0, 4.0]})
-        result = runner.invoke(main, ["polygon", "--input", spec, "--check", "triangle"])
+        result = cli(["polygon", "--input", spec, "--check", "triangle"])
         assert result.exit_code == 2
         assert result.output.startswith("error: ")
 
 
+COMMANDS = ["eval", "simplex", "extended", "equality-family", "polygon", "multilinear-verify",
+            "definiteness", "counterexample", "ode", "campaign"]
+
+
+class TestParsing:
+    """The exit codes of the parser itself, as they were under click."""
+
+    def test_no_command_is_usage_error(self, cli):
+        assert cli([]).exit_code == 2
+
+    @pytest.mark.parametrize("command", [[]] + [[name] for name in COMMANDS])
+    def test_help_exits_0(self, cli, command):
+        result = cli([*command, "--help"])
+        assert result.exit_code == 0 and result.stdout
+
+    @pytest.mark.parametrize("args", [
+        ["campaign", "--op", "bogus", "--help"],
+        ["campaign", "--trials", "ten", "--help"],
+        ["counterexample", "--help", "pentagon"],
+    ])
+    def test_help_wins_over_an_invalid_value(self, cli, args):
+        result = cli(args)
+        assert result.exit_code == 0 and result.stdout.startswith(f"usage: vandermetric {args[0]}")
+
+    def test_help_after_an_unknown_command_is_usage_error(self, cli):
+        assert cli(["bogus", "--help"]).exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["campaign", "--op", "simplex", "--tri", "5"],
+        ["bogus"],
+        ["campaign", "--op", "simplex", "--format", "xml"],
+        ["eval", "--input", "x.csv", "--metric", "bogus"],
+        ["campaign", "--op", "simplex", "--trials", "ten"],
+        ["definiteness", "--n", "3"],
+    ], ids=["abbreviated-option", "unknown-command", "bad-choice", "bad-metric-choice",
+            "non-integer", "missing-required"])
+    def test_parser_usage_error(self, cli, args):
+        result = cli(args)
+        assert result.exit_code == 2 and result.stdout == ""
+
+    @pytest.mark.parametrize("args,y", [
+        (["simplex", "--input", "{csv}"], "-0.5,0.5"),
+        (["extended", "--input", "{csv}", "--k", "1"], "-1,-1"),
+    ])
+    def test_a_value_that_starts_with_a_dash(self, cli, complex_csv, args, y):
+        args = [a.replace("{csv}", complex_csv) for a in args]
+        spaced, joined = cli([*args, "--y", y]), cli([*args, f"--y={y}"])
+        assert spaced == joined and spaced.exit_code == 0
+        assert json.loads(spaced.stdout)["inputs"]["y"] == [float(c) for c in y.split(",")]
+
+
 class TestLogging:
-    def test_log_env_var(self, runner, complex_csv, monkeypatch):
-        monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
-        result = runner.invoke(main, ["eval", "--input", complex_csv])
-        assert result.exit_code == 0
+    @staticmethod
+    def run(env):
+        proc = subprocess.run([sys.executable, "-m", "vandermetric.cli", "campaign", "--op",
+                               "simplex", "--trials", "16"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    def test_log_env_var(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("VANDERMETRIC_LOG", None)
+        quiet = self.run(env)
+        loud = self.run({**env, "VANDERMETRIC_LOG": "DEBUG"})
+        assert quiet.stderr == ""
+        assert "DEBUG simplex campaign: 16 rows judged, 1 verdict blocks, 0 violations" \
+            in loud.stderr.splitlines()
+        assert loud.stdout == quiet.stdout
 
 
 # One invocation per behaviour the runner must keep byte for byte: every
@@ -618,11 +675,11 @@ _GOLDEN_INVOCATIONS = [
 _GOLDEN_SHA256 = "dfa36a6491f04ae87cf93e658f22e704c080f2af89cc8aa0c6f017969b7f6885"
 
 
-def test_cli_golden(runner, complex_csv, tetrahedron_csv):
+def test_cli_golden(cli, complex_csv, tetrahedron_csv):
     digest = hashlib.sha256()
     for args in _GOLDEN_INVOCATIONS:
-        result = runner.invoke(main, [a.replace("{csv}", complex_csv)
-                                      .replace("{tetra}", tetrahedron_csv) for a in args])
+        result = cli([a.replace("{csv}", complex_csv)
+                      .replace("{tetra}", tetrahedron_csv) for a in args])
         digest.update(f"{args!r}\0{result.exit_code}\0{result.output}\0".encode())
     assert digest.hexdigest() == _GOLDEN_SHA256
 
@@ -635,8 +692,8 @@ def test_cli_golden(runner, complex_csv, tetrahedron_csv):
     ["polygon", "--input", _TRIANGLE],
     ["ode", "--input", json.dumps(_ODE_SPEC)],
 ])
-def test_invalid_tol_is_usage_error(runner, complex_csv, args, tol):
-    result = runner.invoke(main, [a.replace("{csv}", complex_csv) for a in args]
-                           + ["--tol", tol])
+def test_invalid_tol_is_usage_error(cli, complex_csv, args, tol):
+    result = cli([a.replace("{csv}", complex_csv) for a in args]
+           + ["--tol", tol])
     assert result.exit_code == 2
     assert result.output == f"error: tol must be a finite number >= 0, got {float(tol)}\n"

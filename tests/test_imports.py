@@ -21,8 +21,8 @@ def _run(code, *args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-# Runs the CLI on argv and writes the vandermetric modules it loaded as the
-# last line of stderr.
+# Runs the CLI on argv and writes the vandermetric modules it loaded, then
+# whether it loaded click, as the last line of stderr.
 _CLI_MODULES = """
 import json, sys
 try:
@@ -30,7 +30,8 @@ try:
     main()
 finally:
     loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("vandermetric."))
-    sys.stderr.write("\\n" + json.dumps(loaded) + "\\n")
+    click = any(m.split(".")[0] == "click" for m in sys.modules)
+    sys.stderr.write("\\n" + json.dumps([loaded, click]) + "\\n")
 """
 
 _ALWAYS = ["campaign", "cli", "core", "errors"]
@@ -46,7 +47,14 @@ def test_a_cold_command_loads_only_the_modules_it_runs(args, extra):
     code, out, err = _run(_CLI_MODULES, *args)
     assert code == 0, err
     assert out
-    assert json.loads(err.splitlines()[-1]) == sorted(_ALWAYS + extra)
+    assert json.loads(err.splitlines()[-1]) == [sorted(_ALWAYS + extra), False]
+
+
+def test_the_cli_runs_where_click_cannot_be_imported():
+    code, out, err = _run("import sys\nsys.modules['click'] = None\n" + _CLI_MODULES,
+                          "campaign", "--op", "simplex", "--trials", "16")
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1])["pass"] is True
 
 
 # Every name the package exported when it imported all of its modules eagerly.

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from vandermetric import (
     CampaignConfig,
@@ -39,7 +38,6 @@ from vandermetric.campaign import (
 )
 from vandermetric import batch, campaign, core
 from vandermetric.batch import expansion_batch
-from vandermetric.cli import main
 from vandermetric.core import (LINEAR, LOG, _pair_indices, replacement_sides, vandermonde_log_rows,
                                vandermonde_rows)
 from vandermetric.geometry import POLYGON_CHECKS, random_sorted_angles
@@ -48,6 +46,7 @@ from vandermetric.multilinear import (
     MultilinearMapSpec,
     _build_witness,
     definiteness_decide,
+    expansion_terms,
     ordered_pairs,
     permutation_expansion,
     permutation_sign,
@@ -213,7 +212,7 @@ def test_refinement_rounds_equal_the_scalar_refinement(monkeypatch):
     assert str(exc_info.value) == failed[0]
 
 
-def test_rows_rejected_after_the_last_refinement_raise(monkeypatch):
+def test_rows_rejected_after_the_last_refinement_raise(cli, monkeypatch):
     config = CampaignConfig(op="ode", seed=1100, trials=30)
     rng = _rng(config)
     problems = [random_ode_problem(rng, (2, 3, 4)[t % 3]) for t in range(config.trials)]
@@ -228,8 +227,7 @@ def test_rows_rejected_after_the_last_refinement_raise(monkeypatch):
     with pytest.raises(StepSizeError) as exc_info:
         run_campaign(config)
     assert str(exc_info.value) == failed[0]
-    result = CliRunner().invoke(main, ["campaign", "--op", "ode", "--seed", "1100",
-                                       "--trials", "30"])
+    result = cli(["campaign", "--op", "ode", "--seed", "1100", "--trials", "30"])
     assert result.exit_code == 2
     assert f"error: {failed[0]}" in result.output
 
@@ -390,6 +388,20 @@ def _scalar_expansion(points):
     return values[..., 0], values[..., 1]
 
 
+def _numpy_expansion(points):
+    """The scalar expansion of float rows as one numpy pass over multilinear.expansion_terms.
+
+    Each term is the product of its arguments' complex values per plane;
+    the terms are summed with their signs.
+    """
+    signs, indices = expansion_terms(points.shape[1])
+    t1, t2 = _pair_indices(points.shape[2])
+    planes = points[:, :, t1] + 1j * points[:, :, t2]
+    values = np.array([[signs @ np.prod(row[indices, k], axis=1) for k in range(len(t1))]
+                       for row in planes])
+    return values.real, values.imag
+
+
 # The kernel's float gap to the scalar expansion, relative to max(|expansion|, 1).
 # Against pdf_batch it measured at most 2.1e-13 at n = 8, m = 4 over 1000 rows.
 EXPANSION_RTOL = 1e-12
@@ -400,15 +412,22 @@ def _float_rows(n):
     """(points, re, im): float rows in R^4 and their scalar expansion.
 
     The scalar expansion takes about half a second per row and plane at
-    n = 8, so n >= 7 gets one row; below, row 0 holds two equal points,
-    where the expansion is 0.  The rows in R^m and their expansion are the
-    first m coordinates and the planes within them, so one reference
-    serves every m.
+    n = 8, so n >= 7 gets one row, expanded by the numpy pass; below, row 0
+    holds two equal points, where the expansion is 0.  The rows in R^m and
+    their expansion are the first m coordinates and the planes within them,
+    so one reference serves every m.
     """
     points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(3 if n <= 6 else 1, n, 4))
     if len(points) > 1:
         points[0, 1] = points[0, 0]
-    return (points, *_scalar_expansion(points))
+    return (points, *(_scalar_expansion if n <= 6 else _numpy_expansion)(points))
+
+
+def test_the_numpy_expansion_is_the_scalar_expansion():
+    points, *scalar = _float_rows(6)
+    for got, want in zip(_numpy_expansion(points), scalar):
+        scale = np.maximum(np.max(np.abs(want), axis=1, keepdims=True), 1.0)
+        assert np.all(np.abs(got - want) <= EXPANSION_RTOL * scale)
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 9) for m in range(2, 5)])
@@ -544,15 +563,14 @@ def test_decider_outputs_are_unchanged(args, expected):
     assert definiteness_decide(n, m, budget=budget).to_dict() == expected
 
 
-def test_oracles_log_at_debug_and_keep_their_output(caplog, monkeypatch):
-    runner = CliRunner()
+def test_oracles_log_at_debug_and_keep_their_output(cli, caplog, monkeypatch):
     commands = [["campaign", "--op", "multilinear-oracle", "--n", "5", "--m", "3",
                  "--trials", "50", "--seed", "3"],
                 ["definiteness", "--n", "3", "--m", "5"]]
-    quiet = [runner.invoke(main, args).stdout for args in commands]
+    quiet = [cli(args).stdout for args in commands]
     monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
     with caplog.at_level(logging.DEBUG, logger="vandermetric"):
-        loud = [runner.invoke(main, args).stdout for args in commands]
+        loud = [cli(args).stdout for args in commands]
     assert loud == quiet and '"verdict": "definite"' in quiet[1]
     assert [r.getMessage() for r in caplog.records] == [
         "expansion_batch n=5: 80 terms per row and plane by subset recursion",
@@ -560,17 +578,16 @@ def test_oracles_log_at_debug_and_keep_their_output(caplog, monkeypatch):
         "definiteness_decide n=3 m=5: definite after 59049 assignments in 6 chunks"]
 
 
-def test_reduce_logs_its_verdict_blocks_and_keeps_the_streams(caplog, monkeypatch):
+def test_reduce_logs_its_verdict_blocks_and_keeps_the_streams(cli, caplog, monkeypatch):
     monkeypatch.setattr(core, "VERDICT_BLOCK_ELEMENTS", 1000)
-    runner = CliRunner()
     commands = [["campaign", "--op", "simplex", "--n", "5", "--trials", "2500", "--seed", "4"],
                 ["campaign", "--op", "sum-identity", "--n", "4", "--m", "3", "--trials", "500",
                  "--seed", "4"],
                 ["campaign", "--op", "ode", "--trials", "12", "--seed", "4"]]
-    quiet = [runner.invoke(main, args) for args in commands]
+    quiet = [cli(args) for args in commands]
     monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
     with caplog.at_level(logging.DEBUG, logger="vandermetric"):
-        loud = [runner.invoke(main, args) for args in commands]
+        loud = [cli(args) for args in commands]
     assert [r.exit_code for r in quiet + loud] == [0] * 6
     assert [r.stdout for r in loud] == [r.stdout for r in quiet]
     # (500, 6) identity sides take 166 rows a block; the ode campaign judges

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from vandermetric import (
     ArgumentError,
@@ -17,7 +16,6 @@ from vandermetric import (
     integrate,
     verify_estimate,
 )
-from vandermetric.cli import main
 from vandermetric.ode import integrate_rows
 
 INITIALS_2D = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -101,12 +99,12 @@ class TestMatrixFunction:
         assert mf.omega == 1.0
         assert mf(0.5)[0, 0] == math.sin(0.5)
 
-    def test_unknown_kind_is_a_usage_error(self):
+    def test_unknown_kind_is_a_usage_error(self, cli):
         with pytest.raises(ArgumentError, match="unknown matrix kind 'cubic'"):
             MatrixFunction.from_dict({"kind": "cubic", "a0": [[1.0]]})
         spec = json.dumps({"matrix": {"kind": "cubic", "a0": [[-1.0, 0.0], [0.0, -1.0]]},
                            "initials": INITIALS_2D.tolist(), "grid": [0.0, 0.5, 1.0]})
-        result = CliRunner().invoke(main, ["ode", "--input", spec])
+        result = cli(["ode", "--input", spec])
         assert result.exit_code == 2
         assert result.output == "error: unknown matrix kind 'cubic'\n"
 
