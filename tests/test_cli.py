@@ -547,7 +547,7 @@ COMMANDS = ["eval", "simplex", "extended", "equality-family", "polygon", "multil
 
 
 class TestParsing:
-    """The exit codes of the parser itself, as they were under click."""
+    """The exit codes of the parser itself: 2 on misuse, 0 for --help."""
 
     def test_no_command_is_usage_error(self, cli):
         assert cli([]).exit_code == 2
@@ -615,7 +615,7 @@ class TestLogging:
 
 # One invocation per behaviour the runner must keep byte for byte: every
 # command, each output format, exit-1 verdicts and usage errors.  Paths are
-# hashed as their placeholders; --help is left out (its text is click's).
+# hashed as their placeholders; --help is left out (its text is argparse's).
 _PENTAGON = json.dumps({"R": 1.0, "angles": [2 * math.pi * k / 5 for k in range(5)]})
 _REGULAR = {n: json.dumps({"R": 1.0, "angles": [2 * math.pi * k / n for k in range(n)]})
             for n in (3, 4)}
