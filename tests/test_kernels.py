@@ -44,6 +44,7 @@ from vandermetric.geometry import POLYGON_CHECKS, random_sorted_angles
 from vandermetric.multilinear import (
     DefinitenessVerdict,
     MultilinearMapSpec,
+    _blocks,
     _build_witness,
     definiteness_decide,
     expansion_terms,
@@ -522,6 +523,45 @@ def test_expansion_batch_rows_chunked_one_at_a_time_keep_their_bits(monkeypatch)
             assert bits(got) == bits(w)
 
 
+# sha256 of expansion_batch's re then im bytes for 200 rows in R^3 at each
+# n: standard normals, floats in {-1, 0, 1} (most outputs are exact zeros,
+# so a sign flipped on a zero shows) and int64 at bound 3.
+EXPANSION_PINS = {
+    2: ("6cbba5ddd42e8604061c94221e88d04cf88907c4b1e0592a5aef6b1deecdd431",
+        "03876103fbc615a554af9ce7a7e90da90874b7281a08cb162d12c021d5a64348",
+        "f391af29442be97e0f07740a50cd433a732b7709cad6e201d3c5ff11c419c442"),
+    3: ("59a6529476e4b56f1313e5aa56a540a767a7f9e37ccaa34cc4d5eecfe055a0e7",
+        "f1af3ee22a2698bedb9c9c0f49f50dc204231c725149db4ae5f2b548b3edd87c",
+        "12f8a8335c5f7e634cc00f858de09a7ca241e7b34c3eb7c274691c8d375c3491"),
+    4: ("a9918ea638c528a8c02f8fdb4d4db06e3a5fb716d595abf588dce8ee218a98f5",
+        "e33a7705c853d3c33fc617172d61cfd6b84b28a7be212282717cc758a2e4ec83",
+        "c212a3b0cdd74a185b3a8d0b80775c6d75a0360410a4b88f9bb2fcd787038277"),
+    5: ("c4325c9c115bb956357e378d90970043055831690405fc616f1750eadc91e66c",
+        "3128f7582b4538d2cfe80b1c66e36fdc888579804589262eddc86db867c71920",
+        "2a2a13649f27952a53c09504d37473db5ee585d44b4497b58364b865d4a2505d"),
+    6: ("39d50e2bab827933ffa689b9511f621bf70b3afd2b591f77e09b4a3d55828e47",
+        "e522aae2fce890c774aaa8e7008c9a6e08e4983aca4e3fe83caf962ec192e74d",
+        "c6efe4a235c5d74466000e7e4d4eb2d7b02493d3a070511b7f4988a0bee56a1a"),
+    7: ("dd44458eda1f97e5ec2b5f584c5e7d8e3318dcdd4baf42434d3ca7af7534b2ce",
+        "61a025f654f476355468c52274acff24e56337792dfa07c5f6e8ae0d50b4b402",
+        "976c171a45dd1fb0fea39ad8ce5b7b28a4e30034a66500b7be084892d59296fe"),
+    8: ("c6c11d903a5fef83416057751d1e7d39b7a438e01e1b721316d439093e0cb440",
+        "0997b00184091c486b047109933e3877f29d6813c472858c31d63254e489f6f0",
+        "2be3bc2a3a1537b39918e62468fa3b4439abfec4816a81cd1f9c813aca276462"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXPANSION_PINS))
+def test_expansion_batch_bits_are_pinned(n):
+    rng = np.random.default_rng(700 + n)
+    shape = (200, n, 3)
+    inputs = (rng.standard_normal(shape), rng.integers(-1, 2, shape).astype(np.float64),
+              rng.integers(-3, 4, shape).astype(np.int64))
+    got = tuple(hashlib.sha256(b"".join(map(bits, expansion_batch(points)))).hexdigest()
+                for points in inputs)
+    assert got == EXPANSION_PINS[n]
+
+
 def test_exact_oracle_logs_its_kernel_and_keeps_the_gap(caplog, monkeypatch):
     quiet = multilinear_oracle_exact(seed=906, trials=300, n=6, m=4)
     monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
@@ -575,7 +615,7 @@ def test_oracles_log_at_debug_and_keep_their_output(cli, caplog, monkeypatch):
     assert [r.getMessage() for r in caplog.records] == [
         "expansion_batch n=5: 80 terms per row and plane by subset recursion",
         "multilinear-oracle campaign: 50 rows judged, 1 verdict blocks, 0 violations",
-        "definiteness_decide n=3 m=5: definite after 59049 assignments in 6 chunks"]
+        "definiteness_decide n=3 m=5: definite after 59049 assignments in 3 chunks"]
 
 
 def test_reduce_logs_its_verdict_blocks_and_keeps_the_streams(cli, caplog, monkeypatch):
@@ -651,12 +691,34 @@ def test_decider_equals_the_assignment_loop(n, m):
         assert got == want and got.to_dict() == want.to_dict()
 
 
-@pytest.mark.parametrize("chunk", [12, 40, 300])
-def test_decider_blocks_of_any_size_give_the_same_verdicts(monkeypatch, chunk):
+# (first, cap): blocks of one size, then blocks that grow from the first size.
+@pytest.mark.parametrize("first,cap", [(12, 12), (40, 40), (300, 300), (12, 300), (40, 1 << 20)])
+def test_decider_blocks_of_any_size_give_the_same_verdicts(monkeypatch, first, cap):
     cases = [(3, 4, 10**6), (3, 4, 500), (4, 4, 10**6), (4, 4, 200), (5, 3, 10**6)]
     want = [definiteness_decide(n, m, budget=b) for n, m, b in cases]
-    monkeypatch.setattr("vandermetric.multilinear.DECIDE_CHUNK", chunk)
+    monkeypatch.setattr("vandermetric.multilinear.DECIDE_CHUNK", first)
+    monkeypatch.setattr("vandermetric.multilinear.DECIDE_CHUNK_MAX", cap)
     assert [definiteness_decide(n, m, budget=b) for n, m, b in cases] == want
+
+
+@pytest.mark.parametrize("base,width,limit,size,cap", [
+    (3, 10, 3 ** 10, 16384, 262144), (6, 6, 6 ** 6, 13107, 13107), (6, 15, 10**6, 13107, 209715),
+    (10, 6, 777, 9362, 149796), (15, 3, 15 ** 3, 1, 100), (3, 3, 27, 1, 1)])
+def test_decider_block_plan_covers_the_assignments_in_order(base, width, limit, size, cap):
+    """Each block is its grid of consecutive assignment numbers, from 0 past limit - 1.
+
+    Blocks start aligned, the first holds at most size assignments and
+    each later one at most twice the bound before it, up to cap.
+    """
+    expected, bound = 0, size
+    for start, fixed, axes in _blocks(base, width, limit, size, cap):
+        assert start == expected < limit
+        digits = itertools.product(*([[d] for d in fixed] + [a.tolist() for a in axes]))
+        numbers = [sum(d * base ** (width - 1 - k) for k, d in enumerate(ds)) for ds in digits]
+        assert numbers == list(range(start, start + len(numbers)))
+        assert len(numbers) <= max(1, bound)
+        expected, bound = start + len(numbers), min(2 * bound, cap)
+    assert expected >= limit and expected - limit < base ** (width - 1)
 
 
 # sha256 of the multilinear-oracle JSONL at tol 0: 100 violation records pin
