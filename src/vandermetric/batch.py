@@ -35,12 +35,14 @@ The permutation expansion, expansion_batch, is the one kernel of the
 Leibniz sum for float and int64 points alike: a Laplace subset recursion
 in n 2^(n-1) complex multiply-adds per row and plane (_laplace_rows).
 Its re and im planes are stacked, so a complex product is four numpy
-calls over both (_stacked_mul); each step's tables are column-major, so
-each column of terms it sums is one contiguous block per plane; and each
-term's sign is folded into the row of a signed power table it reads,
-which keeps the bits of negating the power.  Its row chunks of
+calls over both (_product_calls); each step's tables are column-major,
+so each column of terms it sums is one contiguous block per plane; and
+each term's sign is folded into the row of a signed power table it
+reads, which keeps the bits of negating the power.  Its row chunks of
 LAPLACE_CHUNK_ELEMENTS share one working set, so its temporaries do not
-grow with B either.
+grow with B either, and every full chunk runs one plan, the list of its
+numpy calls with their views of that working set, built once per call
+(_laplace_plan).
 """
 
 from __future__ import annotations
@@ -249,8 +251,10 @@ def _projected_columns(n: int, q: int) -> np.ndarray:
 # Elements of one row chunk's working set in the subset recursion: the
 # coordinates, the signed power table and the three term buffers of its
 # widest step, re and im, of R rows and P coordinate pairs (_laplace_rows).
-# 768 KiB of float64 or int64, so a chunk stays in a 2 MiB L2 cache.
-LAPLACE_CHUNK_ELEMENTS = 98304
+# 1.5 MiB of float64 or int64, so a chunk still fits a 2 MiB L2 cache.  A
+# chunk makes the same numpy calls whatever its rows, about 70 at n = 6,
+# so fewer, larger chunks spend less of the time on them.
+LAPLACE_CHUNK_ELEMENTS = 196608
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +267,7 @@ def _laplace_steps(n: int) -> tuple:
     read-only (j + 1, C(n, j + 1)), column-major: row k holds, for every T,
     its k-th power p in ascending order.  sources holds the position of
     T - {p} among the subsets of j powers, and powers the row of +-z_j^p
-    among the 2n^2 rows of the signed power table (_signed_powers),
+    among the 2n^2 rows of the signed power table (_signed_power_calls),
     s n + j with s = p where the sign is + and s = n + p where it is -.
     The p in row k has j - k members of T above it, so the rows alternate
     in sign and the last is +.
@@ -287,46 +291,53 @@ def _laplace_terms(n: int) -> int:
     return n * math.comb(n - 1, (n - 1) // 2)
 
 
-def _stacked_mul(a, b, out, scratch):
-    """(a[0] + i a[1])(b[0] + i b[1]) into out[0] (re) and out[1] (im).
+def _laplace_elements(n: int, m: int) -> int:
+    """Working-set elements per row of _laplace_rows, of at least one coordinate pair.
+
+    re and im of the n coordinates, of the 2n^2 signed powers and of three
+    term buffers of the widest step (_laplace_terms), per coordinate pair.
+    """
+    return 2 * (n + 2 * n * n + 3 * _laplace_terms(n)) * max(1, m * (m - 1) // 2)
+
+
+def _product_calls(a, b, out, scratch):
+    """The four numpy calls of (a[0] + i a[1])(b[0] + i b[1]) into out[0] (re) and out[1] (im).
 
     The products and sums of _complex_mul, re = a_re b_re - a_im b_im and
-    im = a_re b_im + a_im b_re, in four calls over re and im at once.
-    scratch may be a, and is overwritten.
+    im = a_re b_im + a_im b_re, over re and im at once, as (function,
+    arguments) pairs.  scratch may be a, and is overwritten.
     """
-    np.multiply(a, b, out=out)
-    np.multiply(a, b[::-1], out=scratch)
-    np.subtract(out[0], out[1], out=out[0])
-    np.add(scratch[0], scratch[1], out=out[1])
+    return [(np.multiply, (a, b, out)), (np.multiply, (a, b[::-1], scratch)),
+            (np.subtract, (out[0], out[1], out[0])), (np.add, (scratch[0], scratch[1], out[1]))]
 
 
-def _signed_powers(xs, table, scratch):
-    """Fill the (2, 2n, n, W) table: re and im of z_j^p at [:, p, j], of -z_j^p at [:, n + p, j].
+def _signed_power_calls(xs, table, scratch):
+    """The calls that fill the (2, 2n, n, W) table: z_j^p at [:, p, j], -z_j^p at [:, n + p, j].
 
     xs is the (2, n, W) re and im of the n points z, and scratch is
-    (2, n, W).  Each power is one complex multiply of all n points
-    (_stacked_mul), and the lower half is the upper half negated, so a -
-    term of the recursion multiplies by -z_j^p: the operands, and so the
+    (2, n, W).  z^0 = 1 is written here, once: no call writes over it.
+    Each further power is one complex product of all n points
+    (_product_calls), and the lower half is the upper half negated, so a
+    - term of the recursion multiplies by -z_j^p: the operands, and so the
     bits, of negating the power before the product.  Subtracting the +
     product in the sum instead would flip the sign of exact zeros.
     """
     n = xs.shape[1]
     table[0, 0], table[1, 0] = 1, 0
-    for p in range(1, n):
-        _stacked_mul(table[:, p - 1], xs, table[:, p], scratch)
-    np.negative(table[:, :n], out=table[:, n:])
+    calls = [call for p in range(1, n)
+             for call in _product_calls(table[:, p - 1], xs, table[:, p], scratch)]
+    return calls + [(np.negative, (table[:, :n], table[:, n:]))]
 
 
-def _left_sums(terms, out):
-    """out = terms[:, 0] + terms[:, 1] + ..., added left to right in every element.
+def _left_sum_calls(terms):
+    """The calls that add terms[:, 0] + terms[:, 1] + ... left to right into terms[:, 0].
 
     Each terms[:, k] is one contiguous block per plane.  np.add.reduce
     adds the terms of an element pairwise once they are contiguous, so its
     bits would depend on the chunk's shape.
     """
-    np.add(terms[:, 0], terms[:, 1], out=out)
-    for k in range(2, terms.shape[1]):
-        np.add(out, terms[:, k], out=out)
+    first = terms[:, 0]
+    return [(np.add, (first, terms[:, k], first)) for k in range(1, terms.shape[1])]
 
 
 def _views(work, *shapes):
@@ -339,48 +350,63 @@ def _views(work, *shapes):
     return views
 
 
+def _laplace_plan(work, n, rows, pairs):
+    """The numpy calls that expand a chunk of rows rows of pairs coordinate pairs in work.
+
+    Returns (coordinates, calls, result): the (rows, n, 2, pairs) view the
+    chunk's coordinates are copied into, the (function, arguments) calls
+    that compute the chunk's expansion from them, every view they take
+    made here, and the (2, rows, pairs) view that then holds it.  With
+    W = rows pairs, the calls fill the signed power table
+    (_signed_power_calls); the subset table starts as D[{p}] = z_0^p.  A
+    step gathers its terms' D values and signed powers into
+    (2, j + 1, C, W) buffers, multiplies them into the third
+    (_product_calls), over the table it has read, and sums the j + 1
+    columns into the first (_left_sum_calls), which is the next table.
+    """
+    width = rows * pairs
+    xs, table, *buffers = _views(work, (2, n, rows, pairs), (2, 2 * n, n, width),
+                                 *[(2 * _laplace_terms(n) * width,)] * 3)
+    coordinates, xs = xs.transpose(2, 1, 0, 3), xs.reshape(2, n, width)
+    calls = _signed_power_calls(xs, table, buffers[0][:xs.size].reshape(xs.shape))
+    # Both takes read contiguous tables: the power rows, and a step's
+    # terms, whose first column holds the sums.
+    d, rows_of_powers = table[:, :n, 0], table.reshape(2, -1, width)
+    for sources, signed in _laplace_steps(n):
+        shape = (2,) + sources.shape + (width,)
+        a, b, products = (buffer[:math.prod(shape)].reshape(shape) for buffer in buffers)
+        calls += [(d.take, (sources, 1, a, "clip")), (rows_of_powers.take, (signed, 1, b, "clip")),
+                  *_product_calls(a, b, products, a), *_left_sum_calls(products)]
+        d = products.reshape(2, -1, width)
+    return coordinates, calls, d[:, 0].reshape(2, rows, pairs)
+
+
 def _laplace_rows(points, out):
     """The expansion of the (B, n, m) points by subset recursion into the (2, B, P) out, re then im.
 
     Rows run in chunks of R rows whose working set, re and im of W = R P
-    row-planes, holds at most LAPLACE_CHUNK_ELEMENTS elements: the
-    coordinates, the signed power table (_signed_powers) and three term
-    buffers of the widest step.  It is allocated once, in the points'
-    dtype, and every chunk reuses it.  The subset table starts as
-    D[{p}] = z_0^p.  A step gathers its terms' D values and signed powers
-    into (2, j + 1, C, W) buffers, multiplies them into the third
-    (_stacked_mul), over the table it has read, and sums the j + 1
-    columns, one contiguous (C, W) block per plane each, into the first
-    column (_left_sums), which is the next table.  n is not limited here.
+    row-planes, holds at most LAPLACE_CHUNK_ELEMENTS elements
+    (_laplace_elements per row).  It is allocated once per call, in the
+    points' dtype.  The plan of a full chunk (_laplace_plan) is built once
+    and runs every full chunk, so a chunk makes only the kernel's numpy
+    calls; the last chunk, if partial, gets its own plan over the same
+    work array.  n is not limited here.  Returns R.
     """
     B, n, m = points.shape
-    steps = _laplace_steps(n)
     pairs = np.array(_pair_indices(m))
-    terms = _laplace_terms(n)
-    per_row = 2 * (n + 2 * n * n + 3 * terms) * max(1, pairs.shape[1])
+    per_row = _laplace_elements(n, m)
     rows = max(1, min(B, LAPLACE_CHUNK_ELEMENTS // per_row))
     work = np.empty(rows * per_row, points.dtype)
+    plan = _laplace_plan(work, n, rows, pairs.shape[1])
     for start in range(0, B, rows):
-        x = points[start:start + rows, :, pairs]  # (R, n, 2, P)
-        width = x.shape[0] * x.shape[3]
-        xs, powers, *buffers = _views(work, (2, n, len(x), x.shape[3]), (2, 2 * n, n, width),
-                                      *[(2 * terms * width,)] * 3)
-        xs[...] = x.transpose(2, 1, 0, 3)
-        xs = xs.reshape(2, n, width)
-        _signed_powers(xs, powers, buffers[0][:2 * n * width].reshape(xs.shape))
-        # Both takes read contiguous tables: the power rows, and a step's
-        # terms, whose first column holds the sums after _left_sums.
-        d, rows_of_powers = powers[:, :n, 0], powers.reshape(2, -1, width)
-        for sources, signed in steps:
-            shape = (2,) + sources.shape + (width,)
-            a, b, products = (buf[:2 * sources.size * width].reshape(shape) for buf in buffers)
-            d.take(sources, 1, a, "clip")
-            rows_of_powers.take(signed, 1, b, "clip")
-            _stacked_mul(a, b, products, a)
-            _left_sums(products, products[:, 0])
-            d = products.reshape(2, -1, width)
-        chunk = out[:, start:start + rows]
-        chunk[...] = d[:, 0].reshape(chunk.shape)
+        if B - start < rows:
+            plan = _laplace_plan(work, n, B - start, pairs.shape[1])
+        coordinates, calls, result = plan
+        coordinates[...] = points[start:start + rows, :, pairs]
+        for call, arguments in calls:
+            call(*arguments)
+        out[:, start:start + rows] = result
+    return rows
 
 
 def expansion_batch(points: np.ndarray):
@@ -401,10 +427,10 @@ def expansion_batch(points: np.ndarray):
     B, n, m = points.shape
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
-    log.debug("expansion_batch n=%d: %d terms per row and plane by subset recursion", n,
-              n * 2 ** (n - 1))
     out = np.empty((2, B, m * (m - 1) // 2), dtype=points.dtype)
-    _laplace_rows(points, out)
+    rows = _laplace_rows(points, out)
+    log.debug("expansion_batch n=%d: %d terms per row and plane by subset recursion, "
+              "%d rows in %d chunks of %d", n, n * 2 ** (n - 1), B, -(-B // rows), rows)
     return out[0], out[1]
 
 

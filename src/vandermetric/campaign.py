@@ -369,10 +369,11 @@ def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int 
     (2 bound sqrt(2))^(n(n-1)/2); at bound 3 that passes 2^63 from n = 7
     on.  Past it the check holds modulo 2^64, the ring int64 arithmetic
     computes in: it never fails falsely, but a discrepancy that is a
-    multiple of 2^64 goes unseen.  expansion_batch logs its DEBUG line,
-    as for the float campaign.  The other arguments follow the
-    multilinear-oracle campaign's rules (ArgumentError); n > 8 is a
-    ResourceError.
+    multiple of 2^64 goes unseen.  The gap is the largest distance
+    between the sides in that ring, at most 2^63.  expansion_batch logs
+    its DEBUG line, as for the float campaign.  The other arguments
+    follow the multilinear-oracle campaign's rules (ArgumentError);
+    n > 8 is a ResourceError.
     """
     from . import batch
 
@@ -383,7 +384,9 @@ def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int 
     points = _int_sample(rng, (trials, n, m), bound).astype(np.int64)
     lhs = np.concatenate(batch.expansion_batch(points), axis=1)
     rhs = np.concatenate(batch.pdf_batch(points), axis=1)
-    return int(np.max(np.abs(lhs - rhs)))
+    # The distance in Z/2^64: numpy's abs of -2^63 is -2^63.
+    gap = (lhs - rhs).view(np.uint64)
+    return int(np.max(np.minimum(gap, -gap)))
 
 
 def _identity_campaign(config: CampaignConfig) -> CampaignResult:

@@ -177,6 +177,14 @@ def test_expansion_temporaries_do_not_grow_with_the_batch(rng):
     assert large <= small + (1 << 16)
 
 
+def test_expansion_peak_is_one_chunk_budget_and_its_output(rng):
+    # One work array of LAPLACE_CHUNK_ELEMENTS elements at most; 128 KiB
+    # covers a chunk's gathered coordinates and the plans' small arrays.
+    peak, sides = _peak(batch.expansion_batch, rng.uniform(-1, 1, size=(300, 6, 4)))
+    output = sum(side.nbytes for side in sides)
+    assert peak <= batch.LAPLACE_CHUNK_ELEMENTS * 8 + output + (128 << 10)
+
+
 def test_decider_temporaries_do_not_grow_with_the_budget():
     # (4, 6) is exhausted at either budget; an array of the larger budget's
     # assignment numbers alone would take 320 KB.

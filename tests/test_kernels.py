@@ -512,10 +512,17 @@ def test_expansion_batch_equals_pdf_batch_in_int64(n, m):
 
 def test_expansion_batch_rows_chunked_one_at_a_time_keep_their_bits(monkeypatch):
     rng = np.random.default_rng(64)
+
+    def chunked(n, m):
+        """Two full chunks and a partial one of 5 rows, each chunk run from its plan."""
+        return 2 * (batch.LAPLACE_CHUNK_ELEMENTS // batch._laplace_elements(n, m)) + 5, n, m
+
     # One row in R^2 is one element wide, where the sums of 8 terms at n = 8
     # must still be added left to right.
     inputs = (rng.uniform(-1.0, 1.0, size=(40, 6, 4)), rng.uniform(-1.0, 1.0, size=(40, 8, 2)),
-              _wrapping_inputs(6, 4))
+              _wrapping_inputs(6, 4), rng.uniform(-1.0, 1.0, size=chunked(6, 4)),
+              rng.integers(-2 ** 40, 2 ** 40 + 1, size=chunked(6, 4)),
+              rng.uniform(-1.0, 1.0, size=chunked(8, 2)))
     whole = [expansion_batch(points) for points in inputs]
     monkeypatch.setattr(batch, "LAPLACE_CHUNK_ELEMENTS", 1)  # one row per chunk
     for points, want in zip(inputs, whole):
@@ -569,7 +576,22 @@ def test_exact_oracle_logs_its_kernel_and_keeps_the_gap(caplog, monkeypatch):
         loud = multilinear_oracle_exact(seed=906, trials=300, n=6, m=4)
     assert loud == quiet == 0
     assert [r.getMessage() for r in caplog.records] == [
-        "expansion_batch n=6: 192 terms per row and plane by subset recursion"]
+        "expansion_batch n=6: 192 terms per row and plane by subset recursion, "
+        "300 rows in 5 chunks of 63"]
+
+
+@pytest.mark.parametrize("plant,gap", [(-2 ** 63, 2 ** 63), (1, 1), (-1, 1)])
+def test_exact_oracle_reads_a_planted_gap_as_its_distance_in_the_ring(monkeypatch, plant, gap):
+    # -2^63 is 2^63 in Z/2^64, and numpy's abs of it is -2^63, a negative gap.
+    pdf_batch = batch.pdf_batch
+
+    def planted(points):
+        re, im = pdf_batch(points)
+        re[:1, :1] += np.int64(plant)
+        return re, im
+
+    monkeypatch.setattr(batch, "pdf_batch", planted)
+    assert multilinear_oracle_exact(seed=5, trials=20, n=4, m=3) == gap
 
 
 # to_dict() of the decider, recorded with the per-assignment label pass.
@@ -613,7 +635,8 @@ def test_oracles_log_at_debug_and_keep_their_output(cli, caplog, monkeypatch):
         loud = [cli(args).stdout for args in commands]
     assert loud == quiet and '"verdict": "definite"' in quiet[1]
     assert [r.getMessage() for r in caplog.records] == [
-        "expansion_batch n=5: 80 terms per row and plane by subset recursion",
+        "expansion_batch n=5: 80 terms per row and plane by subset recursion, "
+        "50 rows in 1 chunks of 50",
         "multilinear-oracle campaign: 50 rows judged, 1 verdict blocks, 0 violations",
         "definiteness_decide n=3 m=5: definite after 59049 assignments in 3 chunks"]
 
