@@ -21,13 +21,12 @@ multiplies it in.  pdf_batch folds the pair differences as one member;
 the projected pass of the replacement identities folds the n + 1 tuples,
 as the signed slot map (core._slot_map) lists their factors, in chunks
 of at most core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or
-one row; its fold columns are one read-only table per (n, q)
-(_projected_columns).  That pass is plane-major, rows last, from end to
-end (_projected_rows): a chunk's points are copied once, coordinate-
-major, its factors make one (2, K, M_m, rows) re/im pool, and the
-fold's products are summed straight into component-major (2 M_m, B)
-sides, whose transposed (B, 2 M_m) views, [re | im] per row, are what
-w_identity_sides returns.  The identity campaigns take their sides from
+one row, then multiplies in their q - 1 tails straight from the pool.
+That pass is plane-major, rows last, from end to end (_projected_rows):
+a chunk's points are copied once, coordinate-major, its factors make one
+(2, K, M_m, rows) re/im pool, and the products are summed straight into
+component-major (2 M_m, B) sides, whose transposed (B, 2 M_m) views,
+[re | im] per row, are what w_identity_sides returns.  The identity campaigns take their sides from
 identity_blocks, one row block of whole chunks at a time, and judge each
 block before the next, so their sides never span the whole batch.
 
@@ -140,7 +139,8 @@ def _fold(pool_re, pool_im, columns, re, im, a, b, free, y):
     columns is (L, members): step k gathers each member's k-th factor,
     pool[columns[k]], into the reused (members, ...) buffers a and b and
     multiplies it in with _complex_step; the first factor starts the fold.
-    Returns the (re, im) products, two of the six buffers.
+    Returns the (re, im) products and the free buffer, three of the six
+    buffers, so a caller can multiply further factors in.
     """
     # mode="clip" writes straight into out; the default mode buffers it.
     pool_re.take(columns[0], 0, re, "clip")
@@ -149,7 +149,7 @@ def _fold(pool_re, pool_im, columns, re, im, a, b, free, y):
         pool_re.take(column, 0, a, "clip")
         pool_im.take(column, 0, b, "clip")
         re, im, free = _complex_step(re, im, a, b, free, y)
-    return re, im
+    return re, im, free
 
 
 def _coordinate_planes(points: np.ndarray):
@@ -165,10 +165,14 @@ def _coordinate_planes(points: np.ndarray):
 def pdf_batch(points: np.ndarray):
     """Product-difference form per row; points is (B, n, m).
 
-    Returns (re, im) arrays of shape (B, M_m).
+    Returns (re, im) arrays of shape (B, M_m), in the points' dtype; one
+    point is the empty product, 1 + 0i, as in expansion_batch.
     """
     pools = [_pair_differences(p) for p in _coordinate_planes(points)]
-    re, im = _fold(*pools, np.arange(len(pools[0]))[:, None], *_buffers(1, pools[0][0]))
+    if not len(pools[0]):
+        shape = pools[0].shape[1:]
+        return np.ones(shape, points.dtype), np.zeros(shape, points.dtype)
+    re, im, _ = _fold(*pools, np.arange(len(pools[0]))[:, None], *_buffers(1, pools[0][0]))
     return re[0], im[0]
 
 
@@ -177,8 +181,8 @@ def _projected_elements(n: int, m: int) -> int:
 
     Per coordinate pair the re and im pools of K factors stay throughout;
     beside them first the K coordinate-major factors of m coordinates
-    (_projected_pool), then _fold's six buffers of n + 1, two of them the
-    result.
+    (_projected_pool), then the six buffers of n + 1 of the fold and its
+    tail steps, two of them the result.
     """
     k, pairs = n * (n - 1) // 2 + 3 * n + 1, m * (m - 1) // 2
     return 2 * k * pairs + max(k * m, 6 * (n + 1) * pairs)
@@ -214,38 +218,26 @@ def _projected_pool(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """(n + 1, 2, M_m, rows) re and im of the projected fold of x and of each x with slot s -> y.
 
-    Plane-major throughout, rows last.  Each tuple folds its P pair factors
-    from the chunk's pool (_projected_pool), then q - 1 copies of its tail
-    (y for x, x_s for x with slot s -> y); all n + 1 fold in lockstep
-    (_fold) into the halves of one (2, n + 1, M_m, rows) array, in the
-    pool's dtype.
+    Plane-major throughout, rows last.  The n + 1 tuples fold their P pair
+    factors from the chunk's pool (_projected_pool) in lockstep (_fold)
+    into the halves of one (2, n + 1, M_m, rows) array, in the pool's
+    dtype, then multiply in q - 1 times their tails (y for x, x_s for x
+    with slot s -> y), the pool's last n + 1 factors, in tuple order.
     """
     n = x.shape[1]
     pool = _projected_pool(x, y)
-    columns = _projected_columns(n, q)
+    columns, tails = _slot_map(n, True), pool[:, -(n + 1):]
     sides = np.empty((2, n + 1) + pool.shape[2:], pool.dtype)
     a, b, free, scratch = (np.empty_like(sides[0]) for _ in range(4))
     # _complex_step keeps im in place and moves re to the free buffer, so re
-    # ends where it starts after an even number of steps, else in free.
+    # ends where it starts after an even number of steps, P + q - 2, else in free.
     re = sides[0]
-    if len(columns) % 2 == 0:
+    if (len(columns) + q) % 2:
         re, free = free, re
-    _fold(pool[0], pool[1], columns, re, sides[1], a, b, free, scratch)
+    re, im, free = _fold(pool[0], pool[1], columns, re, sides[1], a, b, free, scratch)
+    for _ in range(q - 1):
+        re, im, free = _complex_step(re, im, *tails, free, scratch)
     return sides.swapaxes(0, 1)
-
-
-@lru_cache(maxsize=None)
-def _projected_columns(n: int, q: int) -> np.ndarray:
-    """Read-only (P + q - 1, n + 1) fold columns of _projected_rows.
-
-    The signed slot map's P pair factors of each tuple, then q - 1 rows
-    of the tails' pool positions (after the P + 2n slot-map factors).
-    """
-    p = n * (n - 1) // 2
-    tails = np.tile(p + 2 * n + np.arange(n + 1), (q - 1, 1))
-    columns = np.concatenate([_slot_map(n, True).T, tails])
-    columns.flags.writeable = False
-    return columns
 
 
 # Elements of one row chunk's working set in the subset recursion: the
@@ -428,6 +420,8 @@ def expansion_batch(points: np.ndarray):
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
     out = np.empty((2, B, m * (m - 1) // 2), dtype=points.dtype)
+    if not out.size:  # no row or no coordinate pair: nothing to plan
+        return out[0], out[1]
     rows = _laplace_rows(points, out)
     log.debug("expansion_batch n=%d: %d terms per row and plane by subset recursion, "
               "%d rows in %d chunks of %d", n, n * 2 ** (n - 1), B, -(-B // rows), rows)
@@ -470,17 +464,16 @@ def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
     return tuple(side.reshape(m * (m - 1), b).T for side in sides)
 
 
-def identity_blocks(points: np.ndarray, y: np.ndarray, q=None):
+def identity_blocks(points: np.ndarray, y: np.ndarray, q: int):
     """The identity sides of (B, n, m) points and (B, m) y, computed one row block at a time.
 
     Yields (rows, lhs, rhs, LINEAR) as core.replacement_blocks does, each
-    side (1, rows, 2 M_m): sum_identity_sides with q None, else
-    w_identity_sides with q, called once a block of core._block_rows.
+    side (1, rows, 2 M_m): w_identity_sides with q (sum_identity_sides at
+    q = 1), called once a block of core._block_rows.
     """
     b, n, m = points.shape
     for rows in _slices(0, b, _block_rows(_projected_elements(n, m), m * (m - 1))):
-        x, at = points[rows], y[rows]
-        lhs, rhs = sum_identity_sides(x, at) if q is None else w_identity_sides(x, at, q)
+        lhs, rhs = w_identity_sides(points[rows], y[rows], q)
         yield rows, lhs[None], rhs[None], LINEAR
         del lhs, rhs  # before the next block's sides are computed
 

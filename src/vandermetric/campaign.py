@@ -400,11 +400,10 @@ def _identity_campaign(config: CampaignConfig) -> CampaignResult:
     b, n, m, q = config.trials, config.n, config.m, config.q
     points = rng.uniform(-1.0, 1.0, size=(b, n, m))
     y = rng.uniform(-1.0, 1.0, size=(b, m))
-    w = config.op == "w-identity"
-    tail = {"q": q} if w else {}
+    tail = {"q": q} if config.op == "w-identity" else {}
     extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist(), **tail}
     return _judge_blocks(config, IDENTITY, config.op,
-                         batch.identity_blocks(points, y, q if w else None), extra)
+                         batch.identity_blocks(points, y, q), extra)
 
 
 def random_ode_problem(rng: np.random.Generator, m: int, t_end: float = 2.0,

@@ -569,6 +569,112 @@ def test_expansion_batch_bits_are_pinned(n):
     assert got == EXPANSION_PINS[n]
 
 
+def _identity_inputs(seed, n, m):
+    """200 rows of (points, y) in R^m: standard normals, floats in {-1, 0, 1}, int64 at bound 3."""
+    rng = np.random.default_rng(seed)
+    shapes = (200, n, m), (200, m)
+    return ([rng.standard_normal(s) for s in shapes],
+            [rng.integers(-1, 2, s).astype(np.float64) for s in shapes],
+            [rng.integers(-3, 4, s).astype(np.int64) for s in shapes])
+
+
+# sha256 of w_identity_sides' lhs then rhs bytes at each (n, q), over
+# m = 2, 3, 4 in turn, for each kind of _identity_inputs: the floats in
+# {-1, 0, 1} give exact zeros and coincident coordinates, so a sign flipped
+# on a zero shows, and every q in 1..n runs both parities of the fold.
+IDENTITY_PINS = {
+    (2, 1): ('30c2b4af2a2d2822da26b7eafcbdfcc6f153cadc817d9bab8a301225f72b9368',
+             '131d0b761e88c60f86cd7000c3e03c3edc2d8a7e5785236e8aee0628054205a2',
+             '802617ef1c034fb18b39fa7258e4696f8257036405c0f10e6039cb2dae11c601'),
+    (2, 2): ('49b6b66fa955b9ed43c95e8ecf99edaa545d9cf6cb7011b1061a371333b36bb3',
+             'aa02f43abaef684665bfc98aa28e56ba8648a39a167a4d7d8f66a0fb72e64ee1',
+             '8938d2fccb8c331f704bec1660819b29b01db62cc61059c12c31a441fbc08458'),
+    (3, 1): ('80f93f56642f23c5eef03abf84c0840e8a697379b7e47109bd6a05fcc9e5dc69',
+             'd6e59d1f2de9983296b2ea9b23deb49a654b6bb7a41a714cfaaa04fc8af05487',
+             'f5b40d9595a823e6a066b54059acea3e85bdf22762d98b9e06ba56429bf642af'),
+    (3, 2): ('770dc88988a05f4a052a40011eaf415d39f9ad6f895742e3191408dd88b8c898',
+             '46b3aa18c080f8afd75575d677f44787b0231d265d9c019c4086a15beb52fbc9',
+             '5d3a2b7fe409f6c2a7dd83a677cb65a19a65fc7ddac474d7e783205592ed994f'),
+    (3, 3): ('91dde6cf97b7974fd4c92c6000a16d46f130fc5021eabf2b48344d90c5268857',
+             '730a95673139c24a2cb45c9e2c1979a7c29afbcf822a200d0a11ad934c209466',
+             'dd69583c9b9a1059e278bd035c5c393e8da488456873bea0d68501e20fb10571'),
+    (4, 1): ('fe0745b2531265900a6acbc12610686dea9eab39db297c9cfc61b0717463a8bd',
+             '9f2d3d17b33c6b883ee7df93d831bfec27b13c1e2fd1ebf6e35247d388a41e1e',
+             'b98a33234cedd50db69d03ba9a2bb8a3159f0ff828abd85beb49103b4ee456ce'),
+    (4, 2): ('015ae30710527fccd8bd92e1dc161133d9202742d83b313e223a2ba02c85a6e4',
+             '394c0a9c81ca6d0778f420ae5d9e5f5869501364e8efcce8427a90dec886b31f',
+             'd6761ad7f4144008762a0cf69ec5c713cd8240229f68b248ebe9e235ce77a80a'),
+    (4, 3): ('ab2e3f5702d0942531a9af3da963bd9592a788fd416648413f14c59f6e732c2a',
+             '985a8a72d3a415b7baff3d41683aecb7b9d3ba6788566c3a3436e718646b1aa7',
+             '074f7d2ac2ea811a20eb79cb0e1aa83a39bcdf6f6dc62bcd62cb6404bed2fbbc'),
+    (4, 4): ('6d5b1a5a06581a7bb0c1f850c5314bf256ae4588c88d98c505bb465cbe7140fb',
+             '5a62fc3ee173a704493083195390a1d7f7dbc140a920f57eaa63d3dafe8e2045',
+             '03f6bc55c1423eabd93ebbd095bc06c003308dfe4b44fc22e9b64da361cb3608'),
+    (5, 1): ('7e4779bb6540f4c35b4c00e055bf5a69ce498d1c275ba8045b500efe2c82ad7a',
+             'ba7b7dbf81cf98307ecf94ff27d8d1a21c49cc01c91038ad8a50a342a5f5e386',
+             'f0e29e470ec765c8c79c774b26bf8ba2f652ca83bbab72db3d1c407f166d104a'),
+    (5, 2): ('dd7a06e79b56a867823edcf72c6b246d8164137e8f2e6d765733a15f6305b9b9',
+             '2cef95572f80d52324d079cf1d672f9b46e256f2f981e2ada52064997cfc1527',
+             'a22f29c3acc370780c113b8cab2186bb90dce7eea70dccf4774332254b205014'),
+    (5, 3): ('9426f3dfc2eab0d6c4af92bb57d4625a9c551aa547b493c6282326afc1b0c8b2',
+             '4d3aa07dc1b1fb7d6ec22ae53404e4d0da9b5f3b859cd2e0cfd1aaabb44ddd6a',
+             '27143bd050eeefca8c3728e6983adf2594806074b2e4b416bb11fba0d15d9194'),
+    (5, 4): ('9013b900b1345a3adcba5b1eb741efceb60c3204c6192baf78f123b8d8bd277c',
+             '73ab2b911b6a196f1c54e89fc6d3871221c86c041c2b2da7437d72b8df12d777',
+             '65d267a26f839208d0cf5887ab8d4c4772725b6fdd0acaf47c39be52b41bbd49'),
+    (5, 5): ('fdffe4eaf1db9437195cd536b0b61c241b413f835f6a288db0b3816174a8fe33',
+             '4dc2036046348eb1ee6a5148c74699c17f897783bffc432c80b3b6c0874ec77e',
+             '1aed50de5cb76ec3f5ce01b445868f08ca05c1852bba690789e15548846d7fcc'),
+    (6, 1): ('ae9db75bdff99290f5c02e53e09d0eb37103408181b4b33ff7dcc83ae2613bfd',
+             'f00c0da362f6d24c8f68321273066f0414ac681325c64b9e9c04bddd6e1d5a3d',
+             '5802aadfa98265d3ed15d51c2b00105392e41dba26768fb97f842ffe50c75582'),
+    (6, 2): ('d173e6abd5638947a9b8fe7f7b14ded3df979310af7ab32367248caef1e411ac',
+             '642bba5b4675b1e73b9e10a8211f3206f48bcf3875421f18f7c74c1cb0f2438a',
+             '7a175372b07042e3f9e4861ea1d7c176e4b2f920d52f6a0d5858b44e1febbfe6'),
+    (6, 3): ('daf73198b0992b587c9f61eaf45d8aa2747c0e66a1d64fd254cae9b46802b110',
+             '1efe95ea01930dc952a79380c1fda5dc0984484cbff9d4e5e78e0a30f05381d4',
+             'e814e0d9210a61c4e2041d48747d176abb93535615f7a12e782e96fba93b08b0'),
+    (6, 4): ('623ba2e2b7f4ce1e034ea46e2b1fc3fb92986db99246b658558404942f58010c',
+             '3d1d46f003f4b0599a2e317f1e9a9672bbc7a164038d684abb1946e5d39ad2da',
+             '9f387fe89849e6be12acac61ded085b3398194db3d2b0f4fcd73018b3f32f101'),
+    (6, 5): ('304ee32c9c0db01d60270068f18ec186bea66753e3a6ae9ba238b35475548a23',
+             'edc2df11379b0e7107af1f0c21b94dabeff5576eee399b6345ea33bec5ca2172',
+             '4ac3b6f193ca6efc322ff14f0bd8110103d59d8ea6cab0d53fc66f5a441cb0ee'),
+    (6, 6): ('a1af132bfbfd584772894b23bafb35ef3c9ee995f9a0557c10abab6f74d3199d',
+             '58ff487074fd31fa2f39ec17ea10bdb6af107b7fa1992ba7a90a2ac47f8b2065',
+             'b22b56d44b8a34d271fbfa24a7390fe4ac16a964011591db77b2d85f5ee2e2e2'),
+}
+
+# sha256 of sum_identity_sides' lhs then rhs bytes at (n, m), per kind.
+SUM_IDENTITY_PINS = {
+    (4, 3): ('491c9d76b8f3e9b05e613a4c79bd740a9c27b5442bb777915dacae29719459b3',
+             'e8dfc4d09472476c7d4480f24523ab38236cff0e8e6acf150d7ca0c48e3bf09c',
+             '44d00918f87f897c707617a59b2feaa72172826e0c1dacc64f9d901b42575f11'),
+    (6, 4): ('8b1cb1936a4a3ad6a7da09506f35f0f4270a2472f08c38299b5bd5467fefffac',
+             '5b4d3a9c31587f23c0dcc31f4c927ae42f4bc59597c8e7ac7a9cd333c2d59b73',
+             'f9fbbb167a7438c8d95d135855c8f543d0f5ba1d5928e1fac4a48e1c54f0d6df'),
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(IDENTITY_PINS))
+def test_w_identity_sides_bits_are_pinned(n, q):
+    got = []
+    for kind in range(3):
+        digest = hashlib.sha256()
+        for m in (2, 3, 4):
+            for side in batch.w_identity_sides(*_identity_inputs(800 + 10 * n + m, n, m)[kind], q):
+                digest.update(bits(side))
+        got.append(digest.hexdigest())
+    assert tuple(got) == IDENTITY_PINS[n, q]
+
+
+@pytest.mark.parametrize("n,m", sorted(SUM_IDENTITY_PINS))
+def test_sum_identity_sides_bits_are_pinned(n, m):
+    got = tuple(hashlib.sha256(b"".join(map(bits, batch.sum_identity_sides(*inputs)))).hexdigest()
+                for inputs in _identity_inputs(900 + n, n, m))
+    assert got == SUM_IDENTITY_PINS[n, m]
+
+
 def test_exact_oracle_logs_its_kernel_and_keeps_the_gap(caplog, monkeypatch):
     quiet = multilinear_oracle_exact(seed=906, trials=300, n=6, m=4)
     monkeypatch.setenv("VANDERMETRIC_LOG", "DEBUG")
@@ -771,6 +877,19 @@ def test_pdf_batch_is_the_left_side_of_the_identity(n, m):
         pdf = np.concatenate(batch.pdf_batch(points), axis=1)
         assert lhs.dtype == pdf.dtype == points.dtype
         assert bits(lhs) == bits(pdf)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("n,m", [(1, 3), (4, 1)])
+def test_expansion_and_pdf_batch_agree_on_one_point_and_on_one_coordinate(n, m, dtype):
+    # One point is the empty product 1 + 0i per plane; one coordinate has no
+    # plane, so both kernels return (B, 0) sides.
+    points = np.random.default_rng(n).integers(-3, 4, (5, n, m)).astype(dtype)
+    expansion, pdf = expansion_batch(points), batch.pdf_batch(points)
+    want = (np.ones((5, m * (m - 1) // 2), dtype), np.zeros((5, m * (m - 1) // 2), dtype))
+    for got in expansion, pdf:
+        assert [(side.shape, side.dtype) for side in got] == [(side.shape, dtype) for side in want]
+        assert list(map(bits, got)) == list(map(bits, want))
 
 
 @pytest.mark.parametrize("m", range(2, 10))
