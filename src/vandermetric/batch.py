@@ -14,30 +14,33 @@ simplex_sides_generalized are that fold (core._linear_sides) without
 its log escape, at any n and on int64 inputs, the last one on each
 coordinate plane with the l2 norm over the planes.
 
-The multilinear kernels multiply projected complex factors, split into
-re and im planes, with one lockstep fold, _fold: each step gathers one
-factor per member from a factor-major pool into reused buffers and
-multiplies it in.  pdf_batch folds the pair differences as one member;
-the projected pass of the replacement identities folds the n + 1 tuples,
-as the signed slot map (core._slot_map) lists their factors, in chunks
-of at most core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or
-one row, then multiplies in their q - 1 tails straight from the pool.
-That pass is plane-major, rows last, from end to end (_projected_rows):
-a chunk's points are copied once, coordinate-major, its factors make one
-(2, K, M_m, rows) re/im pool, and the products are summed straight into
-component-major (2 M_m, B) sides, whose transposed (B, 2 M_m) views,
-[re | im] per row, are what w_identity_sides returns.  The identity campaigns take their sides from
+The multilinear kernels multiply projected complex factors with one
+complex product, _product_calls: re and im are the halves of one stacked
+(2, ...) array, and a product is four numpy calls over both.  One
+lockstep fold, _fold, gathers one factor per member from a stacked
+factor-major (2, K, ...) re/im pool each step and multiplies it in.
+pdf_batch folds the pair differences as one member; the projected pass
+of the replacement identities folds the n + 1 tuples, as the signed slot
+map (core._slot_map) lists their factors, in chunks of at most
+core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or one row,
+then multiplies in their q - 1 tails straight from the pool.  Both pools
+are plane-major, rows last (_plane_pool), and so is that pass from end
+to end (_projected_rows): a chunk's points are copied once,
+coordinate-major, its factors make one (2, K, M_m, rows) re/im pool, and
+the products are summed straight into component-major (2 M_m, B) sides,
+whose transposed (B, 2 M_m) views, [re | im] per row, are what
+w_identity_sides returns.  The identity campaigns take their sides from
 identity_blocks, one row block of whole chunks at a time, and judge each
 block before the next, so their sides never span the whole batch.
 
 The permutation expansion, expansion_batch, is the one kernel of the
 Leibniz sum for float and int64 points alike: a Laplace subset recursion
 in n 2^(n-1) complex multiply-adds per row and plane (_laplace_rows).
-Its re and im planes are stacked, so a complex product is four numpy
-calls over both (_product_calls); each step's tables are column-major,
-so each column of terms it sums is one contiguous block per plane; and
-each term's sign is folded into the row of a signed power table it
-reads, which keeps the bits of negating the power.  Its row chunks of
+Its re and im planes are stacked as well, and its complex products are
+_product_calls; each step's tables are column-major, so each column of
+terms it sums is one contiguous block per plane; and each term's sign
+is folded into the row of a signed power table it reads, which keeps
+the bits of negating the power.  Its row chunks of
 LAPLACE_CHUNK_ELEMENTS share one working set, so its temporaries do not
 grow with B either, and every full chunk runs one plan, the list of its
 numpy calls with their views of that working set, built once per call
@@ -53,9 +56,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _block_rows, _linear_sides,
-                   _pair_differences, _pair_indices, _replacement_rows, _root_power, _slices,
-                   _slot_map, verdict)
+from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _block_rows, _check_points,
+                   _linear_sides, _pair_differences, _pair_indices, _replacement_rows,
+                   _root_power, _slices, _slot_map, verdict)
 from .errors import ResourceError
 
 log = logging.getLogger(__name__)
@@ -104,86 +107,93 @@ def extended_sides_complex(z: np.ndarray, y: np.ndarray, ks):
 
 
 # ---------------------------------------------------------------------------
-# Complex-product-projection map, batched over re/im planes
+# Complex-product-projection map, batched over stacked re/im planes
 
 
-def _complex_mul(re, im, a, b, x, y, z):
-    """(re + i im)(a + i b) into x (real part) and z (imaginary part); returns (x, z).
+def _product_calls(a, b, out, scratch):
+    """The four numpy calls of (a[0] + i a[1])(b[0] + i b[1]) into out[0] (re) and out[1] (im).
 
-    Split as re*a - im*b, re*b + im*a, never numpy's complex multiply.  y
-    is scratch; z may be im, x may be neither re nor im.  re and im may
-    broadcast against a and b.
+    re = a_re b_re - a_im b_im and im = a_re b_im + a_im b_re, split, never
+    numpy's complex multiply, over re and im at once: out = a b[0] and
+    scratch = a b[1] broadcast each part of b over both of a's, then
+    out[0] - scratch[1] and scratch[0] + out[1].  The calls come as
+    (function, arguments) pairs.  scratch may be a, and is overwritten.
     """
-    np.multiply(re, a, out=x)
-    np.multiply(im, b, out=y)
-    np.subtract(x, y, out=x)
-    np.multiply(re, b, out=y)
-    np.multiply(im, a, out=z)
-    np.add(y, z, out=z)
-    return x, z
+    return [(np.multiply, (a, b[0], out)), (np.multiply, (a, b[1], scratch)),
+            (np.subtract, (out[0], scratch[1], out[0])), (np.add, (scratch[0], out[1], out[1]))]
 
 
-def _complex_step(re, im, a, b, x, y):
-    """(re + i im)(a + i b) in place of im and into x; returns (re, im, free buffer)."""
-    return (*_complex_mul(re, im, a, b, x, y, im), re)
+def _fold(pool, columns, tails, count):
+    """The lockstep products of the factors columns names, times tails count times.
 
-
-def _buffers(members: int, plane: np.ndarray) -> list:
-    """The six (members, ...) buffers of _fold, shaped and typed like one plane."""
-    return [np.empty((members,) + plane.shape, plane.dtype) for _ in range(6)]
-
-
-def _fold(pool_re, pool_im, columns, re, im, a, b, free, y):
-    """Fold the factors columns names, in lockstep, from the (K, ...) re and im pools.
-
-    columns is (L, members): step k gathers each member's k-th factor,
-    pool[columns[k]], into the reused (members, ...) buffers a and b and
-    multiplies it in with _complex_step; the first factor starts the fold.
-    Returns the (re, im) products and the free buffer, three of the six
-    buffers, so a caller can multiply further factors in.
+    pool is the (2, K, ...) re and im of K factors and columns is
+    (L, members): step k gathers each member's k-th factor,
+    pool[:, columns[k]], into one (2, members, ...) buffer and multiplies
+    it in (_product_calls); the first factor starts the fold.  Then the
+    (2, members, ...) tails multiply in count times, read where they are.
+    The products alternate between two accumulators, so the calls of both
+    directions are built once.  Returns the (2, members, ...) products in
+    the pool's dtype.
     """
+    acc = np.empty((2, columns.shape[1]) + pool.shape[2:], pool.dtype)
+    other, factor = np.empty_like(acc), np.empty_like(acc)
     # mode="clip" writes straight into out; the default mode buffers it.
-    pool_re.take(columns[0], 0, re, "clip")
-    pool_im.take(columns[0], 0, im, "clip")
-    for column in columns[1:]:
-        pool_re.take(column, 0, a, "clip")
-        pool_im.take(column, 0, b, "clip")
-        re, im, free = _complex_step(re, im, a, b, free, y)
-    return re, im, free
+    pool.take(columns[0], 1, acc, "clip")
+    # Step k multiplies sides[k % 2][0] into sides[k % 2][1].
+    sides = (acc, other), (other, acc)
+    gathered = [_product_calls(a, factor, out, a) for a, out in sides]
+    tailed = [_product_calls(a, tails, out, a) for a, out in sides] if count else None
+    gathers, steps = len(columns) - 1, len(columns) - 1 + count
+    for k in range(steps):
+        if k < gathers:
+            pool.take(columns[k + 1], 1, factor, "clip")
+        for call, arguments in (gathered if k < gathers else tailed)[k % 2]:
+            call(*arguments)
+    return sides[steps % 2][0]
 
 
-def _coordinate_planes(points: np.ndarray):
-    """Contiguous re and im planes (n, B, M_m) of (B, n, m) points, point-major.
+def _plane_pool(factors: np.ndarray) -> np.ndarray:
+    """The (2, K, M_m, rows) re/im pool of K coordinate-major (K, m, rows) factors.
 
-    The re plane holds coordinate t1 and the im plane coordinate t2 of each
-    coordinate pair t1 < t2.
+    One take per part: coordinate s (re) and t (im) of each coordinate
+    pair s < t.
     """
-    return tuple(np.ascontiguousarray(points[:, :, t].transpose(1, 0, 2))
-                 for t in _pair_indices(points.shape[2]))
+    coordinates = _pair_indices(factors.shape[1])
+    pool = np.empty((2, len(factors), len(coordinates[0])) + factors.shape[2:], factors.dtype)
+    for part, c in zip(pool, coordinates):
+        factors.take(c, 1, part, "clip")
+    return pool
 
 
 def pdf_batch(points: np.ndarray):
     """Product-difference form per row; points is (B, n, m).
 
-    Returns (re, im) arrays of shape (B, M_m), in the points' dtype; one
-    point is the empty product, 1 + 0i, as in expansion_batch.
+    The points are copied once, coordinate-major, their P pair
+    differences (core._pair_differences) make the (2, P, M_m, B) pool
+    (_plane_pool), and the pool folds as one member (_fold).  Returns
+    contiguous (re, im) arrays of shape (B, M_m), in the points' dtype;
+    one point is the empty product, 1 + 0i, as in expansion_batch.
     """
-    pools = [_pair_differences(p) for p in _coordinate_planes(points)]
-    if not len(pools[0]):
-        shape = pools[0].shape[1:]
+    b, n, m = points.shape
+    if n < 2:
+        shape = (b, m * (m - 1) // 2)
         return np.ones(shape, points.dtype), np.zeros(shape, points.dtype)
-    re, im, _ = _fold(*pools, np.arange(len(pools[0]))[:, None], *_buffers(1, pools[0][0]))
-    return re[0], im[0]
+    pool = _plane_pool(_pair_differences(np.ascontiguousarray(points.transpose(1, 2, 0))))
+    product = _fold(pool, np.arange(pool.shape[1])[:, None], None, 0)
+    re, im = np.ascontiguousarray(product[:, 0].transpose(0, 2, 1))
+    return re, im
 
 
 def _projected_elements(n: int, m: int) -> int:
     """Elements of one row of _projected_rows at its peak, with K = P + 3n + 1.
 
-    Per coordinate pair the re and im pools of K factors stay throughout;
-    beside them first the K coordinate-major factors of m coordinates
-    (_projected_pool), then the six buffers of n + 1 of the fold and its
-    tail steps, two of them the result.
+    Per coordinate pair the re/im pool of K factors stays throughout;
+    beside it first the K coordinate-major factors of m coordinates
+    (_projected_pool), then the three re/im buffers of n + 1 of the fold
+    (_fold), one of them the result.  Fewer than 2 points are an
+    ArgumentError (core._check_points).
     """
+    _check_points(n)
     k, pairs = n * (n - 1) // 2 + 3 * n + 1, m * (m - 1) // 2
     return 2 * k * pairs + max(k * m, 6 * (n + 1) * pairs)
 
@@ -194,9 +204,8 @@ def _projected_pool(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     The signed slot-map pool (core._slot_map), then the tails y and x_0
     .. x_{n-1}, are written coordinate-major into one (K, m, rows) array:
     the chunk is copied once into the tails, and the differences are
-    subtracted from them (core._pair_differences).  Two takes make the
-    pool, coordinate s (re) and t (im) of each coordinate pair s < t.
-    Both take the dtype np.result_type(x, y).
+    subtracted from them (core._pair_differences), and its planes make
+    the pool (_plane_pool).  Both take the dtype np.result_type(x, y).
     """
     rows, n, m = x.shape
     p = n * (n - 1) // 2
@@ -208,36 +217,21 @@ def _projected_pool(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     _pair_differences(xs, factors)
     np.subtract(ys, xs, out=factors[p:p + n])
     np.subtract(xs, ys, out=factors[p + n:p + 2 * n])
-    coordinates = _pair_indices(m)
-    pool = np.empty((2, len(factors), len(coordinates[0]), rows), factors.dtype)
-    for part, c in zip(pool, coordinates):
-        factors.take(c, 1, part, "clip")
-    return pool
+    return _plane_pool(factors)
 
 
 def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """(n + 1, 2, M_m, rows) re and im of the projected fold of x and of each x with slot s -> y.
 
     Plane-major throughout, rows last.  The n + 1 tuples fold their P pair
-    factors from the chunk's pool (_projected_pool) in lockstep (_fold)
-    into the halves of one (2, n + 1, M_m, rows) array, in the pool's
-    dtype, then multiply in q - 1 times their tails (y for x, x_s for x
-    with slot s -> y), the pool's last n + 1 factors, in tuple order.
+    factors from the chunk's pool (_projected_pool) in lockstep, as the
+    signed slot map lists them, then multiply in q - 1 times their tails
+    (y for x, x_s for x with slot s -> y), the pool's last n + 1 factors,
+    in tuple order (_fold).  The values are in the pool's dtype.
     """
     n = x.shape[1]
     pool = _projected_pool(x, y)
-    columns, tails = _slot_map(n, True), pool[:, -(n + 1):]
-    sides = np.empty((2, n + 1) + pool.shape[2:], pool.dtype)
-    a, b, free, scratch = (np.empty_like(sides[0]) for _ in range(4))
-    # _complex_step keeps im in place and moves re to the free buffer, so re
-    # ends where it starts after an even number of steps, P + q - 2, else in free.
-    re = sides[0]
-    if (len(columns) + q) % 2:
-        re, free = free, re
-    re, im, free = _fold(pool[0], pool[1], columns, re, sides[1], a, b, free, scratch)
-    for _ in range(q - 1):
-        re, im, free = _complex_step(re, im, *tails, free, scratch)
-    return sides.swapaxes(0, 1)
+    return _fold(pool, _slot_map(n, True), pool[:, -(n + 1):], q - 1).swapaxes(0, 1)
 
 
 # Elements of one row chunk's working set in the subset recursion: the
@@ -290,17 +284,6 @@ def _laplace_elements(n: int, m: int) -> int:
     term buffers of the widest step (_laplace_terms), per coordinate pair.
     """
     return 2 * (n + 2 * n * n + 3 * _laplace_terms(n)) * max(1, m * (m - 1) // 2)
-
-
-def _product_calls(a, b, out, scratch):
-    """The four numpy calls of (a[0] + i a[1])(b[0] + i b[1]) into out[0] (re) and out[1] (im).
-
-    The products and sums of _complex_mul, re = a_re b_re - a_im b_im and
-    im = a_re b_im + a_im b_re, over re and im at once, as (function,
-    arguments) pairs.  scratch may be a, and is overwritten.
-    """
-    return [(np.multiply, (a, b, out)), (np.multiply, (a, b[::-1], scratch)),
-            (np.subtract, (out[0], out[1], out[0])), (np.add, (scratch[0], scratch[1], out[1]))]
 
 
 def _signed_power_calls(xs, table, scratch):

@@ -72,8 +72,7 @@ class PointTuple:
     def __post_init__(self):
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
-            raise ArgumentError(f"need at least 2 points, got {len(pts)}")
+        _check_points(len(pts))
         if isinstance(pts[0], complex):
             if not all(isinstance(p, complex) for p in pts):
                 raise ArgumentError("mixed complex and vector points")
@@ -100,6 +99,12 @@ class PointTuple:
     @property
     def m(self) -> int:
         return 1 if self.is_complex else len(self.points[0])
+
+
+def _check_points(n: int) -> None:
+    """Raise ArgumentError below 2 points: no pair, so no metric of them."""
+    if n < 2:
+        raise ArgumentError(f"need at least 2 points, got {n}")
 
 
 def as_point_tuple(obj) -> PointTuple:
@@ -419,8 +424,10 @@ def _log_sums(factors: np.ndarray) -> np.ndarray:
 _CHUNK_FACTORS = 1 << 13
 
 
-def _chunks(rows: int, factors_per_row: int):
-    return _slices(0, rows, max(1, _CHUNK_FACTORS // factors_per_row))
+def _chunks(rows: int, n: int):
+    """Row slices of about _CHUNK_FACTORS pair factors of n points; n < 2 raises (_check_points)."""
+    _check_points(n)
+    return _slices(0, rows, max(1, _CHUNK_FACTORS // (n * (n - 1) // 2)))
 
 
 def _slices(start: int, stop: int, step: int):
@@ -462,7 +469,7 @@ def vandermonde_rows(z: np.ndarray):
     n = z.shape[1]
     values = np.empty(z.shape[0])
     log_rows = np.empty(z.shape[0], dtype=bool)
-    for rows in _chunks(z.shape[0], n * (n - 1) // 2):
+    for rows in _chunks(z.shape[0], n):
         values[rows], log_rows[rows] = pair_product_rows(_pair_factors(z[rows]))
     return values, log_rows
 
@@ -471,7 +478,7 @@ def vandermonde_log_rows(z: np.ndarray) -> np.ndarray:
     """Sum of log|z_i - z_j| of each row of a (B, n) complex array (canonical order)."""
     n = z.shape[1]
     out = np.empty(z.shape[0])
-    for rows in _chunks(z.shape[0], n * (n - 1) // 2):
+    for rows in _chunks(z.shape[0], n):
         out[rows] = _log_sums(_pair_factors(z[rows]))
     return out
 
@@ -631,7 +638,7 @@ def lagrange_log_rows(x: np.ndarray, y: np.ndarray):
     n = x.shape[1]
     log_d = np.empty(len(x))
     terms = np.empty(x.shape[:2])
-    for rows in _chunks(len(x), n * (n - 1) // 2):
+    for rows in _chunks(len(x), n):
         log_d[rows], terms[rows] = _lagrange_logs(x[rows], y[rows])
     return log_d, terms
 
@@ -664,7 +671,7 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     """
     pairs = x.shape[1] * (x.shape[1] - 1) // 2
     out = np.empty((x.shape[0], pairs))
-    for rows in _chunks(x.shape[0], pairs):
+    for rows in _chunks(x.shape[0], x.shape[1]):
         out[rows] = _pair_factors(x[rows])
     return out
 
@@ -987,6 +994,7 @@ def _underflowed(lhs: np.ndarray, points: np.ndarray, y: np.ndarray, metric: str
 
 def _check_replacement(points: np.ndarray, metric: str, ks) -> None:
     """Raise ArgumentError unless replacement_sides takes these points, metric and ks."""
+    _check_points(points.shape[1])
     if metric not in METRICS and metric != "generalized":
         raise ArgumentError(f"unknown metric {metric!r}; known: "
                             f"{sorted([*METRICS, 'generalized'])}")

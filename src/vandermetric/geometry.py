@@ -241,7 +241,7 @@ def ngon_sides(angles, radii, center=0j) -> PolygonSides:
     z = _vertices(angles, radii, center)
     j, i = _pair_indices(n)
     pair_sum = np.empty(len(z))
-    for rows in _chunks(len(z), len(i)):
+    for rows in _chunks(len(z), n):
         d = z[rows, i] - z[rows, j]
         pair_sum[rows] = np.cumsum(np.hypot(d.real, d.imag), axis=1)[:, -1]
     if n > _LOG_SWITCH_NGON:

@@ -206,6 +206,26 @@ class TestValidation:
         with pytest.raises(ArgumentError):
             as_point_tuple([1 + 0j])
 
+    ONE_POINT_CALLS = {
+        "replacement_sides": lambda x, y: core.replacement_sides(x, y, "pairwise"),
+        "replacement_blocks": lambda x, y: list(core.replacement_blocks(x, y, "pairwise")),
+        "w_identity_sides": lambda x, y: batch.w_identity_sides(x, y, 2),
+        "sum_identity_sides": batch.sum_identity_sides,
+        "identity_blocks": lambda x, y: list(batch.identity_blocks(x, y, 1)),
+        "lagrange_log_rows": core.lagrange_log_rows,
+        "vandermonde_rows": lambda x, y: core.vandermonde_rows(x[..., 0] + 1j * x[..., 1]),
+        "vandermonde_log_rows": lambda x, y: core.vandermonde_log_rows(x[..., 0] + 1j * x[..., 1]),
+        "pairwise_distances": lambda x, y: core.pairwise_distances(x),
+    }
+
+    @pytest.mark.parametrize("b", [0, 3])
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("name", sorted(ONE_POINT_CALLS))
+    def test_batch_entries_need_two_points(self, name, n, b):
+        # As PointTuple rejects them for the scalar API, with no rows as well.
+        with pytest.raises(ArgumentError, match="need at least 2 points"):
+            self.ONE_POINT_CALLS[name](np.zeros((b, n, 3)), np.zeros((b, 3)))
+
     def test_mixed_dimensions(self):
         with pytest.raises(ArgumentError):
             PointTuple(((1.0, 2.0), (1.0, 2.0, 3.0)))

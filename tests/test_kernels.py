@@ -530,6 +530,29 @@ def test_expansion_batch_rows_chunked_one_at_a_time_keep_their_bits(monkeypatch)
             assert bits(got) == bits(w)
 
 
+@pytest.mark.parametrize("kind", ["normals", "signed zeros", "wrapping int64"])
+def test_product_calls_are_the_complex_product_element_by_element(kind):
+    # re = a0 b0 - a1 b1 and im = a0 b1 + a1 b0 in Python arithmetic, with
+    # scratch aliased to a as the fold and the expansion pass it; the bytes
+    # show a flipped zero sign, and int64 products wrap.
+    rng = np.random.default_rng(33)
+    if kind == "normals":
+        a, b = rng.standard_normal((2, 2, 60))
+    elif kind == "signed zeros":
+        every = itertools.product([-1.0, -0.0, 0.0, 1.0], repeat=4)
+        a, b = np.array(list(every)).T.reshape(2, 2, -1)
+    else:
+        a, b = rng.integers(-2**62, 2**62, (2, 2, 60))
+    reduce = _signed_64 if a.dtype == np.int64 else float
+    rows = list(zip(*a.tolist(), *b.tolist()))
+    want = np.array([[reduce(a0 * b0 - a1 * b1) for a0, a1, b0, b1 in rows],
+                     [reduce(a0 * b1 + a1 * b0) for a0, a1, b0, b1 in rows]], a.dtype)
+    out = np.empty_like(a)
+    for call, arguments in batch._product_calls(a, b, out, a):
+        call(*arguments)
+    assert bits(out) == bits(want)
+
+
 # sha256 of expansion_batch's re then im bytes for 200 rows in R^3 at each
 # n: standard normals, floats in {-1, 0, 1} (most outputs are exact zeros,
 # so a sign flipped on a zero shows) and int64 at bound 3.
@@ -673,6 +696,49 @@ def test_sum_identity_sides_bits_are_pinned(n, m):
     got = tuple(hashlib.sha256(b"".join(map(bits, batch.sum_identity_sides(*inputs)))).hexdigest()
                 for inputs in _identity_inputs(900 + n, n, m))
     assert got == SUM_IDENTITY_PINS[n, m]
+
+
+# sha256 of pdf_batch's re then im bytes at each n, over m = 2, 3, 4 in turn,
+# for each kind of _identity_inputs' points; at n = 1 every row is the empty
+# product 1 + 0i.
+PDF_PINS = {
+    1: ("58d389293658d2aa0f6bc3cc45e32db767cfdf5292475efc3cf1d165088a57d0",
+        "58d389293658d2aa0f6bc3cc45e32db767cfdf5292475efc3cf1d165088a57d0",
+        "1a309eae2e631784090db904dc7def53f52596f11716ab8b1bc4a681879d8d2c"),
+    2: ("82b744d175eb1b334bc72f06f674c208e18402d1b9899552ae49b5440d0b84eb",
+        "12dd8a8ab4860e7cffc849f54ef7551e3311b6f1333ccdfb2ddde733b23f6e2b",
+        "6243805dfab4b4d0993107f8f3e9e74bfa19375f3e18d8c513e8c9b80428603d"),
+    3: ("fe4f8196140a197a69237c3c2153bbc44187792f6d7c74d4091100c411bba05b",
+        "ea3d0009cbb1177b0fdb8ffcd2a7729a02964fc89b47c06a01eec29f56a44ed9",
+        "3f8d392f0505d06ae825d85f3d90413797cda4a64b1023faeb7f0701758ed2bd"),
+    4: ("66ab227fd7cb957e3cf27a79b8088705a602ca083906e8cddd7af46ef392aa57",
+        "943b5796dd66c3c24190b3a16d201a32b441918cf973fac7b1e49516a411dc44",
+        "64f2f7b97ad55c1a1242b3c702b26b0f4d4111cfe17b1ddc19b44e2b14d5b668"),
+    5: ("537c9bf6b24a98e70b3840e8ec3177d27f49b9aee85e15c3cbdc32dcd7cfbd84",
+        "77203699aab444cf3a98293b07c0910379c58e380660a289c8c79130cde05fde",
+        "e2f5762810274b2e9093d187e26722edc2f855a3a34c8cfa182eafcf929a0fa6"),
+    6: ("8d619a038d53f0a1e2020995c26a45cc566cf8ec2286621614cb9a99f2e3ff5f",
+        "8771bdd03f0e16b2da767447a1ac73242ae66c6f7b06a05d759b9796b418de87",
+        "8413bf3616ce3c7d7ce9cf557c5786023a89d6b457e3af1c1c92455c6537512e"),
+    7: ("b49a327f48a609044a6df12f4aabc4bcfd41b65ae36677f5010328c6efd78b32",
+        "356c63f7bac6321d5dd20b1f546d9f694f907d5f544af6f6f4ad5469b24668a6",
+        "500dc084cdb4078a72e1bd8c824d20f3f0486bee6fd27e18cb8cc9ee5dce631c"),
+    8: ("1c99782fbe73571fa29057a340bb3c7c574b3e33733cdb07824bf0a7b07531b3",
+        "9266625e1ce53093a694a48fb6d6b0fb2a6c6d32484e020300ce4e95a5bb645f",
+        "7012a425ca429a3775d5847f7e6e84e3755bacd979623521f6464caaab80a237"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PDF_PINS))
+def test_pdf_batch_bits_are_pinned(n):
+    got = []
+    for kind in range(3):
+        digest = hashlib.sha256()
+        for m in (2, 3, 4):
+            points, _ = _identity_inputs(600 + 10 * n + m, n, m)[kind]
+            digest.update(b"".join(map(bits, batch.pdf_batch(points))))
+        got.append(digest.hexdigest())
+    assert tuple(got) == PDF_PINS[n]
 
 
 def test_exact_oracle_logs_its_kernel_and_keeps_the_gap(caplog, monkeypatch):
