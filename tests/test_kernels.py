@@ -604,7 +604,8 @@ def _identity_inputs(seed, n, m):
 # sha256 of w_identity_sides' lhs then rhs bytes at each (n, q), over
 # m = 2, 3, 4 in turn, for each kind of _identity_inputs: the floats in
 # {-1, 0, 1} give exact zeros and coincident coordinates, so a sign flipped
-# on a zero shows, and every q in 1..n runs both parities of the fold.
+# on a zero shows, and q runs through 1..n, so the fold's tail steps number
+# 0 to n - 1 and its product ends in either of its two accumulators.
 IDENTITY_PINS = {
     (2, 1): ('30c2b4af2a2d2822da26b7eafcbdfcc6f153cadc817d9bab8a301225f72b9368',
              '131d0b761e88c60f86cd7000c3e03c3edc2d8a7e5785236e8aee0628054205a2',
