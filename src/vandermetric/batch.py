@@ -19,13 +19,15 @@ complex product, _product_calls: re and im are the halves of one stacked
 (2, ...) array, and a product is four numpy calls over both.  One
 lockstep fold, _fold, gathers one factor per member from a stacked
 factor-major (2, K, ...) re/im pool each step and multiplies it in.
-pdf_batch folds the pair differences as one member; the projected pass
-of the replacement identities folds the n + 1 tuples, as the signed slot
-map (core._slot_map) lists their factors, in chunks of at most
-core.REPLACEMENT_CHUNK_ELEMENTS pool and buffer elements, or one row,
-then multiplies in their q - 1 tails straight from the pool.  Both pools
-are plane-major, rows last (_plane_pool), and so is that pass from end
-to end (_projected_rows): a chunk's points are copied once,
+pdf_batch folds the pair differences as one member, in the row chunks of
+core._by_rows, the rows-first chunk loop of every row kernel but the
+summing one; the projected pass of the replacement identities folds the
+n + 1 tuples, as the signed slot map (core._slot_map) lists their
+factors, in the chunks of that summing loop (core._replacement_rows),
+then multiplies in their q - 1 tails straight from the pool.  Both
+loops' chunks hold at most core.REPLACEMENT_CHUNK_ELEMENTS elements, or
+one row.  Both pools are plane-major, rows last (_plane_pool), and so is
+that pass from end to end (_projected_rows): a chunk's points are copied once,
 coordinate-major, its factors make one (2, K, M_m, rows) re/im pool, and
 the products are summed straight into component-major (2 M_m, B) sides,
 whose transposed (B, 2 M_m) views, [re | im] per row, are what
@@ -35,16 +37,16 @@ block before the next, so their sides never span the whole batch.
 
 The permutation expansion, expansion_batch, is the one kernel of the
 Leibniz sum for float and int64 points alike: a Laplace subset recursion
-in n 2^(n-1) complex multiply-adds per row and plane (_laplace_rows).
+in n 2^(n-1) complex multiply-adds per row and plane (_laplace_steps).
 Its re and im planes are stacked as well, and its complex products are
 _product_calls; each step's tables are column-major, so each column of
 terms it sums is one contiguous block per plane; and each term's sign
 is folded into the row of a signed power table it reads, which keeps
-the bits of negating the power.  Its row chunks of
-LAPLACE_CHUNK_ELEMENTS share one working set, so its temporaries do not
-grow with B either, and every full chunk runs one plan, the list of its
-numpy calls with their views of that working set, built once per call
-(_laplace_plan).
+the bits of negating the power.  Its row chunks, through core._by_rows
+as well, of LAPLACE_CHUNK_ELEMENTS share one working set, so its
+temporaries do not grow with B either, and every full chunk runs one
+plan, the list of its numpy calls with their views of that working set,
+built once per call (_laplace_plan).
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _block_rows, _check_points,
-                   _linear_sides, _pair_differences, _pair_indices, _replacement_rows,
-                   _root_power, _slices, _slot_map, verdict)
+from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _block_rows, _by_rows, _check_points,
+                   _chunk_rows, _linear_sides, _pair_differences, _pair_indices,
+                   _replacement_rows, _root_power, _slices, _slot_map, verdict)
 from .errors import ResourceError
 
 log = logging.getLogger(__name__)
@@ -165,23 +167,34 @@ def _plane_pool(factors: np.ndarray) -> np.ndarray:
     return pool
 
 
+def _empty_product(points: np.ndarray):
+    """1 + 0i per row and coordinate pair of the (B, n, m) points: the product of no factor."""
+    shape = (len(points), points.shape[2] * (points.shape[2] - 1) // 2)
+    return np.ones(shape, points.dtype), np.zeros(shape, points.dtype)
+
+
+def _pdf_rows(points: np.ndarray):
+    """The (2, rows, M_m) re and im of pdf_batch on one chunk of rows."""
+    pool = _plane_pool(_pair_differences(np.ascontiguousarray(points.transpose(1, 2, 0))))
+    return _fold(pool, np.arange(pool.shape[1])[:, None], None, 0)[:, 0].transpose(0, 2, 1)
+
+
 def pdf_batch(points: np.ndarray):
     """Product-difference form per row; points is (B, n, m).
 
-    The points are copied once, coordinate-major, their P pair
-    differences (core._pair_differences) make the (2, P, M_m, B) pool
-    (_plane_pool), and the pool folds as one member (_fold).  Returns
-    contiguous (re, im) arrays of shape (B, M_m), in the points' dtype;
-    one point is the empty product, 1 + 0i, as in expansion_batch.
+    A chunk's points are copied once, coordinate-major, their P pair
+    differences (core._pair_differences) make the (2, P, M_m, rows) pool
+    (_plane_pool), and the pool folds as one member (_fold).  A chunk
+    holds n m + P m + 2 P M_m + 6 M_m elements a row: the copy, the
+    differences, the pool and the fold's three buffers.  Returns (re, im)
+    arrays of shape (B, M_m), in the points' dtype; one point is the
+    empty product, 1 + 0i, as in expansion_batch.
     """
     b, n, m = points.shape
     if n < 2:
-        shape = (b, m * (m - 1) // 2)
-        return np.ones(shape, points.dtype), np.zeros(shape, points.dtype)
-    pool = _plane_pool(_pair_differences(np.ascontiguousarray(points.transpose(1, 2, 0))))
-    product = _fold(pool, np.arange(pool.shape[1])[:, None], None, 0)
-    re, im = np.ascontiguousarray(product[:, 0].transpose(0, 2, 1))
-    return re, im
+        return _empty_product(points)
+    p, pairs = n * (n - 1) // 2, m * (m - 1) // 2
+    return _by_rows(_pdf_rows, _chunk_rows((n + p) * m + (2 * p + 6) * pairs), points)
 
 
 def _projected_elements(n: int, m: int) -> int:
@@ -236,7 +249,7 @@ def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 
 # Elements of one row chunk's working set in the subset recursion: the
 # coordinates, the signed power table and the three term buffers of its
-# widest step, re and im, of R rows and P coordinate pairs (_laplace_rows).
+# widest step, re and im, of R rows and P coordinate pairs (_laplace_plan).
 # 1.5 MiB of float64 or int64, so a chunk still fits a 2 MiB L2 cache.  A
 # chunk makes the same numpy calls whatever its rows, about 70 at n = 6,
 # so fewer, larger chunks spend less of the time on them.
@@ -278,7 +291,7 @@ def _laplace_terms(n: int) -> int:
 
 
 def _laplace_elements(n: int, m: int) -> int:
-    """Working-set elements per row of _laplace_rows, of at least one coordinate pair.
+    """Working-set elements per row of expansion_batch, of at least one coordinate pair.
 
     re and im of the n coordinates, of the 2n^2 signed powers and of three
     term buffers of the widest step (_laplace_terms), per coordinate pair.
@@ -356,34 +369,6 @@ def _laplace_plan(work, n, rows, pairs):
     return coordinates, calls, d[:, 0].reshape(2, rows, pairs)
 
 
-def _laplace_rows(points, out):
-    """The expansion of the (B, n, m) points by subset recursion into the (2, B, P) out, re then im.
-
-    Rows run in chunks of R rows whose working set, re and im of W = R P
-    row-planes, holds at most LAPLACE_CHUNK_ELEMENTS elements
-    (_laplace_elements per row).  It is allocated once per call, in the
-    points' dtype.  The plan of a full chunk (_laplace_plan) is built once
-    and runs every full chunk, so a chunk makes only the kernel's numpy
-    calls; the last chunk, if partial, gets its own plan over the same
-    work array.  n is not limited here.  Returns R.
-    """
-    B, n, m = points.shape
-    pairs = np.array(_pair_indices(m))
-    per_row = _laplace_elements(n, m)
-    rows = max(1, min(B, LAPLACE_CHUNK_ELEMENTS // per_row))
-    work = np.empty(rows * per_row, points.dtype)
-    plan = _laplace_plan(work, n, rows, pairs.shape[1])
-    for start in range(0, B, rows):
-        if B - start < rows:
-            plan = _laplace_plan(work, n, B - start, pairs.shape[1])
-        coordinates, calls, result = plan
-        coordinates[...] = points[start:start + rows, :, pairs]
-        for call, arguments in calls:
-            call(*arguments)
-        out[:, start:start + rows] = result
-    return rows
-
-
 def expansion_batch(points: np.ndarray):
     """Signed permutation expansion per row by Laplace subset recursion; must match pdf_batch.
 
@@ -395,20 +380,34 @@ def expansion_batch(points: np.ndarray):
     point costs a complex multiply-add per (subset, power) pair, n 2^(n-1)
     in all (_laplace_steps), against the n! leaves of the sum as written
     (multilinear.permutation_expansion).  On int64 points the result is
-    that sum in the ring Z/2^64, wraparound included.  Rows run in chunks
-    of at most LAPLACE_CHUNK_ELEMENTS working-set elements (_laplace_rows);
-    n > 8 is a ResourceError.
+    that sum in the ring Z/2^64, wraparound included; n > 8 is a
+    ResourceError.  Rows run in chunks of at most LAPLACE_CHUNK_ELEMENTS
+    working-set elements (_laplace_elements a row), one work array a call,
+    and each chunk size gets one plan over it (_laplace_plan).
     """
     B, n, m = points.shape
     if n > EXPANSION_MAX_N:
         raise ResourceError(f"permutation expansion limited to n <= {EXPANSION_MAX_N}")
-    out = np.empty((2, B, m * (m - 1) // 2), dtype=points.dtype)
-    if not out.size:  # no row or no coordinate pair: nothing to plan
-        return out[0], out[1]
-    rows = _laplace_rows(points, out)
+    pairs = np.array(_pair_indices(m))
+    if n < 2 or not B * pairs.shape[1]:  # one point, no row or no coordinate pair: nothing to plan
+        return _empty_product(points)
+    per_row = _laplace_elements(n, m)
+    rows = max(1, min(B, LAPLACE_CHUNK_ELEMENTS // per_row))
+    work, plans = np.empty(rows * per_row, points.dtype), {}
+
+    def expand(chunk):
+        if len(chunk) not in plans:
+            plans[len(chunk)] = _laplace_plan(work, n, len(chunk), pairs.shape[1])
+        coordinates, calls, result = plans[len(chunk)]
+        coordinates[...] = chunk[:, :, pairs]
+        for call, arguments in calls:
+            call(*arguments)
+        return result
+
+    re, im = _by_rows(expand, rows, points)
     log.debug("expansion_batch n=%d: %d terms per row and plane by subset recursion, "
               "%d rows in %d chunks of %d", n, n * 2 ** (n - 1), B, -(-B // rows), rows)
-    return out[0], out[1]
+    return re, im
 
 
 def _norm(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -419,15 +419,31 @@ def _log_sums(factors: np.ndarray) -> np.ndarray:
     return sums
 
 
-# Rows are folded in chunks of about this many pair factors, which bounds
-# the temporaries however many rows a caller stacks.
-_CHUNK_FACTORS = 1 << 13
+def _by_rows(kernel, step: int, *arrays):
+    """kernel's outputs on consecutive slices of at most step rows of the arrays, stacked.
+
+    kernel returns arrays with the chunk's rows first.  The (B, ...)
+    outputs are allocated at the first chunk, in its dtypes; an empty batch
+    runs one empty chunk for them.  The temporaries are one chunk's.
+    """
+    b, outputs = len(arrays[0]), None
+    for start in range(0, max(1, b), step):
+        rows = slice(start, start + step)
+        chunk = kernel(*(a[rows] for a in arrays))
+        if outputs is None:
+            outputs = tuple(np.empty((b,) + c.shape[1:], c.dtype) for c in chunk)
+        for output, c in zip(outputs, chunk):
+            output[rows] = c
+    return outputs
 
 
-def _chunks(rows: int, n: int):
-    """Row slices of about _CHUNK_FACTORS pair factors of n points; n < 2 raises (_check_points)."""
-    _check_points(n)
-    return _slices(0, rows, max(1, _CHUNK_FACTORS // (n * (n - 1) // 2)))
+def _pair_rows(x: np.ndarray) -> int:
+    """Rows of one chunk of a pair-factor kernel on (B, n, ...) x: 8192 pair factors.
+
+    16 P elements a row (_chunk_rows); fewer than 2 points raise ArgumentError (_check_points).
+    """
+    _check_points(x.shape[1])
+    return _chunk_rows(8 * x.shape[1] * (x.shape[1] - 1))
 
 
 def _slices(start: int, stop: int, step: int):
@@ -466,21 +482,12 @@ def vandermonde_rows(z: np.ndarray):
     folded by pair_product_rows.  Returns the values and the mask of the
     log-domain rows.
     """
-    n = z.shape[1]
-    values = np.empty(z.shape[0])
-    log_rows = np.empty(z.shape[0], dtype=bool)
-    for rows in _chunks(z.shape[0], n):
-        values[rows], log_rows[rows] = pair_product_rows(_pair_factors(z[rows]))
-    return values, log_rows
+    return _by_rows(lambda z: pair_product_rows(_pair_factors(z)), _pair_rows(z), z)
 
 
 def vandermonde_log_rows(z: np.ndarray) -> np.ndarray:
     """Sum of log|z_i - z_j| of each row of a (B, n) complex array (canonical order)."""
-    n = z.shape[1]
-    out = np.empty(z.shape[0])
-    for rows in _chunks(z.shape[0], n):
-        out[rows] = _log_sums(_pair_factors(z[rows]))
-    return out
+    return _by_rows(lambda z: (_log_sums(_pair_factors(z)),), _pair_rows(z), z)[0]
 
 
 def _exp_or_zero(log_value: float) -> float:
@@ -635,12 +642,7 @@ def lagrange_log_rows(x: np.ndarray, y: np.ndarray):
     sums that hold it -inf, never NaN.  Returns the (B,) log d and the
     (B, n) terms in the input's slot order.
     """
-    n = x.shape[1]
-    log_d = np.empty(len(x))
-    terms = np.empty(x.shape[:2])
-    for rows in _chunks(len(x), n):
-        log_d[rows], terms[rows] = _lagrange_logs(x[rows], y[rows])
-    return log_d, terms
+    return _by_rows(_lagrange_logs, _pair_rows(x), x, y)
 
 
 def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
@@ -669,11 +671,7 @@ def pairwise_distances(x: np.ndarray) -> np.ndarray:
     differences, which is math.dist of the two points.  A (B, n) complex
     array gives the factors |z_i - z_j| of vandermonde_rows.
     """
-    pairs = x.shape[1] * (x.shape[1] - 1) // 2
-    out = np.empty((x.shape[0], pairs))
-    for rows in _chunks(x.shape[0], x.shape[1]):
-        out[rows] = _pair_factors(x[rows])
-    return out
+    return _by_rows(lambda x: (_pair_factors(x),), _pair_rows(x), x)[0]
 
 
 def pairwise_product_metric(points) -> float:
@@ -752,9 +750,12 @@ def _root_power(n: int) -> float:
     return 2.0 / (n * (n - 1))
 
 
-# Pool and lockstep-buffer elements of one chunk of _replacement_rows.  A
-# chunk's tracemalloc peak: 2.04, 2.14 and 2.48 MiB for complex rows at
-# n = 5, 6 and 12, 1.23 MiB for the generalized metric at n = 3, m = 4.
+# Elements of one row chunk of every row kernel but the expansion
+# (batch.LAPLACE_CHUNK_ELEMENTS), each counting its own a row (_chunk_rows):
+# _replacement_rows its pool and lockstep buffers, the pair-factor kernels
+# 16 per pair factor (_pair_rows).  A replacement chunk's tracemalloc peak:
+# 2.04, 2.14 and 2.48 MiB for complex rows at n = 5, 6 and 12, 1.23 MiB for
+# the generalized metric at n = 3, m = 4.
 REPLACEMENT_CHUNK_ELEMENTS = 1 << 17
 
 
@@ -1041,14 +1042,13 @@ def _generalized_log_rows(x: np.ndarray, y: np.ndarray):
     its term and that doubled); lagrange_log_rows chunks its pair factors.
     """
     n, count = x.shape[1], x.shape[2] * (x.shape[2] - 1) // 2
-    log_d, terms = np.empty(len(x)), np.empty(x.shape[:2])
-    step = _chunk_rows(4 * count * n)
-    for rows in _slices(0, len(x), step):
-        plane_d, plane_terms = lagrange_log_rows(_planes(x[rows]).reshape(-1, n),
-                                                 _planes(y[rows]).ravel())
-        log_d[rows] = 0.5 * _log_sum_exp(2.0 * plane_d.reshape(count, -1).T)
-        terms[rows] = 0.5 * _log_sum_exp(2.0 * plane_terms.reshape(count, -1).T).reshape(-1, n)
-    return log_d, terms
+
+    def norms(x, y):
+        plane_d, plane_terms = lagrange_log_rows(_planes(x).reshape(-1, n), _planes(y).ravel())
+        return (0.5 * _log_sum_exp(2.0 * plane_d.reshape(count, -1).T),
+                0.5 * _log_sum_exp(2.0 * plane_terms.reshape(count, -1).T).reshape(-1, n))
+
+    return _by_rows(norms, _chunk_rows(4 * count * n), x, y)
 
 
 def _lagrange_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):

@@ -26,10 +26,13 @@ from .core import (
     LOG,
     POLYGON_CHECK_NAMES,
     MetricReport,
-    _chunks,
+    _abs,
+    _by_rows,
     _finite,
     _pair_indices,
+    _pair_rows,
     _replacement_report,
+    _row_sums,
     replacement_sides,
     scalar_map,
     scalar_powers,
@@ -240,10 +243,7 @@ def ngon_sides(angles, radii, center=0j) -> PolygonSides:
     n = angles.shape[1]
     z = _vertices(angles, radii, center)
     j, i = _pair_indices(n)
-    pair_sum = np.empty(len(z))
-    for rows in _chunks(len(z), n):
-        d = z[rows, i] - z[rows, j]
-        pair_sum[rows] = np.cumsum(np.hypot(d.real, d.imag), axis=1)[:, -1]
+    pair_sum, = _by_rows(lambda z: (_row_sums(_abs(z[:, i] - z[:, j])),), _pair_rows(z), z)
     if n > _LOG_SWITCH_NGON:
         rhs = (math.lgamma(n - 1) + ((n + 1) * (n - 2) / 2.0) * scalar_map(math.log, radii)
                + scalar_map(math.log, pair_sum))
