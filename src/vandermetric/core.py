@@ -101,10 +101,16 @@ class PointTuple:
         return 1 if self.is_complex else len(self.points[0])
 
 
-def _check_points(n: int) -> None:
-    """Raise ArgumentError below 2 points: no pair, so no metric of them."""
+def _check_points(n: int, m: int = 1, least: int = 1) -> None:
+    """Raise ArgumentError below 2 points, or below least coordinates a point.
+
+    Fewer than 2 points have no pair, so no metric of them; vectors need a
+    coordinate, and the generalized metric a coordinate plane, so 2.
+    """
     if n < 2:
         raise ArgumentError(f"need at least 2 points, got {n}")
+    if m < least:
+        raise ArgumentError(f"need at least 2 points of {least} or more coordinates, got {m}")
 
 
 def as_point_tuple(obj) -> PointTuple:
@@ -438,11 +444,12 @@ def _by_rows(kernel, step: int, *arrays):
 
 
 def _pair_rows(x: np.ndarray) -> int:
-    """Rows of one chunk of a pair-factor kernel on (B, n, ...) x: 8192 pair factors.
+    """Rows of one chunk of a pair-factor kernel on (B, n) or (B, n, m) x: 8192 pair factors.
 
-    16 P elements a row (_chunk_rows); fewer than 2 points raise ArgumentError (_check_points).
+    16 P elements a row (_chunk_rows).  Fewer than 2 points, or vectors of
+    no coordinate, raise ArgumentError (_check_points).
     """
-    _check_points(x.shape[1])
+    _check_points(*x.shape[1:])
     return _chunk_rows(8 * x.shape[1] * (x.shape[1] - 1))
 
 
@@ -747,6 +754,8 @@ def _coerce_like(t: PointTuple, y):
 
 
 def _root_power(n: int) -> float:
+    """2 / (n(n-1)), the power of the root metrics; fewer than 2 points have none."""
+    _check_points(n)
     return 2.0 / (n * (n - 1))
 
 
@@ -949,8 +958,14 @@ def _generalized_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _linear_elements(points: np.ndarray, metric: str) -> int:
-    """Elements of one row of _linear_sides, the unit of REPLACEMENT_CHUNK_ELEMENTS."""
-    return (_plane_elements if metric == "generalized" else _row_elements)(*points.shape[1:])
+    """Elements of one row of _linear_sides, the unit of REPLACEMENT_CHUNK_ELEMENTS.
+
+    Fewer than 2 points, vectors of no coordinate, or of no coordinate
+    plane for the generalized metric, raise ArgumentError (_check_points).
+    """
+    generalized = metric == "generalized"
+    _check_points(*points.shape[1:], 2 if generalized else 1)
+    return (_plane_elements if generalized else _row_elements)(*points.shape[1:])
 
 
 def _linear_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
@@ -995,7 +1010,7 @@ def _underflowed(lhs: np.ndarray, points: np.ndarray, y: np.ndarray, metric: str
 
 def _check_replacement(points: np.ndarray, metric: str, ks) -> None:
     """Raise ArgumentError unless replacement_sides takes these points, metric and ks."""
-    _check_points(points.shape[1])
+    _check_points(*points.shape[1:])
     if metric not in METRICS and metric != "generalized":
         raise ArgumentError(f"unknown metric {metric!r}; known: "
                             f"{sorted([*METRICS, 'generalized'])}")

@@ -185,6 +185,16 @@ def test_expansion_peak_is_one_chunk_budget_and_its_output(rng):
     assert peak <= batch.LAPLACE_CHUNK_ELEMENTS * 8 + output + (128 << 10)
 
 
+def test_pdf_batch_peak_is_one_chunk_budget_and_its_outputs(rng):
+    # Rows run in chunks of at most REPLACEMENT_CHUNK_ELEMENTS elements;
+    # 128 KiB covers the small arrays of the fold.  Unchunked, the copy,
+    # the differences, the pool and the fold buffers of all 1e5 rows came
+    # to 41 MiB.
+    peak, sides = _peak(batch.pdf_batch, rng.uniform(-1, 1, size=(100000, 4, 3)))
+    output = sum(side.nbytes for side in sides)
+    assert peak <= core.REPLACEMENT_CHUNK_ELEMENTS * 8 + output + (128 << 10)
+
+
 def test_decider_temporaries_do_not_grow_with_the_budget():
     # (4, 6) is exhausted at either budget; an array of the larger budget's
     # assignment numbers alone would take 320 KB.

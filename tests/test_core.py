@@ -216,15 +216,30 @@ class TestValidation:
         "vandermonde_rows": lambda x, y: core.vandermonde_rows(x[..., 0] + 1j * x[..., 1]),
         "vandermonde_log_rows": lambda x, y: core.vandermonde_log_rows(x[..., 0] + 1j * x[..., 1]),
         "pairwise_distances": lambda x, y: core.pairwise_distances(x),
+        "simplex_sides_complex": lambda x, y: batch.simplex_sides_complex(x[..., 0] + 1j * x[..., 1],
+                                                                          y[:, 0] + 0j),
+        "extended_sides_complex": lambda x, y: batch.extended_sides_complex(
+            x[..., 0] + 1j * x[..., 1], y[:, 0] + 0j, (0, 1)),
+        "simplex_sides_vectors": batch.simplex_sides_vectors,
+        "simplex_sides_generalized": batch.simplex_sides_generalized,
+        "root_batch": lambda x, y: batch.root_batch(x[..., 0] + 1j * x[..., 1]),
     }
 
-    @pytest.mark.parametrize("b", [0, 3])
-    @pytest.mark.parametrize("n", [0, 1])
-    @pytest.mark.parametrize("name", sorted(ONE_POINT_CALLS))
-    def test_batch_entries_need_two_points(self, name, n, b):
+    # The calls that take vectors, on 3 points of too few coordinates: none,
+    # or for the generalized metric, one, which spans no coordinate plane.
+    FEW_COORDINATES = {"lagrange_log_rows": 0, "pairwise_distances": 0, "replacement_sides": 0,
+                       "simplex_sides_vectors": 0, "simplex_sides_generalized": 1}
+
+    SHAPES = [pytest.param(name, (b, n, 3), id=f"{name}-{n}-{b}")
+              for name in sorted(ONE_POINT_CALLS) for n in (0, 1) for b in (0, 3)] + [
+        pytest.param(name, (b, 3, m), id=f"{name}-m{m}-{b}")
+        for name, most in sorted(FEW_COORDINATES.items()) for m in range(most + 1) for b in (0, 3)]
+
+    @pytest.mark.parametrize("name,shape", SHAPES)
+    def test_batch_entries_need_two_points(self, name, shape):
         # As PointTuple rejects them for the scalar API, with no rows as well.
         with pytest.raises(ArgumentError, match="need at least 2 points"):
-            self.ONE_POINT_CALLS[name](np.zeros((b, n, 3)), np.zeros((b, 3)))
+            self.ONE_POINT_CALLS[name](np.zeros(shape), np.zeros(shape[::2]))
 
     def test_mixed_dimensions(self):
         with pytest.raises(ArgumentError):

@@ -36,7 +36,7 @@ from vandermetric.campaign import (
     multilinear_oracle_exact,
     random_ode_problem,
 )
-from vandermetric import batch, campaign, core
+from vandermetric import batch, campaign, core, geometry
 from vandermetric.batch import expansion_batch
 from vandermetric.core import (LINEAR, LOG, _pair_indices, replacement_sides, vandermonde_log_rows,
                                vandermonde_rows)
@@ -530,6 +530,71 @@ def test_expansion_batch_rows_chunked_one_at_a_time_keep_their_bits(monkeypatch)
             assert bits(got) == bits(w)
 
 
+def _ngon_rows(sides):
+    """The per-row arrays of an n-gon check: lhs, rhs and its log-domain rows."""
+    return sides.lhs, sides.rhs, sides.log_rows
+
+
+# Each kernel that chunks its rows through core._by_rows, on (B, 6)
+# complex points z, (B, 5, 3) vectors x with y (B, 3), or (B, 6) n-gon
+# angles with radii r, and the elements of one of its rows: 16 per pair
+# factor (core._pair_rows), 4 per projected point of the generalized log
+# sums, and the copy, differences, pool and fold buffers of pdf_batch.
+CHUNK_SEAM_CASES = {
+    "vandermonde_rows": (lambda z, x, y, a, r: core.vandermonde_rows(z), 16 * 15),
+    "vandermonde_log_rows": (lambda z, x, y, a, r: (vandermonde_log_rows(z),), 16 * 15),
+    "lagrange_log_rows": (lambda z, x, y, a, r: core.lagrange_log_rows(x, y), 16 * 10),
+    "pairwise_distances": (lambda z, x, y, a, r: (core.pairwise_distances(x),), 16 * 10),
+    "ngon_sides": (lambda z, x, y, a, r: _ngon_rows(geometry.ngon_sides(a, r)), 16 * 15),
+    "generalized log sums": (lambda z, x, y, a, r: core._lagrange_sides(x, y, "generalized", (0,)),
+                             4 * 3 * 5),
+    "pdf_batch": (lambda z, x, y, a, r: batch.pdf_batch(x), (5 + 10) * 3 + (2 * 10 + 6) * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_SEAM_CASES))
+def test_rows_chunked_three_at_a_time_keep_their_bits(monkeypatch, name):
+    # Three rows a chunk: B = 7 leaves a short last chunk, and B = 0 runs one
+    # empty chunk, whose outputs keep their shapes with no rows.
+    kernel, per_row = CHUNK_SEAM_CASES[name]
+    rng = np.random.default_rng(34)
+
+    def inputs(b):
+        return (rng.standard_normal((b, 6)) + 1j * rng.standard_normal((b, 6)),
+                rng.uniform(-1.0, 1.0, (b, 5, 3)), rng.uniform(-1.0, 1.0, (b, 3)),
+                random_sorted_angles(rng, b, 6), rng.uniform(0.5, 2.0, b))
+
+    seven, empty = inputs(7), inputs(0)
+    whole = kernel(*seven)
+    by_rows, chunks = core._by_rows, []
+
+    def counted(chunk_kernel, step, *arrays):
+        sizes = []
+        chunks.append(sizes)
+
+        def chunk(*rows):
+            sizes.append(len(rows[0]))
+            return chunk_kernel(*rows)
+
+        return by_rows(chunk, step, *arrays)
+
+    for module in (core, batch, geometry):
+        monkeypatch.setattr(module, "_by_rows", counted)
+    # One element short of three rows is two: the kernel counts per_row a row.
+    monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row - 1)
+    kernel(*seven)
+    assert chunks[0] == [2, 2, 2, 1]
+    chunks.clear()
+    monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * per_row)
+    got = kernel(*seven)
+    assert chunks[0] == [3, 3, 1]
+    assert [(g.shape, g.dtype) for g in got] == [(w.shape, w.dtype) for w in whole]
+    assert list(map(bits, got)) == list(map(bits, whole))
+    # 7 is the batch axis, the only axis of that length.
+    shapes = [(tuple(0 if d == 7 else d for d in w.shape), w.dtype) for w in whole]
+    assert [(g.shape, g.dtype) for g in kernel(*empty)] == shapes
+
+
 @pytest.mark.parametrize("kind", ["normals", "signed zeros", "wrapping int64"])
 def test_product_calls_are_the_complex_product_element_by_element(kind):
     # re = a0 b0 - a1 b1 and im = a0 b1 + a1 b0 in Python arithmetic, with
@@ -947,10 +1012,10 @@ def test_pdf_batch_is_the_left_side_of_the_identity(n, m):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64])
-@pytest.mark.parametrize("n,m", [(1, 3), (4, 1)])
+@pytest.mark.parametrize("n,m", [(0, 3), (1, 3), (4, 1)])
 def test_expansion_and_pdf_batch_agree_on_one_point_and_on_one_coordinate(n, m, dtype):
-    # One point is the empty product 1 + 0i per plane; one coordinate has no
-    # plane, so both kernels return (B, 0) sides.
+    # No point or one point is the empty product 1 + 0i per plane; one
+    # coordinate has no plane, so both kernels return (B, 0) sides.
     points = np.random.default_rng(n).integers(-3, 4, (5, n, m)).astype(dtype)
     expansion, pdf = expansion_batch(points), batch.pdf_batch(points)
     want = (np.ones((5, m * (m - 1) // 2), dtype), np.zeros((5, m * (m - 1) // 2), dtype))
