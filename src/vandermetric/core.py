@@ -444,10 +444,10 @@ def _by_rows(kernel, step: int, *arrays):
 
 
 def _pair_rows(x: np.ndarray) -> int:
-    """Rows of one chunk of a pair-factor kernel on (B, n) or (B, n, m) x: 8192 pair factors.
+    """Rows of one chunk of a pair-factor kernel on (B, n) or (B, n, m) x: 16 P elements a row.
 
-    16 P elements a row (_chunk_rows).  Fewer than 2 points, or vectors of
-    no coordinate, raise ArgumentError (_check_points).
+    That is 8192 pair factors a chunk (_chunk_rows).  Fewer than 2 points,
+    or vectors of no coordinate, raise ArgumentError (_check_points).
     """
     _check_points(*x.shape[1:])
     return _chunk_rows(8 * x.shape[1] * (x.shape[1] - 1))

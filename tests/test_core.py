@@ -216,8 +216,8 @@ class TestValidation:
         "vandermonde_rows": lambda x, y: core.vandermonde_rows(x[..., 0] + 1j * x[..., 1]),
         "vandermonde_log_rows": lambda x, y: core.vandermonde_log_rows(x[..., 0] + 1j * x[..., 1]),
         "pairwise_distances": lambda x, y: core.pairwise_distances(x),
-        "simplex_sides_complex": lambda x, y: batch.simplex_sides_complex(x[..., 0] + 1j * x[..., 1],
-                                                                          y[:, 0] + 0j),
+        "simplex_sides_complex": lambda x, y: batch.simplex_sides_complex(
+            x[..., 0] + 1j * x[..., 1], y[:, 0] + 0j),
         "extended_sides_complex": lambda x, y: batch.extended_sides_complex(
             x[..., 0] + 1j * x[..., 1], y[:, 0] + 0j, (0, 1)),
         "simplex_sides_vectors": batch.simplex_sides_vectors,
