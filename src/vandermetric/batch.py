@@ -59,8 +59,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _block_rows, _by_rows, _check_points,
-                   _chunk_rows, _linear_sides, _pair_differences, _pair_indices,
-                   _replacement_rows, _root_power, _slices, _slot_map, verdict)
+                   _chunk_rows, _linear_sides, _pair_differences, _pair_indices, _root_power,
+                   _sides, _slices, _slot_map, verdict)
 from .errors import ResourceError
 
 log = logging.getLogger(__name__)
@@ -442,7 +442,8 @@ def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
     (_projected_rows), and returned as their transposed views.
     """
     b, n, m = points.shape
-    sides = _replacement_rows(_projected_rows, _projected_elements(n, m), points, y, q)
+    step = _chunk_rows(_projected_elements(n, m))
+    sides = _by_rows(lambda x, y: _sides(_projected_rows(x, y, q)), step, points, y, rows_last=True)
     return tuple(side.reshape(m * (m - 1), b).T for side in sides)
 
 
@@ -454,7 +455,7 @@ def identity_blocks(points: np.ndarray, y: np.ndarray, q: int):
     q = 1), called once a block of core._block_rows.
     """
     b, n, m = points.shape
-    for rows in _slices(0, b, _block_rows(_projected_elements(n, m), m * (m - 1))):
+    for rows in _slices(b, _block_rows(_projected_elements(n, m), m * (m - 1))):
         lhs, rhs = w_identity_sides(points[rows], y[rows], q)
         yield rows, lhs[None], rhs[None], LINEAR
         del lhs, rhs  # before the next block's sides are computed

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core
 from .core import (BOUND, ESTIMATE_RTOL, IDENTITY, IDENTITY_RTOL, INEQUALITY, INEQUALITY_RTOL,
-                   LINEAR, LOG, checked_tol, dump_json, replacement_blocks, verdict)
+                   LINEAR, LOG, checked_tol, dump_json, verdict)
 from .errors import ArgumentError
 
 if TYPE_CHECKING:
@@ -283,7 +283,7 @@ def _simplex_campaign(config: CampaignConfig) -> CampaignResult:
         y = rng.standard_normal((b, m))
         extra = lambda t: {"points": points[t].tolist(), "y": y[t].tolist()}
     return _judge_blocks(config, INEQUALITY, f"simplex {config.metric}",
-                         replacement_blocks(points, y, config.metric), extra)
+                         core.replacement_blocks(points, y, config.metric), extra)
 
 
 def _extended_campaign(config: CampaignConfig) -> CampaignResult:
@@ -298,7 +298,7 @@ def _extended_campaign(config: CampaignConfig) -> CampaignResult:
         row = t % b
         return {"k": k, "points": _jsonable_complex(z[row]), "y": [y[row].real, y[row].imag]}
 
-    blocks = replacement_blocks(z, y, "vandermonde", ks)
+    blocks = core.replacement_blocks(z, y, "vandermonde", ks)
     return _judge_blocks(config, INEQUALITY, "extended", blocks, extra)
 
 
@@ -316,7 +316,7 @@ def _equality_family_campaign(config: CampaignConfig) -> CampaignResult:
     # y = 0 for every row, as a read-only view of one zero.
     y = np.broadcast_to(0j, (b,))
     return _judge_blocks(config, IDENTITY, "equality-family",
-                         replacement_blocks(z, y, "vandermonde"), extra)
+                         core.replacement_blocks(z, y, "vandermonde"), extra)
 
 
 def _polygon_campaign(config: CampaignConfig) -> CampaignResult:

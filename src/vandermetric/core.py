@@ -425,21 +425,25 @@ def _log_sums(factors: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _by_rows(kernel, step: int, *arrays):
+def _by_rows(kernel, step: int, *arrays, rows_last: bool = False):
     """kernel's outputs on consecutive slices of at most step rows of the arrays, stacked.
 
-    kernel returns arrays with the chunk's rows first.  The (B, ...)
-    outputs are allocated at the first chunk, in its dtypes; an empty batch
-    runs one empty chunk for them.  The temporaries are one chunk's.
+    kernel returns arrays with the chunk's rows first, or with rows_last,
+    last.  The (B, ...) or (..., B) outputs are allocated at the first
+    chunk, in its dtypes; an empty batch runs one empty chunk for them.
+    The temporaries are one chunk's: each chunk's outputs are dropped
+    before the next chunk is computed.
     """
     b, outputs = len(arrays[0]), None
     for start in range(0, max(1, b), step):
         rows = slice(start, start + step)
         chunk = kernel(*(a[rows] for a in arrays))
         if outputs is None:
-            outputs = tuple(np.empty((b,) + c.shape[1:], c.dtype) for c in chunk)
+            outputs = tuple(np.empty(c.shape[:-1] + (b,) if rows_last else (b,) + c.shape[1:],
+                                     c.dtype) for c in chunk)
         for output, c in zip(outputs, chunk):
-            output[rows] = c
+            output[(..., rows) if rows_last else rows] = c
+        del chunk  # before the next chunk is computed
     return outputs
 
 
@@ -453,9 +457,9 @@ def _pair_rows(x: np.ndarray) -> int:
     return _chunk_rows(8 * x.shape[1] * (x.shape[1] - 1))
 
 
-def _slices(start: int, stop: int, step: int):
-    """Consecutive slices of at most step rows from start to stop."""
-    return (slice(s, min(s + step, stop)) for s in range(start, stop, step))
+def _slices(b: int, step: int):
+    """Consecutive slices of at most step rows of b rows; no row is one empty slice."""
+    return (slice(s, min(s + step, b)) for s in range(0, max(1, b), step))
 
 
 def pair_product_rows(factors: np.ndarray):
@@ -805,30 +809,16 @@ def _row_elements(n: int, m: int = 0) -> int:
     return p + n + 2 * (n + 1) + (p + 2 * n) * m
 
 
-def _replacement_rows(kernel, per_row: int, points: np.ndarray, y: np.ndarray, *args):
-    """Sides lhs = values[0] and rhs = values[1] + ... + values[n] of kernel, chunk by chunk.
+def _sides(values):
+    """lhs = values[0] and rhs = values[1] + ... + values[n] of a replacement kernel's values.
 
-    kernel(points[rows], y[rows], *args) returns the n + 1 tuples' values,
-    each shaped (..., rows), rows last: x first, then x with slot s -> y in
-    slot order.  rhs is summed from zeros in slot order.  per_row is the
-    kernel's pool and buffer elements of one row.  The (..., B) sides are
-    allocated at the first chunk, in the values' dtype; an empty batch runs
-    one empty chunk for it.
+    values are the n + 1 tuples' values, x first, then x with slot s -> y
+    in slot order; rhs is summed from zeros in slot order.
     """
-    step = _chunk_rows(per_row)
-    lhs = rhs = None
-    for start in range(0, max(1, len(points)), step):
-        rows = slice(start, start + step)
-        values = kernel(points[rows], y[rows], *args)
-        if lhs is None:
-            lhs = np.empty(values[0].shape[:-1] + (len(points),), dtype=values[0].dtype)
-            rhs = np.zeros_like(lhs)
-        lhs[..., rows] = values[0]
-        chunk = rhs[..., rows]
-        for s in range(1, len(values)):
-            chunk += values[s]
-        del values  # before the next chunk's values are computed
-    return lhs, rhs
+    rhs = np.zeros_like(values[0])
+    for value in values[1:]:
+        rhs += value
+    return values[0], rhs
 
 
 def _pair_differences(points: np.ndarray, out=None) -> np.ndarray:
@@ -974,14 +964,17 @@ def _linear_sides(points: np.ndarray, y: np.ndarray, metric: str, ks):
     The generalized metric folds each coordinate plane (_generalized_rows);
     every other metric folds the pair distances (_extended_rows), the roots
     as the product to the power 2 / (n(n-1)), the weights as np.abs(w) ** k.
-    int64 inputs stay int64 up to a power.
+    int64 inputs stay int64 up to a power.  The kernels run in row chunks
+    of _linear_elements a row, rows last (_by_rows).
     """
     if metric == "generalized":
-        kernel, args = _generalized_rows, ()
+        values = _generalized_rows
     else:
         power = _root_power(points.shape[1]) if metric.endswith("root") else None
-        kernel, args = _extended_rows, (list(ks), power)
-    return _replacement_rows(kernel, _linear_elements(points, metric), points, y, *args)
+        ks = list(ks)
+        values = lambda x, y: _extended_rows(x, y, ks, power)
+    step = _chunk_rows(_linear_elements(points, metric))
+    return _by_rows(lambda x, y: _sides(values(x, y)), step, points, y, rows_last=True)
 
 
 def _underflowed(lhs: np.ndarray, points: np.ndarray, y: np.ndarray, metric: str, ks) -> bool:
@@ -1026,26 +1019,21 @@ def replacement_sides(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
 
     points is (B, n) complex with y (B,), or (B, n, m) real with y (B, m);
     metric is a METRICS name or "generalized" (m >= 2), and k > 0 needs
-    complex points.  Up to n = 12 the sides are the lockstep fold of the
-    n + 1 tuples in the points' input order (_linear_sides).  Beyond n = 12,
-    or when finite inputs give a side that is not finite there, or a left
-    side of 0 that only underflow explains, the whole call is evaluated as
-    Lagrange log sums (lagrange_log_rows).  Returns lhs and rhs, each
+    complex points.  The sides are those of replacement_blocks, which
+    evaluates them: up to n = 12 the lockstep fold of the n + 1 tuples in
+    the points' input order (_linear_sides); beyond n = 12, or once a block
+    of finite inputs gives a side that is not finite there, or a left side
+    of 0 that only underflow explains, Lagrange log sums
+    (lagrange_log_rows) for the whole call.  Returns lhs and rhs, each
     (len(ks), B), and their domain, LINEAR or LOG.
     """
-    _check_replacement(points, metric, ks)
-    n = points.shape[1]
-    if n <= _LOG_SWITCH_N:
-        # Overflow and inf * 0 give inf and NaN; inputs that are not finite fail closed.
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs, rhs = _linear_sides(points, y, metric, ks)
-        # Sides of products (>= 0 or NaN) are finite where their max is: NaN
-        # propagates, and no temporary the size of a side is made.
-        finite = all(not side.size or math.isfinite(side.max()) for side in (lhs, rhs))
-        if finite and not _underflowed(lhs, points, y, metric, ks) or not (
-                np.isfinite(points).all() and np.isfinite(y).all()):
-            return lhs, rhs, LINEAR
-    return (*_lagrange_sides(points, y, metric, ks), LOG)
+    blocks = []
+    for rows, lhs, rhs, domain in replacement_blocks(points, y, metric, ks):
+        if not rows.start:  # the blocks of a domain cover the call from row 0
+            blocks.clear()
+        blocks.append((lhs, rhs))
+    lhs, rhs = (np.concatenate(side, axis=1) for side in zip(*blocks))
+    return lhs, rhs, domain
 
 
 def _generalized_log_rows(x: np.ndarray, y: np.ndarray):
@@ -1106,32 +1094,41 @@ def _block_rows(per_row: int, width: int) -> int:
 
 
 def replacement_blocks(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
-    """replacement_sides of the (B, ...) points and y, computed one row block at a time.
+    """The sides of replacement_sides, computed one row block at a time: their one evaluator.
 
     Yields (rows, lhs, rhs, domain): the slice rows of the batch and the
-    sides of its rows, (len(ks), rows) each, in domain.  Up to n = 12 a
-    block is _block_rows of the LINEAR kernel; the log sums' temporaries
-    grow with the rows of a call, so beyond n = 12 a block is one chunk of
-    their working set (_log_elements).  replacement_sides takes the log
-    escape for a whole call, so a LINEAR block that comes back LOG is
-    followed by every other row, in order, as LOG blocks: the blocks after
-    the first LOG one cover the batch in one domain.  The arguments are
-    checked as replacement_sides checks them, before any block.
+    sides of its rows, (len(ks), rows) each, in domain; no row is one empty
+    block.  Up to n = 12 a block is _block_rows of the LINEAR kernel
+    (_linear_sides).  A block of finite inputs whose sides are not finite,
+    or whose left side is 0 only by underflow (_underflowed), escapes: it
+    is not yielded, and the whole batch follows again from row 0, in row
+    order, as LOG blocks (_lagrange_sides).  Those blocks are one chunk of
+    the log sums' working set each (_log_elements), as their temporaries
+    grow with the rows of a call, and beyond n = 12 they are the only
+    blocks.  So the blocks from the last one at row 0 on cover the batch in
+    one domain.  The arguments are checked once, before any block.
     """
     _check_replacement(points, metric, ks)
     b, n = len(points), points.shape[1]
-    log_rows = _chunk_rows(_log_elements(n))
-    step = log_rows if n > _LOG_SWITCH_N else _block_rows(_linear_elements(points, metric), len(ks))
-    for rows in _slices(0, b, step):
-        lhs, rhs, domain = replacement_sides(points[rows], y[rows], metric, ks)
-        yield rows, lhs, rhs, domain
-        del lhs, rhs  # before the next block's sides are computed
-        if domain == LOG and n <= _LOG_SWITCH_N:
-            for again in (*_slices(0, rows.start, log_rows), *_slices(rows.stop, b, log_rows)):
-                lhs, rhs = _lagrange_sides(points[again], y[again], metric, ks)
-                yield again, lhs, rhs, LOG
-                del lhs, rhs
+    if n <= _LOG_SWITCH_N:
+        for rows in _slices(b, _block_rows(_linear_elements(points, metric), len(ks))):
+            x, w = points[rows], y[rows]
+            # Overflow and inf * 0 give inf and NaN; inputs that are not finite fail closed.
+            with np.errstate(over="ignore", invalid="ignore"):
+                lhs, rhs = _linear_sides(x, w, metric, ks)
+            # Sides of products (>= 0 or NaN) are finite where their max is: NaN
+            # propagates, and no temporary the size of a side is made.
+            finite = all(not side.size or math.isfinite(side.max()) for side in (lhs, rhs))
+            if not (finite and not _underflowed(lhs, x, w, metric, ks)) \
+                    and np.isfinite(x).all() and np.isfinite(w).all():
+                break
+            yield rows, lhs, rhs, LINEAR
+            del lhs, rhs  # before the next block's sides are computed
+        else:
             return
+        del lhs, rhs  # the escaped block's, before the log sums are computed
+    for rows in _slices(b, _chunk_rows(_log_elements(n))):
+        yield rows, *_lagrange_sides(points[rows], y[rows], metric, ks), LOG
 
 
 def _replacement_report(operation, inputs, points, y, metric, k, tol) -> MetricReport:

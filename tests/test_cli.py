@@ -418,15 +418,16 @@ class TestCampaignCommand:
         assert summary["pass"] is True and math.isfinite(summary["worst"])
 
     def test_non_finite_rows_fail_closed(self, cli, monkeypatch):
-        # No campaign yields a side that is not finite, so the evaluator's are made so.
-        evaluate = core.replacement_sides
+        # No campaign yields a side that is not finite, so the block stream's
+        # are made so, past the log escape: they reach the verdict as LINEAR.
+        blocks = core.replacement_blocks
 
         def non_finite(*args):
-            lhs, rhs, domain = evaluate(*args)
-            lhs[0, 1], rhs[0, 3] = math.nan, math.inf
-            return lhs, rhs, domain
+            for rows, lhs, rhs, domain in blocks(*args):
+                lhs[0, 1], rhs[0, 3] = math.nan, math.inf
+                yield rows, lhs, rhs, domain
 
-        monkeypatch.setattr(core, "replacement_sides", non_finite)
+        monkeypatch.setattr(core, "replacement_blocks", non_finite)
         result = cli(["campaign", "--op", "simplex", "--trials", "5"])
         assert result.exit_code == 1
         summary = json.loads(result.output.strip().splitlines()[-1])

@@ -333,8 +333,7 @@ def _streamed_and_whole(monkeypatch, config):
     core.replacement_blocks, whose sides come swapped (_recording).
     """
     stream, runs = [], []
-    monkeypatch.setattr(campaign, "replacement_blocks",
-                        _recording(stream, campaign.replacement_blocks))
+    monkeypatch.setattr(core, "replacement_blocks", _recording(stream, core.replacement_blocks))
     for chunk in (core.REPLACEMENT_CHUNK_ELEMENTS, ONE_BLOCK):
         monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", chunk)
         runs.append((run_campaign(config), stream[:]))
@@ -363,8 +362,8 @@ def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, capl
                                                               scale):
     # The last row's 15 pair factors pass the float range at n = 6 (1e900
     # and 1e-450), so its block takes the log escape, the earlier ones not.
-    # The earlier rows are then computed again as log sums, in log chunks.
-    # Over 100 violations either way: extended judges six trials a row.
+    # Every row is then computed again as log sums, in log chunks in row
+    # order.  Over 100 violations either way: extended judges six trials a row.
     n, b = 6, 150 if op == "simplex" else 40
     config = CampaignConfig(op=op, metric=metric, n=n, trials=b, seed=2, tol=0.0)
     # Three rows a kernel chunk, two a log chunk; 24 rows a block of simplex, 3 of extended.
@@ -376,8 +375,8 @@ def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, capl
         (got, streamed), (want, whole) = _streamed_and_whole(monkeypatch, config)
     block = 24 if op == "simplex" else 3
     start = (b - 1) // block * block
-    assert streamed == ([(s, s + block, LINEAR) for s in range(0, start, block)] + [(start, b, LOG)]
-                        + [(s, min(s + 2, start), LOG) for s in range(0, start, 2)])
+    assert streamed == ([(s, s + block, LINEAR) for s in range(0, start, block)]
+                        + [(s, min(s + 2, b), LOG) for s in range(0, b, 2)])
     assert whole == [(0, b, LOG)]
     assert_same_result(got, want)
     assert got.violations > campaign._MAX_RECORDED_FAILURES
@@ -386,10 +385,10 @@ def test_a_log_escape_in_the_last_chunk_judges_the_whole_batch(monkeypatch, capl
         f"{name}: {b} trials evaluated as Lagrange log sums"] * 2
 
 
-def test_a_log_escape_in_a_middle_block_computes_the_rows_before_then_after_it(monkeypatch):
+def test_a_log_escape_in_a_middle_block_computes_every_row_again_in_order(monkeypatch):
     # Row 30 escapes in the second of three blocks of 24, 24 and 2 rows:
-    # its log sides are followed by the rows before it, then those after it,
-    # in log chunks of two rows, and the result is that of one whole block.
+    # that block is not yielded, every row follows from row 0 in log chunks
+    # of two rows, and the result is that of one whole block.
     n, b = 6, 50
     config = CampaignConfig(op="simplex", n=n, trials=b, seed=2, tol=0.0)
     monkeypatch.setattr(core, "REPLACEMENT_CHUNK_ELEMENTS", 3 * core._row_elements(n))
@@ -397,8 +396,7 @@ def test_a_log_escape_in_a_middle_block_computes_the_rows_before_then_after_it(m
     _scaled_draws(monkeypatch, 30, 1e60)
     with np.errstate(all="ignore"):
         (got, streamed), (want, whole) = _streamed_and_whole(monkeypatch, config)
-    assert streamed == ([(0, 24, LINEAR), (24, 48, LOG)]
-                        + [(s, s + 2, LOG) for s in range(0, 24, 2)] + [(48, 50, LOG)])
+    assert streamed == [(0, 24, LINEAR)] + [(s, s + 2, LOG) for s in range(0, b, 2)]
     assert whole == [(0, b, LOG)]
     assert_same_result(got, want)
     assert got.violations == b
