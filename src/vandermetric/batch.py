@@ -7,8 +7,8 @@ as well, which gives exact integer arithmetic for small inputs.
 
 The replacement kernels compare a function of each tuple x with the n
 tuples "x with x_s -> y".  The product pass, core's lockstep fold, is
-the evaluator of core.replacement_sides, which the simplex, extended and
-equality-family campaigns call; simplex_sides_complex,
+the evaluator of core.replacement_blocks, whose blocks the simplex,
+extended and equality-family campaigns judge; simplex_sides_complex,
 simplex_sides_vectors, extended_sides_complex and
 simplex_sides_generalized are that fold (core._linear_sides) without
 its log escape, at any n and on int64 inputs, the last one on each
@@ -20,12 +20,12 @@ complex product, _product_calls: re and im are the halves of one stacked
 lockstep fold, _fold, gathers one factor per member from a stacked
 factor-major (2, K, ...) re/im pool each step and multiplies it in.
 pdf_batch folds the pair differences as one member, in the row chunks of
-core._by_rows, the rows-first chunk loop of every row kernel but the
-summing one; the projected pass of the replacement identities folds the
-n + 1 tuples, as the signed slot map (core._slot_map) lists their
-factors, in the chunks of that summing loop (core._replacement_rows),
-then multiplies in their q - 1 tails straight from the pool.  Both
-loops' chunks hold at most core.REPLACEMENT_CHUNK_ELEMENTS elements, or
+core._by_rows, the chunk loop of every row kernel; the projected pass of
+the replacement identities folds the n + 1 tuples, as the signed slot
+map (core._slot_map) lists their factors, in the rows-last chunks of
+that loop, then multiplies in their q - 1 tails straight from the pool,
+and each chunk's products are summed into its sides (core._sides).
+Those chunks hold at most core.REPLACEMENT_CHUNK_ELEMENTS elements, or
 one row.  Both pools are plane-major, rows last (_plane_pool), and so is
 that pass from end to end (_projected_rows): a chunk's points are copied once,
 coordinate-major, its factors make one (2, K, M_m, rows) re/im pool, and
@@ -439,7 +439,8 @@ def w_identity_sides(points: np.ndarray, y: np.ndarray, q: int):
     """(lhs, rhs) component stacks [re | im] of the extended identity, (B, 2 M_m); y is (B, m).
 
     The sides are written component-major, (2 M_m, B), chunk by chunk
-    (_projected_rows), and returned as their transposed views.
+    (_projected_rows, summed by core._sides, through core._by_rows), and
+    returned as their transposed views.
     """
     b, n, m = points.shape
     step = _chunk_rows(_projected_elements(n, m))

@@ -35,9 +35,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 # OSError covers input files that cannot be read and --output files that
-# cannot be written.
+# cannot be written; MemoryError, sizes too large for the machine.
 _USAGE_ERRORS = (ArgumentError, SingularityError, ResourceError, StepSizeError,
-                 OSError, KeyError, json.JSONDecodeError)
+                 OSError, KeyError, json.JSONDecodeError, MemoryError)
 
 
 # name -> (body, options).  A body takes its options as keywords and returns

@@ -10,12 +10,14 @@ function metrics).
 The metrics multiply pairwise factors in lexicographic pair order of a
 canonically sorted copy of the input, so permuting the input points yields
 bit-identical values.  The simplex and weighted sides come from one
-evaluator, replacement_sides, which also takes the generalized metric of
+evaluator, replacement_blocks, which also takes the generalized metric of
 multilinear as the l2 norm of d_V over the coordinate planes: up to
 n = 12 a lockstep fold of the n + 1 tuples in input order, whose bits the
-campaigns and the scalar reports share; beyond that, or where those sides
-overflow or underflow to 0, Lagrange log sums.  The campaigns take these
-sides in row blocks of one domain (replacement_blocks).
+campaigns and the scalar reports share; beyond that, or once a block of
+those sides overflows or underflows to 0, Lagrange log sums for the whole
+batch.  The campaigns judge its row blocks as they come, and
+replacement_sides collects them for the scalar reports.  Every row kernel
+runs in row chunks through one loop, _by_rows.
 """
 
 from __future__ import annotations
@@ -169,9 +171,9 @@ class MonotoneNorm:
         else:
             w = (1.0,) * len(v)
         if math.isinf(self.p):
-            return max(wi * vi for wi, vi in zip(w, v))
+            return max((wi * vi for wi, vi in zip(w, v)), default=0.0)
         if self.p == 1.0:
-            return sum(wi * vi for wi, vi in zip(w, v))
+            return sum((wi * vi for wi, vi in zip(w, v)), 0.0)
         return _power_sum_root(w, v, self.p)
 
 
@@ -458,7 +460,7 @@ def _pair_rows(x: np.ndarray) -> int:
 
 
 def _slices(b: int, step: int):
-    """Consecutive slices of at most step rows of b rows; no row is one empty slice."""
+    """Consecutive slices of at most step rows of b rows; one empty slice when b is 0."""
     return (slice(s, min(s + step, b)) for s in range(0, max(1, b), step))
 
 
@@ -765,8 +767,8 @@ def _root_power(n: int) -> float:
 
 # Elements of one row chunk of every row kernel but the expansion
 # (batch.LAPLACE_CHUNK_ELEMENTS), each counting its own a row (_chunk_rows):
-# _replacement_rows its pool and lockstep buffers, the pair-factor kernels
-# 16 per pair factor (_pair_rows).  A replacement chunk's tracemalloc peak:
+# the replacement passes their pool and lockstep buffers, the pair-factor
+# kernels 16 per pair factor (_pair_rows).  A replacement chunk's tracemalloc peak:
 # 2.04, 2.14 and 2.48 MiB for complex rows at n = 5, 6 and 12, 1.23 MiB for
 # the generalized metric at n = 3, m = 4.
 REPLACEMENT_CHUNK_ELEMENTS = 1 << 17
@@ -1087,18 +1089,19 @@ def _block_rows(per_row: int, width: int) -> int:
     """Rows of one block of a kernel of per_row elements a row and width side elements a row.
 
     The most whole kernel chunks (_chunk_rows) whose sides fit one verdict
-    block, or one chunk, so the kernel runs no short chunk but the last.
+    block, or one chunk, so the kernel runs no short chunk but the last.  A
+    width of 0 counts as 1.
     """
     chunk = _chunk_rows(per_row)
-    return chunk * max(1, VERDICT_BLOCK_ELEMENTS // width // chunk)
+    return chunk * max(1, VERDICT_BLOCK_ELEMENTS // max(1, width) // chunk)
 
 
 def replacement_blocks(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
     """The sides of replacement_sides, computed one row block at a time: their one evaluator.
 
     Yields (rows, lhs, rhs, domain): the slice rows of the batch and the
-    sides of its rows, (len(ks), rows) each, in domain; no row is one empty
-    block.  Up to n = 12 a block is _block_rows of the LINEAR kernel
+    sides of its rows, (len(ks), rows) each, in domain; a batch of no row
+    is one empty block.  Up to n = 12 a block is _block_rows of the LINEAR kernel
     (_linear_sides).  A block of finite inputs whose sides are not finite,
     or whose left side is 0 only by underflow (_underflowed), escapes: it
     is not yielded, and the whole batch follows again from row 0, in row

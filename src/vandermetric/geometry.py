@@ -116,10 +116,11 @@ class CyclicPolygon:
 def random_sorted_angles(rng: np.random.Generator, b: int, n: int,
                          min_gap: float = 1e-6) -> np.ndarray:
     """(b, n) uniform vertex angles, sorted by row; a row with two angles
-    within min_gap of each other is drawn again."""
+    within min_gap of each other is drawn again (fewer than 2 have none)."""
     angles = np.sort(rng.uniform(0.0, TWO_PI, size=(b, n)), axis=1)
     while True:
-        bad = np.flatnonzero(np.min(np.diff(angles, axis=1), axis=1) <= min_gap)
+        gaps = np.min(np.diff(angles, axis=1), axis=1, initial=math.inf)
+        bad = np.flatnonzero(gaps <= min_gap)
         if len(bad) == 0:
             return angles
         angles[bad] = np.sort(rng.uniform(0.0, TWO_PI, size=(len(bad), n)), axis=1)

@@ -39,10 +39,11 @@ def _float_array(value) -> np.ndarray:
 
 
 def _square_matrices(*values) -> list:
-    """values as float arrays of one shape (..., m, m); otherwise an ArgumentError."""
+    """values as float arrays of one shape (..., m, m), m >= 1; otherwise an ArgumentError."""
     arrays = [_float_array(v) for v in values]
     shape = arrays[0].shape
-    if len(shape) < 2 or shape[-1] != shape[-2] or any(a.shape != shape for a in arrays):
+    if len(shape) < 2 or shape[-1] != shape[-2] or not shape[-1] \
+            or any(a.shape != shape for a in arrays):
         raise ArgumentError(f"need square matrices of one shape, got {[a.shape for a in arrays]}")
     return arrays
 
@@ -75,6 +76,9 @@ class MatrixFunction:
     @classmethod
     def sinusoidal(cls, a0, a1, omega=1.0):
         a0, a1 = _square_matrices(a0, a1)
+        omega = _float_array(omega)
+        if omega.ndim:
+            raise ArgumentError(f"omega must be a number, got {omega.tolist()}")
         return cls(kind="sinusoidal", a0=a0, a1=a1, omega=float(omega))
 
     @classmethod
@@ -122,8 +126,10 @@ class MatrixFunction:
     @classmethod
     def from_dict(cls, d: dict) -> "MatrixFunction":
         """The matrix function of a to_dict record; omega defaults to 1.0."""
+        if not isinstance(d, dict):
+            raise ArgumentError(f"a matrix function is a mapping, got {d!r}")
         kind = d["kind"]
-        if kind not in _MATRIX_FIELDS:
+        if not isinstance(kind, str) or kind not in _MATRIX_FIELDS:
             raise ArgumentError(f"unknown matrix kind {kind!r}")
         args = [d.get(name, 1.0) if name == "omega" else d[name] for name in _MATRIX_FIELDS[kind]]
         return getattr(cls, kind)(*args)
@@ -138,7 +144,9 @@ _MATRIX_FIELDS = {
 }
 
 def growth_bounds(a: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of the symmetric part of each matrix of a (..., m, m) stack."""
+    """Largest eigenvalue of the symmetric part of each matrix of a (..., m, m) stack, m >= 1."""
+    if not a.shape[-1]:
+        raise ArgumentError("a 0 x 0 matrix has no eigenvalue")
     sym = 0.5 * (a + np.swapaxes(a, -1, -2))
     return np.linalg.eigvalsh(sym)[..., -1]
 
@@ -163,6 +171,8 @@ class ODEProblem:
     def __post_init__(self):
         self.initials = _float_array(self.initials)
         self.grid = _float_array(self.grid)
+        if not self.matrix.dim:
+            raise ArgumentError("the coefficient matrix is 0 x 0")
         if self.initials.shape != (3, self.matrix.dim):
             raise ArgumentError(
                 f"initials must have shape (3, {self.matrix.dim}), got {self.initials.shape}"

@@ -1,4 +1,4 @@
-"""The in-process CLI runner the test modules share."""
+"""The in-process CLI runner and the block-stream mutant the test modules share."""
 
 import contextlib
 import io
@@ -37,3 +37,23 @@ def run_cli(args) -> Ran:
 @pytest.fixture
 def cli():
     return run_cli
+
+
+@pytest.fixture
+def plant_rhs(monkeypatch):
+    """Plant a wrong right side in a block stream: plant(module, name, rewrite).
+
+    name is a block generator of module, core.replacement_blocks or
+    batch.identity_blocks; for the rest of the test it yields each block
+    with its rhs replaced by rewrite(rhs), in the block's own domain.
+    """
+    def plant(module, name, rewrite):
+        blocks = getattr(module, name)
+
+        def planted(*args, **kwargs):
+            for rows, lhs, rhs, domain in blocks(*args, **kwargs):
+                yield rows, lhs, rewrite(rhs), domain
+
+        monkeypatch.setattr(module, name, planted)
+
+    return plant

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vandermetric import campaign, core
+from vandermetric import batch, campaign, cli as cli_module, core
 from vandermetric.io import read_points_csv, write_points_csv
 from vandermetric import ArgumentError
 
@@ -323,6 +323,11 @@ class TestOde:
         {"kind": "constant", "a0": [[1.0, 2.0]]},
         {"kind": "linear", "a0": [[1.0, 0.0], [0.0, 1.0]], "a1": [[1.0]]},
         {"kind": "sampled", "times": [1.0, 0.0], "samples": [[[1.0, 0.0], [0.0, 1.0]]] * 2},
+        {"kind": "sinusoidal", "a0": [[0.0]], "a1": [[1.0]], "omega": "z"},
+        {"kind": "sinusoidal", "a0": [[0.0]], "a1": [[1.0]], "omega": [1.0, 2.0]},
+        [1],
+        {"kind": []},
+        {"kind": "cubic", "a0": [[1.0]]},
     ])
     def test_malformed_matrix_usage_error(self, cli, matrix):
         spec = json.dumps({"matrix": matrix, "initials": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
@@ -433,6 +438,27 @@ class TestCampaignCommand:
         summary = json.loads(result.output.strip().splitlines()[-1])
         assert summary["pass"] is False and summary["violations"] == 2
         assert summary["worst"] == "nan"
+
+    def test_a_planted_wrong_rhs_fails_through_the_one_seam(self, cli, plant_rhs):
+        # rhs := 0 in the replacement blocks fails the campaign and the
+        # scalar report alike; rhs x 2 in the identity blocks fails theirs.
+        plant_rhs(core, "replacement_blocks", np.zeros_like)
+        assert cli(["campaign", "--op", "simplex", "--n", "6", "--trials", "50"]).exit_code == 1
+        report = core.simplex_gap([0, 1, 2j, 3, 4 - 1j, 5 + 5j], 1 + 1j)
+        assert report.rhs == 0.0 and report.to_dict()["pass"] is False
+        plant_rhs(batch, "identity_blocks", lambda rhs: 2 * rhs)
+        assert cli(["campaign", "--op", "sum-identity", "--n", "4", "--trials", "200"]).exit_code == 1
+
+    def test_out_of_memory_is_a_usage_error(self, cli, monkeypatch):
+        # An allocation too large for the machine, as --n 100000 asks for,
+        # is raised here instead of made.
+        def out_of_memory(config):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(cli_module, "run_campaign", out_of_memory)
+        result = cli(["campaign", "--op", "simplex", "--n", "100000", "--trials", "10"])
+        assert result.exit_code == 2
+        assert result.output == "error: Unable to allocate 74.5 GiB for an array\n"
 
     @pytest.mark.parametrize("args", [
         ["--op", "simplex", "--trials", "0"],

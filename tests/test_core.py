@@ -29,7 +29,7 @@ from vandermetric import (
     vandermonde_metric,
     vandermonde_metric_log,
 )
-from vandermetric import batch, core
+from vandermetric import batch, core, geometry, ode
 from vandermetric.core import (
     INEQUALITY,
     INEQUALITY_RTOL,
@@ -240,6 +240,43 @@ class TestValidation:
         # As PointTuple rejects them for the scalar API, with no rows as well.
         with pytest.raises(ArgumentError, match="need at least 2 points"):
             self.ONE_POINT_CALLS[name](np.zeros(shape), np.zeros(shape[::2]))
+
+    # Each size the kernels define, with its value, or that they reject.
+    DEGENERATE_SIZES = {
+        "identity_blocks-m1": (lambda: [
+            (rows, lhs.shape, rhs.shape, domain) for rows, lhs, rhs, domain
+            in batch.identity_blocks(np.zeros((2, 3, 1)), np.zeros((2, 1)), 1)],
+            [(slice(0, 2), (1, 2, 0), (1, 2, 0), LINEAR)]),
+        "replacement_blocks-no-row": (lambda: [
+            (rows, lhs.shape, rhs.shape, domain) for rows, lhs, rhs, domain
+            in replacement_blocks(np.zeros((0, 4), complex), np.zeros(0, complex), "vandermonde")],
+            [(slice(0, 0), (1, 0), (1, 0), LINEAR)]),
+        "random_sorted_angles-n1": (
+            lambda: geometry.random_sorted_angles(np.random.default_rng(0), 2, 1).shape, (2, 1)),
+        "random_sorted_angles-n0": (
+            lambda: geometry.random_sorted_angles(np.random.default_rng(0), 2, 0).shape, (2, 0)),
+        "CyclicPolygon.random-n1": (
+            lambda: geometry.CyclicPolygon.random(1, np.random.default_rng(0)), ArgumentError),
+        "derive_alpha-0x0": (lambda: ode.derive_alpha(np.zeros((0, 0))), ArgumentError),
+        "growth_bounds-0x0": (lambda: ode.growth_bounds(np.zeros((0, 0))), ArgumentError),
+        "MatrixFunction.constant-0x0": (
+            lambda: ode.MatrixFunction.constant(np.zeros((0, 0))), ArgumentError),
+        "ODEProblem-m0": (lambda: ode.ODEProblem(ode.MatrixFunction("constant", np.zeros((0, 0))),
+                                                 np.zeros((3, 0)), [0.0, 1.0]), ArgumentError),
+        "max-norm-of-nothing": (lambda: MonotoneNorm(p=math.inf)([]), 0.0),
+        "1-norm-of-nothing": (lambda: MonotoneNorm(p=1.0)([]), 0.0),
+        "2-norm-of-nothing": (lambda: MonotoneNorm(p=2.0)([]), 0.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_SIZES))
+    def test_degenerate_sizes_give_their_value_or_an_argument_error(self, name):
+        call, want = self.DEGENERATE_SIZES[name]
+        if want is ArgumentError:
+            with pytest.raises(ArgumentError):
+                call()
+        else:
+            got = call()
+            assert got == want and type(got) is type(want)
 
     def test_mixed_dimensions(self):
         with pytest.raises(ArgumentError):
