@@ -768,9 +768,9 @@ def _root_power(n: int) -> float:
 # Elements of one row chunk of every row kernel but the expansion
 # (batch.LAPLACE_CHUNK_ELEMENTS), each counting its own a row (_chunk_rows):
 # the replacement passes their pool and lockstep buffers, the pair-factor
-# kernels 16 per pair factor (_pair_rows).  A replacement chunk's tracemalloc peak:
-# 2.04, 2.14 and 2.48 MiB for complex rows at n = 5, 6 and 12, 1.23 MiB for
-# the generalized metric at n = 3, m = 4.
+# kernels 16 per pair factor (_pair_rows).  A replacement chunk's
+# tracemalloc peak: 2.08, 2.17 and 2.50 MiB for complex rows at n = 5, 6
+# and 12, 1.24 MiB for the generalized metric at n = 3, m = 4.
 REPLACEMENT_CHUNK_ELEMENTS = 1 << 17
 
 
@@ -1101,8 +1101,8 @@ def replacement_blocks(points: np.ndarray, y: np.ndarray, metric: str, ks=(0,)):
 
     Yields (rows, lhs, rhs, domain): the slice rows of the batch and the
     sides of its rows, (len(ks), rows) each, in domain; a batch of no row
-    is one empty block.  Up to n = 12 a block is _block_rows of the LINEAR kernel
-    (_linear_sides).  A block of finite inputs whose sides are not finite,
+    is one empty block.  Up to n = 12 a block is _block_rows of the LINEAR
+    kernel (_linear_sides).  A block of finite inputs whose sides are not finite,
     or whose left side is 0 only by underflow (_underflowed), escapes: it
     is not yielded, and the whole batch follows again from row 0, in row
     order, as LOG blocks (_lagrange_sides).  Those blocks are one chunk of

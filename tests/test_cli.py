@@ -447,7 +447,8 @@ class TestCampaignCommand:
         report = core.simplex_gap([0, 1, 2j, 3, 4 - 1j, 5 + 5j], 1 + 1j)
         assert report.rhs == 0.0 and report.to_dict()["pass"] is False
         plant_rhs(batch, "identity_blocks", lambda rhs: 2 * rhs)
-        assert cli(["campaign", "--op", "sum-identity", "--n", "4", "--trials", "200"]).exit_code == 1
+        result = cli(["campaign", "--op", "sum-identity", "--n", "4", "--trials", "200"])
+        assert result.exit_code == 1
 
     def test_out_of_memory_is_a_usage_error(self, cli, monkeypatch):
         # An allocation too large for the machine, as --n 100000 asks for,
