@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vandermetric import (
     ArgumentError,
@@ -16,7 +18,7 @@ from vandermetric import (
     integrate,
     verify_estimate,
 )
-from vandermetric.ode import integrate_rows
+from vandermetric.ode import _STEP_BLOCK, integrate_rows
 
 INITIALS_2D = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -338,6 +340,67 @@ class TestIntegrateRows:
             row = (out[b:b + 1, ..., :m], rejected[b:b + 1], errors[b:b + 1])
             _assert_same_integration(row, integrate_rows(matrix, row_initials, grid))
             assert not out[b, ..., m:].any()  # the padded coordinates stay 0
+
+    def test_a_block_of_steps_evaluates_the_matrix_once(self):
+        # One call per block of steps, not one per step: a later edit that
+        # evaluates A step by step again fails here, with no timing involved.
+        rng = np.random.default_rng(4)
+        _, matrix = _matrix_functions("linear", rng, 2, 3)
+        initials = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
+        for steps in (1, _STEP_BLOCK, _STEP_BLOCK + 1, 100):
+            calls = []
+            integrate_rows(lambda t: calls.append(t) or matrix(t), initials,
+                           np.linspace(0.0, 0.1, steps + 1))
+            assert len(calls) == math.ceil(steps / _STEP_BLOCK)
+        assert len(calls) < steps
+
+    @given(steps=st.integers(1, 40), rows=st.integers(0, 6), m=st.integers(1, 4),
+           kind=st.sampled_from(MATRIX_KINDS), where=st.sampled_from(["none", "first", "last"]),
+           block=st.integers(0, 4), stiff=st.lists(st.booleans(), min_size=6, max_size=6),
+           seed=st.integers(0, 2**16))
+    @example(steps=20, rows=4, m=3, kind="linear", where="first", block=0, stiff=[True] * 6,
+             seed=0)  # every row rejected at step 0
+    @example(steps=23, rows=6, m=2, kind="constant", where="first", block=1, stiff=[True] * 6,
+             seed=1)  # every row rejected on the first step of the second block
+    @example(steps=13, rows=5, m=2, kind="sinusoidal", where="last", block=0,
+             stiff=[True, False] * 3, seed=2)
+    @example(steps=21, rows=3, m=4, kind="sampled", where="last", block=2,
+             stiff=[False, True, True] * 2, seed=3)  # the last step of a short last block
+    @example(steps=1, rows=1, m=1, kind="sampled", where="first", block=0, stiff=[True] * 6,
+             seed=4)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_three_step_loop_on_non_uniform_grids(self, steps, rows, m, kind, where,
+                                                             block, stiff, seed):
+        # Short steps that every row passes, and at most one long step on
+        # the first or the last step of a block, which the stiff rows (A of
+        # order 10) fail and the quiet ones (A of order 1e-8) pass.
+        rng = np.random.default_rng(seed)
+        h = rng.uniform(1e-4, 1e-3, size=steps)
+        rejected = np.full(rows, -1)
+        if where != "none":
+            start = min(block, (steps - 1) // _STEP_BLOCK) * _STEP_BLOCK
+            long_step = start if where == "first" else min(start + _STEP_BLOCK, steps) - 1
+            h[long_step] = 1.0
+            rejected[np.array(stiff[:rows], dtype=bool)] = long_step
+        grid = np.concatenate([[0.0], np.cumsum(h)])
+        scale = np.where(rejected >= 0, 10.0, 1e-8)[:, None, None]
+        a0 = scale * (np.eye(m) + 0.1 * rng.uniform(-1.0, 1.0, size=(rows, m, m)))
+        a1 = scale * 0.1 * rng.uniform(-1.0, 1.0, size=(rows, m, m))
+        initials = rng.uniform(-1.0, 1.0, size=(rows, 3, m))
+        if kind == "sampled":
+            functions = [MatrixFunction.sampled([0.0, grid[-1]], [a, a + b]) for a, b in zip(a0, a1)]
+            matrix = _stacked(functions) if rows else lambda t: np.zeros(np.shape(t) + (0, m, m))
+        else:
+            matrix = {"constant": lambda: MatrixFunction.constant(a0),
+                      "linear": lambda: MatrixFunction.linear(a0, a1),
+                      "sinusoidal": lambda: MatrixFunction.sinusoidal(a0, a1, omega=2.5)}[kind]()
+        got = integrate_rows(matrix, initials, grid)
+        assert got[1].tolist() == rejected.tolist()
+        if rows:
+            want = _integrate_rows_reference(matrix, initials, grid)
+        else:  # the reference loop takes the max of its rejections, which no row has
+            want = np.empty((0, 3, steps + 1, m)), rejected, np.zeros(0)
+        _assert_same_integration(got, want)
 
 
 class TestMatrixFunctionAtArrayTimes:
