@@ -242,8 +242,11 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     """Maximum over the last axis, as an np.maximum fold of its columns.
 
     Exact, and NaN propagates as in ndarray.max; over a short trailing axis
-    the fold is several times faster than max(axis=-1).
+    the fold is several times faster than max(axis=-1).  An axis of no
+    column has no maximum: an ArgumentError.
     """
+    if not a.shape[-1]:
+        raise ArgumentError("sides with no component have no max-norm gap")
     out = a[..., 0].copy()
     for c in range(1, a.shape[-1]):
         np.maximum(out, a[..., c], out=out)

@@ -31,6 +31,7 @@ from vandermetric import (
 )
 from vandermetric import batch, core, geometry, ode
 from vandermetric.core import (
+    IDENTITY,
     INEQUALITY,
     INEQUALITY_RTOL,
     LINEAR,
@@ -263,6 +264,12 @@ class TestValidation:
             lambda: ode.MatrixFunction.constant(np.zeros((0, 0))), ArgumentError),
         "ODEProblem-m0": (lambda: ode.ODEProblem(ode.MatrixFunction("constant", np.zeros((0, 0))),
                                                  np.zeros((3, 0)), [0.0, 1.0]), ArgumentError),
+        "identity-verdict-no-component": (lambda: verdict(
+            IDENTITY, LINEAR, np.zeros((2, 0)), np.zeros((2, 0)), 1e-10), ArgumentError),
+        "log-identity-verdict-no-component": (lambda: verdict(
+            IDENTITY, LOG, np.zeros((2, 0)), np.zeros((2, 0)), 1e-10), ArgumentError),
+        "max_gap_and_scale-m1": (lambda: batch.max_gap_and_scale(
+            *batch.sum_identity_sides(np.zeros((2, 3, 1)), np.zeros((2, 1)))), ArgumentError),
         "max-norm-of-nothing": (lambda: MonotoneNorm(p=math.inf)([]), 0.0),
         "1-norm-of-nothing": (lambda: MonotoneNorm(p=1.0)([]), 0.0),
         "2-norm-of-nothing": (lambda: MonotoneNorm(p=2.0)([]), 0.0),
