@@ -722,6 +722,76 @@ def test_cli_golden(cli, complex_csv, tetrahedron_csv):
     assert digest.hexdigest() == _GOLDEN_SHA256
 
 
+def _avx512_targets() -> list:
+    """numpy's AVX-512 dispatch targets that this CPU runs."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [target for target in __cpu_dispatch__
+            if target.startswith(("AVX512", "X86_V4")) and __cpu_features__.get(target)]
+
+
+# Runs the invocations read from stdin through the in-process runner and
+# writes numpy's CPU features and each run's exit code and output as JSON.
+_DISPATCH_CHILD = """
+import json, sys
+from conftest import run_cli
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+runs = [run_cli(args) for args in json.load(sys.stdin)]
+json.dump([__cpu_features__, [[run.exit_code, run.output] for run in runs]], sys.stdout)
+"""
+
+
+def _verdicts(output: str) -> list:
+    """(pass, violations) of every JSON record with a pass in output, in order."""
+    found = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            if "pass" in value:
+                found.append((value["pass"], value.get("violations")))
+            value = list(value.values())
+        if isinstance(value, list):
+            for item in value:
+                walk(item)
+
+    for line in output.splitlines():
+        try:
+            walk(json.loads(line))
+        except json.JSONDecodeError:
+            pass  # a CSV line or plain text
+    return found
+
+
+def test_golden_verdicts_hold_without_avx512(cli, complex_csv, tetrahedron_csv):
+    # numpy picks its float kernels by CPU, and its AVX-512 kernels round
+    # some transcendental functions differently, so the golden bytes hold on
+    # one dispatch target only.  The verdicts must hold on each: every exit
+    # code, and at the default tolerance every pass and violation count.
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy runs no AVX-512 kernel on this CPU")
+    invocations = [[a.replace("{csv}", complex_csv).replace("{tetra}", tetrahedron_csv)
+                    for a in args] for args in _GOLDEN_INVOCATIONS]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+    env.pop("VANDERMETRIC_LOG", None)
+    proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], input=json.dumps(invocations),
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    features, lowered = json.loads(proc.stdout)
+    assert not any(features[target] for target in targets)
+    assert len(lowered) == len(invocations)
+    for args, run, (code, output) in zip(_GOLDEN_INVOCATIONS, map(cli, invocations), lowered):
+        assert code == run.exit_code, args
+        if "--tol" not in args:
+            assert _verdicts(output) == _verdicts(run.output), args
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("args", [
     ["simplex", "--input", "{csv}", "--y", "1,0"],
