@@ -216,30 +216,30 @@ class ODEProblem:
 # Grid steps per evaluation of A and per step-doubling check.  The block's
 # stack of A and its kept full steps grow with it, while the calls it saves
 # are a small part of a step beyond a few steps: on 1000 rows of m = 4 over
-# 100 steps, integrate_rows peaks at 23.5 MiB (tracemalloc) with 8 steps,
-# 36.8 MiB with 16, and 11.8 MiB evaluating A once per step.
+# 100 steps, integrate_rows peaks at 24.6 MiB (tracemalloc) with 8 steps,
+# 38.7 MiB with 16, and 11.8 MiB evaluating A once per step.
 _STEP_BLOCK = 8
 
 
 def _rk4_stages(y, k1, mid, end, steps, work, out):
     """Write into out the classical RK4 step of y, given k1 = y @ A(t)^T and A^T at t + h/2 and t + h.
 
-    steps is (h, 0.5 * h, h / 6); h may be an array of steps stacked ahead
-    of y's shape, and each stacked step then has the bits of the step taken
-    alone.  work is three buffers of out's shape.  The operands and their
-    order are those of
+    steps is (h, 0.5 * h, h / 6), each a number or an array of steps
+    stacked ahead of y's shape (each stacked step then has the bits of the
+    step taken alone); work is three buffers of y's shape.  The operations and their order are those of
         k2 = (y + 0.5 * h * k1) @ mid
         k3 = (y + 0.5 * h * k2) @ mid
         k4 = (y + h * k3) @ end
         out = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    with the sum of the k's accumulated left to right as each k is made.
+    with the sum of the k's accumulated left to right as each k is made,
+    and 2 * k computed as k + k, which rounds the same.
     """
     h, half, sixth = steps
     k, total, w = work
     np.matmul(np.add(y, np.multiply(half, k1, out=w), out=w), mid, out=k)  # k2
-    np.add(k1, np.multiply(2.0, k, out=total), out=total)
+    np.add(k1, np.add(k, k, out=total), out=total)
     np.matmul(np.add(y, np.multiply(half, k, out=w), out=w), mid, out=k)  # k3
-    np.add(total, np.multiply(2.0, k, out=w), out=total)
+    np.add(total, np.add(k, k, out=w), out=total)
     np.matmul(np.add(y, np.multiply(h, k, out=w), out=w), end, out=k)  # k4
     np.add(total, k, out=total)
     np.add(y, np.multiply(sixth, total, out=total), out=out)
@@ -256,23 +256,24 @@ def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: floa
     trajectories, each row's first rejected step (-1 for none) and that
     step's error estimate.
 
-    The steps run in blocks of _STEP_BLOCK.  One call evaluates A at the
-    six distinct times of each step of a block.  The full step h and the
-    first half step h/2 start from the same y at the same t, so they share
-    k1 and run as one (2, B, 3, m) stack; the second half step follows and
-    writes its result straight into the trajectory's next column.  The
-    stages run in place in buffers allocated once per call, with 0.5 * h
-    and h / 6 computed once per step.  Each block's full steps are kept,
-    and the step-doubling check runs once per block on them: a row's first
-    step over rel_tol in the block is its rejected step.  A rejected row is
-    integrated on, and its later columns are filled with its value before
-    that step after the loop; the loop stops at the end of the block in
-    which the last row was rejected.  Every element is computed by the same
-    operations in the same order as three separate steps, so the bits are
-    those of integrating each row alone.  Rows of smaller dimension may be
-    zero-padded: a zero coefficient row or column adds exact zeros to each
-    dot product, and the padded coordinates stay 0.  Overflow gives inf/NaN
-    trajectories, not warnings; the caller checks that they are finite.
+    The steps run in blocks of _STEP_BLOCK, and one call evaluates A at the
+    six distinct times of every step of a block.  The full step h and the
+    first half step h/2 start from the same y at the same t, so they run as
+    one (2, B, 3, m) stack; the second half step follows.  The stages run in
+    place, in buffers allocated once per call, with 0.5 * h and h / 6
+    computed once per step; y and k1 are copied to the stack's shape, as
+    numpy adds arrays of one shape faster than broadcast ones.
+    The step-doubling check runs once per block, on the block's kept full
+    and half steps: a row's first step over rel_tol is its rejected step.
+    A rejected row is integrated on, and after the loop its later columns
+    are filled with its value before that step; the loop stops at the end
+    of the block in which the last row was rejected.  Every element is
+    computed by the same operations in the same order as three separate
+    steps, so the bits are those of integrating each row alone.  Rows of
+    smaller dimension may be zero-padded: a zero coefficient row or column
+    adds exact zeros to each dot product, and the padded coordinates stay
+    0.  Overflow gives inf/NaN trajectories, not warnings; the caller
+    checks that they are finite.
     """
     rows, _, m = initials.shape
     out = np.empty((rows, 3, len(grid), m))
@@ -287,28 +288,32 @@ def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: floa
     times = np.stack([t0, t0 + h, tm, t0 + 0.5 * half_h, tm + 0.5 * half_h, tm + half_h], axis=1)
     # (h, 0.5 * h, h / 6) of each step: the full and first half steps
     # stacked, then the second half step.
-    pair = np.stack([h, half_h], axis=1)[:, None, :, None, None, None]
-    pair_steps = np.concatenate([pair, 0.5 * pair, pair / 6.0], axis=1)
+    pair = np.stack([h, half_h], axis=1)[:, :, None, None, None]
+    pair_steps = np.stack([pair, 0.5 * pair, pair / 6.0], axis=1)
     second_steps = np.stack([half_h, 0.5 * half_h, half_h / 6.0], axis=1)
-    pairs = np.empty((_STEP_BLOCK, 2, rows, 3, m))  # the block's full and first half steps
-    k1 = np.empty((rows, 3, m))
-    pair_work = np.empty((3, 2, rows, 3, m))
-    half_work = np.empty((3, rows, 3, m))
+    # One block's full and first half steps, and its second half steps.
+    pairs = np.empty((_STEP_BLOCK, 2, rows, 3, m))
+    halves = np.empty((_STEP_BLOCK, rows, 3, m))
+    y, stacked_y = initials.copy(), np.empty((2, rows, 3, m))
+    k1, stacked_k1 = np.empty((rows, 3, m)), np.empty((2, rows, 3, m))
+    pair_work, half_work = np.empty((3, 2, rows, 3, m)), np.empty((3, rows, 3, m))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(grid) - 1, _STEP_BLOCK):
             at = matrix(times[start:start + _STEP_BLOCK]).swapaxes(-1, -2)  # A(t)^T, (S, 6, B, m, m)
+            size = len(at)
             for j, a in enumerate(at):
-                k = start + j
-                y = out[:, :, k]
                 # Full step and first half step stacked: midpoints tm and t0 + h/4, ends t0 + h and tm.
-                _rk4_stages(y, np.matmul(y, a[0], out=k1), a[2:4], a[1:3], pair_steps[k],
-                            pair_work, pairs[j])
-                half = pairs[j, 1]
-                _rk4_stages(half, np.matmul(half, a[2], out=k1), a[4], a[5], second_steps[k],
-                            half_work, out[:, :, k + 1])
-            halves = np.moveaxis(out[:, :, start + 1:start + 1 + len(at)], 2, 0)
-            scale = np.maximum(np.abs(halves).max(axis=(2, 3)), 1.0)
-            err = np.abs(pairs[:len(at), 0] - halves).max(axis=(2, 3)) / scale  # (S, B)
+                np.copyto(stacked_y, y)
+                np.copyto(stacked_k1, np.matmul(y, a[0], out=k1))
+                _rk4_stages(stacked_y, stacked_k1, a[2:4], a[1:3], pair_steps[start + j], pair_work,
+                            pairs[j])
+                half, y = pairs[j, 1], halves[j]
+                _rk4_stages(half, np.matmul(half, a[2], out=k1), a[4], a[5], second_steps[start + j],
+                            half_work, y)
+            block = halves[:size]
+            out[:, :, start + 1:start + 1 + size] = block.transpose(1, 2, 0, 3)
+            scale = np.maximum(np.abs(block).max(axis=(2, 3)), 1.0)
+            err = np.abs(pairs[:size, 0] - block).max(axis=(2, 3)) / scale  # (S, B)
             over = (err > rel_tol) & (rejected < 0)
             new = over.any(axis=0)
             if new.any():
