@@ -214,19 +214,20 @@ class ODEProblem:
 
 
 # Grid steps per evaluation of A and per step-doubling check.  The block's
-# stack of A and its kept full steps grow with it, while the calls it saves
-# are a small part of a step beyond a few steps: on 1000 rows of m = 4 over
-# 100 steps, integrate_rows peaks at 24.6 MiB (tracemalloc) with 8 steps,
+# stack of A and its kept steps grow with it, and the calls it saves are a
+# small part of a step beyond a few steps: on 1000 rows of m = 4 over 100
+# steps, integrate_rows peaks at 24.6 MiB (tracemalloc) with 8 steps,
 # 38.7 MiB with 16, and 11.8 MiB evaluating A once per step.
 _STEP_BLOCK = 8
 
 
 def _rk4_stages(y, k1, mid, end, steps, work, out):
-    """Write into out the classical RK4 step of y, given k1 = y @ A(t)^T and A^T at t + h/2 and t + h.
+    """Write into out the RK4 step of y, given k1 = y @ A(t)^T and A^T at t + h/2 and t + h.
 
     steps is (h, 0.5 * h, h / 6), each a number or an array of steps
     stacked ahead of y's shape (each stacked step then has the bits of the
-    step taken alone); work is three buffers of y's shape.  The operations and their order are those of
+    step taken alone); work is three buffers of y's shape.  The operations
+    and their order are those of
         k2 = (y + 0.5 * h * k1) @ mid
         k3 = (y + 0.5 * h * k2) @ mid
         k4 = (y + h * k3) @ end
@@ -264,7 +265,8 @@ def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: floa
     computed once per step; y and k1 are copied to the stack's shape, as
     numpy adds arrays of one shape faster than broadcast ones.
     The step-doubling check runs once per block, on the block's kept full
-    and half steps: a row's first step over rel_tol is its rejected step.
+    and half steps, once the half steps are copied into the trajectory: a
+    row's first step over rel_tol is its rejected step.
     A rejected row is integrated on, and after the loop its later columns
     are filled with its value before that step; the loop stops at the end
     of the block in which the last row was rejected.  Every element is
@@ -299,17 +301,19 @@ def integrate_rows(matrix, initials: np.ndarray, grid: np.ndarray, rel_tol: floa
     pair_work, half_work = np.empty((3, 2, rows, 3, m)), np.empty((3, rows, 3, m))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(grid) - 1, _STEP_BLOCK):
-            at = matrix(times[start:start + _STEP_BLOCK]).swapaxes(-1, -2)  # A(t)^T, (S, 6, B, m, m)
+            # A(t)^T at the six times of each step of the block, (S, 6, B, m, m).
+            at = matrix(times[start:start + _STEP_BLOCK]).swapaxes(-1, -2)
             size = len(at)
             for j, a in enumerate(at):
-                # Full step and first half step stacked: midpoints tm and t0 + h/4, ends t0 + h and tm.
+                # Full step and first half step stacked: midpoints tm and t0 + h/4,
+                # ends t0 + h and tm.
                 np.copyto(stacked_y, y)
                 np.copyto(stacked_k1, np.matmul(y, a[0], out=k1))
                 _rk4_stages(stacked_y, stacked_k1, a[2:4], a[1:3], pair_steps[start + j], pair_work,
                             pairs[j])
                 half, y = pairs[j, 1], halves[j]
-                _rk4_stages(half, np.matmul(half, a[2], out=k1), a[4], a[5], second_steps[start + j],
-                            half_work, y)
+                _rk4_stages(half, np.matmul(half, a[2], out=k1), a[4], a[5],
+                            second_steps[start + j], half_work, y)
             block = halves[:size]
             out[:, :, start + 1:start + 1 + size] = block.transpose(1, 2, 0, 3)
             scale = np.maximum(np.abs(block).max(axis=(2, 3)), 1.0)

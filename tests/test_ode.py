@@ -388,7 +388,8 @@ class TestIntegrateRows:
         a1 = scale * 0.1 * rng.uniform(-1.0, 1.0, size=(rows, m, m))
         initials = rng.uniform(-1.0, 1.0, size=(rows, 3, m))
         if kind == "sampled":
-            functions = [MatrixFunction.sampled([0.0, grid[-1]], [a, a + b]) for a, b in zip(a0, a1)]
+            functions = [MatrixFunction.sampled([0.0, grid[-1]], [a, a + b])
+                         for a, b in zip(a0, a1)]
             matrix = _stacked(functions) if rows else lambda t: np.zeros(np.shape(t) + (0, m, m))
         else:
             matrix = {"constant": lambda: MatrixFunction.constant(a0),
