@@ -148,99 +148,77 @@ def _rng(config: CampaignConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(config.seed))
 
 
-class _Reduction:
+def _judge_blocks(config, kind, name, blocks, extra) -> CampaignResult:
     """The verdict of a campaign's rows, judged block by block as they arrive.
 
-    judge(lhs, rhs, first) takes the sides of the consecutive trials first,
-    first + 1, ..., and the blocks may come in any order.  The tolerance is
-    config.tol, or the kind's default when that is None.  The verdict runs
-    on blocks of at most core.VERDICT_BLOCK_ELEMENTS side elements, so its
-    temporaries hold one block.  The reduction adds up the violations,
-    keeps the _MAX_RECORDED_FAILURES failures of smallest trial, in trial
-    order, and takes worst: the smallest normalized gap of an inequality,
-    the largest of an identity or a bound, NaN with no row to check.  The
-    verdict judges each row on its own, so any blocks in any order give the
-    counts, records and worst of one whole-batch call.
-    """
-
-    def __init__(self, config, kind, domain, extra):
-        self.config, self.kind, self.domain, self.extra = config, kind, domain, extra
-        self.tol = _DEFAULT_TOL[kind] if config.tol is None else config.tol
-        # np.min and np.max propagate NaN, so a NaN in any block makes worst NaN.
-        self.extreme = np.min if kind == INEQUALITY else np.max
-        self.rows = self.violations = 0
-        self.failures, self.extremes = [], []  # failures are (trial, record), by trial
-
-    def judge(self, lhs, rhs, first=0):
-        step = max(1, core.VERDICT_BLOCK_ELEMENTS // math.prod(lhs.shape[1:]))
-        for start in range(0, len(lhs), step):
-            self._block(lhs[start:start + step], rhs[start:start + step], first + start)
-
-    def _block(self, lhs, rhs, first):
-        v = verdict(self.kind, self.domain, lhs, rhs, self.tol)
-        bad = np.flatnonzero(~v.passed)
-        self.rows += len(lhs)
-        self.violations += len(bad)
-        self.extremes.append(self.extreme(v.normalized))
-        if len(self.failures) == _MAX_RECORDED_FAILURES:  # only trials before the last kept
-            bad = bad[:np.searchsorted(bad, self.failures[-1][0] - first)]
-        if not len(bad):
-            return
-        scale = np.broadcast_to(v.scale, v.gap.shape)
-        for b in bad[:_MAX_RECORDED_FAILURES].tolist():
-            t = first + b
-            if self.kind == IDENTITY:
-                rec = {"gap": float(v.gap[b]), "scale": float(scale[b])}
-            else:
-                rec = {"lhs": float(lhs[b]), "rhs": float(rhs[b]), "gap": float(rhs[b] - lhs[b])}
-            rec.update(record="violation", trial=t, seed=self.config.seed)
-            rec.update(self.extra(t))
-            self.failures.append((t, rec))
-        self.failures.sort(key=lambda failure: failure[0])
-        del self.failures[_MAX_RECORDED_FAILURES:]
-
-    def result(self) -> CampaignResult:
-        log.debug("%s campaign: %d rows judged, %d verdict blocks, %d violations",
-                  self.config.op, self.rows, len(self.extremes), self.violations)
-        return CampaignResult(
-            config=self.config,
-            trials=self.rows,
-            violations=self.violations,
-            worst=float(self.extreme(self.extremes)) if self.extremes else math.nan,
-            checked=self.rows,
-            kind=self.kind,
-            failures=[rec for _, rec in self.failures],
-        )
-
-
-def _reduce(config, kind, domain, lhs, rhs, extra) -> CampaignResult:
-    """The _Reduction of whole lhs/rhs arrays: row t is trial t, extra(t) adds to its record."""
-    reduction = _Reduction(config, kind, domain, extra)
-    reduction.judge(lhs, rhs)
-    return reduction.result()
-
-
-def _judge_blocks(config, kind, name, blocks, extra) -> CampaignResult:
-    """The _Reduction of a stream of blocks of the campaign's B = config.trials rows.
-
-    blocks yields (rows, lhs, rhs, domain): the sides of the rows in the
-    slice rows, each a (K, rows, ...) stack whose row r of stack k is trial
-    k B + rows.start + r (core.replacement_blocks, batch.identity_blocks).
-    Each block is judged before the next is computed.  A block in a new
-    domain restarts the reduction: the blocks from there on cover the
-    batch.  A LOG verdict is logged at DEBUG.
+    blocks yields (rows, lhs, rhs, domain), in any order: the sides of the
+    rows in the slice rows, each a (K, rows, ...) stack whose row r of stack
+    k is trial k B + rows.start + r, B = config.trials
+    (core.replacement_blocks, batch.identity_blocks, _whole).  Each block is
+    judged before the next is computed, in pieces of at most
+    core.VERDICT_BLOCK_ELEMENTS side elements, at config.tol or the kind's
+    default.  The reduction adds up the violations, keeps the
+    _MAX_RECORDED_FAILURES failures of smallest trial, in trial order, each
+    with extra(trial), and takes worst: the smallest normalized gap of an
+    inequality, the largest of an identity or a bound, NaN with no row to
+    check.  The verdict judges each row on its own, so any blocks in any
+    order give the result of one whole-batch call.  A block in a new domain
+    restarts the reduction: the blocks from there on cover the batch.  A
+    named campaign's LOG verdict is logged at DEBUG.
     """
     b = config.trials
-    reduction = _Reduction(config, kind, LINEAR, extra)
-    for rows, lhs, rhs, domain in blocks:
-        if domain != reduction.domain:
-            reduction = _Reduction(config, kind, domain, extra)
+    tol = _DEFAULT_TOL[kind] if config.tol is None else config.tol
+    # np.min and np.max propagate NaN, so a NaN in any piece makes worst NaN.
+    extreme = np.min if kind == INEQUALITY else np.max
+    domain, checked, violations = LINEAR, 0, 0
+    failures, extremes = [], []  # failures are (trial, record), by trial
+
+    def judge(lhs, rhs, first):
+        """Add the verdict of trials first, first + 1, ... to the reduction."""
+        nonlocal checked, violations
+        v = verdict(kind, domain, lhs, rhs, tol)
+        bad = np.flatnonzero(~v.passed)
+        checked += len(lhs)
+        violations += len(bad)
+        extremes.append(extreme(v.normalized))
+        if len(failures) == _MAX_RECORDED_FAILURES:  # only trials before the last kept
+            bad = bad[:np.searchsorted(bad, failures[-1][0] - first)]
+        scale = np.broadcast_to(v.scale, v.gap.shape)
+        for r in bad[:_MAX_RECORDED_FAILURES].tolist():
+            t = first + r
+            if kind == IDENTITY:
+                rec = {"gap": float(v.gap[r]), "scale": float(scale[r])}
+            else:
+                rec = {"lhs": float(lhs[r]), "rhs": float(rhs[r]), "gap": float(rhs[r] - lhs[r])}
+            rec.update(record="violation", trial=t, seed=config.seed)
+            rec.update(extra(t))
+            failures.append((t, rec))
+        failures.sort(key=lambda failure: failure[0])
+        del failures[_MAX_RECORDED_FAILURES:]
+
+    for rows, lhs, rhs, block_domain in blocks:
+        if block_domain != domain:
+            domain, checked, violations = block_domain, 0, 0
+            failures.clear()
+            extremes.clear()
+        step = max(1, core.VERDICT_BLOCK_ELEMENTS // math.prod(lhs.shape[2:]))
         for k in range(len(lhs)):
-            reduction.judge(lhs[k], rhs[k], k * b + rows.start)
+            for start in range(0, lhs.shape[1], step):
+                judge(lhs[k, start:start + step], rhs[k, start:start + step],
+                      k * b + rows.start + start)
         del lhs, rhs  # before the next block's sides are computed
-    if reduction.domain == LOG:
+    if name and domain == LOG:
         log.debug("%s: %d trials evaluated as Lagrange log sums", name, b)
-    return reduction.result()
+    log.debug("%s campaign: %d rows judged, %d verdict blocks, %d violations",
+              config.op, checked, len(extremes), violations)
+    worst = float(extreme(extremes)) if extremes else math.nan
+    return CampaignResult(config=config, trials=checked, violations=violations, worst=worst,
+                          checked=checked, kind=kind, failures=[rec for _, rec in failures])
+
+
+def _whole(lhs, rhs, domain):
+    """Whole lhs/rhs arrays as _judge_blocks' one block: row t is trial t."""
+    return slice(0, len(lhs)), lhs[None], rhs[None], domain
 
 
 def _complex_sample(rng, shape):
@@ -337,7 +315,8 @@ def _polygon_campaign(config: CampaignConfig) -> CampaignResult:
     if logged:
         log.debug("polygon %s: %d trials evaluated in the log domain", config.check, logged)
     extra = lambda t: {"R": float(radii[t]), "angles": angles[t].tolist()}
-    return _reduce(config, kind, sides.domain, sides.lhs, sides.rhs, extra)
+    return _judge_blocks(config, kind, None, [_whole(sides.lhs, sides.rhs, sides.domain)],
+                         extra)
 
 
 def _int_sample(rng, shape, bound):
@@ -354,7 +333,7 @@ def _multilinear_oracle_campaign(config: CampaignConfig) -> CampaignResult:
     lhs = np.concatenate(batch.expansion_batch(points), axis=1)
     rhs = np.concatenate(batch.pdf_batch(points), axis=1)
     extra = lambda t: {"points": points[t].tolist()}
-    return _reduce(config, IDENTITY, LINEAR, lhs, rhs, extra)
+    return _judge_blocks(config, IDENTITY, None, [_whole(lhs, rhs, LINEAR)], extra)
 
 
 def multilinear_oracle_exact(seed: int, trials: int, n: int, m: int, bound: int = 3) -> int:
@@ -502,8 +481,8 @@ def _ode_campaign(config: CampaignConfig) -> CampaignResult:
         t = int(trials[row])
         return {"trial": t, "t": times[row], "problem": estimates[t][0].to_dict()}
 
-    result = _reduce(config, BOUND, LINEAR, np.concatenate(lhs), np.concatenate(rhs), extra)
-    return replace(result, trials=config.trials)
+    block = _whole(np.concatenate(lhs), np.concatenate(rhs), LINEAR)
+    return replace(_judge_blocks(config, BOUND, None, [block], extra), trials=config.trials)
 
 
 _SIMPLEX_METRICS = ("vandermonde", "root", "euclidean3", "generalized")

@@ -122,9 +122,14 @@ def as_point_tuple(obj) -> PointTuple:
     pts = list(obj)
     if not pts:
         raise ArgumentError("empty point tuple")
-    if isinstance(pts[0], (int, float, complex, np.number)):
-        return PointTuple(tuple(complex(p) for p in pts))
-    return PointTuple(tuple(tuple(float(c) for c in p) for p in pts))
+    try:
+        if isinstance(pts[0], (int, float, complex, np.number)):
+            points = tuple(complex(p) for p in pts)
+        else:
+            points = tuple(tuple(float(c) for c in p) for p in pts)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"expected all numbers or all sequences of numbers: {exc}") from None
+    return PointTuple(points)
 
 
 def _complex_points(obj) -> tuple[complex, ...]:

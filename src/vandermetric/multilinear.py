@@ -168,8 +168,10 @@ def sum_identity_gap(spec: MultilinearMapSpec, points, y):
     return w_identity_gap(spec, points, y, 1)
 
 
-def _check_w_args(spec, points, q):
+def _check_w_args(spec, points, y, q):
     _check_points(spec, points)
+    if len(y) != spec.m:
+        raise ArgumentError(f"y of dimension {len(y)}, expected {spec.m}")
     if not (1 <= q <= spec.n):
         raise ArgumentError(f"q must be in [1, {spec.n}], got {q}")
     if spec.extra != q - 1:
@@ -203,7 +205,7 @@ def w_identity_gap(spec: MultilinearMapSpec, points, y, q: int):
     carries q - 1 extra trailing arguments; q = 1 is sum_identity_gap.  A
     float for float input, exact for int / Fraction input (see apply).
     """
-    _check_w_args(spec, points, q)
+    _check_w_args(spec, points, y, q)
     lhs, rhs = _replacement_sides(points, y, lambda pts, tail: _w_value(spec, pts, tail, q))
     gap = np.max(np.abs(lhs - rhs))
     return gap if isinstance(gap, (int, Fraction)) else float(gap)
@@ -212,7 +214,7 @@ def w_identity_gap(spec: MultilinearMapSpec, points, y, q: int):
 def w_norm_inequality(spec: MultilinearMapSpec, points, y, q: int,
                       tol: float = INEQUALITY_RTOL) -> MetricReport:
     """||W(x, y)|| <= sum_i ||W(..., y at slot i, ..., x_i)||."""
-    _check_w_args(spec, points, q)
+    _check_w_args(spec, points, y, q)
 
     def norm(pts, tail):
         return float(np.linalg.norm(np.asarray(_w_value(spec, pts, tail, q), dtype=float)))

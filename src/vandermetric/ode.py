@@ -365,8 +365,10 @@ def cumulative_simpson(y, x) -> np.ndarray:
     grid takes the trapezoid.  All steps are evaluated at once and summed
     left to right from 0.
     """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
+    y, x = _float_array(y), _float_array(x)
+    if x.ndim != 1 or y.shape[-1:] != x.shape:
+        raise ArgumentError(f"y of shape {y.shape} needs one sample per point of the 1-d "
+                            f"grid x, of shape {x.shape}, along its last axis")
     k_max = len(x) - 1
     if k_max < 1:
         return np.zeros(y.shape)

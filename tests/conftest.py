@@ -41,18 +41,25 @@ def cli():
 
 @pytest.fixture
 def plant_rhs(monkeypatch):
-    """Plant a wrong right side in a block stream: plant(module, name, rewrite).
+    """Plant a wrong right side in the blocks a campaign judges: plant(module, name, rewrite).
 
-    name is a block generator of module, core.replacement_blocks or
-    batch.identity_blocks; for the rest of the test it yields each block
-    with its rhs replaced by rewrite(rhs), in the block's own domain.
+    name is a block source of module: the generator core.replacement_blocks
+    or batch.identity_blocks, or campaign._whole, which makes the one block
+    of the polygon, ode and multilinear-oracle campaigns.  For the rest of
+    the test each block it gives has its rhs replaced by rewrite(rhs), in
+    the block's own domain.
     """
     def plant(module, name, rewrite):
-        blocks = getattr(module, name)
+        source = getattr(module, name)
+
+        def planted_block(rows, lhs, rhs, domain):
+            return rows, lhs, rewrite(rhs), domain
 
         def planted(*args, **kwargs):
-            for rows, lhs, rhs, domain in blocks(*args, **kwargs):
-                yield rows, lhs, rewrite(rhs), domain
+            made = source(*args, **kwargs)
+            if isinstance(made, tuple):  # one block
+                return planted_block(*made)
+            return (planted_block(*block) for block in made)
 
         monkeypatch.setattr(module, name, planted)
 

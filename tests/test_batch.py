@@ -219,7 +219,8 @@ def test_reduce_temporaries_do_not_grow_with_the_batch(rng, kind, columns, b):
         rhs = lhs.copy()
         rhs[::rows // 200] -= 1.0  # 200 failing rows, so both record 100 failures
         config = CampaignConfig(op="simplex")
-        peak, result = _peak(campaign._reduce, config, kind, LINEAR, lhs, rhs, lambda t: {})
+        block = campaign._whole(lhs, rhs, LINEAR)
+        peak, result = _peak(campaign._judge_blocks, config, kind, None, [block], lambda t: {})
         assert result.violations == 200
         return peak
 

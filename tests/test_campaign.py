@@ -3,10 +3,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from vandermetric import ArgumentError, CampaignConfig, ResourceError, campaign, run_campaign
 from vandermetric.campaign import CAMPAIGN_OPS, multilinear_oracle_exact
+from vandermetric.core import LINEAR, LOG
 
 
 def lines_of(result):
@@ -238,3 +240,50 @@ def test_no_tol_is_the_kinds_default(monkeypatch, kwargs, default):
     assert summary["config"]["tol"] == default
     summary["config"]["tol"] = None
     assert implicit == explicit[:-1] + [json.dumps(summary, sort_keys=True)]
+
+
+@pytest.mark.parametrize("op", CAMPAIGN_OPS)
+def test_every_campaign_judges_its_rows_in_one_reduction(monkeypatch, op):
+    judge, calls = campaign._judge_blocks, []
+
+    def counted(*args):
+        calls.append(args[0].op)
+        return judge(*args)
+
+    monkeypatch.setattr(campaign, "_judge_blocks", counted)
+    assert run_campaign(CampaignConfig(op=op, seed=6, trials=20)).checked
+    assert calls == [op]
+
+
+# Mutant cells of the campaigns that judge whole arrays, each as the one
+# block of campaign._whole: rhs := 0, or its log -inf in a LOG block.
+WHOLE_MUTANT_CELLS = [
+    (dict(op="polygon", check="triangle"), LINEAR),
+    (dict(op="polygon", check="quadrilateral"), LINEAR),
+    (dict(op="polygon", check="ptolemy"), LINEAR),
+    (dict(op="polygon", check="ngon", n=7), LINEAR),
+    (dict(op="polygon", check="ngon", n=25), LOG),
+    (dict(op="polygon", check="simplex-equality", n=6), LINEAR),
+    (dict(op="polygon", check="simplex-equality", n=40), LOG),
+    (dict(op="ode"), LINEAR),
+    (dict(op="multilinear-oracle", n=4, m=3), LINEAR),
+]
+
+
+@pytest.mark.parametrize("fields,domain", WHOLE_MUTANT_CELLS,
+                         ids=[f"{f.get('check', f['op'])}-{f.get('n', '')}{d}"
+                              for f, d in WHOLE_MUTANT_CELLS])
+def test_a_planted_zero_rhs_fails_every_row_of_a_whole_array_campaign(monkeypatch, plant_rhs,
+                                                                        fields, domain):
+    whole, domains = campaign._whole, []
+
+    def recorded(lhs, rhs, block_domain):
+        domains.append(block_domain)
+        return whole(lhs, rhs, block_domain)
+
+    monkeypatch.setattr(campaign, "_whole", recorded)
+    zero = -math.inf if domain == LOG else 0.0
+    plant_rhs(campaign, "_whole", lambda rhs: np.full_like(rhs, zero))
+    result = run_campaign(CampaignConfig(seed=7, trials=50, **fields))
+    assert domains == [domain]
+    assert result.violations == result.checked > 0 and not result.passed

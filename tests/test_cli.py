@@ -722,14 +722,19 @@ def test_cli_golden(cli, complex_csv, tetrahedron_csv):
     assert digest.hexdigest() == _GOLDEN_SHA256
 
 
-def _avx512_targets() -> list:
-    """numpy's AVX-512 dispatch targets that this CPU runs."""
+def _dispatch_targets(prefixes: tuple) -> list:
+    """numpy's dispatch targets that this CPU runs, of those that start with one of prefixes."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     return [target for target in __cpu_dispatch__
-            if target.startswith(("AVX512", "X86_V4")) and __cpu_features__.get(target)]
+            if target.startswith(prefixes) and __cpu_features__.get(target)]
+
+
+# Sets of dispatch targets to turn off: the AVX-512 ones, and every one,
+# which leaves the build's baseline (x86-64-v2 on x86-64).
+_DISPATCH_SETS = {"avx512": ("AVX512", "X86_V4"), "baseline": ("",)}
 
 
 # Runs the invocations read from stdin through the in-process runner and
@@ -767,14 +772,15 @@ def _verdicts(output: str) -> list:
     return found
 
 
-def test_golden_verdicts_hold_without_avx512(cli, complex_csv, tetrahedron_csv):
+@pytest.mark.parametrize("turned_off", _DISPATCH_SETS)
+def test_golden_verdicts_hold_without_avx512(cli, complex_csv, tetrahedron_csv, turned_off):
     # numpy picks its float kernels by CPU, and its AVX-512 kernels round
     # some transcendental functions differently, so the golden bytes hold on
     # one dispatch target only.  The verdicts must hold on each: every exit
     # code, and at the default tolerance every pass and violation count.
-    targets = _avx512_targets()
+    targets = _dispatch_targets(_DISPATCH_SETS[turned_off])
     if not targets:
-        pytest.skip("numpy runs no AVX-512 kernel on this CPU")
+        pytest.skip(f"numpy runs no {turned_off} dispatch target to turn off on this CPU")
     invocations = [[a.replace("{csv}", complex_csv).replace("{tetra}", tetrahedron_csv)
                     for a in args] for args in _GOLDEN_INVOCATIONS]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),

@@ -285,6 +285,11 @@ class TestValidation:
             got = call()
             assert got == want and type(got) is type(want)
 
+    @pytest.mark.parametrize("points", [[1, (1.0, 2.0)], [(1.0, 2.0), 1], ["a", "b"]])
+    def test_points_neither_all_numbers_nor_all_vectors(self, points):
+        with pytest.raises(ArgumentError, match="all numbers or all sequences"):
+            as_point_tuple(points)
+
     def test_mixed_dimensions(self):
         with pytest.raises(ArgumentError):
             PointTuple(((1.0, 2.0), (1.0, 2.0, 3.0)))

@@ -246,6 +246,17 @@ class TestReplacementIdentities:
         with pytest.raises(ArgumentError):
             check(spec, random_points(rng, 3, 3), (0.5, -0.5, 0.25), 4)
 
+    @pytest.mark.parametrize("y", [(2,), (1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("check,extra,q", [
+        (lambda spec, pts, y, q: sum_identity_gap(spec, pts, y), 0, 1),
+        (w_identity_gap, 0, 1), (w_identity_gap, 1, 2),
+        (w_norm_inequality, 0, 1), (w_norm_inequality, 1, 2),
+    ])
+    def test_a_replacement_point_of_the_wrong_dimension_is_rejected(self, check, extra, q, y):
+        spec = MultilinearMapSpec(n=2, m=2, extra=extra)
+        with pytest.raises(ArgumentError, match=f"y of dimension {len(y)}, expected 2"):
+            check(spec, [(0, 0), (1, 1)], y, q)
+
 
 class TestGeneralizedMetric:
     def test_m2_reduction_to_complex(self):

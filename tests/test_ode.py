@@ -472,6 +472,13 @@ class TestQuadrature:
         out = cumulative_simpson([0.0, 2.0], [0.0, 1.0])
         assert out[1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("y,x", [([1.0, 2.0, 3.0], [0.0, 1.0]),
+                                     ([1.0, 2.0], [0.0, 1.0, 2.0]),
+                                     ([[1.0, 2.0]], [0.0, 1.0, 2.0])])
+    def test_a_sample_count_unlike_the_grid_is_rejected(self, y, x):
+        with pytest.raises(ArgumentError, match="one sample per point"):
+            cumulative_simpson(y, x)
+
     def test_smooth_function_accuracy(self):
         x = np.linspace(0.0, 1.0, 201)
         out = cumulative_simpson(np.exp(x), x)

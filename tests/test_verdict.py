@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vandermetric import CampaignConfig, CyclicPolygon, batch, campaign, core, run_campaign
-from vandermetric.campaign import CampaignResult, _reduce, _rng
+from vandermetric.campaign import CampaignResult, _judge_blocks, _rng, _whole
 from vandermetric.core import (
     BOUND, IDENTITY, INEQUALITY, LINEAR, LOG, MetricReport, _row_max, dump_json, verdict,
 )
@@ -39,8 +39,8 @@ sides = st.one_of(
 def test_report_and_campaign_reducer_agree(kind, domain, lhs, rhs, tol):
     report = MetricReport("probe", {}, lhs, rhs, tol, kind=kind, domain=domain)
     with np.errstate(all="ignore"):
-        result = _reduce(CampaignConfig(op="simplex", tol=tol), kind, domain,
-                         np.array([lhs]), np.array([rhs]), lambda t: {})
+        result = _judge_blocks(CampaignConfig(op="simplex", tol=tol), kind, None,
+                               [_whole(np.array([lhs]), np.array([rhs]), domain)], lambda t: {})
         normalized = verdict(kind, domain, lhs, rhs, tol).normalized
     assert report.passed is result.passed
     if domain == LOG and lhs == -math.inf and (math.isfinite(rhs) or rhs == lhs):
@@ -65,8 +65,8 @@ def test_campaign_output_is_valid_json_with_non_finite_values(fmt):
     lhs = np.array([1.0, math.nan, 1.0, math.inf, 2.0])
     rhs = np.array([2.0, 2.0, math.inf, math.inf, 1.0])
     with np.errstate(all="ignore"):
-        result = _reduce(CampaignConfig(op="simplex"), INEQUALITY, LINEAR, lhs, rhs,
-                         lambda t: {})
+        result = _judge_blocks(CampaignConfig(op="simplex"), INEQUALITY, None,
+                               [_whole(lhs, rhs, LINEAR)], lambda t: {})
     assert math.isnan(result.worst) and result.violations == 4
     # The two formats of `vandermetric campaign --format`.
     lines = list(result.json_lines()) if fmt == "jsonl" else [
@@ -205,16 +205,15 @@ def assert_same_result(got, want):
 
 
 def reduce_out_of_order(config, kind, domain, lhs, rhs, extra, order):
-    """_Reduction fed the 31-row blocks of lhs/rhs in the given order of their indices.
+    """_judge_blocks fed the 31-row blocks of lhs/rhs in the given order of their indices.
 
-    31 rows are not a whole number of verdict blocks, so judge() splits them
-    with offsets of its own.
+    31 rows are not a whole number of verdict pieces, so _judge_blocks splits
+    them with offsets of its own.
     """
-    reduction = campaign._Reduction(config, kind, domain, extra)
     starts = range(0, len(lhs), 31)
-    for start in (starts[i] for i in order(len(starts))):
-        reduction.judge(lhs[start:start + 31], rhs[start:start + 31], start)
-    return reduction.result()
+    blocks = ((slice(start, start + 31), lhs[None, start:start + 31], rhs[None, start:start + 31],
+               domain) for start in (starts[i] for i in order(len(starts))))
+    return _judge_blocks(config, kind, None, blocks, extra)
 
 
 # Block orders: last first, and shuffled.
@@ -225,7 +224,7 @@ BLOCK_ORDERS = [lambda count: range(count - 1, -1, -1),
 def assert_blocks_equal_whole(kind, domain, lhs, rhs, extra=lambda t: {"row": t}):
     config = CampaignConfig(op="simplex", seed=5, tol=1e-9)
     with np.errstate(all="ignore"):
-        got = _reduce(config, kind, domain, lhs, rhs, extra)
+        got = _judge_blocks(config, kind, None, [_whole(lhs, rhs, domain)], extra)
         want = reduce_whole(config, kind, domain, lhs, rhs, extra)
         fed = [reduce_out_of_order(config, kind, domain, lhs, rhs, extra, order)
                for order in BLOCK_ORDERS]
