@@ -16,9 +16,9 @@ coordinate plane with the l2 norm over the planes.
 
 The multilinear kernels multiply projected complex factors with one
 complex product, _product_calls: re and im are the halves of one stacked
-(2, ...) array, and a product is four numpy calls over both.  One
-lockstep fold, _fold, gathers one factor per member from a stacked
-factor-major (2, K, ...) re/im pool each step and multiplies it in.
+(2, ...) array, and a product is four numpy calls over both.  core's
+lockstep fold, core._fold, gathers one factor per member from a stacked
+factor-major (2, K, ...) re/im pool each step, multiplied in in place.
 pdf_batch folds the pair differences as one member, in the row chunks of
 core._by_rows, the chunk loop of every row kernel; the projected pass of
 the replacement identities folds the n + 1 tuples, as the signed slot
@@ -59,8 +59,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (EXPANSION_MAX_N, IDENTITY, LINEAR, _block_rows, _by_rows, _check_points,
-                   _chunk_rows, _linear_sides, _pair_differences, _pair_indices, _root_power,
-                   _sides, _slices, _slot_map, verdict)
+                   _chunk_rows, _fold, _linear_sides, _pair_differences, _pair_indices,
+                   _root_power, _sides, _slices, _slot_map, verdict)
 from .errors import ResourceError
 
 log = logging.getLogger(__name__)
@@ -116,42 +116,21 @@ def _product_calls(a, b, out, scratch):
     """The four numpy calls of (a[0] + i a[1])(b[0] + i b[1]) into out[0] (re) and out[1] (im).
 
     re = a_re b_re - a_im b_im and im = a_re b_im + a_im b_re, split, never
-    numpy's complex multiply, over re and im at once: out = a b[0] and
-    scratch = a b[1] broadcast each part of b over both of a's, then
+    numpy's complex multiply, over re and im at once: scratch = a b[1] and
+    out = a b[0] broadcast each part of b over both of a's, then
     out[0] - scratch[1] and scratch[0] + out[1].  The calls come as
-    (function, arguments) pairs.  scratch may be a, and is overwritten.
+    (function, arguments) pairs.  out may be a; scratch, overwritten, may not.
     """
-    return [(np.multiply, (a, b[0], out)), (np.multiply, (a, b[1], scratch)),
+    return [(np.multiply, (a, b[1], scratch)), (np.multiply, (a, b[0], out)),
             (np.subtract, (out[0], scratch[1], out[0])), (np.add, (scratch[0], out[1], out[1]))]
 
 
-def _fold(pool, columns, tails, count):
-    """The lockstep products of the factors columns names, times tails count times.
-
-    pool is the (2, K, ...) re and im of K factors and columns is
-    (L, members): step k gathers each member's k-th factor,
-    pool[:, columns[k]], into one (2, members, ...) buffer and multiplies
-    it in (_product_calls); the first factor starts the fold.  Then the
-    (2, members, ...) tails multiply in count times, read where they are.
-    The products alternate between two accumulators, so the calls of both
-    directions are built once.  Returns the (2, members, ...) products in
-    the pool's dtype.
-    """
-    acc = np.empty((2, columns.shape[1]) + pool.shape[2:], pool.dtype)
-    other, factor = np.empty_like(acc), np.empty_like(acc)
-    # mode="clip" writes straight into out; the default mode buffers it.
-    pool.take(columns[0], 1, acc, "clip")
-    # Step k multiplies sides[k % 2][0] into sides[k % 2][1].
-    sides = (acc, other), (other, acc)
-    gathered = [_product_calls(a, factor, out, a) for a, out in sides]
-    tailed = [_product_calls(a, tails, out, a) for a, out in sides] if count else None
-    gathers, steps = len(columns) - 1, len(columns) - 1 + count
-    for k in range(steps):
-        if k < gathers:
-            pool.take(columns[k + 1], 1, factor, "clip")
-        for call, arguments in (gathered if k < gathers else tailed)[k % 2]:
+def _multiply_in(scratch):
+    """The multiply(acc, factor) of core._fold: acc := acc factor (_product_calls) over scratch."""
+    def multiply(acc, factor):
+        for call, arguments in _product_calls(acc, factor, acc, scratch):
             call(*arguments)
-    return sides[steps % 2][0]
+    return multiply
 
 
 def _plane_pool(factors: np.ndarray) -> np.ndarray:
@@ -176,7 +155,8 @@ def _empty_product(points: np.ndarray):
 def _pdf_rows(points: np.ndarray):
     """The (2, rows, M_m) re and im of pdf_batch on one chunk of rows."""
     pool = _plane_pool(_pair_differences(np.ascontiguousarray(points.transpose(1, 2, 0))))
-    return _fold(pool, np.arange(pool.shape[1])[:, None], None, 0)[:, 0].transpose(0, 2, 1)
+    multiply = _multiply_in(np.empty((2, 1) + pool.shape[2:], pool.dtype))
+    return _fold(pool, np.arange(pool.shape[1])[:, None], multiply, 1)[:, 0].transpose(0, 2, 1)
 
 
 def pdf_batch(points: np.ndarray):
@@ -184,8 +164,8 @@ def pdf_batch(points: np.ndarray):
 
     A chunk's points are copied once, coordinate-major, their P pair
     differences (core._pair_differences) make the (2, P, M_m, rows) pool
-    (_plane_pool), and the pool folds as one member (_fold).  A chunk
-    holds n m + P m + 2 P M_m + 6 M_m elements a row: the copy, the
+    (_plane_pool), and the pool folds as one member (core._fold).  A
+    chunk holds n m + P m + 2 P M_m + 6 M_m elements a row: the copy, the
     differences, the pool and the fold's three buffers.  Returns (re, im)
     arrays of shape (B, M_m), in the points' dtype; one point is the
     empty product, 1 + 0i, as in expansion_batch.
@@ -203,8 +183,8 @@ def _projected_elements(n: int, m: int) -> int:
     Per coordinate pair the re/im pool of K factors stays throughout;
     beside it first the K coordinate-major factors of m coordinates
     (_projected_pool), then the three re/im buffers of n + 1 of the fold
-    (_fold), one of them the result.  Fewer than 2 points are an
-    ArgumentError (core._check_points).
+    and its scratch (core._fold), one of them the result.  Fewer than 2
+    points are an ArgumentError (core._check_points).
     """
     _check_points(n)
     k, pairs = n * (n - 1) // 2 + 3 * n + 1, m * (m - 1) // 2
@@ -238,13 +218,17 @@ def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
 
     Plane-major throughout, rows last.  The n + 1 tuples fold their P pair
     factors from the chunk's pool (_projected_pool) in lockstep, as the
-    signed slot map lists them, then multiply in q - 1 times their tails
-    (y for x, x_s for x with slot s -> y), the pool's last n + 1 factors,
-    in tuple order (_fold).  The values are in the pool's dtype.
+    signed slot map lists them (core._fold), then multiply in q - 1 times
+    their tails (y for x, x_s for x with slot s -> y), the pool's last
+    n + 1 factors, in tuple order.  The values are in the pool's dtype.
     """
     n = x.shape[1]
     pool = _projected_pool(x, y)
-    return _fold(pool, _slot_map(n, True), pool[:, -(n + 1):], q - 1).swapaxes(0, 1)
+    multiply = _multiply_in(np.empty((2, n + 1) + pool.shape[2:], pool.dtype))
+    products = _fold(pool, _slot_map(n, True), multiply, 1)
+    for _ in range(q - 1):
+        multiply(products, pool[:, -(n + 1):])
+    return products.swapaxes(0, 1)
 
 
 # Elements of one row chunk's working set in the subset recursion: the
@@ -348,9 +332,10 @@ def _laplace_plan(work, n, rows, pairs):
     W = rows pairs, the calls fill the signed power table
     (_signed_power_calls); the subset table starts as D[{p}] = z_0^p.  A
     step gathers its terms' D values and signed powers into
-    (2, j + 1, C, W) buffers, multiplies them into the third
-    (_product_calls), over the table it has read, and sums the j + 1
-    columns into the first (_left_sum_calls), which is the next table.
+    (2, j + 1, C, W) buffers, multiplies in the powers in place over the
+    third (_product_calls), and sums the j + 1 columns into the first
+    (_left_sum_calls), the next table, which the next step gathers from
+    into the third: the two swap.
     """
     width = rows * pairs
     xs, table, *buffers = _views(work, (2, n, rows, pairs), (2, 2 * n, n, width),
@@ -362,10 +347,11 @@ def _laplace_plan(work, n, rows, pairs):
     d, rows_of_powers = table[:, :n, 0], table.reshape(2, -1, width)
     for sources, signed in _laplace_steps(n):
         shape = (2,) + sources.shape + (width,)
-        a, b, products = (buffer[:math.prod(shape)].reshape(shape) for buffer in buffers)
+        a, b, scratch = (buffer[:math.prod(shape)].reshape(shape) for buffer in buffers)
         calls += [(d.take, (sources, 1, a, "clip")), (rows_of_powers.take, (signed, 1, b, "clip")),
-                  *_product_calls(a, b, products, a), *_left_sum_calls(products)]
-        d = products.reshape(2, -1, width)
+                  *_product_calls(a, b, a, scratch), *_left_sum_calls(a)]
+        d = a.reshape(2, -1, width)
+        buffers.reverse()  # the next step gathers into scratch, as a holds its table
     return coordinates, calls, d[:, 0].reshape(2, rows, pairs)
 
 

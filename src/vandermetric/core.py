@@ -17,7 +17,8 @@ campaigns and the scalar reports share; beyond that, or once a block of
 those sides overflows or underflows to 0, Lagrange log sums for the whole
 batch.  The campaigns judge its row blocks as they come, and
 replacement_sides collects them for the scalar reports.  Every row kernel
-runs in row chunks through one loop, _by_rows.
+runs in row chunks through one loop, _by_rows, and every lockstep product
+of a slot map, here and in batch, is one fold, _fold.
 """
 
 from __future__ import annotations
@@ -881,24 +882,34 @@ def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sqrt(pool, out=pool)
 
 
+def _fold(pool: np.ndarray, columns: np.ndarray, multiply, axis: int = 0) -> np.ndarray:
+    """The products, left to right, of pool's factors along axis that (L, members) columns names.
+
+    Step k takes each member's k-th factor, pool's columns[k] along axis,
+    into one reused buffer, and multiply(acc, factor) multiplies it into
+    the products in place; the first factors start them.
+    """
+    acc = pool.take(columns[0], axis)
+    factor = np.empty_like(acc)
+    for step in columns[1:]:
+        # mode="clip" writes straight into out; the default mode buffers it.
+        pool.take(step, axis, factor, "clip")
+        multiply(acc, factor)
+    return acc
+
+
 def _product_rows(x: np.ndarray, y: np.ndarray, power=None) -> np.ndarray:
     """(n + 1, rows) products of the pair distances of x and of each x with slot s -> y.
 
     x is (rows, n) complex, distance abs, or (rows, n, m) real, distance the
     Euclidean norm.  The factors are pooled factor-major, (P + n, rows)
-    (_distances), and all n + 1 tuples multiply theirs in lockstep, left to
-    right, one slot-map row per step, as np.prod over each tuple would.
-    With a power, the products are raised to it.
+    (_distances), and all n + 1 tuples multiply theirs in lockstep, one
+    slot-map row per step (_fold).  With a power, the products are raised
+    to it.
     """
-    pool = _distances(x, y)
-    slots = _slot_map(x.shape[1], False)
-    acc = np.take(pool, slots[0], axis=0)
-    buf = np.empty_like(acc)
-    for step in slots[1:]:
-        # mode="clip" writes straight into out; the default mode buffers it.
-        np.take(pool, step, axis=0, out=buf, mode="clip")
-        acc *= buf
-    return acc if power is None else acc**power
+    products = _fold(_distances(x, y), _slot_map(x.shape[1], False),
+                     lambda acc, factor: np.multiply(acc, factor, out=acc))
+    return products if power is None else products**power
 
 
 def _extended_rows(z: np.ndarray, y: np.ndarray, ks, power=None):

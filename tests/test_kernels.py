@@ -595,11 +595,13 @@ def test_rows_chunked_three_at_a_time_keep_their_bits(monkeypatch, name):
     assert [(g.shape, g.dtype) for g in kernel(*empty)] == shapes
 
 
+@pytest.mark.parametrize("aliased", [True, False], ids=["out is a", "separate out"])
 @pytest.mark.parametrize("kind", ["normals", "signed zeros", "wrapping int64"])
-def test_product_calls_are_the_complex_product_element_by_element(kind):
+def test_product_calls_are_the_complex_product_element_by_element(kind, aliased):
     # re = a0 b0 - a1 b1 and im = a0 b1 + a1 b0 in Python arithmetic, with
-    # scratch aliased to a as the fold and the expansion pass it; the bytes
-    # show a flipped zero sign, and int64 products wrap.
+    # out aliased to a, as the folds and the expansion steps pass it, or a
+    # separate out, as the power table gets it, and a separate scratch; the
+    # bytes show a flipped zero sign, and int64 products wrap.
     rng = np.random.default_rng(33)
     if kind == "normals":
         a, b = rng.standard_normal((2, 2, 60))
@@ -612,8 +614,8 @@ def test_product_calls_are_the_complex_product_element_by_element(kind):
     rows = list(zip(*a.tolist(), *b.tolist()))
     want = np.array([[reduce(a0 * b0 - a1 * b1) for a0, a1, b0, b1 in rows],
                      [reduce(a0 * b1 + a1 * b0) for a0, a1, b0, b1 in rows]], a.dtype)
-    out = np.empty_like(a)
-    for call, arguments in batch._product_calls(a, b, out, a):
+    out = a if aliased else np.empty_like(a)
+    for call, arguments in batch._product_calls(a, b, out, np.empty_like(a)):
         call(*arguments)
     assert bits(out) == bits(want)
 
