@@ -116,6 +116,13 @@ def _check_points(n: int, m: int = 1, least: int = 1) -> None:
         raise ArgumentError(f"need at least 2 points of {least} or more coordinates, got {m}")
 
 
+def _not_text(value):
+    """value itself, unless it is a str or bytes, which complex() and float() would parse."""
+    if isinstance(value, (str, bytes)):
+        raise TypeError(f"{value!r} is text, not a number")
+    return value
+
+
 def as_point_tuple(obj) -> PointTuple:
     """Coerce a PointTuple, a sequence of scalars, or a sequence of vectors."""
     if isinstance(obj, PointTuple):
@@ -125,9 +132,9 @@ def as_point_tuple(obj) -> PointTuple:
         raise ArgumentError("empty point tuple")
     try:
         if isinstance(pts[0], (int, float, complex, np.number)):
-            points = tuple(complex(p) for p in pts)
+            points = tuple(complex(_not_text(p)) for p in pts)
         else:
-            points = tuple(tuple(float(c) for c in p) for p in pts)
+            points = tuple(tuple(float(_not_text(c)) for c in _not_text(p)) for p in pts)
     except (TypeError, ValueError) as exc:
         raise ArgumentError(f"expected all numbers or all sequences of numbers: {exc}") from None
     return PointTuple(points)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -168,8 +170,15 @@ def sum_identity_gap(spec: MultilinearMapSpec, points, y):
     return w_identity_gap(spec, points, y, 1)
 
 
+def _finite_real(c) -> bool:
+    """Whether c is a finite real number; ints and Fractions always are, and stay exact."""
+    return isinstance(c, Rational) or (isinstance(c, Real) and math.isfinite(c))
+
+
 def _check_w_args(spec, points, y, q):
     _check_points(spec, points)
+    if not isinstance(y, Sized) or not all(_finite_real(c) for c in y):
+        raise ArgumentError(f"y must be a sequence of finite real numbers, got {y!r}")
     if len(y) != spec.m:
         raise ArgumentError(f"y of dimension {len(y)}, expected {spec.m}")
     if not (1 <= q <= spec.n):

@@ -285,7 +285,8 @@ class TestValidation:
             got = call()
             assert got == want and type(got) is type(want)
 
-    @pytest.mark.parametrize("points", [[1, (1.0, 2.0)], [(1.0, 2.0), 1], ["a", "b"]])
+    @pytest.mark.parametrize("points", [[1, (1.0, 2.0)], [(1.0, 2.0), 1], ["a", "b"], ["1", "2"],
+                                        [1, "2"], [("1", 2.0), (3.0, 4.0)]])
     def test_points_neither_all_numbers_nor_all_vectors(self, points):
         with pytest.raises(ArgumentError, match="all numbers or all sequences"):
             as_point_tuple(points)

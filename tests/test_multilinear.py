@@ -246,15 +246,20 @@ class TestReplacementIdentities:
         with pytest.raises(ArgumentError):
             check(spec, random_points(rng, 3, 3), (0.5, -0.5, 0.25), 4)
 
-    @pytest.mark.parametrize("y", [(2,), (1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize("y,message", [
+        ((2,), "y of dimension 1, expected 2"), ((1.0, 2.0, 3.0), "y of dimension 3, expected 2"),
+        (2, "y must be a sequence of finite real numbers"),
+        (("a", "b"), "y must be a sequence of finite real numbers"),
+        ((math.nan, 0.0), "y must be a sequence of finite real numbers"),
+    ])
     @pytest.mark.parametrize("check,extra,q", [
         (lambda spec, pts, y, q: sum_identity_gap(spec, pts, y), 0, 1),
         (w_identity_gap, 0, 1), (w_identity_gap, 1, 2),
         (w_norm_inequality, 0, 1), (w_norm_inequality, 1, 2),
     ])
-    def test_a_replacement_point_of_the_wrong_dimension_is_rejected(self, check, extra, q, y):
+    def test_a_malformed_replacement_point_is_rejected(self, check, extra, q, y, message):
         spec = MultilinearMapSpec(n=2, m=2, extra=extra)
-        with pytest.raises(ArgumentError, match=f"y of dimension {len(y)}, expected 2"):
+        with pytest.raises(ArgumentError, match=message):
             check(spec, [(0, 0), (1, 1)], y, q)
 
 
