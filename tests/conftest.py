@@ -46,14 +46,14 @@ def plant_rhs(monkeypatch):
     name is a block source of module: the generator core.replacement_blocks
     or batch.identity_blocks, or campaign._whole, which makes the one block
     of the polygon, ode and multilinear-oracle campaigns.  For the rest of
-    the test each block it gives has its rhs replaced by rewrite(rhs), in
-    the block's own domain.
+    the test each block it gives has its rhs replaced by
+    rewrite(lhs, rhs, domain), in the block's own domain.
     """
     def plant(module, name, rewrite):
         source = getattr(module, name)
 
         def planted_block(rows, lhs, rhs, domain):
-            return rows, lhs, rewrite(rhs), domain
+            return rows, lhs, rewrite(lhs, rhs, domain), domain
 
         def planted(*args, **kwargs):
             made = source(*args, **kwargs)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from vandermetric import ArgumentError, CampaignConfig, ResourceError, campaign, run_campaign
+from vandermetric import (ArgumentError, CampaignConfig, ResourceError, batch, campaign, core,
+                          run_campaign)
 from vandermetric.campaign import CAMPAIGN_OPS, multilinear_oracle_exact
 from vandermetric.core import LINEAR, LOG
 
@@ -283,7 +284,65 @@ def test_a_planted_zero_rhs_fails_every_row_of_a_whole_array_campaign(monkeypatc
 
     monkeypatch.setattr(campaign, "_whole", recorded)
     zero = -math.inf if domain == LOG else 0.0
-    plant_rhs(campaign, "_whole", lambda rhs: np.full_like(rhs, zero))
+    plant_rhs(campaign, "_whole", lambda lhs, rhs, block_domain: np.full_like(rhs, zero))
     result = run_campaign(CampaignConfig(seed=7, trials=50, **fields))
     assert domains == [domain]
     assert result.violations == result.checked > 0 and not result.passed
+
+
+# The wrong right sides planted in the blocks of core.replacement_blocks
+# and batch.identity_blocks, each in its block's own domain: an
+# inequality's rhs := 0 and rhs := lhs/2, as -inf and lhs - log 2 in a LOG
+# block; an identity's (LINEAR) rhs := 0, rhs x 2 and rhs x (1 + 1e-6).
+INEQUALITY_MUTANTS = {
+    "rhs=0": lambda lhs, rhs, domain: np.full_like(rhs, -math.inf if domain == LOG else 0.0),
+    "rhs=lhs/2": lambda lhs, rhs, domain: lhs - math.log(2) if domain == LOG else lhs / 2,
+}
+IDENTITY_MUTANTS = {
+    "rhs=0": lambda lhs, rhs, domain: np.zeros_like(rhs),
+    "rhs*2": lambda lhs, rhs, domain: 2 * rhs,
+    "rhs*(1+1e-6)": lambda lhs, rhs, domain: rhs * (1 + 1e-6),
+}
+
+
+def _identity_fields(n):
+    """The identity campaigns at n: sum-identity, and w-identity at q = 1, 2 and n."""
+    return [dict(op="sum-identity", n=n),
+            *[dict(op="w-identity", n=n, q=q) for q in sorted({1, 2, n})]]
+
+
+def _cells(fields, mutants, marks=()):
+    return [pytest.param(fields, rewrite, marks=marks,
+                         id="-".join([*map(str, fields.values()), name]))
+            for name, rewrite in mutants.items()]
+
+
+# At seed 7 the identity verdicts pass rows of a planted wrong rhs from
+# n = 12 on: sum-identity rejects 98 of 100 rows at n = 12 under rhs := 0,
+# and 9 at n = 40.
+_VACUOUS = pytest.mark.xfail(strict=True, reason="item 2: identity verdicts pass wrong sides "
+                                                 "at n >= 12")
+
+BLOCK_MUTANT_CELLS = [
+    *[cell for metric in ("vandermonde", "root") for n in (3, 4, 12, 13, 40)
+      for cell in _cells(dict(op="simplex", metric=metric, n=n), INEQUALITY_MUTANTS)],
+    *_cells(dict(op="simplex", metric="euclidean3"), INEQUALITY_MUTANTS),
+    *[cell for n in (3, 4, 12, 13)
+      for cell in _cells(dict(op="simplex", metric="generalized", m=3, n=n), INEQUALITY_MUTANTS)],
+    *[cell for n in (4, 12, 13, 40)
+      for cell in _cells(dict(op="extended", n=n), INEQUALITY_MUTANTS)],
+    *_cells(dict(op="equality-family"), IDENTITY_MUTANTS),
+    *[cell for n in (3, 4) for fields in _identity_fields(n)
+      for cell in _cells(fields, IDENTITY_MUTANTS)],
+    *[cell for n in (12, 40) for fields in _identity_fields(n)
+      for cell in _cells(fields, IDENTITY_MUTANTS, _VACUOUS)],
+]
+
+
+@pytest.mark.parametrize("fields,rewrite", BLOCK_MUTANT_CELLS)
+def test_a_planted_wrong_rhs_fails_every_row_of_a_block_campaign(plant_rhs, fields, rewrite):
+    identity = fields["op"].endswith("-identity")
+    plant_rhs(batch if identity else core, "identity_blocks" if identity else "replacement_blocks",
+              rewrite)
+    result = run_campaign(CampaignConfig(seed=7, trials=100, **fields))
+    assert result.violations == result.checked > 0

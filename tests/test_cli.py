@@ -442,11 +442,11 @@ class TestCampaignCommand:
     def test_a_planted_wrong_rhs_fails_through_the_one_seam(self, cli, plant_rhs):
         # rhs := 0 in the replacement blocks fails the campaign and the
         # scalar report alike; rhs x 2 in the identity blocks fails theirs.
-        plant_rhs(core, "replacement_blocks", np.zeros_like)
+        plant_rhs(core, "replacement_blocks", lambda lhs, rhs, domain: np.zeros_like(rhs))
         assert cli(["campaign", "--op", "simplex", "--n", "6", "--trials", "50"]).exit_code == 1
         report = core.simplex_gap([0, 1, 2j, 3, 4 - 1j, 5 + 5j], 1 + 1j)
         assert report.rhs == 0.0 and report.to_dict()["pass"] is False
-        plant_rhs(batch, "identity_blocks", lambda rhs: 2 * rhs)
+        plant_rhs(batch, "identity_blocks", lambda lhs, rhs, domain: 2 * rhs)
         result = cli(["campaign", "--op", "sum-identity", "--n", "4", "--trials", "200"])
         assert result.exit_code == 1
 
