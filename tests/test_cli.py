@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import DISPATCH_SETS, run_at_lowered_dispatch
 from vandermetric import batch, campaign, cli as cli_module, core
 from vandermetric.io import read_points_csv, write_points_csv
 from vandermetric import ArgumentError
@@ -722,32 +723,11 @@ def test_cli_golden(cli, complex_csv, tetrahedron_csv):
     assert digest.hexdigest() == _GOLDEN_SHA256
 
 
-def _dispatch_targets(prefixes: tuple) -> list:
-    """numpy's dispatch targets that this CPU runs, of those that start with one of prefixes."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return [target for target in __cpu_dispatch__
-            if target.startswith(prefixes) and __cpu_features__.get(target)]
-
-
-# Sets of dispatch targets to turn off: the AVX-512 ones, and every one,
-# which leaves the build's baseline (x86-64-v2 on x86-64).
-_DISPATCH_SETS = {"avx512": ("AVX512", "X86_V4"), "baseline": ("",)}
-
-
-# Runs the invocations read from stdin through the in-process runner and
-# writes numpy's CPU features and each run's exit code and output as JSON.
-_DISPATCH_CHILD = """
-import json, sys
+# Runs the invocations read from stdin through the in-process runner: each
+# run's exit code and output.
+_DISPATCH_CLI_RUNS = """
 from conftest import run_cli
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:
-    from numpy.core._multiarray_umath import __cpu_features__
-runs = [run_cli(args) for args in json.load(sys.stdin)]
-json.dump([__cpu_features__, [[run.exit_code, run.output] for run in runs]], sys.stdout)
+result = [[run.exit_code, run.output] for run in map(run_cli, json.load(sys.stdin))]
 """
 
 
@@ -772,25 +752,15 @@ def _verdicts(output: str) -> list:
     return found
 
 
-@pytest.mark.parametrize("turned_off", _DISPATCH_SETS)
+@pytest.mark.parametrize("turned_off", DISPATCH_SETS)
 def test_golden_verdicts_hold_without_avx512(cli, complex_csv, tetrahedron_csv, turned_off):
     # numpy picks its float kernels by CPU, and its AVX-512 kernels round
     # some transcendental functions differently, so the golden bytes hold on
     # one dispatch target only.  The verdicts must hold on each: every exit
     # code, and at the default tolerance every pass and violation count.
-    targets = _dispatch_targets(_DISPATCH_SETS[turned_off])
-    if not targets:
-        pytest.skip(f"numpy runs no {turned_off} dispatch target to turn off on this CPU")
     invocations = [[a.replace("{csv}", complex_csv).replace("{tetra}", tetrahedron_csv)
                     for a in args] for args in _GOLDEN_INVOCATIONS]
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
-           "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
-    env.pop("VANDERMETRIC_LOG", None)
-    proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], input=json.dumps(invocations),
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    features, lowered = json.loads(proc.stdout)
-    assert not any(features[target] for target in targets)
+    lowered = run_at_lowered_dispatch(turned_off, _DISPATCH_CLI_RUNS, invocations)
     assert len(lowered) == len(invocations)
     for args, run, (code, output) in zip(_GOLDEN_INVOCATIONS, map(cli, invocations), lowered):
         assert code == run.exit_code, args

@@ -36,6 +36,7 @@ from vandermetric.campaign import (
     multilinear_oracle_exact,
     random_ode_problem,
 )
+from conftest import DISPATCH_SETS, run_at_lowered_dispatch
 from vandermetric import batch, campaign, core, geometry
 from vandermetric.batch import expansion_batch
 from vandermetric.core import (LINEAR, LOG, _pair_indices, replacement_sides, vandermonde_log_rows,
@@ -1320,6 +1321,40 @@ GOLDEN_ESCAPED_CAMPAIGNS = [
     (dict(op="simplex", metric="root", n=6, trials=40000),
      "b1aa256b80b67195dab7c55e9e56a9a577d7bd402b7830437a3783f8d00fde4e"),
 ]
+
+
+# Every golden campaign config above, at its test's seed and with its
+# kwargs as listed, and the ode stream's.
+_GOLDEN_CONFIGS = [
+    *[dict(op="polygon", seed=31, trials=400, **kwargs) for kwargs, _ in GOLDEN_CAMPAIGNS],
+    dict(op="ode", seed=1100, trials=30),
+    *[dict(seed=70 + i, **kwargs) for i, (kwargs, _) in enumerate(GOLDEN_BATCH_CAMPAIGNS)],
+    *[dict(seed=90 + i, **kwargs) for i, (kwargs, _) in enumerate(GOLDEN_MULTI_BLOCK_CAMPAIGNS)],
+]
+
+# Runs the campaign configs read from stdin: each one's summary.
+_DISPATCH_CAMPAIGN_RUNS = """
+from vandermetric import CampaignConfig, run_campaign
+result = [run_campaign(CampaignConfig(**config)).summary() for config in json.load(sys.stdin)]
+"""
+
+
+@pytest.fixture(scope="module")
+def golden_summaries():
+    return [run_campaign(CampaignConfig(**config)).summary() for config in _GOLDEN_CONFIGS]
+
+
+@pytest.mark.parametrize("turned_off", DISPATCH_SETS)
+def test_golden_campaign_verdicts_hold_at_lowered_dispatch(golden_summaries, turned_off):
+    # The streams above are pinned in bytes on one dispatch target (see
+    # test_cli's test_golden_verdicts_hold_without_avx512); their verdicts
+    # must hold on each: every pass, and the violations at the default
+    # tolerance.
+    lowered = run_at_lowered_dispatch(turned_off, _DISPATCH_CAMPAIGN_RUNS, _GOLDEN_CONFIGS)
+    for config, native, summary in zip(_GOLDEN_CONFIGS, golden_summaries, lowered, strict=True):
+        assert summary["pass"] == native["pass"], config
+        if "tol" not in config:
+            assert summary["violations"] == native["violations"], config
 
 
 def _run_in_blocks(monkeypatch, config):
