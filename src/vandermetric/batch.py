@@ -125,10 +125,14 @@ def _product_calls(a, b, out, scratch):
             (np.subtract, (out[0], scratch[1], out[0])), (np.add, (scratch[0], out[1], out[1]))]
 
 
-def _multiply_in(scratch):
+def _complex_multiply(scratch):
     """The multiply(acc, factor) of core._fold: acc := acc factor (_product_calls) over scratch."""
+    plan = [None, None, ()]
+
     def multiply(acc, factor):
-        for call, arguments in _product_calls(acc, factor, acc, scratch):
+        if plan[0] is not acc or plan[1] is not factor:  # _fold passes the same two each step
+            plan[:] = acc, factor, _product_calls(acc, factor, acc, scratch)
+        for call, arguments in plan[2]:
             call(*arguments)
     return multiply
 
@@ -155,7 +159,7 @@ def _empty_product(points: np.ndarray):
 def _pdf_rows(points: np.ndarray):
     """The (2, rows, M_m) re and im of pdf_batch on one chunk of rows."""
     pool = _plane_pool(_pair_differences(np.ascontiguousarray(points.transpose(1, 2, 0))))
-    multiply = _multiply_in(np.empty((2, 1) + pool.shape[2:], pool.dtype))
+    multiply = _complex_multiply(np.empty((2, 1) + pool.shape[2:], pool.dtype))
     return _fold(pool, np.arange(pool.shape[1])[:, None], multiply, 1)[:, 0].transpose(0, 2, 1)
 
 
@@ -224,7 +228,7 @@ def _projected_rows(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """
     n = x.shape[1]
     pool = _projected_pool(x, y)
-    multiply = _multiply_in(np.empty((2, n + 1) + pool.shape[2:], pool.dtype))
+    multiply = _complex_multiply(np.empty((2, n + 1) + pool.shape[2:], pool.dtype))
     products = _fold(pool, _slot_map(n, True), multiply, 1)
     for _ in range(q - 1):
         multiply(products, pool[:, -(n + 1):])
@@ -334,8 +338,7 @@ def _laplace_plan(work, n, rows, pairs):
     step gathers its terms' D values and signed powers into
     (2, j + 1, C, W) buffers, multiplies in the powers in place over the
     third (_product_calls), and sums the j + 1 columns into the first
-    (_left_sum_calls), the next table, which the next step gathers from
-    into the third: the two swap.
+    (_left_sum_calls): the next table, so the first and third swap.
     """
     width = rows * pairs
     xs, table, *buffers = _views(work, (2, n, rows, pairs), (2, 2 * n, n, width),

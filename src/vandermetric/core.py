@@ -17,8 +17,8 @@ campaigns and the scalar reports share; beyond that, or once a block of
 those sides overflows or underflows to 0, Lagrange log sums for the whole
 batch.  The campaigns judge its row blocks as they come, and
 replacement_sides collects them for the scalar reports.  Every row kernel
-runs in row chunks through one loop, _by_rows, and every lockstep product
-of a slot map, here and in batch, is one fold, _fold.
+runs in row chunks through one loop, _by_rows, and every lockstep product,
+here and in batch, through one fold, _fold.
 """
 
 from __future__ import annotations
@@ -892,9 +892,8 @@ def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _fold(pool: np.ndarray, columns: np.ndarray, multiply, axis: int = 0) -> np.ndarray:
     """The products, left to right, of pool's factors along axis that (L, members) columns names.
 
-    Step k takes each member's k-th factor, pool's columns[k] along axis,
-    into one reused buffer, and multiply(acc, factor) multiplies it into
-    the products in place; the first factors start them.
+    The first factors start the products; step k takes the members' k-th
+    factors into one buffer, which multiply(acc, factor) multiplies in place.
     """
     acc = pool.take(columns[0], axis)
     factor = np.empty_like(acc)
@@ -911,8 +910,7 @@ def _product_rows(x: np.ndarray, y: np.ndarray, power=None) -> np.ndarray:
     x is (rows, n) complex, distance abs, or (rows, n, m) real, distance the
     Euclidean norm.  The factors are pooled factor-major, (P + n, rows)
     (_distances), and all n + 1 tuples multiply theirs in lockstep, one
-    slot-map row per step (_fold).  With a power, the products are raised
-    to it.
+    slot-map row per step (_fold); with a power, raised to it.
     """
     products = _fold(_distances(x, y), _slot_map(x.shape[1], False),
                      lambda acc, factor: np.multiply(acc, factor, out=acc))
