@@ -35,7 +35,6 @@ from .core import (
     _row_sums,
     replacement_sides,
     scalar_map,
-    scalar_powers,
     simplex_gap,
     vandermonde_log_rows,
     vandermonde_rows,
@@ -192,7 +191,6 @@ class PolygonSides(NamedTuple):
     rhs: np.ndarray
     domain: str = LINEAR
     log_rows: np.ndarray | None = None  # linear rows whose metric was evaluated in logs
-    lengths: dict | None = None  # side and diagonal lengths listed by the scalar report
 
 
 def _vertices(angles, radii, center):
@@ -208,24 +206,6 @@ def _side_lengths(z):
 def _diagonal(z, a, b):
     d = z[:, b] - z[:, a]
     return np.hypot(d.real, d.imag)
-
-
-def triangle_sides(angles, radii, center=0j) -> PolygonSides:
-    """abc and R^2 (a + b + c) for each triangle."""
-    s = _side_lengths(_vertices(angles, radii, center))
-    a, b, c = s.T
-    return PolygonSides(a * b * c, scalar_powers(radii, 2) * (a + b + c), lengths={"sides": s})
-
-
-def quadrilateral_sides(angles, radii, center=0j) -> PolygonSides:
-    """abcdef and R^3 (abe + bcf + cde + adf) for each cyclic quadrilateral."""
-    z = _vertices(angles, radii, center)
-    s = _side_lengths(z)
-    a, b, c, d = s.T
-    e, f = _diagonal(z, 0, 2), _diagonal(z, 1, 3)
-    rhs = scalar_powers(radii, 3) * (a * b * e + b * c * f + c * d * e + a * d * f)
-    return PolygonSides(a * b * c * d * e * f, rhs,
-                        lengths={"sides": s, "diagonals": np.stack([e, f], axis=1)})
 
 
 def ptolemy_sides(angles, radii, center=0j) -> PolygonSides:
@@ -273,22 +253,18 @@ def _one(poly: CyclicPolygon, kernel) -> PolygonSides:
     return kernel(np.array([poly.angles]), np.array([poly.R]), poly.center)
 
 
-def _lengths(sides: PolygonSides) -> dict:
-    """The side and diagonal lengths of a single-polygon kernel result, as lists."""
-    return {key: list(value[0]) for key, value in sides.lengths.items()}
-
-
-def _polygon_report(operation, poly, inputs, lhs, rhs, tol, domain=LINEAR) -> MetricReport:
-    """Inequality report on a polygon, flagged with equality and equilateral.
+def _polygon_report(operation, poly, inputs, tol) -> MetricReport:
+    """Simplex report with y at the circumcenter, flagged with equality and equilateral.
 
     A log-domain report is also flagged log_domain.
     """
-    lhs, rhs = float(lhs), float(rhs)
-    flags = {"equality": _equality(lhs, rhs, tol, domain), "equilateral": poly.is_equilateral()}
-    if domain == LOG:
+    s = _one(poly, simplex_equality_sides)
+    lhs, rhs = float(s.lhs[0]), float(s.rhs[0])
+    flags = {"equality": _equality(lhs, rhs, tol, s.domain), "equilateral": poly.is_equilateral()}
+    if s.domain == LOG:
         flags["log_domain"] = True
     return MetricReport(operation, {"R": poly.R, "angles": list(poly.angles), **inputs},
-                        lhs, rhs, tol, kind=INEQUALITY, domain=domain, flags=flags)
+                        lhs, rhs, tol, kind=INEQUALITY, domain=s.domain, flags=flags)
 
 
 def _check_size(name, poly, n):
@@ -297,21 +273,26 @@ def _check_size(name, poly, n):
 
 
 def triangle_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
-    """abc <= R^2 (a + b + c); equality exactly for equilateral triangles."""
+    """abc <= R^2 (a + b + c); equality exactly for equilateral triangles.
+
+    The simplex inequality with y at the circumcenter (simplex_equality_sides).
+    """
     _check_size("triangle_check", poly, 3)
-    s = _one(poly, triangle_sides)
-    return _polygon_report("triangle_check", poly, _lengths(s), s.lhs[0], s.rhs[0], tol)
+    return _polygon_report("triangle_check", poly, {"sides": list(poly.side_lengths())}, tol)
 
 
 def quadrilateral_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
     """abcdef <= R^3 (abe + bcf + cde + adf) for a cyclic quadrilateral.
 
+    The simplex inequality with y at the circumcenter (simplex_equality_sides).
     Sides a, b, c, d are taken in vertex order; the diagonals are
     e = |z1 - z3| and f = |z2 - z4| with vertices in angle order.
     """
     _check_size("quadrilateral_check", poly, 4)
-    s = _one(poly, quadrilateral_sides)
-    return _polygon_report("quadrilateral_check", poly, _lengths(s), s.lhs[0], s.rhs[0], tol)
+    z = poly.vertices()[None]
+    return _polygon_report("quadrilateral_check", poly,
+                           {"sides": list(poly.side_lengths()),
+                            "diagonals": [_diagonal(z, 0, 2)[0], _diagonal(z, 1, 3)[0]]}, tol)
 
 
 def ptolemy_gap(poly: CyclicPolygon, tol: float = PTOLEMY_RTOL) -> MetricReport:
@@ -349,9 +330,7 @@ def ngon_check(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricRepor
 
 def simplex_equality_ngon(poly: CyclicPolygon, tol: float = INEQUALITY_RTOL) -> MetricReport:
     """Simplex gap with y at the circumcenter; equality iff equilateral."""
-    s = _one(poly, simplex_equality_sides)
-    return _polygon_report("simplex_equality_ngon", poly, {"center": poly.center},
-                           s.lhs[0], s.rhs[0], tol, s.domain)
+    return _polygon_report("simplex_equality_ngon", poly, {"center": poly.center}, tol)
 
 
 class PolygonCheck(NamedTuple):
@@ -365,8 +344,8 @@ class PolygonCheck(NamedTuple):
 
 # Polygon checks by campaign and `polygon --check` name.
 POLYGON_CHECKS = dict(zip(POLYGON_CHECK_NAMES, (
-    PolygonCheck(3, triangle_sides, INEQUALITY, triangle_check),
-    PolygonCheck(4, quadrilateral_sides, INEQUALITY, quadrilateral_check),
+    PolygonCheck(3, simplex_equality_sides, INEQUALITY, triangle_check),
+    PolygonCheck(4, simplex_equality_sides, INEQUALITY, quadrilateral_check),
     PolygonCheck(4, ptolemy_sides, IDENTITY, ptolemy_gap),
     PolygonCheck(None, ngon_sides, INEQUALITY, ngon_check),
     PolygonCheck(None, simplex_equality_sides, INEQUALITY, simplex_equality_ngon),

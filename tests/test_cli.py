@@ -710,8 +710,11 @@ _GOLDEN_INVOCATIONS = [
 ]
 # Recorded again when the permutation expansion became the subset recursion:
 # the multilinear-oracle lines of the two multilinear-verify --m 3 runs moved
-# by a few ulps.
-_GOLDEN_SHA256 = "dfa36a6491f04ae87cf93e658f22e704c080f2af89cc8aa0c6f017969b7f6885"
+# by a few ulps.  Recorded again when the triangle and quadrilateral checks
+# became the simplex-equality kernel at n = 3 and 4: their lhs, rhs and gap
+# moved in the last ulps, and the regular triangle at --tol 0 now reads
+# equality with gap 0; every exit code stayed.
+_GOLDEN_SHA256 = "1a4429e201d55b5cb90d4ca1cca2c98c9098d2acf7c9cfaf3b7940f372acbf94"
 
 
 def test_cli_golden(cli, complex_csv, tetrahedron_csv):
