@@ -25,6 +25,7 @@ from .core import (
     LINEAR,
     LOG,
     POLYGON_CHECK_NAMES,
+    _LOG_SWITCH_N,
     MetricReport,
     _abs,
     _by_rows,
@@ -49,9 +50,6 @@ TWO_PI = 2.0 * math.pi
 # Sits far above accumulated rounding and far below the 1e-3 perturbations
 # used to probe strictness.
 EQUILATERAL_RTOL = 1e-9
-
-# n-gon inequality switches to log-domain comparison beyond this size.
-_LOG_SWITCH_NGON = 20
 
 
 @dataclass(frozen=True)
@@ -208,32 +206,58 @@ def _diagonal(z, a, b):
     return np.hypot(d.real, d.imag)
 
 
+def _in_range(lhs, rhs) -> bool:
+    """Whether linear sides are finite and every left side is above 0: else compare logs."""
+    return bool(np.all((lhs > 0.0) & (lhs < math.inf) & (rhs < math.inf)))
+
+
+def _log(values):
+    """np.log of lengths, with log 0 = -inf, the value 0 in the log domain."""
+    with np.errstate(divide="ignore"):
+        return np.log(values)
+
+
 def ptolemy_sides(angles, radii, center=0j) -> PolygonSides:
-    """ef and ac + bd for each cyclic quadrilateral."""
+    """ef and ac + bd for each cyclic quadrilateral.
+
+    When a side overflows, or ef underflows to 0, both sides of every row
+    are logarithms.
+    """
     z = _vertices(angles, radii, center)
     a, b, c, d = _side_lengths(z).T
-    return PolygonSides(_diagonal(z, 0, 2) * _diagonal(z, 1, 3), a * c + b * d)
+    e, f = _diagonal(z, 0, 2), _diagonal(z, 1, 3)
+    with np.errstate(over="ignore", under="ignore"):
+        lhs, rhs = e * f, a * c + b * d
+    if _in_range(lhs, rhs):
+        return PolygonSides(lhs, rhs)
+    return PolygonSides(_log(e) + _log(f), np.logaddexp(_log(a) + _log(c), _log(b) + _log(d)),
+                        LOG)
 
 
 def ngon_sides(angles, radii, center=0j) -> PolygonSides:
     """prod |z_i - z_j| and (n-2)! R^((n+1)(n-2)/2) sum |z_i - z_j| for each n-gon.
 
-    Beyond n = 20 both sides are logarithms.  The pair sum runs over the
-    vertices in angle order.
+    Beyond n = 12 (core._LOG_SWITCH_N), or when a side is not finite or a
+    left side is 0, both sides of every row are logarithms.  The pair sum
+    runs over the vertices in angle order.
     """
     n = angles.shape[1]
     z = _vertices(angles, radii, center)
     j, i = _pair_indices(n)
     pair_sum, = _by_rows(lambda z: (_row_sums(_abs(z[:, i] - z[:, j])),), _pair_rows(z), z)
-    if n > _LOG_SWITCH_NGON:
-        rhs = (math.lgamma(n - 1) + ((n + 1) * (n - 2) / 2.0) * scalar_map(math.log, radii)
-               + scalar_map(math.log, pair_sum))
-        return PolygonSides(vandermonde_log_rows(z), rhs, LOG)
-    lhs, log_rows = vandermonde_rows(z)
-    constant = scalar_map(lambda r: ngon_constant(n, r), radii)
-    with np.errstate(over="ignore"):  # an infinite side fails the verdict
-        rhs = constant * pair_sum
-    return PolygonSides(lhs, rhs, log_rows=log_rows)
+    if n <= _LOG_SWITCH_N:
+        lhs, log_rows = vandermonde_rows(z)
+        try:
+            constant = scalar_map(lambda r: ngon_constant(n, r), radii)
+        except OverflowError:  # R^((n+1)(n-2)/2) past the float range
+            constant = math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs = constant * pair_sum
+        if _in_range(lhs, rhs):
+            return PolygonSides(lhs, rhs, log_rows=log_rows)
+    rhs = (math.lgamma(n - 1) + ((n + 1) * (n - 2) / 2.0) * scalar_map(math.log, radii)
+           + _log(pair_sum))
+    return PolygonSides(vandermonde_log_rows(z), rhs, LOG)
 
 
 def simplex_equality_sides(angles, radii, center=0j) -> PolygonSides:
@@ -300,8 +324,9 @@ def ptolemy_gap(poly: CyclicPolygon, tol: float = PTOLEMY_RTOL) -> MetricReport:
     _check_size("ptolemy_gap", poly, 4)
     s = _one(poly, ptolemy_sides)
     return MetricReport("ptolemy_gap", {"R": poly.R, "angles": list(poly.angles)},
-                        float(s.lhs[0]), float(s.rhs[0]), tol, kind=IDENTITY, domain=LINEAR,
-                        flags={"identity": True})
+                        float(s.lhs[0]), float(s.rhs[0]), tol, kind=IDENTITY, domain=s.domain,
+                        flags={"identity": True, **({"log_domain": True} if s.domain == LOG
+                                                    else {})})
 
 
 def ngon_constant(n: int, R: float) -> float:

@@ -771,6 +771,20 @@ def test_golden_verdicts_hold_without_avx512(cli, complex_csv, tetrahedron_csv, 
             assert _verdicts(output) == _verdicts(run.output), args
 
 
+@pytest.mark.parametrize("polygon,check", [
+    ({"R": 1e10, "angles": [2 * math.pi * k / 12 for k in range(12)]}, "ngon"),
+    ({"R": 1e110, "angles": [0.1, 2.0, 4.0]}, "triangle"),
+    ({"R": 1e-200, "angles": [0.3, 1.2, 3.0, 5.0]}, "quadrilateral"),
+])
+def test_a_polygon_past_the_float_range_is_compared_in_logs(cli, polygon, check):
+    result = cli(["polygon", "--input", json.dumps(polygon), "--check", check])
+    assert result.exit_code == 0 and result.stderr == ""
+    report = json.loads(result.stdout)
+    assert report["pass"] and report["log_domain"]
+    if "equality" in report:  # the triangle and the quadrilateral are not equilateral
+        assert report["equality"] is False and report["equilateral"] is False
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("args", [
     ["simplex", "--input", "{csv}", "--y", "1,0"],

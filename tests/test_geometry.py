@@ -19,10 +19,12 @@ from vandermetric import (
     tetrahedron_counterexample,
     triangle_check,
 )
-from vandermetric.core import LOG
+from vandermetric.core import LINEAR, LOG
 from vandermetric.geometry import (
+    POLYGON_CHECKS,
     ngon_constant,
     ngon_constant_inductive,
+    simplex_equality_sides,
     tetrahedron_simplex_report,
     tetrahedron_vertices,
 )
@@ -163,6 +165,34 @@ class TestSimplexEqualityNgon:
             assert report.passed
             assert not report.flags["equality"], (n, report.to_json())
             assert report.gap > 0.0
+
+
+@pytest.mark.parametrize("check", ["triangle", "quadrilateral"])
+def test_triangle_and_quadrilateral_are_the_simplex_equality_kernel(check):
+    # abc <= R^2 (a + b + c) and its quadrilateral analogue are the simplex
+    # inequality with y at the circumcenter, at n = 3 and 4.
+    assert POLYGON_CHECKS[check].kernel is simplex_equality_sides
+
+
+# Every polygon check, on a regular and a random polygon at each radius: its
+# products leave the float range at both ends, from n = 3 on.
+OVERFLOW_RADII = [1e-300, 1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e200, 1e300]
+OVERFLOW_CASES = [("triangle", 3), ("quadrilateral", 4), ("ptolemy", 4),
+                  *[(check, n) for check in ("ngon", "simplex-equality")
+                    for n in (3, 5, 12, 13, 20, 21, 25, 40)]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", ["regular", "random"])
+@pytest.mark.parametrize("R", OVERFLOW_RADII)
+@pytest.mark.parametrize("check,n", OVERFLOW_CASES)
+def test_polygon_checks_hold_past_the_float_range(check, n, R, shape):
+    poly = (CyclicPolygon.regular(n, R=R) if shape == "regular"
+            else CyclicPolygon.random(n, np.random.default_rng(n), R=R))
+    report = POLYGON_CHECKS[check].check(poly)
+    assert report.passed, report.to_json()
+    # A linear left side of 0 is an underflow: such a report would hold vacuously.
+    assert not (report.domain == LINEAR and report.lhs == 0.0), report.to_json()
 
 
 class TestEqualityFamily:
