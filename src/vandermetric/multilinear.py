@@ -127,6 +127,8 @@ def _check_points(spec, points):
     if len(points) != spec.n:
         raise ArgumentError(f"expected {spec.n} points, got {len(points)}")
     for p in points:
+        if not isinstance(p, Sized) or not all(_finite_real(c) for c in p):
+            raise ArgumentError(f"each point must be a sequence of finite real numbers, got {p!r}")
         if len(p) != spec.m:
             raise ArgumentError(f"point of dimension {len(p)}, expected {spec.m}")
 

@@ -262,6 +262,29 @@ class TestReplacementIdentities:
         with pytest.raises(ArgumentError, match=message):
             check(spec, [(0, 0), (1, 1)], y, q)
 
+    @pytest.mark.parametrize("points,message", [
+        ([(math.nan, 0.0), (1.0, 1.0)], r"got \(nan, 0.0\)"),
+        ([(math.inf, 0.0), (1.0, 1.0)], r"got \(inf, 0.0\)"),
+        ([("a", "b"), (1, 1)], r"got \('a', 'b'\)"),
+        ([(0, 0), 5], "got 5"),
+    ])
+    @pytest.mark.parametrize("check", [
+        product_difference_form, permutation_expansion,
+        lambda spec, pts: sum_identity_gap(spec, pts, (0.5, 0.25)),
+        lambda spec, pts: w_identity_gap(spec, pts, (0.5, 0.25), 1),
+        lambda spec, pts: w_norm_inequality(spec, pts, (0.5, 0.25), 1),
+    ])
+    def test_a_malformed_point_is_rejected(self, check, points, message):
+        with pytest.raises(ArgumentError,
+                           match="each point must be a sequence of finite real numbers, " + message):
+            check(MultilinearMapSpec(n=2, m=2), points)
+
+    def test_int_and_fraction_points_stay_exact(self):
+        spec = MultilinearMapSpec(n=2, m=2)
+        points = [(Fraction(1, 3), 0), (1, 2)]
+        assert product_difference_form(spec, points).tolist() == [Fraction(2, 3), 2]
+        assert w_identity_gap(spec, points, (Fraction(1, 2), 5), 1) == 0
+
 
 class TestGeneralizedMetric:
     def test_m2_reduction_to_complex(self):
