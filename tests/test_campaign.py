@@ -256,44 +256,11 @@ def test_every_campaign_judges_its_rows_in_one_reduction(monkeypatch, op):
     assert calls == [op]
 
 
-# Mutant cells of the campaigns that judge whole arrays, each as the one
-# block of campaign._whole: rhs := 0, or its log -inf in a LOG block.
-WHOLE_MUTANT_CELLS = [
-    (dict(op="polygon", check="triangle"), LINEAR),
-    (dict(op="polygon", check="quadrilateral"), LINEAR),
-    (dict(op="polygon", check="ptolemy"), LINEAR),
-    (dict(op="polygon", check="ngon", n=7), LINEAR),
-    (dict(op="polygon", check="ngon", n=25), LOG),
-    (dict(op="polygon", check="simplex-equality", n=6), LINEAR),
-    (dict(op="polygon", check="simplex-equality", n=40), LOG),
-    (dict(op="ode"), LINEAR),
-    (dict(op="multilinear-oracle", n=4, m=3), LINEAR),
-]
-
-
-@pytest.mark.parametrize("fields,domain", WHOLE_MUTANT_CELLS,
-                         ids=[f"{f.get('check', f['op'])}-{f.get('n', '')}{d}"
-                              for f, d in WHOLE_MUTANT_CELLS])
-def test_a_planted_zero_rhs_fails_every_row_of_a_whole_array_campaign(monkeypatch, plant_rhs,
-                                                                        fields, domain):
-    whole, domains = campaign._whole, []
-
-    def recorded(lhs, rhs, block_domain):
-        domains.append(block_domain)
-        return whole(lhs, rhs, block_domain)
-
-    monkeypatch.setattr(campaign, "_whole", recorded)
-    zero = -math.inf if domain == LOG else 0.0
-    plant_rhs(campaign, "_whole", lambda lhs, rhs, block_domain: np.full_like(rhs, zero))
-    result = run_campaign(CampaignConfig(seed=7, trials=50, **fields))
-    assert domains == [domain]
-    assert result.violations == result.checked > 0 and not result.passed
-
-
-# The wrong right sides planted in the blocks of core.replacement_blocks
-# and batch.identity_blocks, each in its block's own domain: an
-# inequality's rhs := 0 and rhs := lhs/2, as -inf and lhs - log 2 in a LOG
-# block; an identity's (LINEAR) rhs := 0, rhs x 2 and rhs x (1 + 1e-6).
+# The wrong right sides planted in the blocks of campaign._whole,
+# core.replacement_blocks and batch.identity_blocks, each in its block's
+# own domain: an inequality's or bound's rhs := 0 and rhs := lhs/2, as
+# -inf and lhs - log 2 in a LOG block; an identity's (LINEAR) rhs := 0,
+# rhs x 2 and rhs x (1 + 1e-6).
 INEQUALITY_MUTANTS = {
     "rhs=0": lambda lhs, rhs, domain: np.full_like(rhs, -math.inf if domain == LOG else 0.0),
     "rhs=lhs/2": lambda lhs, rhs, domain: lhs - math.log(2) if domain == LOG else lhs / 2,
@@ -303,6 +270,41 @@ IDENTITY_MUTANTS = {
     "rhs*2": lambda lhs, rhs, domain: 2 * rhs,
     "rhs*(1+1e-6)": lambda lhs, rhs, domain: rhs * (1 + 1e-6),
 }
+
+# Mutant cells of the campaigns that judge whole arrays, each as the one
+# block of campaign._whole, in that block's domain.
+WHOLE_MUTANT_CELLS = [
+    pytest.param(fields, domain, rewrite,
+                 id=f"{fields.get('check', fields['op'])}-{fields.get('n', '')}{domain}-{name}")
+    for fields, domain, mutants in [
+        (dict(op="polygon", check="triangle"), LINEAR, INEQUALITY_MUTANTS),
+        (dict(op="polygon", check="quadrilateral"), LINEAR, INEQUALITY_MUTANTS),
+        (dict(op="polygon", check="ptolemy"), LINEAR, IDENTITY_MUTANTS),
+        (dict(op="polygon", check="ngon", n=7), LINEAR, INEQUALITY_MUTANTS),
+        (dict(op="polygon", check="ngon", n=25), LOG, INEQUALITY_MUTANTS),
+        (dict(op="polygon", check="simplex-equality", n=6), LINEAR, INEQUALITY_MUTANTS),
+        (dict(op="polygon", check="simplex-equality", n=40), LOG, INEQUALITY_MUTANTS),
+        (dict(op="ode"), LINEAR, INEQUALITY_MUTANTS),
+        (dict(op="multilinear-oracle", n=4, m=3), LINEAR, IDENTITY_MUTANTS),
+    ]
+    for name, rewrite in mutants.items()
+]
+
+
+@pytest.mark.parametrize("fields,domain,rewrite", WHOLE_MUTANT_CELLS)
+def test_a_planted_wrong_rhs_fails_every_row_of_a_whole_array_campaign(monkeypatch, plant_rhs,
+                                                                       fields, domain, rewrite):
+    whole, domains = campaign._whole, []
+
+    def recorded(lhs, rhs, block_domain):
+        domains.append(block_domain)
+        return whole(lhs, rhs, block_domain)
+
+    monkeypatch.setattr(campaign, "_whole", recorded)
+    plant_rhs(campaign, "_whole", rewrite)
+    result = run_campaign(CampaignConfig(seed=7, trials=50, **fields))
+    assert domains == [domain]
+    assert result.violations == result.checked > 0 and not result.passed
 
 
 def _identity_fields(n):
