@@ -323,10 +323,12 @@ def ptolemy_gap(poly: CyclicPolygon, tol: float = PTOLEMY_RTOL) -> MetricReport:
     """Sanity oracle for generated cyclic quadrilaterals: ef = ac + bd."""
     _check_size("ptolemy_gap", poly, 4)
     s = _one(poly, ptolemy_sides)
+    flags = {"identity": True}
+    if s.domain == LOG:
+        flags["log_domain"] = True
     return MetricReport("ptolemy_gap", {"R": poly.R, "angles": list(poly.angles)},
                         float(s.lhs[0]), float(s.rhs[0]), tol, kind=IDENTITY, domain=s.domain,
-                        flags={"identity": True, **({"log_domain": True} if s.domain == LOG
-                                                    else {})})
+                        flags=flags)
 
 
 def ngon_constant(n: int, R: float) -> float:
